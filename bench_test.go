@@ -2,6 +2,7 @@ package hnp
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"hnp/internal/adapt"
@@ -378,6 +379,49 @@ func BenchmarkDeploy(b *testing.B) {
 				if _, err := sys.Plan(ids[:k], NodeID(i%128), AlgoTopDown); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// --- advertisement registry -------------------------------------------------
+
+// adsBenchSizes are the standing-registry sizes the registry benchmarks
+// run at: a warm shard of serve-hot, one of serve-standing, and all four.
+var adsBenchSizes = []int{64, 1024, 4096}
+
+var adsBenchSink int
+
+// BenchmarkAdsInputsFor measures one planner lookup — each standing query
+// asks what can feed it, so every lookup matches at least its own
+// operators — against registries of growing size. The cost must follow
+// the query's sub-masks and matches, not the registry.
+func BenchmarkAdsInputsFor(b *testing.B) {
+	for _, n := range adsBenchSizes {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			reg, standing := workload.StandingAds(n, 24, 128, rand.New(rand.NewSource(7)))
+			rt := make(query.RateTable, 1<<6)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				adsBenchSink += len(reg.InputsFor(standing[i%len(standing)].Query, rt, nil))
+			}
+		})
+	}
+}
+
+// BenchmarkAdsRetract measures one undeploy's registry work, paired with
+// the re-advertisement that keeps the registry at its size.
+func BenchmarkAdsRetract(b *testing.B) {
+	for _, n := range adsBenchSizes {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			reg, standing := workload.StandingAds(n, 24, 128, rand.New(rand.NewSource(7)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := standing[i%len(standing)]
+				adsBenchSink += reg.RetractPlan(d.Query, d.Plan)
+				reg.AdvertisePlan(d.Query, d.Plan)
 			}
 		})
 	}

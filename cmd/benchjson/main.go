@@ -7,7 +7,8 @@
 // (and identical to the corresponding go-test benchmarks:
 // BenchmarkSolveK4/K6, BenchmarkDeploy, BenchmarkAPSP,
 // BenchmarkPathsDeltaRefresh, BenchmarkChaosDriftMaintain,
-// BenchmarkMigrate, BenchmarkAdaptControl), so the measured code path is
+// BenchmarkAdsInputsFor, BenchmarkAdsRetract, BenchmarkMigrate,
+// BenchmarkAdaptControl), so the measured code path is
 // reproducible; only the wall-clock figures move with the hardware. CI
 // runs it with short iterations and uploads the artifact:
 //
@@ -40,7 +41,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 
 	"hnp"
@@ -54,9 +54,13 @@ import (
 	"hnp/internal/netgraph"
 	"hnp/internal/query"
 	"hnp/internal/serve"
+	"hnp/internal/workload"
 )
 
 const seed = 7
+
+// adsSink keeps the registry benchmarks' results live.
+var adsSink int
 
 // solveProblem mirrors the fixture of BenchmarkSolveK4/K6 in bench_test.go.
 func solveProblem(k, n int) core.Problem {
@@ -242,15 +246,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	traj := benchfmt.Trajectory{
-		Schema:    benchfmt.Schema,
-		Tool:      "cmd/benchjson",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Seed:      seed,
-		Benchtime: *benchtime,
-	}
+	traj := benchfmt.New("cmd/benchjson", seed, *benchtime)
 	if *serving {
 		traj.Tool = "cmd/benchjson -serving"
 		traj.Benchtime = "trace"
@@ -436,6 +432,29 @@ func main() {
 		}
 	}
 
+	// AdsInputsFor / AdsRetract: one planner lookup, and one undeploy's
+	// retraction paired with the re-advertisement that restores it, against
+	// standing registries of growing size (mirrors BenchmarkAdsInputsFor and
+	// BenchmarkAdsRetract). Neither may grow with the registry.
+	for _, n := range []int{64, 1024, 4096} {
+		reg, standing := workload.StandingAds(n, 24, 128, rand.New(rand.NewSource(seed)))
+		rt := make(query.RateTable, 1<<6)
+		measure(&traj.Benchmarks, fmt.Sprintf("AdsInputsFor%d", n), 0, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				adsSink += len(reg.InputsFor(standing[i%len(standing)].Query, rt, nil))
+			}
+		})
+		measure(&traj.Benchmarks, fmt.Sprintf("AdsRetract%d", n), 0, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := standing[i%len(standing)]
+				adsSink += reg.RetractPlan(d.Query, d.Plan)
+				reg.AdvertisePlan(d.Query, d.Plan)
+			}
+		})
+	}
+
 	// RewritePushdown: the figure workload's CQL statements end to end —
 	// parse, logical optimizer pipeline (constant folding, predicate
 	// pushdown, column pruning) and Top-Down planning over schema-bearing
@@ -607,8 +626,18 @@ func main() {
 }
 
 // finish writes the trajectory and, with -compare, diffs it against the
-// baseline, exiting 3 on regression.
+// baseline, exiting 3 on regression. The baseline's before-rows are
+// carried into the written file.
 func finish(traj benchfmt.Trajectory, outPath, compare string, threshold float64) {
+	var base benchfmt.Trajectory
+	if compare != "" {
+		var err error
+		if base, err = benchfmt.Load(compare); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: -compare: %v\n", err)
+			os.Exit(1)
+		}
+		traj.BeforeCommit, traj.Before = base.BeforeCommit, base.Before
+	}
 	if err := benchfmt.Write(outPath, traj); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
@@ -616,13 +645,7 @@ func finish(traj benchfmt.Trajectory, outPath, compare string, threshold float64
 	if outPath != "-" {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
 	}
-
 	if compare != "" {
-		base, err := benchfmt.Load(compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: -compare: %v\n", err)
-			os.Exit(1)
-		}
 		if regressions := benchfmt.Diff(os.Stdout, base, traj, threshold); regressions > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed vs %s\n", regressions, compare)
 			os.Exit(3)

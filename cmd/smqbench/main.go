@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"hnp/internal/benchfmt"
 	"hnp/internal/serve"
@@ -67,15 +66,7 @@ func main() {
 		return
 	}
 
-	traj := benchfmt.Trajectory{
-		Schema:    benchfmt.Schema,
-		Tool:      "cmd/smqbench",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Seed:      *seed,
-		Benchtime: "trace",
-	}
+	traj := benchfmt.New("cmd/smqbench", *seed, "trace")
 	for _, sc := range serve.BenchScenarios(*seed) {
 		res, rep, err := serve.RunBench(sc)
 		if err != nil {

@@ -354,7 +354,7 @@ func (s *System) Undeploy(d Deployment) int {
 	if d.Query == nil || d.Plan == nil {
 		return 0
 	}
-	removed := s.Registry.Prune(func(ad ads.Ad) bool { return ad.QueryID != d.Query.ID })
+	removed := s.Registry.RetractPlan(d.Query, d.Plan)
 	s.tracker.RemovePlan(d.Plan)
 	if obs.On() {
 		s.Obs.Counter("system.undeploys").Inc()

@@ -7,7 +7,10 @@
 package ads
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"hnp/internal/netgraph"
@@ -40,37 +43,69 @@ type Ad struct {
 	ProjSig string
 }
 
-// Registry indexes advertisements by signature. The zero value is not
-// usable; create with NewRegistry. A Registry is internally locked: any
-// number of goroutines may advertise and look up concurrently, so planners
-// can consult the registry while other deployments advertise into it.
+// Registry indexes advertisements by base stream set: the part of Ad.Sig
+// before the predicate ("#") and projection ("%") fragments keys a bucket
+// holding every ad over exactly those streams, in advertise order. A query
+// over K sources can only be fed by ads over its multi-stream subsets, so
+// a lookup probes at most 2^K-K-1 buckets and its cost follows K and the
+// matches, not Len. The zero value is not usable; create with NewRegistry.
+// A Registry is internally locked: any number of goroutines may advertise,
+// retract and look up concurrently, so planners can consult the registry
+// while other deployments advertise into it.
 type Registry struct {
-	mu    sync.RWMutex
-	bySig map[string][]Ad
-	count int
+	mu      sync.RWMutex
+	buckets map[string][]Ad // never holds an empty bucket
+	count   int
 
 	// Telemetry handles (nil until BindObs; all nil-safe no-ops then).
 	obsAdvertised *obs.Counter
 	obsDuplicates *obs.Counter
 	obsLookups    *obs.Counter
+	obsScanned    *obs.Counter
 	obsOffered    *obs.Counter
 	obsPruned     *obs.Counter
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{bySig: map[string][]Ad{}} }
+func NewRegistry() *Registry { return &Registry{buckets: map[string][]Ad{}} }
+
+// baseOf returns the bucket key of a signature: its base stream set.
+func baseOf(sig string) string {
+	if i := strings.IndexAny(sig, "#%"); i >= 0 {
+		return sig[:i]
+	}
+	return sig
+}
 
 // BindObs connects the registry to a telemetry registry: advertisement
-// counts ("ads.advertised", "ads.duplicates") and reuse-lookup activity
-// ("ads.lookups", "ads.reuse_offered") are recorded there. Reuse
+// counts ("ads.advertised", "ads.duplicates", "ads.pruned") and lookup
+// activity are recorded there — "ads.lookups" (InputsFor calls: one per
+// planned query), "ads.scanned" (ads examined inside the probed buckets)
+// and "ads.reuse_offered" (ads that survived every check), so
+// offered/scanned is the live share of lookup work that was useful. Reuse
 // hit/miss outcomes are a planning-level judgement and are recorded by
 // the deployment layer (see hnp.System), not here.
 func (r *Registry) BindObs(reg *obs.Registry) {
 	r.obsAdvertised = reg.Counter("ads.advertised")
 	r.obsDuplicates = reg.Counter("ads.duplicates")
 	r.obsLookups = reg.Counter("ads.lookups")
+	r.obsScanned = reg.Counter("ads.scanned")
 	r.obsOffered = reg.Counter("ads.reuse_offered")
 	r.obsPruned = reg.Counter("ads.pruned")
+}
+
+// setBucket stores what remains of a bucket after a retraction: the
+// vacated tail of the old slice is zeroed, so the retracted ads'
+// predicate maps, stream slices and signature strings become collectable,
+// and a bucket left empty is dropped.
+func (r *Registry) setBucket(key string, old, kept []Ad) {
+	clear(old[len(kept):])
+	if len(kept) == 0 {
+		delete(r.buckets, key)
+	} else {
+		r.buckets[key] = kept
+	}
+	r.count -= len(old) - len(kept)
 }
 
 // Prune retracts every advertisement the keep predicate rejects and
@@ -79,44 +114,48 @@ func (r *Registry) BindObs(reg *obs.Registry) {
 // they materialized stop existing, and planners must stop being offered
 // them (a reused input that no longer runs anywhere fails at deployment).
 // Callers typically keep exactly the ads whose operator is still hosted by
-// the runtime.
+// the runtime. Prune visits every ad; RetractPlan retracts one
+// deployment's own ads without the scan.
 func (r *Registry) Prune(keep func(Ad) bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	removed := 0
-	for sig, list := range r.bySig {
+	before := r.count
+	for key, list := range r.buckets {
 		kept := list[:0]
 		for _, ad := range list {
 			if keep(ad) {
 				kept = append(kept, ad)
-			} else {
-				removed++
 			}
 		}
-		if len(kept) == 0 {
-			delete(r.bySig, sig)
-		} else {
-			r.bySig[sig] = kept
+		if len(kept) < len(list) {
+			r.setBucket(key, list, kept)
 		}
 	}
-	r.count -= removed
-	r.obsPruned.Add(int64(removed))
-	return removed
+	r.obsPruned.Add(int64(before - r.count))
+	return before - r.count
 }
 
 // Advertise records an ad. A duplicate (same signature at the same node)
 // is ignored, matching the one-time advertisement semantics of the paper.
-// It reports whether the ad was new.
+// It reports whether the ad was new. InputsFor finds an ad through its
+// bucket, so Sig's base must be the canonical signature of Streams.
 func (r *Registry) Advertise(ad Ad) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, ex := range r.bySig[ad.Sig] {
-		if ex.Node == ad.Node {
+	key := baseOf(ad.Sig)
+	list, ok := r.buckets[key]
+	for i := range list {
+		if list[i].Node == ad.Node && list[i].Sig == ad.Sig {
 			r.obsDuplicates.Inc()
 			return false
 		}
 	}
-	r.bySig[ad.Sig] = append(r.bySig[ad.Sig], ad)
+	if !ok && len(key) < len(ad.Sig) {
+		// The key outlives this ad when the bucket gains others; do not
+		// let it pin the longer signature it was cut from.
+		key = strings.Clone(key)
+	}
+	r.buckets[key] = append(list, ad)
 	r.count++
 	r.obsAdvertised.Inc()
 	return true
@@ -151,12 +190,18 @@ func (r *Registry) Clone() *Registry {
 	return c
 }
 
-// Lookup returns all ads with the given signature. The result is a copy,
-// safe to hold while other goroutines advertise.
+// Lookup returns all ads with the given signature, in advertise order.
+// The result is a copy, safe to hold while other goroutines advertise.
 func (r *Registry) Lookup(sig string) []Ad {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]Ad(nil), r.bySig[sig]...)
+	var out []Ad
+	for _, ad := range r.buckets[baseOf(sig)] {
+		if ad.Sig == sig {
+			out = append(out, ad)
+		}
+	}
+	return out
 }
 
 // All returns every ad, ordered by signature then node, for deterministic
@@ -164,61 +209,104 @@ func (r *Registry) Lookup(sig string) []Ad {
 func (r *Registry) All() []Ad {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sigs := make([]string, 0, len(r.bySig))
-	for s := range r.bySig {
-		sigs = append(sigs, s)
+	out := make([]Ad, 0, r.count)
+	for _, list := range r.buckets {
+		out = append(out, list...)
 	}
-	sort.Strings(sigs)
-	var out []Ad
-	for _, s := range sigs {
-		as := append([]Ad(nil), r.bySig[s]...)
-		sort.Slice(as, func(i, j int) bool { return as[i].Node < as[j].Node })
-		out = append(out, as...)
-	}
+	slices.SortFunc(out, func(a, b Ad) int {
+		return cmp.Or(strings.Compare(a.Sig, b.Sig), cmp.Compare(a.Node, b.Node))
+	})
 	return out
 }
 
 // InputsFor converts the ads usable by query q into planner inputs:
 // every ad whose stream set is a subset of q's sources, covering at least
 // two positions (single-stream ads duplicate base inputs), whose node
-// passes the within filter (nil means anywhere), and whose predicates
-// contain the query's — exact-match reuse and containment-based reuse
-// through a residual filter applied at the producing node. Rates are
-// taken from the query's rate table (which already reflects the query's
-// own predicates) so reuse and fresh computation are costed consistently.
+// passes the within filter (nil means anywhere), whose projection equals
+// the query's over those streams, and whose predicates contain the
+// query's — exact-match reuse and containment-based reuse through a
+// residual filter applied at the producing node. Rates are taken from the
+// query's rate table (which already reflects the query's own predicates)
+// so reuse and fresh computation are costed consistently. The result is
+// ordered by ad signature, then node, whatever the advertise order.
+//
+// Each multi-stream sub-mask of q probes the one bucket that can hold
+// its ads; the predicate and projection fragments the checks compare
+// against are computed once per sub-mask, and only for buckets that hold a
+// candidate. A lookup that matches nothing allocates nothing.
 func (r *Registry) InputsFor(q *query.Query, rt query.RateTable, within func(netgraph.NodeID) bool) []query.Input {
-	r.obsLookups.Inc()
-	var out []query.Input
-	for _, ad := range r.All() {
-		mask, ok := q.MaskOf(ad.Streams)
-		if !ok || mask.Count() < 2 {
-			continue
-		}
-		if within != nil && !within(ad.Node) {
-			continue
-		}
-		need := q.Preds.Restrict(ad.Streams)
-		if !ad.Preds.Contains(need) {
-			continue
-		}
-		if ad.ProjSig != q.ProjSigOf(mask) {
-			continue
-		}
-		in := query.Input{
-			Mask:    mask,
-			Rate:    rt.Rate(mask),
-			Loc:     ad.Node,
-			Derived: true,
-			Sig:     q.SigOf(mask),
-		}
-		if !ad.Preds.Equal(need) {
-			// Strict containment: the reused stream is filtered at the
-			// producing node before shipping.
-			in.BaseSig = ad.Sig
-		}
-		out = append(out, in)
+	// Source positions by ascending stream ID: the order signatures list
+	// streams in.
+	var orderBuf [query.MaxSources]int
+	order := orderBuf[:0]
+	for p := range q.Sources {
+		order = append(order, p)
 	}
-	r.obsOffered.Add(int64(len(out)))
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(q.Sources[a], q.Sources[b]) })
+
+	type match struct {
+		adSig string
+		in    query.Input
+	}
+	var matches []match
+	var keyBuf [64]byte
+	scanned := 0
+	r.mu.RLock()
+	for m := query.Mask(3); m <= q.All(); m++ {
+		if m.Count() < 2 {
+			continue
+		}
+		key := keyBuf[:0]
+		for _, p := range order {
+			if m.Has(p) {
+				if len(key) > 0 {
+					key = append(key, '|')
+				}
+				key = strconv.AppendInt(key, int64(q.Sources[p]), 10)
+			}
+		}
+		list := r.buckets[string(key)]
+		scanned += len(list)
+		var frag query.Fragment
+		for i := range list {
+			ad := &list[i]
+			if am, ok := q.MaskOf(ad.Streams); !ok || am != m {
+				continue // hand-built ad whose Streams disagree with its Sig
+			}
+			if frag.Sig == "" {
+				frag = q.Fragment(m)
+			}
+			if ad.ProjSig != frag.ProjSig || !ad.Preds.Contains(frag.Preds) {
+				continue
+			}
+			in := query.Input{Mask: m, Rate: rt.Rate(m), Loc: ad.Node, Derived: true, Sig: frag.Sig}
+			if !ad.Preds.Equal(frag.Preds) {
+				// Strict containment: the reused stream is filtered at the
+				// producing node before shipping.
+				in.BaseSig = ad.Sig
+			}
+			matches = append(matches, match{ad.Sig, in})
+		}
+	}
+	r.mu.RUnlock()
+	if within != nil { // caller's code: run it outside the lock
+		matches = slices.DeleteFunc(matches, func(c match) bool { return !within(c.in.Loc) })
+	}
+	if obs.On() {
+		r.obsLookups.Inc()
+		r.obsScanned.Add(int64(scanned))
+		r.obsOffered.Add(int64(len(matches)))
+	}
+	if len(matches) == 0 {
+		return nil
+	}
+	slices.SortFunc(matches, func(a, b match) int {
+		return cmp.Or(strings.Compare(a.adSig, b.adSig), cmp.Compare(a.in.Loc, b.in.Loc))
+	})
+	out := make([]query.Input, len(matches))
+	for i := range matches {
+		out[i] = matches[i].in
+	}
 	return out
 }
 
@@ -233,19 +321,48 @@ func (r *Registry) AdvertisePlan(q *query.Query, root *query.PlanNode) int {
 			// inputs.
 			continue
 		}
-		streams := q.StreamsOf(op.Mask)
+		f := q.Fragment(op.Mask)
 		ad := Ad{
-			Sig:     q.SigOf(op.Mask),
-			Streams: streams,
+			Sig:     f.Sig,
+			Streams: f.Streams,
 			Node:    op.Loc,
 			Rate:    op.Rate,
 			QueryID: q.ID,
-			Preds:   q.Preds.Restrict(streams),
-			ProjSig: q.ProjSigOf(op.Mask),
+			Preds:   f.Preds,
+			ProjSig: f.ProjSig,
 		}
 		if r.Advertise(ad) {
 			added++
 		}
 	}
 	return added
+}
+
+// RetractPlan is the mirror of AdvertisePlan: it retracts the ads that
+// advertising root for q created — for every operator, the ad with the
+// operator's signature at its node, if q owns it — and returns how many
+// were removed. Ads the plan merely reused, and operators that lost the
+// duplicate check to an earlier deployment, belong to other queries and
+// stay. Each operator probes the bucket it was advertised under, so the
+// cost follows the plan, not Len.
+func (r *Registry) RetractPlan(q *query.Query, root *query.PlanNode) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	before := r.count
+	for _, op := range root.Operators() {
+		if op.IsUnary() {
+			continue
+		}
+		sig := q.SigOf(op.Mask)
+		key := baseOf(sig)
+		list := r.buckets[key]
+		for i := range list {
+			if ad := &list[i]; ad.Node == op.Loc && ad.QueryID == q.ID && ad.Sig == sig {
+				r.setBucket(key, list, append(list[:i], list[i+1:]...))
+				break
+			}
+		}
+	}
+	r.obsPruned.Add(int64(before - r.count))
+	return before - r.count
 }

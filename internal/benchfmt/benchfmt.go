@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 )
 
 // Schema identifies the trajectory format; Load rejects anything else.
@@ -74,14 +75,40 @@ type Result struct {
 
 // Trajectory is one benchmark run: environment provenance plus results.
 type Trajectory struct {
-	Schema     string   `json:"schema"`
-	Tool       string   `json:"tool"`
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	Seed       int64    `json:"seed"`
-	Benchtime  string   `json:"benchtime"`
-	Benchmarks []Result `json:"benchmarks"`
+	Schema     string `json:"schema"`
+	Tool       string `json:"tool"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	Seed       int64  `json:"seed"`
+	Benchtime  string `json:"benchtime"`
+	// BeforeCommit and Before keep rows measured at an earlier commit with
+	// the same fixtures, benchtime and machine as a run that replaced a
+	// code path, so the file shows both sides of the change. They are a
+	// record, not a gate: Diff ignores them, and cmd/benchjson copies them
+	// from the -compare baseline into the file it writes.
+	BeforeCommit string   `json:"before_commit,omitempty"`
+	Before       []Result `json:"before,omitempty"`
+	Benchmarks   []Result `json:"benchmarks"`
+}
+
+// New returns a trajectory header describing this process: schema, Go
+// version, platform, and the processor counts the hardware-relative
+// figures were measured under.
+func New(tool string, seed int64, benchtime string) Trajectory {
+	return Trajectory{
+		Schema:     Schema,
+		Tool:       tool,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Seed:       seed,
+		Benchtime:  benchtime,
+	}
 }
 
 // Load reads and validates a previously written trajectory.

@@ -39,6 +39,12 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	wt := query.BuildWidths(cat, q)
 	full := q.All()
 	pending := BaseInputs(cat, q, rt)
+	// Every advertised stream that can feed the query, from one registry
+	// lookup; each level takes the ones inside its cluster.
+	var reuse []query.Input
+	if reg != nil {
+		reuse = reg.InputsFor(q, rt, nil)
+	}
 	assembled := map[query.Mask]*query.PlanNode{}
 
 	var plans float64
@@ -68,12 +74,10 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		goal := unionMask(avail)
 		// A derived stream materialized locally makes even remote base
 		// positions locally available; extend the view with disjoint ads.
-		if reg != nil {
-			for _, in := range reg.InputsFor(q, rt, func(n netgraph.NodeID) bool { return coverSet.has(n) }) {
-				if in.Mask&goal == 0 {
-					leaves = append(leaves, in)
-					goal |= in.Mask
-				}
+		for _, in := range reuse {
+			if coverSet.has(in.Loc) && in.Mask&goal == 0 {
+				leaves = append(leaves, in)
+				goal |= in.Mask
 			}
 		}
 		if goal == 0 || len(leaves) < 2 {
@@ -89,12 +93,10 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		// Offer every locally advertised derived stream to the search.
 		inputs := append([]query.Input(nil), leaves...)
 		reuseOffered := 0
-		if reg != nil {
-			for _, in := range reg.InputsFor(q, rt, func(n netgraph.NodeID) bool { return coverSet.has(n) }) {
-				if in.Mask&goal == in.Mask {
-					inputs = append(inputs, in)
-					reuseOffered++
-				}
+		for _, in := range reuse {
+			if coverSet.has(in.Loc) && in.Mask&goal == in.Mask {
+				inputs = append(inputs, in)
+				reuseOffered++
 			}
 		}
 

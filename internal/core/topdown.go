@@ -48,7 +48,10 @@ func TopDownOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg
 	started := emitPlanStarted(opts, q, "topdown")
 	rt := query.BuildRates(cat, q)
 	wt := query.BuildWidths(cat, q)
-	td := &tdPlanner{h: h, q: q, rt: rt, wt: wt, reg: reg, opts: opts, obs: newPlannerObs(opts.Obs, "topdown")}
+	td := &tdPlanner{h: h, q: q, rt: rt, wt: wt, opts: opts, obs: newPlannerObs(opts.Obs, "topdown")}
+	if reg != nil {
+		td.reuse = reg.InputsFor(q, rt, nil)
+	}
 	plan, trace, err := td.planView(h.Top(), BaseInputs(cat, q, rt), q.Sink, true)
 	if err != nil {
 		return Result{}, fmt.Errorf("top-down: %w", err)
@@ -75,7 +78,6 @@ type tdPlanner struct {
 	q        *query.Query
 	rt       query.RateTable
 	wt       query.WidthTable
-	reg      *ads.Registry
 	opts     Options
 	obs      plannerObs
 	plans    float64
@@ -84,6 +86,9 @@ type tdPlanner struct {
 	// every planView call of the query (each view fully consumes it before
 	// recursing into child views).
 	cover nodeBitset
+	// reuse is every advertised stream that can feed the query, from one
+	// registry lookup; each view is offered the ones inside its cluster.
+	reuse []query.Input
 }
 
 // planView plans one view (a sub-query given by its leaves) within cluster
@@ -104,12 +109,10 @@ func (td *tdPlanner) planView(c *hierarchy.Cluster, leaves []query.Input, out ne
 	td.cover.fill(td.h.Cover(c), td.h.Graph().NumNodes())
 	coverSet := &td.cover
 	inputs := append([]query.Input(nil), leaves...)
-	if td.reg != nil {
-		for _, in := range td.reg.InputsFor(td.q, td.rt, func(n netgraph.NodeID) bool { return coverSet.has(n) }) {
-			if in.Mask&goal == in.Mask {
-				inputs = append(inputs, in)
-				step.ReuseOffered++
-			}
+	for _, in := range td.reuse {
+		if coverSet.has(in.Loc) && in.Mask&goal == in.Mask {
+			inputs = append(inputs, in)
+			step.ReuseOffered++
 		}
 	}
 

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -111,17 +112,18 @@ func (ps PredSet) Empty() bool { return len(ps.m) == 0 }
 // Len returns the number of constrained attributes.
 func (ps PredSet) Len() int { return len(ps.m) }
 
-// Restrict returns the subset of constraints that touch the given streams.
+// Restrict returns the subset of constraints that touch the given streams
+// (the zero set, without allocating, when none does).
 func (ps PredSet) Restrict(streams []StreamID) PredSet {
-	want := map[StreamID]bool{}
-	for _, s := range streams {
-		want[s] = true
-	}
-	out := PredSet{m: map[predKey]Range{}}
+	var out PredSet
 	for k, r := range ps.m {
-		if want[k.stream] {
-			out.m[k] = r
+		if !slices.Contains(streams, k.stream) {
+			continue
 		}
+		if out.m == nil {
+			out.m = map[predKey]Range{}
+		}
+		out.m[k] = r
 	}
 	return out
 }
@@ -170,7 +172,17 @@ func (ps PredSet) Sig() string {
 }
 
 // Equal reports whether two sets constrain identically.
-func (ps PredSet) Equal(o PredSet) bool { return ps.Sig() == o.Sig() }
+func (ps PredSet) Equal(o PredSet) bool {
+	if len(ps.m) != len(o.m) {
+		return false
+	}
+	for k, r := range ps.m {
+		if or, ok := o.m[k]; !ok || or != r {
+			return false
+		}
+	}
+	return true
+}
 
 // Preds returns the constraints in canonical order.
 func (ps PredSet) Preds() []Pred {

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"hnp/internal/netgraph"
 )
@@ -105,29 +106,54 @@ func (q *Query) All() Mask { return FullMask(q.K()) }
 
 // StreamsOf maps a mask to the global stream IDs it covers.
 func (q *Query) StreamsOf(m Mask) []StreamID {
-	ps := m.Positions()
-	out := make([]StreamID, len(ps))
-	for i, p := range ps {
-		out[i] = q.Sources[p]
+	out := make([]StreamID, 0, m.Count())
+	for p, s := range q.Sources {
+		if m.Has(p) {
+			out = append(out, s)
+		}
 	}
 	return out
+}
+
+// Fragment describes the sub-join of a query covered by one mask: what an
+// advertisement of it carries and what a registry lookup for it matches
+// against. Computing the parts together shares the stream list and the
+// restricted predicate set between them.
+type Fragment struct {
+	// Streams are the covered base streams, in source-position order.
+	Streams []StreamID
+	// Preds are the query's predicates on the covered streams.
+	Preds PredSet
+	// ProjSig is the projection fragment over the covered streams ("" when
+	// full tuples are shipped).
+	ProjSig string
+	// Sig is the canonical signature: the sorted stream IDs, then "#" and
+	// the predicate fragment, then "%" and the projection fragment, each
+	// only when non-empty.
+	Sig string
+}
+
+// Fragment returns the description of the sub-join covered by m.
+func (q *Query) Fragment(m Mask) Fragment {
+	streams := q.StreamsOf(m)
+	f := Fragment{Streams: streams, Preds: q.Preds.Restrict(streams), Sig: SigOf(streams)}
+	if !q.Proj.Empty() {
+		f.ProjSig = q.Proj.SigOf(streams)
+	}
+	if !f.Preds.Empty() {
+		f.Sig += "#" + f.Preds.Sig()
+	}
+	if f.ProjSig != "" {
+		f.Sig += "%" + f.ProjSig
+	}
+	return f
 }
 
 // SigOf returns the canonical signature of the sub-join covered by m,
 // including the query's predicates on the covered streams (so operators
 // computed under different predicates never alias). Predicate-free
 // queries keep the plain stream signature.
-func (q *Query) SigOf(m Mask) string {
-	streams := q.StreamsOf(m)
-	base := SigOf(streams)
-	if ps := q.Preds.Restrict(streams); !ps.Empty() {
-		base += "#" + ps.Sig()
-	}
-	if frag := q.ProjSigOf(m); frag != "" {
-		base += "%" + frag
-	}
-	return base
-}
+func (q *Query) SigOf(m Mask) string { return q.Fragment(m).Sig }
 
 // ProjSigOf returns the canonical projection fragment of the sub-join
 // covered by m: empty for full-projection (or projection-less) queries,
@@ -143,14 +169,10 @@ func (q *Query) ProjSigOf(m Mask) string {
 // MaskOf returns the mask of positions corresponding to a set of global
 // stream IDs, and false if any of them is not a source of this query.
 func (q *Query) MaskOf(ids []StreamID) (Mask, bool) {
-	pos := map[StreamID]int{}
-	for i, s := range q.Sources {
-		pos[s] = i
-	}
 	var m Mask
 	for _, id := range ids {
-		p, ok := pos[id]
-		if !ok {
+		p := slices.Index(q.Sources, id)
+		if p < 0 {
 			return 0, false
 		}
 		m |= 1 << uint(p)

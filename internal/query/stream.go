@@ -7,9 +7,8 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"hnp/internal/netgraph"
 )
@@ -128,14 +127,14 @@ func (c *Catalog) Selectivity(a, b StreamID) float64 {
 // sorted IDs joined with '|'. Two subqueries over the same stream set have
 // the same signature; the advertisement registry is keyed by it.
 func SigOf(ids []StreamID) string {
-	sorted := append([]StreamID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b strings.Builder
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	b := make([]byte, 0, 4*len(sorted))
 	for i, id := range sorted {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		b.WriteString(strconv.Itoa(int(id)))
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return b.String()
+	return string(b)
 }

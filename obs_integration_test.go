@@ -93,6 +93,15 @@ func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
 	if countDerived(rep.Plan) == 0 {
 		t.Error("repeat of an identical deployed query did not reuse anything")
 	}
+	// The registry is consulted once per planned query, and every ad it
+	// offers was examined in a probed bucket first.
+	snap = sys.Snapshot()
+	if got := snap.Counter("ads.lookups"); got != 4 {
+		t.Errorf("ads.lookups = %d after 4 planned queries", got)
+	}
+	if offered, scanned := snap.Counter("ads.reuse_offered"), snap.Counter("ads.scanned"); offered == 0 || scanned < offered {
+		t.Errorf("ads.reuse_offered = %d, ads.scanned = %d: want 0 < offered <= scanned", offered, scanned)
+	}
 }
 
 // TestSnapshotDisabledEmpty: with telemetry off, deployments leave no
