@@ -170,47 +170,16 @@ func BenchmarkAPSP(b *testing.B) {
 	}
 }
 
-// benchDriftLink mirrors the netgraph test-side pickDriftLink: probe every
-// link with a mild wiggle to just under its endpoints' path distance,
-// refresh a throwaway snapshot, revert (reverts coalesce out of the delta
-// log), and keep the link an incremental refresh absorbs with the fewest
-// recomputed rows. Leaf links — a degree-1 node's only link sits on every
-// row's path to that node — legitimately force full recomputes and are
-// skipped; the drift benchmarks measure the local-churn case the delta
-// machinery exists for.
-func benchDriftLink(b *testing.B, g *netgraph.Graph) (netgraph.Link, float64) {
-	b.Helper()
-	fresh := g.ShortestPaths(netgraph.MetricCost)
-	n := g.NumNodes()
-	var best netgraph.Link
-	bestBase, bestRows := 0.0, n
-	for _, cand := range g.Links() {
-		orig, _ := g.LinkCost(cand.A, cand.B)
-		d := fresh.Dist(cand.A, cand.B)
-		if err := g.SetLinkCost(cand.A, cand.B, d*0.95); err != nil {
-			b.Fatal(err)
-		}
-		_, s1 := fresh.RefreshFrom(g, nil)
-		if err := g.SetLinkCost(cand.A, cand.B, d*0.90); err != nil {
-			b.Fatal(err)
-		}
-		_, s2 := fresh.RefreshFrom(g, nil)
-		if err := g.SetLinkCost(cand.A, cand.B, orig); err != nil {
-			b.Fatal(err)
-		}
-		rows := s1.RowsRecomputed
-		if s2.RowsRecomputed > rows {
-			rows = s2.RowsRecomputed
-		}
-		if s1.Mode == netgraph.RefreshIncremental && s2.Mode == netgraph.RefreshIncremental &&
-			s1.RowsRecomputed > 0 && s2.RowsRecomputed > 0 && rows < bestRows {
-			best, bestBase, bestRows = cand, d, rows
-		}
-	}
-	if bestRows > n/8 {
-		b.Fatalf("no link with a small drift blast radius (best repairs %d/%d rows)", bestRows, n)
-	}
-	return best, bestBase
+// driftChain is the steady state of iflow and chaos path maintenance on
+// one drifting link: flip its cost between two values just under the
+// endpoints' path distance and repair the standing snapshot over a
+// recycled ping-pong pair.
+type driftChain struct {
+	g          *netgraph.Graph
+	l          netgraph.Link
+	base       float64
+	cur, spare *netgraph.Paths
+	flips      int
 }
 
 // driftWarmup is enough single-link mutations to carry the graph's delta
@@ -218,6 +187,26 @@ func benchDriftLink(b *testing.B, g *netgraph.Graph) (netgraph.Link, float64) {
 // pair, and the chain's scratch buffers all reach steady-state capacity
 // before the timer starts.
 const driftWarmup = 2048
+
+func newDriftChain(b *testing.B, g *netgraph.Graph, l netgraph.Link, base float64, paths *netgraph.Paths) *driftChain {
+	d := &driftChain{g: g, l: l, base: base, cur: paths}
+	for i := 0; i < driftWarmup; i++ {
+		d.drift(b)
+	}
+	return d
+}
+
+// drift reprices the link, refreshes, and reports what the refresh did.
+func (d *driftChain) drift(b *testing.B) netgraph.RefreshStats {
+	if err := d.g.SetLinkCost(d.l.A, d.l.B, d.base*(0.90+0.05*float64(d.flips%2))); err != nil {
+		b.Fatal(err)
+	}
+	d.flips++
+	old := d.cur
+	next, stats := d.cur.RefreshFrom(d.g, d.spare)
+	d.cur, d.spare = next, old
+	return stats
+}
 
 // BenchmarkPathsDeltaRefresh measures absorbing a single-link cost drift
 // on a 128-node network. "incremental" repairs the standing snapshot with
@@ -229,32 +218,20 @@ const driftWarmup = 2048
 func BenchmarkPathsDeltaRefresh(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	g := netgraph.MustTransitStub(128, rng)
-	l, base := benchDriftLink(b, g)
+	l, base, err := netgraph.DriftLink(g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("incremental", func(b *testing.B) {
-		cur, spare := g.ShortestPaths(netgraph.MetricCost), (*netgraph.Paths)(nil)
-		flip := 0
-		for ; flip < driftWarmup; flip++ {
-			if err := g.SetLinkCost(l.A, l.B, base*(0.90+0.05*float64(flip%2))); err != nil {
-				b.Fatal(err)
-			}
-			old := cur
-			cur, _ = cur.RefreshFrom(g, spare)
-			spare = old
-		}
+		d := newDriftChain(b, g, l, base, g.ShortestPaths(netgraph.MetricCost))
 		rows := 0.0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := g.SetLinkCost(l.A, l.B, base*(0.90+0.05*float64(flip%2))); err != nil {
-				b.Fatal(err)
-			}
-			flip++
-			old := cur
-			next, stats := cur.RefreshFrom(g, spare)
+			stats := d.drift(b)
 			if stats.Mode != netgraph.RefreshIncremental || stats.RowsRecomputed == 0 {
 				b.Fatalf("steady-state refresh = %+v, want incremental with rows", stats)
 			}
-			cur, spare = next, old
 			rows += float64(stats.RowsRecomputed)
 		}
 		b.ReportMetric(rows/float64(b.N), "rows/op")
@@ -277,47 +254,35 @@ func BenchmarkPathsDeltaRefresh(b *testing.B) {
 // chaos link-drift event triggers — path refresh plus hierarchy rebind —
 // in both regimes: "delta" repairs the snapshot incrementally and
 // re-audits only clusters touched by the changed rows (RebindRows), the
-// path chaos and the System facade now take; "full" recomputes all pairs
+// path chaos and the System facade take; "full" recomputes all pairs
 // and re-measures every cluster, the pre-incremental behavior.
 func BenchmarkChaosDriftMaintain(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	g := netgraph.MustTransitStub(128, rng)
-	l, base := benchDriftLink(b, g)
+	l, base, err := netgraph.DriftLink(g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	paths := g.ShortestPaths(netgraph.MetricCost)
 	h, err := hierarchy.Build(g, paths, 32, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("delta", func(b *testing.B) {
-		cur, spare := paths, (*netgraph.Paths)(nil)
-		flip := 0
-		for ; flip < driftWarmup; flip++ {
-			if err := g.SetLinkCost(l.A, l.B, base*(0.90+0.05*float64(flip%2))); err != nil {
-				b.Fatal(err)
-			}
-			old := cur
-			cur, _ = cur.RefreshFrom(g, spare)
-			spare = old
-		}
-		if err := h.Rebind(cur); err != nil {
+		d := newDriftChain(b, g, l, base, paths)
+		if err := h.Rebind(d.cur); err != nil {
 			b.Fatal(err)
 		}
 		// Empty (non-nil) row set: audits nothing, but primes the
 		// hierarchy's lazily allocated row-mark scratch.
-		if err := h.RebindRows(cur, []netgraph.NodeID{}); err != nil {
+		if err := h.RebindRows(d.cur, []netgraph.NodeID{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := g.SetLinkCost(l.A, l.B, base*(0.90+0.05*float64(flip%2))); err != nil {
-				b.Fatal(err)
-			}
-			flip++
-			old := cur
-			next, stats := cur.RefreshFrom(g, spare)
-			cur, spare = next, old
-			if err := h.RebindRows(next, stats.Rows); err != nil {
+			stats := d.drift(b)
+			if err := h.RebindRows(d.cur, stats.Rows); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -373,13 +338,19 @@ func BenchmarkDeploy(b *testing.B) {
 					sys.SetSelectivity(ids[i], ids[j], 0.005+0.01*rng.Float64())
 				}
 			}
+			plans := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := 3 + i%3
-				if _, err := sys.Plan(ids[:k], NodeID(i%128), AlgoTopDown); err != nil {
+				d, err := sys.Plan(ids[:k], NodeID(i%128), AlgoTopDown)
+				if err != nil {
 					b.Fatal(err)
 				}
+				plans += d.PlansConsidered
 			}
+			// The measured per-query search-space accounting, not the
+			// nominal space (see benchSolveK).
+			b.ReportMetric(plans/b.Elapsed().Seconds(), "plans/s")
 		})
 	}
 }
@@ -533,9 +504,7 @@ func BenchmarkAblationEstimates(b *testing.B) {
 }
 
 // solveProblem builds the fixed-seed K-way join Problem over an n-node
-// transit-stub network that BenchmarkSolveK4/K6 and the cmd/benchjson
-// trajectory harness share, so the JSON numbers track exactly what the
-// in-repo benchmarks measure.
+// transit-stub network that the BenchmarkSolve* trajectory anchors share.
 func solveProblem(b *testing.B, k, n int, seed int64) core.Problem {
 	b.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -561,30 +530,39 @@ func solveProblem(b *testing.B, k, n int, seed int64) core.Problem {
 	}
 }
 
-func benchSolveK(b *testing.B, k int) {
+// benchSolveK times one DP entry point on the K-way problem over all 32
+// sites and reports the rate of candidates the DP actually examines, not
+// the nominal exhaustive space it covers (cost.ClusterSpace) — dividing
+// the covered space by wall-clock yields absurd 10^14 "plans/s" figures
+// that measure what the DP avoids doing.
+func benchSolveK(b *testing.B, k int, solve func(core.Problem) error) {
 	prob := solveProblem(b, k, 32, 7)
-	// Report the rate of candidates the DP actually examines, not the
-	// nominal exhaustive space it covers (cost.ClusterSpace) — dividing
-	// the covered space by wall-clock yields absurd 10^14 "plans/s"
-	// figures that measure what the DP avoids doing.
 	work := core.SolveWork(k, len(prob.Sites))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Solve(prob); err != nil {
+		if err := solve(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(work*float64(b.N)/b.Elapsed().Seconds(), "plans/s")
 }
 
+func solvePlan(p core.Problem) error { _, _, err := core.Solve(p); return err }
+
 // BenchmarkSolveK4 measures the pooled flat-buffer DP kernel on a 4-way
 // join over all 32 sites — the benchmark-trajectory anchor for the
 // in-cluster search (BENCH_planner.json tracks it across perf PRs).
-func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4) }
+func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4, solvePlan) }
 
 // BenchmarkSolveK6 is the 6-way variant: 2^6 submask rows stress the DP
 // slabs and the submask enumeration far harder than K=4.
-func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6) }
+func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6, solvePlan) }
+
+// BenchmarkSolveCostK6 is SolveK6's problem through the scoring entry
+// point that builds no plan; 0 allocs/op is its hardware-independent pin.
+func BenchmarkSolveCostK6(b *testing.B) {
+	benchSolveK(b, 6, func(p core.Problem) error { _, err := core.SolveCost(p); return err })
+}
 
 // BenchmarkSolveDP measures the in-cluster joint DP itself across input
 // counts — the inner loop of everything.
@@ -625,8 +603,8 @@ func BenchmarkSolveDP(b *testing.B) {
 
 // --- migration benchmarks --------------------------------------------------
 
-// migratePlans builds the fixed-seed K=6 world BenchmarkMigrate and the
-// cmd/benchjson trajectory harness share: a 32-node transit-stub network,
+// migratePlans builds the fixed-seed K=6 world BenchmarkMigrate and
+// BenchmarkAdaptControl/step share: a 32-node transit-stub network,
 // six streams, and two left-deep plans differing in a single join
 // placement (the third join moves node 7 -> 10).
 func migratePlans() (*netgraph.Graph, *query.Catalog, *query.Query, *query.PlanNode, *query.PlanNode) {
@@ -912,9 +890,8 @@ func BenchmarkBatchOptimization(b *testing.B) {
 
 // BenchmarkRewritePipeline measures the logical optimizer pipeline alone
 // — constant folding, predicate pushdown and column pruning, statements
-// pre-parsed — over the figure-workload statement grid. benchjson's
-// RewritePushdown entry measures the same statements end to end
-// (parse + rewrite + plan) and records the planned-bytes fraction.
+// pre-parsed — over the figure-workload statement grid.
+// BenchmarkRewritePushdown measures the same statements end to end.
 func BenchmarkRewritePipeline(b *testing.B) {
 	sys, sink := newSchemaSystem(b)
 	var sts []*cql.Statement
@@ -939,4 +916,31 @@ func BenchmarkRewritePipeline(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkRewritePushdown measures the figure workload's CQL statements
+// end to end — parse, logical optimizer pipeline and Top-Down planning
+// over schema-bearing 100-byte streams. rewrite-bytes-frac is their
+// planned bytes-on-wire relative to planning the parsed statements
+// without the pipeline (seed-pinned; below 1.0 means pushdown wins).
+func BenchmarkRewritePushdown(b *testing.B) {
+	sys, sink := newSchemaSystem(b)
+	optimized := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		optimized = 0
+		for _, s := range pushdownStatements {
+			d, err := sys.PlanCQL(s, sink, AlgoTopDown)
+			if err != nil {
+				b.Fatal(err)
+			}
+			optimized += d.Plan.PlannedBytes(sink)
+		}
+	}
+	b.StopTimer()
+	raw := 0.0
+	for _, s := range pushdownStatements {
+		raw += planUnoptimized(b, sys, s, sink, AlgoTopDown).Plan.PlannedBytes(sink)
+	}
+	b.ReportMetric(optimized/raw, "rewrite-bytes-frac")
 }

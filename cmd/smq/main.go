@@ -53,6 +53,7 @@ import (
 
 	"hnp"
 	"hnp/internal/adapt"
+	"hnp/internal/cql"
 	"hnp/internal/exp"
 	"hnp/internal/iflow"
 	"hnp/internal/obs"
@@ -305,10 +306,11 @@ func runExplain(seed int64, trace bool) error {
 
 // explainRewrite narrates the logical optimizer pipeline: per-attribute
 // schemas are declared for the three streams, a selective CQL statement
-// is planned twice — pipeline on, then off via the kill switch — and the
-// per-rule audit trace plus the planned bytes-on-wire both ways are
-// printed. A contradictory statement closes the section, folding to a
-// no-op plan instead of shipping tuples nobody can match.
+// is planned twice — through the pipeline, then from its parsed sources
+// and predicates alone — and the per-rule audit trace plus the planned
+// bytes-on-wire both ways are printed. A contradictory statement closes
+// the section, folding to a no-op plan instead of shipping tuples nobody
+// can match.
 func explainRewrite(sys *hnp.System, a, b, c hnp.StreamID) error {
 	fmt.Println("\n=== logical optimizer: schema-aware predicate/projection pushdown ===")
 	sys.SetSchema(a, hnp.Schema{
@@ -330,18 +332,18 @@ func explainRewrite(sys *hnp.System, a, b, c hnp.StreamID) error {
 	if err != nil {
 		return err
 	}
-	if on.Rewrite != nil {
-		fmt.Println("rewrite trace:")
-		for _, line := range strings.Split(on.Rewrite.TraceString(), "\n") {
-			fmt.Printf("  %s\n", line)
-		}
-		fmt.Printf("planned source bytes: %.4g -> %.4g per unit time (%.4g saved)\n",
-			on.Rewrite.BytesBefore, on.Rewrite.BytesAfter, on.Rewrite.BytesSaved())
+	fmt.Println("rewrite trace:")
+	for _, line := range strings.Split(on.Rewrite.TraceString(), "\n") {
+		fmt.Printf("  %s\n", line)
 	}
+	fmt.Printf("planned source bytes: %.4g -> %.4g per unit time (%.4g saved)\n",
+		on.Rewrite.BytesBefore, on.Rewrite.BytesAfter, on.Rewrite.BytesSaved())
 
-	hnp.SetPushdown(false)
-	off, err := sys.PlanCQL(stmt, sink, hnp.AlgoTopDown)
-	hnp.SetPushdown(true)
+	st, err := cql.Parse(sys.Catalog, stmt)
+	if err != nil {
+		return err
+	}
+	off, err := sys.PlanWhere(st.Sources, sink, hnp.AlgoTopDown, st.Preds)
 	if err != nil {
 		return err
 	}
@@ -355,7 +357,7 @@ func explainRewrite(sys *hnp.System, a, b, c hnp.StreamID) error {
 	if err != nil {
 		return err
 	}
-	if empty.Rewrite != nil && empty.Rewrite.NoOp {
+	if empty.Rewrite.NoOp {
 		fmt.Printf("contradictory WHERE folds to a no-op: plan=%s, nothing deployed\n", empty.Plan)
 	}
 	return nil

@@ -76,23 +76,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%-12s %s\n", sc.Name, rep)
 		traj.Benchmarks = append(traj.Benchmarks, res)
 	}
-	if err := benchfmt.Write(*outPath, traj); err != nil {
+	regressions, err := benchfmt.WriteAndCompare(*outPath, traj, *compare, *threshold)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "smqbench: %v\n", err)
 		os.Exit(1)
 	}
-	if *outPath != "-" {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
+	if regressions > 0 {
+		fmt.Fprintf(os.Stderr, "smqbench: %d scenario(s) regressed vs %s\n", regressions, *compare)
+		os.Exit(3)
 	}
 	if *compare != "" {
-		base, err := benchfmt.Load(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smqbench: -compare: %v\n", err)
-			os.Exit(1)
-		}
-		if regressions := benchfmt.Diff(os.Stdout, base, traj, *threshold); regressions > 0 {
-			fmt.Fprintf(os.Stderr, "smqbench: %d scenario(s) regressed vs %s\n", regressions, *compare)
-			os.Exit(3)
-		}
 		fmt.Fprintf(os.Stderr, "smqbench: no regressions vs %s\n", *compare)
 	}
 }

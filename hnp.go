@@ -286,20 +286,14 @@ func (s *System) SetSchema(id StreamID, schema Schema) {
 	s.Catalog.SetSchema(id, schema)
 }
 
-// SetPushdown toggles the logical optimizer pipeline (predicate pushdown,
-// column pruning, constant folding) globally — the A/B kill switch.
-// Default on. Schema widths continue to apply either way; only the
-// rewrites stop.
-func SetPushdown(enabled bool) { rewrite.SetPushdown(enabled) }
-
 // Deployment is the outcome of deploying one query.
 type Deployment struct {
 	Query *Query
 	Result
-	// Rewrite is the logical optimizer pipeline's audit for CQL-planned
-	// queries (nil when the pipeline is disabled or the query was built
-	// programmatically). When Rewrite.NoOp is set the query is provably
-	// empty: Plan is nil and nothing was deployed.
+	// Rewrite is the logical optimizer pipeline's audit: non-nil for every
+	// CQL-planned query, nil for queries built programmatically. When
+	// Rewrite.NoOp is set the query is provably empty: Plan is nil and
+	// nothing was deployed.
 	Rewrite *RewriteOutcome
 }
 
@@ -396,38 +390,29 @@ func (s *System) PlanCQL(stmt string, sink NodeID, algo Algorithm) (Deployment, 
 	if err != nil {
 		return Deployment{}, err
 	}
-	if st.Contradiction && !rewrite.Enabled() {
-		// With the pipeline killed there is no constant folding to turn a
-		// provably-empty WHERE into a no-op plan; restore the pre-pipeline
-		// behavior of rejecting the statement rather than silently planning
-		// an unfiltered query.
-		return Deployment{}, fmt.Errorf("cql: %w", query.ErrContradiction)
+	// A provably-empty WHERE reaches the pipeline through st.Pushdown and
+	// folds to the no-op deployment there.
+	out := rewrite.Apply(s.Catalog, q, st.Pushdown())
+	if obs.On() {
+		s.Obs.Counter("rewrite.rules_applied").Add(int64(out.RulesApplied))
+		s.Obs.Gauge("rewrite.bytes_saved").Add(out.BytesSaved())
 	}
-	var rw *RewriteOutcome
-	if rewrite.Enabled() {
-		out := rewrite.Apply(s.Catalog, q, st.Pushdown())
-		rw = &out
-		if obs.On() {
-			s.Obs.Counter("rewrite.rules_applied").Add(int64(out.RulesApplied))
-			s.Obs.Gauge("rewrite.bytes_saved").Add(out.BytesSaved())
-		}
-		if tr := s.Obs.Tracer(); tr.On() && out.RulesApplied > 0 {
-			tr.Emit(obs.Event{
-				Kind: obs.KindRewriteApplied, Trace: obs.QueryTrace(q.ID),
-				Query: q.ID, Node: obs.NoID,
-				Value: out.BytesSaved(), Aux: float64(out.RulesApplied),
-				Detail: out.TraceString(),
-			})
-		}
-		if out.NoOp {
-			return Deployment{Query: q, Rewrite: rw}, nil
-		}
+	if tr := s.Obs.Tracer(); tr.On() && out.RulesApplied > 0 {
+		tr.Emit(obs.Event{
+			Kind: obs.KindRewriteApplied, Trace: obs.QueryTrace(q.ID),
+			Query: q.ID, Node: obs.NoID,
+			Value: out.BytesSaved(), Aux: float64(out.RulesApplied),
+			Detail: out.TraceString(),
+		})
+	}
+	if out.NoOp {
+		return Deployment{Query: q, Rewrite: &out}, nil
 	}
 	res, err := s.run(q, algo)
 	if err != nil {
 		return Deployment{}, err
 	}
-	return Deployment{Query: q, Result: res, Rewrite: rw}, nil
+	return Deployment{Query: q, Result: res, Rewrite: &out}, nil
 }
 
 // DeployAggregate deploys a query whose join result is reduced by a
@@ -457,7 +442,7 @@ func (s *System) DeployAggregate(sources []StreamID, sink NodeID, algo Algorithm
 // cheaper).
 func (s *System) deployRecord(q *Query, res Result) {
 	if obs.On() {
-		hits := derivedLeaves(res.Plan)
+		hits := res.Plan.DerivedLeaves()
 		s.Obs.Counter("ads.reuse_hits").Add(int64(hits))
 		if hits == 0 && s.reuseWasOffered(q, res) {
 			s.Obs.Counter("ads.reuse_misses").Inc()
@@ -487,21 +472,6 @@ func (s *System) reuseWasOffered(q *Query, res Result) bool {
 		return offered > 0
 	}
 	return len(s.Registry.InputsFor(q, query.BuildRates(s.Catalog, q), nil)) > 0
-}
-
-// derivedLeaves counts the plan leaves satisfied by reused (previously
-// advertised) derived streams.
-func derivedLeaves(n *PlanNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
-		if n.In != nil && n.In.Derived {
-			return 1
-		}
-		return 0
-	}
-	return derivedLeaves(n.L) + derivedLeaves(n.R)
 }
 
 func (s *System) run(q *query.Query, algo Algorithm) (Result, error) {

@@ -1,7 +1,8 @@
 // Package benchfmt defines the machine-readable benchmark-trajectory
-// format shared by cmd/benchjson (planner hot-path benchmarks,
-// BENCH_planner.json) and cmd/smqbench (serving-load benchmarks,
-// BENCH_serving.json), plus the regression diff both gate on.
+// format shared by cmd/benchjson (planner hot-path benchmarks converted
+// from `go test -bench` output, BENCH_planner.json) and cmd/smqbench
+// (serving-load benchmarks, BENCH_serving.json), plus the regression diff
+// both gate on.
 //
 // Two families of figures live in one schema. Hardware-relative numbers
 // (ns/op, latency quantiles, deploys/sec) move with the machine, so the
@@ -11,11 +12,15 @@
 package benchfmt
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 )
 
 // Schema identifies the trajectory format; Load rejects anything else.
@@ -50,16 +55,16 @@ type Result struct {
 	BytesVsNever  float64 `json:"bytes_vs_never,omitempty"`
 	BytesVsAlways float64 `json:"bytes_vs_always,omitempty"`
 	// RewriteBytesFrac is the figure workload's planned bytes-on-wire
-	// with the logical optimizer pipeline on, as a fraction of the same
-	// statements planned with the pipeline killed (below 1.0 means
-	// pushdown wins; 0 where the notion doesn't apply). Seed-pinned and
-	// hardware-independent, like the ratios above.
+	// through the logical optimizer pipeline, as a fraction of the same
+	// statements planned from their parsed sources and predicates alone
+	// (below 1.0 means pushdown wins; 0 where the notion doesn't apply).
+	// Seed-pinned and hardware-independent, like the ratios above.
 	RewriteBytesFrac float64 `json:"rewrite_bytes_frac,omitempty"`
 
-	// Serving-harness figures (cmd/smqbench / benchjson -serving; 0 where
-	// the notion doesn't apply). For serving entries NsPerOp carries the
-	// p50 plan latency, and the tail quantiles below are gated with the
-	// same hardware-relative tolerance as ns/op.
+	// Serving-harness figures (cmd/smqbench; 0 where the notion doesn't
+	// apply). For serving entries NsPerOp carries the p50 plan latency,
+	// and the tail quantiles below are gated with the same
+	// hardware-relative tolerance as ns/op.
 	P95Ns int64 `json:"p95_ns,omitempty"`
 	P99Ns int64 `json:"p99_ns,omitempty"`
 	// DeploysPerSec is the sustained successful-deploy throughput of the
@@ -82,13 +87,17 @@ type Trajectory struct {
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	NumCPU     int    `json:"num_cpu,omitempty"`
-	Seed       int64  `json:"seed"`
-	Benchtime  string `json:"benchtime"`
+	// Seed and Benchtime describe a run whose tool chose them (smqbench's
+	// trace seed). A converted `go test -bench` run leaves both empty: its
+	// fixtures pin their own seeds, and each row's iterations say how long
+	// it ran.
+	Seed      int64  `json:"seed,omitempty"`
+	Benchtime string `json:"benchtime,omitempty"`
 	// BeforeCommit and Before keep rows measured at an earlier commit with
 	// the same fixtures, benchtime and machine as a run that replaced a
 	// code path, so the file shows both sides of the change. They are a
-	// record, not a gate: Diff ignores them, and cmd/benchjson copies them
-	// from the -compare baseline into the file it writes.
+	// record, not a gate: Diff ignores them, and WriteAndCompare copies
+	// them from the -compare baseline into the file it writes.
 	BeforeCommit string   `json:"before_commit,omitempty"`
 	Before       []Result `json:"before,omitempty"`
 	Benchmarks   []Result `json:"benchmarks"`
@@ -142,20 +151,46 @@ func Write(path string, t Trajectory) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
+// WriteAndCompare finishes a run for both trajectory tools: it writes t
+// to outPath and, when compare names a baseline, prints the diff against
+// it to stdout and returns the number of regressed benchmarks. The
+// baseline's before-rows are carried into the written file.
+func WriteAndCompare(outPath string, t Trajectory, compare string, tol float64) (int, error) {
+	var base Trajectory
+	if compare != "" {
+		var err error
+		if base, err = Load(compare); err != nil {
+			return 0, fmt.Errorf("-compare: %w", err)
+		}
+		t.BeforeCommit, t.Before = base.BeforeCommit, base.Before
+	}
+	if err := Write(outPath, t); err != nil {
+		return 0, err
+	}
+	if outPath != "-" {
+		fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
+	}
+	if compare == "" {
+		return 0, nil
+	}
+	return Diff(os.Stdout, base, t, tol), nil
+}
+
 // Diff prints a per-benchmark diff of cur against base and returns how
 // many benchmarks regressed: ns/op beyond the tolerance, a serving
 // entry's p95/p99 beyond double the tolerance (tails are noisier than
 // medians), or any allocs/op increase (hardware-independent, hence no
-// slack at all). Benchmarks
-// present on only one side are reported but never counted as regressions
-// — renames and additions are trajectory changes, not slowdowns.
+// slack at all). Benchmarks present on only one side are reported — new
+// ones in run order, dropped ones in baseline order — but never counted
+// as regressions: renames and additions are trajectory changes, not
+// slowdowns.
 func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 	byName := map[string]Result{}
 	for _, b := range base.Benchmarks {
 		byName[b.Name] = b
 	}
-	fmt.Fprintf(w, "baseline %s/%s go %s benchtime %s; this run benchtime %s; ns/op tolerance +%.0f%%\n",
-		base.GOOS, base.GOARCH, base.GoVersion, base.Benchtime, cur.Benchtime, tol*100)
+	fmt.Fprintf(w, "baseline %s/%s go %s; ns/op tolerance +%.0f%%\n",
+		base.GOOS, base.GOARCH, base.GoVersion, tol*100)
 	regressions := 0
 	for _, c := range cur.Benchmarks {
 		b, ok := byName[c.Name]
@@ -198,8 +233,77 @@ func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 		fmt.Fprintf(w, "%-16s ns/op %10d -> %10d (%+6.1f%%)  allocs/op %5d -> %5d  %s\n",
 			c.Name, b.NsPerOp, c.NsPerOp, pct, b.AllocsOp, c.AllocsOp, verdict)
 	}
-	for name := range byName {
-		fmt.Fprintf(w, "%-16s dropped (in baseline, not in this run)\n", name)
+	for _, b := range base.Benchmarks {
+		if _, dropped := byName[b.Name]; dropped {
+			fmt.Fprintf(w, "%-16s dropped (in baseline, not in this run)\n", b.Name)
+		}
 	}
 	return regressions
+}
+
+// ParseGoBench converts the output of
+//
+//	go test -run '^$' -bench ... -benchmem
+//
+// into one Result per benchmark result line, in input order. The entry
+// name is the Go benchmark name without the "Benchmark" prefix and the
+// GOMAXPROCS suffix ("BenchmarkMigrate/delta-2" is "Migrate/delta"). The
+// standard units and the ones the repo's bodies emit through
+// b.ReportMetric fill the matching Result fields; other units have no
+// field and are dropped. Everything that is not a result line (the
+// goos/pkg header, PASS/ok, "--- BENCH" logs) is skipped. A result line
+// that does not parse is an error, and so is any FAIL line: a failed run
+// must not become a shorter trajectory.
+func ParseGoBench(r io.Reader) ([]Result, error) {
+	var out []Result
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
+			return nil, fmt.Errorf("benchmark run failed: %q", line)
+		}
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 {
+			return nil, fmt.Errorf("malformed benchmark line %q", line)
+		}
+		res := Result{Name: strings.TrimPrefix(f[0], "Benchmark")}
+		// go test appends "-N" (GOMAXPROCS) to the name when N > 1.
+		if i := strings.LastIndexByte(res.Name, '-'); i >= 0 && i+1 < len(res.Name) &&
+			strings.Trim(res.Name[i+1:], "0123456789") == "" {
+			res.Name = res.Name[:i]
+		}
+		var err error
+		if res.Iterations, err = strconv.Atoi(f[1]); err != nil {
+			return nil, fmt.Errorf("malformed benchmark line %q: iterations: %w", line, err)
+		}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("malformed benchmark line %q: %s: %w", line, f[i+1], err)
+			}
+			switch f[i+1] {
+			case "ns/op":
+				res.NsPerOp = int64(math.Round(v))
+			case "B/op":
+				res.BytesOp = int64(v)
+			case "allocs/op":
+				res.AllocsOp = int64(v)
+			case "plans/s":
+				res.PlansPerSec = v
+			case "ops-churned/op":
+				res.OpsChurnedPerOp = v
+			case "bytes-vs-never":
+				res.BytesVsNever = v
+			case "bytes-vs-always":
+				res.BytesVsAlways = v
+			case "rewrite-bytes-frac":
+				res.RewriteBytesFrac = v
+			}
+		}
+		out = append(out, res)
+	}
+	return out, sc.Err()
 }

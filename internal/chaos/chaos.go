@@ -257,7 +257,12 @@ func (r Report) TraceString() string {
 // workload (a third of the pool carries a selection predicate so
 // containment reuse is exercised under churn), advertisement registry and
 // IFLOW runtime, all seeded from cfg.Seed.
-func New(cfg Config) (*World, error) {
+func New(cfg Config) (*World, error) { return newWorld(cfg, true) }
+
+// newWorld is New with the schema-mode column pruning of predicate queries
+// made optional: prune=false builds the same world at full tuple widths,
+// the reference side of the package's pushdown comparisons.
+func newWorld(cfg Config, prune bool) (*World, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -329,12 +334,12 @@ func New(cfg Config) (*World, error) {
 				return nil, err
 			}
 			q = pq
-			if cfg.Schemas && rewrite.Enabled() {
+			if cfg.Schemas && prune {
 				// Pred queries select only the predicate attribute: column
 				// pruning shrinks every source's shipped width, so the run
 				// mixes pruned and full-width operators. The projection is
-				// fixed (not rng-drawn) to keep the A/B schedule identical
-				// with the pipeline on and off.
+				// fixed (not rng-drawn) to keep the schedule identical with
+				// and without pruning.
 				proj := rewrite.Projection{
 					Cols:      map[query.StreamID][]string{},
 					JoinAttrs: map[query.StreamID][]string{},

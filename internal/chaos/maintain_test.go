@@ -6,45 +6,52 @@ import (
 	"hnp/internal/netgraph"
 )
 
-// TestChaosReportsUnchangedByDeltaRefresh is the end-to-end equivalence
-// gate for incremental path maintenance: across a sweep of seeds, the
-// default drift profile must produce byte-for-byte identical reports —
-// event trace, transport stats, deliveries — whether link churn is
-// absorbed by delta repair plus scoped rebinds (the default) or by full
-// recomputation. Any divergence means a repaired snapshot was not
-// bit-identical to a fresh one, or a scoped rebind missed a cluster.
-func TestChaosReportsUnchangedByDeltaRefresh(t *testing.T) {
-	t.Cleanup(func() { netgraph.SetDeltaRefresh(true) })
-	run := func(seed int64, incremental bool) Report {
-		t.Helper()
-		netgraph.SetDeltaRefresh(incremental)
+// TestChaosLinkChurnPathsExact is the end-to-end gate for incremental
+// path maintenance, checked at its cause: it drives the default drift
+// profile's schedule itself and, after every link event, requires the
+// world's repaired snapshot to equal a fresh all-pairs computation —
+// every distance and every first hop — and the full invariant audit to
+// pass (the hierarchy audit re-measures every cluster against the
+// snapshot, so a scoped rebind that missed one fails there).
+func TestChaosLinkChurnPathsExact(t *testing.T) {
+	linkEvents := 0
+	for seed := int64(1); seed <= 10; seed++ {
 		cfg := DefaultConfig(seed)
 		cfg.Events = 60
 		w, err := New(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
 		}
-		rep, err := w.Run()
-		if err != nil {
-			t.Fatalf("seed %d (incremental=%v): %v\ntrace:\n%s", seed, incremental, err, rep.TraceString())
+		for i := 0; i < cfg.Events; i++ {
+			e := w.nextEvent(i)
+			err := w.apply(&e)
+			w.trace = append(w.trace, e)
+			if err == nil {
+				err = w.check()
+			}
+			if err != nil {
+				t.Fatalf("seed %d, event %s: %v\ntrace:\n%s", seed, e.String(), err, w.report().TraceString())
+			}
+			if e.Kind != KindLinkCost && e.Kind != KindLinkBurst {
+				continue
+			}
+			linkEvents++
+			fresh := w.g.ShortestPaths(netgraph.MetricCost)
+			n := netgraph.NodeID(w.g.NumNodes())
+			for a := netgraph.NodeID(0); a < n; a++ {
+				for b := netgraph.NodeID(0); b < n; b++ {
+					if got, want := w.paths.Dist(a, b), fresh.Dist(a, b); got != want {
+						t.Fatalf("seed %d, after %s: dist(%d,%d) = %v, fresh %v", seed, e.String(), a, b, got, want)
+					}
+					got, want := w.paths.Path(a, b), fresh.Path(a, b)
+					if len(got) != len(want) || (len(got) > 1 && got[1] != want[1]) {
+						t.Fatalf("seed %d, after %s: path(%d,%d) = %v, fresh %v", seed, e.String(), a, b, got, want)
+					}
+				}
+			}
 		}
-		return rep
 	}
-	for seed := int64(1); seed <= 10; seed++ {
-		on := run(seed, true)
-		off := run(seed, false)
-		if on.TraceString() != off.TraceString() {
-			t.Fatalf("seed %d: traces diverged between incremental and full maintenance:\n--- incremental\n%s\n--- full\n%s",
-				seed, on.TraceString(), off.TraceString())
-		}
-		if on.Stats != off.Stats {
-			t.Fatalf("seed %d: stats diverged: %+v vs %+v", seed, on.Stats, off.Stats)
-		}
-		if on.Delivered != off.Delivered {
-			t.Fatalf("seed %d: deliveries diverged: %d vs %d", seed, on.Delivered, off.Delivered)
-		}
-		if on.Deployed != off.Deployed || on.Oscillations != off.Oscillations {
-			t.Fatalf("seed %d: bookkeeping diverged: %+v vs %+v", seed, on, off)
-		}
+	if linkEvents == 0 {
+		t.Fatal("vacuous sweep: no link event in any schedule")
 	}
 }

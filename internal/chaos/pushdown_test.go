@@ -1,35 +1,30 @@
 package chaos
 
-import (
-	"testing"
+import "testing"
 
-	"hnp/internal/query/rewrite"
-)
-
-// TestChaosPushdownAB sweeps schema-enabled chaos schedules with the
-// rewrite pipeline on and off, using the rate-shift profile: the whole
+// TestChaosPushdownAB sweeps schema-enabled chaos schedules with and
+// without column pruning (newWorld's reference side never calls the
+// rewrite pipeline), using the rate-shift profile: the whole
 // pool deploys upfront and no event changes the deployed set, so the two
 // modes run the same queries against the same perturbations and their
 // transport totals are directly comparable. Both modes must survive the
 // schedule — every invariant (including the width-bracket transport
 // conservation that heterogeneous tuple sizes exercise) checked after
 // every event, a clean quiesce at the end — and the pipeline must
-// actually bite: with pushdown on, the same seeds move strictly fewer
-// bytes in total, while still delivering tuples.
+// actually bite: with pruning, the same seeds move strictly fewer bytes
+// in total, while still delivering tuples.
 func TestChaosPushdownAB(t *testing.T) {
-	t.Cleanup(func() { rewrite.SetPushdown(true) })
 	seeds, events := 10, 30
 	if testing.Short() {
 		seeds, events = 3, 12
 	}
 	run := func(seed int64, enabled bool) Report {
-		rewrite.SetPushdown(enabled)
 		cfg := DefaultConfig(seed)
 		cfg.Profile = ProfileRateShift
 		cfg.Events = events
 		cfg.MeanStep = 3.0
 		cfg.Schemas = true
-		w, err := New(cfg)
+		w, err := newWorld(cfg, enabled)
 		if err != nil {
 			t.Fatalf("seed %d (pushdown=%v): build: %v", seed, enabled, err)
 		}
@@ -65,25 +60,23 @@ func TestChaosPushdownAB(t *testing.T) {
 
 // TestChaosSchemasFaults runs the default fault/churn schedule — node
 // failures, recoveries, arrivals, teardowns, migrations — with schemas
-// attached, in both pipeline modes. No byte comparison here (failures
+// attached, with and without pruning. No byte comparison here (failures
 // hit different placements in each mode, so the surviving query sets
 // diverge); the point is that every invariant holds under faults while
 // operators run at heterogeneous widths.
 func TestChaosSchemasFaults(t *testing.T) {
-	t.Cleanup(func() { rewrite.SetPushdown(true) })
 	seeds, events := 6, 150
 	if testing.Short() {
 		seeds, events = 2, 60
 	}
 	for _, enabled := range []bool{true, false} {
-		rewrite.SetPushdown(enabled)
 		for s := 0; s < seeds; s++ {
 			seed := int64(s + 1)
 			cfg := DefaultConfig(seed)
 			cfg.Events = events
 			cfg.Migrate = true
 			cfg.Schemas = true
-			w, err := New(cfg)
+			w, err := newWorld(cfg, enabled)
 			if err != nil {
 				t.Fatalf("seed %d (pushdown=%v): build: %v", seed, enabled, err)
 			}

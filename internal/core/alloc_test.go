@@ -16,7 +16,10 @@ func TestSolveCostAllocFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; the pin is only meaningful without it")
 	}
 	p, _, _ := problemFixture(1, true)
-	p.Sites = dedupeSitesMap(p.Sites) // unique sites: the zero-alloc fast path
+	var err error
+	if p.Sites, err = dedupeSites(p.Sites); err != nil { // unique sites: the zero-alloc fast path
+		t.Fatal(err)
+	}
 	if _, err := SolveCost(p); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,10 @@ func TestSolveSteadyStateAllocsOnlyPlan(t *testing.T) {
 		t.Skip("race instrumentation allocates; the pin is only meaningful without it")
 	}
 	p, _, _ := problemFixture(1, true)
-	p.Sites = dedupeSitesMap(p.Sites)
+	var err error
+	if p.Sites, err = dedupeSites(p.Sites); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := Solve(p); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,10 @@ func TestSolveSteadyStateAllocsOnlyPlan(t *testing.T) {
 // site lists — returns the input slice itself without allocating.
 func TestDedupeSitesUniqueNoCopy(t *testing.T) {
 	in := []netgraph.NodeID{7, 3, 0, 12, 5, 64, 129}
-	out := dedupeSites(in)
+	out, err := dedupeSites(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != len(in) || &out[0] != &in[0] {
 		t.Fatalf("unique sites were copied")
 	}
@@ -76,9 +85,11 @@ func TestDedupeSitesUniqueNoCopy(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("dedupeSites allocates %v objects on unique input, want 0", allocs)
 	}
-	// Duplicates still compact to first-occurrence order, like the map did.
+	// Duplicates compact to first-occurrence order.
 	dup := append(append([]netgraph.NodeID(nil), in...), in[0], in[2], in[6])
-	out = dedupeSites(dup)
+	if out, err = dedupeSites(dup); err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != len(in) {
 		t.Fatalf("dedupe kept %d of %d unique sites", len(out), len(in))
 	}
@@ -87,16 +98,18 @@ func TestDedupeSitesUniqueNoCopy(t *testing.T) {
 			t.Fatalf("dedupe reordered sites: %v vs %v", out, in)
 		}
 	}
-	// Exotic IDs take the defensive map path but agree on the result.
-	weird := []netgraph.NodeID{-3, 5, -3, 1 << 30, 5}
-	out = dedupeSites(weird)
-	want := []netgraph.NodeID{-3, 5, 1 << 30}
-	if len(out) != len(want) {
-		t.Fatalf("weird dedupe = %v, want %v", out, want)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("weird dedupe = %v, want %v", out, want)
+	// IDs the bitset cannot index are rejected, by both solvers.
+	for _, weird := range [][]netgraph.NodeID{{-3, 5}, {5, maxSiteID}} {
+		if _, err := dedupeSites(weird); err == nil {
+			t.Errorf("dedupeSites(%v) accepted an out-of-range ID", weird)
+		}
+		p, _, _ := problemFixture(1, true)
+		p.Sites = weird
+		if _, _, err := Solve(p); err == nil {
+			t.Errorf("Solve accepted sites %v", weird)
+		}
+		if _, _, _, err := NaiveSolve(p); err == nil {
+			t.Errorf("NaiveSolve accepted sites %v", weird)
 		}
 	}
 }

@@ -25,7 +25,10 @@ func NaiveSolve(p Problem) (*query.PlanNode, float64, int64, error) {
 			ins = append(ins, in)
 		}
 	}
-	sites := dedupeSites(p.Sites)
+	sites, err := dedupeSites(p.Sites)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	if len(sites) == 0 {
 		return nil, 0, 0, fmt.Errorf("core: no candidate sites")
 	}

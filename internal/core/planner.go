@@ -23,7 +23,8 @@ type Problem struct {
 	// of Goal are ignored. Several inputs may cover the same mask (e.g. a
 	// base pair and an advertised derived stream); the search picks freely.
 	Inputs []query.Input
-	// Sites are the candidate processing nodes for operators.
+	// Sites are the candidate processing nodes for operators. Every ID
+	// must lie in [0, maxSiteID); Solve and NaiveSolve reject others.
 	Sites []netgraph.NodeID
 	// Dist measures traversal cost between physical nodes. It must be a
 	// metric (shortest-path costs are); relaying through intermediate
@@ -150,7 +151,10 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 		return nil, 0, fmt.Errorf("core: goal %b not coverable (inputs cover %b)", p.Goal, covered)
 	}
 
-	sites := dedupeSites(p.Sites)
+	sites, err := dedupeSites(p.Sites)
+	if err != nil {
+		return nil, 0, err
+	}
 	m := len(sites)
 	if m == 0 {
 		return nil, 0, fmt.Errorf("core: no candidate sites")
@@ -356,23 +360,28 @@ func (r *rebuilder) buildAvail(s query.Mask, v int) *query.PlanNode {
 
 var dedupePool = sync.Pool{New: func() interface{} { return new(nodeBitset) }}
 
+// maxSiteID bounds the site IDs a Problem may name: the duplicate check
+// indexes a bitset by ID, and nothing builds a network near this size.
+const maxSiteID = 1 << 22
+
 // dedupeSites drops duplicate site IDs, preserving first-occurrence order.
 // Site lists are almost always already unique (cluster members never
 // repeat), so duplicates are detected with a pooled bitset and the input
 // slice is returned as-is — no map, no copy, no allocation — unless a
-// duplicate actually appears. Callers treat the result as read-only.
-func dedupeSites(sites []netgraph.NodeID) []netgraph.NodeID {
+// duplicate actually appears. Callers treat the result as read-only. An
+// ID outside [0, maxSiteID) is an error.
+func dedupeSites(sites []netgraph.NodeID) ([]netgraph.NodeID, error) {
 	maxID := netgraph.NodeID(-1)
 	for _, s := range sites {
-		if s < 0 || s >= 1<<22 {
-			return dedupeSitesMap(sites) // exotic IDs: fall back to the map
+		if s < 0 || s >= maxSiteID {
+			return nil, fmt.Errorf("core: site ID %d outside [0, %d)", s, maxSiteID)
 		}
 		if s > maxID {
 			maxID = s
 		}
 	}
 	if len(sites) == 0 {
-		return sites
+		return sites, nil
 	}
 	bs := dedupePool.Get().(*nodeBitset)
 	bs.reset(int(maxID) + 1)
@@ -394,21 +403,7 @@ func dedupeSites(sites []netgraph.NodeID) []netgraph.NodeID {
 		}
 	}
 	dedupePool.Put(bs)
-	return out
-}
-
-// dedupeSitesMap is the defensive slow path for site IDs a bitset cannot
-// index (negative or absurdly large — nothing in the repo produces them).
-func dedupeSitesMap(sites []netgraph.NodeID) []netgraph.NodeID {
-	seen := map[netgraph.NodeID]bool{}
-	out := make([]netgraph.NodeID, 0, len(sites))
-	for _, s := range sites {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	return out, nil
 }
 
 // submasksByPopcount lists all non-empty submasks of goal, smallest

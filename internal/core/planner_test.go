@@ -244,7 +244,11 @@ func TestNaiveExaminedCountsMatchFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := q.K()
-	m := len(dedupeSites(p.Sites))
+	sites, err := dedupeSites(p.Sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(sites)
 	want := query.NumTrees(k)
 	for i := 1; i < k; i++ {
 		want *= int64(m)

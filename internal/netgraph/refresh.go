@@ -1,8 +1,8 @@
 package netgraph
 
 import (
+	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // This file implements incremental all-pairs repair: instead of recomputing
@@ -12,7 +12,9 @@ import (
 // recycled slab. The repaired snapshot is bit-identical — every dist value
 // and every first-hop tie-break — to a fresh ShortestPaths; the affected-row
 // test and the argument for why unaffected rows keep identical first hops
-// are written up in DESIGN.md §14.
+// are written up in DESIGN.md §14. Incremental repair is the only refresh;
+// the full recompute is its fallback and, as Graph.ShortestPaths, the
+// oracle the property, fuzz and chaos tests compare every repair against.
 
 // RefreshMode classifies what a RefreshFrom call had to do.
 type RefreshMode uint8
@@ -23,7 +25,7 @@ const (
 	// RefreshIncremental: only the affected source rows were recomputed.
 	RefreshIncremental
 	// RefreshFull: every row was recomputed (log exhausted, structural
-	// change, delta refresh disabled, or too many rows affected).
+	// change, or too many rows affected).
 	RefreshFull
 )
 
@@ -72,26 +74,13 @@ type refreshScratch struct {
 // cheaper than serially repairing rows one by one.
 const fullRefreshDen = 4
 
-// deltaRefreshOff disables incremental repair globally when set (every
-// refresh takes the full path). It exists so equivalence tests and the
-// chaos harness can A/B the two maintenance strategies; the zero value
-// means enabled.
-var deltaRefreshOff atomic.Bool
-
-// SetDeltaRefresh enables or disables incremental path repair process-wide.
-// It is safe to call concurrently with refreshes; intended for tests.
-func SetDeltaRefresh(enabled bool) { deltaRefreshOff.Store(!enabled) }
-
-// DeltaRefreshEnabled reports whether incremental path repair is enabled.
-func DeltaRefreshEnabled() bool { return !deltaRefreshOff.Load() }
-
 // RefreshFrom returns a snapshot current for g, repairing p incrementally
 // when the graph's mutation log permits. If p is already current it is
 // returned unchanged. Otherwise a new snapshot is produced — p itself is
 // never mutated, so concurrent readers of p stay safe — by copying p's
 // tables and re-running Dijkstra only for affected source rows, falling
 // back to a full parallel recompute when the log no longer covers p's
-// version, the affected fraction exceeds 1/4, or delta refresh is disabled.
+// version or the affected fraction exceeds 1/4.
 //
 // recycle, if non-nil, donates its slabs to the result instead of
 // allocating fresh ones. Passing a recycle target asserts the caller
@@ -135,7 +124,7 @@ func (p *Paths) RefreshFrom(g *Graph, recycle *Paths) (*Paths, RefreshStats) {
 	n := len(g.adj)
 	var deltas []EdgeDelta
 	ok := false
-	if n == p.n && DeltaRefreshEnabled() {
+	if n == p.n {
 		deltas, ok = g.deltasSince(p.version)
 	}
 	if !ok {
@@ -237,4 +226,43 @@ func (p *Paths) shellFor(g *Graph, recycle *Paths) *Paths {
 		return recycle
 	}
 	return newPaths(p.metric, g.version, n)
+}
+
+// DriftLink is the fixture of the drift tests and benchmarks: it finds a
+// link whose cost drift has a small blast radius. Every link is probed by
+// wiggling its cost to just under its endpoints' path distance (so the
+// link carries real shortest paths) and refreshing a throwaway snapshot;
+// the link whose two probes repair the fewest rows incrementally wins.
+// Leaf links — a degree-1 node's only link sits on every row's path to
+// that node — legitimately force full recomputes and are skipped. Every
+// probe is reverted, and reverts coalesce out of the delta log, so the
+// graph ends unchanged. It returns the link and the wiggle base distance.
+func DriftLink(g *Graph) (Link, float64, error) {
+	fresh := g.ShortestPaths(MetricCost)
+	n := g.NumNodes()
+	var best Link
+	bestBase, bestRows := 0.0, n
+	for _, cand := range g.Links() {
+		orig, _ := g.LinkCost(cand.A, cand.B)
+		d := fresh.Dist(cand.A, cand.B)
+		var probe [2]RefreshStats
+		for i, c := range []float64{d * 0.95, d * 0.90} {
+			if err := g.SetLinkCost(cand.A, cand.B, c); err != nil {
+				return Link{}, 0, err
+			}
+			_, probe[i] = fresh.RefreshFrom(g, nil)
+		}
+		if err := g.SetLinkCost(cand.A, cand.B, orig); err != nil {
+			return Link{}, 0, err
+		}
+		rows := max(probe[0].RowsRecomputed, probe[1].RowsRecomputed)
+		if probe[0].Mode == RefreshIncremental && probe[1].Mode == RefreshIncremental &&
+			probe[0].RowsRecomputed > 0 && probe[1].RowsRecomputed > 0 && rows < bestRows {
+			best, bestBase, bestRows = cand, d, rows
+		}
+	}
+	if bestRows > n/8 {
+		return Link{}, 0, fmt.Errorf("netgraph: no link with a small drift blast radius (best repairs %d/%d rows)", bestRows, n)
+	}
+	return best, bestBase, nil
 }

@@ -148,8 +148,8 @@ func TestRefreshFromSingleEdge(t *testing.T) {
 }
 
 // TestRefreshFromFallbacks pins the full-recompute escape hatches: log
-// horizon exhaustion, structural change, disabled delta refresh, and the
-// affected-fraction threshold.
+// horizon exhaustion, structural change, and the affected-fraction
+// threshold.
 func TestRefreshFromFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	g := MustTransitStub(32, rng)
@@ -186,20 +186,6 @@ found:
 		t.Errorf("post-AddLink refresh mode %v, want full", stats.Mode)
 	}
 	requireIdentical(t, "structural", g, out)
-
-	// Global kill switch.
-	cur = out
-	l := links[0]
-	if err := g.SetLinkCost(l.A, l.B, 42); err != nil {
-		t.Fatal(err)
-	}
-	SetDeltaRefresh(false)
-	out, stats = cur.RefreshFrom(g, nil)
-	SetDeltaRefresh(true)
-	if stats.Mode != RefreshFull {
-		t.Errorf("disabled delta refresh mode %v, want full", stats.Mode)
-	}
-	requireIdentical(t, "disabled", g, out)
 
 	// A star topology: changing a spoke's cost moves every row, tripping
 	// the affected-fraction threshold.
@@ -343,48 +329,6 @@ func FuzzRefreshBitIdentical(f *testing.F) {
 	})
 }
 
-// pickDriftLink finds a link whose cost drift has a small blast radius: it
-// probes each link by wiggling its cost just below the current endpoint
-// distance (so the link carries real shortest paths) and picks the one
-// repairing the fewest rows — a realistic single-edge drift that stays
-// comfortably inside the incremental threshold. Every probe is reverted,
-// and reverts coalesce out of the delta log, so the graph ends unchanged.
-// Returns the link and the wiggle base distance.
-func pickDriftLink(t *testing.T, g *Graph) (Link, float64) {
-	t.Helper()
-	fresh := g.ShortestPaths(MetricCost)
-	n := g.NumNodes()
-	var best Link
-	bestBase, bestRows := 0.0, n
-	for _, cand := range g.Links() {
-		orig, _ := g.LinkCost(cand.A, cand.B)
-		d := fresh.Dist(cand.A, cand.B)
-		if err := g.SetLinkCost(cand.A, cand.B, d*0.95); err != nil {
-			t.Fatal(err)
-		}
-		_, s1 := fresh.RefreshFrom(g, nil)
-		if err := g.SetLinkCost(cand.A, cand.B, d*0.90); err != nil {
-			t.Fatal(err)
-		}
-		_, s2 := fresh.RefreshFrom(g, nil)
-		if err := g.SetLinkCost(cand.A, cand.B, orig); err != nil {
-			t.Fatal(err)
-		}
-		rows := s1.RowsRecomputed
-		if s2.RowsRecomputed > rows {
-			rows = s2.RowsRecomputed
-		}
-		if s1.Mode == RefreshIncremental && s2.Mode == RefreshIncremental &&
-			s1.RowsRecomputed > 0 && s2.RowsRecomputed > 0 && rows < bestRows {
-			best, bestBase, bestRows = cand, d, rows
-		}
-	}
-	if bestRows > n/8 {
-		t.Fatalf("no link with a small drift blast radius (best repairs %d/%d rows)", bestRows, n)
-	}
-	return best, bestBase
-}
-
 // TestRefreshFromAllocFree pins the steady-state incremental refresh at
 // zero heap allocations: with a primed ping-pong pair and a warmed
 // mutation log, repairing a single-edge drift must reuse the recycled
@@ -392,7 +336,10 @@ func pickDriftLink(t *testing.T, g *Graph) (Link, float64) {
 func TestRefreshFromAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := MustTransitStub(128, rng)
-	l, base := pickDriftLink(t, g)
+	l, base, err := DriftLink(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chain := refreshChain{cur: g.ShortestPaths(MetricCost)}
 
 	// Warm up: grow the mutation log to its steady-state capacity and

@@ -174,6 +174,21 @@ func (p *PlanNode) Leaves() []*PlanNode {
 	return out
 }
 
+// DerivedLeaves counts the plan's leaves that are satisfied by reused
+// (previously advertised) derived streams. A nil plan has none.
+func (p *PlanNode) DerivedLeaves() int {
+	if p == nil {
+		return 0
+	}
+	if p.IsLeaf() {
+		if p.In != nil && p.In.Derived {
+			return 1
+		}
+		return 0
+	}
+	return p.L.DerivedLeaves() + p.R.DerivedLeaves()
+}
+
 // Validate checks structural consistency: children masks are disjoint and
 // compose the parent mask, and leaves carry inputs.
 func (p *PlanNode) Validate() error {

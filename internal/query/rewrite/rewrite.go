@@ -12,31 +12,18 @@
 //
 // The pipeline is semantics-preserving by construction: it only drops
 // provably-redundant predicates, provably-empty queries, and columns no
-// projection, predicate or join key references. A kill switch
-// (SetPushdown, mirroring netgraph.SetDeltaRefresh) disables the whole
-// pipeline for A/B equivalence runs.
+// projection, predicate or join key references. There is no switch: every
+// CQL-planned query runs it, and comparisons against unoptimized planning
+// build that side from the parsed statement without calling Apply.
 package rewrite
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"hnp/internal/query"
 )
-
-// pushdownOff gates the pipeline, default-on. Stored inverted so the zero
-// value means enabled.
-var pushdownOff atomic.Bool
-
-// SetPushdown enables or disables the rewrite pipeline globally — the
-// A/B kill switch. With the pipeline off, queries plan on full tuple
-// widths and un-normalized predicates, exactly the pre-pipeline behavior.
-func SetPushdown(enabled bool) { pushdownOff.Store(!enabled) }
-
-// Enabled reports whether the pipeline is on.
-func Enabled() bool { return !pushdownOff.Load() }
 
 // Projection carries the statement-level column information the rules
 // consume: what the query SELECTs and which attributes its equi-joins

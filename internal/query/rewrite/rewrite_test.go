@@ -36,21 +36,6 @@ func traceRule(o Outcome, rule string) string {
 	return ""
 }
 
-func TestKillSwitch(t *testing.T) {
-	t.Cleanup(func() { SetPushdown(true) })
-	if !Enabled() {
-		t.Fatal("pipeline not enabled by default")
-	}
-	SetPushdown(false)
-	if Enabled() {
-		t.Fatal("SetPushdown(false) did not disable")
-	}
-	SetPushdown(true)
-	if !Enabled() {
-		t.Fatal("SetPushdown(true) did not re-enable")
-	}
-}
-
 func TestFoldConstantsDropsAlwaysTrue(t *testing.T) {
 	cat := testCatalog()
 	q := mustQuery(t, 0, []query.StreamID{0, 1},

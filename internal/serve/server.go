@@ -390,7 +390,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		ID: id, Shard: si, QueryID: dep.Query.ID,
 		Plan: dep.Plan.String(), Cost: dep.Cost,
 		PlanLatencyNs:   lat.Nanoseconds(),
-		ReusedLeaves:    reusedLeaves(dep.Plan),
+		ReusedLeaves:    dep.Plan.DerivedLeaves(),
 		PlansConsidered: dep.PlansConsidered,
 	})
 }
@@ -499,19 +499,4 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.FlightHandler(func() *obs.Tracer { return s.shards[si].sys.Obs.Tracer() })(w, r)
-}
-
-// reusedLeaves counts plan inputs satisfied by previously advertised
-// derived streams.
-func reusedLeaves(n *hnp.PlanNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
-		if n.In != nil && n.In.Derived {
-			return 1
-		}
-		return 0
-	}
-	return reusedLeaves(n.L) + reusedLeaves(n.R)
 }

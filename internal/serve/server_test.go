@@ -185,6 +185,70 @@ func TestServeUndeployBody(t *testing.T) {
 	}
 }
 
+// TestServeContradictionFolds: a provably-empty WHERE is a successful
+// deployment of nothing — 200, the empty plan at cost 0, the shard's
+// registry and load ledger untouched, and an undeploy that retracts no
+// advertisement.
+func TestServeContradictionFolds(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	s, ts := newTestServer(t, cfg)
+	if code, body := postJSON(t, ts.URL+"/deploy", DeployRequest{CQL: testStmt, Sink: 7}); code != http.StatusOK {
+		t.Fatalf("deploy: %d %s", code, body)
+	}
+	sys := s.Shard(0)
+	ledger := func() []float64 {
+		out := make([]float64, cfg.Nodes)
+		for v := range out {
+			out[v] = sys.NodeLoad(hnp.NodeID(v))
+		}
+		return out
+	}
+	adsBefore, loadBefore := sys.Registry.Len(), ledger()
+	if adsBefore == 0 {
+		t.Fatal("vacuous: the standing deployment advertised nothing")
+	}
+
+	code, body := postJSON(t, ts.URL+"/deploy", DeployRequest{
+		CQL: "SELECT * FROM stream-1 WHERE stream-1.temp < 0.2 AND stream-1.temp > 0.7", Sink: 7,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("contradiction: %d %s, want 200", code, body)
+	}
+	var dr DeployResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
+		t.Fatal(err)
+	}
+	if dr.Plan != "(empty: no plan)" || dr.Cost != 0 {
+		t.Fatalf("contradiction planned %q at cost %g, want the empty plan at 0", dr.Plan, dr.Cost)
+	}
+	if got := sys.Registry.Len(); got != adsBefore {
+		t.Errorf("registry holds %d advertisements, %d before the no-op", got, adsBefore)
+	}
+	for v, l := range ledger() {
+		if l != loadBefore[v] {
+			t.Errorf("node %d load %g, %g before the no-op", v, l, loadBefore[v])
+		}
+	}
+
+	code, body = postJSON(t, fmt.Sprintf("%s/undeploy?id=%d", ts.URL, dr.ID), nil)
+	if code != http.StatusOK {
+		t.Fatalf("undeploy: %d %s", code, body)
+	}
+	var ur struct {
+		Retracted *int `json:"ads_retracted"`
+	}
+	if err := json.Unmarshal(body, &ur); err != nil {
+		t.Fatal(err)
+	}
+	if ur.Retracted == nil || *ur.Retracted != 0 {
+		t.Errorf("undeploy of the no-op answered %s, want ads_retracted 0", body)
+	}
+	if got := sys.Registry.Len(); got != adsBefore {
+		t.Errorf("registry holds %d advertisements after the undeploy, want %d", got, adsBefore)
+	}
+}
+
 // TestServeErrorPaths covers the wire-level failure modes: malformed
 // CQL, catalog misses, broken JSON, non-UTF-8 statements, oversized
 // bodies, bad parameters and unknown shards.

@@ -19,8 +19,8 @@ type Standing struct {
 // fills: left-deep plans of random 4-6-source queries over the given
 // number of streams, operators on random nodes, advertised one after the
 // other until at least n ads stand. It is the fixture of the registry
-// benchmarks (BenchmarkAdsInputsFor, BenchmarkAdsRetract and their
-// cmd/benchjson entries); identical arguments give identical registries.
+// benchmarks (BenchmarkAdsInputsFor, BenchmarkAdsRetract); identical
+// arguments give identical registries.
 func StandingAds(n, streams, nodes int, rng *rand.Rand) (*ads.Registry, []Standing) {
 	reg := ads.NewRegistry()
 	var out []Standing

@@ -1,12 +1,11 @@
 package hnp
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
+	"hnp/internal/cql"
 	"hnp/internal/iflow"
-	"hnp/internal/query"
 )
 
 // newSchemaSystem builds the figure-workload system with full attribute
@@ -53,35 +52,45 @@ var pushdownStatements = []string{
 	 WHERE FLIGHTS.NUM = WEATHER.CITY AND FLIGHTS.STATUS > 0.9`,
 }
 
+// planUnoptimized is the reference side of every pushdown comparison: the
+// statement planned by code that never runs the rewrite pipeline — parsed,
+// then its raw sources and predicates handed to the planner at full
+// schema widths.
+func planUnoptimized(t testing.TB, sys *System, stmt string, sink NodeID, algo Algorithm) Deployment {
+	t.Helper()
+	st, err := cql.Parse(sys.Catalog, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sys.PlanWhere(st.Sources, sink, algo, st.Preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestPushdownPlannedBytesMonotonic: for every statement and every
 // planner, the pipeline never plans more bytes-on-wire than planning the
-// same statement with the pipeline killed, and across the grid it saves
-// strictly — the acceptance property "planned bytes are never higher with
-// the pipeline on".
+// same statement without it, and across the grid it saves strictly — the
+// acceptance property "planned bytes are never higher with the pipeline".
 func TestPushdownPlannedBytesMonotonic(t *testing.T) {
-	t.Cleanup(func() { SetPushdown(true) })
 	algos := []Algorithm{AlgoTopDown, AlgoBottomUp, AlgoOptimal, AlgoPlanThenDeploy}
 	var sumOn, sumOff float64
 	for _, algo := range algos {
 		for si, stmt := range pushdownStatements {
 			sys, sink := newSchemaSystem(t)
 
-			SetPushdown(true)
 			on, err := sys.PlanCQL(stmt, sink, algo)
 			if err != nil {
 				t.Fatalf("%v stmt %d (on): %v", algo, si, err)
 			}
-			SetPushdown(false)
-			off, err := sys.PlanCQL(stmt, sink, algo)
-			if err != nil {
-				t.Fatalf("%v stmt %d (off): %v", algo, si, err)
-			}
+			off := planUnoptimized(t, sys, stmt, sink, algo)
 
 			if on.Rewrite == nil {
-				t.Fatalf("%v stmt %d: pipeline on but no rewrite audit", algo, si)
+				t.Fatalf("%v stmt %d: CQL-planned query has no rewrite audit", algo, si)
 			}
 			if off.Rewrite != nil {
-				t.Fatalf("%v stmt %d: pipeline off yet rewrite ran", algo, si)
+				t.Fatalf("%v stmt %d: reference side ran the rewrite", algo, si)
 			}
 			if on.Rewrite.BytesAfter > on.Rewrite.BytesBefore+1e-9 {
 				t.Errorf("%v stmt %d: rewrite grew source bytes %g → %g",
@@ -105,11 +114,10 @@ func TestPushdownPlannedBytesMonotonic(t *testing.T) {
 }
 
 // TestPushdownIdentityPlans: predicate-free full-projection statements
-// must produce bit-identical plans and placements whether the pipeline is
-// on or off — the rewrite rules have nothing to do, and doing nothing must
+// must produce bit-identical plans and placements with and without the
+// pipeline — the rewrite rules have nothing to do, and doing nothing must
 // be byte-for-byte nothing.
 func TestPushdownIdentityPlans(t *testing.T) {
-	t.Cleanup(func() { SetPushdown(true) })
 	stmts := []string{
 		`SELECT * FROM FLIGHTS, WEATHER WHERE FLIGHTS.NUM = WEATHER.CITY`,
 		`SELECT * FROM FLIGHTS, WEATHER, CHECKINS
@@ -118,34 +126,27 @@ func TestPushdownIdentityPlans(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoTopDown, AlgoBottomUp, AlgoOptimal, AlgoPlanThenDeploy} {
 		for si, stmt := range stmts {
 			sys, sink := newSchemaSystem(t)
-			SetPushdown(true)
 			on, err := sys.PlanCQL(stmt, sink, algo)
 			if err != nil {
 				t.Fatalf("%v stmt %d (on): %v", algo, si, err)
 			}
-			SetPushdown(false)
-			off, err := sys.PlanCQL(stmt, sink, algo)
-			if err != nil {
-				t.Fatalf("%v stmt %d (off): %v", algo, si, err)
-			}
+			off := planUnoptimized(t, sys, stmt, sink, algo)
 			if onS, offS := on.Plan.String(), off.Plan.String(); onS != offS {
 				t.Errorf("%v stmt %d: identity plan diverged\non:  %s\noff: %s", algo, si, onS, offS)
 			}
 			if on.Cost != off.Cost {
 				t.Errorf("%v stmt %d: identity cost diverged %g vs %g", algo, si, on.Cost, off.Cost)
 			}
-			if on.Rewrite != nil && on.Rewrite.RulesApplied != 0 {
+			if on.Rewrite.RulesApplied != 0 {
 				t.Errorf("%v stmt %d: %d rules fired on an identity query", algo, si, on.Rewrite.RulesApplied)
 			}
 		}
 	}
 }
 
-// TestPushdownContradiction: a provably-empty WHERE folds to a no-op with
-// the pipeline on — nil plan, nothing advertised or loaded — and is
-// rejected outright with the pipeline off (the pre-pipeline behavior).
+// TestPushdownContradiction: a provably-empty WHERE folds to a no-op —
+// nil plan, nothing advertised or loaded.
 func TestPushdownContradiction(t *testing.T) {
-	t.Cleanup(func() { SetPushdown(true) })
 	stmt := `SELECT FLIGHTS.STATUS FROM FLIGHTS
 	         WHERE FLIGHTS.STATUS < 0.2 AND FLIGHTS.STATUS > 0.7`
 	sys, sink := newSchemaSystem(t)
@@ -167,11 +168,6 @@ func TestPushdownContradiction(t *testing.T) {
 	}
 	if n := sys.Undeploy(d); n != 0 {
 		t.Errorf("no-op deployment advertised %d streams", n)
-	}
-
-	SetPushdown(false)
-	if _, err := sys.DeployCQL(stmt, sink, AlgoTopDown); !errors.Is(err, query.ErrContradiction) {
-		t.Fatalf("pipeline off: err = %v, want ErrContradiction", err)
 	}
 }
 
@@ -201,23 +197,17 @@ func stripPlanWidths(p *PlanNode) *PlanNode {
 //     tuples to the sink — pruning changes bytes per tuple, never which
 //     tuples flow.
 //  2. The optimized plan moves strictly fewer bytes than planning the
-//     same statement with the pipeline killed — the measurable
-//     bytes-on-wire reduction, on the wire rather than on paper.
+//     same statement without the pipeline — the measurable bytes-on-wire
+//     reduction, on the wire rather than on paper.
 func TestPushdownFlowEquivalence(t *testing.T) {
-	t.Cleanup(func() { SetPushdown(true) })
 	stmt := pushdownStatements[0]
 	for _, seed := range []int64{1, 7, 42} {
 		sys, sink := newSchemaSystem(t)
-		SetPushdown(true)
 		on, err := sys.PlanCQL(stmt, sink, AlgoTopDown)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetPushdown(false)
-		off, err := sys.PlanCQL(stmt, sink, AlgoTopDown)
-		if err != nil {
-			t.Fatal(err)
-		}
+		off := planUnoptimized(t, sys, stmt, sink, AlgoTopDown)
 
 		deploy := func(q *Query, plan *PlanNode) *iflow.Runtime {
 			rt := iflow.New(sys.Graph, iflow.DefaultConfig(), 1000+seed)
@@ -258,7 +248,6 @@ func TestPushdownFlowEquivalence(t *testing.T) {
 func TestRewriteTelemetry(t *testing.T) {
 	EnableTelemetry()
 	t.Cleanup(DisableTelemetry)
-	t.Cleanup(func() { SetPushdown(true) })
 	sys, sink := newSchemaSystem(t)
 	if _, err := sys.PlanCQL(pushdownStatements[0], sink, AlgoTopDown); err != nil {
 		t.Fatal(err)
