@@ -270,7 +270,7 @@ func BenchmarkChaosDriftMaintain(b *testing.B) {
 	}
 	b.Run("delta", func(b *testing.B) {
 		d := newDriftChain(b, g, l, base, paths)
-		if err := h.Rebind(d.cur); err != nil {
+		if err := h.RebindRows(d.cur, nil); err != nil {
 			b.Fatal(err)
 		}
 		// Empty (non-nil) row set: audits nothing, but primes the
@@ -296,7 +296,7 @@ func BenchmarkChaosDriftMaintain(b *testing.B) {
 				b.Fatal(err)
 			}
 			flip++
-			if err := h.Rebind(g.ShortestPaths(netgraph.MetricCost)); err != nil {
+			if err := h.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
 				b.Fatal(err)
 			}
 		}

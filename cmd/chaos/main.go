@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"hnp/internal/chaos"
 	"hnp/internal/obs"
@@ -86,10 +85,7 @@ func main() {
 			dumpFlight(*flightDir, cfg.Seed, rep.Flight)
 			continue
 		}
-		fmt.Printf("seed %-4d ok  events=%d %s transferred=%d delivered=%d dropped=%d deployed=%d cost=%.1f\n",
-			rep.Seed, rep.Events, countString(rep.Counts),
-			rep.Stats.TuplesTransferred, rep.Delivered, rep.Stats.TuplesDropped,
-			rep.Deployed, rep.Stats.TotalCost)
+		fmt.Printf("seed %-4d ok  events=%d %s\n", rep.Seed, rep.Events, rep.Summary())
 		if *verbose {
 			fmt.Println(rep.TraceString())
 		}
@@ -165,20 +161,4 @@ func dumpFlight(dir string, seed int64, events []obs.Event) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "flight recorder dumped to %s (%d events)\n", path, len(events))
-}
-
-func countString(counts map[string]int) string {
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	s := ""
-	for _, k := range kinds {
-		s += fmt.Sprintf("%s=%d ", k, counts[k])
-	}
-	if len(s) > 0 {
-		s = s[:len(s)-1]
-	}
-	return s
 }

@@ -175,10 +175,7 @@ func execute(sys *hnp.System, cmd string) error {
 		if strings.EqualFold(fields[0], "deploy") {
 			d, err = sys.DeployCQL(stmt, hnp.NodeID(sink), algo)
 		} else {
-			// What-if: parse through the same path, then discard by using
-			// Plan-level API (no advertisement). DeployCQL always
-			// advertises, so reuse Plan on a parsed statement instead.
-			d, err = planCQL(sys, stmt, hnp.NodeID(sink), algo)
+			d, err = sys.PlanCQL(stmt, hnp.NodeID(sink), algo) // what-if: nothing advertised
 		}
 		if err != nil {
 			return err
@@ -200,20 +197,22 @@ func lookup(sys *hnp.System, name string) (hnp.StreamID, error) {
 	return 0, fmt.Errorf("unknown stream %q", name)
 }
 
-func parseAlgo(s string) (hnp.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "td", "topdown", "top-down":
-		return hnp.AlgoTopDown, nil
-	case "bu", "bottomup", "bottom-up":
-		return hnp.AlgoBottomUp, nil
-	case "opt", "optimal":
-		return hnp.AlgoOptimal, nil
-	case "ptd", "plan-then-deploy":
-		return hnp.AlgoPlanThenDeploy, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (td|bu|opt|ptd)", s)
+// algoAliases are the shell's short spellings; everything else is the
+// library's own naming (hnp.ParseAlgorithm).
+var algoAliases = map[string]string{
+	"td": "top-down", "topdown": "top-down",
+	"bu": "bottom-up", "bottomup": "bottom-up",
+	"opt": "optimal", "ptd": "plan-then-deploy",
 }
 
-func planCQL(sys *hnp.System, stmt string, sink hnp.NodeID, algo hnp.Algorithm) (hnp.Deployment, error) {
-	return sys.PlanCQL(stmt, sink, algo)
+func parseAlgo(s string) (hnp.Algorithm, error) {
+	name := strings.ToLower(s)
+	if full, ok := algoAliases[name]; ok {
+		name = full
+	}
+	algo, ok := hnp.ParseAlgorithm(name)
+	if !ok {
+		return 0, fmt.Errorf("unknown algorithm %q (td|bu|opt|ptd)", s)
+	}
+	return algo, nil
 }

@@ -54,10 +54,10 @@ import (
 	"hnp"
 	"hnp/internal/adapt"
 	"hnp/internal/cql"
+	"hnp/internal/engine"
 	"hnp/internal/exp"
 	"hnp/internal/iflow"
 	"hnp/internal/obs"
-	"hnp/internal/query"
 )
 
 func main() {
@@ -196,17 +196,25 @@ func runExplain(seed int64, trace bool) error {
 		sys.Obs.Tracer().Enable()
 		traceSrc.Store(sys.Obs)
 	}
-	a := sys.AddStream("FLIGHTS", 40, 17)
-	b := sys.AddStream("WEATHER", 25, 93)
-	c := sys.AddStream("CHECKINS", 30, 55)
-	sys.SetSelectivity(a, b, 0.01)
-	sys.SetSelectivity(a, c, 0.02)
-	sys.SetSelectivity(b, c, 0.005)
+	// One lifecycle engine carries the whole scenario: it plans, runs the
+	// plans in the IFLOW runtime, and keeps advertisements and the load
+	// ledger in step with what the runtime hosts (audited at the end).
+	const horizon = 60.0
+	eng := engine.NewEngine(sys, iflow.DefaultConfig(), seed, horizon)
+	a := eng.AddStream("FLIGHTS", 40, 17)
+	b := eng.AddStream("WEATHER", 25, 93)
+	c := eng.AddStream("CHECKINS", 30, 55)
+	eng.SetSelectivity(a, b, 0.01)
+	eng.SetSelectivity(a, c, 0.02)
+	eng.SetSelectivity(b, c, 0.005)
 
 	// The first deployment fills the advertisement registry; the second,
 	// overlapping it, shows reuse candidates inside the narrative.
-	warm, err := sys.Deploy([]hnp.StreamID{a, b}, 9, hnp.AlgoTopDown)
+	warm, err := eng.Plan([]hnp.StreamID{a, b}, 9, hnp.AlgoTopDown)
 	if err != nil {
+		return err
+	}
+	if err := eng.Deploy(warm); err != nil {
 		return err
 	}
 	fmt.Printf("=== warm-up deploy: FLIGHTS⋈WEATHER via top-down (cost %.4g) ===\n", warm.Cost)
@@ -214,7 +222,7 @@ func runExplain(seed int64, trace bool) error {
 
 	plans := map[hnp.Algorithm]hnp.Deployment{}
 	for _, algo := range []hnp.Algorithm{hnp.AlgoTopDown, hnp.AlgoBottomUp} {
-		d, err := sys.Plan([]hnp.StreamID{a, b, c}, 9, algo)
+		d, err := eng.Plan([]hnp.StreamID{a, b, c}, 9, algo)
 		if err != nil {
 			return err
 		}
@@ -223,68 +231,55 @@ func runExplain(seed int64, trace bool) error {
 		d.ExplainTo(os.Stdout)
 	}
 
-	// Migration demo: run the top-down plan in the IFLOW runtime, collapse
-	// the CHECKINS rate at t=30s, replan, and apply the fresh plan as a
+	// Migration demo: run the top-down plan, collapse the CHECKINS rate at
+	// t=30s, re-plan the running query, and apply the fresh plan as a
 	// diff-based migration — operators both plans share keep running, only
 	// the changed subtree churns, and the report quantifies what a full
 	// teardown would have cost instead. The warm-up query runs too: the
-	// 3-way plans consume its advertised FLIGHTS⋈WEATHER stream, so its
-	// producer must be live.
+	// 3-way plans consume its advertised FLIGHTS⋈WEATHER stream.
 	td := plans[hnp.AlgoTopDown]
-	rt := iflow.New(g, iflow.DefaultConfig(), seed)
-	rt.BindObs(sys.Obs) // migration counters land in the snapshot below
-	const horizon = 60.0
-	if err := rt.Deploy(warm.Query, warm.Plan, sys.Catalog, horizon); err != nil {
+	if err := eng.Deploy(td); err != nil {
 		return err
 	}
-	if err := rt.Deploy(td.Query, td.Plan, sys.Catalog, horizon); err != nil {
-		return err
-	}
-	rt.RunFor(30)
-	sys.Catalog.SetRate(c, 0.5)
-	sys.Refresh()
-	fresh, err := sys.Plan([]hnp.StreamID{a, b, c}, 9, hnp.AlgoTopDown)
+	eng.RT.RunFor(30)
+	eng.Catalog.SetRate(c, 0.5)
+	fresh, err := eng.Replan(td.Query)
 	if err != nil {
 		return err
 	}
-	rep, err := rt.Migrate(td.Query, fresh.Plan, sys.Catalog, horizon)
+	rep, err := eng.Migrate(td.Query.ID, fresh)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\n=== live migration at t=30s: CHECKINS collapses to 0.5 tuples/s, replan and diff ===\n")
-	fmt.Printf("old: %s\nnew: %s\n%s\n", td.Plan, fresh.Plan, rep)
+	fmt.Printf("old: %s\nnew: %s\n%s\n", td.Plan, fresh, rep)
 
 	// Closed-loop section: the same kind of drift, handled by the
 	// adaptive controller instead of an operator at a keyboard. The
 	// catalog now claims CHECKINS runs at 0.5 tuples/s while the live tap
 	// still emits 30/s — exactly the observed-vs-assumed gap the
-	// controller watches. Hand it the deployment and the rest of the
+	// controller watches. It takes every deployment for the rest of the
 	// horizon: each control interval it measures windowed rates,
 	// recalibrates the catalog, re-plans past the drift gate, and weighs
 	// the predicted marginal byte gain against migration churn before
 	// touching anything.
-	ctl := adapt.New(rt, sys.Catalog, func(q *query.Query) (*query.PlanNode, error) {
-		d, err := sys.Plan([]hnp.StreamID{a, b, c}, 9, hnp.AlgoTopDown)
-		if err != nil {
-			return nil, err
-		}
-		return d.Plan, nil
-	}, adapt.DefaultConfig())
-	ctl.BindObs(sys.Obs)
-	ctl.Track(td.Query, fresh.Plan)
-	ctl.OnMigrate = func(q *query.Query, old, new *query.PlanNode, mrep iflow.MigrationReport) {
+	eng.OnMigrate = func(q *hnp.Query, old, new *hnp.PlanNode, mrep iflow.MigrationReport) {
 		fmt.Printf("t=%-3.0fs controller migrated q%d: %s -> %s\n       %s\n",
-			rt.Sim.Now(), q.ID, old, new, mrep)
+			eng.RT.Sim.Now(), q.ID, old, new, mrep)
 	}
 	fmt.Printf("\n=== closed-loop controller takes over, t=30..%.0fs ===\n", horizon)
-	ctl.Run(horizon)
-	rt.RunFor(horizon - rt.Sim.Now())
+	ctl := eng.AttachController(adapt.DefaultConfig())
+	eng.RT.RunFor(horizon - eng.RT.Sim.Now())
 	st := ctl.Stats()
 	fmt.Printf("checks=%d replans=%d migrations=%d suppressed=%d (deadband=%d hysteresis=%d cooldown=%d revert=%d)\n",
 		st.Checks, st.Replans, st.Migrations, st.Suppressed(),
 		st.SuppressedDeadband, st.SuppressedHysteresis, st.SuppressedCooldown, st.SuppressedRevert)
 	fmt.Printf("predicted savings %.0f bytes/s; final plan %s\n",
-		st.PredictedSavings, ctl.Plan(td.Query.ID))
+		st.PredictedSavings, eng.DeployedPlan(td.Query.ID))
+	if err := eng.Audit(); err != nil {
+		return fmt.Errorf("engine audit: %w", err)
+	}
+	fmt.Println("engine audit: registry, load ledger and path snapshots match what the runtime hosts")
 
 	if err := explainRewrite(sys, a, b, c); err != nil {
 		return err

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"os"
 
+	"hnp"
 	"hnp/internal/serve"
 )
 
@@ -46,7 +47,7 @@ func main() {
 	flag.BoolVar(&cfg.FlightRecorder, "flight", cfg.FlightRecorder, "arm per-shard flight recorders")
 	flag.Parse()
 
-	algo, ok := serve.ParseAlgo(*algoName)
+	algo, ok := hnp.ParseAlgorithm(*algoName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "smqd: unknown -algo %q\n", *algoName)
 		os.Exit(2)

@@ -1,7 +1,10 @@
-// Adaptive runs a query inside the simulated IFLOW runtime, degrades the
-// network mid-flight, and shows the middleware layer re-triggering the
-// optimizer and migrating the deployment — the self-adaptivity loop of
-// Figure 1(b).
+// Adaptive runs a query inside the simulated IFLOW runtime, changes the
+// conditions it was planned for mid-flight — a stream's live rate jumps
+// and the links around the deployed operators get expensive — and shows
+// the middleware layer noticing the drift, re-triggering the optimizer
+// and migrating the running deployment: the self-adaptivity loop of
+// Figure 1(b). One lifecycle engine carries it all; the example never
+// touches the advertisement registry, the load ledger or a path snapshot.
 package main
 
 import (
@@ -9,9 +12,9 @@ import (
 	"log"
 
 	"hnp"
-	"hnp/internal/core"
+	"hnp/internal/adapt"
+	"hnp/internal/engine"
 	"hnp/internal/iflow"
-	"hnp/internal/query"
 )
 
 func main() {
@@ -20,69 +23,75 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := sys.AddStream("SENSORS-A", 50, 3)
-	b := sys.AddStream("SENSORS-B", 40, 21)
-	c := sys.AddStream("ALERTS", 10, 28)
-	sys.SetSelectivity(a, b, 0.006)
-	sys.SetSelectivity(a, c, 0.015)
-	sys.SetSelectivity(b, c, 0.020)
+	const horizon = 240.0
+	eng := engine.NewEngine(sys, iflow.DefaultConfig(), 11, horizon)
+	a := eng.AddStream("SENSORS-A", 50, 3)
+	b := eng.AddStream("SENSORS-B", 40, 21)
+	c := eng.AddStream("ALERTS", 10, 28)
+	eng.SetSelectivity(a, b, 0.006)
+	eng.SetSelectivity(a, c, 0.015)
+	eng.SetSelectivity(b, c, 0.020)
 
-	dep, err := sys.Deploy([]hnp.StreamID{a, b, c}, 8, hnp.AlgoTopDown)
+	dep, err := eng.Plan([]hnp.StreamID{a, b, c}, 8, hnp.AlgoTopDown)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("initial plan (cost %.1f): %s\n", dep.Cost, dep.Plan)
-
-	// Bring the plan up in the runtime.
-	rt := iflow.New(g, iflow.DefaultConfig(), 11)
-	const horizon = 120.0
-	if err := rt.Deploy(dep.Query, dep.Plan, sys.Catalog, horizon); err != nil {
+	if err := eng.Deploy(dep); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("deployment protocol took %.3fs (simulated)\n\n", rt.DeployTime(dep.Trace, 8))
+	fmt.Printf("initial plan (cost %.1f): %s\n", dep.Cost, dep.Plan)
+	fmt.Printf("deployment protocol took %.3fs (simulated)\n\n", eng.RT.DeployTime(dep.Trace, 8))
 
-	// Middleware: every 10s, replan against current conditions and
-	// migrate when a 10% cheaper plan exists.
-	plans := map[int]*query.PlanNode{dep.Query.ID: dep.Plan}
-	replan := func(q *query.Query) (*query.PlanNode, error) {
-		sys.Refresh()
-		res, err := core.TopDown(sys.Hierarchy, sys.Catalog, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Plan, nil
+	// Middleware: every 10s the controller compares the windowed live rates
+	// with the catalog the plan was costed against, recalibrates, re-plans
+	// past the drift gate, and migrates when the predicted byte savings
+	// beat the churn of moving operators.
+	var churn iflow.MigrationReport
+	eng.OnMigrate = func(q *hnp.Query, old, new *hnp.PlanNode, rep iflow.MigrationReport) {
+		fmt.Printf("t=%.0fs: migrated %s -> %s\n", eng.RT.Sim.Now(), old, new)
+		churn = rep
 	}
-	stats := rt.Adapt([]*query.Query{dep.Query}, plans, sys.Catalog, replan, 0.10, 10, horizon)
+	ctl := eng.AttachController(adapt.Config{Interval: 10})
 
-	// At t=40s, congestion: every link touching the current operators
-	// becomes 50x more expensive.
-	rt.Sim.Schedule(40, func() {
-		fmt.Printf("t=%.0fs: congestion! links around deployed operators now 50x the price\n", rt.Sim.Now())
-		for _, op := range plans[dep.Query.ID].Operators() {
+	// At t=40s an alert storm: the ALERTS tap jumps to 20x the rate the
+	// plan assumed, and every link touching the current operators becomes
+	// 50x more expensive.
+	eng.RT.Sim.Schedule(40, func() {
+		fmt.Printf("t=%.0fs: alert storm! ALERTS at 20x its planned rate, links around deployed operators 50x the price\n", eng.RT.Sim.Now())
+		if _, err := eng.SetLiveRate(c, 200); err != nil {
+			log.Fatal(err)
+		}
+		var burst []iflow.LinkCostUpdate
+		for _, op := range eng.DeployedPlan(dep.Query.ID).Operators() {
 			for _, nb := range g.Neighbors(op.Loc) {
 				cost, _ := g.LinkCost(op.Loc, nb)
-				if err := rt.UpdateLinkCost(op.Loc, nb, cost*50); err != nil {
-					log.Fatal(err)
-				}
+				burst = append(burst, iflow.LinkCostUpdate{A: op.Loc, B: nb, Cost: cost * 50})
 			}
+		}
+		if err := eng.UpdateLinkCosts(burst...); err != nil {
+			log.Fatal(err)
 		}
 	})
 
-	rt.RunFor(horizon)
+	eng.RT.RunFor(horizon)
 
-	fmt.Printf("\nmiddleware checks: %d, plan migrations: %d\n", stats.Checks, stats.Migrations)
-	if stats.Migrations > 0 {
-		m := stats.MigrationStats
-		fmt.Printf("migration churn: kept %d ops running, created %d, retired %d (moved %d, rewired %d)\n",
-			m.Kept, m.Created, m.Retired, m.Moved, m.Rewired)
+	st := ctl.Stats()
+	fmt.Printf("\nmiddleware checks: %d, re-plans: %d, plan migrations: %d (suppressed %d)\n",
+		st.Checks, st.Replans, st.Migrations, st.Suppressed())
+	if st.Migrations > 0 {
+		fmt.Printf("last migration churn: kept %d ops running, created %d, retired %d (moved %d, rewired %d)\n",
+			churn.Kept, churn.Created, churn.Retired, churn.Moved, churn.Rewired)
 		fmt.Printf("  teardown would have churned %d ops; carried %d buffered tuples (%.0f bytes) in place\n",
-			m.TeardownOps, m.StateCarried, m.BytesSaved)
+			churn.TeardownOps, churn.StateCarried, churn.BytesSaved)
 	}
-	fmt.Printf("final plan: %s\n", plans[dep.Query.ID])
-	sink := rt.Sink(dep.Query.ID)
+	fmt.Printf("final plan: %s\n", eng.DeployedPlan(dep.Query.ID))
+	sink := eng.RT.Sink(dep.Query.ID)
 	fmt.Printf("delivered %d result tuples; mean latency %.0fms; measured cost rate %.1f\n",
-		sink.Tuples, 1000*sink.LatencySum/float64(max(int64(1), sink.Tuples)), rt.CostRate())
-	if stats.Migrations > 0 {
-		fmt.Println("the deployment adapted to the congestion without stopping the query")
+		sink.Tuples, 1000*sink.MeanLatency(), eng.RT.CostRate())
+	if err := eng.Audit(); err != nil {
+		log.Fatalf("engine audit: %v", err)
+	}
+	if st.Migrations > 0 {
+		fmt.Println("the deployment adapted without stopping the query; registry, ledger and snapshots still match the runtime")
 	}
 }

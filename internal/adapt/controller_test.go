@@ -218,3 +218,61 @@ func TestTrackUntrack(t *testing.T) {
 		t.Error("SetPlan did not retarget")
 	}
 }
+
+// A deployment that is badly placed for the present network — as it would
+// be after a drastic network change — must be migrated away from even
+// though no stream rate drifted: a graph change alone re-opens planning,
+// and the gain of leaving a mis-placed plan clears every gate. The query
+// keeps flowing across the move.
+func TestControllerMigratesAwayFromBadPlan(t *testing.T) {
+	const horizon = 300.0
+	w := makeCtlWorld(t, 9, horizon)
+	if err := w.rt.Undeploy(w.q.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Mis-place every operator of the planned tree at the node most
+	// expensive to reach from the sink.
+	worst, worstD := netgraph.NodeID(0), -1.0
+	for v := 0; v < w.g.NumNodes(); v++ {
+		if d := w.rt.Cost.Dist(netgraph.NodeID(v), w.q.Sink); d > worstD {
+			worst, worstD = netgraph.NodeID(v), d
+		}
+	}
+	var misplace func(n *query.PlanNode) *query.PlanNode
+	misplace = func(n *query.PlanNode) *query.PlanNode {
+		if n.IsLeaf() {
+			return query.Leaf(*n.In)
+		}
+		return query.Join(misplace(n.L), misplace(n.R), worst, n.Rate)
+	}
+	bad := misplace(w.plan)
+	if bad.Cost(w.rt.Cost.Dist, w.q.Sink) < 1.10*w.plan.Cost(w.rt.Cost.Dist, w.q.Sink) {
+		t.Fatal("misplacement not bad enough on this topology; pick another seed")
+	}
+	if err := w.rt.Deploy(w.q, bad, w.cat, horizon); err != nil {
+		t.Fatal(err)
+	}
+	ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 10})
+	ctl.Track(w.q, bad)
+	// The network change that left the plan stranded: any link repricing
+	// bumps the graph version the controller watches.
+	l := w.g.Links()[0]
+	if err := w.rt.UpdateLinkCost(l.A, l.B, l.Cost*1.01); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.h.RebindRows(w.g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Run(horizon)
+	w.rt.RunFor(horizon)
+
+	if st := ctl.Stats(); st.Checks == 0 || st.Migrations == 0 {
+		t.Fatalf("checks=%d migrations=%d: no migration away from the misplaced plan", st.Checks, st.Migrations)
+	}
+	if ctl.Plan(w.q.ID) == bad {
+		t.Error("controller still believes the misplaced plan runs")
+	}
+	if w.rt.Sink(w.q.ID).Tuples == 0 {
+		t.Error("query starved across migration")
+	}
+}

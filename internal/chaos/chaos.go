@@ -1,12 +1,15 @@
 // Package chaos is a seed-deterministic fault and churn simulation
 // harness for the full optimizer/runtime stack. It composes randomized
 // adversarial schedules — node failures and recoveries, link-cost drift,
-// query arrival and teardown, stream-rate shifts — against a live system
-// (netgraph topology, clustering hierarchy, Top-Down/Bottom-Up planners,
-// advertisement registry, IFLOW runtime on the discrete-event clock) and
-// checks cross-cutting invariants after every event: hierarchy
-// well-formedness, plan/deployment consistency, advertisement liveness,
-// path-snapshot freshness, and transport conservation.
+// query arrival and teardown, stream-rate shifts — against a live
+// engine.Engine (netgraph topology, clustering hierarchy, Top-Down/
+// Bottom-Up planners, advertisement registry, load ledger, IFLOW runtime
+// on the discrete-event clock — the same object the CLIs and examples
+// drive) and checks cross-cutting invariants after every event: the
+// engine's own audit (hierarchy well-formedness, plan/deployment
+// consistency, advertisement liveness, path-snapshot freshness, ledger
+// exactness, transport conservation) plus counter monotonicity across the
+// run.
 //
 // Everything derives from one seed: the topology, the workload, the event
 // schedule, and every tuple the runtime moves. A failing run therefore
@@ -18,7 +21,6 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -26,10 +28,9 @@ import (
 
 	"hnp/internal/adapt"
 	"hnp/internal/ads"
-	"hnp/internal/core"
+	"hnp/internal/engine"
 	"hnp/internal/hierarchy"
 	"hnp/internal/iflow"
-	"hnp/internal/load"
 	"hnp/internal/netgraph"
 	"hnp/internal/obs"
 	"hnp/internal/query"
@@ -73,17 +74,16 @@ type Config struct {
 	// stream and runs the logical rewrite pipeline over the pool's
 	// predicate-bearing queries (column pruning keyed to the predicate
 	// attribute), so operators run at heterogeneous tuple widths and the
-	// width-bracket transport invariants are exercised. The pruning step
-	// honors the global pushdown kill switch; the schemas themselves do
-	// not. Off by default so existing seeds replay unchanged.
+	// width-bracket transport invariants are exercised. Off by default so
+	// existing seeds replay unchanged.
 	Schemas bool
 	// Profile selects the event mix: "" is the default fault/churn
 	// schedule; ProfileRateShift is the adaptive-control stress schedule.
 	Profile string
 	// Adapt, when non-nil, attaches a closed-loop re-optimization
 	// controller (internal/adapt) to the run: every pool query is placed
-	// under control and the controller's migrations are mirrored into the
-	// harness bookkeeping. Only meaningful with ProfileRateShift.
+	// under control (engine.AttachController). Only meaningful with
+	// ProfileRateShift.
 	Adapt *adapt.Config
 	// Runtime tunes the IFLOW engine's physical constants.
 	Runtime iflow.Config
@@ -150,49 +150,22 @@ func (cfg Config) horizon() float64 {
 	return cfg.MeanStep*float64(cfg.Events)*2 + 30
 }
 
-// queryState tracks one pool query through the run.
-type queryState int
-
-const (
-	stateIdle queryState = iota
-	stateDeployed
-)
-
-// sinkBase is the delivery baseline monotonicity is checked against.
-type sinkBase struct {
-	tuples  int64
-	bytes   float64
-	latency float64
-}
-
-// World is one chaos run in progress: the full stack plus the harness's
-// own bookkeeping of what should be true.
+// World is one chaos run in progress: the engine under test plus what is
+// chaos — the schedule, the ground truth the schedule draws from, and the
+// baselines the run-long invariants are checked against. Everything the
+// stack itself must keep consistent (plans, advertisements, load ledger,
+// path snapshots, node liveness) lives in the engine and is audited there.
 type World struct {
-	cfg   Config
-	rng   *rand.Rand // event schedule + parameter draws
-	g     *netgraph.Graph
-	paths *netgraph.Paths
-	// pathsSpare is the retired half of the harness's snapshot ping-pong:
-	// link events delta-refresh w.paths into it and demote the old
-	// snapshot (released by the hierarchy at RebindRows) to spare.
-	pathsSpare *netgraph.Paths
-	h          *hierarchy.Hierarchy
-	cat        *query.Catalog
-	reg        *ads.Registry
-	rt         *iflow.Runtime
-	pool       []*query.Query
-	qByID      map[int]*query.Query
-	plans      map[int]*query.PlanNode
-	state      map[int]queryState
-	live       []bool
-	nLive      int
-	minLive    int
-	horizon    float64
+	cfg Config
+	rng *rand.Rand // event schedule + parameter draws
+	eng *engine.Engine
+	// pool is the candidate queries events draw from; pool[i].ID == i
+	// (workload.Generate numbers queries by position).
+	pool []*query.Query
+	// minLive is the liveness floor: the schedule never fails a node when
+	// that would leave fewer live ones.
+	minLive int
 
-	// tracker is the incremental load ledger, fed diff-aware at every
-	// deploy/undeploy/recovery/migration; check() audits it against a
-	// from-scratch recompute after every event.
-	tracker *load.Tracker
 	// ctl is the closed-loop controller (rate-shift profile with
 	// Config.Adapt set), nil otherwise.
 	ctl *adapt.Controller
@@ -206,18 +179,14 @@ type World struct {
 	planHist     map[int][]string
 	oscillations int
 
-	trace     []Event
-	counts    [9]int
+	trace  []Event
+	counts [9]int
+	// prev and prevSinks are the baselines counter monotonicity is checked
+	// against: global transport statistics, and per deployed query its
+	// delivery statistics as of the previous audit.
 	prev      iflow.Stats
-	prevSinks map[int]sinkBase
+	prevSinks map[int]iflow.SinkStats
 
-	// obsReg carries the run's always-armed flight recorder: every causal
-	// trace event the stack emits (deploys, calibration windows, gate
-	// decisions, migrations, invariant audits) lands in its ring buffer,
-	// so a violation's report can be accompanied by the decision history
-	// that led to it. Metric collection stays gated on obs.Enabled; only
-	// the tracer is armed unconditionally.
-	obsReg *obs.Registry
 	// forcedErr, when non-empty, makes the next invariant audit report a
 	// violation — a test hook for exercising the flight-recorder dump path
 	// without needing a real bug.
@@ -244,6 +213,24 @@ type Report struct {
 	Flight []obs.Event
 }
 
+// Summary renders the run's outcome on one line, the way cmd/chaos prints
+// it and TestChaosPins pins it: per-kind event counts in kind-name order,
+// then the transport totals.
+func (r Report) Summary() string {
+	kinds := make([]string, 0, len(r.Counts))
+	for k := range r.Counts {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	var b strings.Builder
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%s=%d ", k, r.Counts[k])
+	}
+	fmt.Fprintf(&b, "transferred=%d delivered=%d dropped=%d deployed=%d cost=%.1f",
+		r.Stats.TuplesTransferred, r.Delivered, r.Stats.TuplesDropped, r.Deployed, r.Stats.TotalCost)
+	return b.String()
+}
+
 // TraceString renders the full replayable event trace.
 func (r Report) TraceString() string {
 	lines := make([]string, len(r.Trace))
@@ -255,8 +242,8 @@ func (r Report) TraceString() string {
 
 // New builds a world from the config: transit-stub topology, hierarchy,
 // workload (a third of the pool carries a selection predicate so
-// containment reuse is exercised under churn), advertisement registry and
-// IFLOW runtime, all seeded from cfg.Seed.
+// containment reuse is exercised under churn) and an engine over them,
+// all seeded from cfg.Seed.
 func New(cfg Config) (*World, error) { return newWorld(cfg, true) }
 
 // newWorld is New with the schema-mode column pruning of predicate queries
@@ -278,36 +265,26 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The run's flight recorder is always armed: every causal trace event
+	// the stack emits (plans, deploys, calibration windows, gate
+	// decisions, migrations, invariant audits) lands in the engine
+	// registry's ring buffer, so a violation's report can be accompanied
+	// by the decision history that led to it. Metric collection stays
+	// gated on obs.Enabled; only the tracer is armed unconditionally.
+	reg := obs.NewRegistry()
+	reg.Tracer().Enable()
 	w := &World{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5)),
-		g:         g,
-		paths:     paths,
-		h:         h,
-		cat:       wl.Catalog,
-		reg:       ads.NewRegistry(),
-		rt:        iflow.New(g, cfg.Runtime, cfg.Seed^0x7f1e),
-		qByID:     map[int]*query.Query{},
-		plans:     map[int]*query.PlanNode{},
-		state:     map[int]queryState{},
-		live:      make([]bool, cfg.Nodes),
-		nLive:     cfg.Nodes,
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5)),
+		eng: engine.NewEngine(engine.NewSystem(g, paths, h, wl.Catalog, reg),
+			cfg.Runtime, cfg.Seed^0x7f1e, cfg.horizon()),
 		minLive:   max(cfg.MaxCS, cfg.Nodes/2),
-		horizon:   cfg.horizon(),
-		tracker:   load.NewTracker(),
 		liveRates: map[query.StreamID]float64{},
 		planHist:  map[int][]string{},
-		prevSinks: map[int]sinkBase{},
-		obsReg:    obs.NewRegistry(),
+		prevSinks: map[int]iflow.SinkStats{},
 	}
-	w.obsReg.Tracer().Enable()
-	w.rt.BindObs(w.obsReg)
-	w.h.BindObs(w.obsReg)
 	for i := 0; i < wl.Catalog.NumStreams(); i++ {
 		w.liveRates[query.StreamID(i)] = wl.Catalog.Stream(query.StreamID(i)).Rate
-	}
-	for i := range w.live {
-		w.live[i] = true
 	}
 	if cfg.Schemas {
 		// Schema widths come from a dedicated rng so Schemas=false runs
@@ -352,8 +329,6 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 			}
 		}
 		w.pool = append(w.pool, q)
-		w.qByID[q.ID] = q
-		w.state[q.ID] = stateIdle
 	}
 	return w, nil
 }
@@ -361,13 +336,7 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 // Tracer exposes the run's always-armed flight recorder — the causal
 // event history behind a violation, or the raw material for timeline
 // reconstruction in tests.
-func (w *World) Tracer() *obs.Tracer { return w.obsReg.Tracer() }
-
-// DumpFlight writes the flight recorder's retained events as JSONL,
-// oldest first.
-func (w *World) DumpFlight(out io.Writer) error {
-	return w.obsReg.Tracer().WriteJSONL(out)
-}
+func (w *World) Tracer() *obs.Tracer { return w.eng.Obs.Tracer() }
 
 // FailNextCheck forces the next invariant audit to report the given
 // violation. Test hook: it exercises the violation-to-flight-dump path
@@ -379,6 +348,7 @@ func (w *World) FailNextCheck(msg string) { w.forcedErr = msg }
 // performs a final audit including the zero-in-flight conservation check.
 // The returned report always carries the trace, violation or not.
 func (w *World) Run() (Report, error) {
+	rt := w.eng.RT
 	if w.cfg.Profile == ProfileRateShift {
 		if err := w.startRateShift(); err != nil {
 			return w.report(), fmt.Errorf("chaos: seed %d, rate-shift setup: %w", w.cfg.Seed, err)
@@ -400,30 +370,25 @@ func (w *World) Run() (Report, error) {
 	}
 	// Quiesce: run sources to the end of their lifetime, then drain every
 	// in-flight delivery.
-	if now := w.rt.Sim.Now(); now < w.horizon {
-		w.rt.RunFor(w.horizon - now)
+	if now, end := rt.Sim.Now(), w.cfg.horizon(); now < end {
+		rt.RunFor(end - now)
 	}
-	w.rt.Sim.Run()
+	rt.Sim.Run()
 	if err := w.check(); err != nil {
 		return w.report(), fmt.Errorf("chaos: seed %d, after quiesce: %w", w.cfg.Seed, err)
 	}
-	if inFlight := w.rt.InFlight(); inFlight != 0 {
+	if inFlight := rt.InFlight(); inFlight != 0 {
 		return w.report(), fmt.Errorf("chaos: seed %d: %d tuples unaccounted for after quiesce (sent %d)",
-			w.cfg.Seed, inFlight, w.rt.TuplesSent)
+			w.cfg.Seed, inFlight, rt.TuplesSent)
 	}
 	return w.report(), nil
 }
 
 func (w *World) report() Report {
-	st := w.rt.Stats()
 	var delivered int64
-	deployed := 0
 	for _, q := range w.pool {
-		if s := w.rt.Sink(q.ID); s != nil {
+		if s := w.eng.RT.Sink(q.ID); s != nil {
 			delivered += s.Tuples
-		}
-		if w.state[q.ID] == stateDeployed {
-			deployed++
 		}
 	}
 	counts := map[string]int{}
@@ -436,12 +401,12 @@ func (w *World) report() Report {
 		Seed:         w.cfg.Seed,
 		Events:       len(w.trace),
 		Counts:       counts,
-		Deployed:     deployed,
+		Deployed:     len(w.deployedIDs()),
 		Delivered:    delivered,
-		Stats:        st,
+		Stats:        w.eng.RT.Stats(),
 		Oscillations: w.oscillations,
 		Trace:        w.trace,
-		Flight:       w.obsReg.Tracer().Snapshot(),
+		Flight:       w.Tracer().Snapshot(),
 	}
 	if w.ctl != nil {
 		r.Adapt = w.ctl.Stats()
@@ -454,78 +419,41 @@ func (w *World) report() Report {
 // policy) and deployed, and — when configured — the controller is attached
 // with every query under control.
 //
-// Each pool query is planned against an EMPTY advertisement registry —
-// every deployment stands alone, as if the queries arrived before any
+// Each pool query is planned with NO advertisements on offer — every
+// deployment stands alone, as if the queries arrived before any
 // cross-query optimization ran. The default profile already exercises
 // reuse-dense arrival ordering; this profile isolates the re-optimization
 // loop, which must discover both kinds of improvement at run time:
 // consolidating duplicated work onto advertised intermediates, and
-// re-placing operators as the live rates drift. All plans are advertised
-// after deployment, so controller re-plans see the full reuse surface.
+// re-placing operators as the live rates drift. The engine advertises
+// every plan as it deploys, so controller re-plans see the full reuse
+// surface.
 func (w *World) startRateShift() error {
 	for _, q := range w.pool {
-		res, _, err := w.planQueryWith(q, ads.NewRegistry())
+		d, _, err := w.planQuery(q, nil)
 		if err != nil {
 			return fmt.Errorf("planner rejected pool query %d: %w", q.ID, err)
 		}
-		if err := w.rt.Deploy(q, res.Plan, w.cat, w.horizon); err != nil {
-			return fmt.Errorf("runtime rejected plan %s: %w", res.Plan, err)
+		if err := w.eng.Deploy(d); err != nil {
+			return fmt.Errorf("runtime rejected plan %s: %w", d.Plan, err)
 		}
-		w.plans[q.ID] = res.Plan
-		w.state[q.ID] = stateDeployed
-		w.prevSinks[q.ID] = sinkBase{}
-		w.tracker.AddPlan(res.Plan)
-		w.planHist[q.ID] = []string{res.Plan.String()}
-	}
-	for _, q := range w.pool {
-		w.reg.AdvertisePlan(q, w.plans[q.ID])
+		w.prevSinks[q.ID] = iflow.SinkStats{}
+		w.planHist[q.ID] = []string{d.Plan.String()}
 	}
 	if w.cfg.Adapt != nil {
-		w.ctl = adapt.New(w.rt, w.cat, w.ctlReplan, *w.cfg.Adapt)
-		w.ctl.BindObs(w.obsReg)
-		w.ctl.OnMigrate = w.onCtlMigrate
-		for _, q := range w.pool {
-			w.ctl.Track(q, w.plans[q.ID])
-		}
-		w.ctl.Run(w.horizon)
+		w.eng.OnMigrate = w.onCtlMigrate
+		w.ctl = w.eng.AttachController(*w.cfg.Adapt)
 	}
 	return nil
 }
 
-// ctlReplan is the controller's re-planner: always Top-Down against
-// current (calibrated) conditions and advertisements. It deliberately
-// bypasses planQuery — the controller must not consume the schedule rng,
-// or its decisions would perturb the event sequence and break cross-policy
-// comparability on a shared seed.
-//
-// The query's own advertisements are withheld from the planner: offered
-// its own deployed root, Top-Down always "reuses" it — a plan that reads
-// the stream the query already computes, which migrates to a physical
-// no-op (the old tree keeps running under the kept-as-leaf root) with
-// predicted gain zero. Withholding them forces the planner to state how
-// it would compute the query from base streams and OTHER queries'
-// materialized intermediates — the comparison that surfaces real
-// consolidation and re-placement wins.
-func (w *World) ctlReplan(q *query.Query) (*query.PlanNode, error) {
-	reg := w.reg.Clone()
-	reg.Prune(func(ad ads.Ad) bool { return ad.QueryID != q.ID })
-	res, err := core.TopDown(w.h, w.cat, q, reg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Plan, nil
-}
-
-// onCtlMigrate mirrors a controller migration into the harness
-// synchronously: plan table, advertisements, the load ledger (diff-aware
-// via the report's LoadDelta), tap rates (operators the migration
-// re-created started at catalog rates, which may trail the live truth) and
-// the oscillation history.
+// onCtlMigrate follows a controller migration the engine has already
+// mirrored with what only the harness knows: tap rates (operators the
+// migration re-created started at catalog rates, which may trail the live
+// truth) and the oscillation history. The controller's re-planner never
+// consumes the schedule rng, so its decisions cannot perturb the event
+// sequence and cross-policy runs on a shared seed stay comparable.
 func (w *World) onCtlMigrate(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
-	w.plans[q.ID] = fresh
-	w.reg.AdvertisePlan(q, fresh)
-	w.pruneAds()
-	w.tracker.ApplyDelta(rep.LoadDelta)
 	for _, l := range fresh.Leaves() {
 		if l.In.Derived {
 			continue
@@ -537,7 +465,7 @@ func (w *World) onCtlMigrate(q *query.Query, old, fresh *query.PlanNode, rep ifl
 		if r, ok := w.liveRates[ids[0]]; ok {
 			// The tap exists — the plan just deployed it; a failure here
 			// would surface as a calibration drift the invariants audit.
-			_ = w.rt.SetSourceRate(l.In.Sig, l.Loc, r)
+			_ = w.eng.RT.SetSourceRate(l.In.Sig, l.Loc, r)
 		}
 	}
 	hist := append(w.planHist[q.ID], fresh.String())
@@ -561,20 +489,28 @@ func (w *World) nextEvent(idx int) Event {
 		weight int
 	}
 	var choices []choice
-	arrivals := w.eligibleArrivals()
+	cat := w.eng.Catalog
+	arrivals := w.plannable(false)
 	deployed := w.deployedIDs()
-	dead := w.deadNodes()
+	var liveNodes, dead []netgraph.NodeID
+	for v := netgraph.NodeID(0); int(v) < w.cfg.Nodes; v++ {
+		if w.eng.Live(v) {
+			liveNodes = append(liveNodes, v)
+		} else {
+			dead = append(dead, v)
+		}
+	}
 	if len(arrivals) > 0 {
 		choices = append(choices, choice{KindQueryArrive, 4})
 	}
 	if len(deployed) > 0 {
 		choices = append(choices, choice{KindQueryUndeploy, 1})
 	}
-	migratable := w.eligibleMigrations()
+	migratable := w.plannable(true)
 	if w.cfg.Migrate && len(migratable) > 0 {
 		choices = append(choices, choice{KindQueryMigrate, 3})
 	}
-	if w.nLive > w.minLive {
+	if len(liveNodes) > w.minLive {
 		choices = append(choices, choice{KindFailNode, 2})
 	}
 	if len(dead) > 0 {
@@ -601,25 +537,19 @@ func (w *World) nextEvent(idx int) Event {
 	case KindQueryMigrate:
 		e.Query = migratable[w.rng.Intn(len(migratable))]
 	case KindFailNode:
-		liveNodes := make([]netgraph.NodeID, 0, w.nLive)
-		for v, ok := range w.live {
-			if ok {
-				liveNodes = append(liveNodes, netgraph.NodeID(v))
-			}
-		}
 		e.Node = liveNodes[w.rng.Intn(len(liveNodes))]
 	case KindRecoverNode:
 		e.Node = dead[w.rng.Intn(len(dead))]
 	case KindLinkCost:
-		links := w.g.Links()
+		links := w.eng.Graph.Links()
 		l := links[w.rng.Intn(len(links))]
 		factor := 0.5 + w.rng.Float64()*1.5
 		e.A, e.B = l.A, l.B
 		e.Value = clamp(l.Cost*factor, 0.05, 1e6)
 	case KindRateShift:
-		e.Stream = query.StreamID(w.rng.Intn(w.cat.NumStreams()))
+		e.Stream = query.StreamID(w.rng.Intn(cat.NumStreams()))
 		factor := 0.5 + w.rng.Float64()*1.5
-		e.Value = clamp(w.cat.Stream(e.Stream).Rate*factor, 0.5, 200)
+		e.Value = clamp(cat.Stream(e.Stream).Rate*factor, 0.5, 200)
 	}
 	return e
 }
@@ -635,14 +565,14 @@ func (w *World) nextRateShiftEvent(idx int) Event {
 	switch {
 	case pick < 5:
 		e.Kind = KindRateShift
-		e.Stream = query.StreamID(w.rng.Intn(w.cat.NumStreams()))
+		e.Stream = query.StreamID(w.rng.Intn(w.eng.Catalog.NumStreams()))
 		// Log-uniform factor in [0.1, 10): shifts are multiplicative and
 		// symmetric, so rates wander over two decades instead of creeping.
 		factor := math.Pow(10, w.rng.Float64()*2-1)
 		e.Value = clamp(w.liveRates[e.Stream]*factor, 0.5, 100)
 	case pick < 7:
 		e.Kind = KindLinkBurst
-		links := w.g.Links()
+		links := w.eng.Graph.Links()
 		n := 2 + w.rng.Intn(3)
 		for i := 0; i < n; i++ {
 			l := links[w.rng.Intn(len(links))]
@@ -657,309 +587,142 @@ func (w *World) nextRateShiftEvent(idx int) Event {
 	return e
 }
 
-// eligibleArrivals lists idle pool queries whose sources and sink are all
-// on live nodes, in pool order.
-func (w *World) eligibleArrivals() []int {
-	var out []int
-	for _, q := range w.pool {
-		if w.state[q.ID] != stateIdle || !w.live[q.Sink] {
-			continue
-		}
-		ok := true
-		for _, sid := range q.Sources {
-			if !w.live[w.cat.Stream(sid).Source] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, q.ID)
-		}
-	}
-	return out
-}
-
-// eligibleMigrations lists deployed queries that can be re-planned from
-// scratch: all their base sources and their sink on live nodes. A deployed
-// query can outlive one of its source nodes when its plan consumes another
-// query's derived stream (none of its own operators sat on the dead node);
-// such a query keeps running but cannot be re-planned until the source
-// recovers, so it is not a migration target.
-func (w *World) eligibleMigrations() []int {
-	var out []int
-	for _, q := range w.pool {
-		if w.state[q.ID] != stateDeployed || !w.live[q.Sink] {
-			continue
-		}
-		ok := true
-		for _, sid := range q.Sources {
-			if !w.live[w.cat.Stream(sid).Source] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, q.ID)
-		}
-	}
-	return out
-}
-
+// deployedIDs lists the deployed pool queries, in pool order.
 func (w *World) deployedIDs() []int {
 	var out []int
 	for _, q := range w.pool {
-		if w.state[q.ID] == stateDeployed {
+		if w.eng.DeployedPlan(q.ID) != nil {
 			out = append(out, q.ID)
 		}
 	}
 	return out
 }
 
-func (w *World) deadNodes() []netgraph.NodeID {
-	var out []netgraph.NodeID
-	for v, ok := range w.live {
-		if !ok {
-			out = append(out, netgraph.NodeID(v))
+// plannable lists, in pool order, the idle (or deployed) pool queries whose
+// base sources and sink are all on live nodes. Idle ones may arrive;
+// deployed ones may be re-planned from scratch: a deployed query can
+// outlive one of its source nodes when its plan consumes another query's
+// derived stream (none of its own operators sat on the dead node) — it
+// keeps running but is not a migration target until the source recovers.
+func (w *World) plannable(deployed bool) []int {
+	var out []int
+pool:
+	for _, q := range w.pool {
+		if (w.eng.DeployedPlan(q.ID) != nil) != deployed || !w.eng.Live(q.Sink) {
+			continue
 		}
+		for _, sid := range q.Sources {
+			if !w.eng.Live(w.eng.Catalog.Stream(sid).Source) {
+				continue pool
+			}
+		}
+		out = append(out, q.ID)
 	}
 	return out
 }
 
 // apply advances virtual time by the event's Dt, then performs the
-// perturbation. Errors are invariant violations: every event is chosen to
-// be legal, so the stack rejecting or mishandling it is a finding.
+// perturbation through the engine. Errors are invariant violations: every
+// event is chosen to be legal, so the stack rejecting or mishandling it is
+// a finding.
 func (w *World) apply(e *Event) error {
 	w.counts[e.Kind]++
-	w.rt.RunFor(e.Dt)
+	w.eng.RT.RunFor(e.Dt)
 	switch e.Kind {
 	case KindIdle:
 		return nil
 	case KindFailNode:
-		return w.applyFail(e)
-	case KindRecoverNode:
-		w.live[e.Node] = true
-		w.nLive++
-		if err := w.h.AddNode(e.Node); err != nil {
-			return fmt.Errorf("hierarchy rejected rejoin: %w", err)
+		rec, err := w.eng.FailNode(e.Node, func(q *query.Query) (*query.PlanNode, error) {
+			d, _, err := w.planQuery(q, w.eng.Registry)
+			return d.Plan, err
+		})
+		if err != nil {
+			return err
+		}
+		for _, qid := range rec.Failed {
+			delete(w.prevSinks, qid)
+		}
+		e.Note = "affected=none"
+		if len(rec.Affected) > 0 {
+			e.Note = fmt.Sprintf("affected=%s recovered=%s failed=%s",
+				intList(rec.Affected), intList(rec.Recovered), intList(rec.Failed))
 		}
 		return nil
+	case KindRecoverNode:
+		return w.eng.RecoverNode(e.Node)
 	case KindLinkCost:
-		if err := w.rt.UpdateLinkCost(e.A, e.B, e.Value); err != nil {
+		if err := w.eng.UpdateLinkCosts(iflow.LinkCostUpdate{A: e.A, B: e.B, Cost: e.Value}); err != nil {
 			return fmt.Errorf("link update rejected: %w", err)
 		}
-		return w.refreshPathsAndRebind()
+		return nil
 	case KindQueryArrive:
-		return w.applyArrive(e)
+		d, algo, err := w.planQuery(w.pool[e.Query], w.eng.Registry)
+		e.Algo = algo
+		if err != nil {
+			return fmt.Errorf("planner rejected eligible query %d: %w", e.Query, err)
+		}
+		if err := w.eng.Deploy(d); err != nil {
+			return fmt.Errorf("runtime rejected plan %s: %w", d.Plan, err)
+		}
+		w.prevSinks[e.Query] = iflow.SinkStats{} // Deploy resets delivery statistics
+		return nil
 	case KindQueryUndeploy:
-		q := w.qByID[e.Query]
-		if err := w.rt.Undeploy(q.ID); err != nil {
+		if err := w.eng.Undeploy(e.Query); err != nil {
 			return fmt.Errorf("undeploy rejected: %w", err)
 		}
-		w.tracker.RemovePlan(w.plans[q.ID])
-		w.state[q.ID] = stateIdle
-		delete(w.plans, q.ID)
-		delete(w.prevSinks, q.ID)
-		w.pruneAds()
+		delete(w.prevSinks, e.Query)
 		return nil
 	case KindRateShift:
-		if w.cfg.Profile == ProfileRateShift {
-			return w.applyLiveRateShift(e)
+		if w.cfg.Profile != ProfileRateShift {
+			w.eng.Catalog.SetRate(e.Stream, e.Value)
+			return nil
 		}
-		w.cat.SetRate(e.Stream, e.Value)
+		// Rate-shift profile: only the live taps move; the planning model
+		// may learn the new rate only through the controller's windowed
+		// calibration — the closed loop under test.
+		w.liveRates[e.Stream] = e.Value
+		taps, err := w.eng.SetLiveRate(e.Stream, e.Value)
+		if err != nil {
+			return fmt.Errorf("live rate shift rejected: %w", err)
+		}
+		e.Note = fmt.Sprintf("taps=%d", taps)
 		return nil
 	case KindQueryMigrate:
-		return w.applyMigrate(e)
+		// The query's delivery baseline is deliberately NOT reset: Migrate
+		// must carry sink statistics natively, so the monotonicity
+		// invariant also polices migrations.
+		d, algo, err := w.planQuery(w.pool[e.Query], w.eng.Registry)
+		e.Algo = algo
+		if err != nil {
+			return fmt.Errorf("planner rejected deployed query %d: %w", e.Query, err)
+		}
+		rep, err := w.eng.Migrate(e.Query, d.Plan)
+		if err != nil {
+			return fmt.Errorf("migration rejected plan %s: %w", d.Plan, err)
+		}
+		e.Note = fmt.Sprintf("kept=%d created=%d retired=%d moved=%d rewired=%d",
+			rep.Kept, rep.Created, rep.Retired, rep.Moved, rep.Rewired)
+		return nil
 	case KindLinkBurst:
-		if err := w.rt.UpdateLinkCosts(e.Burst); err != nil {
+		if err := w.eng.UpdateLinkCosts(e.Burst...); err != nil {
 			return fmt.Errorf("link burst rejected: %w", err)
 		}
-		return w.refreshPathsAndRebind()
+		return nil
 	}
 	return fmt.Errorf("unknown event kind %d", e.Kind)
 }
 
-// refreshPathsAndRebind brings the harness's cost snapshot up to date
-// after link churn and rebinds the hierarchy to it. The refresh is
-// incremental where the graph's delta log permits, recycling the retired
-// snapshot's slabs, and the rebind re-audits only clusters whose members'
-// rows the refresh recomputed. If every mutation was a no-op (costs set
-// to their current values), nothing moved and nothing is touched.
-func (w *World) refreshPathsAndRebind() error {
-	old := w.paths
-	next, stats := w.paths.RefreshFrom(w.g, w.pathsSpare)
-	if next == old {
-		return nil
-	}
-	w.paths = next
-	if err := w.h.RebindRows(next, stats.Rows); err != nil {
-		return fmt.Errorf("hierarchy rejected fresh paths: %w", err)
-	}
-	w.pathsSpare = old
-	return nil
-}
-
-// applyLiveRateShift retunes the live taps covering a stream without
-// touching the catalog: the planning model may only learn the new rate
-// through the controller's windowed calibration — the closed loop under
-// test. Taps are deduplicated (queries share them) and recorded in the
-// trace note.
-func (w *World) applyLiveRateShift(e *Event) error {
-	w.liveRates[e.Stream] = e.Value
-	seen := map[string]bool{}
-	taps := 0
-	for _, qid := range w.deployedIDs() {
-		q := w.qByID[qid]
-		for _, l := range w.plans[qid].Leaves() {
-			if l.In.Derived {
-				continue
-			}
-			ids := q.StreamsOf(l.Mask)
-			if len(ids) != 1 || ids[0] != e.Stream {
-				continue
-			}
-			key := fmt.Sprintf("%s@%d", l.In.Sig, l.Loc)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if err := w.rt.SetSourceRate(l.In.Sig, l.Loc, e.Value); err != nil {
-				return fmt.Errorf("live rate shift rejected: %w", err)
-			}
-			taps++
-		}
-	}
-	e.Note = fmt.Sprintf("taps=%d", taps)
-	return nil
-}
-
-func (w *World) applyFail(e *Event) error {
-	affected := w.rt.FailNode(e.Node)
-	if err := w.h.RemoveNode(e.Node); err != nil {
-		return fmt.Errorf("hierarchy rejected removal: %w", err)
-	}
-	w.live[e.Node] = false
-	w.nLive--
-	w.pruneAds()
-	if len(affected) == 0 {
-		e.Note = "affected=none"
-		return nil
-	}
-	// Snapshot the affected queries' booked plans: RecoverQueries rewrites
-	// w.plans in place, and the ledger must release exactly what was
-	// booked, not the recovered replacement.
-	oldPlans := make(map[int]*query.PlanNode, len(affected))
-	for _, qid := range affected {
-		oldPlans[qid] = w.plans[qid]
-	}
-	recovered, failed, err := w.rt.RecoverQueries(affected, w.qByID, w.plans, w.cat, w.replan, w.horizon)
-	if err != nil {
-		return fmt.Errorf("recovery aborted: %w", err)
-	}
-	for _, qid := range failed {
-		w.tracker.RemovePlan(oldPlans[qid])
-		w.state[qid] = stateIdle
-		delete(w.plans, qid)
-		delete(w.prevSinks, qid)
-	}
-	for _, qid := range recovered {
-		w.tracker.RemovePlan(oldPlans[qid])
-		w.tracker.AddPlan(w.plans[qid])
-		w.reg.AdvertisePlan(w.qByID[qid], w.plans[qid])
-	}
-	w.pruneAds()
-	e.Note = fmt.Sprintf("affected=%s recovered=%s failed=%s",
-		intList(affected), intList(recovered), intList(failed))
-	return nil
-}
-
-func (w *World) applyArrive(e *Event) error {
-	q := w.qByID[e.Query]
-	res, algo, err := w.planQuery(q)
-	e.Algo = algo
-	if err != nil {
-		return fmt.Errorf("planner rejected eligible query %d: %w", q.ID, err)
-	}
-	if err := w.rt.Deploy(q, res.Plan, w.cat, w.horizon); err != nil {
-		return fmt.Errorf("runtime rejected plan %s: %w", res.Plan, err)
-	}
-	w.reg.AdvertisePlan(q, res.Plan)
-	w.plans[q.ID] = res.Plan
-	w.state[q.ID] = stateDeployed
-	w.prevSinks[q.ID] = sinkBase{} // Deploy resets delivery statistics
-	w.tracker.AddPlan(res.Plan)
-	return nil
-}
-
-// applyMigrate re-plans a deployed query against current conditions and
-// applies the fresh plan as a diff-based migration. The query's delivery
-// baseline is deliberately NOT reset: Migrate must carry sink statistics
-// natively, so the monotonicity invariant now also polices migrations.
-func (w *World) applyMigrate(e *Event) error {
-	q := w.qByID[e.Query]
-	res, algo, err := w.planQuery(q)
-	e.Algo = algo
-	if err != nil {
-		return fmt.Errorf("planner rejected deployed query %d: %w", q.ID, err)
-	}
-	rep, err := w.rt.Migrate(q, res.Plan, w.cat, w.horizon)
-	if err != nil {
-		return fmt.Errorf("migration rejected plan %s: %w", res.Plan, err)
-	}
-	w.tracker.ApplyDelta(rep.LoadDelta)
-	w.plans[q.ID] = res.Plan
-	w.reg.AdvertisePlan(q, res.Plan)
-	w.pruneAds()
-	e.Note = fmt.Sprintf("kept=%d created=%d retired=%d moved=%d rewired=%d",
-		rep.Kept, rep.Created, rep.Retired, rep.Moved, rep.Rewired)
-	return nil
-}
-
 // planQuery runs one of the paper's hierarchy planners, chosen by the
-// schedule rng, against current conditions and advertisements.
-func (w *World) planQuery(q *query.Query) (core.Result, string, error) {
-	return w.planQueryWith(q, w.reg)
-}
-
-// planQueryWith plans against an explicit registry, consuming the schedule
-// rng exactly like planQuery — callers that must not see advertisements
-// (the rate-shift profile's independent arrivals) pass an empty one.
-func (w *World) planQueryWith(q *query.Query, reg *ads.Registry) (core.Result, string, error) {
+// schedule rng, against current conditions and the advertisements in reg:
+// the engine's registry, or nil for callers that must not see any (the
+// rate-shift profile's independent arrivals).
+func (w *World) planQuery(q *query.Query, reg *ads.Registry) (engine.Deployment, string, error) {
+	algo := engine.AlgoBottomUp
 	if w.rng.Intn(2) == 0 {
-		res, err := core.TopDown(w.h, w.cat, q, reg)
-		return res, "top-down", err
+		algo = engine.AlgoTopDown
 	}
-	res, err := core.BottomUp(w.h, w.cat, q, reg)
-	return res, "bottom-up", err
-}
-
-// replan is the middleware's re-planning hook for RecoverQueries: it
-// retracts advertisements orphaned by the teardown that precedes each
-// re-plan, refuses queries whose sources or sink are dead, and otherwise
-// plans against the surviving network.
-func (w *World) replan(q *query.Query) (*query.PlanNode, error) {
-	w.pruneAds()
-	if !w.live[q.Sink] {
-		return nil, fmt.Errorf("sink node %d is down", q.Sink)
-	}
-	for _, sid := range q.Sources {
-		if src := w.cat.Stream(sid).Source; !w.live[src] {
-			return nil, fmt.Errorf("source node %d of stream %d is down", src, sid)
-		}
-	}
-	res, _, err := w.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return res.Plan, nil
-}
-
-// pruneAds retracts every advertisement whose operator the runtime no
-// longer hosts, so planners are never offered streams that stopped
-// existing.
-func (w *World) pruneAds() {
-	w.reg.Prune(func(ad ads.Ad) bool {
-		return w.rt.Operator(ad.Sig, ad.Node) != nil
-	})
+	res, err := w.eng.PlanQuery(q, algo, reg)
+	return engine.Deployment{Query: q, Result: res}, algo.String(), err
 }
 
 func intList(xs []int) string {

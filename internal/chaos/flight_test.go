@@ -34,7 +34,7 @@ func TestFlightCausalChainReconstruction(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := w.DumpFlight(&buf); err != nil {
+	if err := w.Tracer().WriteJSONL(&buf); err != nil {
 		t.Fatalf("dump: %v", err)
 	}
 	events, err := obs.ParseJSONL(&buf)

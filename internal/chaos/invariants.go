@@ -2,9 +2,7 @@ package chaos
 
 import (
 	"fmt"
-	"math"
 
-	"hnp/internal/netgraph"
 	"hnp/internal/obs"
 )
 
@@ -21,10 +19,10 @@ func (w *World) check() error {
 		}
 		w.forcedErr = ""
 	}
-	if tr := w.obsReg.Tracer(); tr.On() {
+	if tr := w.Tracer(); tr.On() {
 		ev := obs.Event{
 			Kind: obs.KindInvariantChecked, Query: obs.NoID, Node: obs.NoID,
-			VTime: w.rt.Sim.Now(), Pass: err == nil,
+			VTime: w.eng.RT.Sim.Now(), Pass: err == nil,
 		}
 		if err != nil {
 			ev.Detail = err.Error()
@@ -35,103 +33,23 @@ func (w *World) check() error {
 }
 
 // audit checks every cross-cutting invariant after an event has fully
-// applied. Each layer's internal audit runs first, then the properties
-// that span layers: hierarchy membership must mirror node liveness,
-// every path snapshot must be fresh for the current graph, the runtime's
-// deployed set must agree with the harness's bookkeeping, advertisements
-// must name running operators on live nodes, and all cumulative counters
-// — global transport statistics and per-query delivery statistics — must
-// be monotone across the run (recoveries preserve history; only an
-// explicit re-arrival resets a query's baseline).
+// applied. The engine's own audit runs first — everything that must hold
+// at any instant whatever the history: layer-internal invariants,
+// hierarchy membership ≡ liveness, fresh path snapshots in every layer,
+// runtime deployed set ≡ the engine's, load ledger ≡ recompute,
+// advertisements naming running operators on live nodes. What remains
+// here needs the run's history: all cumulative counters — global
+// transport statistics and per-query delivery statistics — must be
+// monotone across the run (recoveries preserve history; only an explicit
+// re-arrival resets a query's baseline).
 func (w *World) audit() error {
-	// Layer-internal audits.
-	if err := w.h.CheckInvariants(); err != nil {
+	if err := w.eng.Audit(); err != nil {
 		return err
 	}
-	liveFn := func(v netgraph.NodeID) bool { return w.live[v] }
-	if err := w.rt.CheckInvariants(liveFn); err != nil {
-		return err
-	}
-
-	// Hierarchy membership mirrors liveness exactly: a failed node is out,
-	// a recovered node is back in.
-	for v, ok := range w.live {
-		if w.h.Contains(netgraph.NodeID(v)) != ok {
-			return fmt.Errorf("node %d live=%v but hierarchy membership=%v",
-				v, ok, w.h.Contains(netgraph.NodeID(v)))
-		}
-	}
-
-	// No layer may hold a stale routing snapshot after link churn.
-	if w.paths.StaleFor(w.g) {
-		return fmt.Errorf("harness path snapshot is stale for graph version %d", w.g.Version())
-	}
-	if w.h.Paths().StaleFor(w.g) {
-		return fmt.Errorf("hierarchy path snapshot is stale for graph version %d", w.g.Version())
-	}
-	if w.rt.Cost.StaleFor(w.g) {
-		return fmt.Errorf("runtime cost snapshot is stale for graph version %d", w.g.Version())
-	}
-	if w.rt.Delay.StaleFor(w.g) {
-		return fmt.Errorf("runtime delay snapshot is stale for graph version %d", w.g.Version())
-	}
-
-	// The runtime's deployed set is exactly the harness's.
-	want := w.deployedIDs()
-	got := w.rt.DeployedQueries()
-	if len(want) != len(got) {
-		return fmt.Errorf("runtime deploys %v, harness expects %v", got, want)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("runtime deploys %v, harness expects %v", got, want)
-		}
-	}
-
-	// Each deployed query runs exactly the plan the harness last installed
-	// (via Deploy or Migrate) — migrations must not desync the bookkeeping.
-	for _, qid := range want {
-		if w.rt.DeployedPlan(qid) != w.plans[qid] {
-			return fmt.Errorf("query %d: runtime's deployed plan diverges from the harness's", qid)
-		}
-	}
-
-	// The incremental load ledger equals a from-scratch recompute over the
-	// deployed plans: diff-aware migration accounting (ApplyDelta) must
-	// leave exactly the same per-node load as tearing the books down and
-	// re-adding every plan would — no holes, no double counting, no
-	// residue.
-	expect := map[netgraph.NodeID]float64{}
-	for _, qid := range want {
-		for _, op := range w.plans[qid].Operators() {
-			expect[op.Loc] += op.InputRate()
-		}
-	}
-	snap := w.tracker.Snapshot()
-	for v, r := range expect {
-		if diff := math.Abs(snap[v] - r); diff > 1e-6*math.Max(1, math.Abs(r)) {
-			return fmt.Errorf("load ledger drift at node %d: ledger %g, recompute %g", v, snap[v], r)
-		}
-	}
-	for v, r := range snap {
-		if _, ok := expect[v]; !ok && math.Abs(r) > 1e-9 {
-			return fmt.Errorf("load ledger books %g on node %d no deployed plan loads", r, v)
-		}
-	}
-
-	// Every advertisement names an operator the runtime actually hosts, on
-	// a live node — planners are never offered dead streams.
-	for _, ad := range w.reg.All() {
-		if !w.live[ad.Node] {
-			return fmt.Errorf("advertisement %s@%d survives on a dead node", ad.Sig, ad.Node)
-		}
-		if w.rt.Operator(ad.Sig, ad.Node) == nil {
-			return fmt.Errorf("advertisement %s@%d names an operator the runtime does not host", ad.Sig, ad.Node)
-		}
-	}
+	rt := w.eng.RT
 
 	// Global counters never move backwards.
-	st := w.rt.Stats()
+	st := rt.Stats()
 	switch {
 	case st.TuplesTransferred < w.prev.TuplesTransferred:
 		return fmt.Errorf("TuplesTransferred regressed %d -> %d", w.prev.TuplesTransferred, st.TuplesTransferred)
@@ -152,17 +70,17 @@ func (w *World) audit() error {
 
 	// Per-query delivery statistics are monotone from each query's
 	// baseline: zero at arrival, carried across failure recovery.
-	for _, qid := range want {
-		s := w.rt.Sink(qid)
+	for _, qid := range w.deployedIDs() {
+		s := rt.Sink(qid)
 		if s == nil {
 			return fmt.Errorf("deployed query %d has no sink statistics", qid)
 		}
 		base := w.prevSinks[qid]
-		if s.Tuples < base.tuples || s.Bytes < base.bytes || s.LatencySum < base.latency {
+		if s.Tuples < base.Tuples || s.Bytes < base.Bytes || s.LatencySum < base.LatencySum {
 			return fmt.Errorf("query %d delivery statistics regressed: %d/%g/%g below baseline %d/%g/%g",
-				qid, s.Tuples, s.Bytes, s.LatencySum, base.tuples, base.bytes, base.latency)
+				qid, s.Tuples, s.Bytes, s.LatencySum, base.Tuples, base.Bytes, base.LatencySum)
 		}
-		w.prevSinks[qid] = sinkBase{tuples: s.Tuples, bytes: s.Bytes, latency: s.LatencySum}
+		w.prevSinks[qid] = *s
 	}
 	return nil
 }

@@ -1,36 +1,14 @@
 package chaos
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"testing"
-)
-
-// chaosPin renders one finished run the way cmd/chaos prints it: per-kind
-// event counts (sorted by kind name), then the transport totals.
-func chaosPin(rep Report) string {
-	kinds := make([]string, 0, len(rep.Counts))
-	for k := range rep.Counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var b strings.Builder
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "%s=%d ", k, rep.Counts[k])
-	}
-	fmt.Fprintf(&b, "transferred=%d delivered=%d dropped=%d deployed=%d cost=%.1f",
-		rep.Stats.TuplesTransferred, rep.Delivered, rep.Stats.TuplesDropped,
-		rep.Deployed, rep.Stats.TotalCost)
-	return b.String()
-}
+import "testing"
 
 // TestChaosPins compares 200-event default-shape runs against a committed
 // table. The *Deterministic tests only compare a run with itself, so a
 // refactor that changes every run the same way passes them; this one fails
 // on any change to the schedule, the plans chosen, or a single tuple.
-// Regenerate a row with `go run ./cmd/chaos -seed0 N -seeds 1 [-migrate]`
-// only when the change in behaviour is intended.
+// Rows are Report.Summary lines — what `go run ./cmd/chaos -seed0 N
+// -seeds 1 [-migrate]` prints after "events=200"; regenerate one only
+// when the change in behaviour is intended.
 func TestChaosPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seven 200-event runs")
@@ -60,7 +38,7 @@ func TestChaosPins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v\ntrace:\n%s", err, rep.TraceString())
 		}
-		if got := chaosPin(rep); got != p.want {
+		if got := rep.Summary(); got != p.want {
 			t.Errorf("seed %d migrate=%v schemas=%v:\n got %s\nwant %s", p.seed, p.migrate, p.schemas, got, p.want)
 		}
 	}

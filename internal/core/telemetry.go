@@ -42,9 +42,7 @@ func (po plannerObs) search(s *PlanStep) {
 
 // emitPlanStarted records the start of one optimizer search in the
 // registry's flight recorder and returns the event ID (0 when the
-// recorder is disarmed). The event is parented on opts.TraceParent so
-// controller-triggered re-plans chain back to the gate decision that
-// caused them.
+// recorder is disarmed).
 func emitPlanStarted(opts Options, q *query.Query, algo string) uint64 {
 	tr := opts.Obs.Tracer()
 	if !tr.On() {
@@ -52,7 +50,6 @@ func emitPlanStarted(opts Options, q *query.Query, algo string) uint64 {
 	}
 	return tr.Emit(obs.Event{
 		Kind:   obs.KindPlanStarted,
-		Parent: opts.TraceParent,
 		Trace:  obs.QueryTrace(q.ID),
 		Query:  q.ID,
 		Node:   int(q.Sink),

@@ -35,10 +35,6 @@ type Options struct {
 	// (metric names "core.<algo>.*"). Its flight recorder, when armed,
 	// additionally receives PlanStarted/PlanChosen trace events.
 	Obs *obs.Registry
-	// TraceParent, when nonzero, is the trace event that caused this
-	// search (the adaptation controller sets it to its gate-decision
-	// event, so re-plans link back to the decision that triggered them).
-	TraceParent uint64
 }
 
 // TopDownOpts is TopDown with explicit Options.

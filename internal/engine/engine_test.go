@@ -1,0 +1,255 @@
+package engine
+
+import (
+	"math/rand"
+	"testing"
+
+	"hnp/internal/adapt"
+	"hnp/internal/hierarchy"
+	"hnp/internal/iflow"
+	"hnp/internal/netgraph"
+	"hnp/internal/obs"
+	"hnp/internal/query"
+)
+
+// Every algorithm's name must parse back to it: one table serves String,
+// the wire format, the CLIs and the chaos traces.
+func TestParseAlgorithmRoundTrip(t *testing.T) {
+	for _, a := range []Algorithm{AlgoTopDown, AlgoBottomUp, AlgoOptimal, AlgoPlanThenDeploy} {
+		got, ok := ParseAlgorithm(a.String())
+		if !ok || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, ok, a)
+		}
+	}
+	for _, bad := range []string{"", "unknown", "topdown", "Top-Down"} {
+		if a, ok := ParseAlgorithm(bad); ok {
+			t.Errorf("ParseAlgorithm(%q) accepted as %v", bad, a)
+		}
+	}
+	if s := Algorithm(99).String(); s != "unknown" {
+		t.Errorf("out-of-range algorithm renders %q", s)
+	}
+}
+
+// testEngine is a 32-node transit-stub network with four streams (S0..S3
+// at seed-drawn nodes) under a runtime-backed engine.
+type testEngine struct {
+	*Engine
+	sink netgraph.NodeID
+}
+
+func newTestEngine(t *testing.T, seed int64, until float64) testEngine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := netgraph.MustTransitStub(32, rng)
+	paths := g.ShortestPaths(netgraph.MetricCost)
+	h, err := hierarchy.Build(g, paths, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := query.NewCatalog(0.01)
+	for i, name := range []string{"S0", "S1", "S2", "S3"} {
+		cat.Add(name, 20+10*float64(i), netgraph.NodeID(rng.Intn(32)))
+	}
+	sys := NewSystem(g, paths, h, cat, obs.NewRegistry())
+	return testEngine{NewEngine(sys, iflow.DefaultConfig(), seed, until), netgraph.NodeID(rng.Intn(32))}
+}
+
+// start plans and deploys one query, then audits.
+func (e testEngine) start(t *testing.T, algo Algorithm, sink netgraph.NodeID, sources ...query.StreamID) Deployment {
+	t.Helper()
+	d, err := e.Plan(sources, sink, algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Deploy(d); err != nil {
+		t.Fatal(err)
+	}
+	e.audit(t, "deploy "+d.Plan.String())
+	return d
+}
+
+func (e testEngine) audit(t *testing.T, step string) {
+	t.Helper()
+	if err := e.Audit(); err != nil {
+		t.Fatalf("audit after %s: %v", step, err)
+	}
+}
+
+// TestEngineLifecycle drives a runtime-backed engine by hand through every
+// lifecycle method, auditing after each step: the registry, the load
+// ledger, the path snapshots and the hierarchy must match what the
+// runtime hosts at every point, and tearing everything down must leave
+// nothing behind.
+func TestEngineLifecycle(t *testing.T) {
+	e := newTestEngine(t, 3, 200)
+	q1 := e.start(t, AlgoTopDown, e.sink, 0, 1)
+	q2 := e.start(t, AlgoTopDown, e.sink, 0, 1, 2)
+	if q2.Plan.DerivedLeaves() == 0 {
+		t.Fatalf("second query %s does not reuse the first's operator; pick another seed", q2.Plan)
+	}
+	q3 := e.start(t, AlgoBottomUp, 5, 2, 3)
+	e.RT.RunFor(10)
+
+	// Link burst: reprice everything around q2's operators.
+	var burst []iflow.LinkCostUpdate
+	for _, op := range q2.Plan.Operators() {
+		for _, nb := range e.Graph.Neighbors(op.Loc) {
+			cost, _ := e.Graph.LinkCost(op.Loc, nb)
+			burst = append(burst, iflow.LinkCostUpdate{A: op.Loc, B: nb, Cost: cost * 20})
+		}
+	}
+	before := e.Paths
+	if err := e.UpdateLinkCosts(burst...); err != nil {
+		t.Fatal(err)
+	}
+	if e.Paths == before {
+		t.Fatal("link burst did not refresh the planning snapshot")
+	}
+	e.audit(t, "link burst")
+	e.RT.RunFor(10)
+
+	// Migrate q2 onto a fresh plan for the repriced network.
+	fresh, err := e.Replan(q2.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Migrate(q2.Query.ID, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if e.DeployedPlan(q2.Query.ID) != fresh {
+		t.Fatal("migration not recorded")
+	}
+	e.audit(t, "migrate")
+	e.RT.RunFor(10)
+
+	// Fail the node of an operator that is neither a source nor a sink, so
+	// its query can be re-planned around the hole.
+	replan := func(q *query.Query) (*query.PlanNode, error) {
+		res, err := e.PlanQuery(q, AlgoTopDown, e.Registry)
+		return res.Plan, err
+	}
+	endpoint := map[netgraph.NodeID]bool{e.sink: true, 5: true}
+	for i := 0; i < e.Catalog.NumStreams(); i++ {
+		endpoint[e.Catalog.Stream(query.StreamID(i)).Source] = true
+	}
+	victim := netgraph.NodeID(-1)
+	for _, d := range []Deployment{q1, q2, q3} {
+		for _, op := range e.DeployedPlan(d.Query.ID).Operators() {
+			if !endpoint[op.Loc] {
+				victim = op.Loc
+			}
+		}
+	}
+	if victim < 0 {
+		t.Fatal("every operator sits on a source or sink; pick another seed")
+	}
+	rec, err := e.FailNode(victim, replan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Recovered) == 0 || len(rec.Failed) != 0 {
+		t.Fatalf("failing node %d: %+v, want every affected query recovered", victim, rec)
+	}
+	if e.Live(victim) {
+		t.Fatal("failed node still live")
+	}
+	e.audit(t, "fail node")
+	e.RT.RunFor(10)
+
+	if err := e.RecoverNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	e.audit(t, "recover node")
+
+	for _, d := range []Deployment{q1, q2, q3} {
+		if err := e.Undeploy(d.Query.ID); err != nil {
+			t.Fatal(err)
+		}
+		e.audit(t, "undeploy")
+	}
+	if n := e.Registry.Len(); n != 0 {
+		t.Errorf("%d advertisements survive a full teardown: %v", n, e.Registry.All())
+	}
+	if ledger := e.tracker.Snapshot(); len(ledger) != 0 {
+		t.Errorf("load ledger not empty after a full teardown: %v", ledger)
+	}
+	if n := len(e.RT.DeployedQueries()); n != 0 {
+		t.Errorf("%d queries still deployed", n)
+	}
+}
+
+// TestRetractionRules pins the two retraction rules side by side on the
+// same pair of queries, the second reusing the first's join. Under a
+// runtime an advertisement dies when its operator does, and the reused
+// operator outlives its creator's undeploy; planning-only bookkeeping has
+// no runtime to ask and retracts by owner.
+func TestRetractionRules(t *testing.T) {
+	e := newTestEngine(t, 3, 100)
+	q1 := e.start(t, AlgoTopDown, e.sink, 0, 1)
+	q2 := e.start(t, AlgoTopDown, e.sink, 0, 1, 2)
+	if q2.Plan.DerivedLeaves() == 0 {
+		t.Fatalf("second query %s does not reuse the first's operator; pick another seed", q2.Plan)
+	}
+	sig, at := q1.Query.SigOf(q1.Plan.Mask), q1.Plan.Loc // q1's root join, the operator q2 reads
+	if err := e.Undeploy(q1.Query.ID); err != nil {
+		t.Fatal(err)
+	}
+	e.audit(t, "undeploy of the creator")
+	if e.RT.Operator(sig, at) == nil {
+		t.Fatal("reused operator died with its creator")
+	}
+	if len(e.Registry.Lookup(sig)) == 0 {
+		t.Error("engine retracted the advertisement of an operator that still runs")
+	}
+	if err := e.Undeploy(q2.Query.ID); err != nil {
+		t.Fatal(err)
+	}
+	e.audit(t, "undeploy of the reuser")
+	if n := e.Registry.Len(); n != 0 {
+		t.Errorf("%d advertisements outlive their operators", n)
+	}
+
+	p := newTestEngine(t, 3, 100).System // same parts, no runtime driven
+	d1, err := p.Deploy([]query.StreamID{0, 1}, e.sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Deploy([]query.StreamID{0, 1, 2}, e.sink, AlgoTopDown); err != nil {
+		t.Fatal(err)
+	}
+	if p.Undeploy(d1) == 0 || len(p.Registry.Lookup(sig)) != 0 {
+		t.Error("planning-only undeploy kept its owner's advertisement")
+	}
+}
+
+// TestEngineControllerMirror attaches the controller, shifts a live tap
+// away from the catalog's rate, and checks that once the controller has
+// migrated, the registry and the ledger match what the runtime hosts —
+// the mirror no client has to write.
+func TestEngineControllerMirror(t *testing.T) {
+	const until = 400.0
+	e := newTestEngine(t, 3, until)
+	e.start(t, AlgoTopDown, e.sink, 0, 1)
+	e.start(t, AlgoBottomUp, 5, 2, 3)
+	migrations := 0
+	e.OnMigrate = func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
+		migrations++
+		if e.DeployedPlan(q.ID) != fresh {
+			t.Errorf("OnMigrate saw query %d before the engine mirrored its migration", q.ID)
+		}
+		e.audit(t, "controller migration")
+	}
+	ctl := e.AttachController(adapt.Config{Interval: 15})
+	e.RT.RunFor(30)
+	// The first query ships S0 to S1's node for the join; at 40x the rate
+	// the catalog assumed, that placement is wrong.
+	if taps, err := e.SetLiveRate(0, 40*e.Catalog.Stream(0).Rate); err != nil || taps != 1 {
+		t.Fatalf("live rate shift: %d taps, %v", taps, err)
+	}
+	e.RT.RunFor(until - 30)
+	if st := ctl.Stats(); st.Migrations == 0 || st.Migrations != migrations {
+		t.Fatalf("controller reports %+v, engine mirrored %d; want at least one", st, migrations)
+	}
+	e.audit(t, "controlled run")
+}

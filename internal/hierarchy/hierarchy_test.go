@@ -371,7 +371,7 @@ func TestRebindUpdatesDiameters(t *testing.T) {
 	if err := g.SetLinkCost(0, 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	h.Rebind(g.ShortestPaths(netgraph.MetricCost))
+	h.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil)
 	after := h.LevelAt(1).MaxDiameter()
 	if after <= before {
 		t.Errorf("diameter %g not increased after cost bump (was %g)", after, before)

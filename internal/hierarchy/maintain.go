@@ -9,19 +9,16 @@ import (
 	"hnp/internal/obs"
 )
 
-// Rebind replaces the path snapshot the hierarchy measures costs against.
-// Call it after the physical graph changed (new node, link cost update)
-// before using AddNode or cost queries; cluster membership is untouched.
-// The replacement snapshot must itself be current for the hierarchy's
-// graph — rebinding to an already-stale snapshot is rejected, because
-// every cost the hierarchy reports would silently reflect a network that
-// no longer exists.
-func (h *Hierarchy) Rebind(paths *netgraph.Paths) error {
-	return h.RebindRows(paths, nil)
-}
-
-// RebindRows is Rebind informed by the scope of a delta path refresh:
-// rows, when non-nil, is the set of source rows the refresh recomputed
+// RebindRows replaces the path snapshot the hierarchy measures costs
+// against. Call it after the physical graph changed (new node, link cost
+// update) before using AddNode or cost queries; cluster membership is
+// untouched. The replacement snapshot must itself be current for the
+// hierarchy's graph — rebinding to an already-stale snapshot is rejected,
+// because every cost the hierarchy reports would silently reflect a
+// network that no longer exists.
+//
+// rows scopes the re-measurement to a delta path refresh: when non-nil it
+// is the set of source rows the refresh recomputed
 // (netgraph.RefreshStats.Rows). Because changed distances always flag
 // both endpoints' rows, a cluster none of whose members appear in rows
 // has provably unchanged pairwise distances, so only clusters
@@ -29,7 +26,7 @@ func (h *Hierarchy) Rebind(paths *netgraph.Paths) error {
 // recompute, or scope unknown) re-measures every cluster.
 //
 // The representative table is not rebuilt in either case: it depends only
-// on cluster membership and coordinators, which Rebind never changes.
+// on cluster membership and coordinators, which a rebind never changes.
 func (h *Hierarchy) RebindRows(paths *netgraph.Paths, rows []netgraph.NodeID) error {
 	sp := obs.StartSpan(h.obsReg, "hierarchy.rebind")
 	defer sp.End()

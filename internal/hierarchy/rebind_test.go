@@ -63,7 +63,7 @@ func TestRebindRowsMatchesFull(t *testing.T) {
 		next, stats := cur.RefreshFrom(g, spare)
 		cur, spare = next, old
 
-		if err := full.Rebind(g.ShortestPaths(netgraph.MetricCost)); err != nil {
+		if err := full.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
 			t.Fatal(err)
 		}
 		before := audited.Value()

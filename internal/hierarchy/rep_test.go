@@ -103,7 +103,7 @@ func TestRepTableMatchesChainWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		paths = g.ShortestPaths(netgraph.MetricCost)
-		if err := h.Rebind(paths); err != nil {
+		if err := h.RebindRows(paths, nil); err != nil {
 			t.Fatal(err)
 		}
 		checkRepAgainstWalk(t, h, "after Rebind")
@@ -187,7 +187,7 @@ func TestChurnInvariants(t *testing.T) {
 				if err := g.SetLinkCost(l.A, l.B, cost); err != nil {
 					t.Fatalf("seed %d op %d: %s: %v", seed, op, desc, err)
 				}
-				if err := h.Rebind(g.ShortestPaths(netgraph.MetricCost)); err != nil {
+				if err := h.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
 					t.Fatalf("seed %d op %d: %s: %v", seed, op, desc, err)
 				}
 			}

@@ -31,10 +31,10 @@ func TestRebindRejectsStaleSnapshot(t *testing.T) {
 	if err := g.SetLinkCost(links[0].A, links[0].B, links[0].Cost*5); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Rebind(old); err == nil {
+	if err := h.RebindRows(old, nil); err == nil {
 		t.Fatal("Rebind accepted a stale snapshot")
 	}
-	if err := h.Rebind(g.ShortestPaths(netgraph.MetricCost)); err != nil {
+	if err := h.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
 		t.Fatalf("Rebind rejected a fresh snapshot: %v", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestAddNodeRejectsStaleSnapshot(t *testing.T) {
 	if err := h.AddNode(20); err == nil {
 		t.Fatal("AddNode accepted a stale snapshot")
 	}
-	if err := h.Rebind(g.ShortestPaths(netgraph.MetricCost)); err != nil {
+	if err := h.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.AddNode(20); err != nil {

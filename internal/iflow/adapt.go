@@ -47,94 +47,6 @@ func (rt *Runtime) UpdateLinkCosts(batch []LinkCostUpdate) error {
 	return firstErr
 }
 
-// Redeploy replaces a deployed query's plan while preserving its
-// cumulative sink statistics — the mechanics behind the middleware
-// layer's runtime plan migration. It is a thin wrapper over Migrate, so
-// the replacement is atomic: if the new plan cannot be instantiated the
-// old deployment keeps running (no undeploy-then-fail window), and sink
-// counters carry over natively rather than by copy.
-func (rt *Runtime) Redeploy(q *query.Query, plan *query.PlanNode, cat *query.Catalog, until float64) error {
-	_, err := rt.Migrate(q, plan, cat, until)
-	return err
-}
-
-// ReplanFunc produces a fresh plan for a query against current conditions.
+// ReplanFunc produces a fresh plan for a query against current conditions
+// (failure recovery and the adapt.Controller both take one).
 type ReplanFunc func(q *query.Query) (*query.PlanNode, error)
-
-// MigrationStats aggregates MigrationReports across a run.
-type MigrationStats struct {
-	Kept         int
-	Created      int
-	Retired      int
-	Moved        int
-	Rewired      int
-	StateCarried int64
-	BytesSaved   float64
-	TeardownOps  int
-}
-
-// Add folds one migration's report into the aggregate.
-func (m *MigrationStats) Add(rep MigrationReport) {
-	m.Kept += rep.Kept
-	m.Created += rep.Created
-	m.Retired += rep.Retired
-	m.Moved += rep.Moved
-	m.Rewired += rep.Rewired
-	m.StateCarried += rep.StateCarried
-	m.BytesSaved += rep.BytesSaved
-	m.TeardownOps += rep.TeardownOps
-}
-
-// Delta returns the total operator churn the migrations cost.
-func (m MigrationStats) Delta() int { return m.Created + m.Retired }
-
-// AdaptStats reports what the middleware did.
-type AdaptStats struct {
-	Checks     int
-	Migrations int
-	// MigrationStats aggregates the diff reports of every migration the
-	// loop applied: how much of the running plans it kept versus churned.
-	MigrationStats MigrationStats
-}
-
-// Adapt installs the middleware layer's self-management loop: every
-// interval seconds of virtual time (until the given horizon), each
-// deployed query's current plan is re-costed against the present network
-// and replaced when a fresh optimization undercuts it by more than the
-// relative slack. Replacement is diff-based (Migrate): operators the old
-// and new plan share keep running, so adaptation churns only the changed
-// subtrees. It returns the stats collector, filled in as the simulation
-// runs.
-func (rt *Runtime) Adapt(qs []*query.Query, plans map[int]*query.PlanNode,
-	cat *query.Catalog, replan ReplanFunc, slack, interval, until float64) *AdaptStats {
-	stats := &AdaptStats{}
-	var check func()
-	check = func() {
-		if rt.Sim.Now() >= until {
-			return
-		}
-		for _, q := range qs {
-			cur, ok := plans[q.ID]
-			if !ok {
-				continue
-			}
-			stats.Checks++
-			curCost := cur.Cost(rt.Cost.Dist, q.Sink)
-			fresh, err := replan(q)
-			if err != nil {
-				continue
-			}
-			freshCost := fresh.Cost(rt.Cost.Dist, q.Sink)
-			if freshCost < curCost*(1-slack) {
-				if rep, err := rt.Migrate(q, fresh, cat, until); err == nil {
-					plans[q.ID] = fresh
-					stats.Migrations++
-					stats.MigrationStats.Add(rep)
-				}
-			}
-		}
-		rt.Sim.Schedule(interval, check)
-	}
-	rt.Sim.Schedule(interval, check)
-	return stats
-}

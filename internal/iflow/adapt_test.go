@@ -1,12 +1,6 @@
 package iflow
 
-import (
-	"testing"
-
-	"hnp/internal/core"
-	"hnp/internal/netgraph"
-	"hnp/internal/query"
-)
+import "testing"
 
 func TestUpdateLinkCostRefreshesRouting(t *testing.T) {
 	w := makeTestWorld(t, 8)
@@ -67,91 +61,5 @@ func TestUpdateLinkCostsBatch(t *testing.T) {
 	}
 	if rt.Cost.StaleFor(w.g) {
 		t.Error("cost paths stale after failed batch")
-	}
-}
-
-// The middleware must migrate a deployed plan when a cheaper one is
-// available — here the initial deployment is deliberately mis-placed, as
-// it would be after a drastic network change — and the query must keep
-// flowing afterwards.
-func TestAdaptMigratesAwayFromBadPlan(t *testing.T) {
-	w := makeTestWorld(t, 9)
-	rt := New(w.g, DefaultConfig(), 5)
-
-	// Mis-place every operator of the near-optimal plan at the node most
-	// expensive to reach from the sink.
-	worst, worstD := netgraph.NodeID(0), -1.0
-	for v := 0; v < w.g.NumNodes(); v++ {
-		if d := rt.Cost.Dist(netgraph.NodeID(v), w.q.Sink); d > worstD {
-			worst, worstD = netgraph.NodeID(v), d
-		}
-	}
-	var misplace func(n *query.PlanNode) *query.PlanNode
-	misplace = func(n *query.PlanNode) *query.PlanNode {
-		if n.IsLeaf() {
-			return query.Leaf(*n.In)
-		}
-		return query.Join(misplace(n.L), misplace(n.R), worst, n.Rate)
-	}
-	bad := misplace(w.plan)
-
-	opt, err := core.Optimal(w.g, rt.Cost, w.cat, w.q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad.Cost(rt.Cost.Dist, w.q.Sink) < opt.Cost*1.10 {
-		t.Skip("misplacement not bad enough on this topology")
-	}
-	if err := rt.Deploy(w.q, bad, w.cat, 300); err != nil {
-		t.Fatal(err)
-	}
-	plans := map[int]*query.PlanNode{w.q.ID: bad}
-	replan := func(q *query.Query) (*query.PlanNode, error) {
-		res, err := core.Optimal(rt.G, rt.Cost, w.cat, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Plan, nil
-	}
-	stats := rt.Adapt([]*query.Query{w.q}, plans, w.cat, replan, 0.05, 10, 300)
-	rt.RunFor(300)
-
-	if stats.Checks == 0 {
-		t.Fatal("middleware never checked")
-	}
-	if stats.Migrations == 0 {
-		t.Error("no migration away from misplaced plan")
-	}
-	if plans[w.q.ID] == bad {
-		t.Error("plan map not updated")
-	}
-	if rt.Sink(w.q.ID).Tuples == 0 {
-		t.Error("query starved across migration")
-	}
-}
-
-func TestAdaptNoMigrationWhenStable(t *testing.T) {
-	w := makeTestWorld(t, 10)
-	rt := New(w.g, DefaultConfig(), 6)
-	// Start from the optimal plan: nothing better can appear.
-	opt, err := core.Optimal(w.g, rt.Cost, w.cat, w.q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Deploy(w.q, opt.Plan, w.cat, 100); err != nil {
-		t.Fatal(err)
-	}
-	plans := map[int]*query.PlanNode{w.q.ID: opt.Plan}
-	replan := func(q *query.Query) (*query.PlanNode, error) {
-		res, err := core.Optimal(rt.G, rt.Cost, w.cat, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Plan, nil
-	}
-	stats := rt.Adapt([]*query.Query{w.q}, plans, w.cat, replan, 0.05, 10, 100)
-	rt.RunFor(100)
-	if stats.Migrations != 0 {
-		t.Errorf("%d migrations under stable conditions", stats.Migrations)
 	}
 }

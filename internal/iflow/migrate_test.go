@@ -220,43 +220,6 @@ func TestMigrateToLeafConsumption(t *testing.T) {
 	}
 }
 
-// Redeploy is a thin wrapper over Migrate and must be atomic: when the new
-// plan cannot be deployed the query keeps running on its old plan instead
-// of silently disappearing (the historical failure mode of
-// undeploy-then-deploy).
-func TestRedeployAtomicOnFailure(t *testing.T) {
-	w := makeMigrateWorld(t, 4)
-	planA := w.leftDeep([]netgraph.NodeID{5, 6, 7})
-	rt := New(w.g, DefaultConfig(), 13)
-	if err := rt.Deploy(w.q, planA, w.cat, 200); err != nil {
-		t.Fatal(err)
-	}
-	bad := query.Leaf(query.Input{
-		Mask: w.q.All(), Rate: 1, Loc: 3, Derived: true, Sig: "no-such-stream",
-	})
-	if err := rt.Redeploy(w.q, bad, w.cat, 200); err == nil {
-		t.Fatal("redeploy to an uninstantiable plan accepted")
-	}
-	if got := rt.DeployedQueries(); len(got) != 1 || got[0] != w.q.ID {
-		t.Fatalf("query vanished after failed redeploy: deployed=%v", got)
-	}
-	before := rt.Sink(w.q.ID).Tuples
-	rt.RunFor(30)
-	if rt.Sink(w.q.ID).Tuples <= before {
-		t.Error("query starved after failed redeploy")
-	}
-	// And a valid redeploy still works, carrying sink statistics natively.
-	sink := rt.Sink(w.q.ID)
-	tuples := sink.Tuples
-	planB := w.leftDeep([]netgraph.NodeID{5, 8, 7})
-	if err := rt.Redeploy(w.q, planB, w.cat, 200); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Sink(w.q.ID) != sink || sink.Tuples < tuples {
-		t.Error("redeploy lost sink statistics")
-	}
-}
-
 // A moved operator's window state must ship to its new host: the new
 // instance resumes with the old windows, and the shipped bytes are
 // charged to the transport totals (migration is not free).

@@ -75,22 +75,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ParseAlgo resolves the wire name of a planning algorithm ("" selects
-// the server default).
-func ParseAlgo(name string) (hnp.Algorithm, bool) {
-	switch name {
-	case "top-down":
-		return hnp.AlgoTopDown, true
-	case "bottom-up":
-		return hnp.AlgoBottomUp, true
-	case "optimal":
-		return hnp.AlgoOptimal, true
-	case "plan-then-deploy":
-		return hnp.AlgoPlanThenDeploy, true
-	}
-	return 0, false
-}
-
 // DeployRequest is the wire form of a deploy call.
 type DeployRequest struct {
 	// CQL is the statement to plan and deploy (see internal/cql).
@@ -345,7 +329,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	algo := s.cfg.DefaultAlgo
 	if req.Algo != "" {
 		var ok bool
-		if algo, ok = ParseAlgo(req.Algo); !ok {
+		if algo, ok = hnp.ParseAlgorithm(req.Algo); !ok {
 			s.cDecodeErr.Inc()
 			writeErr(w, http.StatusBadRequest, "unknown algorithm %q", req.Algo)
 			return
