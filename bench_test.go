@@ -868,26 +868,6 @@ func BenchmarkAblationTopology(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchOptimization measures the consolidated multi-query
-// optimizer against sequential deployment on an overlapping batch.
-func BenchmarkBatchOptimization(b *testing.B) {
-	w := newBenchWorld(b, 64, 16)
-	qs := w.w.Queries[:8]
-	pf := func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-		return core.TopDown(w.h, w.w.Catalog, q, reg)
-	}
-	b.ResetTimer()
-	total := 0.0
-	for i := 0; i < b.N; i++ {
-		batch, err := core.OptimizeBatch(pf, w.paths.Dist, qs, nil, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += batch.TotalCost
-	}
-	b.ReportMetric(total/float64(b.N), "cost/batch")
-}
-
 // BenchmarkRewritePipeline measures the logical optimizer pipeline alone
 // — constant folding, predicate pushdown and column pruning, statements
 // pre-parsed — over the figure-workload statement grid.

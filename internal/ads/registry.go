@@ -69,13 +69,20 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{buckets: map[string][]Ad{}} }
 
-// baseOf returns the bucket key of a signature: its base stream set.
-func baseOf(sig string) string {
-	if i := strings.IndexAny(sig, "#%"); i >= 0 {
-		return sig[:i]
+// baseLen returns the length of a signature's bucket key: its base stream
+// set, which ends where the predicate ("#") or projection ("%") fragment
+// starts.
+func baseLen[S string | []byte](sig S) int {
+	for i := 0; i < len(sig); i++ {
+		if sig[i] == '#' || sig[i] == '%' {
+			return i
+		}
 	}
-	return sig
+	return len(sig)
 }
+
+// baseOf returns the bucket key of a signature.
+func baseOf(sig string) string { return sig[:baseLen(sig)] }
 
 // BindObs connects the registry to a telemetry registry: advertisement
 // counts ("ads.advertised", "ads.duplicates", "ads.pruned") and lookup
@@ -349,15 +356,16 @@ func (r *Registry) RetractPlan(q *query.Query, root *query.PlanNode) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	before := r.count
+	var sigBuf [128]byte // signatures are compared, never kept: no string is built
 	for _, op := range root.Operators() {
 		if op.IsUnary() {
 			continue
 		}
-		sig := q.SigOf(op.Mask)
-		key := baseOf(sig)
-		list := r.buckets[key]
+		sig := q.AppendSig(sigBuf[:0], op.Mask)
+		list := r.buckets[string(sig[:baseLen(sig)])]
 		for i := range list {
-			if ad := &list[i]; ad.Node == op.Loc && ad.QueryID == q.ID && ad.Sig == sig {
+			if ad := &list[i]; ad.Node == op.Loc && ad.QueryID == q.ID && ad.Sig == string(sig) {
+				key := baseOf(ad.Sig) // base as a string, cut from one the ad already holds
 				r.setBucket(key, list, append(list[:i], list[i+1:]...))
 				break
 			}

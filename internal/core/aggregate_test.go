@@ -133,21 +133,3 @@ func TestNewQueryAggValidation(t *testing.T) {
 		t.Error("agg sig aliases join sig")
 	}
 }
-
-// BatchCost must price aggregated plans without error, counting the agg
-// edge once.
-func TestBatchCostWithAggregate(t *testing.T) {
-	w := makeWorld(t, 35, 32, 4, 6, 0)
-	q := aggQuery(t, w, 0, 9)
-	res, err := TopDown(w.h, w.cat, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, _, err := BatchCost(w.paths.Dist, []*query.Query{q}, []*query.PlanNode{res.Plan}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(total-res.Cost) > 1e-6*(1+res.Cost) {
-		t.Errorf("batch cost %g != plan cost %g", total, res.Cost)
-	}
-}

@@ -342,3 +342,43 @@ func TestTheorem3BoundHolds(t *testing.T) {
 		}
 	}
 }
+
+// Top-Down hands Solve the snapshot as the site-to-site block instead of
+// its per-level estimate function. The two must agree on every pair of
+// members of every cluster — bit for bit, and on the snapshot the
+// hierarchy is bound to now, not the one it was built over.
+func TestTopDownSiteBlockMatchesEstimates(t *testing.T) {
+	w := makeWorld(t, 9, 96, 5, 12, 0)
+	if w.h.Height() < 3 {
+		t.Fatalf("fixture too shallow: height %d", w.h.Height())
+	}
+	rng := rand.New(rand.NewSource(9))
+	links := w.g.Links()
+	for i := 0; i < 12; i++ {
+		l := links[rng.Intn(len(links))]
+		if err := w.g.SetLinkCost(l.A, l.B, l.Cost*(1.5+rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, stats := w.paths.RefreshFrom(w.g, nil)
+	if err := w.h.RebindRows(fresh, stats.Rows); err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for l := 1; l <= w.h.Height(); l++ {
+		for _, c := range w.h.LevelAt(l).Clusters {
+			for _, u := range c.Members {
+				row := w.h.Paths().Row(u)
+				for _, v := range c.Members {
+					if est := w.h.EstCost(u, v, l); row[v] != est {
+						t.Fatalf("level %d: snapshot says %d→%d costs %v, the level estimate %v", l, u, v, row[v], est)
+					}
+					moved = moved || row[v] != w.paths.Dist(u, v)
+				}
+			}
+		}
+	}
+	if !moved {
+		t.Error("repricing moved no member-to-member distance; the rebind went untested")
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hnp/internal/ads"
@@ -34,7 +35,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	sp := obs.StartSpan(opts.Obs, "core.bottomup.plan")
 	defer sp.End()
 	started := emitPlanStarted(opts, q, "bottomup")
-	po := newPlannerObs(opts.Obs, "bottomup")
+	po := newPlannerObs(opts.Obs, bottomUpMetrics)
 	rt := query.BuildRates(cat, q)
 	wt := query.BuildWidths(cat, q)
 	full := q.All()
@@ -45,7 +46,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	if reg != nil {
 		reuse = reg.InputsFor(q, rt, nil)
 	}
-	assembled := map[query.Mask]*query.PlanNode{}
+	var assembled []*query.PlanNode // each level's local view, by the mask it covers
 
 	var plans float64
 	clusters := 0
@@ -110,7 +111,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		// re-enumeration, which is what keeps Bottom-Up's search space and
 		// deployment time small.
 		plan, cost0, err := Solve(Problem{
-			Inputs: inputs, Sites: c.Members, Dist: h.Paths().Dist, Rates: rt, Widths: wt,
+			Inputs: inputs, Sites: c.Members, Dist: h.Paths().Dist, SitePaths: h.Paths(), Rates: rt, Widths: wt,
 			Goal: goal, Sink: q.Sink, Deliver: true, Penalty: opts.Penalty,
 		})
 		if err != nil {
@@ -138,7 +139,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		levels = l
 
 		plan = substituteLeaves(plan, assembled)
-		assembled[goal] = plan
+		assembled = append(assembled, plan)
 
 		var next []query.Input
 		for _, in := range pending {
@@ -161,8 +162,10 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	if len(pending) != 1 || pending[0].Mask != full {
 		return Result{}, fmt.Errorf("bottom-up: query not fully joined (pending %d views)", len(pending))
 	}
-	final, ok := assembled[full]
-	if !ok {
+	var final *query.PlanNode
+	if i := slices.IndexFunc(assembled, func(p *query.PlanNode) bool { return p.Mask == full }); i >= 0 {
+		final = assembled[i]
+	} else {
 		final = query.Leaf(pending[0])
 	}
 	final = AttachAggregate(q, final, h.Cover(h.Top()), h.Paths().Dist, opts.Penalty)

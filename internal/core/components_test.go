@@ -1,13 +1,15 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"hnp/internal/query"
 )
 
-// splitComponents must group connected same-member operators and expose
-// exactly the streams crossing component boundaries.
+// A view is the maximal connected group of operators on one member;
+// pushExternal must stop at exactly the streams crossing its boundary —
+// plan leaves and roots of other members' views — in plan order.
 func TestSplitComponents(t *testing.T) {
 	l0 := query.Leaf(query.Input{Mask: 1, Rate: 1, Loc: 0, Sig: "0"})
 	l1 := query.Leaf(query.Input{Mask: 2, Rate: 1, Loc: 1, Sig: "1"})
@@ -18,23 +20,17 @@ func TestSplitComponents(t *testing.T) {
 	jA1 := query.Join(l0, l1, 10, 1)
 	root := query.Join(jA1, jB, 10, 1)
 
-	cs := splitComponents(root)
-	if len(cs.all) != 2 {
-		t.Fatalf("components = %d", len(cs.all))
+	var td tdPlanner
+	td.pushExternal(root, root.Loc)
+	// Root view externals: l0, l1 (leaves) and jB (other member).
+	if want := []*query.PlanNode{l0, l1, jB}; !slices.Equal(td.ext, want) {
+		t.Fatalf("root view externals = %v, want %v", td.ext, want)
 	}
-	rootComp := cs.byRoot[root]
-	if rootComp == nil || rootComp.member != 10 || rootComp.consumer != nil {
-		t.Fatalf("root component %+v", rootComp)
+	td.pushExternal(jB, jB.Loc)
+	if want := []*query.PlanNode{l2, l3}; !slices.Equal(td.ext[3:], want) {
+		t.Fatalf("B view externals = %v, want %v", td.ext[3:], want)
 	}
-	// Root component externals: l0, l1 (leaves) and jB (other member).
-	if len(rootComp.externalChildren) != 3 {
-		t.Fatalf("externals = %d", len(rootComp.externalChildren))
-	}
-	bComp := cs.byRoot[jB]
-	if bComp == nil || bComp.member != 20 || bComp.consumer != root {
-		t.Fatalf("B component %+v", bComp)
-	}
-	if len(bComp.externalChildren) != 2 {
-		t.Errorf("B externals = %d", len(bComp.externalChildren))
+	if len(td.subs) != len(td.ext) {
+		t.Errorf("subs has %d slots for %d externals", len(td.subs), len(td.ext))
 	}
 }

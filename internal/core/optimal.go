@@ -33,7 +33,7 @@ func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q
 		sites[i] = netgraph.NodeID(i)
 	}
 	plan, _, err := Solve(Problem{
-		Inputs: inputs, Sites: sites, Dist: paths.Dist, Rates: rt, Widths: wt,
+		Inputs: inputs, Sites: sites, Dist: paths.Dist, SitePaths: paths, Rates: rt, Widths: wt,
 		Goal: q.All(), Sink: q.Sink, Deliver: true, Penalty: opts.Penalty,
 	})
 	if err != nil {

@@ -30,6 +30,12 @@ type Problem struct {
 	// metric (shortest-path costs are); relaying through intermediate
 	// sites is therefore never modeled explicitly.
 	Dist query.DistFunc
+	// SitePaths, when non-nil, is the caller's promise that
+	// Dist(a, b) == SitePaths.Dist(a, b) for every pair of Sites: Solve
+	// then gathers the site-to-site block out of the snapshot's rows
+	// instead of calling Dist once per pair. Distances from input
+	// locations and to Sink always go through Dist. NaiveSolve ignores it.
+	SitePaths *netgraph.Paths
 	// Rates gives the expected output rate of every sub-join.
 	Rates query.RateTable
 	// Widths gives the byte width of every sub-join's output tuples; nil
@@ -61,15 +67,13 @@ const inf = math.MaxFloat64
 // cache-friendly block per table instead of a fresh []float64 per
 // sub-cluster mask.
 type solveScratch struct {
-	ins  []query.Input // usable inputs (masks ⊆ goal)
-	subs []query.Mask  // submask enumeration, reused run to run
+	ins []query.Input // usable inputs (masks ⊆ goal)
 
 	// Materialized distances: the DP probes these flat tables instead of
 	// calling Problem.Dist per probe. sdist is the m×m site-to-site
-	// matrix; idist the len(ins)×m input-location-to-site matrix. Each
-	// needed pair is computed exactly once per solve, which also turns
-	// hierarchy-estimate DistFuncs from a per-probe rep walk into a
-	// one-time materialization.
+	// matrix, gathered from Problem.SitePaths when given; idist the
+	// len(ins)×m input-location-to-site matrix. Each needed pair is
+	// computed exactly once per solve.
 	sdist []float64
 	idist []float64
 
@@ -130,7 +134,8 @@ func SolveCost(p Problem) (float64, error) {
 
 // solve runs the DP inside sc's buffers. The returned plan (when buildPlan
 // is set) is freshly allocated and shares nothing with sc, so the caller
-// can return sc to the pool immediately.
+// can return sc to the pool immediately. DESIGN "DP kernel" has the table
+// layout and the exactness argument for every shortcut taken below.
 func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float64, error) {
 	if p.Goal == 0 {
 		return nil, 0, fmt.Errorf("core: empty goal")
@@ -169,13 +174,21 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 	// Only rows of actual submasks of Goal are written and read, so the
 	// slabs need no clearing between runs.
 
-	// Materialize every distance the DP will probe, once.
+	// Materialize every distance the DP will probe, once: the site block
+	// gathered straight out of the snapshot when the caller vouches for
+	// it, through Dist otherwise.
 	sc.sdist = growFloats(sc.sdist, m*m)
-	for u := 0; u < m; u++ {
+	for u, su := range sites {
 		row := sc.sdist[u*m : u*m+m]
-		su := sites[u]
-		for v := range row {
-			row[v] = p.Dist(su, sites[v])
+		if p.SitePaths != nil {
+			prow := p.SitePaths.Row(su)
+			for v, sv := range sites {
+				row[v] = prow[sv]
+			}
+			continue
+		}
+		for v, sv := range sites {
+			row[v] = p.Dist(su, sv)
 		}
 	}
 	sc.idist = growFloats(sc.idist, len(ins)*m)
@@ -187,11 +200,10 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 		}
 	}
 
-	// Enumerate submasks of Goal in increasing popcount order.
-	subs := appendSubmasksByPopcount(sc.subs[:0], p.Goal)
-	sc.subs = subs
+	// Sub-masks in ascending numeric order: every proper sub-mask of s is
+	// numerically smaller than s, so its rows are final when s reads them.
 	avail, availCh := sc.avail, sc.availCh
-	for _, s := range subs {
+	for s := nextSubmask(0, p.Goal); s != 0; s = nextSubmask(s, p.Goal) {
 		base := int(s) * m
 		av := avail[base : base+m]
 		ch := availCh[base : base+m]
@@ -211,43 +223,76 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 				}
 			}
 		}
-		if s.Count() >= 2 {
-			oc := sc.opCost[base : base+m]
-			os := sc.opSplit[base : base+m]
-			low := s & -s
-			for v := 0; v < m; v++ {
-				best, bestSplit := inf, query.Mask(0)
-				for m1 := (s - 1) & s; m1 > 0; m1 = (m1 - 1) & s {
-					if m1&low == 0 {
-						continue // canonical: left part holds the lowest bit
-					}
-					m2 := s ^ m1
-					a1, a2 := avail[int(m1)*m+v], avail[int(m2)*m+v]
-					if a1 == inf || a2 == inf {
-						continue
-					}
-					c := a1 + a2
-					if p.Penalty != nil {
-						c += p.Penalty(sites[v], p.Rates.Rate(m1)+p.Rates.Rate(m2))
-					}
-					if c < best {
-						best, bestSplit = c, m1
-					}
-				}
-				oc[v], os[v] = best, bestSplit
+		if s.Count() < 2 {
+			continue
+		}
+
+		// Split search, split-major: each split adds two contiguous avail
+		// rows into the running per-site best. A site still sees the splits
+		// in the same order under the same strict <, so it keeps the same
+		// one.
+		oc := sc.opCost[base : base+m]
+		os := sc.opSplit[base : base+m]
+		for v := range oc {
+			oc[v], os[v] = inf, 0
+		}
+		low := s & -s
+		for m1 := (s - 1) & s; m1 > 0; m1 = (m1 - 1) & s {
+			if m1&low == 0 {
+				continue // canonical: left part holds the lowest bit
 			}
-			// Fold "operator at u, result shipped to v" into avail.
-			rate := p.Rates.Rate(s) * p.Widths.Width(s)
-			for u := 0; u < m; u++ {
-				ocu := oc[u]
-				if ocu == inf {
-					continue
-				}
-				srow := sc.sdist[u*m : u*m+m]
-				for v := range av {
-					if c := ocu + rate*srow[v]; c < av[v] {
-						av[v], ch[v] = c, int32(-(u + 2))
+			m2 := s ^ m1
+			a1 := avail[int(m1)*m : int(m1)*m+m]
+			a2 := avail[int(m2)*m : int(m2)*m+m]
+			if p.Penalty == nil {
+				// No infeasibility test: inf is MaxFloat64 and costs are
+				// non-negative, so a sum with an inf term is never < oc[v].
+				for v := range oc {
+					if c := a1[v] + a2[v]; c < oc[v] {
+						oc[v], os[v] = c, m1
 					}
+				}
+				continue
+			}
+			inRate := p.Rates.Rate(m1) + p.Rates.Rate(m2)
+			for v := range oc {
+				if a1[v] == inf || a2[v] == inf {
+					continue // a penalty is only asked about feasible splits
+				}
+				if c := a1[v] + a2[v] + p.Penalty(sites[v], inRate); c < oc[v] {
+					oc[v], os[v] = c, m1
+				}
+			}
+		}
+
+		// Fold "operator at u, result shipped to v" into avail. With u* the
+		// cheapest operator row and far its farthest shipment, every site
+		// ends at or below oc[u*]+rate·far; a row whose operator alone
+		// costs strictly more exceeds the final minimum at every site, so
+		// it is nobody's argmin, ties included, and is skipped (as is an
+		// infeasible row, which offers nothing below inf).
+		rate := p.Rates.Rate(s) * p.Widths.Width(s)
+		ustar := 0
+		for u := range oc {
+			if oc[u] < oc[ustar] {
+				ustar = u
+			}
+		}
+		far := 0.0
+		for _, d := range sc.sdist[ustar*m : ustar*m+m] {
+			if d > far {
+				far = d
+			}
+		}
+		bound := oc[ustar] + rate*far
+		for u, ocu := range oc {
+			if ocu > bound || ocu == inf {
+				continue
+			}
+			srow := sc.sdist[u*m : u*m+m]
+			for v := range av {
+				if c := ocu + rate*srow[v]; c < av[v] {
+					av[v], ch[v] = c, int32(-(u + 2))
 				}
 			}
 		}
@@ -406,23 +451,8 @@ func dedupeSites(sites []netgraph.NodeID) ([]netgraph.NodeID, error) {
 	return out, nil
 }
 
-// submasksByPopcount lists all non-empty submasks of goal, smallest
-// cardinality first, so DP dependencies are always ready.
-func submasksByPopcount(goal query.Mask) []query.Mask {
-	return appendSubmasksByPopcount(nil, goal)
-}
-
-// appendSubmasksByPopcount is submasksByPopcount into a caller-provided
-// buffer, so the pooled solver enumerates without allocating.
-func appendSubmasksByPopcount(subs []query.Mask, goal query.Mask) []query.Mask {
-	for s := goal; s > 0; s = (s - 1) & goal {
-		subs = append(subs, s)
-	}
-	// Insertion sort by popcount (lists are tiny: 2^K−1 entries).
-	for i := 1; i < len(subs); i++ {
-		for j := i; j > 0 && subs[j].Count() < subs[j-1].Count(); j-- {
-			subs[j], subs[j-1] = subs[j-1], subs[j]
-		}
-	}
-	return subs
-}
+// nextSubmask returns the sub-mask of goal that follows s in ascending
+// numeric order, and 0 after goal itself; starting from 0 it walks every
+// non-empty sub-mask once. Numeric order is a valid DP order because
+// clearing bits only ever lowers a mask.
+func nextSubmask(s, goal query.Mask) query.Mask { return (s - goal) & goal }

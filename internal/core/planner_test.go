@@ -258,14 +258,25 @@ func TestNaiveExaminedCountsMatchFormula(t *testing.T) {
 	}
 }
 
-func TestSubmasksByPopcount(t *testing.T) {
-	subs := submasksByPopcount(0b1011)
-	if len(subs) != 7 {
-		t.Fatalf("len = %d", len(subs))
-	}
-	for i := 1; i < len(subs); i++ {
-		if subs[i].Count() < subs[i-1].Count() {
-			t.Fatalf("not sorted by popcount: %v", subs)
+// TestSubmaskOrder pins what the DP needs from its enumeration and nothing
+// more: every non-empty sub-mask of the goal appears exactly once, and
+// every proper sub-mask of s appears before s.
+func TestSubmaskOrder(t *testing.T) {
+	for _, goal := range []query.Mask{0b1, 0b1011, 0b111111, 0b10100110, 0b1000000000000001} {
+		seen := map[query.Mask]bool{}
+		for s := nextSubmask(0, goal); s != 0; s = nextSubmask(s, goal) {
+			if s&goal != s || seen[s] {
+				t.Fatalf("goal %b: %b is foreign or repeated", goal, s)
+			}
+			for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
+				if !seen[sub] {
+					t.Fatalf("goal %b: %b enumerated before its sub-mask %b", goal, s, sub)
+				}
+			}
+			seen[s] = true
+		}
+		if want := 1<<uint(goal.Count()) - 1; len(seen) != want {
+			t.Errorf("goal %b: %d sub-masks enumerated, want %d", goal, len(seen), want)
 		}
 	}
 }

@@ -63,30 +63,36 @@ type PlanStep struct {
 // BaseInputs builds the planner inputs for a query's base streams, located
 // at their source nodes.
 func BaseInputs(cat *query.Catalog, q *query.Query, rt query.RateTable) []query.Input {
-	out := make([]query.Input, q.K())
+	return appendBaseInputs(make([]query.Input, 0, q.K()), cat, q, rt)
+}
+
+// appendBaseInputs is BaseInputs into a caller-provided buffer.
+func appendBaseInputs(dst []query.Input, cat *query.Catalog, q *query.Query, rt query.RateTable) []query.Input {
 	for i, id := range q.Sources {
 		m := query.Mask(1 << uint(i))
-		out[i] = query.Input{
+		dst = append(dst, query.Input{
 			Mask: m,
 			Rate: rt.Rate(m),
 			Loc:  cat.Stream(id).Source,
 			Sig:  q.SigOf(m),
-		}
+		})
 	}
-	return out
+	return dst
 }
 
-// substituteLeaves replaces every non-derived leaf whose mask and location
-// match an assembled subtree with that subtree, linking independently
-// planned plan fragments into one tree. It returns the (possibly new)
-// root.
-func substituteLeaves(root *query.PlanNode, subs map[query.Mask]*query.PlanNode) *query.PlanNode {
+// substituteLeaves replaces every non-derived leaf that one of the
+// assembled subtrees covers — same mask, same location — with that
+// subtree, linking independently planned plan fragments into one tree. Nil
+// entries of subs are skipped. It returns the (possibly new) root.
+func substituteLeaves(root *query.PlanNode, subs []*query.PlanNode) *query.PlanNode {
 	if root == nil {
 		return nil
 	}
 	if root.IsLeaf() {
-		if sub, ok := subs[root.Mask]; ok && !root.In.Derived && root.In.Loc == sub.Loc {
-			return sub
+		for _, sub := range subs {
+			if sub != nil && sub.Mask == root.Mask && sub.Loc == root.In.Loc && !root.In.Derived {
+				return sub
+			}
 		}
 		return root
 	}

@@ -17,18 +17,29 @@ type plannerObs struct {
 	reuse    *obs.Counter
 }
 
-// newPlannerObs binds the per-algorithm metric handles ("core.<algo>.*").
-// A nil registry — or observation being disabled — yields the no-op zero
-// value without touching the registry.
-func newPlannerObs(reg *obs.Registry, algo string) plannerObs {
+// plannerMetrics names one algorithm's metrics ("core.<algo>.*"), spelled
+// once so binding them per planned query concatenates nothing.
+type plannerMetrics struct{ plans, clusters, levels, reuse string }
+
+func metricsFor(algo string) plannerMetrics {
+	p := "core." + algo
+	return plannerMetrics{p + ".plans_considered", p + ".clusters_planned", p + ".level_seconds", p + ".reuse_offered"}
+}
+
+var topDownMetrics, bottomUpMetrics = metricsFor("topdown"), metricsFor("bottomup")
+
+// newPlannerObs binds one algorithm's metric handles. A nil registry — or
+// observation being disabled — yields the no-op zero value without
+// touching the registry.
+func newPlannerObs(reg *obs.Registry, names plannerMetrics) plannerObs {
 	if reg == nil || !obs.On() {
 		return plannerObs{}
 	}
 	return plannerObs{
-		plans:    reg.Gauge("core." + algo + ".plans_considered"),
-		clusters: reg.Counter("core." + algo + ".clusters_planned"),
-		levels:   reg.Histogram("core."+algo+".level_seconds", nil),
-		reuse:    reg.Counter("core." + algo + ".reuse_offered"),
+		plans:    reg.Gauge(names.plans),
+		clusters: reg.Counter(names.clusters),
+		levels:   reg.Histogram(names.levels, nil),
+		reuse:    reg.Counter(names.reuse),
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"hnp/internal/ads"
@@ -44,11 +45,15 @@ func TopDownOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg
 	started := emitPlanStarted(opts, q, "topdown")
 	rt := query.BuildRates(cat, q)
 	wt := query.BuildWidths(cat, q)
-	td := &tdPlanner{h: h, q: q, rt: rt, wt: wt, opts: opts, obs: newPlannerObs(opts.Obs, "topdown")}
+	td := tdPool.Get().(*tdPlanner)
+	defer td.release()
+	td.h, td.q, td.rt, td.wt, td.opts = h, q, rt, wt, opts
+	td.obs = newPlannerObs(opts.Obs, topDownMetrics)
 	if reg != nil {
 		td.reuse = reg.InputsFor(q, rt, nil)
 	}
-	plan, trace, err := td.planView(h.Top(), BaseInputs(cat, q, rt), q.Sink, true)
+	td.ins = appendBaseInputs(td.ins, cat, q, rt)
+	plan, trace, err := td.planView(h.Top(), 0, q.Sink, true)
 	if err != nil {
 		return Result{}, fmt.Errorf("top-down: %w", err)
 	}
@@ -69,6 +74,10 @@ func TopDownOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg
 	return res, nil
 }
 
+// tdPlanner is the state of one Top-Down run. It is pooled for its slabs:
+// a query's views are planned strictly one inside another, so each slab is
+// a stack — a view pushes what it needs and pops it before returning —
+// and a warmed-up planner builds no per-view slices or maps.
 type tdPlanner struct {
 	h        *hierarchy.Hierarchy
 	q        *query.Query
@@ -78,62 +87,92 @@ type tdPlanner struct {
 	obs      plannerObs
 	plans    float64
 	clusters int
-	// cover is the current view's cluster cover as a bitset, reused across
-	// every planView call of the query (each view fully consumes it before
-	// recursing into child views).
+	// cover is the current view's cluster cover as a bitset (each view
+	// fully consumes it before recursing into child views).
 	cover nodeBitset
 	// reuse is every advertised stream that can feed the query, from one
 	// registry lookup; each view is offered the ones inside its cluster.
 	reuse []query.Input
+
+	// ins stacks the views' input lists: a view's leaves, pushed by its
+	// parent, then the reuse candidates it is offered.
+	ins []query.Input
+	// ext stacks, per view being refined, the streams entering it (plan
+	// leaves, or roots of views assigned to other members), and subs in
+	// parallel the refined plan of each such producing view (nil for a
+	// leaf).
+	ext, subs []*query.PlanNode
 }
 
-// planView plans one view (a sub-query given by its leaves) within cluster
-// c, shipping the result toward out (costed when deliver is set), and
-// recursively refines operator placements down to physical nodes.
-func (td *tdPlanner) planView(c *hierarchy.Cluster, leaves []query.Input, out netgraph.NodeID, deliver bool) (*query.PlanNode, *PlanStep, error) {
+var tdPool = sync.Pool{New: func() interface{} { return new(tdPlanner) }}
+
+// release returns the planner to the pool holding nothing of the query it
+// just planned but slab capacity.
+func (td *tdPlanner) release() {
+	clear(td.ins[:cap(td.ins)])
+	clear(td.ext[:cap(td.ext)])
+	clear(td.subs[:cap(td.subs)])
+	*td = tdPlanner{cover: td.cover, ins: td.ins[:0], ext: td.ext[:0], subs: td.subs[:0]}
+	tdPool.Put(td)
+}
+
+// planView plans one view — the sub-query whose leaves are td.ins[lo:],
+// popped before it returns — within cluster c, shipping the result toward
+// out (costed when deliver is set), and recursively refines operator
+// placements down to physical nodes.
+func (td *tdPlanner) planView(c *hierarchy.Cluster, lo int, out netgraph.NodeID, deliver bool) (*query.PlanNode, *PlanStep, error) {
 	start := time.Now()
 	step := &PlanStep{Level: c.Level, Coordinator: c.Coordinator}
-	goal := unionMask(leaves)
-	if len(leaves) == 1 && leaves[0].Mask == goal {
+	nLeaves := len(td.ins) - lo
+	goal := unionMask(td.ins[lo:])
+	if nLeaves == 1 {
 		// Nothing to join; the stream flows to its consumer directly. The
 		// step examines no candidates (Plans stays 0), keeping the trace's
 		// totals equal to the search-space accounting.
+		leaf := query.Leaf(td.ins[lo])
+		td.ins = td.ins[:lo]
 		step.Elapsed = time.Since(start)
-		return query.Leaf(leaves[0]), step, nil
+		return leaf, step, nil
 	}
 
 	td.cover.fill(td.h.Cover(c), td.h.Graph().NumNodes())
 	coverSet := &td.cover
-	inputs := append([]query.Input(nil), leaves...)
 	for _, in := range td.reuse {
 		if coverSet.has(in.Loc) && in.Mask&goal == in.Mask {
-			inputs = append(inputs, in)
+			td.ins = append(td.ins, in)
 			step.ReuseOffered++
 		}
 	}
 
 	// Per-level estimated distances: endpoints inside this cluster's cover
 	// are seen through their level-l representatives; remote endpoints
-	// (streams entering the cluster) keep their physical location.
+	// (streams entering the cluster) keep their physical location. At
+	// level 1 every node represents itself and the estimate is the
+	// snapshot; at every level the members are their own representatives
+	// (TestMembersAreOwnReps), so the site block always is.
 	level := c.Level
 	paths := td.h.Paths()
-	rep := func(n netgraph.NodeID) netgraph.NodeID {
-		if coverSet.has(n) {
-			return td.h.Rep(n, level)
+	dist := query.DistFunc(paths.Dist)
+	if level > 1 {
+		rep := func(n netgraph.NodeID) netgraph.NodeID {
+			if coverSet.has(n) {
+				return td.h.Rep(n, level)
+			}
+			return n
 		}
-		return n
+		dist = func(a, b netgraph.NodeID) float64 { return paths.Dist(rep(a), rep(b)) }
 	}
-	est := func(a, b netgraph.NodeID) float64 { return paths.Dist(rep(a), rep(b)) }
 
 	plan0, cost0, err := Solve(Problem{
-		Inputs: inputs, Sites: c.Members, Dist: est, Rates: td.rt, Widths: td.wt,
+		Inputs: td.ins[lo:], Sites: c.Members, Dist: dist, SitePaths: paths, Rates: td.rt, Widths: td.wt,
 		Goal: goal, Sink: out, Deliver: deliver, Penalty: td.opts.Penalty,
 	})
+	step.Inputs = len(td.ins) - lo
+	td.ins = td.ins[:lo] // the plan's leaves are copies
 	if err != nil {
 		return nil, nil, fmt.Errorf("level %d: %w", level, err)
 	}
-	step.Plans = costpkg.ClusterSpace(len(leaves), len(c.Members))
-	step.Inputs = len(inputs)
+	step.Plans = costpkg.ClusterSpace(nLeaves, len(c.Members))
 	step.BestCost = cost0
 	step.Elapsed = time.Since(start) // local search only; children time themselves
 	td.plans += step.Plans
@@ -145,104 +184,64 @@ func (td *tdPlanner) planView(c *hierarchy.Cluster, leaves []query.Input, out ne
 		// single reused stream; no refinement needed.
 		return plan0, step, nil
 	}
-
-	// The assignment partitions the query into views: maximal connected
-	// operator groups assigned to the same member. Refine each view inside
-	// the member's underlying cluster, producers before consumers.
-	comps := splitComponents(plan0)
-	resolved := map[*component]*query.PlanNode{}
-	var resolve func(cp *component) (*query.PlanNode, error)
-	resolve = func(cp *component) (*query.PlanNode, error) {
-		if got, ok := resolved[cp]; ok {
-			return got, nil
-		}
-		var compLeaves []query.Input
-		childTrees := map[query.Mask]*query.PlanNode{}
-		for _, x := range cp.externalChildren {
-			if x.IsLeaf() {
-				compLeaves = append(compLeaves, *x.In)
-				continue
-			}
-			// Output of a view assigned to another member: resolve the
-			// producer first so its true physical location is known.
-			sub, err := resolve(comps.byRoot[x])
-			if err != nil {
-				return nil, err
-			}
-			childTrees[x.Mask] = sub
-			compLeaves = append(compLeaves, query.Input{
-				Mask: x.Mask, Rate: x.Rate, Loc: sub.Loc, Sig: td.q.SigOf(x.Mask),
-				Width: x.Width,
-			})
-		}
-		// Ship toward the consumer: the final sink for the root view, the
-		// consuming member's node otherwise.
-		cOut, cDeliver := out, deliver
-		if cp.consumer != nil {
-			cOut, cDeliver = cp.consumer.Loc, true
-		}
-		sub, childStep, err := td.planView(td.h.ChildCluster(cp.member, level), compLeaves, cOut, cDeliver)
-		if err != nil {
-			return nil, err
-		}
-		step.Children = append(step.Children, childStep)
-		sub = substituteLeaves(sub, childTrees)
-		resolved[cp] = sub
-		return sub, nil
-	}
-	plan, err := resolve(comps.byRoot[rootOp(plan0)])
+	plan, err := td.refine(plan0, level, out, deliver, step)
 	if err != nil {
 		return nil, nil, err
 	}
 	return plan, step, nil
 }
 
-// component is a maximal connected group of operators assigned to the same
-// cluster member.
-type component struct {
-	member netgraph.NodeID
-	root   *query.PlanNode
-	// externalChildren are the streams entering the component: plan leaves
-	// or roots of components at other members.
-	externalChildren []*query.PlanNode
-	// consumer is the operator (in another component) consuming this
-	// component's root output; nil for the root component.
-	consumer *query.PlanNode
-}
-
-type componentSet struct {
-	all    []*component
-	byRoot map[*query.PlanNode]*component
-}
-
-func rootOp(plan *query.PlanNode) *query.PlanNode { return plan }
-
-// splitComponents groups the operators of a placed plan into per-member
-// views. The plan's root must be an operator.
-func splitComponents(plan *query.PlanNode) *componentSet {
-	cs := &componentSet{byRoot: map[*query.PlanNode]*component{}}
-	var build func(op *query.PlanNode, consumer *query.PlanNode) *component
-	var grow func(cp *component, op *query.PlanNode)
-	grow = func(cp *component, op *query.PlanNode) {
-		for _, child := range []*query.PlanNode{op.L, op.R} {
-			switch {
-			case child.IsLeaf():
-				cp.externalChildren = append(cp.externalChildren, child)
-			case child.Loc == cp.member:
-				grow(cp, child)
-			default:
-				sub := build(child, op)
-				cp.externalChildren = append(cp.externalChildren, sub.root)
+// refine plans the view rooted at operator root inside the underlying
+// cluster of the member it was assigned to. The assignment partitions a
+// level's plan into views — maximal connected operator groups on one
+// member — and a view's inputs are the plan leaves and the outputs of
+// other members' views entering it; those producers are refined first, so
+// their true physical locations are known. The result ships toward out:
+// the final sink for the root view, the consuming member's node otherwise.
+func (td *tdPlanner) refine(root *query.PlanNode, level int, out netgraph.NodeID, deliver bool, step *PlanStep) (*query.PlanNode, error) {
+	lo := len(td.ext)
+	td.pushExternal(root, root.Loc)
+	hi := len(td.ext)
+	for i := lo; i < hi; i++ {
+		if x := td.ext[i]; !x.IsLeaf() {
+			sub, err := td.refine(x, level, root.Loc, true, step)
+			if err != nil {
+				return nil, err
 			}
+			td.subs[i] = sub
 		}
 	}
-	build = func(op *query.PlanNode, consumer *query.PlanNode) *component {
-		cp := &component{member: op.Loc, root: op, consumer: consumer}
-		cs.all = append(cs.all, cp)
-		cs.byRoot[op] = cp
-		grow(cp, op)
-		return cp
+	ilo := len(td.ins)
+	for i := lo; i < hi; i++ {
+		x := td.ext[i]
+		if x.IsLeaf() {
+			td.ins = append(td.ins, *x.In)
+			continue
+		}
+		td.ins = append(td.ins, query.Input{
+			Mask: x.Mask, Rate: x.Rate, Loc: td.subs[i].Loc, Sig: td.q.SigOf(x.Mask),
+			Width: x.Width,
+		})
 	}
-	build(plan, nil)
-	return cs
+	sub, childStep, err := td.planView(td.h.ChildCluster(root.Loc, level), ilo, out, deliver)
+	if err != nil {
+		return nil, err
+	}
+	step.Children = append(step.Children, childStep)
+	sub = substituteLeaves(sub, td.subs[lo:hi])
+	td.ext, td.subs = td.ext[:lo], td.subs[:lo]
+	return sub, nil
+}
+
+// pushExternal pushes the streams entering the view that op belongs to —
+// the operators reachable from op without leaving member — in plan order.
+func (td *tdPlanner) pushExternal(op *query.PlanNode, member netgraph.NodeID) {
+	for _, child := range [2]*query.PlanNode{op.L, op.R} {
+		if !child.IsLeaf() && child.Loc == member {
+			td.pushExternal(child, member)
+			continue
+		}
+		td.ext = append(td.ext, child)
+		td.subs = append(td.subs, nil)
+	}
 }

@@ -16,7 +16,7 @@ func TestSolveWorkMatchesEnumeration(t *testing.T) {
 		for _, m := range []int{1, 3, 5, 32} {
 			goal := query.Mask(1<<uint(k)) - 1
 			count := 0.0
-			for _, s := range appendSubmasksByPopcount(nil, goal) {
+			for s := nextSubmask(0, goal); s != 0; s = nextSubmask(s, goal) {
 				if s.Count() == 1 {
 					count += float64(m) // the one matching input, into every site
 					continue

@@ -80,7 +80,6 @@ type parser struct {
 	toks    []token
 	pos     int
 	cat     *query.Catalog
-	byN     map[string]query.StreamID
 	sources []query.StreamID
 	// proj holds the projection's (STREAM, ATTR) pairs until the FROM
 	// clause resolves stream names — projection parses first but can only
@@ -95,12 +94,7 @@ func Parse(cat *query.Catalog, input string) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	byName := map[string]query.StreamID{}
-	for i := 0; i < cat.NumStreams(); i++ {
-		s := cat.Stream(query.StreamID(i))
-		byName[strings.ToUpper(s.Name)] = s.ID
-	}
-	p := &parser{toks: toks, cat: cat, byN: byName}
+	p := &parser{toks: toks, cat: cat}
 	return p.statement()
 }
 
@@ -199,7 +193,7 @@ func (p *parser) resolveProjection(st *Statement) error {
 	}
 	st.ProjCols = map[query.StreamID][]string{}
 	for _, col := range p.proj {
-		id, ok := p.byN[col[0]]
+		id, ok := p.cat.Lookup(col[0])
 		if !ok {
 			return fmt.Errorf("cql: unknown stream %q in projection", col[0])
 		}
@@ -245,7 +239,8 @@ func (p *parser) fromClause(st *Statement) error {
 		if t.kind != tokIdent {
 			return fmt.Errorf("cql: expected stream name, got %s at offset %d", t, t.pos)
 		}
-		id, ok := p.byN[strings.ToUpper(t.text)]
+		name := strings.ToUpper(t.text)
+		id, ok := p.cat.Lookup(name)
 		if !ok {
 			return fmt.Errorf("cql: unknown stream %q", t.text)
 		}
@@ -254,7 +249,7 @@ func (p *parser) fromClause(st *Statement) error {
 		}
 		seen[id] = true
 		st.Sources = append(st.Sources, id)
-		st.fromNames = append(st.fromNames, strings.ToUpper(t.text))
+		st.fromNames = append(st.fromNames, name)
 		p.sources = st.Sources
 		if p.peek().kind != tokComma {
 			return nil
@@ -285,7 +280,7 @@ func (p *parser) condition(st *Statement) ([]query.Pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	lID, ok := p.byN[lStream]
+	lID, ok := p.cat.Lookup(lStream)
 	if !ok {
 		return nil, fmt.Errorf("cql: unknown stream %q in WHERE", lStream)
 	}
@@ -323,7 +318,7 @@ func (p *parser) condition(st *Statement) ([]query.Pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		rID, ok := p.byN[rStream]
+		rID, ok := p.cat.Lookup(rStream)
 		if !ok {
 			return nil, fmt.Errorf("cql: unknown stream %q in WHERE", rStream)
 		}

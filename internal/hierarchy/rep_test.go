@@ -203,3 +203,78 @@ func TestChurnInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestMembersAreOwnReps pins the fact the planners' distance gather rests
+// on: a member of a level-l cluster is its own level-l representative, so
+// the estimated distance between two members is their physical distance.
+// It must survive everything that rewrites the level structure — removals
+// that re-elect coordinators, drop clusters and shrink the top, additions
+// that split clusters and grow new levels, and rebinds.
+func TestMembersAreOwnReps(t *testing.T) {
+	check := func(h *Hierarchy, tag string) {
+		t.Helper()
+		for l := 1; l <= h.Height(); l++ {
+			for _, c := range h.LevelAt(l).Clusters {
+				for _, m := range c.Members {
+					if got := h.Rep(m, c.Level); got != m {
+						t.Fatalf("%s: member %d of a level-%d cluster has representative %d", tag, m, l, got)
+					}
+				}
+			}
+		}
+	}
+	shrank, grew := false, false
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(40)
+		g := netgraph.Random(n, 2.5, netgraph.CostRange{Lo: 1, Hi: 10}, netgraph.CostRange{Lo: 0.001, Hi: 0.05}, rng)
+		paths := g.ShortestPaths(netgraph.MetricCost)
+		h, err := Build(g, paths, 3+rng.Intn(3), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(h, "fresh build")
+		built := h.Height()
+
+		// Remove most nodes, coordinators first: clusters empty out and the
+		// top shrinks.
+		var removed []netgraph.NodeID
+		for len(removed) < n-1 { // down to one node: nothing above level 1 carries information
+			victim := h.LevelAt(1).Clusters[0].Coordinator
+			if len(removed)%2 == 1 {
+				for victim = netgraph.NodeID(rng.Intn(n)); !h.Contains(victim); {
+					victim = netgraph.NodeID(rng.Intn(n))
+				}
+			}
+			if err := h.RemoveNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			removed = append(removed, victim)
+			check(h, fmt.Sprintf("after RemoveNode(%d)", victim))
+		}
+		shrank = shrank || h.Height() < built
+		low := h.Height()
+
+		links := g.Links()
+		l := links[rng.Intn(len(links))]
+		if err := g.SetLinkCost(l.A, l.B, l.Cost+3); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.RebindRows(g.ShortestPaths(netgraph.MetricCost), nil); err != nil {
+			t.Fatal(err)
+		}
+		check(h, "after RebindRows")
+
+		// Re-join everyone: clusters overflow, split, and levels grow back.
+		for _, v := range removed {
+			if err := h.AddNode(v); err != nil {
+				t.Fatal(err)
+			}
+			check(h, fmt.Sprintf("after AddNode(%d)", v))
+		}
+		grew = grew || h.Height() > low
+	}
+	if !shrank || !grew {
+		t.Errorf("fixture never exercised shrinkTop (%v) or a level-growing split (%v)", shrank, grew)
+	}
+}

@@ -254,6 +254,12 @@ func (p *Paths) StaleFor(g *Graph) bool {
 // planner.
 func (p *Paths) Dist(a, b NodeID) float64 { return p.distSlab[int(a)*p.n+int(b)] }
 
+// Row returns the distances from a to every node, indexed by NodeID, for
+// callers that read many distances out of one source (the planners gather
+// a cluster's site-to-site block this way). The slice aliases the
+// snapshot: read-only.
+func (p *Paths) Row(a NodeID) []float64 { return p.dist[a] }
+
 // Reachable reports whether b is reachable from a.
 func (p *Paths) Reachable(a, b NodeID) bool { return !math.IsInf(p.dist[a][b], 1) }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // ErrContradiction marks predicate sets whose conjunction is provably
@@ -163,12 +163,40 @@ func (ps PredSet) Sig() string {
 	if len(ps.m) == 0 {
 		return ""
 	}
-	terms := make([]string, 0, len(ps.m))
+	return string(ps.appendSig(nil, "", nil))
+}
+
+// appendSig appends lead and then the signature fragment of the
+// constraints on the given streams (on every stream when streams is nil),
+// or nothing at all when there is no such constraint. Restricting here is
+// what lets a signature be built without materializing the restricted set.
+func (ps PredSet) appendSig(b []byte, lead string, streams []StreamID) []byte {
+	var termBuf [4]string
+	terms := termBuf[:0]
+	var scratch [64]byte
 	for k, r := range ps.m {
-		terms = append(terms, fmt.Sprintf("%d.%s:[%g,%g)", k.stream, k.attr, r.Lo, r.Hi))
+		if streams != nil && !slices.Contains(streams, k.stream) {
+			continue
+		}
+		// "%d.%s:[%g,%g)" spelled out: fmt's %g is strconv's shortest 'g'.
+		t := strconv.AppendInt(scratch[:0], int64(k.stream), 10)
+		t = append(append(append(t, '.'), k.attr...), ":["...)
+		t = strconv.AppendFloat(t, r.Lo, 'g', -1, 64)
+		t = strconv.AppendFloat(append(t, ','), r.Hi, 'g', -1, 64)
+		terms = append(terms, string(append(t, ')')))
 	}
-	sort.Strings(terms)
-	return strings.Join(terms, "&")
+	if len(terms) == 0 {
+		return b
+	}
+	slices.Sort(terms)
+	b = append(b, lead...)
+	for i, t := range terms {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = append(b, t...)
+	}
+	return b
 }
 
 // Equal reports whether two sets constrain identically.

@@ -136,16 +136,17 @@ type Fragment struct {
 // Fragment returns the description of the sub-join covered by m.
 func (q *Query) Fragment(m Mask) Fragment {
 	streams := q.StreamsOf(m)
-	f := Fragment{Streams: streams, Preds: q.Preds.Restrict(streams), Sig: SigOf(streams)}
+	f := Fragment{Streams: streams, Preds: q.Preds.Restrict(streams)}
 	if !q.Proj.Empty() {
 		f.ProjSig = q.Proj.SigOf(streams)
 	}
-	if !f.Preds.Empty() {
-		f.Sig += "#" + f.Preds.Sig()
-	}
+	var buf [128]byte
+	b := appendStreamSig(buf[:0], streams)
+	b = f.Preds.appendSig(b, "#", nil)
 	if f.ProjSig != "" {
-		f.Sig += "%" + f.ProjSig
+		b = append(append(b, '%'), f.ProjSig...)
 	}
+	f.Sig = string(b)
 	return f
 }
 
@@ -153,7 +154,32 @@ func (q *Query) Fragment(m Mask) Fragment {
 // including the query's predicates on the covered streams (so operators
 // computed under different predicates never alias). Predicate-free
 // queries keep the plain stream signature.
-func (q *Query) SigOf(m Mask) string { return q.Fragment(m).Sig }
+func (q *Query) SigOf(m Mask) string {
+	var buf [128]byte
+	return string(q.AppendSig(buf[:0], m))
+}
+
+// AppendSig appends SigOf(m) to b. It builds Fragment(m).Sig without the
+// fragment: no stream list, no restricted predicate set, and with a
+// caller-owned buffer no string either, which is how a retraction matches
+// its advertisements without allocating.
+func (q *Query) AppendSig(b []byte, m Mask) []byte {
+	var idBuf [MaxSources]StreamID
+	streams := idBuf[:0]
+	for p, s := range q.Sources {
+		if m.Has(p) {
+			streams = append(streams, s)
+		}
+	}
+	b = appendStreamSig(b, streams)
+	b = q.Preds.appendSig(b, "#", streams)
+	if !q.Proj.Empty() {
+		if ps := q.Proj.SigOf(streams); ps != "" {
+			b = append(append(b, '%'), ps...)
+		}
+	}
+	return b
+}
 
 // ProjSigOf returns the canonical projection fragment of the sub-join
 // covered by m: empty for full-projection (or projection-less) queries,
@@ -184,24 +210,31 @@ func (q *Query) MaskOf(ids []StreamID) (Mask, bool) {
 // query: rate(S) = Π_{i∈S} rate_i × Π_{i<j∈S} sel(i,j). Indexed by Mask.
 type RateTable []float64
 
-// BuildRates computes the rate table for q against the catalog.
+// BuildRates computes the rate table for q against the catalog. Each
+// source pair's selectivity is looked up once; every mask then multiplies
+// its pairs in ascending position order — the order is part of the
+// contract, since the products' rounding reaches plan costs.
 func BuildRates(cat *Catalog, q *Query) RateTable {
 	k := q.K()
 	t := make(RateTable, 1<<uint(k))
-	t[0] = 0
+	var sel [MaxSources][MaxSources]float64
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			sel[i][j] = cat.Selectivity(q.Sources[i], q.Sources[j])
+		}
+	}
 	for m := Mask(1); m < Mask(1<<uint(k)); m++ {
-		ps := m.Positions()
-		if len(ps) == 1 {
-			sid := q.Sources[ps[0]]
+		// Split off the lowest position and combine with the rest.
+		low := bits.TrailingZeros32(uint32(m))
+		rest := m & (m - 1)
+		if rest == 0 {
+			sid := q.Sources[low]
 			t[m] = cat.Stream(sid).Rate * q.Preds.StreamSelectivity(sid)
 			continue
 		}
-		// Split off the lowest position and combine with the rest.
-		low := ps[0]
-		rest := m &^ (1 << uint(low))
 		cross := 1.0
-		for _, p := range rest.Positions() {
-			cross *= cat.Selectivity(q.Sources[low], q.Sources[p])
+		for r := rest; r != 0; r &= r - 1 {
+			cross *= sel[low][bits.TrailingZeros32(uint32(r))]
 		}
 		t[m] = t[1<<uint(low)] * t[rest] * cross
 	}

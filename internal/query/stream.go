@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"hnp/internal/netgraph"
 )
@@ -41,6 +42,7 @@ func mkSelKey(a, b StreamID) selKey {
 // statistics").
 type Catalog struct {
 	streams []Stream
+	byName  map[string]StreamID // upper-cased name → stream, the latest on a clash
 	sel     map[selKey]float64
 	schemas map[StreamID]Schema
 	// DefaultSel is the selectivity assumed for stream pairs without an
@@ -50,7 +52,7 @@ type Catalog struct {
 
 // NewCatalog returns an empty catalog with the given default selectivity.
 func NewCatalog(defaultSel float64) *Catalog {
-	return &Catalog{sel: map[selKey]float64{}, schemas: map[StreamID]Schema{}, DefaultSel: defaultSel}
+	return &Catalog{byName: map[string]StreamID{}, sel: map[selKey]float64{}, schemas: map[StreamID]Schema{}, DefaultSel: defaultSel}
 }
 
 // SetSchema declares a stream's attribute schema (copied). Declaring
@@ -79,7 +81,15 @@ func (c *Catalog) StreamWidth(id StreamID) float64 {
 func (c *Catalog) Add(name string, rate float64, source netgraph.NodeID) StreamID {
 	id := StreamID(len(c.streams))
 	c.streams = append(c.streams, Stream{ID: id, Name: name, Rate: rate, Source: source})
+	c.byName[strings.ToUpper(name)] = id
 	return id
+}
+
+// Lookup finds a stream by name, case-insensitively. Of several streams
+// registered under one name it finds the latest.
+func (c *Catalog) Lookup(name string) (StreamID, bool) {
+	id, ok := c.byName[strings.ToUpper(name)]
+	return id, ok
 }
 
 // NumStreams returns the number of registered streams.
@@ -127,14 +137,20 @@ func (c *Catalog) Selectivity(a, b StreamID) float64 {
 // sorted IDs joined with '|'. Two subqueries over the same stream set have
 // the same signature; the advertisement registry is keyed by it.
 func SigOf(ids []StreamID) string {
-	sorted := slices.Clone(ids)
+	var buf [64]byte
+	return string(appendStreamSig(buf[:0], ids))
+}
+
+// appendStreamSig appends SigOf(ids) to b.
+func appendStreamSig(b []byte, ids []StreamID) []byte {
+	var idBuf [MaxSources]StreamID
+	sorted := append(idBuf[:0], ids...)
 	slices.Sort(sorted)
-	b := make([]byte, 0, 4*len(sorted))
 	for i, id := range sorted {
 		if i > 0 {
 			b = append(b, '|')
 		}
 		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return string(b)
+	return b
 }
