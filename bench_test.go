@@ -2,6 +2,7 @@ package hnp
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -694,6 +695,53 @@ func BenchmarkMigrate(b *testing.B) {
 		}
 		b.ReportMetric(float64(churn)/float64(b.N), "ops-churned/op")
 	})
+}
+
+// BenchmarkDataPlane measures the per-tuple path of internal/iflow on the
+// internal/des clock — source tick, transfer, event queue, join probe,
+// window expiry, sink — with nothing else in the loop: the first K=6
+// query of the standard 128-node workload, planned Top-Down, deployed
+// once and run past one full join window before the timer starts. One op
+// is RunFor(2); ns/tuple and allocs/tuple divide the timed loop by the
+// tuples it handed to the transport, so they compare across runs whose
+// Poisson draws differ in count.
+func BenchmarkDataPlane(b *testing.B) {
+	w := newBenchWorld(b, 128, 32)
+	var q *query.Query
+	for _, c := range w.w.Queries {
+		if c.K() == 6 {
+			q = c
+			break
+		}
+	}
+	if q == nil {
+		b.Fatal("workload has no K=6 query")
+	}
+	res, err := core.TopDown(w.h, w.w.Catalog, q, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := iflow.New(w.g, iflow.DefaultConfig(), 1)
+	if err := rt.Deploy(q, res.Plan, w.w.Catalog, 1e12); err != nil {
+		b.Fatal(err)
+	}
+	rt.RunFor(2 * rt.Config().Window)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sent := rt.TuplesSent
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.RunFor(2)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	tuples := float64(rt.TuplesSent - sent)
+	if tuples == 0 {
+		b.Fatal("no tuple sent")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/tuples, "allocs/tuple")
 }
 
 // BenchmarkAdaptControl measures the closed-loop re-optimization

@@ -245,6 +245,7 @@ func (rt *Runtime) gc() {
 		changed = false
 		for k, op := range rt.ops {
 			if op.refs <= 0 && len(op.subs) == 0 {
+				op.retired = true
 				delete(rt.ops, k)
 				changed = true
 			}

@@ -19,9 +19,10 @@ import (
 // while the sink stays dead).
 func (rt *Runtime) FailNode(v netgraph.NodeID) []int {
 	dead := map[opKey]bool{}
-	for k := range rt.ops {
+	for k, op := range rt.ops {
 		if k.node == v {
 			dead[k] = true
+			op.retired = true
 			delete(rt.ops, k)
 		}
 	}

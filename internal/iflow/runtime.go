@@ -114,7 +114,8 @@ type Operator struct {
 	window      float64
 	left, right []Tuple
 	subs        []subscription
-	refs        int // deployments using this operator
+	refs        int  // deployments using this operator
+	retired     bool // left rt.ops (gc, FailNode): arriving tuples are dropped
 
 	// OutCount / OutBytes measure produced output.
 	OutCount int64
@@ -226,7 +227,7 @@ func (s *SinkStats) Rate(elapsed float64) float64 {
 
 // Runtime is the simulated IFLOW deployment substrate.
 type Runtime struct {
-	Sim   *des.Sim
+	Sim   *des.Sim[delivery]
 	G     *netgraph.Graph
 	Cost  *netgraph.Paths // cost-metric paths: stream routing + accounting
 	Delay *netgraph.Paths // delay-metric paths: message latency
@@ -257,7 +258,7 @@ type Runtime struct {
 	WindowExpired int64
 	// TuplesSent counts every tuple handed to the transport for delivery,
 	// node-local handoffs included. Each sent tuple settles exactly once
-	// when its delivery callback runs (sink arrival, operator receive, or
+	// when its delivery arrives (sink arrival, operator receive, or
 	// in-flight drop), so TuplesSent - tuplesSettled is the number of
 	// tuples currently in flight — the conservation ledger the chaos
 	// harness checks.
@@ -374,8 +375,7 @@ func (rt *Runtime) takeTraceParent() uint64 {
 // New builds a runtime over a network. Streams route along cost-shortest
 // paths; protocol messages along delay-shortest paths.
 func New(g *netgraph.Graph, cfg Config, seed int64) *Runtime {
-	return &Runtime{
-		Sim:     des.New(),
+	rt := &Runtime{
 		G:       g,
 		Cost:    g.ShortestPaths(netgraph.MetricCost),
 		Delay:   g.ShortestPaths(netgraph.MetricDelay),
@@ -385,6 +385,8 @@ func New(g *netgraph.Graph, cfg Config, seed int64) *Runtime {
 		sinks:   map[int]*SinkStats{},
 		deploys: map[int]*deployment{},
 	}
+	rt.Sim = des.New(rt.settle)
+	return rt
 }
 
 // Config returns the runtime's configuration.
@@ -431,23 +433,40 @@ func (rt *Runtime) refreshOne(cur, spare *netgraph.Paths) (*netgraph.Paths, *net
 	return out, cur
 }
 
-// transfer accounts and schedules a tuple moving between two nodes, then
-// invokes deliver at the destination's arrival time.
-func (rt *Runtime) transfer(from, to netgraph.NodeID, t Tuple, deliver func(Tuple)) {
+// delivery is a tuple in flight, the event queue's message type: bound
+// for a query's sink when sink is set, else for one side of operator op.
+type delivery struct {
+	sink *SinkStats
+	op   *Operator
+	side side
+	t    Tuple
+}
+
+// transfer accounts a tuple moving between two nodes and queues its
+// delivery for the destination's arrival time.
+func (rt *Runtime) transfer(from, to netgraph.NodeID, d delivery) {
 	if from != to {
-		rt.TotalCost += t.Size * rt.Cost.Dist(from, to)
-		rt.TotalBytes += t.Size
-		rt.noteSize(t.Size)
+		rt.TotalCost += d.t.Size * rt.Cost.Dist(from, to)
+		rt.TotalBytes += d.t.Size
+		rt.noteSize(d.t.Size)
 		rt.TuplesTransferred++
 		rt.obsTransferred.Inc()
 		rt.obsCost.Set(rt.TotalCost)
 	}
-	delay := rt.Delay.Dist(from, to)
 	rt.TuplesSent++
-	rt.Sim.Schedule(delay, func() {
-		rt.tuplesSettled++
-		deliver(t)
-	})
+	rt.Sim.Send(rt.Delay.Dist(from, to), d)
+}
+
+// settle lands one delivery: sink accounting, or an operator step.
+func (rt *Runtime) settle(d delivery) {
+	rt.tuplesSettled++
+	if d.sink == nil {
+		rt.receive(d.op, d.side, d.t)
+		return
+	}
+	d.sink.Tuples++
+	d.sink.Bytes += d.t.Size
+	d.sink.LatencySum += rt.Sim.Now() - d.t.Born
 }
 
 // noteSize folds one byte-charged tuple size into the min/max bracket the
@@ -471,7 +490,7 @@ func (rt *Runtime) opWidth(op *Operator) float64 {
 }
 
 // InFlight returns the number of tuples handed to the transport whose
-// delivery callback has not yet run. It is never negative and reaches zero
+// delivery has not yet arrived. It is never negative and reaches zero
 // once the simulation quiesces (sources ended, event queue drained).
 func (rt *Runtime) InFlight() int64 { return rt.TuplesSent - rt.tuplesSettled }
 
@@ -480,24 +499,15 @@ func (rt *Runtime) emit(op *Operator, t Tuple) {
 	op.OutCount++
 	op.OutBytes += t.Size
 	for _, sub := range op.subs {
-		sub := sub
+		d := delivery{side: sub.side, t: t}
 		if sub.sink >= 0 {
-			stats := rt.sinks[sub.sink]
-			rt.transfer(op.key.node, sub.to, t, func(d Tuple) {
-				stats.Tuples++
-				stats.Bytes += d.Size
-				stats.LatencySum += rt.Sim.Now() - d.Born
-			})
-			continue
-		}
-		dst := rt.ops[sub.dst]
-		if dst == nil {
+			d.sink = rt.sinks[sub.sink]
+		} else if d.op = rt.ops[sub.dst]; d.op == nil {
 			rt.TuplesDropped++
 			rt.obsDropped.Inc()
 			continue // consumer undeployed mid-flight
 		}
-		s := sub.side
-		rt.transfer(op.key.node, sub.to, t, func(d Tuple) { rt.receive(dst, s, d) })
+		rt.transfer(op.key.node, sub.to, d)
 	}
 }
 
@@ -505,7 +515,7 @@ func (rt *Runtime) emit(op *Operator, t Tuple) {
 // probabilistically; joins expire their window, probe the opposite side,
 // emit matches, and insert.
 func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
-	if rt.ops[op.key] != op {
+	if op.retired {
 		rt.TuplesDropped++
 		rt.obsDropped.Inc()
 		return // operator was undeployed while the tuple was in flight
@@ -556,15 +566,14 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 	*mine = append(*mine, t)
 }
 
+// expire reslices past the expired prefix, so survivors never move; the
+// dead prefix is shed when an append past capacity copies the live part.
 func expire(w []Tuple, horizon float64) []Tuple {
 	i := 0
 	for i < len(w) && w[i].Born < horizon {
 		i++
 	}
-	if i == 0 {
-		return w
-	}
-	return append(w[:0], w[i:]...)
+	return w[i:]
 }
 
 // StartSource registers a base stream tap at its node and schedules
@@ -582,7 +591,7 @@ func (rt *Runtime) StartSource(sig string, node netgraph.NodeID, rate float64, u
 	rt.ops[key] = op
 	var tick func()
 	tick = func() {
-		if rt.Sim.Now() >= until || rt.ops[key] != op {
+		if rt.Sim.Now() >= until || op.retired {
 			return
 		}
 		t := Tuple{

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -147,11 +148,17 @@ func (ps PredSet) Contains(stricter PredSet) bool {
 // set's constraints on that stream (uniform value distributions, as the
 // rest of the rate model assumes).
 func (ps PredSet) StreamSelectivity(s StreamID) float64 {
-	sel := 1.0
+	on := make([]Pred, 0, 4) // stays on the stack
 	for k, r := range ps.m {
 		if k.stream == s {
-			sel *= r.Width()
+			on = append(on, Pred{Attr: k.attr, Range: r})
 		}
+	}
+	// In attribute order: map order would vary a 3-factor float product.
+	slices.SortFunc(on, func(a, b Pred) int { return cmp.Compare(a.Attr, b.Attr) })
+	sel := 1.0
+	for _, p := range on {
+		sel *= p.Range.Width()
 	}
 	return sel
 }
