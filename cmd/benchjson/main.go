@@ -14,7 +14,7 @@
 //
 // With -compare the fresh run is diffed against a committed baseline and
 // the process exits 3 on regression — more than 25% ns/op (tune with
-// -threshold) or ANY allocs/op increase:
+// -threshold) or ANY allocs/op (or allocs/tuple) increase:
 //
 //	go test -run '^$' -bench "$PLANNER_BENCH" -benchmem . | go run ./cmd/benchjson -o /tmp/b.json -compare BENCH_planner.json
 //

@@ -61,6 +61,14 @@ type Result struct {
 	// Seed-pinned and hardware-independent, like the ratios above.
 	RewriteBytesFrac float64 `json:"rewrite_bytes_frac,omitempty"`
 
+	// NsPerTuple / AllocsPerTuple divide a data-plane run by the tuples it
+	// handed to the transport (0 where the notion doesn't apply), so runs
+	// whose Poisson draws differ in count compare. The first moves with
+	// the machine and is informational; the second, like allocs_per_op, is
+	// hardware-independent and gated with no slack, to a thousandth.
+	NsPerTuple     float64 `json:"ns_per_tuple,omitempty"`
+	AllocsPerTuple float64 `json:"allocs_per_tuple,omitempty"`
+
 	// Serving-harness figures (cmd/smqbench; 0 where the notion doesn't
 	// apply). For serving entries NsPerOp carries the p50 plan latency,
 	// and the tail quantiles below are gated with the same
@@ -179,8 +187,8 @@ func WriteAndCompare(outPath string, t Trajectory, compare string, tol float64) 
 // Diff prints a per-benchmark diff of cur against base and returns how
 // many benchmarks regressed: ns/op beyond the tolerance, a serving
 // entry's p95/p99 beyond double the tolerance (tails are noisier than
-// medians), or any allocs/op increase (hardware-independent, hence no
-// slack at all). Benchmarks present on only one side are reported — new
+// medians), or any allocs/op or allocs/tuple increase
+// (hardware-independent, hence no slack at all). Benchmarks present on only one side are reported — new
 // ones in run order, dropped ones in baseline order — but never counted
 // as regressions: renames and additions are trajectory changes, not
 // slowdowns.
@@ -212,6 +220,11 @@ func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 		}
 		if c.AllocsOp > b.AllocsOp {
 			verdicts = append(verdicts, "allocs/op")
+		}
+		// Truncated to thousandths, as allocs/op is to whole allocations:
+		// a short run's handful of runtime allocations is not a regression.
+		if math.Floor(c.AllocsPerTuple*1000) > math.Floor(b.AllocsPerTuple*1000) {
+			verdicts = append(verdicts, "allocs/tuple")
 		}
 		// Tail quantiles are estimated from far fewer effective samples
 		// than the median — a p99 over ~1k requests moves with a single
@@ -301,6 +314,10 @@ func ParseGoBench(r io.Reader) ([]Result, error) {
 				res.BytesVsAlways = v
 			case "rewrite-bytes-frac":
 				res.RewriteBytesFrac = v
+			case "ns/tuple":
+				res.NsPerTuple = v
+			case "allocs/tuple":
+				res.AllocsPerTuple = v
 			}
 		}
 		out = append(out, res)

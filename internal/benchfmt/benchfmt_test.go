@@ -10,7 +10,7 @@ import (
 // ns/op beyond it, p95/p99 beyond twice it, any allocs/op increase — and
 // nothing else.
 func TestDiffGates(t *testing.T) {
-	base := Result{Name: "X", NsPerOp: 1000, AllocsOp: 10, P95Ns: 2000, P99Ns: 4000}
+	base := Result{Name: "X", NsPerOp: 1000, AllocsOp: 10, P95Ns: 2000, P99Ns: 4000, NsPerTuple: 200, AllocsPerTuple: 0.007}
 	cases := []struct {
 		name    string
 		mutate  func(r *Result)
@@ -21,6 +21,9 @@ func TestDiffGates(t *testing.T) {
 		{"ns/op at the tolerance", func(r *Result) { r.NsPerOp = 1250 }, "ok"},
 		{"ns/op beyond the tolerance", func(r *Result) { r.NsPerOp = 1251 }, "REGRESSION ns/op"},
 		{"one more alloc", func(r *Result) { r.AllocsOp = 11 }, "REGRESSION allocs/op"},
+		{"a thousandth more allocs per tuple", func(r *Result) { r.AllocsPerTuple = 0.008 }, "REGRESSION allocs/tuple"},
+		{"allocs per tuple within a thousandth", func(r *Result) { r.AllocsPerTuple = 0.0079 }, "ok"},
+		{"fewer allocs per tuple, slower per tuple", func(r *Result) { r.AllocsPerTuple, r.NsPerTuple = 0, 900 }, "ok"},
 		{"p95 at twice the tolerance", func(r *Result) { r.P95Ns = 3000 }, "ok"},
 		{"p95 beyond twice the tolerance", func(r *Result) { r.P95Ns = 3001 }, "REGRESSION p95"},
 		{"p99 beyond twice the tolerance", func(r *Result) { r.P99Ns = 6001 }, "REGRESSION p99"},
@@ -99,6 +102,7 @@ BenchmarkMigrate/delta-2       	   70600	     15166 ns/op	         2.000 ops-chu
 BenchmarkAdaptControl/compare-2         	       1	1814076189 ns/op	         0.8634 bytes-vs-always	         0.5875 bytes-vs-never	         8.000 migrations/op	274901528 B/op	 8022356 allocs/op
 BenchmarkRewritePushdown-2     	   18064	     73196 ns/op	         0.1763 rewrite-bytes-frac	   36955 B/op	     569 allocs/op
 BenchmarkDeploy/telemetry-off-2	   20847	     73014 ns/op	 142365391 plans/s	    5698 B/op	     116 allocs/op
+BenchmarkDataPlane 	   13141	     89161 ns/op	         0.006930 allocs/tuple	       219.3 ns/tuple	   22631 B/op	       2 allocs/op
 PASS
 ok  	hnp	31.5s
 `
@@ -111,6 +115,7 @@ ok  	hnp	31.5s
 			BytesOp: 274901528, AllocsOp: 8022356},
 		{Name: "RewritePushdown", Iterations: 18064, NsPerOp: 73196, RewriteBytesFrac: 0.1763, BytesOp: 36955, AllocsOp: 569},
 		{Name: "Deploy/telemetry-off", Iterations: 20847, NsPerOp: 73014, PlansPerSec: 142365391, BytesOp: 5698, AllocsOp: 116},
+		{Name: "DataPlane", Iterations: 13141, NsPerOp: 89161, AllocsPerTuple: 0.00693, NsPerTuple: 219.3, BytesOp: 22631, AllocsOp: 2},
 	}
 	got, err := ParseGoBench(strings.NewReader(in))
 	if err != nil {

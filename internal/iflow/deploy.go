@@ -196,7 +196,7 @@ func residualPassProb(narrowed, base float64) float64 {
 // several queries must not duplicate the stream).
 func (op *Operator) subscribe(s subscription) {
 	for _, ex := range op.subs {
-		if ex == s {
+		if ex.same(s) {
 			return
 		}
 	}
@@ -205,7 +205,7 @@ func (op *Operator) subscribe(s subscription) {
 
 func (op *Operator) unsubscribe(s subscription) {
 	for i, ex := range op.subs {
-		if ex == s {
+		if ex.same(s) {
 			op.subs = append(op.subs[:i], op.subs[i+1:]...)
 			return
 		}

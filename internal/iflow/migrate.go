@@ -144,14 +144,10 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 		if op == nil {
 			continue
 		}
-		for _, t := range op.left {
+		op.buffered(func(_ side, t Tuple) {
 			rep.StateCarried++
 			rep.BytesSaved += t.Size
-		}
-		for _, t := range op.right {
-			rep.StateCarried++
-			rep.BytesSaved += t.Size
-		}
+		})
 		if op.isAgg && op.aggCount > 0 {
 			rep.StateCarried++
 			rep.BytesSaved += rt.opWidth(op)
@@ -187,14 +183,10 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 			rep.BytesShipped += t.Size
 			rep.ShipCost += t.Size * linkCost
 		}
-		for _, t := range oldOp.left {
-			newOp.left = append(newOp.left, t)
+		oldOp.buffered(func(s side, t Tuple) {
+			newOp.win[s].insert(t)
 			ship(t)
-		}
-		for _, t := range oldOp.right {
-			newOp.right = append(newOp.right, t)
-			ship(t)
-		}
+		})
 		if oldOp.isAgg && newOp.isAgg && oldOp.aggCount > 0 {
 			newOp.aggCount, newOp.aggBorn, newOp.aggNext = oldOp.aggCount, oldOp.aggBorn, oldOp.aggNext
 			ship(Tuple{Size: rt.opWidth(oldOp)})

@@ -238,7 +238,7 @@ func TestMigrateShipsMovedState(t *testing.T) {
 	if oldOp == nil {
 		t.Fatal("moved join not deployed")
 	}
-	buffered := len(oldOp.left) + len(oldOp.right)
+	buffered := oldOp.win[leftSide].n + oldOp.win[rightSide].n
 	if buffered == 0 {
 		t.Fatal("moved join has no window state to ship")
 	}
@@ -271,7 +271,7 @@ func TestMigrateShipsMovedState(t *testing.T) {
 	if newOp == nil {
 		t.Fatal("moved join missing at new host")
 	}
-	if got := len(newOp.left) + len(newOp.right); got != buffered {
+	if got := newOp.win[leftSide].n + newOp.win[rightSide].n; got != buffered {
 		t.Errorf("new host holds %d window tuples, old held %d", got, buffered)
 	}
 	if err := rt.CheckInvariants(nil); err != nil {

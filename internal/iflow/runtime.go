@@ -76,6 +76,16 @@ type subscription struct {
 	side side
 	sink int // query ID when >= 0: deliver to that query's sink counter
 	to   netgraph.NodeID
+
+	// op caches the operator dst resolved to, so emit hashes the key only
+	// when it is nil or retired. Not part of the route's identity: see same.
+	op *Operator
+}
+
+// same reports whether two subscriptions are the same route; the cached
+// operator is ignored, so a warmed-up entry still matches a fresh literal.
+func (s subscription) same(o subscription) bool {
+	return s.dst == o.dst && s.side == o.side && s.sink == o.sink && s.to == o.to
 }
 
 // Operator is a deployed stream operator: a base-stream tap (no
@@ -111,11 +121,11 @@ type Operator struct {
 	// different operator.
 	width float64
 
-	window      float64
-	left, right []Tuple
-	subs        []subscription
-	refs        int  // deployments using this operator
-	retired     bool // left rt.ops (gc, FailNode): arriving tuples are dropped
+	window  float64
+	win     [2]window // buffered inputs, indexed by side
+	subs    []subscription
+	refs    int  // deployments using this operator
+	retired bool // left rt.ops (gc, FailNode): arriving tuples are dropped
 
 	// OutCount / OutBytes measure produced output.
 	OutCount int64
@@ -129,12 +139,7 @@ type Operator struct {
 // committing.
 func (op *Operator) StateBytes(tupleSize float64) float64 {
 	var b float64
-	for _, t := range op.left {
-		b += t.Size
-	}
-	for _, t := range op.right {
-		b += t.Size
-	}
+	op.buffered(func(_ side, t Tuple) { b += t.Size })
 	if op.isAgg && op.aggCount > 0 {
 		if op.width > 0 {
 			b += op.width
@@ -143,6 +148,17 @@ func (op *Operator) StateBytes(tupleSize float64) float64 {
 		}
 	}
 	return b
+}
+
+// buffered calls f for every tuple in the join windows: the left input's
+// then the right's, each in arrival order — the order Migrate ships them
+// in and every float sum over them adds in.
+func (op *Operator) buffered(f func(s side, t Tuple)) {
+	for s := range op.win {
+		for i, w := 0, &op.win[s]; i < w.n; i++ {
+			f(side(s), w.at(i))
+		}
+	}
 }
 
 // Width returns the byte size of tuples this operator emits (0 when the
@@ -498,14 +514,22 @@ func (rt *Runtime) InFlight() int64 { return rt.TuplesSent - rt.tuplesSettled }
 func (rt *Runtime) emit(op *Operator, t Tuple) {
 	op.OutCount++
 	op.OutBytes += t.Size
-	for _, sub := range op.subs {
+	for i := range op.subs {
+		sub := &op.subs[i]
 		d := delivery{side: sub.side, t: t}
 		if sub.sink >= 0 {
 			d.sink = rt.sinks[sub.sink]
-		} else if d.op = rt.ops[sub.dst]; d.op == nil {
-			rt.TuplesDropped++
-			rt.obsDropped.Inc()
-			continue // consumer undeployed mid-flight
+		} else {
+			// A live cached operator is the one its key maps to; a retired
+			// one may have a same-key successor, found as the map finds it.
+			if sub.op == nil || sub.op.retired {
+				if sub.op = rt.ops[sub.dst]; sub.op == nil {
+					rt.TuplesDropped++
+					rt.obsDropped.Inc()
+					continue // consumer undeployed mid-flight
+				}
+			}
+			d.op = sub.op
 		}
 		rt.transfer(op.key.node, sub.to, d)
 	}
@@ -542,20 +566,14 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 		op.aggCount++
 		return
 	}
-	now := rt.Sim.Now()
-	before := len(op.left) + len(op.right)
-	op.left = expire(op.left, now-op.window)
-	op.right = expire(op.right, now-op.window)
-	if n := before - len(op.left) - len(op.right); n > 0 {
+	horizon := rt.Sim.Now() - op.window
+	if n := op.win[leftSide].expire(horizon) + op.win[rightSide].expire(horizon); n > 0 {
 		rt.WindowExpired += int64(n)
 		rt.obsExpired.Add(int64(n))
 	}
-	mine, other := &op.left, &op.right
-	if s == rightSide {
-		mine, other = &op.right, &op.left
-	}
-	for _, o := range *other {
-		if o.Key == t.Key {
+	other := &op.win[1-s]
+	for i := other.first(t.Key); i >= 0; i = other.ring[i].next {
+		if o := &other.ring[i].t; o.Key == t.Key {
 			// Join outputs are projected to the operator's output width
 			// (the global tuple width when no schema is declared), keeping
 			// data rates in the same units as the analytic cost model.
@@ -563,17 +581,7 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 			rt.emit(op, out)
 		}
 	}
-	*mine = append(*mine, t)
-}
-
-// expire reslices past the expired prefix, so survivors never move; the
-// dead prefix is shed when an append past capacity copies the live part.
-func expire(w []Tuple, horizon float64) []Tuple {
-	i := 0
-	for i < len(w) && w[i].Born < horizon {
-		i++
-	}
-	return w[i:]
+	op.win[s].insert(t)
 }
 
 // StartSource registers a base stream tap at its node and schedules

@@ -20,8 +20,11 @@ const DefaultFlightSize = 4096
 // Tracer is the flight recorder: a fixed-size ring buffer of the most
 // recent trace events, plus an optional streaming JSONL journal. It is
 // designed to be left armed in production ("always-on"): emission is one
-// atomic load when disarmed, and an atomic increment, a mutex-guarded
-// slot overwrite, and zero allocations when armed (journal writes aside).
+// atomic load when disarmed, and an atomic increment and a mutex-guarded
+// slot write when armed. The ring grows to its size as events arrive — an
+// armed recorder nothing has happened to holds no ring — and from the
+// emission that fills it on, an armed emit overwrites a slot and allocates
+// nothing (journal writes aside).
 //
 // A nil *Tracer is a valid no-op handle, like every other obs handle. The
 // Tracer's armed state is independent of the package-level Enabled
@@ -32,48 +35,45 @@ type Tracer struct {
 	seq     atomic.Uint64
 
 	mu      sync.Mutex
-	ring    []Event // allocated lazily on first arm/emit
+	ring    []Event // appended to until len == capacity, overwritten after
 	size    int     // requested capacity (0 = DefaultFlightSize)
-	total   uint64  // events ever recorded; write cursor is total % len(ring)
+	total   uint64  // events ever recorded; write cursor is total % capacity
 	journal io.Writer
 	jerr    error
 }
 
 // NewTracer returns a disarmed tracer whose ring will hold size events
-// (size <= 0 means DefaultFlightSize). The ring itself is allocated on
-// first arm, so dormant tracers cost a few words.
+// (size <= 0 means DefaultFlightSize). The ring itself is allocated as
+// events arrive, so dormant and idle tracers cost a few words.
 func NewTracer(size int) *Tracer { return &Tracer{size: size} }
 
-// Resize sets the ring capacity for the next arm. Events already
-// recorded are discarded if the ring is reallocated.
+// capacity is the ring's full size. Callers hold t.mu.
+func (t *Tracer) capacity() int {
+	if t.size <= 0 {
+		return DefaultFlightSize
+	}
+	return t.size
+}
+
+// Resize sets the ring capacity. Events already recorded are discarded
+// if the capacity changes.
 func (t *Tracer) Resize(size int) {
 	if t == nil || size <= 0 {
 		return
 	}
 	t.mu.Lock()
-	t.size = size
-	if t.ring != nil && len(t.ring) != size {
-		t.ring = make([]Event, size)
-		t.total = 0
+	if size != t.capacity() {
+		t.ring, t.total = nil, 0
 	}
+	t.size = size
 	t.mu.Unlock()
 }
 
-// Enable arms the flight recorder, allocating the ring on first use.
+// Enable arms the flight recorder.
 func (t *Tracer) Enable() {
-	if t == nil {
-		return
+	if t != nil {
+		t.enabled.Store(true)
 	}
-	t.mu.Lock()
-	if t.ring == nil {
-		n := t.size
-		if n <= 0 {
-			n = DefaultFlightSize
-		}
-		t.ring = make([]Event, n)
-	}
-	t.mu.Unlock()
-	t.enabled.Store(true)
 }
 
 // Disable disarms the recorder. Recorded events remain readable.
@@ -128,14 +128,17 @@ func (t *Tracer) Emit(e Event) uint64 {
 		e.Wall = time.Now().UnixNano()
 	}
 	t.mu.Lock()
-	if t.ring == nil {
-		n := t.size
-		if n <= 0 {
-			n = DefaultFlightSize
+	if n := t.capacity(); len(t.ring) == n {
+		t.ring[t.total%uint64(n)] = e
+	} else {
+		if len(t.ring) == cap(t.ring) {
+			// Grow geometrically from 64, never past the ring's size.
+			grown := make([]Event, len(t.ring), min(n, max(64, 2*len(t.ring))))
+			copy(grown, t.ring)
+			t.ring = grown
 		}
-		t.ring = make([]Event, n)
+		t.ring = append(t.ring, e)
 	}
-	t.ring[t.total%uint64(len(t.ring))] = e
 	t.total++
 	if t.journal != nil {
 		if b, err := json.Marshal(e); err != nil {

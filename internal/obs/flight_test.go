@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +45,76 @@ func TestFlightRecorderRingWrapDropsOldest(t *testing.T) {
 	for i, e := range snap {
 		if want := uint64(7 + i); e.ID != want {
 			t.Fatalf("snapshot[%d].ID = %d, want %d (oldest survivors first)", i, e.ID, want)
+		}
+	}
+}
+
+// eagerRing is the recorder's ring as it was before it grew on demand:
+// allocated whole, a cursor at total % len. The lazy ring is held to it.
+type eagerRing struct {
+	ring  []Event
+	total uint64
+}
+
+func (r *eagerRing) emit(e Event) {
+	r.ring[r.total%uint64(len(r.ring))] = e
+	r.total++
+}
+
+func (r *eagerRing) snapshot() []Event {
+	n := uint64(len(r.ring))
+	held := min(r.total, n)
+	out := make([]Event, 0, held)
+	for i := r.total - held; i < r.total; i++ {
+		out = append(out, r.ring[i%n])
+	}
+	return out
+}
+
+// TestFlightRingGrowsToSize: the ring is appended to until it reaches its
+// size and wraps from then on, and nothing a reader can see tells that
+// apart from a ring allocated whole — Len, Dropped and Snapshot agree with
+// the eager reference after every emit, from empty through the third
+// wrap. (At the default size Snapshot is compared on every emit near a
+// multiple of the size and on every 97th elsewhere.)
+func TestFlightRingGrowsToSize(t *testing.T) {
+	for _, size := range []int{1, 8, 100, 0} {
+		tr := NewTracer(size)
+		tr.Enable()
+		if tr.ring != nil || tr.Len() != 0 || tr.Snapshot() != nil {
+			t.Fatalf("size %d: an armed tracer that has emitted nothing holds a ring of %d", size, cap(tr.ring))
+		}
+		n := size
+		if n == 0 {
+			n = DefaultFlightSize
+		}
+		ref := eagerRing{ring: make([]Event, n)}
+		for i := 1; i <= 3*n+2; i++ {
+			e := Event{Kind: KindGateDecision, Query: i, Node: NoID, Wall: int64(i)}
+			id := tr.Emit(e)
+			e.ID = uint64(i)
+			ref.emit(e)
+			if id != e.ID {
+				t.Fatalf("size %d: emit %d returned id %d", size, i, id)
+			}
+			if cap(tr.ring) > n || len(tr.ring) != min(i, n) {
+				t.Fatalf("size %d after %d emits: ring has len %d cap %d", size, i, len(tr.ring), cap(tr.ring))
+			}
+			wantLen, wantDropped := min(i, n), uint64(max(i-n, 0))
+			if tr.Len() != wantLen || tr.Dropped() != wantDropped {
+				t.Fatalf("size %d after %d emits: len %d dropped %d, want %d and %d",
+					size, i, tr.Len(), tr.Dropped(), wantLen, wantDropped)
+			}
+			if near := i % n; n <= 100 || near <= 2 || near >= n-2 || i%97 == 0 {
+				if got, want := tr.Snapshot(), ref.snapshot(); !slices.Equal(got, want) {
+					t.Fatalf("size %d after %d emits: snapshot of %d events differs from the eager ring's %d",
+						size, i, len(got), len(want))
+				}
+			}
+		}
+		tr.Resize(n + 1)
+		if tr.ring != nil || tr.Len() != 0 || tr.Dropped() != 0 {
+			t.Fatalf("size %d: Resize to another size kept the ring", size)
 		}
 	}
 }
