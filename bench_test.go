@@ -1,6 +1,7 @@
 package hnp
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"hnp/internal/chaos"
 	"hnp/internal/core"
 	"hnp/internal/cql"
+	"hnp/internal/des"
 	"hnp/internal/exp"
 	"hnp/internal/hierarchy"
 	"hnp/internal/iflow"
@@ -742,6 +744,86 @@ func BenchmarkDataPlane(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/tuples, "allocs/tuple")
+}
+
+// BenchmarkEventQueue measures internal/des alone at the depth and event
+// mix iflow gives it on the rate-shift worlds (counted there at seed 7:
+// 56.7 % of events queued for the instant they are created in — same-node
+// hand-offs — 17.4 % closures, the rest delayed sends, mean depth at pop
+// 66.4; BenchmarkDataPlane's one K=6 query holds the queue near depth 8,
+// where its discipline hardly shows). 64 closures re-queue themselves at
+// exponential gaps like source taps; each firing sends one message for
+// this instant and one delayed, and handling either sends on — one
+// hand-off always, a second every eighth time, a delayed one every fourth
+// — with a delay of 1/64 of the mean gap, so that little besides the
+// ticks waits in the queue. The body counts what it queued and fails if
+// the mix is more than 5 points, or the depth more than 20 %, off those
+// figures. One op is 10 s of virtual time, ~3,700 events.
+func BenchmarkEventQueue(b *testing.B) {
+	// msg is iflow's delivery in size and shape; hops is how many times
+	// its handling sends on.
+	type msg struct {
+		sink, op *int
+		hops     int
+		t        iflow.Tuple
+	}
+	const (
+		tickers = 64
+		delay   = 1.0 / tickers
+	)
+	rng := rand.New(rand.NewSource(1))
+	var sim *des.Sim[msg]
+	var ticks, instant, delayed, handled, sentOn, depth int
+	sim = des.New(func(m msg) {
+		depth += sim.Pending()
+		handled++
+		if m.hops == 0 {
+			return
+		}
+		m.hops--
+		sentOn++
+		sim.Send(0, m)
+		instant++
+		if sentOn%8 == 0 {
+			sim.Send(0, m)
+			instant++
+		}
+		if sentOn%4 == 0 {
+			sim.Send(delay, m)
+			delayed++
+		}
+	})
+	var tick func()
+	tick = func() {
+		depth += sim.Pending()
+		ticks++
+		m := msg{hops: 1, t: iflow.Tuple{Key: int64(ticks), Size: 100, Born: sim.Now()}}
+		sim.Send(0, m)
+		sim.Send(delay, m)
+		instant++
+		delayed++
+		sim.Schedule(rng.ExpFloat64(), tick)
+	}
+	for i := 0; i < tickers; i++ {
+		sim.Schedule(rng.ExpFloat64(), tick)
+	}
+	sim.RunUntil(10)
+	ticks, instant, delayed, handled, depth = 0, 0, 0, 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.RunUntil(sim.Now() + 10)
+	}
+	b.StopTimer()
+	// Events fired and events queued differ only by what is in flight.
+	events := float64(ticks + handled)
+	queued := float64(ticks + instant + delayed)
+	if math.Abs(100*float64(instant)/queued-56.7) > 5 || math.Abs(100*float64(ticks)/queued-17.4) > 5 ||
+		math.Abs(float64(depth)/events-66.4) > 0.2*66.4 {
+		b.Fatalf("queued %d closures, %d same-instant and %d delayed sends at mean depth %.1f; want 17.4%% / 56.7%% / the rest at 66.4",
+			ticks, instant, delayed, float64(depth)/events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 }
 
 // BenchmarkAdaptControl measures the closed-loop re-optimization

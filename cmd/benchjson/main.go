@@ -74,7 +74,8 @@ func run(outPath, compare string, threshold float64, args []string) (int, error)
 
 	traj := benchfmt.New("go test -bench | cmd/benchjson", 0, "")
 	var err error
-	if traj.Benchmarks, err = benchfmt.ParseGoBench(io.TeeReader(in, os.Stderr)); err != nil {
+	// The header's GOMAXPROCS is the benchmarks', not this converter's.
+	if traj.Benchmarks, traj.GOMAXPROCS, err = benchfmt.ParseGoBench(io.TeeReader(in, os.Stderr)); err != nil {
 		return 0, err
 	}
 	if len(traj.Benchmarks) == 0 {

@@ -68,6 +68,9 @@ type Result struct {
 	// hardware-independent and gated with no slack, to a thousandth.
 	NsPerTuple     float64 `json:"ns_per_tuple,omitempty"`
 	AllocsPerTuple float64 `json:"allocs_per_tuple,omitempty"`
+	// NsPerEvent divides an event-queue run by the events it fired (0
+	// where the notion doesn't apply); informational, like NsPerTuple.
+	NsPerEvent float64 `json:"ns_per_event,omitempty"`
 
 	// Serving-harness figures (cmd/smqbench; 0 where the notion doesn't
 	// apply). For serving entries NsPerOp carries the p50 plan latency,
@@ -258,44 +261,49 @@ func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 //
 //	go test -run '^$' -bench ... -benchmem
 //
-// into one Result per benchmark result line, in input order. The entry
-// name is the Go benchmark name without the "Benchmark" prefix and the
-// GOMAXPROCS suffix ("BenchmarkMigrate/delta-2" is "Migrate/delta"). The
-// standard units and the ones the repo's bodies emit through
-// b.ReportMetric fill the matching Result fields; other units have no
-// field and are dropped. Everything that is not a result line (the
-// goos/pkg header, PASS/ok, "--- BENCH" logs) is skipped. A result line
-// that does not parse is an error, and so is any FAIL line: a failed run
-// must not become a shorter trajectory.
-func ParseGoBench(r io.Reader) ([]Result, error) {
-	var out []Result
+// into one Result per benchmark result line, in input order, and the
+// GOMAXPROCS they ran at. The entry name is the Go benchmark name without
+// the "Benchmark" prefix and the GOMAXPROCS suffix
+// ("BenchmarkMigrate/delta-2" is "Migrate/delta"); go test writes no
+// suffix at one P, and rows that disagree are an error, as one header
+// cannot describe them. The standard units and the ones the repo's bodies
+// emit through b.ReportMetric fill the matching Result fields; other
+// units have no field and are dropped. Everything that is not a result
+// line (the goos/pkg header, PASS/ok, "--- BENCH" logs) is skipped. A
+// result line that does not parse is an error, and so is any FAIL line: a
+// failed run must not become a shorter trajectory.
+func ParseGoBench(r io.Reader) (out []Result, gomaxprocs int, err error) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
-			return nil, fmt.Errorf("benchmark run failed: %q", line)
+			return nil, 0, fmt.Errorf("benchmark run failed: %q", line)
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
 		f := strings.Fields(line)
 		if len(f) < 4 || len(f)%2 != 0 {
-			return nil, fmt.Errorf("malformed benchmark line %q", line)
+			return nil, 0, fmt.Errorf("malformed benchmark line %q", line)
 		}
-		res := Result{Name: strings.TrimPrefix(f[0], "Benchmark")}
+		res, procs := Result{Name: strings.TrimPrefix(f[0], "Benchmark")}, 1
 		// go test appends "-N" (GOMAXPROCS) to the name when N > 1.
-		if i := strings.LastIndexByte(res.Name, '-'); i >= 0 && i+1 < len(res.Name) &&
-			strings.Trim(res.Name[i+1:], "0123456789") == "" {
-			res.Name = res.Name[:i]
+		if i := strings.LastIndexByte(res.Name, '-'); i >= 0 {
+			if n, err := strconv.Atoi(res.Name[i+1:]); err == nil && n > 0 {
+				res.Name, procs = res.Name[:i], n
+			}
 		}
-		var err error
+		if gomaxprocs != 0 && procs != gomaxprocs {
+			return nil, 0, fmt.Errorf("benchmark line %q ran at GOMAXPROCS %d, the rows before it at %d", line, procs, gomaxprocs)
+		}
+		gomaxprocs = procs
 		if res.Iterations, err = strconv.Atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("malformed benchmark line %q: iterations: %w", line, err)
+			return nil, 0, fmt.Errorf("malformed benchmark line %q: iterations: %w", line, err)
 		}
 		for i := 2; i < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("malformed benchmark line %q: %s: %w", line, f[i+1], err)
+				return nil, 0, fmt.Errorf("malformed benchmark line %q: %s: %w", line, f[i+1], err)
 			}
 			switch f[i+1] {
 			case "ns/op":
@@ -318,9 +326,11 @@ func ParseGoBench(r io.Reader) ([]Result, error) {
 				res.NsPerTuple = v
 			case "allocs/tuple":
 				res.AllocsPerTuple = v
+			case "ns/event":
+				res.NsPerEvent = v
 			}
 		}
 		out = append(out, res)
 	}
-	return out, sc.Err()
+	return out, gomaxprocs, sc.Err()
 }

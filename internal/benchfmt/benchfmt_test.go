@@ -94,15 +94,16 @@ goarch: amd64
 pkg: hnp
 cpu: Some CPU @ 2.00GHz
 BenchmarkSolveK4-2             	   59743	     20041 ns/op	 609932631 plans/s	     768 B/op	      11 allocs/op
-BenchmarkAPSP                  	    3752	    408244.4 ns/op
-BenchmarkAdsInputsFor/1024-16  	  105898	     12415 ns/op	    5625 B/op	      51 allocs/op
+BenchmarkAPSP-2                	    3752	    408244.4 ns/op
+BenchmarkAdsInputsFor/1024-2   	  105898	     12415 ns/op	    5625 B/op	      51 allocs/op
 BenchmarkMigrate/delta-2       	   70600	     15166 ns/op	         2.000 ops-churned/op	   11336 B/op	     117 allocs/op
 --- BENCH: BenchmarkMigrate/delta-2
     bench_test.go:1: a log line
 BenchmarkAdaptControl/compare-2         	       1	1814076189 ns/op	         0.8634 bytes-vs-always	         0.5875 bytes-vs-never	         8.000 migrations/op	274901528 B/op	 8022356 allocs/op
 BenchmarkRewritePushdown-2     	   18064	     73196 ns/op	         0.1763 rewrite-bytes-frac	   36955 B/op	     569 allocs/op
 BenchmarkDeploy/telemetry-off-2	   20847	     73014 ns/op	 142365391 plans/s	    5698 B/op	     116 allocs/op
-BenchmarkDataPlane 	   13141	     89161 ns/op	         0.006930 allocs/tuple	       219.3 ns/tuple	   22631 B/op	       2 allocs/op
+BenchmarkDataPlane-2 	   13141	     89161 ns/op	         0.006930 allocs/tuple	       219.3 ns/tuple	   22631 B/op	       2 allocs/op
+BenchmarkEventQueue-2 	     100	  11222333 ns/op	        84.50 ns/event	      16 B/op	       0 allocs/op
 PASS
 ok  	hnp	31.5s
 `
@@ -116,17 +117,39 @@ ok  	hnp	31.5s
 		{Name: "RewritePushdown", Iterations: 18064, NsPerOp: 73196, RewriteBytesFrac: 0.1763, BytesOp: 36955, AllocsOp: 569},
 		{Name: "Deploy/telemetry-off", Iterations: 20847, NsPerOp: 73014, PlansPerSec: 142365391, BytesOp: 5698, AllocsOp: 116},
 		{Name: "DataPlane", Iterations: 13141, NsPerOp: 89161, AllocsPerTuple: 0.00693, NsPerTuple: 219.3, BytesOp: 22631, AllocsOp: 2},
+		{Name: "EventQueue", Iterations: 100, NsPerOp: 11222333, NsPerEvent: 84.5, BytesOp: 16},
 	}
-	got, err := ParseGoBench(strings.NewReader(in))
+	got, procs, err := ParseGoBench(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parsed\n%+v\nwant\n%+v", got, want)
 	}
+	if procs != 2 {
+		t.Errorf("GOMAXPROCS %d from rows suffixed -2", procs)
+	}
 
-	if got, err := ParseGoBench(strings.NewReader("PASS\nok  \thnp\t0.1s\n")); err != nil || len(got) != 0 {
+	if got, _, err := ParseGoBench(strings.NewReader("PASS\nok  \thnp\t0.1s\n")); err != nil || len(got) != 0 {
 		t.Errorf("no result lines: %v, %v; want none, nil", got, err)
+	}
+}
+
+// The header's gomaxprocs is the benchmark run's, read off the row names:
+// go test writes no suffix at one P (-cpu 1), "-N" above it.
+func TestParseGoBenchGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct {
+		in, second string
+		procs      int
+	}{
+		{"BenchmarkA \t 10\t 5 ns/op\nBenchmarkB/64 \t 10\t 5 ns/op\n", "B/64", 1},
+		{"BenchmarkA-2 \t 10\t 5 ns/op\nBenchmarkB/64-2 \t 10\t 5 ns/op\n", "B/64", 2},
+		{"BenchmarkA-16 \t 10\t 5 ns/op\nBenchmarkB/x-y-16 \t 10\t 5 ns/op\n", "B/x-y", 16},
+	} {
+		got, procs, err := ParseGoBench(strings.NewReader(c.in))
+		if err != nil || procs != c.procs || len(got) != 2 || got[0].Name != "A" || got[1].Name != c.second {
+			t.Errorf("%q: rows %+v at GOMAXPROCS %d, %v; want A and %s at %d", c.in, got, procs, err, c.second, c.procs)
+		}
 	}
 }
 
@@ -141,8 +164,10 @@ func TestParseGoBenchRejects(t *testing.T) {
 		"failed benchmark":   good + "--- FAIL: BenchmarkB-2\n    bench_test.go:9: boom\n",
 		"failed package":     good + "FAIL\thnp\t0.4s\n",
 		"failed build":       "FAIL\thnp [build failed]\n",
+		"mixed GOMAXPROCS":   good + "BenchmarkB-4 \t 10\t 5 ns/op\n",
+		"some rows at one P": good + "BenchmarkB \t 10\t 5 ns/op\n",
 	} {
-		if got, err := ParseGoBench(strings.NewReader(in)); err == nil {
+		if got, _, err := ParseGoBench(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted, returning %+v", name, got)
 		} else if got != nil {
 			t.Errorf("%s: partial result %+v alongside %v", name, got, err)

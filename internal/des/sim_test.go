@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -132,17 +133,32 @@ type schedOp struct {
 	child int
 }
 
-// refSim is the specification the heap is held to: a pending list in
+// program is one scripted run: what each event queues when it fires, and
+// what is queued from outside before each RunUntil.
+type program struct {
+	script [][]schedOp
+	phases []phase
+}
+
+type phase struct {
+	outside []schedOp
+	limit   float64 // RunUntil(limit) once outside is queued; +Inf means Run
+}
+
+// refSim is the specification the queue is held to: a pending list in
 // queueing order, stably sorted by time before each pop — that is, the
-// (t, seq) order by definition, with no heap in sight.
+// (t, seq) order by definition, with no heap and no ring in sight.
 type refSim struct {
 	now     float64
 	pending []refEvent
 }
 
+// refEvent is one firing: when, which event, and how many events were
+// still queued as it began.
 type refEvent struct {
-	t  float64
-	id int
+	t       float64
+	id      int
+	pending int
 }
 
 func (r *refSim) queue(op schedOp) {
@@ -150,7 +166,7 @@ func (r *refSim) queue(op schedOp) {
 	if op.how != 1 { // a delay, clamped at zero
 		t = r.now + math.Max(op.v, 0)
 	}
-	r.pending = append(r.pending, refEvent{math.Max(t, r.now), op.child})
+	r.pending = append(r.pending, refEvent{t: math.Max(t, r.now), id: op.child})
 }
 
 // runUntil fires pending events with time ≤ limit in stable time order,
@@ -164,19 +180,197 @@ func (r *refSim) runUntil(limit float64, script [][]schedOp, order *[]refEvent) 
 		e := r.pending[0]
 		r.pending = r.pending[1:]
 		r.now = e.t
-		*order = append(*order, e)
+		*order = append(*order, refEvent{e.t, e.id, len(r.pending)})
 		for _, op := range script[e.id] {
 			r.queue(op)
 		}
 	}
 }
 
-// TestHeapMatchesStableSort is the differential test of the typed heap:
+func (p program) onRef() []refEvent {
+	var want []refEvent
+	ref := &refSim{}
+	for _, ph := range p.phases {
+		for _, op := range ph.outside {
+			ref.queue(op)
+		}
+		ref.runUntil(ph.limit, p.script, &want)
+		if !math.IsInf(ph.limit, 1) {
+			ref.now = math.Max(ref.now, ph.limit)
+		}
+	}
+	return want
+}
+
+// coverage counts, from inside the package, what a run put the same-instant
+// ring through, so the generator aimed at it cannot drift off target.
+type coverage struct {
+	queued, instant int         // events queued; of them, into the ring
+	chain           int         // longest run of ring events each queued by the one before
+	behindHeap      int         // ring pushes from a firing event with the instant's heap entries still queued
+	between         int         // ring pushes from outside, after a RunUntil
+	late            int         // RunUntil(t) with t < now
+	regrown         map[int]int // old ring length → doublings with the live events wrapped around its end
+}
+
+// onSim runs the program on the simulation under test; message events
+// reach fire through the handler, closure events call it directly. A nil
+// cov counts into nothing kept.
+func (p program) onSim(cov *coverage) ([]refEvent, *Sim[int]) {
+	if cov == nil {
+		cov = &coverage{regrown: map[int]int{}}
+	}
+	var got []refEvent
+	var s *Sim[int]
+	depth := make([]int, len(p.script)) // same-instant chain ending at each event
+	var queue func(op schedOp, parent int)
+	fire := func(id int) {
+		got = append(got, refEvent{s.Now(), id, s.Pending()})
+		for _, op := range p.script[id] {
+			queue(op, id)
+		}
+	}
+	queue = func(op schedOp, parent int) {
+		ringLen, n := len(s.ring), s.n
+		wrapped := s.head+s.n > ringLen
+		behind := parent >= 0 && len(s.q) > 0 && s.q[0].t == s.now
+		switch op.how {
+		case 0:
+			s.Schedule(op.v, func() { fire(op.child) })
+		case 1:
+			s.At(op.v, func() { fire(op.child) })
+		default:
+			s.Send(op.v, op.child)
+		}
+		cov.queued++
+		if s.n == n {
+			return
+		}
+		cov.instant++
+		depth[op.child] = 1
+		if parent >= 0 {
+			depth[op.child] += depth[parent]
+		}
+		cov.chain = max(cov.chain, depth[op.child])
+		if behind {
+			cov.behindHeap++
+		}
+		if parent < 0 && len(got) > 0 {
+			cov.between++
+		}
+		if len(s.ring) > ringLen && wrapped {
+			cov.regrown[ringLen]++
+		}
+	}
+	s = New(fire)
+	for _, ph := range p.phases {
+		for _, op := range ph.outside {
+			queue(op, -1)
+		}
+		if math.IsInf(ph.limit, 1) {
+			s.Run()
+			continue
+		}
+		if ph.limit < s.Now() {
+			cov.late++
+		}
+		s.RunUntil(ph.limit)
+	}
+	return got, s
+}
+
+// check runs the program both ways and reports the first difference.
+func (p program) check(cov *coverage) error {
+	got, s := p.onSim(cov)
+	want := p.onRef()
+	if n := len(p.script); len(got) != n || len(want) != n {
+		return fmt.Errorf("fired %d (Sim) / %d (reference) of %d events", len(got), len(want), n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("firing %d is event %d at t=%g with %d pending, stable sort says event %d at t=%g with %d pending",
+				i, got[i].id, got[i].t, got[i].pending, want[i].id, want[i].t, want[i].pending)
+		}
+	}
+	if s.Pending() != 0 {
+		return fmt.Errorf("%d events still pending after Run", s.Pending())
+	}
+	return nil
+}
+
+// ringValues are delays and times for the programs aimed at the ring:
+// coarse, so ties are the rule, and mostly not in the future.
+var ringValues = []float64{-5, -1, 0, 0, 0, 0, 0.5, 1, 1, 2, 3, 7}
+
+// decode reads a program from bytes, two per op. The first's low two bits
+// pick the call — 3 ends a phase with RunUntil — and the rest pick who
+// makes it: 0 the outside, 1–31 the event that many before (1 chains
+// events), 32–63 one of the first events (a hub fans out). The second
+// byte picks the delay, the time or the RunUntil limit.
+func decode(data []byte) program {
+	var p program
+	var ph phase
+	for ; len(data) >= 2; data = data[2:] {
+		how, who, v := int(data[0]&3), int(data[0]>>2), ringValues[int(data[1])%len(ringValues)]
+		if how == 3 {
+			ph.limit = v
+			p.phases = append(p.phases, ph)
+			ph = phase{}
+			continue
+		}
+		id := len(p.script)
+		p.script = append(p.script, nil)
+		op, parent := schedOp{how: how, v: v, child: id}, id-min(who, id)
+		if who >= 32 && id > 0 {
+			parent = (who - 32) % id
+		}
+		if who == 0 || id == 0 {
+			ph.outside = append(ph.outside, op)
+		} else {
+			p.script[parent] = append(p.script[parent], op)
+		}
+	}
+	ph.limit = math.Inf(1)
+	p.phases = append(p.phases, ph)
+	return p
+}
+
+// ringTrial draws the bytes of a program shaped to load the ring: chains,
+// one hub queueing a third of all events, a few RunUntils.
+func ringTrial(rng *rand.Rand) []byte {
+	n, hub := 40+rng.Intn(260), 32+rng.Intn(8)
+	data := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		who := 0 // the outside
+		switch r := rng.Intn(10); {
+		case r < 4:
+			who = 1
+		case r < 7:
+			who = hub
+		case r < 9:
+			who = 1 + rng.Intn(63)
+		}
+		how := rng.Intn(3)
+		if rng.Intn(15) == 0 {
+			how = 3
+		}
+		data = append(data, byte(who<<2|how), byte(rng.Intn(256)))
+	}
+	return data
+}
+
+// TestHeapMatchesStableSort is the differential test of the event queue:
 // 10,000 random schedules — coarse timestamps so ties are the rule,
 // negative delays, At in the past, events that queue more events from
 // inside Step, closures and messages interleaved, a RunUntil in the
 // middle with a second batch queued from outside after it — must fire in
-// exactly the order a stable sort by (t, seq) gives, at the same times.
+// exactly the order a stable sort by (t, seq) gives, at the same times
+// and with the same number pending at every firing. 2,000 more aim at the
+// same-instant ring, and must have hit what they aim at: zero-delay sends
+// from inside an event while the heap still holds entries for that
+// instant, chains of same-instant events, a ring doubling mid-pop with
+// its contents wrapped, same-instant pushes between RunUntils, and
+// RunUntil into the past.
 func TestHeapMatchesStableSort(t *testing.T) {
 	values := []float64{-5, -1, 0, 0, 0.5, 1, 1, 2, 3, 7}
 	for trial := 0; trial < 10000; trial++ {
@@ -199,62 +393,88 @@ func TestHeapMatchesStableSort(t *testing.T) {
 			}
 		}
 		split, mid := rng.Intn(roots+1), values[rng.Intn(len(values))]
+		p := program{script, []phase{{outside[:split], mid}, {outside[split:], math.Inf(1)}}}
+		if err := p.check(nil); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
 
-		var got []refEvent
-		var s *Sim[int]
-		var fire func(int)
-		fire = func(id int) {
-			got = append(got, refEvent{s.Now(), id})
-			for _, op := range script[id] {
-				queueOn(s, op, fire)
-			}
+	cov := &coverage{regrown: map[int]int{}}
+	for trial := 0; trial < 2000; trial++ {
+		if err := decode(ringTrial(rand.New(rand.NewSource(int64(trial))))).check(cov); err != nil {
+			t.Fatalf("ring trial %d: %v", trial, err)
 		}
-		s = New(fire)
-		for _, op := range outside[:split] {
-			queueOn(s, op, fire)
-		}
-		s.RunUntil(mid)
-		for _, op := range outside[split:] {
-			queueOn(s, op, fire)
-		}
-		s.Run()
+	}
+	t.Logf("ring trials: %+v", *cov)
+	if 100*cov.instant < 30*cov.queued {
+		t.Errorf("%d of %d events were queued for the current instant, want at least 30%%", cov.instant, cov.queued)
+	}
+	if cov.chain < 3 || cov.behindHeap == 0 || cov.between == 0 || cov.late == 0 || cov.regrown[16] == 0 || cov.regrown[32] == 0 {
+		t.Errorf("ring trials missed a case they aim at: %+v", *cov)
+	}
+}
 
-		var want []refEvent
-		ref := &refSim{}
-		for _, op := range outside[:split] {
-			ref.queue(op)
+// FuzzSim holds Sim to the stable-sort reference on whatever program the
+// bytes decode to.
+func FuzzSim(f *testing.F) {
+	for _, trial := range []int64{0, 9, 1234} {
+		f.Add(ringTrial(rand.New(rand.NewSource(trial))))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 { // the reference sorts its list at every pop
+			data = data[:1024]
 		}
-		ref.runUntil(mid, script, &want)
-		ref.now = math.Max(ref.now, mid)
-		for _, op := range outside[split:] {
-			ref.queue(op)
+		if err := decode(data).check(nil); err != nil {
+			t.Fatal(err)
 		}
-		ref.runUntil(math.Inf(1), script, &want)
+	})
+}
 
-		if len(got) != n || len(want) != n {
-			t.Fatalf("trial %d: fired %d (heap) / %d (reference) of %d events", trial, len(got), len(want), n)
+// TestDrainedSimPinsNothing: a popped event's slot, in the ring or in the
+// slab, is cleared, so a simulation that has run dry holds no reference
+// to anything its events carried (a retired operator's windows, in iflow).
+func TestDrainedSimPinsNothing(t *testing.T) {
+	s := New(func(*int) {})
+	for i := 0; i < 40; i++ {
+		s.Send(float64(i%3), new(int)) // i%3 == 0: the ring, which doubles twice
+		s.Schedule(float64(i%2), func() { s.Send(0, new(int)) })
+	}
+	s.Run()
+	if len(s.ring) < 64 || len(s.slab) == 0 {
+		t.Fatalf("ring of %d and slab of %d: the run did not load both", len(s.ring), len(s.slab))
+	}
+	for i, p := range s.ring {
+		if p.fn != nil || p.msg != nil {
+			t.Errorf("ring slot %d still holds %+v", i, p)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: firing %d is event %d at t=%g, stable sort says event %d at t=%g",
-					trial, i, got[i].id, got[i].t, want[i].id, want[i].t)
-			}
-		}
-		if s.Pending() != 0 {
-			t.Fatalf("trial %d: %d events still pending after Run", trial, s.Pending())
+	}
+	for i, p := range s.slab {
+		if p.fn != nil || p.msg != nil {
+			t.Errorf("slab slot %d still holds %+v", i, p)
 		}
 	}
 }
 
-// queueOn applies one scripted call to the simulation under test; message
-// events reach fire through the handler, closure events call it directly.
-func queueOn(s *Sim[int], op schedOp, fire func(int)) {
-	switch op.how {
-	case 0:
-		s.Schedule(op.v, func() { fire(op.child) })
-	case 1:
-		s.At(op.v, func() { fire(op.child) })
-	default:
-		s.Send(op.v, op.child)
+// A NaN time compares false both ways — no place in the order — so it is
+// refused where it enters.
+func TestNaNTimePanics(t *testing.T) {
+	for name, call := range map[string]func(*Sim[int]){
+		"At":       func(s *Sim[int]) { s.At(math.NaN(), func() {}) },
+		"Schedule": func(s *Sim[int]) { s.Schedule(math.NaN(), func() {}) },
+		"Send":     func(s *Sim[int]) { s.Send(math.NaN(), 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(func(int) {})
+			s.Schedule(1, func() {})
+			defer func() {
+				if r := recover(); r != "des: event time NaN" {
+					t.Errorf("recovered %v, want the NaN panic", r)
+				}
+				if s.Pending() != 1 {
+					t.Errorf("%d events pending after the refused call, want 1", s.Pending())
+				}
+			}()
+			call(s)
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,6 +75,35 @@ func (e testEngine) audit(t *testing.T, step string) {
 	if err := e.Audit(); err != nil {
 		t.Fatalf("audit after %s: %v", step, err)
 	}
+}
+
+// SetLiveRate — the call a rate-shift endpoint will sit on — must refuse
+// anything but a finite positive rate: +Inf would spin the source's tick
+// at one instant forever, NaN would queue an event with no place in time.
+func TestSetLiveRateRejectsNonFiniteRates(t *testing.T) {
+	e := newTestEngine(t, 3, 200)
+	d := e.start(t, AlgoTopDown, e.sink, 0, 1)
+	var tap *iflow.Operator
+	for _, l := range d.Plan.Leaves() {
+		if ids := d.Query.StreamsOf(l.Mask); !l.In.Derived && len(ids) == 1 && ids[0] == 0 {
+			tap = e.RT.Operator(l.In.Sig, l.Loc)
+		}
+	}
+	if tap == nil {
+		t.Fatalf("plan %s has no tap for stream 0", d.Plan)
+	}
+	rate, pending := tap.ExpRate(), e.RT.Sim.Pending()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -3} {
+		if _, err := e.SetLiveRate(0, bad); err == nil {
+			t.Errorf("SetLiveRate accepted %g", bad)
+		}
+		if tap.ExpRate() != rate || e.RT.Sim.Pending() != pending {
+			t.Errorf("after rate %g: tap at %g, %d events pending; want %g and %d",
+				bad, tap.ExpRate(), e.RT.Sim.Pending(), rate, pending)
+		}
+	}
+	e.RT.RunFor(20)
+	e.audit(t, "refused rates")
 }
 
 // TestEngineLifecycle drives a runtime-backed engine by hand through every

@@ -142,8 +142,8 @@ func (rt *Runtime) Calibrate(cat *query.Catalog, q *query.Query, plan *query.Pla
 // through Calibrate, which is the closed loop the adaptive controller
 // exercises.
 func (rt *Runtime) SetSourceRate(sig string, node netgraph.NodeID, rate float64) error {
-	if rate <= 0 {
-		return fmt.Errorf("iflow: non-positive rate %g for source %s", rate, sig)
+	if err := checkRate(sig, rate); err != nil {
+		return err
 	}
 	op := rt.Operator(sig, node)
 	if op == nil || !op.isBase {

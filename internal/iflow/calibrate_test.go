@@ -1,7 +1,9 @@
 package iflow
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"hnp/internal/core"
@@ -174,6 +176,37 @@ func TestSetSourceRateValidation(t *testing.T) {
 	if got := rt.Operator(leaf.In.Sig, leaf.Loc).rate; got != 12.5 {
 		t.Errorf("tap rate %g after SetSourceRate", got)
 	}
+}
+
+// StartSource and SetSourceRate must refuse anything but a finite positive
+// rate, naming the value, and leave the tap and the event queue untouched:
+// +Inf makes every gap zero (the tick re-queues itself at the current
+// instant forever), NaN makes the gap — an event time — NaN.
+func TestNonFiniteSourceRatesRejected(t *testing.T) {
+	w := makeTestWorld(t, 22)
+	rt := New(w.g, DefaultConfig(), 64)
+	op, err := rt.StartSource("tap", 3, 12.5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := rt.Sim.Pending()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -3} {
+		want := fmt.Sprintf("rate %g ", bad)
+		if _, err := rt.StartSource("fresh", 4, bad, 100); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("StartSource at rate %g: error %v", bad, err)
+		}
+		if rt.Operator("fresh", 4) != nil {
+			t.Errorf("StartSource at rate %g registered a tap", bad)
+		}
+		if err := rt.SetSourceRate("tap", 3, bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SetSourceRate to %g: error %v", bad, err)
+		}
+		if op.rate != 12.5 || op.expRate != 12.5 || rt.Sim.Pending() != pending {
+			t.Errorf("after rate %g: tap at %g (expected %g), %d events pending, want 12.5 and %d",
+				bad, op.rate, op.expRate, rt.Sim.Pending(), pending)
+		}
+	}
+	rt.RunFor(50) // returns: no tick re-queues itself at the instant it fires in
 }
 
 // Calibrated statistics must survive operator reuse across a migration:

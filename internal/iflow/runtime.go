@@ -9,6 +9,7 @@ package iflow
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hnp/internal/des"
@@ -584,12 +585,22 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 	op.win[s].insert(t)
 }
 
+// checkRate admits only a finite positive source rate. +Inf makes every
+// inter-arrival gap zero — the tick re-queues itself at the current
+// instant forever — and NaN makes the gap, and so an event time, NaN.
+func checkRate(sig string, rate float64) error {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("iflow: rate %g for source %s is not finite and positive", rate, sig)
+	}
+	return nil
+}
+
 // StartSource registers a base stream tap at its node and schedules
 // Poisson tuple emissions at the given rate (tuples per second) for the
 // lifetime of the simulation window driven by RunFor.
 func (rt *Runtime) StartSource(sig string, node netgraph.NodeID, rate float64, until float64) (*Operator, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("iflow: non-positive rate %g for source %s", rate, sig)
+	if err := checkRate(sig, rate); err != nil {
+		return nil, err
 	}
 	key := opKey{sig: sig, node: node}
 	if _, ok := rt.ops[key]; ok {
