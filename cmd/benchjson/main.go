@@ -22,8 +22,7 @@
 // plans_per_sec are hardware-relative, allocs_per_op, bytes_per_op and
 // the churn/byte ratios are not — an allocs/op regression is a real
 // regression on any machine. That asymmetry is why the ns/op gate carries
-// a generous tolerance while the allocs/op gate carries none. The serving
-// baseline (BENCH_serving.json) is cmd/smqbench's.
+// a generous tolerance while the allocs/op gate carries none.
 package main
 
 import (
@@ -72,7 +71,7 @@ func run(outPath, compare string, threshold float64, args []string) (int, error)
 		in = f
 	}
 
-	traj := benchfmt.New("go test -bench | cmd/benchjson", 0, "")
+	traj := benchfmt.New("go test -bench | cmd/benchjson")
 	var err error
 	// The header's GOMAXPROCS is the benchmarks', not this converter's.
 	if traj.Benchmarks, traj.GOMAXPROCS, err = benchfmt.ParseGoBench(io.TeeReader(in, os.Stderr)); err != nil {

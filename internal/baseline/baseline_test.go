@@ -257,25 +257,6 @@ func TestInNetworkProducesValidPlans(t *testing.T) {
 	}
 }
 
-func TestRandomPlacement(t *testing.T) {
-	f := makeFixture(11, 32, 3)
-	rng := rand.New(rand.NewSource(8))
-	res, err := RandomPlacement(f.g, f.paths, f.cat, f.q, rng.Intn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	opt, err := core.Optimal(f.g, f.paths, f.cat, f.q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost < opt.Cost-1e-6 {
-		t.Error("random placement beats optimal")
-	}
-}
-
 func TestSelectivityTreeLeftDeepShape(t *testing.T) {
 	f := makeFixture(13, 24, 5)
 	tree, err := SelectivityTreeLeftDeep(core.BaseInputs(f.cat, f.q, f.rt), f.rt, f.q.All())

@@ -50,32 +50,3 @@ func PlanThenDeploy(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog
 		LevelsVisited:   1,
 	}, nil
 }
-
-// RandomPlacement deploys the selectivity-optimal tree with every operator
-// on a uniformly random node — the floor any placement heuristic must
-// beat. The rng must be supplied for reproducibility.
-func RandomPlacement(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog,
-	q *query.Query, pick func(n int) int) (core.Result, error) {
-	rt := query.BuildRates(cat, q)
-	tree, err := SelectivityTree(core.BaseInputs(cat, q, rt), rt, q.All())
-	if err != nil {
-		return core.Result{}, fmt.Errorf("random: %w", err)
-	}
-	var place func(n *query.PlanNode) *query.PlanNode
-	place = func(n *query.PlanNode) *query.PlanNode {
-		if n.IsLeaf() {
-			return query.Leaf(*n.In)
-		}
-		return query.Join(place(n.L), place(n.R),
-			netgraph.NodeID(pick(g.NumNodes())), n.Rate)
-	}
-	placed := place(tree)
-	query.BuildWidths(cat, q).Stamp(placed)
-	return core.Result{
-		Plan:            placed,
-		Cost:            placed.Cost(paths.Dist, q.Sink),
-		PlansConsidered: 1,
-		ClustersPlanned: 1,
-		LevelsVisited:   1,
-	}, nil
-}

@@ -1,14 +1,12 @@
 // Package benchfmt defines the machine-readable benchmark-trajectory
-// format shared by cmd/benchjson (planner hot-path benchmarks converted
-// from `go test -bench` output, BENCH_planner.json) and cmd/smqbench
-// (serving-load benchmarks, BENCH_serving.json), plus the regression diff
-// both gate on.
+// format cmd/benchjson writes (planner hot-path benchmarks converted from
+// `go test -bench` output, BENCH_planner.json), plus the regression diff
+// it gates on.
 //
 // Two families of figures live in one schema. Hardware-relative numbers
-// (ns/op, latency quantiles, deploys/sec) move with the machine, so the
-// diff tolerates a configurable fraction on them. Hardware-independent
-// numbers (allocs/op, churn ratios) are real regressions on any machine
-// and tolerate nothing.
+// (ns/op, plans/s) move with the machine, so the diff tolerates a
+// configurable fraction on ns/op. Hardware-independent numbers (allocs/op,
+// churn ratios) are real regressions on any machine and tolerate nothing.
 package benchfmt
 
 import (
@@ -71,22 +69,6 @@ type Result struct {
 	// NsPerEvent divides an event-queue run by the events it fired (0
 	// where the notion doesn't apply); informational, like NsPerTuple.
 	NsPerEvent float64 `json:"ns_per_event,omitempty"`
-
-	// Serving-harness figures (cmd/smqbench; 0 where the notion doesn't
-	// apply). For serving entries NsPerOp carries the p50 plan latency,
-	// and the tail quantiles below are gated with the same
-	// hardware-relative tolerance as ns/op.
-	P95Ns int64 `json:"p95_ns,omitempty"`
-	P99Ns int64 `json:"p99_ns,omitempty"`
-	// DeploysPerSec is the sustained successful-deploy throughput of the
-	// serving run (hardware-relative, informational in the diff).
-	DeploysPerSec float64 `json:"deploys_per_sec,omitempty"`
-	// Rejected counts admission-control rejections (HTTP 429) during the
-	// run. Timing-dependent even on one machine, hence informational.
-	Rejected int64 `json:"rejected,omitempty"`
-	// Errors counts failed requests that were neither successes nor
-	// admission rejections (transport errors, unexpected statuses).
-	Errors int64 `json:"errors,omitempty"`
 }
 
 // Trajectory is one benchmark run: environment provenance plus results.
@@ -98,12 +80,6 @@ type Trajectory struct {
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	NumCPU     int    `json:"num_cpu,omitempty"`
-	// Seed and Benchtime describe a run whose tool chose them (smqbench's
-	// trace seed). A converted `go test -bench` run leaves both empty: its
-	// fixtures pin their own seeds, and each row's iterations say how long
-	// it ran.
-	Seed      int64  `json:"seed,omitempty"`
-	Benchtime string `json:"benchtime,omitempty"`
 	// BeforeCommit and Before keep rows measured at an earlier commit with
 	// the same fixtures, benchtime and machine as a run that replaced a
 	// code path, so the file shows both sides of the change. They are a
@@ -117,7 +93,7 @@ type Trajectory struct {
 // New returns a trajectory header describing this process: schema, Go
 // version, platform, and the processor counts the hardware-relative
 // figures were measured under.
-func New(tool string, seed int64, benchtime string) Trajectory {
+func New(tool string) Trajectory {
 	return Trajectory{
 		Schema:     Schema,
 		Tool:       tool,
@@ -126,8 +102,6 @@ func New(tool string, seed int64, benchtime string) Trajectory {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Seed:       seed,
-		Benchtime:  benchtime,
 	}
 }
 
@@ -162,10 +136,10 @@ func Write(path string, t Trajectory) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-// WriteAndCompare finishes a run for both trajectory tools: it writes t
-// to outPath and, when compare names a baseline, prints the diff against
-// it to stdout and returns the number of regressed benchmarks. The
-// baseline's before-rows are carried into the written file.
+// WriteAndCompare finishes a run: it writes t to outPath and, when
+// compare names a baseline, prints the diff against it to stdout and
+// returns the number of regressed benchmarks. The baseline's before-rows
+// are carried into the written file.
 func WriteAndCompare(outPath string, t Trajectory, compare string, tol float64) (int, error) {
 	var base Trajectory
 	if compare != "" {
@@ -188,12 +162,11 @@ func WriteAndCompare(outPath string, t Trajectory, compare string, tol float64) 
 }
 
 // Diff prints a per-benchmark diff of cur against base and returns how
-// many benchmarks regressed: ns/op beyond the tolerance, a serving
-// entry's p95/p99 beyond double the tolerance (tails are noisier than
-// medians), or any allocs/op or allocs/tuple increase
-// (hardware-independent, hence no slack at all). Benchmarks present on only one side are reported — new
-// ones in run order, dropped ones in baseline order — but never counted
-// as regressions: renames and additions are trajectory changes, not
+// many benchmarks regressed: ns/op beyond the tolerance, or any allocs/op
+// or allocs/tuple increase (hardware-independent, hence no slack at all).
+// Benchmarks present on only one side are reported — new ones in run
+// order, dropped ones in baseline order — but never counted as
+// regressions: renames and additions are trajectory changes, not
 // slowdowns.
 func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 	byName := map[string]Result{}
@@ -212,12 +185,9 @@ func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 		delete(byName, c.Name)
 		var verdicts []string
 		var pct float64
-		slower := func(cur, base int64, t float64) bool {
-			return base > 0 && float64(cur) > float64(base)*(1+t)
-		}
 		if b.NsPerOp > 0 {
 			pct = 100 * (float64(c.NsPerOp) - float64(b.NsPerOp)) / float64(b.NsPerOp)
-			if slower(c.NsPerOp, b.NsPerOp, tol) {
+			if float64(c.NsPerOp) > float64(b.NsPerOp)*(1+tol) {
 				verdicts = append(verdicts, "ns/op")
 			}
 		}
@@ -228,15 +198,6 @@ func Diff(w io.Writer, base, cur Trajectory, tol float64) int {
 		// a short run's handful of runtime allocations is not a regression.
 		if math.Floor(c.AllocsPerTuple*1000) > math.Floor(b.AllocsPerTuple*1000) {
 			verdicts = append(verdicts, "allocs/tuple")
-		}
-		// Tail quantiles are estimated from far fewer effective samples
-		// than the median — a p99 over ~1k requests moves with a single
-		// scheduler hiccup — so they get double the tolerance.
-		if slower(c.P95Ns, b.P95Ns, 2*tol) {
-			verdicts = append(verdicts, "p95")
-		}
-		if slower(c.P99Ns, b.P99Ns, 2*tol) {
-			verdicts = append(verdicts, "p99")
 		}
 		verdict := "ok"
 		if len(verdicts) > 0 {

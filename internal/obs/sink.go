@@ -70,34 +70,3 @@ func PublishExpvar(name string, reg *Registry) {
 	}
 	expvar.Publish(name, expvar.Func(func() interface{} { return reg.Snapshot() }))
 }
-
-// ExpvarSink publishes the latest emitted snapshot under a fixed expvar
-// name — the push-based counterpart of PublishExpvar for metrics that
-// should be frozen between emissions.
-type ExpvarSink struct {
-	mu   sync.Mutex
-	last Snapshot
-}
-
-// NewExpvarSink registers the sink under the given expvar name and
-// returns it. Reusing a name returns a sink that still stores snapshots
-// but is not separately published.
-func NewExpvarSink(name string) *ExpvarSink {
-	s := &ExpvarSink{}
-	if _, loaded := expvarOnce.LoadOrStore(name, true); !loaded {
-		expvar.Publish(name, expvar.Func(func() interface{} {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.last
-		}))
-	}
-	return s
-}
-
-// Emit stores the snapshot for subsequent expvar reads.
-func (s *ExpvarSink) Emit(snap Snapshot) error {
-	s.mu.Lock()
-	s.last = snap
-	s.mu.Unlock()
-	return nil
-}

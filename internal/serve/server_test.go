@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hnp"
+	"hnp/internal/workload"
 )
 
 // testConfig returns a small-but-real server shape: two shards over a
@@ -311,15 +312,19 @@ func TestServeErrorPaths(t *testing.T) {
 
 // TestServeRaceHammer runs concurrent clients through the full lifecycle
 // against one server — the suite CI runs under -race. Every client mixes
-// deploys, explains, undeploys and read-only surfaces.
+// deploys, explains, undeploys and read-only surfaces; the statements are
+// a synthesized trace's (tenants, WHERE, WINDOW … AGGREGATE).
 func TestServeRaceHammer(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
-	stmts := []string{
-		testStmt,
-		"SELECT * FROM stream-0, stream-2",
-		"SELECT * FROM stream-3, stream-5, stream-8",
-		"SELECT * FROM stream-6, stream-7 WHERE stream-6.v BETWEEN 0.1 AND 0.9",
-		"SELECT * FROM stream-9, stream-10 WINDOW 30 AGGREGATE COUNT",
+	tr, err := workload.SynthesizeTrace(workload.DefaultTrace(7), s.StreamNames(), testConfig().Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deploys []workload.TraceEvent
+	for _, ev := range tr.Events {
+		if ev.Kind == workload.KindDeploy {
+			deploys = append(deploys, ev)
+		}
 	}
 	const clients = 8
 	const iters = 20
@@ -330,10 +335,8 @@ func TestServeRaceHammer(t *testing.T) {
 			defer wg.Done()
 			var ids []int64
 			for i := 0; i < iters; i++ {
-				stmt := stmts[(c+i)%len(stmts)]
-				code, body := postJSON(t, ts.URL+"/deploy", DeployRequest{
-					CQL: stmt, Sink: (c*7 + i) % testConfig().Nodes, Tenant: fmt.Sprintf("t%d", c%3),
-				})
+				ev := deploys[(c*iters+i)%len(deploys)]
+				code, body := postJSON(t, ts.URL+"/deploy", DeployRequest{CQL: ev.CQL, Sink: ev.Sink, Tenant: ev.Tenant})
 				if code != http.StatusOK {
 					t.Errorf("client %d deploy: %d %.200s", c, code, body)
 					return

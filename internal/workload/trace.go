@@ -9,21 +9,17 @@ import (
 // TraceConfig parameterizes one synthesized serving trace: a timestamped
 // sequence of deploy/undeploy requests, the serving-layer counterpart of
 // Config's one-shot query batches. Everything is drawn from one seed, so
-// a trace is bit-identical across runs and machines — the load harness
-// and its committed baseline replay the same request sequence forever.
+// a trace is bit-identical across runs and machines — bench/ replays the
+// same request sequence for a seed forever.
 type TraceConfig struct {
 	// Seed drives every random choice in the trace.
 	Seed int64
-	// Duration is the trace horizon in seconds of trace time (the load
-	// harness replays it at a configurable speedup).
+	// Duration is the trace horizon in seconds of trace time; with Rate
+	// it sets how many events the trace holds.
 	Duration float64
-	// Rate is the base arrival rate in requests per second of trace time;
+	// Rate is the arrival rate in requests per second of trace time;
 	// inter-arrival gaps are exponential (Poisson arrivals).
 	Rate float64
-	// BurstEvery/BurstLen/BurstFactor shape arrival bursts: every
-	// BurstEvery seconds the arrival rate is multiplied by BurstFactor
-	// for BurstLen seconds. BurstEvery <= 0 disables bursts.
-	BurstEvery, BurstLen, BurstFactor float64
 	// Templates is the number of distinct query shapes in the mix; each
 	// arrival instantiates one template.
 	Templates int
@@ -74,7 +70,7 @@ type TraceEvent struct {
 	// At is the arrival time in seconds of trace time.
 	At float64 `json:"at"`
 	// Kind is KindDeploy or KindUndeploy. Undeploy events carry no CQL:
-	// the harness retires the oldest outstanding deployment.
+	// whoever replays the trace retires the oldest outstanding deployment.
 	Kind string `json:"kind"`
 	// Tenant multiplexes the request stream ("tenant-N").
 	Tenant string `json:"tenant"`
@@ -126,11 +122,6 @@ func pick(rng *rand.Rand, w []float64) int {
 // property tests compare empirical shares against.
 func ZipfShare(n int, s float64, i int) float64 {
 	return zipfWeights(n, s)[i]
-}
-
-// InBurst reports whether trace time t falls inside a burst window.
-func (cfg TraceConfig) InBurst(t float64) bool {
-	return cfg.BurstEvery > 0 && math.Mod(t, cfg.BurstEvery) < cfg.BurstLen
 }
 
 // template is one query shape, rendered to CQL per arrival.
@@ -195,11 +186,7 @@ func SynthesizeTrace(cfg TraceConfig, names []string, n int) (*Trace, error) {
 	outstanding := 0
 	t := 0.0
 	for {
-		rate := cfg.Rate
-		if cfg.InBurst(t) {
-			rate *= cfg.BurstFactor
-		}
-		t += rng.ExpFloat64() / rate
+		t += rng.ExpFloat64() / cfg.Rate
 		if t >= cfg.Duration {
 			break
 		}

@@ -89,38 +89,25 @@ func TestTraceStatements(t *testing.T) {
 }
 
 // TestTraceArrivalStats checks the empirical arrival process against the
-// configured parameters: overall rate, monotone non-decreasing
-// timestamps inside the horizon, and the burst-window rate multiplier.
+// configured parameters: overall rate, and monotone non-decreasing
+// timestamps inside the horizon.
 func TestTraceArrivalStats(t *testing.T) {
 	names, _ := traceNames(t, 16, 64, 3)
 	cfg := DefaultTrace(11)
 	cfg.Duration, cfg.Rate = 50, 200
-	cfg.BurstEvery, cfg.BurstLen, cfg.BurstFactor = 5, 1, 6
 	tr, err := SynthesizeTrace(cfg, names, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inBurst, outBurst := 0, 0
 	last := 0.0
 	for _, ev := range tr.Events {
 		if ev.At < last || ev.At >= cfg.Duration {
 			t.Fatalf("event at %g out of order or past horizon (prev %g)", ev.At, last)
 		}
 		last = ev.At
-		if cfg.InBurst(ev.At) {
-			inBurst++
-		} else {
-			outBurst++
-		}
 	}
-	burstSecs := cfg.Duration / cfg.BurstEvery * cfg.BurstLen
-	rateIn := float64(inBurst) / burstSecs
-	rateOut := float64(outBurst) / (cfg.Duration - burstSecs)
-	if rel(rateOut, cfg.Rate) > 0.10 {
-		t.Fatalf("off-burst rate %.1f/s, configured %.1f/s", rateOut, cfg.Rate)
-	}
-	if rel(rateIn/rateOut, cfg.BurstFactor) > 0.20 {
-		t.Fatalf("burst multiplier %.2f, configured %.2f", rateIn/rateOut, cfg.BurstFactor)
+	if rate := float64(len(tr.Events)) / cfg.Duration; rel(rate, cfg.Rate) > 0.10 {
+		t.Fatalf("arrival rate %.1f/s, configured %.1f/s", rate, cfg.Rate)
 	}
 }
 
