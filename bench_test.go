@@ -114,7 +114,7 @@ func BenchmarkBottomUpPlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.w.Queries[i%len(w.w.Queries)]
-		if _, err := core.BottomUp(w.h, w.w.Catalog, q, nil); err != nil {
+		if _, err := core.BottomUpOpts(w.h, w.w.Catalog, q, nil, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkOptimalPlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.w.Queries[i%len(w.w.Queries)]
-		if _, err := core.Optimal(w.g, w.paths, w.w.Catalog, q, nil); err != nil {
+		if _, err := core.OptimalOpts(w.g, w.paths, w.w.Catalog, q, nil, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,6 +358,36 @@ func BenchmarkDeploy(b *testing.B) {
 	}
 }
 
+// BenchmarkDeployCQL measures one DeployCQL + Undeploy pair of a
+// three-way projecting statement whose operators already stand, with and
+// without its text standing. prepared-hit keeps a deployment of the very
+// text, so every pair instantiates the prepared statement; prepared-miss
+// keeps one of the same statement spelled with a trailing blank — the same
+// query, advertisements and plans under another text — so every pair
+// parses, rewrites, enters its entry and drops it again.
+func BenchmarkDeployCQL(b *testing.B) {
+	stmt := pushdownStatements[1]
+	for _, mode := range []struct{ name, standing string }{
+		{"prepared-miss", stmt + " "}, {"prepared-hit", stmt},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			sys, sink := newSchemaSystem(b)
+			if _, err := sys.DeployCQL(mode.standing, sink, AlgoTopDown); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := sys.DeployCQL(stmt, NodeID(i%64), AlgoTopDown)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Undeploy(d)
+			}
+		})
+	}
+}
+
 // --- advertisement registry -------------------------------------------------
 
 // adsBenchSizes are the standing-registry sizes the registry benchmarks
@@ -366,6 +396,42 @@ var adsBenchSizes = []int{64, 1024, 4096}
 
 var adsBenchSink int
 
+// standing is one deployment of a synthesized standing population: a
+// query and the placed plan whose operators it advertised.
+type standing struct {
+	Query *query.Query
+	Plan  *query.PlanNode
+}
+
+// standingAds fills a fresh registry the way a long-running server's
+// fills: left-deep plans of random 4-6-source queries over the given
+// number of streams, operators on random nodes, advertised one after the
+// other until at least n ads stand. Identical arguments give identical
+// registries.
+func standingAds(n, streams, nodes int, rng *rand.Rand) (*ads.Registry, []standing) {
+	reg := ads.NewRegistry()
+	var out []standing
+	for id := 1; reg.Len() < n; id++ {
+		k := 4 + rng.Intn(3)
+		srcs := make([]query.StreamID, k)
+		for i, s := range rng.Perm(streams)[:k] {
+			srcs[i] = query.StreamID(s)
+		}
+		q, err := query.NewQuery(id, srcs, netgraph.NodeID(rng.Intn(nodes)))
+		if err != nil {
+			panic(err) // distinct sources, at most 6: a bug here, not input
+		}
+		plan := query.Leaf(query.Input{Mask: 1})
+		for p := 1; p < k; p++ {
+			leaf := query.Leaf(query.Input{Mask: 1 << uint(p)})
+			plan = query.Join(plan, leaf, netgraph.NodeID(rng.Intn(nodes)), 1)
+		}
+		reg.AdvertisePlan(q, plan)
+		out = append(out, standing{q, plan})
+	}
+	return reg, out
+}
+
 // BenchmarkAdsInputsFor measures one planner lookup — each standing query
 // asks what can feed it, so every lookup matches at least its own
 // operators — against registries of growing size. The cost must follow
@@ -373,7 +439,7 @@ var adsBenchSink int
 func BenchmarkAdsInputsFor(b *testing.B) {
 	for _, n := range adsBenchSizes {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			reg, standing := workload.StandingAds(n, 24, 128, rand.New(rand.NewSource(7)))
+			reg, standing := standingAds(n, 24, 128, rand.New(rand.NewSource(7)))
 			rt := make(query.RateTable, 1<<6)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -389,7 +455,7 @@ func BenchmarkAdsInputsFor(b *testing.B) {
 func BenchmarkAdsRetract(b *testing.B) {
 	for _, n := range adsBenchSizes {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			reg, standing := workload.StandingAds(n, 24, 128, rand.New(rand.NewSource(7)))
+			reg, standing := standingAds(n, 24, 128, rand.New(rand.NewSource(7)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -987,7 +1053,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt, err := core.Optimal(tp.g, paths, w.Catalog, q, nil)
+				opt, err := core.OptimalOpts(tp.g, paths, w.Catalog, q, nil, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

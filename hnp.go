@@ -153,13 +153,5 @@ func NewSystem(g *Graph, maxCS int, seed int64) (*System, error) {
 // MetricDelay clusters the hierarchy by inter-node delay and every
 // planner minimizes rate-weighted latency instead of transfer cost.
 func NewSystemWithMetric(g *Graph, maxCS int, seed int64, m Metric) (*System, error) {
-	reg := obs.NewRegistry()
-	paths := g.ShortestPaths(m)
-	sp := obs.StartSpan(reg, "hierarchy.build")
-	h, err := hierarchy.Build(g, paths, maxCS, rand.New(rand.NewSource(seed)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewSystem(g, paths, h, query.NewCatalog(0.01), reg), nil
+	return engine.Build(g, g.ShortestPaths(m), query.NewCatalog(0.01), maxCS, seed)
 }

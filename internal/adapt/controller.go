@@ -17,8 +17,7 @@
 //	                  fixed, so a candidate the later gates suppressed
 //	                  stays hot until it either migrates or stops paying.)
 //	re-cost         — both the running plan and a fresh optimization are
-//	                  evaluated under the same calibrated rate table: cost
-//	                  (CostWith, the paper's rate×distance objective) and
+//	                  evaluated under the same calibrated rate table by
 //	                  transport byte rate (BytesWith, bytes crossing links
 //	                  per second — the metric migrations are judged by,
 //	                  since shipped state is paid in bytes too).
@@ -404,9 +403,8 @@ func (c *Controller) Step() {
 		// the commensurable currency. The gain is marginal, not a
 		// whole-plan comparison: edges shared with other deployments keep
 		// flowing after this query leaves them, so only edges the
-		// migration actually starts or stops count. CostWith remains the
-		// planner-side objective; the gain here is what the runtime's
-		// TotalBytes will actually see.
+		// migration actually starts or stops count: the gain here is what
+		// the runtime's TotalBytes will actually see.
 		rateOf := c.rateOf(t.q, rates)
 		curBytes := BytesWith(t.plan, rateOf, tupleSize, t.q.Sink)
 		gain := c.marginalGain(t.q, t.plan, fresh, rateOf, tupleSize)
@@ -541,36 +539,8 @@ func (c *Controller) drift(t *tracked) float64 {
 	return max
 }
 
-// CostWith re-costs a placed plan under a fresh rate table: every leaf
-// and join node's output rate is looked up by mask (so calibrated
-// statistics apply), unary nodes keep their annotated rate (aggregation
-// output rates are period-bound, not selectivity-bound). This is how the
-// controller compares the running plan — whose annotations are stale by
-// definition — against a fresh optimization on equal terms.
-func CostWith(plan *query.PlanNode, rates query.RateTable, dist query.DistFunc, sink netgraph.NodeID) float64 {
-	rate := func(n *query.PlanNode) float64 {
-		if n.IsUnary() {
-			return n.Rate
-		}
-		return rates.Rate(n.Mask)
-	}
-	var walk func(n *query.PlanNode) float64
-	walk = func(n *query.PlanNode) float64 {
-		if n.IsLeaf() {
-			return 0
-		}
-		if n.IsUnary() {
-			return walk(n.L) + rate(n.L)*dist(n.L.Loc, n.Loc)
-		}
-		return walk(n.L) + walk(n.R) +
-			rate(n.L)*dist(n.L.Loc, n.Loc) +
-			rate(n.R)*dist(n.R.Loc, n.Loc)
-	}
-	return walk(plan) + rate(plan)*dist(plan.Loc, sink)
-}
-
 // BytesWith predicts a placed plan's transport byte rate under a per-node
-// rate estimate: bytes crossing links per second. Unlike CostWith it
+// rate estimate: bytes crossing links per second. Unlike plan cost it
 // ignores distance — the runtime accounts TotalBytes once per remote
 // transfer, so only whether an edge crosses nodes matters, not how far.
 // Node-local handoffs are free. This is the estimate migration decisions

@@ -1,7 +1,6 @@
 package adapt
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -76,19 +75,6 @@ func (w *ctlWorld) baseLeaf(t *testing.T, id query.StreamID) *query.PlanNode {
 	}
 	t.Fatalf("no base leaf for stream %d", id)
 	return nil
-}
-
-// CostWith under the plan's own annotation rates must agree with the
-// plan's native Cost.
-func TestCostWithMatchesPlanCost(t *testing.T) {
-	w := makeCtlWorld(t, 1, 100)
-	rates := query.BuildRates(w.cat, w.q)
-	dist := w.rt.Cost.Dist
-	native := w.plan.Cost(dist, w.q.Sink)
-	got := CostWith(w.plan, rates, dist, w.q.Sink)
-	if math.Abs(got-native) > 1e-6*math.Max(math.Abs(native), 1) {
-		t.Errorf("CostWith = %g, plan.Cost = %g", got, native)
-	}
 }
 
 // A drastic live rate shift must flow through the whole loop: drift

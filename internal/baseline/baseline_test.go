@@ -97,7 +97,7 @@ func TestPlaceFixedTreeConsistency(t *testing.T) {
 		if math.Abs(actual-cost) > 1e-6*(1+cost) {
 			return false
 		}
-		opt, err := core.Optimal(f.g, f.paths, f.cat, f.q, nil)
+		opt, err := core.OptimalOpts(f.g, f.paths, f.cat, f.q, nil, core.Options{})
 		if err != nil {
 			return false
 		}
@@ -141,7 +141,7 @@ func TestPlanThenDeployNeverBeatsOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := core.Optimal(f.g, f.paths, f.cat, f.q, nil)
+		opt, err := core.OptimalOpts(f.g, f.paths, f.cat, f.q, nil, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestRelaxationProducesValidPlans(t *testing.T) {
 		if res.Plan.Mask != f.q.All() {
 			t.Errorf("seed %d: coverage %b", seed, res.Plan.Mask)
 		}
-		opt, err := core.Optimal(f.g, f.paths, f.cat, f.q, nil)
+		opt, err := core.OptimalOpts(f.g, f.paths, f.cat, f.q, nil, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestInNetworkProducesValidPlans(t *testing.T) {
 	if err := res.Plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.Optimal(f.g, f.paths, f.cat, f.q, nil)
+	opt, err := core.OptimalOpts(f.g, f.paths, f.cat, f.q, nil, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // DistFunc returns the distance between items i and j. It must be
@@ -32,7 +33,7 @@ func (r Result) Clusters() [][]int {
 		out[c] = append(out[c], item)
 	}
 	for _, ms := range out {
-		sort.Ints(ms)
+		slices.Sort(ms)
 	}
 	return out
 }
@@ -147,25 +148,27 @@ func capacityAssign(n int, medoids []int, maxSize int, dist DistFunc) []int {
 		regret float64
 	}
 	prefs := make([]pref, n)
+	orders := make([]int, n*k) // every item's order, carved from one array
+	d := make([]float64, k)    // the current item's distance to each medoid
 	for i := 0; i < n; i++ {
-		order := make([]int, k)
+		order := orders[i*k : (i+1)*k : (i+1)*k]
 		for c := range order {
 			order[c] = c
+			d[c] = dist(i, medoids[c])
 		}
-		sort.Slice(order, func(a, b int) bool {
-			da, db := dist(i, medoids[order[a]]), dist(i, medoids[order[b]])
-			if da != db {
-				return da < db
+		slices.SortFunc(order, func(a, b int) int {
+			if d[a] != d[b] {
+				return cmp.Compare(d[a], d[b])
 			}
-			return order[a] < order[b]
+			return a - b
 		})
 		regret := 0.0
 		if k > 1 {
-			regret = dist(i, medoids[order[1]]) - dist(i, medoids[order[0]])
+			regret = d[order[1]] - d[order[0]]
 		}
 		prefs[i] = pref{i, order, regret}
 	}
-	sort.SliceStable(prefs, func(a, b int) bool { return prefs[a].regret > prefs[b].regret })
+	slices.SortStableFunc(prefs, func(a, b pref) int { return cmp.Compare(b.regret, a.regret) })
 
 	assign := make([]int, n)
 	load := make([]int, k)

@@ -23,8 +23,8 @@ func TestAggregateAttachedByAllOptimizers(t *testing.T) {
 	q := aggQuery(t, w, 0, 9)
 	for name, run := range map[string]func() (Result, error){
 		"topdown":  func() (Result, error) { return TopDown(w.h, w.cat, q, nil) },
-		"bottomup": func() (Result, error) { return BottomUp(w.h, w.cat, q, nil) },
-		"optimal":  func() (Result, error) { return Optimal(w.g, w.paths, w.cat, q, nil) },
+		"bottomup": func() (Result, error) { return BottomUpOpts(w.h, w.cat, q, nil, Options{}) },
+		"optimal":  func() (Result, error) { return OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{}) },
 	} {
 		res, err := run()
 		if err != nil {
@@ -49,7 +49,7 @@ func TestAggregateAttachedByAllOptimizers(t *testing.T) {
 func TestAttachAggregatePlacement(t *testing.T) {
 	w := makeWorld(t, 32, 32, 4, 6, 0)
 	q := aggQuery(t, w, 0, 9)
-	res, err := Optimal(w.g, w.paths, w.cat, q, nil)
+	res, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestAggregateReducesDeliveryCost(t *testing.T) {
 func TestAggregateAvoidsHotNode(t *testing.T) {
 	w := makeWorld(t, 34, 32, 4, 6, 0)
 	q := aggQuery(t, w, 0, 9)
-	res, err := Optimal(w.g, w.paths, w.cat, q, nil)
+	res, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestTopDownProducesValidPlans(t *testing.T) {
 func TestBottomUpProducesValidPlans(t *testing.T) {
 	w := makeWorld(t, 2, 64, 8, 20, 15)
 	for _, q := range w.qs {
-		res, err := BottomUp(w.h, w.cat, q, nil)
+		res, err := BottomUpOpts(w.h, w.cat, q, nil, Options{})
 		if err != nil {
 			t.Fatalf("query %d: %v", q.ID, err)
 		}
@@ -109,7 +109,7 @@ func TestBottomUpProducesValidPlans(t *testing.T) {
 func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 	w := makeWorld(t, 3, 64, 8, 16, 10)
 	for _, q := range w.qs {
-		opt, err := Optimal(w.g, w.paths, w.cat, q, nil)
+		opt, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bu, err := BottomUp(w.h, w.cat, q, nil)
+		bu, err := BottomUpOpts(w.h, w.cat, q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +141,8 @@ func TestSingleSourceQuery(t *testing.T) {
 	want := w.cat.Stream(2).Rate * w.paths.Dist(w.cat.Stream(2).Source, 9)
 	for name, run := range map[string]func() (Result, error){
 		"topdown":  func() (Result, error) { return TopDown(w.h, w.cat, q, nil) },
-		"bottomup": func() (Result, error) { return BottomUp(w.h, w.cat, q, nil) },
-		"optimal":  func() (Result, error) { return Optimal(w.g, w.paths, w.cat, q, nil) },
+		"bottomup": func() (Result, error) { return BottomUpOpts(w.h, w.cat, q, nil, Options{}) },
+		"optimal":  func() (Result, error) { return OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{}) },
 	} {
 		res, err := run()
 		if err != nil {
@@ -179,11 +179,11 @@ func TestReuseReducesCost(t *testing.T) {
 		if reused.Cost > plain.Cost+1e-6 {
 			t.Errorf("query %d: reuse increased cost %g -> %g", q.ID, plain.Cost, reused.Cost)
 		}
-		bplain, err := BottomUp(w.h, w.cat, q, nil)
+		bplain, err := BottomUpOpts(w.h, w.cat, q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		breused, err := BottomUp(w.h, w.cat, q, reg)
+		breused, err := BottomUpOpts(w.h, w.cat, q, reg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +229,11 @@ func TestSearchSpaceReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bu, err := BottomUp(w.h, w.cat, q, nil)
+		bu, err := BottomUpOpts(w.h, w.cat, q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Optimal(w.g, w.paths, w.cat, q, nil)
+		opt, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestTopDownDegeneratesToOptimal(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt, err := Optimal(g, paths, cat, q, nil)
+		opt, err := OptimalOpts(g, paths, cat, q, nil, Options{})
 		if err != nil {
 			return false
 		}
@@ -306,11 +306,11 @@ func TestBottomUpDegeneratesToOptimal(t *testing.T) {
 		ids = append(ids, cat.Add("s", 10+rng.Float64()*10, netgraph.NodeID(rng.Intn(12))))
 	}
 	q, _ := query.NewQuery(0, ids, 3)
-	bu, err := BottomUp(h, cat, q, nil)
+	bu, err := BottomUpOpts(h, cat, q, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Optimal(g, paths, cat, q, nil)
+	opt, err := OptimalOpts(g, paths, cat, q, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestTheorem3BoundHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := Optimal(w.g, w.paths, w.cat, q, nil)
+			opt, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,7 @@ import (
 	"hnp/internal/query"
 )
 
-// BottomUp runs the paper's Bottom-Up algorithm: the query is registered
+// BottomUpOpts runs the paper's Bottom-Up algorithm: the query is registered
 // at its sink and propagates up the sink's coordinator chain. At each
 // level, the coordinator rewrites the query into a locally-available view
 // (base and derived streams inside its cluster's cover) and a remote
@@ -26,11 +26,6 @@ import (
 // committed, which is why its sub-optimality, unlike Top-Down's, cannot
 // be bounded (only its placement of the chosen ordering can). Pass a nil
 // registry to disable reuse.
-func BottomUp(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ads.Registry) (Result, error) {
-	return BottomUpOpts(h, cat, q, reg, Options{})
-}
-
-// BottomUpOpts is BottomUp with explicit Options.
 func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ads.Registry, opts Options) (Result, error) {
 	sp := obs.StartSpan(opts.Obs, "core.bottomup.plan")
 	defer sp.End()

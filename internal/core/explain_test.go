@@ -44,7 +44,7 @@ func TestTraceTotalsMatchAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bu, err := BottomUp(h, w.Catalog, q, reg)
+			bu, err := BottomUpOpts(h, w.Catalog, q, reg, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,18 +9,13 @@ import (
 	"hnp/internal/query"
 )
 
-// Optimal computes the minimum-cost joint plan+placement over the whole
+// OptimalOpts computes the minimum-cost joint plan+placement over the whole
 // network — the "exhaustive search / DP" baseline of the paper's Figures 7
 // and 8. It considers every bushy join order and every placement of every
 // operator on any node, plus reuse of every advertised derived stream when
 // a registry is given. PlansConsidered reports the Lemma 1 size of the
 // solution space this search covers (the paper plots the same closed form
 // for the exhaustive line).
-func Optimal(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q *query.Query, reg *ads.Registry) (Result, error) {
-	return OptimalOpts(g, paths, cat, q, reg, Options{})
-}
-
-// OptimalOpts is Optimal with explicit Options.
 func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q *query.Query, reg *ads.Registry, opts Options) (Result, error) {
 	rt := query.BuildRates(cat, q)
 	wt := query.BuildWidths(cat, q)

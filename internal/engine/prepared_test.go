@@ -1,0 +1,258 @@
+package engine
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"hnp/internal/netgraph"
+	"hnp/internal/obs"
+	"hnp/internal/query"
+)
+
+// preparedStmt exercises everything a prepared entry shares: predicates,
+// a pruning projection (Proj, SrcWidths), an aggregate and a rewrite
+// trace with applied rules.
+const preparedStmt = `SELECT S0.A, S1.B FROM S0, S1, S2
+	WHERE S0.A = S1.A AND S1.A = S2.A AND S0.B < 0.4
+	WINDOW 10 AGGREGATE COUNT`
+
+// newPreparedSystem is the test engine's planning half with schemas
+// declared, so the rewrite pipeline prunes columns.
+func newPreparedSystem(t *testing.T) (*System, netgraph.NodeID) {
+	t.Helper()
+	e := newTestEngine(t, 3, 0)
+	for id := 0; id < e.Catalog.NumStreams(); id++ {
+		e.SetSchema(query.StreamID(id), query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 8}, {Name: "blob", Width: 64}})
+	}
+	return e.System, e.sink
+}
+
+func (s *System) tableLen() int {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	return len(s.prepared)
+}
+
+// The table's first rule: an entry lives exactly as long as a deployment
+// of its text stands. What-if plans, failed plans, statements that do not
+// parse and statements that fold to a no-op never enter one.
+func TestPreparedPinnedByStandingDeployments(t *testing.T) {
+	prev := obs.Enabled.Load()
+	obs.Enable()
+	defer obs.Enabled.Store(prev)
+	sys, sink := newPreparedSystem(t)
+	hits, misses := sys.Obs.Counter("cql.prepared_hits"), sys.Obs.Counter("cql.prepared_misses")
+	want := func(step string, entries int, h, m int64) {
+		t.Helper()
+		if got := sys.tableLen(); got != entries || hits.Value() != h || misses.Value() != m {
+			t.Fatalf("%s: %d entries, %d hits, %d misses; want %d, %d, %d",
+				step, got, hits.Value(), misses.Value(), entries, h, m)
+		}
+		if g := sys.Obs.Gauge("cql.prepared_entries").Value(); g != float64(sys.tableLen()) {
+			t.Fatalf("%s: cql.prepared_entries = %g, table holds %d", step, g, sys.tableLen())
+		}
+	}
+
+	if _, err := sys.PlanCQL(preparedStmt, sink, AlgoTopDown); err != nil {
+		t.Fatal(err)
+	}
+	want("what-if plan of a text nobody deployed", 0, 0, 1)
+	if _, err := sys.DeployCQL(preparedStmt, sink, Algorithm(99)); err == nil {
+		t.Fatal("unknown algorithm planned")
+	}
+	want("failed plan", 0, 0, 2)
+	if _, err := sys.DeployCQL("SELECT * FROM NOSUCH", sink, AlgoTopDown); err == nil {
+		t.Fatal("unknown stream parsed")
+	}
+	want("parse error", 0, 0, 3)
+	noop, err := sys.DeployCQL("SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", sink, AlgoTopDown)
+	if err != nil || !noop.Rewrite.NoOp || noop.Plan != nil {
+		t.Fatalf("contradiction: %+v, %v", noop, err)
+	}
+	want("no-op statement", 0, 0, 4)
+	if sys.Undeploy(noop) != 0 {
+		t.Fatal("undeploying a no-op retracted advertisements")
+	}
+
+	d1, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("first deploy", 1, 0, 5)
+	d2, err := sys.DeployCQL(preparedStmt, sink+1, AlgoBottomUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("second deploy of the text", 1, 1, 5)
+	if d1.Query == d2.Query || d1.Query.ID == d2.Query.ID || d2.Query.Sink != sink+1 {
+		t.Fatalf("instances share identity: %+v, %+v", d1.Query, d2.Query)
+	}
+	if d1.Rewrite != d2.Rewrite || &d1.Query.Sources[0] != &d2.Query.Sources[0] {
+		t.Error("instances of one standing text do not share their prepared parts")
+	}
+	if _, err := sys.PlanCQL(preparedStmt, sink, AlgoOptimal); err != nil {
+		t.Fatal(err)
+	}
+	want("what-if plan of a standing text", 1, 2, 5)
+	other, err := sys.DeployCQL("SELECT * FROM S1, S3", sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("a second text", 2, 2, 6)
+
+	sys.Undeploy(d1)
+	want("one of two deployments retired", 2, 2, 6)
+	sys.Undeploy(d2)
+	want("text no longer standing", 1, 2, 6)
+	sys.Undeploy(other)
+	want("last undeploy", 0, 2, 6)
+}
+
+// The second rule: any catalog mutation drops the table, so the next
+// deploy of a standing text parses and rewrites against the new catalog.
+func TestPreparedDroppedOnCatalogChange(t *testing.T) {
+	sys, sink := newPreparedSystem(t)
+	d1, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// S0.B narrows: the pruned width of S0 and the planned bytes change.
+	sys.SetSchema(0, query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 2}, {Name: "blob", Width: 64}})
+	d2, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Rewrite == d1.Rewrite || d2.Rewrite.BytesAfter >= d1.Rewrite.BytesAfter {
+		t.Fatalf("deploy after SetSchema reused the old rewrite: %+v then %+v", d1.Rewrite, d2.Rewrite)
+	}
+	if d2.Query.SrcWidths[0] != 10 || d1.Query.SrcWidths[0] != 16 {
+		t.Fatalf("S0 ships %g then %g bytes, want 16 then 10", d1.Query.SrcWidths[0], d2.Query.SrcWidths[0])
+	}
+	for _, mutate := range []func(){
+		func() { sys.AddStream("S4", 5, 1) },
+		func() { sys.SetSelectivity(0, 1, 0.5) },
+		func() { sys.Catalog.SetRate(2, 99) },
+	} {
+		before := sys.Catalog.Version()
+		if mutate(); sys.Catalog.Version() == before {
+			t.Fatal("a catalog mutator left Version unchanged")
+		}
+	}
+	// The drop happens at the next lookup, hit or not.
+	if _, err := sys.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown); err != nil {
+		t.Fatal(err)
+	}
+	if sys.tableLen() != 0 {
+		t.Fatalf("table holds %d entries before any deploy at the new version", sys.tableLen())
+	}
+	// d1's and d2's entries went with their tables: retiring them must
+	// not touch the entry d3 stands on.
+	sys.Undeploy(d1)
+	d3, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Undeploy(d2); sys.tableLen() != 1 {
+		t.Fatalf("retiring a deployment of a dropped table left %d entries, want d3's", sys.tableLen())
+	}
+	if sys.Undeploy(d3); sys.tableLen() != 0 {
+		t.Fatalf("table holds %d entries after the last undeploy", sys.tableLen())
+	}
+}
+
+// The third rule: nothing downstream of PlanCQL writes what an entry
+// shares. Eight goroutines plan, advertise and retire one text (the race
+// detector watches the shared slices and maps), and the entry must stay
+// deep-equal to an independent parse of the same text throughout.
+func TestPreparedPartsAreNeverWritten(t *testing.T) {
+	sys, sink := newPreparedSystem(t)
+	snapshot, _, err := sys.prepare(preparedStmt) // a miss: private to this test
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshot.tmpl.Proj.Empty() || snapshot.tmpl.SrcWidths == nil || snapshot.tmpl.Agg == nil ||
+		snapshot.tmpl.Preds.Empty() || snapshot.out.RulesApplied == 0 {
+		t.Fatalf("vacuous: the statement shares too little: %+v", snapshot)
+	}
+	standing, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		sys.pmu.Lock()
+		live := sys.prepared[preparedStmt]
+		sys.pmu.Unlock()
+		if live == nil || live == snapshot {
+			t.Fatalf("%s: no standing entry of its own", step)
+		}
+		if !reflect.DeepEqual(live.tmpl, snapshot.tmpl) || !reflect.DeepEqual(live.out, snapshot.out) || live.trace != snapshot.trace {
+			t.Fatalf("%s: the standing entry changed:\n%+v\nwant\n%+v", step, live, snapshot)
+		}
+	}
+	check("first deploy")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			algos := []Algorithm{AlgoTopDown, AlgoBottomUp, AlgoOptimal, AlgoPlanThenDeploy}
+			for i := 0; i < 20; i++ {
+				// Every other pair is of a text nothing keeps standing, so
+				// its entry is entered and dropped under contention.
+				stmt := preparedStmt
+				if i%2 == 1 {
+					stmt = "SELECT S1.A FROM S1, S3 WHERE S1.B > 0.5"
+				}
+				d, err := sys.DeployCQL(stmt, netgraph.NodeID((g*20+i)%32), algos[i%len(algos)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				d.Explain()
+				sys.Undeploy(d)
+			}
+		}(g)
+	}
+	wg.Wait()
+	check("after 160 concurrent deploy/undeploy pairs")
+	if sys.tableLen() != 1 {
+		t.Fatalf("table holds %d entries, want the standing text's alone", sys.tableLen())
+	}
+	if sys.Undeploy(standing); sys.tableLen() != 0 {
+		t.Fatalf("table holds %d entries after the last undeploy", sys.tableLen())
+	}
+}
+
+// The audit is rendered into the entry only when the flight recorder is
+// armed at that moment; an entry built before still traces in full, and
+// every instance of an entry built after carries the one shared string.
+func TestPreparedTraceAcrossArming(t *testing.T) {
+	sys, sink := newPreparedSystem(t)
+	if _, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown); err != nil {
+		t.Fatal(err)
+	}
+	sys.Obs.Tracer().Enable()
+	const other = "SELECT S1.A FROM S1, S3 WHERE S1.B > 0.5"
+	var want []string
+	for _, stmt := range []string{preparedStmt, other, other} {
+		d, err := sys.DeployCQL(stmt, sink, AlgoTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, d.Rewrite.TraceString())
+	}
+	var got []string
+	for _, e := range sys.Obs.Tracer().Snapshot() {
+		if e.Kind == obs.KindRewriteApplied {
+			got = append(got, e.Detail)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || want[0] == "" || want[1] == "" {
+		t.Fatalf("rewrite events carry %q, want %q", got, want)
+	}
+	if sys.prepared[preparedStmt].trace != "" || sys.prepared[other].trace != want[1] {
+		t.Errorf("entries hold traces %q and %q", sys.prepared[preparedStmt].trace, sys.prepared[other].trace)
+	}
+}

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"hnp/internal/ads"
@@ -106,6 +107,94 @@ type System struct {
 
 	loadAlpha float64
 	tracker   *load.Tracker
+
+	// pmu guards the prepared-statement table (see prepared), built at
+	// catalog version preparedAt; the handles are "cql.prepared_hits",
+	// "cql.prepared_misses" and "cql.prepared_entries".
+	pmu                  sync.Mutex
+	prepared             map[string]*prepared
+	preparedAt           uint64
+	prepHits, prepMisses *obs.Counter
+	prepEntries          *obs.Gauge
+}
+
+// prepared is the part of planning a statement that depends on nothing
+// but its text and the catalog: the parsed, rewritten query (ID and Sink
+// unset), the pipeline's audit, and that audit as the flight trace prints
+// it (rendered if the recorder was armed when the entry was built). The
+// table holds one per text, under three rules. An entry is pinned by its
+// standing deployments: DeployCQL enters and refs it, Undeploy unrefs and
+// drops it at zero, a what-if PlanCQL may hit but never enters one. The
+// whole table is dropped at the first lookup after Catalog.Version moves.
+// What an entry holds — Sources, Preds, Proj, SrcWidths, Agg, the Outcome
+// behind Deployment.Rewrite — is shared by every query copied from it and
+// is never written.
+type prepared struct {
+	text  string
+	tmpl  query.Query
+	out   rewrite.Outcome
+	trace string
+	refs  int
+}
+
+// prepare returns stmt's standing entry, or parses and rewrites it into a
+// fresh one that pin may enter later, and a query of the caller's own to
+// set ID and Sink on.
+func (s *System) prepare(stmt string) (*prepared, *query.Query, error) {
+	s.pmu.Lock()
+	if v := s.Catalog.Version(); v != s.preparedAt {
+		clear(s.prepared)
+		s.preparedAt = v
+	}
+	p := s.prepared[stmt]
+	s.pmu.Unlock()
+	if p != nil {
+		s.prepHits.Inc()
+		q := p.tmpl
+		return p, &q, nil
+	}
+	s.prepMisses.Inc()
+	st, err := cql.Parse(s.Catalog, stmt)
+	if err != nil {
+		return nil, nil, err
+	}
+	q, err := st.Query(0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A provably-empty WHERE reaches the pipeline through st.Pushdown and
+	// folds to the no-op deployment there.
+	out := rewrite.Apply(s.Catalog, q, st.Pushdown())
+	p = &prepared{text: stmt, tmpl: *q, out: out}
+	if s.Obs.Tracer().On() {
+		p.trace = out.TraceString()
+	}
+	return p, q, nil
+}
+
+// pin counts one more standing deployment of p's text and returns the
+// entry that holds the reference: p, entered if it is the first, or the
+// one a concurrent deploy of the same text entered meanwhile.
+func (s *System) pin(p *prepared) *prepared {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if first := s.prepared[p.text]; first != nil {
+		p = first
+	}
+	s.prepared[p.text] = p
+	p.refs++
+	s.prepEntries.Set(float64(len(s.prepared)))
+	return p
+}
+
+// unpin reverses pin. An entry of a table since dropped just lapses.
+func (s *System) unpin(p *prepared) {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if p.refs--; p.refs == 0 && s.prepared[p.text] == p {
+		delete(s.prepared, p.text)
+	}
+	s.prepEntries.Set(float64(len(s.prepared)))
 }
 
 // NewSystem assembles a system from pre-built parts: paths must be a
@@ -114,18 +203,38 @@ type System struct {
 func NewSystem(g *netgraph.Graph, paths *netgraph.Paths, h *hierarchy.Hierarchy,
 	cat *query.Catalog, reg *obs.Registry) *System {
 	s := &System{
-		Graph:     g,
-		Paths:     paths,
-		Hierarchy: h,
-		Catalog:   cat,
-		Registry:  ads.NewRegistry(),
-		Obs:       reg,
-		tracker:   load.NewTracker(),
+		Graph:       g,
+		Paths:       paths,
+		Hierarchy:   h,
+		Catalog:     cat,
+		Registry:    ads.NewRegistry(),
+		Obs:         reg,
+		tracker:     load.NewTracker(),
+		prepared:    map[string]*prepared{},
+		prepHits:    reg.Counter("cql.prepared_hits"),
+		prepMisses:  reg.Counter("cql.prepared_misses"),
+		prepEntries: reg.Gauge("cql.prepared_entries"),
 	}
 	s.Hierarchy.BindObs(reg)
 	s.Registry.BindObs(reg)
 	s.tracker.BindObs(reg)
 	return s
+}
+
+// Build builds a hierarchy (cluster size cap maxCS, clustering driven by
+// seed) over g and its snapshot paths and returns a system with a telemetry
+// registry of its own. Systems built over one g, paths and cat plan over
+// one network: only hierarchy, advertisements, load and telemetry are
+// theirs.
+func Build(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, maxCS int, seed int64) (*System, error) {
+	reg := obs.NewRegistry()
+	sp := obs.StartSpan(reg, "hierarchy.build")
+	h, err := hierarchy.Build(g, paths, maxCS, rand.New(rand.NewSource(seed)))
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return NewSystem(g, paths, h, cat, reg), nil
 }
 
 // allocQueryID hands out a unique query ID. Every planned query gets its
@@ -190,6 +299,8 @@ type Deployment struct {
 	// Rewrite.NoOp is set the query is provably empty: Plan is nil and
 	// nothing was deployed.
 	Rewrite *rewrite.Outcome
+	// stmt is the prepared statement a standing CQL deployment pins.
+	stmt *prepared
 }
 
 // Plan plans a query without deploying it (no advertisements recorded):
@@ -205,16 +316,16 @@ func (s *System) PlanWhere(sources []query.StreamID, sink netgraph.NodeID, algo 
 	if err != nil {
 		return Deployment{}, err
 	}
-	return s.planned(q, algo, nil)
+	return s.planned(q, algo)
 }
 
 // planned runs the planner for a freshly built query and wraps the result.
-func (s *System) planned(q *query.Query, algo Algorithm, out *rewrite.Outcome) (Deployment, error) {
+func (s *System) planned(q *query.Query, algo Algorithm) (Deployment, error) {
 	res, err := s.PlanQuery(q, algo, s.Registry)
 	if err != nil {
 		return Deployment{}, err
 	}
-	return Deployment{Query: q, Result: res, Rewrite: out}, nil
+	return Deployment{Query: q, Result: res}, nil
 }
 
 // recorded finalizes a just-planned deployment unless planning failed or
@@ -256,6 +367,9 @@ func (s *System) Undeploy(d Deployment) int {
 	}
 	removed := s.Registry.RetractPlan(d.Query, d.Plan)
 	s.tracker.RemovePlan(d.Plan)
+	if d.stmt != nil {
+		s.unpin(d.stmt)
+	}
 	if obs.On() {
 		s.Obs.Counter("system.undeploys").Inc()
 	}
@@ -272,39 +386,53 @@ func (s *System) Undeploy(d Deployment) int {
 //	               WHERE FLIGHTS.DEPARTING = 'ATLANTA'
 //	                 AND FLIGHTS.NUM = CHECK-INS.FLNUM`, sink, hnp.AlgoTopDown)
 func (s *System) DeployCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, error) {
-	return s.recorded(s.PlanCQL(stmt, sink, algo))
+	d, p, err := s.planCQL(stmt, sink, algo)
+	if d, err = s.recorded(d, err); err == nil && d.Plan != nil {
+		d.stmt = s.pin(p)
+	}
+	return d, err
 }
 
 // PlanCQL parses and plans a SQL-like query without deploying it (no
-// advertisements or load recorded) — what-if analysis for query text.
+// advertisements or load recorded) — what-if analysis for query text. A
+// text with a standing deployment is not parsed or rewritten again: the
+// query is a copy of its prepared template with its own ID and sink.
 func (s *System) PlanCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, error) {
-	st, err := cql.Parse(s.Catalog, stmt)
+	d, _, err := s.planCQL(stmt, sink, algo)
+	return d, err
+}
+
+// planCQL is PlanCQL, also returning the prepared statement it used.
+func (s *System) planCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, *prepared, error) {
+	p, q, err := s.prepare(stmt)
 	if err != nil {
-		return Deployment{}, err
+		return Deployment{}, nil, err
 	}
-	q, err := st.Query(s.allocQueryID(), sink)
-	if err != nil {
-		return Deployment{}, err
-	}
-	// A provably-empty WHERE reaches the pipeline through st.Pushdown and
-	// folds to the no-op deployment there.
-	out := rewrite.Apply(s.Catalog, q, st.Pushdown())
+	q.ID, q.Sink = s.allocQueryID(), sink
 	if obs.On() {
-		s.Obs.Counter("rewrite.rules_applied").Add(int64(out.RulesApplied))
-		s.Obs.Gauge("rewrite.bytes_saved").Add(out.BytesSaved())
+		s.Obs.Counter("rewrite.rules_applied").Add(int64(p.out.RulesApplied))
+		s.Obs.Gauge("rewrite.bytes_saved").Add(p.out.BytesSaved())
 	}
-	if tr := s.Obs.Tracer(); tr.On() && out.RulesApplied > 0 {
+	if tr := s.Obs.Tracer(); tr.On() && p.out.RulesApplied > 0 {
+		detail := p.trace
+		if detail == "" { // prepared while the recorder was disarmed
+			detail = p.out.TraceString()
+		}
 		tr.Emit(obs.Event{
 			Kind: obs.KindRewriteApplied, Trace: obs.QueryTrace(q.ID),
 			Query: q.ID, Node: obs.NoID,
-			Value: out.BytesSaved(), Aux: float64(out.RulesApplied),
-			Detail: out.TraceString(),
+			Value: p.out.BytesSaved(), Aux: float64(p.out.RulesApplied),
+			Detail: detail,
 		})
 	}
-	if out.NoOp {
-		return Deployment{Query: q, Rewrite: &out}, nil
+	d := Deployment{Query: q, Rewrite: &p.out}
+	if !p.out.NoOp {
+		d.Result, err = s.PlanQuery(q, algo, s.Registry)
 	}
-	return s.planned(q, algo, &out)
+	if err != nil {
+		return Deployment{}, nil, err
+	}
+	return d, p, nil
 }
 
 // DeployAggregate deploys a query whose join result is reduced by a
@@ -317,7 +445,7 @@ func (s *System) DeployAggregate(sources []query.StreamID, sink netgraph.NodeID,
 	if err != nil {
 		return Deployment{}, err
 	}
-	return s.recorded(s.planned(q, algo, nil))
+	return s.recorded(s.planned(q, algo))
 }
 
 // deployRecord finalizes a deployment: the plan's operators are advertised

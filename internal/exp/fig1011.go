@@ -56,25 +56,15 @@ func Fig10(cfg Config) (*Figure, error) {
 	}
 	rt := iflow.New(tb.g, iflow.DefaultConfig(), cfg.Seed)
 
-	type algo struct {
+	algos := []struct {
 		name     string
 		cs       int
 		bottomUp bool // explicit algorithm tag; never inferred from the name
-		run      func(h *hierarchy.Hierarchy, q *query.Query, reg *ads.Registry) (core.Result, error)
-	}
-	algos := []algo{
-		{"Bottom-Up (cluster size=4)", 4, true, func(h *hierarchy.Hierarchy, q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return core.BottomUp(h, tb.w.Catalog, q, reg)
-		}},
-		{"Bottom-Up (cluster size=8)", 8, true, func(h *hierarchy.Hierarchy, q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return core.BottomUp(h, tb.w.Catalog, q, reg)
-		}},
-		{"Top-Down (cluster size=4)", 4, false, func(h *hierarchy.Hierarchy, q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return core.TopDown(h, tb.w.Catalog, q, reg)
-		}},
-		{"Top-Down (cluster size=8)", 8, false, func(h *hierarchy.Hierarchy, q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return core.TopDown(h, tb.w.Catalog, q, reg)
-		}},
+	}{
+		{"Bottom-Up (cluster size=4)", 4, true},
+		{"Bottom-Up (cluster size=8)", 8, true},
+		{"Top-Down (cluster size=4)", 4, false},
+		{"Top-Down (cluster size=8)", 8, false},
 	}
 
 	sizes := []int{2, 3, 4, 5}
@@ -93,7 +83,10 @@ func Fig10(cfg Config) (*Figure, error) {
 	// first letter silently miscounted any renamed series.
 	var buSum, tdSum float64
 	for _, a := range algos {
-		h := tb.hiers[a.cs]
+		h, run := tb.hiers[a.cs], core.TopDownOpts
+		if a.bottomUp {
+			run = core.BottomUpOpts
+		}
 		ys := make([]float64, len(sizes))
 		for si, k := range sizes {
 			var times []float64
@@ -101,7 +94,7 @@ func Fig10(cfg Config) (*Figure, error) {
 				if q.K() != k {
 					continue
 				}
-				res, err := a.run(h, q, nil)
+				res, err := run(h, tb.w.Catalog, q, nil, core.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -160,7 +153,7 @@ func Fig11(cfg Config) (*Figure, error) {
 				if a.td {
 					return core.TopDown(h, tb.w.Catalog, q, reg)
 				}
-				return core.BottomUp(h, tb.w.Catalog, q, reg)
+				return core.BottomUpOpts(h, tb.w.Catalog, q, reg, core.Options{})
 			})
 		if err != nil {
 			return nil, err

@@ -19,7 +19,7 @@ var clusterSizes = []int{2, 4, 8, 16, 32, 64}
 // cumulative deployed cost (averaged over cfg.Workloads random workloads)
 // for each max_cs.
 func fig56(cfg Config, id, algo string,
-	run func(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ads.Registry) (core.Result, error)) (*Figure, error) {
+	run func(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ads.Registry, opts core.Options) (core.Result, error)) (*Figure, error) {
 	cfg.fig = id
 	const nodes = 128
 	e := newEnv(nodes, cfg.Seed)
@@ -43,7 +43,7 @@ func fig56(cfg Config, id, algo string,
 			func(w *workload.Workload, _ *rand.Rand) ([]float64, error) {
 				costs, _, err := deploySequence(w.Queries, true,
 					func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-						return run(h, w.Catalog, q, reg)
+						return run(h, w.Catalog, q, reg, core.Options{})
 					})
 				return costs, err
 			},
@@ -74,12 +74,12 @@ func fig56(cfg Config, id, algo string,
 // cost for max_cs in {2..64}; larger clusters mean fewer levels, less
 // approximation, lower cost.
 func Fig5(cfg Config) (*Figure, error) {
-	return fig56(cfg, "fig5", "Bottom-Up", core.BottomUp)
+	return fig56(cfg, "fig5", "Bottom-Up", core.BottomUpOpts)
 }
 
 // Fig6 reproduces Figure 6: the same sweep for Top-Down; because the top
 // level always considers all operator orderings, costs flatten once
 // max_cs exceeds ~4.
 func Fig6(cfg Config) (*Figure, error) {
-	return fig56(cfg, "fig6", "Top-Down", core.TopDown)
+	return fig56(cfg, "fig6", "Top-Down", core.TopDownOpts)
 }

@@ -28,22 +28,22 @@ func Fig7(cfg Config) (*Figure, error) {
 		reuse bool
 		opt   func(cat *query.Catalog) optimizer
 	}
+	td := func(cat *query.Catalog) optimizer {
+		return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.TopDown(h, cat, q, reg) }
+	}
+	bu := func(cat *query.Catalog) optimizer {
+		return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
+			return core.BottomUpOpts(h, cat, q, reg, core.Options{})
+		}
+	}
 	variants := []variant{
-		{"Top-Down without reuse", false, func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.TopDown(h, cat, q, reg) }
-		}},
-		{"Top-Down with reuse", true, func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.TopDown(h, cat, q, reg) }
-		}},
-		{"Bottom-Up without reuse", false, func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.BottomUp(h, cat, q, reg) }
-		}},
-		{"Bottom-Up with reuse", true, func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.BottomUp(h, cat, q, reg) }
-		}},
+		{"Top-Down without reuse", false, td},
+		{"Top-Down with reuse", true, td},
+		{"Bottom-Up without reuse", false, bu},
+		{"Bottom-Up with reuse", true, bu},
 		{"Optimal", true, func(cat *query.Catalog) optimizer {
 			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return core.Optimal(e.g, e.paths, cat, q, reg)
+				return core.OptimalOpts(e.g, e.paths, cat, q, reg, core.Options{})
 			}
 		}},
 	}

@@ -41,11 +41,13 @@ func Fig8(cfg Config) (*Figure, error) {
 			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.TopDown(h, cat, q, reg) }
 		}},
 		{"Bottom-Up with reuse", func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.BottomUp(h, cat, q, reg) }
+			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
+				return core.BottomUpOpts(h, cat, q, reg, core.Options{})
+			}
 		}},
 		{"Exhaustive", func(cat *query.Catalog) optimizer {
 			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return core.Optimal(e.g, e.paths, cat, q, reg)
+				return core.OptimalOpts(e.g, e.paths, cat, q, reg, core.Options{})
 			}
 		}},
 		{"Relaxation with reuse", func(cat *query.Catalog) optimizer {

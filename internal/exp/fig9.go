@@ -61,7 +61,7 @@ func Fig9(cfg Config) (*Figure, error) {
 			if err != nil {
 				return err
 			}
-			bu, err := core.BottomUp(h, w.Catalog, q, nil)
+			bu, err := core.BottomUpOpts(h, w.Catalog, q, nil, core.Options{})
 			if err != nil {
 				return err
 			}
@@ -136,7 +136,7 @@ func fig9Regional(cfg Config, n, maxCS, queries int) (td, bu float64, err error)
 		if err != nil {
 			return 0, 0, err
 		}
-		buRes, err := core.BottomUp(h, cat, q, nil)
+		buRes, err := core.BottomUpOpts(h, cat, q, nil, core.Options{})
 		if err != nil {
 			return 0, 0, err
 		}

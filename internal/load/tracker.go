@@ -20,7 +20,7 @@ import (
 // in-flight planners read penalties.
 type Tracker struct {
 	mu   sync.Mutex
-	load map[netgraph.NodeID]float64
+	load []float64 // by node, grown on demand; zero means no tracked load
 
 	// Telemetry handles (nil until BindObs; all nil-safe no-ops then).
 	obsTotal   *obs.Gauge
@@ -29,8 +29,15 @@ type Tracker struct {
 }
 
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{load: map[netgraph.NodeID]float64{}}
+func NewTracker() *Tracker { return &Tracker{} }
+
+// at returns node v's ledger entry, growing the ledger to reach it;
+// callers hold t.mu.
+func (t *Tracker) at(v netgraph.NodeID) *float64 {
+	if int(v) >= len(t.load) {
+		t.load = append(t.load, make([]float64, int(v)+1-len(t.load))...)
+	}
+	return &t.load[v]
 }
 
 // BindObs connects the tracker to a telemetry registry: the aggregate
@@ -43,24 +50,28 @@ func (t *Tracker) BindObs(reg *obs.Registry) {
 	t.obsPenalty = reg.Counter("load.penalty_calls")
 }
 
-// publishLocked refreshes the gauges; callers hold t.mu.
+// publishLocked refreshes the gauges; callers hold t.mu. The total is
+// summed in node order, so equal ledgers publish bit-equal totals.
 func (t *Tracker) publishLocked() {
 	if t.obsTotal == nil {
 		return
 	}
-	total := 0.0
+	total, loaded := 0.0, 0
 	for _, r := range t.load {
 		total += r
+		if r != 0 {
+			loaded++
+		}
 	}
 	t.obsTotal.Set(total)
-	t.obsNodes.Set(float64(len(t.load)))
+	t.obsNodes.Set(float64(loaded))
 }
 
 // Load returns the tracked input rate on a node.
 func (t *Tracker) Load(v netgraph.NodeID) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.load[v]
+	return *t.at(v)
 }
 
 // AddPlan accounts a deployed plan: every operator adds its children's
@@ -70,7 +81,7 @@ func (t *Tracker) AddPlan(plan *query.PlanNode) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, op := range plan.Operators() {
-		t.load[op.Loc] += op.InputRate()
+		*t.at(op.Loc) += op.InputRate()
 	}
 	t.publishLocked()
 }
@@ -80,9 +91,9 @@ func (t *Tracker) RemovePlan(plan *query.PlanNode) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, op := range plan.Operators() {
-		t.load[op.Loc] -= op.InputRate()
-		if t.load[op.Loc] <= 1e-12 {
-			delete(t.load, op.Loc)
+		r := t.at(op.Loc)
+		if *r -= op.InputRate(); *r <= 1e-12 {
+			*r = 0
 		}
 	}
 	t.publishLocked()
@@ -96,17 +107,15 @@ func (t *Tracker) RemovePlan(plan *query.PlanNode) {
 // book at different rates (recalibrated statistics) leave residue.
 // Folding iflow.MigrationReport.LoadDelta moves exactly the changed
 // operators' load in one locked step. Entries that cancel to ~zero are
-// removed so unchanged nodes never accumulate float dust.
+// zeroed so unchanged nodes never accumulate float dust.
 func (t *Tracker) ApplyDelta(delta map[netgraph.NodeID]float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for v, d := range delta {
-		next := t.load[v] + d
-		if next <= 1e-12 && next >= -1e-12 {
-			delete(t.load, v)
-			continue
+		r := t.at(v)
+		if *r += d; *r <= 1e-12 && *r >= -1e-12 {
+			*r = 0
 		}
-		t.load[v] = next
 	}
 	t.publishLocked()
 }
@@ -117,9 +126,11 @@ func (t *Tracker) ApplyDelta(delta map[netgraph.NodeID]float64) {
 func (t *Tracker) Snapshot() map[netgraph.NodeID]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[netgraph.NodeID]float64, len(t.load))
+	out := map[netgraph.NodeID]float64{}
 	for v, r := range t.load {
-		out[v] = r
+		if r != 0 {
+			out[netgraph.NodeID(v)] = r
+		}
 	}
 	return out
 }
@@ -129,7 +140,7 @@ func (t *Tracker) Snapshot() map[netgraph.NodeID]float64 {
 func (t *Tracker) AddRaw(v netgraph.NodeID, inRate float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.load[v] += inRate
+	*t.at(v) += inRate
 	t.publishLocked()
 }
 

@@ -2,9 +2,12 @@ package load
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hnp/internal/netgraph"
+	"hnp/internal/obs"
 	"hnp/internal/query"
 )
 
@@ -110,5 +113,37 @@ func TestPenaltyLinearInLoad(t *testing.T) {
 	tr.AddRaw(5, 100)
 	if got := pen(5, 10); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("closure not live: %g", got)
+	}
+}
+
+// Two trackers fed the same plans publish the same total to the last bit:
+// the sum runs in node order, not in the order a map happens to iterate.
+func TestPublishedTotalIsOrderIndependent(t *testing.T) {
+	prev := obs.Enabled.Load()
+	obs.Enable()
+	defer obs.Enabled.Store(prev)
+	rng := rand.New(rand.NewSource(1))
+	var plans []*query.PlanNode
+	for i := 0; i < 60; i++ {
+		leaf := func(m query.Mask) *query.PlanNode {
+			return query.Leaf(query.Input{Mask: m, Rate: rng.ExpFloat64() * 37, Loc: netgraph.NodeID(rng.Intn(64))})
+		}
+		j := query.Join(leaf(1), leaf(2), netgraph.NodeID(rng.Intn(64)), rng.Float64())
+		plans = append(plans, query.Join(j, leaf(4), netgraph.NodeID(rng.Intn(64)), rng.Float64()))
+	}
+	var totals [2][]uint64
+	for r := range totals {
+		tr, reg := NewTracker(), obs.NewRegistry()
+		tr.BindObs(reg)
+		for i, p := range plans {
+			tr.AddPlan(p)
+			if i >= 20 {
+				tr.RemovePlan(plans[i-20])
+			}
+			totals[r] = append(totals[r], math.Float64bits(reg.Gauge("load.total_rate").Value()))
+		}
+	}
+	if !slices.Equal(totals[0], totals[1]) {
+		t.Error("equal ledgers published different load.total_rate bits")
 	}
 }

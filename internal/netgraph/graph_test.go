@@ -267,3 +267,13 @@ func TestEccentricity(t *testing.T) {
 		t.Errorf("Eccentricity(1) = %g, want 2", e)
 	}
 }
+
+// Dijkstra is dijkstraInto with slices of its own: it computes single-source shortest distances and first hops from
+// src under metric m. Unreachable nodes get +Inf distance and first hop -1.
+func (g *Graph) Dijkstra(src NodeID, m Metric) (dist []float64, firstHop []int32) {
+	n := len(g.adj)
+	dist = make([]float64, n)
+	firstHop = make([]int32, n)
+	g.dijkstraInto(src, m, dist, firstHop, &pq{})
+	return dist, firstHop
+}

@@ -127,16 +127,6 @@ func (g *Graph) weight(e halfEdge, m Metric) float64 {
 	return e.cost
 }
 
-// Dijkstra computes single-source shortest distances and first hops from
-// src under metric m. Unreachable nodes get +Inf distance and first hop -1.
-func (g *Graph) Dijkstra(src NodeID, m Metric) (dist []float64, firstHop []int32) {
-	n := len(g.adj)
-	dist = make([]float64, n)
-	firstHop = make([]int32, n)
-	g.dijkstraInto(src, m, dist, firstHop, &pq{})
-	return dist, firstHop
-}
-
 // dijkstraInto runs Dijkstra from src into caller-provided dist/firstHop
 // slices (length NumNodes), reusing q as scratch so hot callers avoid
 // re-allocating the priority queue per source.
@@ -223,14 +213,6 @@ func (g *Graph) shortestPathsInto(p *Paths) {
 	for v := 0; v < n; v++ {
 		g.dijkstraInto(NodeID(v), p.metric, p.dist[v], p.next[v], &q)
 	}
-}
-
-// shortestPathsSerial is the serial all-pairs computation, kept as the
-// reference the parallel ShortestPaths is tested and benchmarked against.
-func (g *Graph) shortestPathsSerial(m Metric) *Paths {
-	p := newPaths(m, g.version, len(g.adj))
-	g.shortestPathsInto(p)
-	return p
 }
 
 // Metric returns the metric the snapshot was computed under.

@@ -103,3 +103,11 @@ func BenchmarkShortestPathsSerial(b *testing.B) {
 		g.shortestPathsSerial(MetricCost)
 	}
 }
+
+// shortestPathsSerial is the serial all-pairs computation, kept as the
+// reference the parallel ShortestPaths is tested and benchmarked against.
+func (g *Graph) shortestPathsSerial(m Metric) *Paths {
+	p := newPaths(m, g.version, len(g.adj))
+	g.shortestPathsInto(p)
+	return p
+}

@@ -45,6 +45,7 @@ type Catalog struct {
 	byName  map[string]StreamID // upper-cased name → stream, the latest on a clash
 	sel     map[selKey]float64
 	schemas map[StreamID]Schema
+	version uint64 // bumped by every mutator
 	// DefaultSel is the selectivity assumed for stream pairs without an
 	// explicit entry.
 	DefaultSel float64
@@ -63,6 +64,7 @@ func (c *Catalog) SetSchema(id StreamID, s Schema) {
 		panic(fmt.Sprintf("query: stream %d out of range", id))
 	}
 	c.schemas[id] = append(Schema(nil), s...)
+	c.version++
 }
 
 // Schema returns a stream's declared schema (nil when undeclared).
@@ -82,6 +84,7 @@ func (c *Catalog) Add(name string, rate float64, source netgraph.NodeID) StreamI
 	id := StreamID(len(c.streams))
 	c.streams = append(c.streams, Stream{ID: id, Name: name, Rate: rate, Source: source})
 	c.byName[strings.ToUpper(name)] = id
+	c.version++
 	return id
 }
 
@@ -91,6 +94,11 @@ func (c *Catalog) Lookup(name string) (StreamID, bool) {
 	id, ok := c.byName[strings.ToUpper(name)]
 	return id, ok
 }
+
+// Version changes whenever the catalog does: whatever was derived from
+// the catalog at one version (a parsed statement, its rewrite) holds for
+// as long as Version returns that value.
+func (c *Catalog) Version() uint64 { return c.version }
 
 // NumStreams returns the number of registered streams.
 func (c *Catalog) NumStreams() int { return len(c.streams) }
@@ -113,6 +121,7 @@ func (c *Catalog) SetRate(id StreamID, rate float64) {
 		panic(fmt.Sprintf("query: negative rate %g", rate))
 	}
 	c.streams[id].Rate = rate
+	c.version++
 }
 
 // SetSelectivity records the join selectivity between streams a and b
@@ -122,6 +131,7 @@ func (c *Catalog) SetSelectivity(a, b StreamID, sel float64) {
 		panic(fmt.Sprintf("query: negative selectivity %g", sel))
 	}
 	c.sel[mkSelKey(a, b)] = sel
+	c.version++
 }
 
 // Selectivity returns the join selectivity between streams a and b,

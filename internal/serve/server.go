@@ -4,14 +4,15 @@
 // lifecycle (deploy/undeploy/explain) plus the debug surfaces (/metrics,
 // /snapshot, /flight) as endpoints.
 //
-// Sharding: the server owns N independent hnp.Systems, each built from
-// the same seed over the same topology and catalog, and routes every
-// statement to the shard picked by a stable hash of (tenant, statement).
-// Within a shard the existing per-System concurrency contract applies —
-// any number of planners run under the shard's read lock — and across
-// shards deployments never contend at all. Identical statements from one
-// tenant always land on one shard, so the advertisement registry sees
-// every reuse opportunity the hash preserves.
+// Sharding partitions the queries, not the network: the server builds one
+// graph, one path snapshot and one catalog, and N hnp.Systems over them
+// that each own a hierarchy, an advertisement registry, a load ledger and
+// telemetry. Every statement goes to the shard picked by a stable hash of
+// (tenant, statement). Within a shard the existing per-System concurrency
+// contract applies — any number of planners run under the shard's read
+// lock — and across shards deployments never contend at all. Identical
+// statements from one tenant always land on one shard, so the
+// advertisement registry sees every reuse opportunity the hash preserves.
 //
 // Admission control: each shard bounds its in-flight plans with a
 // semaphore. A request arriving at a full shard is rejected immediately
@@ -24,7 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -35,21 +35,22 @@ import (
 	"unicode/utf8"
 
 	"hnp"
+	"hnp/internal/engine"
 	"hnp/internal/obs"
 	"hnp/internal/workload"
 )
 
 // Config parameterizes a server.
 type Config struct {
-	// Shards is the number of independent hnp.System instances statements
-	// are routed across.
+	// Shards is the number of hnp.System instances statements are routed
+	// across.
 	Shards int
-	// Nodes/MaxCS/Seed shape each shard's network and hierarchy (every
-	// shard builds the identical topology from the same seed).
+	// Nodes/MaxCS/Seed shape the server's network and each shard's
+	// hierarchy over it (identical on every shard: one seed).
 	Nodes, MaxCS int
 	Seed         int64
 	// Streams is the size of the synthesized stream catalog, drawn via
-	// workload.CatalogSpec from the same seed on every shard.
+	// workload.CatalogSpec from the seed.
 	Streams int
 	// MaxInFlight bounds concurrently planning deployments per shard;
 	// requests beyond it are rejected with 429 (admission control).
@@ -174,31 +175,36 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.MaxBody = DefaultConfig().MaxBody
 	}
 	hnp.EnableTelemetry()
-	wcfg := workload.Default(cfg.Streams, 0)
 	s := &Server{
 		cfg:  cfg,
 		Obs:  obs.NewRegistry(),
 		deps: map[int64]*record{},
 	}
+	// One network per server: the first shard builds the graph, the path
+	// snapshot and the catalog, every other shard only a hierarchy of its
+	// own over them.
+	first, err := hnp.NewSystem(hnp.TransitStubNetwork(cfg.Nodes, cfg.Seed), cfg.MaxCS, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	specs, sels, err := workload.CatalogSpec(workload.Default(cfg.Streams, 0), cfg.Nodes, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	ids := make([]hnp.StreamID, len(specs))
+	for j, sp := range specs {
+		ids[j] = first.AddStream(sp.Name, sp.Rate, sp.Source)
+		s.names = append(s.names, sp.Name)
+	}
+	for _, sel := range sels {
+		first.SetSelectivity(ids[sel.I], ids[sel.J], sel.Sel)
+	}
 	for i := 0; i < cfg.Shards; i++ {
-		g := hnp.TransitStubNetwork(cfg.Nodes, cfg.Seed)
-		sys, err := hnp.NewSystem(g, cfg.MaxCS, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		specs, sels, err := workload.CatalogSpec(wcfg, cfg.Nodes, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		ids := make([]hnp.StreamID, len(specs))
-		for j, sp := range specs {
-			ids[j] = sys.AddStream(sp.Name, sp.Rate, sp.Source)
-			if i == 0 {
-				s.names = append(s.names, sp.Name)
+		sys := first
+		if i > 0 {
+			if sys, err = engine.Build(first.Graph, first.Paths, first.Catalog, cfg.MaxCS, cfg.Seed); err != nil {
+				return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 			}
-		}
-		for _, sel := range sels {
-			sys.SetSelectivity(ids[sel.I], ids[sel.J], sel.Sel)
 		}
 		if cfg.FlightRecorder {
 			sys.Obs.Tracer().Enable()
@@ -262,11 +268,16 @@ func (s *Server) Stats() Stats {
 // stable FNV-1a hash, so identical statements always meet their earlier
 // advertisements.
 func (s *Server) ShardFor(tenant, cql string) int {
-	h := fnv.New32a()
-	io.WriteString(h, tenant)
-	h.Write([]byte{0})
-	io.WriteString(h, cql)
-	return int(h.Sum32() % uint32(len(s.shards)))
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(tenant); i++ {
+		h = (h ^ uint32(tenant[i])) * prime32
+	}
+	h *= prime32 // a zero byte between the two
+	for i := 0; i < len(cql); i++ {
+		h = (h ^ uint32(cql[i])) * prime32
+	}
+	return int(h % uint32(len(s.shards)))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -117,13 +117,6 @@ func pick(rng *rand.Rand, w []float64) int {
 	return len(w) - 1
 }
 
-// ZipfShare returns the expected arrival share of rank i (0-based) under
-// the trace's popularity law — the analytic counterpart the statistics
-// property tests compare empirical shares against.
-func ZipfShare(n int, s float64, i int) float64 {
-	return zipfWeights(n, s)[i]
-}
-
 // template is one query shape, rendered to CQL per arrival.
 type template struct {
 	stmt string

@@ -137,11 +137,11 @@ func TestTraceMixStats(t *testing.T) {
 		tmpl[ev.Template]++
 	}
 	hotShare := float64(tmpl[0]) / float64(deploys)
-	if want := ZipfShare(cfg.Templates, cfg.MixSkew, 0); rel(hotShare, want) > 0.15 {
+	if want := zipfWeights(cfg.Templates, cfg.MixSkew)[0]; rel(hotShare, want) > 0.15 {
 		t.Fatalf("hot-template share %.3f, want ~%.3f", hotShare, want)
 	}
 	tenShare := float64(tenant["tenant-0"]) / float64(len(tr.Events))
-	if want := ZipfShare(cfg.Tenants, cfg.TenantSkew, 0); rel(tenShare, want) > 0.15 {
+	if want := zipfWeights(cfg.Tenants, cfg.TenantSkew)[0]; rel(tenShare, want) > 0.15 {
 		t.Fatalf("hot-tenant share %.3f, want ~%.3f", tenShare, want)
 	}
 	undeployShare := float64(undeploys) / float64(len(tr.Events))
