@@ -444,7 +444,7 @@ func BenchmarkAdsInputsFor(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				adsBenchSink += len(reg.InputsFor(standing[i%len(standing)].Query, rt, nil))
+				adsBenchSink += len(reg.InputsFor(standing[i%len(standing)].Query, rt))
 			}
 		})
 	}

@@ -8,14 +8,13 @@
 //	smq -fig 7                   # one figure
 //	smq -fig 5,6 -workloads 3    # reduced averaging for quick runs
 //	smq -fig 9 -seed 7           # different randomness
-//	smq -fig all -parallel=false # single-goroutine run (same output)
 //	smq -explain                 # annotated per-level planner search trace
 //	smq -explain -trace          # + causal lifecycle timeline per query
 //	smq -fig all -debug-addr :6060  # live /metrics, /flight, /trace, expvar, pprof
 //
-// By default figures are computed concurrently (and each figure's
-// internal sweeps fan out across cores); output is bit-identical to a
-// serial run and always rendered in figure order. Each completed figure
+// Figures are computed concurrently (and each figure's internal sweeps
+// fan out across GOMAXPROCS cores); output is bit-identical at every
+// core count and always rendered in figure order. Each completed figure
 // prints a one-line timing summary to stderr.
 //
 // -explain runs a canned two-query scenario (128-node transit-stub
@@ -67,7 +66,6 @@ func main() {
 		workloads = flag.Int("workloads", 10, "workloads averaged in figs 5-8")
 		queries   = flag.Int("queries", 20, "queries per workload in figs 5-8")
 		format    = flag.String("format", "table", "output format: table or csv")
-		parallel  = flag.Bool("parallel", true, "compute figures and their sweeps concurrently (output is identical either way)")
 		explain   = flag.Bool("explain", false, "print an annotated planner search narrative for a canned scenario and exit")
 		trace     = flag.Bool("trace", false, "arm the causal flight recorder; with -explain appends per-query lifecycle timelines, with -debug-addr serves the recording at /flight and /trace")
 		debugAddr = flag.String("debug-addr", "", "serve expvar, pprof, /metrics, /flight and /trace?query=N on this address (e.g. :6060) while running")
@@ -100,7 +98,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workloads = *workloads
 	cfg.Queries = *queries
-	cfg.Serial = !*parallel
 
 	harness := map[string]func(exp.Config) (*exp.Figure, error){
 		"2": exp.Fig2, "5": exp.Fig5, "6": exp.Fig6, "7": exp.Fig7,
@@ -127,37 +124,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Compute every requested figure (concurrently unless -parallel=false),
-	// then render in request order so output is stable. Timing lines go to
-	// stderr as figures finish, keeping stdout machine-parseable.
+	// Compute every requested figure concurrently, then render in request
+	// order so output is stable. Timing lines go to stderr as figures
+	// finish, keeping stdout machine-parseable.
 	type result struct {
 		fig     *exp.Figure
 		err     error
 		elapsed time.Duration
 	}
 	results := make([]result, len(wanted))
-	compute := func(i int, id string) {
-		start := time.Now()
-		fig, err := harness[id](cfg)
-		results[i] = result{fig, err, time.Since(start)}
-		fmt.Fprintf(os.Stderr, "smq: figure %s computed in %s\n", id, results[i].elapsed.Round(time.Millisecond))
+	var wg sync.WaitGroup
+	for i, id := range wanted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			fig, err := harness[id](cfg)
+			results[i] = result{fig, err, time.Since(start)}
+			fmt.Fprintf(os.Stderr, "smq: figure %s computed in %s\n", id, results[i].elapsed.Round(time.Millisecond))
+		}()
 	}
-	if *parallel {
-		var wg sync.WaitGroup
-		for i, id := range wanted {
-			i, id := i, id
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				compute(i, id)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, id := range wanted {
-			compute(i, id)
-		}
-	}
+	wg.Wait()
 
 	for i, id := range wanted {
 		if results[i].err != nil {

@@ -69,7 +69,7 @@ func TestDeployAdvertisesAndReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := second.Plan.Rate * sys.Paths.Dist(first.Plan.Loc, 9)
+	cap := second.Plan.Rate * sys.Hierarchy.Paths().Dist(first.Plan.Loc, 9)
 	if second.Cost > cap+1e-6 {
 		t.Errorf("second deploy cost %g > reuse cap %g", second.Cost, cap)
 	}
@@ -159,7 +159,7 @@ func TestDelayMetricSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Refresh()
-	if sys.Paths.Metric() != MetricDelay {
+	if sys.Hierarchy.Paths().Metric() != MetricDelay {
 		t.Error("Refresh switched metrics")
 	}
 }

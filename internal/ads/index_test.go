@@ -14,14 +14,11 @@ import (
 // linearInputsFor is the registry's lookup before the stream-set index:
 // every ad, in All order, checked against the query one by one. It is the
 // reference the indexed InputsFor must equal element for element.
-func linearInputsFor(r *Registry, q *query.Query, rt query.RateTable, within func(netgraph.NodeID) bool) []query.Input {
+func linearInputsFor(r *Registry, q *query.Query, rt query.RateTable) []query.Input {
 	var out []query.Input
 	for _, ad := range r.All() {
 		mask, ok := q.MaskOf(ad.Streams)
 		if !ok || mask.Count() < 2 {
-			continue
-		}
-		if within != nil && !within(ad.Node) {
 			continue
 		}
 		need := q.Preds.Restrict(ad.Streams)
@@ -114,12 +111,6 @@ func handBuilt(rng *rand.Rand, streams, nodes int) []Ad {
 
 func TestInputsForMatchesLinearScan(t *testing.T) {
 	const streams, nodes = 9, 6
-	filters := map[string]func(netgraph.NodeID) bool{
-		"anywhere": nil,
-		"even":     func(n netgraph.NodeID) bool { return n%2 == 0 },
-		"one":      func(n netgraph.NodeID) bool { return n == 3 },
-		"nowhere":  func(netgraph.NodeID) bool { return false },
-	}
 	offered, contained := 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,16 +128,14 @@ func TestInputsForMatchesLinearScan(t *testing.T) {
 			for m := range rt {
 				rt[m] = float64(m) + 0.5
 			}
-			for name, within := range filters {
-				got, want := r.InputsFor(q, rt, within), linearInputsFor(r, q, rt, within)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d query %d filter %s:\n got %+v\nwant %+v", seed, i, name, got, want)
-				}
-				offered += len(got)
-				for _, in := range got {
-					if in.BaseSig != "" {
-						contained++
-					}
+			got, want := r.InputsFor(q, rt), linearInputsFor(r, q, rt)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d query %d:\n got %+v\nwant %+v", seed, i, got, want)
+			}
+			offered += len(got)
+			for _, in := range got {
+				if in.BaseSig != "" {
+					contained++
 				}
 			}
 		}
@@ -296,19 +285,19 @@ func TestLookupAllocations(t *testing.T) {
 	// A query none of whose stream pairs was ever advertised.
 	miss, _ := query.NewQuery(1, []query.StreamID{100, 101, 102, 103, 104, 105}, 0)
 	rt := make(query.RateTable, 1<<6)
-	if got := testing.AllocsPerRun(100, func() { large.InputsFor(miss, rt, nil) }); got != 0 {
+	if got := testing.AllocsPerRun(100, func() { large.InputsFor(miss, rt) }); got != 0 {
 		t.Errorf("lookup matching nothing among %d ads: %v allocs/op, want 0", large.Len(), got)
 	}
 
 	// The same candidates in a 64-ad and a 4,096-ad registry cost the same.
 	for _, d := range deps[:8] {
 		rt := make(query.RateTable, 1<<uint(d.q.K()))
-		n := len(small.InputsFor(d.q, rt, nil))
-		if n == 0 || n != len(large.InputsFor(d.q, rt, nil)) {
-			t.Fatalf("query %d: %d candidates in the small registry, %d in the large", d.q.ID, n, len(large.InputsFor(d.q, rt, nil)))
+		n := len(small.InputsFor(d.q, rt))
+		if n == 0 || n != len(large.InputsFor(d.q, rt)) {
+			t.Fatalf("query %d: %d candidates in the small registry, %d in the large", d.q.ID, n, len(large.InputsFor(d.q, rt)))
 		}
-		a := testing.AllocsPerRun(50, func() { small.InputsFor(d.q, rt, nil) })
-		b := testing.AllocsPerRun(50, func() { large.InputsFor(d.q, rt, nil) })
+		a := testing.AllocsPerRun(50, func() { small.InputsFor(d.q, rt) })
+		b := testing.AllocsPerRun(50, func() { large.InputsFor(d.q, rt) })
 		if a != b {
 			t.Errorf("query %d (%d candidates): %v allocs/op among %d ads, %v among %d", d.q.ID, n, a, small.Len(), b, large.Len())
 		}
@@ -379,8 +368,8 @@ func TestConcurrentLookupAdvertiseRetract(t *testing.T) {
 				}
 				q := randomDeployment(rng, -1, 8, 8, true).q
 				rt := make(query.RateTable, 1<<uint(q.K()))
-				for _, in := range r.InputsFor(q, rt, func(n netgraph.NodeID) bool { return n != 2 }) {
-					if in.Loc == 2 || !in.Derived {
+				for _, in := range r.InputsFor(q, rt) {
+					if !in.Derived {
 						t.Errorf("bad input %+v", in)
 					}
 				}

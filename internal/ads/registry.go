@@ -228,10 +228,9 @@ func (r *Registry) All() []Ad {
 
 // InputsFor converts the ads usable by query q into planner inputs:
 // every ad whose stream set is a subset of q's sources, covering at least
-// two positions (single-stream ads duplicate base inputs), whose node
-// passes the within filter (nil means anywhere), whose projection equals
-// the query's over those streams, and whose predicates contain the
-// query's — exact-match reuse and containment-based reuse through a
+// two positions (single-stream ads duplicate base inputs), whose
+// projection equals the query's over those streams, and whose predicates
+// contain the query's — exact-match reuse and containment-based reuse through a
 // residual filter applied at the producing node. Rates are taken from the
 // query's rate table (which already reflects the query's own predicates)
 // so reuse and fresh computation are costed consistently. The result is
@@ -241,7 +240,7 @@ func (r *Registry) All() []Ad {
 // its ads; the predicate and projection fragments the checks compare
 // against are computed once per sub-mask, and only for buckets that hold a
 // candidate. A lookup that matches nothing allocates nothing.
-func (r *Registry) InputsFor(q *query.Query, rt query.RateTable, within func(netgraph.NodeID) bool) []query.Input {
+func (r *Registry) InputsFor(q *query.Query, rt query.RateTable) []query.Input {
 	// Source positions by ascending stream ID: the order signatures list
 	// streams in.
 	var orderBuf [query.MaxSources]int
@@ -296,9 +295,6 @@ func (r *Registry) InputsFor(q *query.Query, rt query.RateTable, within func(net
 		}
 	}
 	r.mu.RUnlock()
-	if within != nil { // caller's code: run it outside the lock
-		matches = slices.DeleteFunc(matches, func(c match) bool { return !within(c.in.Loc) })
-	}
 	if obs.On() {
 		r.obsLookups.Inc()
 		r.obsScanned.Add(int64(scanned))

@@ -3,7 +3,6 @@ package ads
 import (
 	"testing"
 
-	"hnp/internal/netgraph"
 	"hnp/internal/query"
 )
 
@@ -67,7 +66,7 @@ func TestInputsFor(t *testing.T) {
 	r.Advertise(Ad{Sig: "2", Streams: []query.StreamID{2}, Node: 4, Rate: 5})
 	// Skipped: stream 9 not in query.
 	r.Advertise(Ad{Sig: "0|9", Streams: []query.StreamID{0, 9}, Node: 4, Rate: 5})
-	ins := r.InputsFor(q, rt, nil)
+	ins := r.InputsFor(q, rt)
 	if len(ins) != 1 {
 		t.Fatalf("InputsFor = %v", ins)
 	}
@@ -78,11 +77,6 @@ func TestInputsFor(t *testing.T) {
 	// Rate must come from the rate table, not the ad.
 	if in.Rate != rt.Rate(0b011) {
 		t.Errorf("rate = %g, want %g", in.Rate, rt.Rate(0b011))
-	}
-	// within filter excludes the node.
-	none := r.InputsFor(q, rt, func(n netgraph.NodeID) bool { return n != 4 })
-	if len(none) != 0 {
-		t.Errorf("filtered InputsFor = %v", none)
 	}
 }
 

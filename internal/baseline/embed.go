@@ -97,30 +97,3 @@ func (e *Embedding) Nearest(p Point3) netgraph.NodeID {
 	}
 	return best
 }
-
-// Stress returns the average relative error between embedded distances
-// and path costs over sampled pairs — an embedding-quality diagnostic.
-func (e *Embedding) Stress(paths *netgraph.Paths, samples int, rng *rand.Rand) float64 {
-	n := len(e.Pos)
-	if n < 2 || samples <= 0 {
-		return 0
-	}
-	sum, cnt := 0.0, 0
-	for i := 0; i < samples; i++ {
-		a, b := rng.Intn(n), rng.Intn(n)
-		if a == b {
-			continue
-		}
-		target := paths.Dist(netgraph.NodeID(a), netgraph.NodeID(b))
-		if target <= 0 || math.IsInf(target, 1) {
-			continue
-		}
-		got := Dist3(e.Pos[a], e.Pos[b])
-		sum += math.Abs(got-target) / target
-		cnt++
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}

@@ -276,7 +276,7 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	w := &World{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5)),
-		eng: engine.NewEngine(engine.NewSystem(g, paths, h, wl.Catalog, reg),
+		eng: engine.NewEngine(engine.NewSystem(g, h, wl.Catalog, reg),
 			cfg.Runtime, cfg.Seed^0x7f1e, cfg.horizon()),
 		minLive:   max(cfg.MaxCS, cfg.Nodes/2),
 		liveRates: map[query.StreamID]float64{},

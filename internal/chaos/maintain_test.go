@@ -40,10 +40,10 @@ func TestChaosLinkChurnPathsExact(t *testing.T) {
 			n := netgraph.NodeID(w.eng.Graph.NumNodes())
 			for a := netgraph.NodeID(0); a < n; a++ {
 				for b := netgraph.NodeID(0); b < n; b++ {
-					if got, want := w.eng.Paths.Dist(a, b), fresh.Dist(a, b); got != want {
+					if got, want := w.eng.Hierarchy.Paths().Dist(a, b), fresh.Dist(a, b); got != want {
 						t.Fatalf("seed %d, after %s: dist(%d,%d) = %v, fresh %v", seed, e.String(), a, b, got, want)
 					}
-					got, want := w.eng.Paths.Path(a, b), fresh.Path(a, b)
+					got, want := w.eng.Hierarchy.Paths().Path(a, b), fresh.Path(a, b)
 					if len(got) != len(want) || (len(got) > 1 && got[1] != want[1]) {
 						t.Fatalf("seed %d, after %s: path(%d,%d) = %v, fresh %v", seed, e.String(), a, b, got, want)
 					}

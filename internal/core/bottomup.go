@@ -39,7 +39,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	// lookup; each level takes the ones inside its cluster.
 	var reuse []query.Input
 	if reg != nil {
-		reuse = reg.InputsFor(q, rt, nil)
+		reuse = reg.InputsFor(q, rt)
 	}
 	var assembled []*query.PlanNode // each level's local view, by the mask it covers
 

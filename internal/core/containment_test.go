@@ -37,7 +37,7 @@ func TestContainmentReuse(t *testing.T) {
 
 	// The stricter query sees the weaker operators as containment inputs.
 	rt := query.BuildRates(w.cat, strongQ)
-	ins := reg.InputsFor(strongQ, rt, nil)
+	ins := reg.InputsFor(strongQ, rt)
 	if len(ins) == 0 {
 		t.Fatal("no containment inputs offered")
 	}
@@ -79,7 +79,7 @@ func TestContainmentReuse(t *testing.T) {
 	}
 	reg2.AdvertisePlan(strongQ, strongFirst.Plan)
 	wrt := query.BuildRates(w.cat, weakQ)
-	for _, in := range reg2.InputsFor(weakQ, wrt, nil) {
+	for _, in := range reg2.InputsFor(weakQ, wrt) {
 		t.Errorf("weak query offered stricter stream %s", in.Sig)
 	}
 }
@@ -105,7 +105,7 @@ func TestExactPredicateReuseHasNoFilter(t *testing.T) {
 	}
 	reg.AdvertisePlan(q1, res.Plan)
 	rt := query.BuildRates(w.cat, q2)
-	ins := reg.InputsFor(q2, rt, nil)
+	ins := reg.InputsFor(q2, rt)
 	if len(ins) == 0 {
 		t.Fatal("identical-predicate reuse not offered")
 	}
@@ -135,7 +135,7 @@ func TestPredicateSignaturesDoNotAlias(t *testing.T) {
 	reg.AdvertisePlan(q1, r1.Plan)
 	// q2's predicates are disjoint from q1's: no reuse possible.
 	rt := query.BuildRates(w.cat, q2)
-	if ins := reg.InputsFor(q2, rt, nil); len(ins) != 0 {
+	if ins := reg.InputsFor(q2, rt); len(ins) != 0 {
 		t.Errorf("disjoint predicates offered reuse: %v", ins)
 	}
 }

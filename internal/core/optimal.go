@@ -21,7 +21,7 @@ func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q
 	wt := query.BuildWidths(cat, q)
 	inputs := BaseInputs(cat, q, rt)
 	if reg != nil {
-		inputs = append(inputs, reg.InputsFor(q, rt, nil)...)
+		inputs = append(inputs, reg.InputsFor(q, rt)...)
 	}
 	sites := make([]netgraph.NodeID, g.NumNodes())
 	for i := range sites {

@@ -50,7 +50,7 @@ func TopDownOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg
 	td.h, td.q, td.rt, td.wt, td.opts = h, q, rt, wt, opts
 	td.obs = newPlannerObs(opts.Obs, topDownMetrics)
 	if reg != nil {
-		td.reuse = reg.InputsFor(q, rt, nil)
+		td.reuse = reg.InputsFor(q, rt)
 	}
 	td.ins = appendBaseInputs(td.ins, cat, q, rt)
 	plan, trace, err := td.planView(h.Top(), 0, q.Sink, true)

@@ -15,7 +15,10 @@ import (
 // half with the IFLOW runtime (and, once attached, the adaptation
 // controller) and keeps the advertisement registry, the load ledger, the
 // path snapshots and the hierarchy in step with what the runtime hosts.
-// Every lifecycle step is one method here, so no client mirrors any of it:
+// It copies none of their state: the deployed queries and plans are the
+// runtime's, a node is live while the hierarchy holds it, and the planning
+// side's path snapshot is the hierarchy's. Every lifecycle step is one
+// method here, so no client mirrors any of it:
 //
 //	Deploy            runtime deploy + advertise + ledger add
 //	Undeploy          runtime undeploy + ledger remove + liveness prune
@@ -42,38 +45,25 @@ type Engine struct {
 	// controller applies, after the engine has mirrored it.
 	OnMigrate func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport)
 
-	ctl     *adapt.Controller
-	queries map[int]*query.Query
-	plans   map[int]*query.PlanNode
-	live    []bool
-	until   float64
+	ctl   *adapt.Controller
+	until float64
 }
 
 // NewEngine puts a runtime under a system. The runtime draws its tuple
 // randomness from seed and records into the system's telemetry registry;
 // until bounds the lifetime of every source the engine starts.
 func NewEngine(sys *System, cfg iflow.Config, seed int64, until float64) *Engine {
-	e := &Engine{
-		System:  sys,
-		RT:      iflow.New(sys.Graph, cfg, seed),
-		queries: map[int]*query.Query{},
-		plans:   map[int]*query.PlanNode{},
-		live:    make([]bool, sys.Graph.NumNodes()),
-		until:   until,
-	}
+	e := &Engine{System: sys, RT: iflow.New(sys.Graph, cfg, seed), until: until}
 	e.RT.BindObs(sys.Obs)
-	for v := range e.live {
-		e.live[v] = true
-	}
 	return e
 }
 
 // DeployedPlan returns the plan a deployed query currently runs, nil for
-// a query that is not deployed.
-func (e *Engine) DeployedPlan(qid int) *query.PlanNode { return e.plans[qid] }
+// a query that is not deployed. The runtime holds the deployed set.
+func (e *Engine) DeployedPlan(qid int) *query.PlanNode { return e.RT.DeployedPlan(qid) }
 
-// Live reports whether a node is up.
-func (e *Engine) Live(v netgraph.NodeID) bool { return e.live[v] }
+// Live reports whether a node is up: a member of the hierarchy.
+func (e *Engine) Live(v netgraph.NodeID) bool { return e.Hierarchy.Contains(v) }
 
 // Deploy starts a planned query: its operators come up in the runtime,
 // are advertised for reuse and booked in the load ledger.
@@ -82,8 +72,6 @@ func (e *Engine) Deploy(d Deployment) error {
 		return err
 	}
 	e.deployRecord(d.Query, d.Result)
-	e.queries[d.Query.ID] = d.Query
-	e.plans[d.Query.ID] = d.Plan
 	if e.ctl != nil {
 		e.ctl.Track(d.Query, d.Plan)
 	}
@@ -101,19 +89,18 @@ func (e *Engine) Deploy(d Deployment) error {
 // (ads.Registry.RetractPlan). Unifying them either way changes which
 // advertisements planners are offered, and with that the chosen plans.
 func (e *Engine) Undeploy(qid int) error {
+	plan := e.RT.DeployedPlan(qid)
 	if err := e.RT.Undeploy(qid); err != nil {
 		return err
 	}
-	e.drop(qid)
+	e.drop(qid, plan)
 	e.pruneAds()
 	return nil
 }
 
-// drop releases a no-longer-running query's books.
-func (e *Engine) drop(qid int) {
-	e.tracker.RemovePlan(e.plans[qid])
-	delete(e.plans, qid)
-	delete(e.queries, qid)
+// drop releases the books of a query that no longer runs plan.
+func (e *Engine) drop(qid int, plan *query.PlanNode) {
+	e.tracker.RemovePlan(plan)
 	if e.ctl != nil {
 		e.ctl.Untrack(qid)
 	}
@@ -122,7 +109,7 @@ func (e *Engine) drop(qid int) {
 // Migrate replaces a deployed query's plan in place (iflow.Migrate:
 // operators both plans share keep running) and mirrors the change.
 func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, error) {
-	q := e.queries[qid]
+	q := e.RT.DeployedQuery(qid)
 	if q == nil {
 		return iflow.MigrationReport{}, fmt.Errorf("engine: query %d is not deployed", qid)
 	}
@@ -137,11 +124,10 @@ func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, 
 	return rep, nil
 }
 
-// migrated mirrors an applied migration: plan table, advertisements for
-// the operators it created, retraction of the ones it retired, and the
+// migrated mirrors an applied migration: advertisements for the
+// operators it created, retraction of the ones it retired, and the
 // diff-aware ledger update.
 func (e *Engine) migrated(q *query.Query, fresh *query.PlanNode, rep iflow.MigrationReport) {
-	e.plans[q.ID] = fresh
 	e.Registry.AdvertisePlan(q, fresh)
 	e.pruneAds()
 	e.tracker.ApplyDelta(rep.LoadDelta)
@@ -175,27 +161,26 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery,
 	if err := e.Hierarchy.RemoveNode(v); err != nil {
 		return rec, fmt.Errorf("hierarchy rejected removal: %w", err)
 	}
-	e.live[v] = false
 	e.pruneAds()
 	if len(rec.Affected) == 0 {
 		return rec, nil
 	}
 	// The ledger must release exactly what was booked, not the recovered
-	// replacement RecoverQueries writes into the plan table.
+	// replacement RecoverQueries deploys.
 	booked := make(map[int]*query.PlanNode, len(rec.Affected))
 	for _, qid := range rec.Affected {
-		booked[qid] = e.plans[qid]
+		booked[qid] = e.RT.DeployedPlan(qid)
 	}
 	var err error
-	rec.Recovered, rec.Failed, err = e.RT.RecoverQueries(rec.Affected, e.queries, e.plans, e.Catalog,
+	rec.Recovered, rec.Failed, err = e.RT.RecoverQueries(rec.Affected, e.Catalog,
 		func(q *query.Query) (*query.PlanNode, error) {
 			// The teardown preceding each re-plan orphans advertisements.
 			e.pruneAds()
-			if !e.live[q.Sink] {
+			if !e.Live(q.Sink) {
 				return nil, fmt.Errorf("sink node %d is down", q.Sink)
 			}
 			for _, sid := range q.Sources {
-				if src := e.Catalog.Stream(sid).Source; !e.live[src] {
+				if src := e.Catalog.Stream(sid).Source; !e.Live(src) {
 					return nil, fmt.Errorf("source node %d of stream %d is down", src, sid)
 				}
 			}
@@ -205,14 +190,15 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery,
 		return rec, fmt.Errorf("recovery aborted: %w", err)
 	}
 	for _, qid := range rec.Failed {
-		e.drop(qid) // still booked under the old plan: only recoveries overwrite it
+		e.drop(qid, booked[qid])
 	}
 	for _, qid := range rec.Recovered {
+		plan := e.RT.DeployedPlan(qid)
 		e.tracker.RemovePlan(booked[qid])
-		e.tracker.AddPlan(e.plans[qid])
-		e.Registry.AdvertisePlan(e.queries[qid], e.plans[qid])
+		e.tracker.AddPlan(plan)
+		e.Registry.AdvertisePlan(e.RT.DeployedQuery(qid), plan)
 		if e.ctl != nil {
-			e.ctl.SetPlan(qid, e.plans[qid])
+			e.ctl.SetPlan(qid, plan)
 		}
 	}
 	e.pruneAds()
@@ -222,7 +208,6 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery,
 // RecoverNode brings a failed node back: it rejoins the hierarchy via the
 // paper's join protocol and becomes usable for placements and sources.
 func (e *Engine) RecoverNode(v netgraph.NodeID) error {
-	e.live[v] = true
 	if err := e.Hierarchy.AddNode(v); err != nil {
 		return fmt.Errorf("hierarchy rejected rejoin: %w", err)
 	}
@@ -251,8 +236,9 @@ func (e *Engine) SetLiveRate(id query.StreamID, rate float64) (int, error) {
 	}
 	seen := map[tap]bool{}
 	for _, qid := range e.RT.DeployedQueries() {
-		for _, l := range e.plans[qid].Leaves() {
-			ids := e.queries[qid].StreamsOf(l.Mask)
+		q := e.RT.DeployedQuery(qid)
+		for _, l := range e.RT.DeployedPlan(qid).Leaves() {
+			ids := q.StreamsOf(l.Mask)
 			if l.In.Derived || len(ids) != 1 || ids[0] != id || seen[tap{l.In.Sig, l.Loc}] {
 				continue
 			}
@@ -294,20 +280,21 @@ func (e *Engine) AttachController(cfg adapt.Config) *adapt.Controller {
 		}
 	}
 	for _, qid := range e.RT.DeployedQueries() {
-		e.ctl.Track(e.queries[qid], e.plans[qid])
+		e.ctl.Track(e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid))
 	}
 	e.ctl.Run(e.until)
 	return e.ctl
 }
 
 // Audit checks the invariants that tie the engine's parts together, after
-// each layer's own: hierarchy membership mirrors node liveness, no layer
-// holds a stale path snapshot, the runtime runs exactly the engine's
-// deployed set and plans, the incremental load ledger equals a
-// from-scratch recompute, and every advertisement names a running
-// operator on a live node. It holds after every lifecycle method returns.
-// (Background load booked with AddLoad belongs to no plan and would read
-// as ledger drift; no engine client books any.)
+// each layer's own: no layer holds a stale path snapshot, the incremental
+// load ledger equals a from-scratch recompute over the plans the runtime
+// runs, and every advertisement names a running operator on a live node.
+// Each fact has one owner, so there is no copy to compare: the runtime
+// holds the deployed set, hierarchy membership is liveness, the hierarchy
+// holds the planning-side path snapshot. It holds after every lifecycle
+// method returns. (Background load booked with AddLoad belongs to no plan
+// and would read as ledger drift; no engine client books any.)
 func (e *Engine) Audit() error {
 	if err := e.Hierarchy.CheckInvariants(); err != nil {
 		return err
@@ -315,17 +302,12 @@ func (e *Engine) Audit() error {
 	if err := e.RT.CheckInvariants(e.Live); err != nil {
 		return err
 	}
-	for v, ok := range e.live {
-		if in := e.Hierarchy.Contains(netgraph.NodeID(v)); in != ok {
-			return fmt.Errorf("node %d live=%v but hierarchy membership=%v", v, ok, in)
-		}
-	}
 
 	for _, s := range []struct {
 		name  string
 		paths *netgraph.Paths
 	}{
-		{"engine path", e.Paths}, {"hierarchy path", e.Hierarchy.Paths()},
+		{"hierarchy path", e.Hierarchy.Paths()},
 		{"runtime cost", e.RT.Cost}, {"runtime delay", e.RT.Delay},
 	} {
 		if s.paths.StaleFor(e.Graph) {
@@ -333,20 +315,12 @@ func (e *Engine) Audit() error {
 		}
 	}
 
-	running := e.RT.DeployedQueries()
-	if len(running) != len(e.plans) {
-		return fmt.Errorf("runtime deploys %v, engine books %d queries", running, len(e.plans))
-	}
 	// Diff-aware migration accounting (ApplyDelta) must leave exactly the
 	// per-node load that tearing the books down and re-adding every plan
 	// would — no holes, no double counting, no residue.
 	expect := map[netgraph.NodeID]float64{}
-	for _, qid := range running {
-		plan := e.plans[qid]
-		if plan == nil || e.RT.DeployedPlan(qid) != plan {
-			return fmt.Errorf("query %d: runtime's deployed plan diverges from the engine's", qid)
-		}
-		for _, op := range plan.Operators() {
+	for _, qid := range e.RT.DeployedQueries() {
+		for _, op := range e.RT.DeployedPlan(qid).Operators() {
 			expect[op.Loc] += op.InputRate()
 		}
 	}
@@ -363,7 +337,7 @@ func (e *Engine) Audit() error {
 	}
 
 	for _, ad := range e.Registry.All() {
-		if !e.live[ad.Node] {
+		if !e.Live(ad.Node) {
 			return fmt.Errorf("advertisement %s@%d survives on a dead node", ad.Sig, ad.Node)
 		}
 		if e.RT.Operator(ad.Sig, ad.Node) == nil {

@@ -52,7 +52,7 @@ func newTestEngine(t *testing.T, seed int64, until float64) testEngine {
 	for i, name := range []string{"S0", "S1", "S2", "S3"} {
 		cat.Add(name, 20+10*float64(i), netgraph.NodeID(rng.Intn(32)))
 	}
-	sys := NewSystem(g, paths, h, cat, obs.NewRegistry())
+	sys := NewSystem(g, h, cat, obs.NewRegistry())
 	return testEngine{NewEngine(sys, iflow.DefaultConfig(), seed, until), netgraph.NodeID(rng.Intn(32))}
 }
 
@@ -129,11 +129,11 @@ func TestEngineLifecycle(t *testing.T) {
 			burst = append(burst, iflow.LinkCostUpdate{A: op.Loc, B: nb, Cost: cost * 20})
 		}
 	}
-	before := e.Paths
+	before := e.Hierarchy.Paths()
 	if err := e.UpdateLinkCosts(burst...); err != nil {
 		t.Fatal(err)
 	}
-	if e.Paths == before {
+	if e.Hierarchy.Paths() == before {
 		t.Fatal("link burst did not refresh the planning snapshot")
 	}
 	e.audit(t, "link burst")

@@ -87,7 +87,6 @@ func ParseAlgorithm(name string) (Algorithm, bool) {
 // likewise be externally serialized with planning, followed by Refresh.
 type System struct {
 	Graph     *netgraph.Graph
-	Paths     *netgraph.Paths
 	Hierarchy *hierarchy.Hierarchy
 	Catalog   *query.Catalog
 	Registry  *ads.Registry
@@ -98,7 +97,7 @@ type System struct {
 	// only happens while telemetry is enabled (obs.Enable).
 	Obs *obs.Registry
 
-	// mu guards the Paths/Hierarchy snapshot swap (Refresh) and loadAlpha
+	// mu guards the Hierarchy's path-snapshot swap (Refresh) and loadAlpha
 	// against in-flight planning, which holds it in read mode.
 	mu sync.RWMutex
 	// qmu guards query ID allocation.
@@ -197,14 +196,12 @@ func (s *System) unpin(p *prepared) {
 	s.prepEntries.Set(float64(len(s.prepared)))
 }
 
-// NewSystem assembles a system from pre-built parts: paths must be a
-// snapshot of g, h a hierarchy bound to it. The hierarchy, the fresh
-// registry and the fresh load ledger record into reg.
-func NewSystem(g *netgraph.Graph, paths *netgraph.Paths, h *hierarchy.Hierarchy,
-	cat *query.Catalog, reg *obs.Registry) *System {
+// NewSystem assembles a system from pre-built parts: h must be a hierarchy
+// over g, whose path snapshot is the one the system plans on. The
+// hierarchy, the fresh registry and the fresh load ledger record into reg.
+func NewSystem(g *netgraph.Graph, h *hierarchy.Hierarchy, cat *query.Catalog, reg *obs.Registry) *System {
 	s := &System{
 		Graph:       g,
-		Paths:       paths,
 		Hierarchy:   h,
 		Catalog:     cat,
 		Registry:    ads.NewRegistry(),
@@ -234,7 +231,7 @@ func Build(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, maxCS i
 	if err != nil {
 		return nil, err
 	}
-	return NewSystem(g, paths, h, cat, reg), nil
+	return NewSystem(g, h, cat, reg), nil
 }
 
 // allocQueryID hands out a unique query ID. Every planned query gets its
@@ -486,7 +483,7 @@ func (s *System) reuseWasOffered(q *query.Query, res core.Result) bool {
 		walk(res.Trace)
 		return offered > 0
 	}
-	return len(s.Registry.InputsFor(q, query.BuildRates(s.Catalog, q), nil)) > 0
+	return len(s.Registry.InputsFor(q, query.BuildRates(s.Catalog, q))) > 0
 }
 
 // PlanQuery is the one planning path: every facade entry point, the
@@ -510,10 +507,10 @@ func (s *System) PlanQuery(q *query.Query, algo Algorithm, reg *ads.Registry) (c
 	case AlgoBottomUp:
 		return core.BottomUpOpts(s.Hierarchy, s.Catalog, q, reg, opts)
 	case AlgoOptimal:
-		return core.OptimalOpts(s.Graph, s.Paths, s.Catalog, q, reg, opts)
+		return core.OptimalOpts(s.Graph, s.Hierarchy.Paths(), s.Catalog, q, reg, opts)
 	case AlgoPlanThenDeploy:
 		// The phased baseline predates load awareness; it ignores opts.
-		return baseline.PlanThenDeploy(s.Graph, s.Paths, s.Catalog, q, reg)
+		return baseline.PlanThenDeploy(s.Graph, s.Hierarchy.Paths(), s.Catalog, q, reg)
 	}
 	return core.Result{}, fmt.Errorf("hnp: unknown algorithm %d", algo)
 }
@@ -533,7 +530,7 @@ func (s *System) Refresh() {
 	// Compute outside the write lock: planners keep running against the
 	// old snapshot until the swap below.
 	s.mu.RLock()
-	old := s.Paths
+	old := s.Hierarchy.Paths()
 	s.mu.RUnlock()
 	paths, stats := old.RefreshFrom(s.Graph, nil)
 	switch stats.Mode {
@@ -551,5 +548,4 @@ func (s *System) Refresh() {
 		// Unreachable: a just-computed snapshot cannot be stale.
 		panic(err)
 	}
-	s.Paths = paths
 }

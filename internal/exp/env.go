@@ -74,24 +74,13 @@ func deploySequence(qs []*query.Query, reuse bool, opt optimizer) ([]float64, []
 }
 
 // runParallel invokes fn(0..n-1), fanning the indices over a
-// GOMAXPROCS-bounded worker pool unless serial is set (or only one worker
-// is available), and returns the first error any invocation produced.
-// Callers must write results into index-addressed slots so serial and
-// parallel execution are bit-identical; fn must not touch shared mutable
+// GOMAXPROCS-bounded worker pool (one worker, so index order, at
+// GOMAXPROCS 1), and returns the first error any invocation produced.
+// Callers must write results into index-addressed slots so the output is
+// bit-identical at every worker count; fn must not touch shared mutable
 // state that is not internally synchronized.
-func runParallel(n int, serial bool, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if serial || workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+func runParallel(n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -123,11 +112,11 @@ func runParallel(n int, serial bool, fn func(i int) error) error {
 // Workload repetitions are independent (each gets its own seeded rng), so
 // they run through runParallel; rows are indexed by repetition, keeping
 // the MeanAcross float accumulation order — and thus the output bits —
-// identical to a serial run.
+// identical at every worker count.
 func cumulativeAveraged(cfg Config, fn func(w *workload.Workload, rng *rand.Rand) ([]float64, error),
 	gen func(rng *rand.Rand) (*workload.Workload, error)) ([]float64, error) {
 	rows := make([][]float64, cfg.Workloads)
-	err := runParallel(cfg.Workloads, cfg.Serial, func(wi int) error {
+	err := runParallel(cfg.Workloads, func(wi int) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(wi)*1009))
 		w, err := gen(rng)
 		if err != nil {

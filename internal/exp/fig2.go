@@ -25,10 +25,6 @@ type Config struct {
 	// Fig9Sizes overrides the network-size sweep of Figure 9 (nil = the
 	// paper's 128..1024).
 	Fig9Sizes []int
-	// Serial disables the parallel harness: workload repetitions and
-	// per-series sweeps run on one goroutine. Output is bit-identical
-	// either way; the zero value (parallel) is the default.
-	Serial bool
 
 	// fig names the figure currently running; set by each Fig entry point
 	// so shared harness code can label its progress telemetry.

@@ -36,7 +36,7 @@ func fig56(cfg Config, id, algo string,
 		e.hier(cs)
 	}
 	series := make([]Series, len(clusterSizes))
-	err := runParallel(len(clusterSizes), cfg.Serial, func(ci int) error {
+	err := runParallel(len(clusterSizes), func(ci int) error {
 		cs := clusterSizes[ci]
 		h := e.hier(cs)
 		avg, err := cumulativeAveraged(cfg,

@@ -55,7 +55,7 @@ func Fig7(cfg Config) (*Figure, error) {
 		YLabel: "cumulative cost per unit time",
 	}
 	series := make([]Series, len(variants))
-	err := runParallel(len(variants), cfg.Serial, func(vi int) error {
+	err := runParallel(len(variants), func(vi int) error {
 		v := variants[vi]
 		avg, err := cumulativeAveraged(cfg,
 			func(w *workload.Workload, _ *rand.Rand) ([]float64, error) {

@@ -69,7 +69,7 @@ func Fig8(cfg Config) (*Figure, error) {
 		YLabel: "cumulative cost per unit time",
 	}
 	series := make([]Series, len(runs))
-	err = runParallel(len(runs), cfg.Serial, func(ri int) error {
+	err = runParallel(len(runs), func(ri int) error {
 		r := runs[ri]
 		avg, err := cumulativeAveraged(cfg,
 			func(w *workload.Workload, _ *rand.Rand) ([]float64, error) {

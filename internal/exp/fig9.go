@@ -43,7 +43,7 @@ func Fig9(cfg Config) (*Figure, error) {
 	exY := make([]float64, len(sizes))
 	boundY := make([]float64, len(sizes))
 	xs := make([]float64, len(sizes))
-	err := runParallel(len(sizes), cfg.Serial, func(i int) error {
+	err := runParallel(len(sizes), func(i int) error {
 		n := sizes[i]
 		xs[i] = float64(n)
 		e := newEnv(n, cfg.Seed+int64(n))

@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// forceParallel raises GOMAXPROCS so the harness actually fans out even on
-// a single-core test machine (runParallel falls back to serial at 1).
-func forceParallel(t testing.TB) {
+// withProcs runs the rest of the test at GOMAXPROCS n: runParallel sizes
+// its pool from it, so 1 is the serial run and more fans out even on a
+// single-core test machine.
+func withProcs(t testing.TB, n int) {
 	t.Helper()
-	old := runtime.GOMAXPROCS(8)
+	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
@@ -20,7 +21,6 @@ func forceParallel(t testing.TB) {
 // computed with the parallel harness is bit-identical to the serial run —
 // same series order, same X/Y values, same notes.
 func TestParallelFigureDeterminism(t *testing.T) {
-	forceParallel(t)
 	figures := []struct {
 		name string
 		run  func(Config) (*Figure, error)
@@ -32,16 +32,15 @@ func TestParallelFigureDeterminism(t *testing.T) {
 	for _, fig := range figures {
 		fig := fig
 		t.Run(fig.name, func(t *testing.T) {
-			serialCfg := quickCfg()
-			serialCfg.Serial = true
-			want, err := fig.run(serialCfg)
-			if err != nil {
-				t.Fatal(err)
+			at := func(procs int) *Figure {
+				withProcs(t, procs)
+				f, err := fig.run(quickCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
 			}
-			got, err := fig.run(quickCfg()) // zero value: parallel
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, got := at(1), at(4)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("parallel %s differs from serial:\nparallel: %+v\nserial:   %+v", fig.name, got, want)
 			}
@@ -50,10 +49,10 @@ func TestParallelFigureDeterminism(t *testing.T) {
 }
 
 func TestRunParallelCoversAllIndices(t *testing.T) {
-	forceParallel(t)
+	withProcs(t, 8)
 	const n = 100
 	var hits [n]atomic.Int32
-	if err := runParallel(n, false, func(i int) error {
+	if err := runParallel(n, func(i int) error {
 		hits[i].Add(1)
 		return nil
 	}); err != nil {
@@ -67,20 +66,20 @@ func TestRunParallelCoversAllIndices(t *testing.T) {
 }
 
 func TestRunParallelPropagatesError(t *testing.T) {
-	forceParallel(t)
 	sentinel := errors.New("boom")
-	for _, serial := range []bool{true, false} {
-		err := runParallel(10, serial, func(i int) error {
+	for _, procs := range []int{1, 8} {
+		withProcs(t, procs)
+		err := runParallel(10, func(i int) error {
 			if i == 7 {
 				return sentinel
 			}
 			return nil
 		})
 		if !errors.Is(err, sentinel) {
-			t.Errorf("serial=%v: err = %v, want sentinel", serial, err)
+			t.Errorf("GOMAXPROCS %d: err = %v, want sentinel", procs, err)
 		}
 	}
-	if err := runParallel(0, false, func(int) error { return sentinel }); err != nil {
+	if err := runParallel(0, func(int) error { return sentinel }); err != nil {
 		t.Errorf("n=0 invoked fn: %v", err)
 	}
 }

@@ -72,11 +72,10 @@ func (rt *Runtime) FailNode(v netgraph.NodeID) []int {
 // sink statistics. Queries whose re-planning fails (e.g. their base
 // source died with the node) are reported in failedIDs rather than
 // aborting the rest.
-func (rt *Runtime) RecoverQueries(affected []int, qs map[int]*query.Query,
-	plans map[int]*query.PlanNode, cat *query.Catalog, replan ReplanFunc,
+func (rt *Runtime) RecoverQueries(affected []int, cat *query.Catalog, replan ReplanFunc,
 	until float64) (recovered, failedIDs []int, err error) {
 	for _, qid := range affected {
-		q := qs[qid]
+		q := rt.DeployedQuery(qid)
 		if q == nil {
 			return recovered, failedIDs, fmt.Errorf("iflow: unknown query %d", qid)
 		}
@@ -99,7 +98,6 @@ func (rt *Runtime) RecoverQueries(affected []int, qs map[int]*query.Query,
 			s.Bytes += old.Bytes
 			s.LatencySum += old.LatencySum
 		}
-		plans[qid] = fresh
 		recovered = append(recovered, qid)
 	}
 	return recovered, failedIDs, nil

@@ -74,8 +74,6 @@ func TestRecoverQueriesRestoresDelivery(t *testing.T) {
 	if err := w.h.RemoveNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	qs := map[int]*query.Query{w.q.ID: w.q}
-	plans := map[int]*query.PlanNode{w.q.ID: w.plan}
 	replan := func(q *query.Query) (*query.PlanNode, error) {
 		res, err := core.TopDown(w.h, w.cat, q, nil)
 		if err != nil {
@@ -83,7 +81,7 @@ func TestRecoverQueriesRestoresDelivery(t *testing.T) {
 		}
 		return res.Plan, nil
 	}
-	recovered, failed, err := rt.RecoverQueries(affected, qs, plans, w.cat, replan, horizon)
+	recovered, failed, err := rt.RecoverQueries(affected, w.cat, replan, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestRecoverQueriesRestoresDelivery(t *testing.T) {
 		t.Fatalf("recovered=%v failed=%v", recovered, failed)
 	}
 	// The new plan avoids the dead node.
-	for _, op := range plans[w.q.ID].Operators() {
+	for _, op := range rt.DeployedPlan(w.q.ID).Operators() {
 		if op.Loc == victim {
 			t.Error("recovered plan still uses the failed node")
 		}
@@ -115,12 +113,10 @@ func TestRecoverQueriesReportsUnplannable(t *testing.T) {
 	if len(affected) == 0 {
 		t.Fatal("source failure affected nothing")
 	}
-	qs := map[int]*query.Query{w.q.ID: w.q}
-	plans := map[int]*query.PlanNode{w.q.ID: w.plan}
 	replan := func(q *query.Query) (*query.PlanNode, error) {
 		return nil, errSourceDead
 	}
-	recovered, failed, err := rt.RecoverQueries(affected, qs, plans, w.cat, replan, 100)
+	recovered, failed, err := rt.RecoverQueries(affected, w.cat, replan, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +124,7 @@ func TestRecoverQueriesReportsUnplannable(t *testing.T) {
 		t.Errorf("recovered=%v failed=%v", recovered, failed)
 	}
 	// Unknown query id errors.
-	if _, _, err := rt.RecoverQueries([]int{42}, qs, plans, w.cat, replan, 100); err == nil {
+	if _, _, err := rt.RecoverQueries([]int{42}, w.cat, replan, 100); err == nil {
 		t.Error("unknown query accepted")
 	}
 }
@@ -185,8 +181,6 @@ func TestFailNodeSharedOperator(t *testing.T) {
 	if err := w.h.RemoveNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	qs := map[int]*query.Query{0: w.q, 1: q2}
-	plans := map[int]*query.PlanNode{0: plan, 1: plan}
 	replan := func(q *query.Query) (*query.PlanNode, error) {
 		res, err := core.TopDown(w.h, w.cat, q, nil)
 		if err != nil {
@@ -194,7 +188,7 @@ func TestFailNodeSharedOperator(t *testing.T) {
 		}
 		return res.Plan, nil
 	}
-	recovered, failed, err := rt.RecoverQueries(affected, qs, plans, w.cat, replan, horizon)
+	recovered, failed, err := rt.RecoverQueries(affected, w.cat, replan, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +232,10 @@ func TestFailNodeSinkNode(t *testing.T) {
 	if err := w.h.RemoveNode(w.q.Sink); err != nil {
 		t.Fatal(err)
 	}
-	qs := map[int]*query.Query{w.q.ID: w.q}
-	plans := map[int]*query.PlanNode{w.q.ID: w.plan}
 	replan := func(q *query.Query) (*query.PlanNode, error) {
 		return nil, errSentinel("sink node is down")
 	}
-	recovered, failed, err := rt.RecoverQueries(affected, qs, plans, w.cat, replan, 300)
+	recovered, failed, err := rt.RecoverQueries(affected, w.cat, replan, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,16 +295,14 @@ func TestDoubleFailureBeforeRecovery(t *testing.T) {
 		}
 		return res.Plan, nil
 	}
-	qs := map[int]*query.Query{w.q.ID: w.q}
-	plans := map[int]*query.PlanNode{w.q.ID: plan}
-	recovered, failed, err := rt.RecoverQueries([]int{w.q.ID}, qs, plans, w.cat, replan, horizon)
+	recovered, failed, err := rt.RecoverQueries([]int{w.q.ID}, w.cat, replan, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(failed) != 0 || len(recovered) != 1 {
 		t.Fatalf("recovered=%v failed=%v", recovered, failed)
 	}
-	for _, op := range plans[w.q.ID].Operators() {
+	for _, op := range rt.DeployedPlan(w.q.ID).Operators() {
 		if op.Loc == v1 || op.Loc == v2 {
 			t.Errorf("recovered plan uses dead node %d", op.Loc)
 		}

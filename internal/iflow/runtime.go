@@ -263,7 +263,7 @@ type Runtime struct {
 
 	// Count-based transport statistics. The simulation is single-threaded
 	// (see des.Sim), so plain fields suffice; rates derived from them must
-	// come from Stats/CostRate/EmitRates, which guard the zero-time window.
+	// come from Stats/CostRate, which guard the zero-time window.
 	//
 	// TuplesTransferred counts tuples that crossed at least one link
 	// (node-local handoffs are free and not counted).
@@ -649,6 +649,14 @@ func (rt *Runtime) DeployedPlan(queryID int) *query.PlanNode {
 	return nil
 }
 
+// DeployedQuery returns a deployed query, or nil when it is not deployed.
+func (rt *Runtime) DeployedQuery(queryID int) *query.Query {
+	if dep := rt.deploys[queryID]; dep != nil {
+		return dep.q
+	}
+	return nil
+}
+
 // RunFor advances the simulation by d seconds of virtual time.
 func (rt *Runtime) RunFor(d float64) { rt.Sim.RunUntil(rt.Sim.Now() + d) }
 
@@ -703,19 +711,4 @@ func (rt *Runtime) Stats() Stats {
 		Elapsed:            rt.Sim.Now(),
 		Operators:          len(rt.ops),
 	}
-}
-
-// EmitRates returns each live operator's output rate in tuples per second
-// of elapsed virtual time, keyed "sig@node". Before any time has passed it
-// returns nil rather than dividing by a zero window.
-func (rt *Runtime) EmitRates() map[string]float64 {
-	elapsed := rt.Sim.Now()
-	if elapsed <= 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(rt.ops))
-	for key, op := range rt.ops {
-		out[fmt.Sprintf("%s@%d", key.sig, key.node)] = float64(op.OutCount) / elapsed
-	}
-	return out
 }

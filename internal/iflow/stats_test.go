@@ -1,12 +1,10 @@
 package iflow
 
 import (
-	"strings"
 	"testing"
 
 	"hnp/internal/netgraph"
 	"hnp/internal/obs"
-	"hnp/internal/query"
 )
 
 // TestStatsZeroWindow: a freshly built runtime must report all-zero
@@ -23,9 +21,6 @@ func TestStatsZeroWindow(t *testing.T) {
 	}
 	if got := s.CostRate(); got != 0 {
 		t.Errorf("Stats.CostRate on zero window = %g, want 0", got)
-	}
-	if got := rt.EmitRates(); got != nil {
-		t.Errorf("EmitRates on zero window = %v, want nil", got)
 	}
 	var sink *SinkStats
 	if got := sink.MeanLatency(); got != 0 {
@@ -77,19 +72,6 @@ func TestStatsCountsAfterRun(t *testing.T) {
 		t.Errorf("sink rate %g inconsistent with %d tuples over 100s", got, sink.Tuples)
 	}
 
-	rates := rt.EmitRates()
-	if len(rates) == 0 {
-		t.Fatal("no emit rates for live operators")
-	}
-	for k, r := range rates {
-		if !strings.Contains(k, "@") {
-			t.Errorf("emit-rate key %q not sig@node formatted", k)
-		}
-		if r < 0 {
-			t.Errorf("negative emit rate %g for %s", r, k)
-		}
-	}
-
 	snap := reg.Snapshot()
 	if got := snap.Counter("iflow.tuples_transferred"); got != s.TuplesTransferred {
 		t.Errorf("obs transferred %d != %d", got, s.TuplesTransferred)
@@ -117,25 +99,5 @@ func TestDroppedTuplesCounted(t *testing.T) {
 	rt.RunFor(5)
 	if rt.Stats().TuplesDropped == 0 {
 		t.Error("in-flight tuples vanished without a drop count")
-	}
-}
-
-// TestEmitRatesKeying pins the sig@node key format against a known tap.
-func TestEmitRatesKeying(t *testing.T) {
-	g := netgraph.Line(2, 0.001)
-	rt := New(g, DefaultConfig(), 5)
-	cat := query.NewCatalog(0)
-	cat.Add("A", 30, 0)
-	if _, err := rt.StartSource("A", 0, 30, 50); err != nil {
-		t.Fatal(err)
-	}
-	rt.RunFor(50)
-	rates := rt.EmitRates()
-	r, ok := rates["A@0"]
-	if !ok {
-		t.Fatalf("key A@0 missing from %v", rates)
-	}
-	if r <= 0 {
-		t.Errorf("source emit rate %g", r)
 	}
 }

@@ -4,104 +4,19 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteEdgeList writes the graph in the plain edge-list interchange
 // format cmd/topogen emits: a comment header, then one "a b cost delay"
-// line per link. ParseEdgeList reads it back.
+// line per link.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# nodes %d links %d\n", g.NumNodes(), g.NumLinks())
 	fmt.Fprintf(bw, "# columns: nodeA nodeB costPerByte delaySeconds\n")
 	for _, l := range g.Links() {
 		// %g prints the shortest representation that parses back to the
-		// exact value, so a round trip is lossless.
+		// exact value, so a reader loses nothing.
 		fmt.Fprintf(bw, "%d %d %g %g\n", l.A, l.B, l.Cost, l.Delay)
 	}
 	return bw.Flush()
-}
-
-// ParseEdgeList reads an edge-list topology: blank lines and #-comments
-// are skipped; every other line must be "a b cost delay". The graph is
-// sized by the largest node id seen (a "# nodes N" header raises that
-// minimum, preserving trailing isolated nodes).
-func ParseEdgeList(r io.Reader) (*Graph, error) {
-	type edge struct {
-		a, b        NodeID
-		cost, delay float64
-	}
-	var (
-		edges    []edge
-		minNodes int
-		maxID    NodeID = -1
-		lineNo   int
-	)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			// Honor the size header so isolated trailing nodes survive a
-			// round trip; other comments are free-form.
-			var n, links int
-			if _, err := fmt.Sscanf(line, "# nodes %d links %d", &n, &links); err == nil {
-				minNodes = n
-			}
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("edgelist line %d: want \"a b cost delay\", got %q", lineNo, line)
-		}
-		a, err := strconv.Atoi(f[0])
-		if err != nil {
-			return nil, fmt.Errorf("edgelist line %d: node %q: %v", lineNo, f[0], err)
-		}
-		b, err := strconv.Atoi(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("edgelist line %d: node %q: %v", lineNo, f[1], err)
-		}
-		cost, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("edgelist line %d: cost %q: %v", lineNo, f[2], err)
-		}
-		delay, err := strconv.ParseFloat(f[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("edgelist line %d: delay %q: %v", lineNo, f[3], err)
-		}
-		if a < 0 || b < 0 {
-			return nil, fmt.Errorf("edgelist line %d: negative node id in %q", lineNo, line)
-		}
-		e := edge{NodeID(a), NodeID(b), cost, delay}
-		edges = append(edges, e)
-		if e.a > maxID {
-			maxID = e.a
-		}
-		if e.b > maxID {
-			maxID = e.b
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("edgelist: %v", err)
-	}
-	n := int(maxID) + 1
-	if minNodes > n {
-		n = minNodes
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("edgelist: no nodes")
-	}
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddLink(e.a, e.b, e.cost, e.delay); err != nil {
-			return nil, fmt.Errorf("edgelist: link %d-%d: %v", e.a, e.b, err)
-		}
-	}
-	return g, nil
 }

@@ -22,18 +22,6 @@ func Grid(rows, cols int, costs, delay CostRange, rng *rand.Rand) *Graph {
 	return g
 }
 
-// Ring generates an n-cycle with uniform-random link parameters.
-func Ring(n int, costs, delay CostRange, rng *rand.Rand) *Graph {
-	g := New(n)
-	for i := 0; i < n-1; i++ {
-		g.MustAddLink(NodeID(i), NodeID(i+1), costs.draw(rng), delay.draw(rng))
-	}
-	if n > 2 {
-		g.MustAddLink(NodeID(n-1), 0, costs.draw(rng), delay.draw(rng))
-	}
-	return g
-}
-
 // ScaleFree generates a Barabási–Albert preferential-attachment graph:
 // each new node attaches m links to existing nodes with probability
 // proportional to their degree, producing the heavy-tailed hub structure

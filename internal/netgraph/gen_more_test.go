@@ -28,27 +28,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := Ring(8, CostRange{1, 1}, CostRange{0, 0}, rng)
-	if g.NumLinks() != 8 || !g.Connected() {
-		t.Fatalf("links=%d connected=%v", g.NumLinks(), g.Connected())
-	}
-	for v := 0; v < 8; v++ {
-		if g.Degree(NodeID(v)) != 2 {
-			t.Errorf("node %d degree %d", v, g.Degree(NodeID(v)))
-		}
-	}
-	p := g.ShortestPaths(MetricCost)
-	if p.Dist(0, 4) != 4 {
-		t.Errorf("antipodal dist = %g", p.Dist(0, 4))
-	}
-	// Tiny rings.
-	if Ring(2, CostRange{1, 1}, CostRange{}, rng).NumLinks() != 1 {
-		t.Error("2-ring should be a single link")
-	}
-}
-
 func TestScaleFreeConnectedAndHubby(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// DefaultFlightSize is the ring capacity a Tracer arms with unless
-// resized first: enough to hold several full chaos runs or minutes of
+// DefaultFlightSize is the ring capacity of a Tracer built with no size
+// of its own: enough to hold several full chaos runs or minutes of
 // production decisions, small enough (~a few hundred KB) to leave armed
 // permanently.
 const DefaultFlightSize = 4096
@@ -53,20 +53,6 @@ func (t *Tracer) capacity() int {
 		return DefaultFlightSize
 	}
 	return t.size
-}
-
-// Resize sets the ring capacity. Events already recorded are discarded
-// if the capacity changes.
-func (t *Tracer) Resize(size int) {
-	if t == nil || size <= 0 {
-		return
-	}
-	t.mu.Lock()
-	if size != t.capacity() {
-		t.ring, t.total = nil, 0
-	}
-	t.size = size
-	t.mu.Unlock()
 }
 
 // Enable arms the flight recorder.

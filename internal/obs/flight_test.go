@@ -112,10 +112,6 @@ func TestFlightRingGrowsToSize(t *testing.T) {
 				}
 			}
 		}
-		tr.Resize(n + 1)
-		if tr.ring != nil || tr.Len() != 0 || tr.Dropped() != 0 {
-			t.Fatalf("size %d: Resize to another size kept the ring", size)
-		}
 	}
 }
 
@@ -252,7 +248,7 @@ func TestObsConcurrentHammer(t *testing.T) {
 	withObs(t, func() {
 		r := NewRegistry()
 		tr := r.Tracer()
-		tr.Resize(64)
+		tr.size = 64 // small enough that the hammer wraps the ring
 		tr.Enable()
 		const workers = 8
 		var wg sync.WaitGroup

@@ -26,9 +26,6 @@ var ErrContradiction = errors.New("contradictory predicates")
 // [0,1] domain.
 type Range struct{ Lo, Hi float64 }
 
-// FullRange covers the whole attribute domain.
-func FullRange() Range { return Range{0, 1} }
-
 // Valid reports whether the range is non-empty and inside the domain.
 func (r Range) Valid() bool { return 0 <= r.Lo && r.Lo < r.Hi && r.Hi <= 1 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 func TestRangeBasics(t *testing.T) {
-	if !FullRange().Valid() || FullRange().Width() != 1 {
-		t.Error("FullRange broken")
+	if full := (Range{0, 1}); !full.Valid() || full.Width() != 1 {
+		t.Error("the whole domain is not a valid range of width 1")
 	}
 	bad := []Range{{0.5, 0.5}, {0.7, 0.2}, {-0.1, 0.5}, {0.5, 1.1}}
 	for _, r := range bad {

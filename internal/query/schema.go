@@ -34,17 +34,6 @@ func (s Schema) Width() float64 {
 	return total
 }
 
-// AttrWidth returns the width of the named attribute and whether it
-// exists.
-func (s Schema) AttrWidth(name string) (float64, bool) {
-	for _, a := range s {
-		if a.Name == name {
-			return a.Width, true
-		}
-	}
-	return 0, false
-}
-
 // ProjSpec records the post-pruning column set shipped for each pruned
 // source stream of one query. Streams absent from the spec ship full
 // tuples. A ProjSpec participates in operator signatures so pruned

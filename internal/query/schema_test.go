@@ -20,12 +20,6 @@ func TestSchemaWidths(t *testing.T) {
 	if got := s.Width(); got != 24 {
 		t.Errorf("Width = %g", got)
 	}
-	if w, ok := s.AttrWidth("y"); !ok || w != 16 {
-		t.Errorf("AttrWidth(y) = %g, %v", w, ok)
-	}
-	if _, ok := s.AttrWidth("nope"); ok {
-		t.Error("AttrWidth found a missing attribute")
-	}
 	var nilSchema Schema
 	if got := nilSchema.Width(); got != 0 {
 		t.Errorf("nil schema width = %g", got)

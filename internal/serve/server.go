@@ -202,7 +202,7 @@ func NewServer(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sys := first
 		if i > 0 {
-			if sys, err = engine.Build(first.Graph, first.Paths, first.Catalog, cfg.MaxCS, cfg.Seed); err != nil {
+			if sys, err = engine.Build(first.Graph, first.Hierarchy.Paths(), first.Catalog, cfg.MaxCS, cfg.Seed); err != nil {
 				return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 			}
 		}

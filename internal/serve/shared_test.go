@@ -59,9 +59,9 @@ func TestServeShardsShareOneNetwork(t *testing.T) {
 	first := s.Shard(0)
 	for i := 1; i < s.NumShards(); i++ {
 		sh := s.Shard(i)
-		if sh.Graph != first.Graph || sh.Paths != first.Paths || sh.Catalog != first.Catalog {
+		if sh.Graph != first.Graph || sh.Hierarchy.Paths() != first.Hierarchy.Paths() || sh.Catalog != first.Catalog {
 			t.Errorf("shard %d has a network of its own: graph %p/%p paths %p/%p catalog %p/%p",
-				i, sh.Graph, first.Graph, sh.Paths, first.Paths, sh.Catalog, first.Catalog)
+				i, sh.Graph, first.Graph, sh.Hierarchy.Paths(), first.Hierarchy.Paths(), sh.Catalog, first.Catalog)
 		}
 		if sh.Hierarchy == first.Hierarchy || sh.Registry == first.Registry || sh.Obs == first.Obs {
 			t.Errorf("shard %d shares per-shard state with shard 0", i)

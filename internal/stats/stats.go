@@ -19,21 +19,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (0 for fewer than two
-// values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank
 // on a copy of xs.
 func Percentile(xs []float64, p float64) float64 {
