@@ -325,6 +325,31 @@ func TestRetractPlanAllocations(t *testing.T) {
 	}
 }
 
+// TestRetractPlanAllocFree: retracting a predicated, projected plan
+// allocates nothing. While another query owns the ads, every call probes
+// each operator's bucket and compares full signatures but removes
+// nothing, so it can be measured over and over.
+func TestRetractPlanAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	r := NewRegistry()
+	d := randomDeployment(rng, 1, 12, 8, true)
+	for d.q.Preds.Len() < 2 || d.q.Proj.Empty() || d.q.K() < 4 {
+		d = randomDeployment(rng, 1, 12, 8, true)
+	}
+	ops := r.AdvertisePlan(d.q, d.plan)
+	stranger := *d.q
+	stranger.ID = 2
+	if n := r.RetractPlan(&stranger, d.plan); n != 0 {
+		t.Fatalf("retracted %d ads of another query", n)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.RetractPlan(&stranger, d.plan) }); a != 0 {
+		t.Errorf("RetractPlan of %q: %v allocs per call, want 0", d.q.SigOf(d.q.All()), a)
+	}
+	if n := r.RetractPlan(d.q, d.plan); n != ops || r.Len() != 0 {
+		t.Fatalf("owner retracted %d of %d ads, %d left", n, ops, r.Len())
+	}
+}
+
 // TestConcurrentLookupAdvertiseRetract is the -race hammer: lookups of
 // every kind run against advertisers that retract what they advertised
 // and prune. Every writer cleans up after itself, so the registry must

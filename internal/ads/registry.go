@@ -103,7 +103,7 @@ func (r *Registry) BindObs(reg *obs.Registry) {
 
 // setBucket stores what remains of a bucket after a retraction: the
 // vacated tail of the old slice is zeroed, so the retracted ads'
-// predicate maps, stream slices and signature strings become collectable,
+// predicate sets, stream slices and signature strings become collectable,
 // and a bucket left empty is dropped.
 func (r *Registry) setBucket(key string, old, kept []Ad) {
 	clear(old[len(kept):])
@@ -347,26 +347,36 @@ func (r *Registry) AdvertisePlan(q *query.Query, root *query.PlanNode) int {
 // were removed. Ads the plan merely reused, and operators that lost the
 // duplicate check to an earlier deployment, belong to other queries and
 // stay. Each operator probes the bucket it was advertised under, so the
-// cost follows the plan, not Len.
+// cost follows the plan, not Len. It allocates nothing.
 func (r *Registry) RetractPlan(q *query.Query, root *query.PlanNode) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	before := r.count
-	var sigBuf [128]byte // signatures are compared, never kept: no string is built
-	for _, op := range root.Operators() {
-		if op.IsUnary() {
-			continue
-		}
-		sig := q.AppendSig(sigBuf[:0], op.Mask)
-		list := r.buckets[string(sig[:baseLen(sig)])]
-		for i := range list {
-			if ad := &list[i]; ad.Node == op.Loc && ad.QueryID == q.ID && ad.Sig == string(sig) {
-				key := baseOf(ad.Sig) // base as a string, cut from one the ad already holds
-				r.setBucket(key, list, append(list[:i], list[i+1:]...))
-				break
-			}
-		}
-	}
+	r.retract(q, root)
 	r.obsPruned.Add(int64(before - r.count))
 	return before - r.count
+}
+
+// retract visits op's operators in the post-order Operators lists them
+// in, without building that list. A signature is appended into a stack
+// buffer and compared, never kept as a string.
+func (r *Registry) retract(q *query.Query, op *query.PlanNode) {
+	if op == nil || op.IsLeaf() {
+		return
+	}
+	r.retract(q, op.L)
+	r.retract(q, op.R)
+	if op.IsUnary() {
+		return
+	}
+	var sigBuf [128]byte
+	sig := q.AppendSig(sigBuf[:0], op.Mask)
+	list := r.buckets[string(sig[:baseLen(sig)])]
+	for i := range list {
+		if ad := &list[i]; ad.Node == op.Loc && ad.QueryID == q.ID && ad.Sig == string(sig) {
+			key := baseOf(ad.Sig) // base as a string, cut from one the ad already holds
+			r.setBucket(key, list, append(list[:i], list[i+1:]...))
+			return
+		}
+	}
 }

@@ -256,3 +256,33 @@ func TestPreparedTraceAcrossArming(t *testing.T) {
 		t.Errorf("entries hold traces %q and %q", sys.prepared[preparedStmt].trace, sys.prepared[other].trace)
 	}
 }
+
+// The audit is rendered into an entry only when planCQL will emit it: an
+// armed recorder and at least one rule applied. A statement no rule
+// changes holds no trace and emits nothing; one that rules change emits
+// the audit byte for byte as before the guard.
+func TestPreparedTraceOnlyWhenEmitted(t *testing.T) {
+	sys, sink := newPreparedSystem(t)
+	sys.Obs.Tracer().Enable()
+	const identity = "SELECT * FROM S1, S3"
+	for _, stmt := range []string{identity, preparedStmt} {
+		if _, err := sys.DeployCQL(stmt, sink, AlgoTopDown); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e := sys.prepared[identity]; e.out.RulesApplied != 0 || e.trace != "" {
+		t.Errorf("entry of a statement no rule changed: %d rules, trace %q", e.out.RulesApplied, e.trace)
+	}
+	const want = "fold-constants: no always-true or contradictory predicates\n" +
+		"push-predicates: selections evaluated at source operators: stream 0: rate 20→8 (sel 0.4)\n" +
+		"prune-columns: stream 0: 2/3 columns, width 80→16; stream 1: 2/3 columns, width 80→16; stream 2: 1/3 columns, width 80→8"
+	var got []string
+	for _, e := range sys.Obs.Tracer().Snapshot() {
+		if e.Kind == obs.KindRewriteApplied {
+			got = append(got, e.Detail)
+		}
+	}
+	if len(got) != 1 || got[0] != want || sys.prepared[preparedStmt].trace != want {
+		t.Errorf("rewrite events carry %q, entry %q; want one event and the entry carrying %q", got, sys.prepared[preparedStmt].trace, want)
+	}
+}

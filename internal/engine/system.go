@@ -120,7 +120,8 @@ type System struct {
 // prepared is the part of planning a statement that depends on nothing
 // but its text and the catalog: the parsed, rewritten query (ID and Sink
 // unset), the pipeline's audit, and that audit as the flight trace prints
-// it (rendered if the recorder was armed when the entry was built). The
+// it (rendered if the recorder was armed when the entry was built and a
+// rule applied — an audit of no rules is never emitted). The
 // table holds one per text, under three rules. An entry is pinned by its
 // standing deployments: DeployCQL enters and refs it, Undeploy unrefs and
 // drops it at zero, a what-if PlanCQL may hit but never enters one. The
@@ -165,7 +166,7 @@ func (s *System) prepare(stmt string) (*prepared, *query.Query, error) {
 	// folds to the no-op deployment there.
 	out := rewrite.Apply(s.Catalog, q, st.Pushdown())
 	p = &prepared{text: stmt, tmpl: *q, out: out}
-	if s.Obs.Tracer().On() {
+	if s.Obs.Tracer().On() && out.RulesApplied > 0 { // planCQL emits nothing otherwise
 		p.trace = out.TraceString()
 	}
 	return p, q, nil

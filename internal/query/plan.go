@@ -19,12 +19,13 @@ type Input struct {
 	// Mask is the set of query source positions this input covers. Base
 	// inputs cover one position; derived inputs may cover several.
 	Mask Mask
+	// Derived marks reused operator outputs. It sits in Mask's padding,
+	// which keeps an Input at 64 bytes.
+	Derived bool
 	// Rate is the expected output rate.
 	Rate float64
 	// Loc is the physical node where the input is materialized.
 	Loc netgraph.NodeID
-	// Derived marks reused operator outputs.
-	Derived bool
 	// Sig is the canonical signature of the covered streams (including
 	// the consuming query's predicates).
 	Sig string

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hnp/internal/netgraph"
 )
@@ -151,5 +152,14 @@ func TestUnaryPlanNode(t *testing.T) {
 	bad2.Mask = 0b100
 	if err := bad2.Validate(); err == nil {
 		t.Error("unary mask mismatch accepted")
+	}
+}
+
+// TestInputSize: on 64-bit platforms an Input is 64 bytes, one size class
+// below the 72 it took with Derived after Loc — per plan leaf and per
+// tdPlanner.ins slab entry.
+func TestInputSize(t *testing.T) {
+	if got := unsafe.Sizeof(Input{}); unsafe.Sizeof(uintptr(0)) == 8 && got != 64 {
+		t.Errorf("unsafe.Sizeof(Input{}) = %d, want 64", got)
 	}
 }

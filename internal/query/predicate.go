@@ -1,11 +1,11 @@
 package query
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -58,40 +58,43 @@ type Pred struct {
 	Range  Range
 }
 
-type predKey struct {
-	stream StreamID
-	attr   string
-}
-
 // PredSet is a conjunction of range predicates, normalized to at most one
-// range per (stream, attribute). The zero value is the empty conjunction
-// (no constraints) and is ready to use.
+// range per (stream, attribute) and stored in signature order: by the
+// bytes of each constraint's "stream.attr:[lo,hi)" term, so stream 10
+// precedes stream 9 and attribute "a-b" precedes "a". A set is never
+// written after construction: copies share one backing array, and so do
+// the sets Restrict returns whole. The zero value is the empty
+// conjunction (no constraints) and is ready to use.
 type PredSet struct {
-	m map[predKey]Range
+	p []Pred
 }
 
 // NewPredSet builds a normalized predicate set, intersecting constraints
-// on the same attribute. It errors on invalid ranges or empty
-// intersections (an always-false query).
+// on the same attribute in argument order, then sorting once. It errors
+// on invalid ranges or empty intersections (an always-false query).
 func NewPredSet(preds ...Pred) (PredSet, error) {
-	ps := PredSet{m: map[predKey]Range{}}
+	out := make([]Pred, 0, len(preds))
 	for _, p := range preds {
 		if !p.Range.Valid() {
 			return PredSet{}, fmt.Errorf("query: invalid range [%g,%g) on %d.%s",
 				p.Range.Lo, p.Range.Hi, p.Stream, p.Attr)
 		}
-		k := predKey{p.Stream, p.Attr}
-		if ex, ok := ps.m[k]; ok {
-			inter, ok := ex.Intersect(p.Range)
-			if !ok {
-				return PredSet{}, fmt.Errorf("query: %w on %d.%s", ErrContradiction, p.Stream, p.Attr)
-			}
-			ps.m[k] = inter
+		i := slices.IndexFunc(out, func(o Pred) bool { return o.Stream == p.Stream && o.Attr == p.Attr })
+		if i < 0 {
+			out = append(out, p)
 			continue
 		}
-		ps.m[k] = p.Range
+		inter, ok := out[i].Range.Intersect(p.Range)
+		if !ok {
+			return PredSet{}, fmt.Errorf("query: %w on %d.%s", ErrContradiction, p.Stream, p.Attr)
+		}
+		out[i].Range = inter
 	}
-	return ps, nil
+	slices.SortFunc(out, func(a, b Pred) int {
+		var ab, bb [64]byte
+		return bytes.Compare(appendTerm(ab[:0], a), appendTerm(bb[:0], b))
+	})
+	return PredSet{out}, nil
 }
 
 // MustPredSet is NewPredSet panicking on error, for literals in tests and
@@ -105,25 +108,44 @@ func MustPredSet(preds ...Pred) PredSet {
 }
 
 // Empty reports whether the set has no constraints.
-func (ps PredSet) Empty() bool { return len(ps.m) == 0 }
+func (ps PredSet) Empty() bool { return len(ps.p) == 0 }
 
 // Len returns the number of constrained attributes.
-func (ps PredSet) Len() int { return len(ps.m) }
+func (ps PredSet) Len() int { return len(ps.p) }
 
-// Restrict returns the subset of constraints that touch the given streams
-// (the zero set, without allocating, when none does).
+// Restrict returns the subset of constraints that touch the given streams.
+// Only a strict, non-empty subset allocates: when every constraint
+// survives it returns ps itself, when none does the zero set.
 func (ps PredSet) Restrict(streams []StreamID) PredSet {
-	var out PredSet
-	for k, r := range ps.m {
-		if !slices.Contains(streams, k.stream) {
-			continue
+	n := 0
+	for _, p := range ps.p {
+		if slices.Contains(streams, p.Stream) {
+			n++
 		}
-		if out.m == nil {
-			out.m = map[predKey]Range{}
-		}
-		out.m[k] = r
 	}
-	return out
+	switch n {
+	case 0:
+		return PredSet{}
+	case len(ps.p):
+		return ps
+	}
+	out := make([]Pred, 0, n)
+	for _, p := range ps.p {
+		if slices.Contains(streams, p.Stream) {
+			out = append(out, p)
+		}
+	}
+	return PredSet{out}
+}
+
+// find returns the range constraining (s, attr), if any.
+func (ps PredSet) find(s StreamID, attr string) (Range, bool) {
+	for _, p := range ps.p {
+		if p.Stream == s && p.Attr == attr {
+			return p.Range, true
+		}
+	}
+	return Range{}, false
 }
 
 // Contains reports whether results computed under ps contain the results
@@ -132,9 +154,9 @@ func (ps PredSet) Restrict(streams []StreamID) PredSet {
 // attribute in ps is trivially implied.) When true, stricter's output can
 // be produced from ps's output by filtering.
 func (ps PredSet) Contains(stricter PredSet) bool {
-	for k, weak := range ps.m {
-		strong, ok := stricter.m[k]
-		if !ok || !weak.Contains(strong) {
+	for _, weak := range ps.p {
+		strong, ok := stricter.find(weak.Stream, weak.Attr)
+		if !ok || !weak.Range.Contains(strong) {
 			return false
 		}
 	}
@@ -146,12 +168,13 @@ func (ps PredSet) Contains(stricter PredSet) bool {
 // rest of the rate model assumes).
 func (ps PredSet) StreamSelectivity(s StreamID) float64 {
 	on := make([]Pred, 0, 4) // stays on the stack
-	for k, r := range ps.m {
-		if k.stream == s {
-			on = append(on, Pred{Attr: k.attr, Range: r})
+	for _, p := range ps.p {
+		if p.Stream == s {
+			on = append(on, p)
 		}
 	}
-	// In attribute order: map order would vary a 3-factor float product.
+	// In attribute order, not signature order ("a-b" precedes "a" there):
+	// the rounding of a 3-factor float product depends on it.
 	slices.SortFunc(on, func(a, b Pred) int { return cmp.Compare(a.Attr, b.Attr) })
 	sel := 1.0
 	for _, p := range on {
@@ -163,70 +186,53 @@ func (ps PredSet) StreamSelectivity(s StreamID) float64 {
 // Sig returns the canonical signature fragment of the set: sorted
 // "stream.attr:[lo,hi)" terms. The empty set yields "", so predicate-free
 // signatures are unchanged.
-func (ps PredSet) Sig() string {
-	if len(ps.m) == 0 {
-		return ""
-	}
-	return string(ps.appendSig(nil, "", nil))
-}
+func (ps PredSet) Sig() string { return string(ps.appendSig(nil, "", nil)) }
 
 // appendSig appends lead and then the signature fragment of the
 // constraints on the given streams (on every stream when streams is nil),
-// or nothing at all when there is no such constraint. Restricting here is
-// what lets a signature be built without materializing the restricted set.
+// or nothing at all when there is no such constraint. The set is stored
+// in term order, so the terms go straight into b: no restricted set, no
+// per-term string, no sort.
 func (ps PredSet) appendSig(b []byte, lead string, streams []StreamID) []byte {
-	var termBuf [4]string
-	terms := termBuf[:0]
-	var scratch [64]byte
-	for k, r := range ps.m {
-		if streams != nil && !slices.Contains(streams, k.stream) {
-			continue
+	sep := lead
+	for _, p := range ps.p {
+		if streams == nil || slices.Contains(streams, p.Stream) {
+			b = appendTerm(append(b, sep...), p)
+			sep = "&"
 		}
-		// "%d.%s:[%g,%g)" spelled out: fmt's %g is strconv's shortest 'g'.
-		t := strconv.AppendInt(scratch[:0], int64(k.stream), 10)
-		t = append(append(append(t, '.'), k.attr...), ":["...)
-		t = strconv.AppendFloat(t, r.Lo, 'g', -1, 64)
-		t = strconv.AppendFloat(append(t, ','), r.Hi, 'g', -1, 64)
-		terms = append(terms, string(append(t, ')')))
-	}
-	if len(terms) == 0 {
-		return b
-	}
-	slices.Sort(terms)
-	b = append(b, lead...)
-	for i, t := range terms {
-		if i > 0 {
-			b = append(b, '&')
-		}
-		b = append(b, t...)
 	}
 	return b
 }
 
+// appendTerm appends p's signature term, "%d.%s:[%g,%g)" spelled out:
+// fmt's %g is strconv's shortest 'g'.
+func appendTerm(b []byte, p Pred) []byte {
+	b = strconv.AppendInt(b, int64(p.Stream), 10)
+	b = append(append(append(b, '.'), p.Attr...), ":["...)
+	b = strconv.AppendFloat(b, p.Range.Lo, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ','), p.Range.Hi, 'g', -1, 64)
+	return append(b, ')')
+}
+
 // Equal reports whether two sets constrain identically.
 func (ps PredSet) Equal(o PredSet) bool {
-	if len(ps.m) != len(o.m) {
+	if len(ps.p) != len(o.p) {
 		return false
 	}
-	for k, r := range ps.m {
-		if or, ok := o.m[k]; !ok || or != r {
+	for _, p := range ps.p {
+		if r, ok := o.find(p.Stream, p.Attr); !ok || r != p.Range {
 			return false
 		}
 	}
 	return true
 }
 
-// Preds returns the constraints in canonical order.
+// Preds returns the constraints in canonical order: by stream, then
+// attribute.
 func (ps PredSet) Preds() []Pred {
-	out := make([]Pred, 0, len(ps.m))
-	for k, r := range ps.m {
-		out = append(out, Pred{Stream: k.stream, Attr: k.attr, Range: r})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		return out[i].Attr < out[j].Attr
+	out := append(make([]Pred, 0, len(ps.p)), ps.p...)
+	slices.SortFunc(out, func(a, b Pred) int {
+		return cmp.Or(cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.Attr, b.Attr))
 	})
 	return out
 }

@@ -137,16 +137,13 @@ type Fragment struct {
 func (q *Query) Fragment(m Mask) Fragment {
 	streams := q.StreamsOf(m)
 	f := Fragment{Streams: streams, Preds: q.Preds.Restrict(streams)}
-	if !q.Proj.Empty() {
-		f.ProjSig = q.Proj.SigOf(streams)
-	}
 	var buf [128]byte
-	b := appendStreamSig(buf[:0], streams)
-	b = f.Preds.appendSig(b, "#", nil)
-	if f.ProjSig != "" {
-		b = append(append(b, '%'), f.ProjSig...)
+	b := f.Preds.appendSig(appendStreamSig(buf[:0], streams), "#", nil)
+	n := len(b)
+	f.Sig = string(q.Proj.appendSig(b, "%", streams))
+	if len(f.Sig) > n {
+		f.ProjSig = f.Sig[n+1:] // cut from Sig, not a string of its own
 	}
-	f.Sig = string(b)
 	return f
 }
 
@@ -173,12 +170,7 @@ func (q *Query) AppendSig(b []byte, m Mask) []byte {
 	}
 	b = appendStreamSig(b, streams)
 	b = q.Preds.appendSig(b, "#", streams)
-	if !q.Proj.Empty() {
-		if ps := q.Proj.SigOf(streams); ps != "" {
-			b = append(append(b, '%'), ps...)
-		}
-	}
-	return b
+	return q.Proj.appendSig(b, "%", streams)
 }
 
 // ProjSigOf returns the canonical projection fragment of the sub-join

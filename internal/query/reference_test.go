@@ -87,8 +87,6 @@ func TestRatesAndSigsMatchReference(t *testing.T) {
 		for _, s := range rng.Perm(n)[:k] {
 			srcs = append(srcs, StreamID(s))
 		}
-		// Two attributes at most: StreamSelectivity multiplies a stream's
-		// constraints in map order, which rounds one way only up to two.
 		var preds []Pred
 		for range rng.Intn(5) {
 			lo, hi := awkward[rng.Intn(len(awkward))], awkward[rng.Intn(len(awkward))]
@@ -96,7 +94,7 @@ func TestRatesAndSigsMatchReference(t *testing.T) {
 				lo, hi = hi, lo
 			}
 			if r := (Range{lo, hi}); r.Valid() {
-				preds = append(preds, Pred{Stream: srcs[rng.Intn(k)], Attr: []string{"a", "zz"}[rng.Intn(2)], Range: r})
+				preds = append(preds, Pred{Stream: srcs[rng.Intn(k)], Attr: []string{"a", "zz", "a-b", "a.b", "b"}[rng.Intn(5)], Range: r})
 			}
 		}
 		ps, err := NewPredSet(preds...)

@@ -1,9 +1,9 @@
 package query
 
 import (
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // DefaultTupleWidth is the byte width assumed for a stream without a
@@ -69,26 +69,34 @@ func (p *ProjSpec) Empty() bool { return p == nil || len(p.keep) == 0 }
 // per pruned stream, the sorted kept columns. Streams shipping full tuples
 // contribute nothing, so unpruned queries keep their plain signatures.
 func (p *ProjSpec) SigOf(streams []StreamID) string {
+	var buf [64]byte
+	return string(p.appendSig(buf[:0], "", streams))
+}
+
+// appendSig appends lead and then SigOf(streams) to b, or nothing at all
+// when SigOf is empty.
+func (p *ProjSpec) appendSig(b []byte, lead string, streams []StreamID) []byte {
 	if p.Empty() {
-		return ""
+		return b
 	}
-	sorted := append([]StreamID(nil), streams...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b strings.Builder
+	var idBuf [MaxSources]StreamID
+	sorted := append(idBuf[:0], streams...)
+	slices.Sort(sorted)
+	sep := lead
 	for _, id := range sorted {
-		attrs, ok := p.keep[id]
-		if !ok {
-			continue
+		if attrs, ok := p.keep[id]; ok {
+			b = append(strconv.AppendInt(append(b, sep...), int64(id), 10), '[')
+			for i, a := range attrs {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, a...)
+			}
+			b = append(b, ']')
+			sep = "|"
 		}
-		if b.Len() > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(strconv.Itoa(int(id)))
-		b.WriteByte('[')
-		b.WriteString(strings.Join(attrs, ","))
-		b.WriteByte(']')
 	}
-	return b.String()
+	return b
 }
 
 // WidthTable precomputes the byte width of one output tuple of every
