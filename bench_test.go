@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"hnp/internal/adapt"
@@ -1119,4 +1120,56 @@ func BenchmarkRewritePushdown(b *testing.B) {
 		raw += planUnoptimized(b, sys, s, sink, AlgoTopDown).Plan.PlannedBytes(sink)
 	}
 	b.ReportMetric(optimized/raw, "rewrite-bytes-frac")
+}
+
+// flightAudit stands for a prepared statement's rewrite audit, one string
+// shared by all its deploys.
+var flightAudit = strings.Repeat("push-predicates: stream-1.attr0 < 0.5; ", 4)
+
+// flightServe emits what a served deploy records in its shard's flight
+// recorder: the rewrite audit, plan_started naming the planner,
+// plan_chosen with cost and search space, all stamped at emission.
+func flightServe(tr *obs.Tracer, q int) {
+	tr.Emit(obs.Event{Kind: obs.KindRewriteApplied, Trace: obs.QueryTrace(q), Query: q, Node: obs.NoID,
+		Value: 1843.5, Aux: 2, Detail: flightAudit})
+	started := tr.Emit(obs.Event{Kind: obs.KindPlanStarted, Trace: obs.QueryTrace(q), Query: q, Node: q % 48,
+		Detail: "top-down"})
+	tr.Emit(obs.Event{Kind: obs.KindPlanChosen, Parent: started, Trace: obs.QueryTrace(q), Query: q, Node: q % 31,
+		Value: 80.375 + float64(q%17), Aux: 1512})
+}
+
+// newServedTracer returns an armed default-size flight recorder filled
+// three times over by flightServe, and the next query ID.
+func newServedTracer() (*obs.Tracer, int) {
+	tr := obs.NewTracer(0)
+	tr.Enable()
+	q := 1 << 17
+	for ; tr.Len()+int(tr.Dropped()) < 3*obs.DefaultFlightSize; q++ {
+		flightServe(tr, q)
+	}
+	return tr, q
+}
+
+// BenchmarkFlightEmit measures the armed flight recorder in steady state:
+// one op is the three events of one served deploy.
+func BenchmarkFlightEmit(b *testing.B) {
+	tr, q := newServedTracer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flightServe(tr, q+i)
+	}
+}
+
+// BenchmarkFlightSnapshot measures reading a full default-size recorder
+// (4,096 events of the serving mix) back as Events, as /flight does.
+func BenchmarkFlightSnapshot(b *testing.B) {
+	tr, _ := newServedTracer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(tr.Snapshot()) != obs.DefaultFlightSize {
+			b.Fatal("snapshot does not hold a full recorder")
+		}
+	}
 }

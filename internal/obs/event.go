@@ -20,7 +20,7 @@ import (
 type Kind uint8
 
 const (
-	// KindNone marks an unset event (ring-buffer slots not yet written).
+	// KindNone marks an unset event (the zero value).
 	KindNone Kind = iota
 	// KindPlanStarted: a planner (top-down or bottom-up) began searching
 	// for a placement. Detail names the algorithm.
@@ -119,12 +119,13 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 // NoID marks the Query/Node fields of events not tied to a query or node.
 const NoID = -1
 
-// Event is one recorded decision. The struct is flat and fixed-size (plus
-// string headers) so ring-buffer slots can be overwritten in place without
-// allocation; kind-specific meaning of Value/Aux/Gate is documented on
-// each Kind.
+// Event is one recorded decision. The flight recorder does not keep
+// Events: it encodes each into a compact record (flight.go) and decodes
+// them back on Snapshot. Kind-specific meaning of Value/Aux/Gate is
+// documented on each Kind.
 type Event struct {
-	// ID is unique per Tracer, assigned at emission, strictly increasing.
+	// ID is unique per Tracer, assigned at emission, strictly increasing
+	// in record order.
 	ID uint64 `json:"id"`
 	// Parent is the ID of the event that caused this one (0 = root).
 	Parent uint64 `json:"parent,omitempty"`

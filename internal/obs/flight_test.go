@@ -3,10 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestFlightRecorderSnapshotOrder(t *testing.T) {
@@ -81,8 +83,8 @@ func TestFlightRingGrowsToSize(t *testing.T) {
 	for _, size := range []int{1, 8, 100, 0} {
 		tr := NewTracer(size)
 		tr.Enable()
-		if tr.ring != nil || tr.Len() != 0 || tr.Snapshot() != nil {
-			t.Fatalf("size %d: an armed tracer that has emitted nothing holds a ring of %d", size, cap(tr.ring))
+		if tr.segs != nil || tr.Len() != 0 || tr.Snapshot() != nil {
+			t.Fatalf("size %d: an armed idle tracer holds %d segments", size, len(tr.segs))
 		}
 		n := size
 		if n == 0 {
@@ -97,8 +99,8 @@ func TestFlightRingGrowsToSize(t *testing.T) {
 			if id != e.ID {
 				t.Fatalf("size %d: emit %d returned id %d", size, i, id)
 			}
-			if cap(tr.ring) > n || len(tr.ring) != min(i, n) {
-				t.Fatalf("size %d after %d emits: ring has len %d cap %d", size, i, len(tr.ring), cap(tr.ring))
+			if maxSegs := (n+segmentEvents-1)/segmentEvents + 1; len(tr.segs) > maxSegs {
+				t.Fatalf("size %d after %d emits: %d segments, more than %d", size, i, len(tr.segs), maxSegs)
 			}
 			wantLen, wantDropped := min(i, n), uint64(max(i-n, 0))
 			if tr.Len() != wantLen || tr.Dropped() != wantDropped {
@@ -237,6 +239,109 @@ func TestTracerDisarmedEmitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-tracer Emit allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// servingMix emits the three events one served deploy records at wall:
+// the prepared statement's rewrite audit (one string all its deploys
+// share), plan_started naming the planner, and plan_chosen with the
+// plan's cost and search space 14 µs later.
+func servingMix(tr *Tracer, q int, wall int64) {
+	tr.Emit(Event{Kind: KindRewriteApplied, Trace: QueryTrace(q), Query: q, Node: NoID, Wall: wall,
+		Value: 1843.5, Aux: 2, Detail: refAudit})
+	started := tr.Emit(Event{Kind: KindPlanStarted, Trace: QueryTrace(q), Query: q, Node: q % 48, Wall: wall + 2_000,
+		Detail: "top-down"})
+	tr.Emit(Event{Kind: KindPlanChosen, Parent: started, Trace: QueryTrace(q), Query: q, Node: q % 31, Wall: wall + 14_000,
+		Value: 80.375 + float64(q%17), Aux: 1512})
+}
+
+// servedAt is the wall time of the served deploy of query q, one every
+// 35 µs.
+func servedAt(q int) int64 { return 1_700_000_000_000_000_000 + int64(q)*35_000 }
+
+// TestFlightArmedEmitSteadyStateAllocs pins segment recycling: once the
+// recorder has wrapped, an armed emit reuses the buffers of the segment
+// that aged out and allocates nothing.
+func TestFlightArmedEmitSteadyStateAllocs(t *testing.T) {
+	tr := NewTracer(0)
+	tr.Enable()
+	q := 1 << 17
+	for ; tr.Len()+int(tr.Dropped()) < 3*DefaultFlightSize; q++ {
+		servingMix(tr, q, servedAt(q))
+	}
+	const deploys = DefaultFlightSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range deploys {
+		servingMix(tr, q+i, servedAt(q+i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / (3 * deploys); per > 0.01 {
+		t.Fatalf("armed Emit allocates %.4f per call in steady state, want <= 0.01", per)
+	}
+}
+
+// TestFlightBytesPerEvent pins the record's size: a default-size recorder
+// filled three times over with the serving mix retains at most 40 B per
+// held event, counting every segment's buffer and string table at
+// capacity, the segment headers and the segment list. (A ring of whole
+// Events held 120.)
+func TestFlightBytesPerEvent(t *testing.T) {
+	tr := NewTracer(0)
+	tr.Enable()
+	for q := 1 << 17; tr.Len()+int(tr.Dropped()) < 3*DefaultFlightSize; q++ {
+		servingMix(tr, q, servedAt(q))
+	}
+	retained := uintptr(cap(tr.segs)) * unsafe.Sizeof(tr.segs[0])
+	for _, s := range tr.segs {
+		retained += unsafe.Sizeof(*s) + uintptr(cap(s.buf)) + uintptr(cap(s.strs))*unsafe.Sizeof("")
+	}
+	per := float64(retained) / float64(tr.Len())
+	t.Logf("%d segments retain %d B for %d events: %.1f B per event", len(tr.segs), retained, tr.Len(), per)
+	if per > 40 {
+		t.Fatalf("%.1f B retained per held event, want <= 40", per)
+	}
+}
+
+// TestFlightIDsFollowRecordOrder: concurrent emitters are given IDs in
+// the order their records land, so a snapshot and the journal both read
+// 1, 2, 3, … with no neighbour inverted.
+func TestFlightIDsFollowRecordOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const workers, each = 8, 5000
+	tr := NewTracer(1 << 16)
+	tr.Enable()
+	var journal bytes.Buffer
+	tr.SetJournal(&journal)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				tr.Emit(Event{Kind: KindGateDecision, Query: w, Node: i})
+			}
+		}()
+	}
+	wg.Wait()
+	journaled, err := ParseJSONL(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, evs := range map[string][]Event{"snapshot": tr.Snapshot(), "journal": journaled} {
+		if len(evs) != workers*each {
+			t.Fatalf("%s holds %d events, want %d", name, len(evs), workers*each)
+		}
+		inverted := 0
+		for i := 1; i < len(evs); i++ {
+			if evs[i].ID < evs[i-1].ID {
+				inverted++
+			}
+		}
+		if inverted > 0 || evs[0].ID != 1 || evs[len(evs)-1].ID != workers*each {
+			t.Fatalf("%s: %d of %d neighbours out of ID order (IDs %d .. %d)",
+				name, inverted, len(evs)-1, evs[0].ID, evs[len(evs)-1].ID)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func NewRegistry() *Registry {
 }
 
 // Tracer returns the registry's flight recorder. Every registry owns one
-// (disarmed and ring-less until armed); a nil registry returns a nil
+// (disarmed, and holding no segment until it records); a nil registry returns a nil
 // (no-op) tracer, keeping the nil-handle contract.
 func (r *Registry) Tracer() *Tracer {
 	if r == nil {
