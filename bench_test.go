@@ -138,7 +138,7 @@ func BenchmarkOptimalPlan(b *testing.B) {
 func BenchmarkRelaxationPlan(b *testing.B) {
 	w := newBenchWorld(b, 128, 32)
 	rng := rand.New(rand.NewSource(2))
-	emb := baseline.NewEmbedding(w.g, w.paths, rng)
+	emb := baseline.Embed(w.g, w.paths, 48, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.w.Queries[i%len(w.w.Queries)]
@@ -600,39 +600,31 @@ func solveProblem(b *testing.B, k, n int, seed int64) core.Problem {
 	}
 }
 
-// benchSolveK times one DP entry point on the K-way problem over all 32
-// sites and reports the rate of candidates the DP actually examines, not
-// the nominal exhaustive space it covers (cost.ClusterSpace) — dividing
-// the covered space by wall-clock yields absurd 10^14 "plans/s" figures
-// that measure what the DP avoids doing.
-func benchSolveK(b *testing.B, k int, solve func(core.Problem) error) {
+// benchSolveK times Solve on the K-way problem over all 32 sites and
+// reports the rate of candidates the DP actually examines, not the
+// nominal exhaustive space it covers (cost.ClusterSpace) — dividing the
+// covered space by wall-clock yields absurd 10^14 "plans/s" figures that
+// measure what the DP avoids doing.
+func benchSolveK(b *testing.B, k int) {
 	prob := solveProblem(b, k, 32, 7)
 	work := core.SolveWork(k, len(prob.Sites))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := solve(prob); err != nil {
+		if _, _, err := core.Solve(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(work*float64(b.N)/b.Elapsed().Seconds(), "plans/s")
 }
 
-func solvePlan(p core.Problem) error { _, _, err := core.Solve(p); return err }
-
 // BenchmarkSolveK4 measures the pooled flat-buffer DP kernel on a 4-way
 // join over all 32 sites — the benchmark-trajectory anchor for the
 // in-cluster search (BENCH_planner.json tracks it across perf PRs).
-func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4, solvePlan) }
+func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4) }
 
 // BenchmarkSolveK6 is the 6-way variant: 2^6 submask rows stress the DP
 // slabs and the submask enumeration far harder than K=4.
-func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6, solvePlan) }
-
-// BenchmarkSolveCostK6 is SolveK6's problem through the scoring entry
-// point that builds no plan; 0 allocs/op is its hardware-independent pin.
-func BenchmarkSolveCostK6(b *testing.B) {
-	benchSolveK(b, 6, func(p core.Problem) error { _, err := core.SolveCost(p); return err })
-}
+func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6) }
 
 // BenchmarkSolveDP measures the in-cluster joint DP itself across input
 // counts — the inner loop of everything.

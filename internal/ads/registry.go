@@ -87,7 +87,8 @@ func baseOf(sig string) string { return sig[:baseLen(sig)] }
 // BindObs connects the registry to a telemetry registry: advertisement
 // counts ("ads.advertised", "ads.duplicates", "ads.pruned") and lookup
 // activity are recorded there — "ads.lookups" (InputsFor calls: one per
-// planned query), "ads.scanned" (ads examined inside the probed buckets)
+// query a Top-Down, Bottom-Up or optimal search plans; Lookup is not
+// counted), "ads.scanned" (ads examined inside the probed buckets)
 // and "ads.reuse_offered" (ads that survived every check), so
 // offered/scanned is the live share of lookup work that was useful. Reuse
 // hit/miss outcomes are a planning-level judgement and are recorded by

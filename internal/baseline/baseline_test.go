@@ -175,7 +175,7 @@ func TestEmbeddingQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := netgraph.MustTransitStub(64, rng)
 	paths := g.ShortestPaths(netgraph.MetricCost)
-	emb := NewEmbedding(g, paths, rng)
+	emb := Embed(g, paths, 48, rng)
 	if len(emb.Pos) != 64 {
 		t.Fatalf("embedding size %d", len(emb.Pos))
 	}
@@ -209,7 +209,7 @@ func TestRelaxationProducesValidPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for seed := int64(0); seed < 8; seed++ {
 		f := makeFixture(seed, 32, 4)
-		emb := NewEmbedding(f.g, f.paths, rng)
+		emb := Embed(f.g, f.paths, 48, rng)
 		res, err := Relaxation(f.g, f.paths, emb, f.cat, f.q, nil, DefaultRelaxation())
 		if err != nil {
 			t.Fatal(err)

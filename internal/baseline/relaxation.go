@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hnp/internal/ads"
 	"hnp/internal/core"
@@ -147,10 +146,4 @@ func reuseSubtrees(n *query.PlanNode, q *query.Query, reg *ads.Registry,
 	n.L = reuseSubtrees(n.L, q, reg, paths, sink)
 	n.R = reuseSubtrees(n.R, q, reg, paths, sink)
 	return n
-}
-
-// NewEmbedding is a convenience wrapper building the 3-D cost space for a
-// network with the default number of relaxation rounds.
-func NewEmbedding(g *netgraph.Graph, paths *netgraph.Paths, rng *rand.Rand) *Embedding {
-	return Embed(g, paths, 48, rng)
 }

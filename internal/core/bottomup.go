@@ -44,7 +44,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	var assembled []*query.PlanNode // each level's local view, by the mask it covers
 
 	var plans float64
-	clusters := 0
+	clusters, offered := 0, 0
 	levels := 0
 	var traceRoot, traceTip *PlanStep
 	// coverSet is reused across the level sweep: each level fully consumes
@@ -124,6 +124,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		step.Elapsed = time.Since(start)
 		plans += step.Plans
 		clusters++
+		offered += reuseOffered
 		po.search(step)
 		if traceTip == nil {
 			traceRoot, traceTip = step, step
@@ -177,6 +178,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		PlansConsidered: plans,
 		ClustersPlanned: clusters,
 		LevelsVisited:   levels,
+		ReuseOffered:    offered,
 		Trace:           traceRoot,
 	}
 	emitPlanChosen(opts, q, started, res)

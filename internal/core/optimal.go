@@ -20,8 +20,10 @@ func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q
 	rt := query.BuildRates(cat, q)
 	wt := query.BuildWidths(cat, q)
 	inputs := BaseInputs(cat, q, rt)
+	var reuse []query.Input
 	if reg != nil {
-		inputs = append(inputs, reg.InputsFor(q, rt)...)
+		reuse = reg.InputsFor(q, rt)
+		inputs = append(inputs, reuse...)
 	}
 	sites := make([]netgraph.NodeID, g.NumNodes())
 	for i := range sites {
@@ -44,5 +46,6 @@ func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q
 		PlansConsidered: costpkg.Lemma1(q.K(), g.NumNodes()),
 		ClustersPlanned: 1,
 		LevelsVisited:   1,
+		ReuseOffered:    len(reuse),
 	}, nil
 }

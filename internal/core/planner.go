@@ -115,28 +115,16 @@ func growMasks(s []query.Mask, n int) []query.Mask {
 // naive enumerator in tests) at a fraction of the time.
 func Solve(p Problem) (*query.PlanNode, float64, error) {
 	sc := solvePool.Get().(*solveScratch)
-	plan, cost, err := sc.solve(p, true)
+	plan, cost, err := sc.solve(p)
 	solvePool.Put(sc)
 	return plan, cost, err
 }
 
-// SolveCost runs the same DP as Solve but skips plan reconstruction,
-// returning only the optimal cost. In steady state it performs zero heap
-// allocations (pinned by TestSolveCostAllocFree), which makes it the right
-// entry point for search loops that score many candidate problems and
-// materialize a plan only for the winner.
-func SolveCost(p Problem) (float64, error) {
-	sc := solvePool.Get().(*solveScratch)
-	_, cost, err := sc.solve(p, false)
-	solvePool.Put(sc)
-	return cost, err
-}
-
-// solve runs the DP inside sc's buffers. The returned plan (when buildPlan
-// is set) is freshly allocated and shares nothing with sc, so the caller
-// can return sc to the pool immediately. DESIGN "DP kernel" has the table
-// layout and the exactness argument for every shortcut taken below.
-func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float64, error) {
+// solve runs the DP inside sc's buffers. The returned plan is freshly
+// allocated and shares nothing with sc, so the caller can return sc to the
+// pool immediately. DESIGN "DP kernel" has the table layout and the
+// exactness argument for every shortcut taken below.
+func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 	if p.Goal == 0 {
 		return nil, 0, fmt.Errorf("core: empty goal")
 	}
@@ -332,9 +320,6 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 	}
 	if best == inf {
 		return nil, 0, fmt.Errorf("core: goal %b unachievable from available inputs", p.Goal)
-	}
-	if !buildPlan {
-		return nil, best, nil
 	}
 
 	r := rebuilder{rates: p.Rates, widths: p.Widths, ins: ins, sites: sites, m: m, availCh: sc.availCh, opSplit: sc.opSplit}

@@ -346,9 +346,6 @@ func TestSolveMatchesReference(t *testing.T) {
 				t.Fatalf("instance %d (gather=%v): Solve chose\n  %s at %v\nreference chose\n  %s at %v",
 					i, v.SitePaths != nil, plan, cost, wantPlan, wantCost)
 			}
-			if c, err := SolveCost(v); err != nil || math.Float64bits(c) != math.Float64bits(wantCost) {
-				t.Fatalf("instance %d: SolveCost = %v, %v; want %v", i, c, err, wantCost)
-			}
 		}
 		if wantErr != nil {
 			infeasible++

@@ -24,6 +24,12 @@ type Result struct {
 	// LevelsVisited counts hierarchy levels traversed by the deployment
 	// protocol; the IFLOW runtime derives protocol latency from it.
 	LevelsVisited int
+	// ReuseOffered counts the advertised derived streams the search was
+	// offered from its one registry lookup: summed over the trace's steps
+	// for Top-Down and Bottom-Up, every applicable ad for the optimal
+	// search. Plan-then-deploy, which probes exact signatures only after
+	// fixing its join tree, reports 0.
+	ReuseOffered int
 	// Trace is the tree of planning steps the deployment protocol
 	// performed: which coordinator planned, at which level, examining how
 	// many candidate solutions, and which plannings it triggered next.

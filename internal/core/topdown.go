@@ -68,6 +68,7 @@ func TopDownOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg
 		PlansConsidered: td.plans,
 		ClustersPlanned: td.clusters,
 		LevelsVisited:   h.Height(),
+		ReuseOffered:    td.offered,
 		Trace:           trace,
 	}
 	emitPlanChosen(opts, q, started, res)
@@ -87,6 +88,7 @@ type tdPlanner struct {
 	obs      plannerObs
 	plans    float64
 	clusters int
+	offered  int
 	// cover is the current view's cluster cover as a bitset (each view
 	// fully consumes it before recursing into child views).
 	cover nodeBitset
@@ -177,6 +179,7 @@ func (td *tdPlanner) planView(c *hierarchy.Cluster, lo int, out netgraph.NodeID,
 	step.Elapsed = time.Since(start) // local search only; children time themselves
 	td.plans += step.Plans
 	td.clusters++
+	td.offered += step.ReuseOffered
 	td.obs.search(step)
 
 	if level == 1 || plan0.IsLeaf() {

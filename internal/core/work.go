@@ -1,7 +1,7 @@
 package core
 
 // SolveWork returns the number of candidate plan fragments one
-// Solve/SolveCost call examines for a k-way join whose inputs are the k
+// Solve call examines for a k-way join whose inputs are the k
 // base streams, placed over m candidate sites. It mirrors the DP's loop
 // structure exactly (validated against a direct enumeration of the loops
 // in tests):

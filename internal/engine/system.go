@@ -448,43 +448,21 @@ func (s *System) DeployAggregate(sources []query.StreamID, sink netgraph.NodeID,
 
 // deployRecord finalizes a deployment: the plan's operators are advertised
 // for future reuse and its processing load is accounted. With telemetry
-// enabled the reuse outcome is classified first, against the registry
-// state the planner saw: every derived leaf the plan consumes is a hit
-// ("ads.reuse_hits"); a deployment that was offered reuse candidates yet
-// consumed none is a miss ("ads.reuse_misses" — duplicating the work was
-// cheaper).
+// enabled the reuse outcome is classified first, from what planning
+// itself saw: every derived leaf the plan consumes is a hit
+// ("ads.reuse_hits"); a deployment whose search was offered reuse
+// candidates (Result.ReuseOffered) yet consumed none is a miss
+// ("ads.reuse_misses" — duplicating the work was cheaper).
 func (s *System) deployRecord(q *query.Query, res core.Result) {
 	if obs.On() {
 		hits := res.Plan.DerivedLeaves()
 		s.Obs.Counter("ads.reuse_hits").Add(int64(hits))
-		if hits == 0 && s.reuseWasOffered(q, res) {
+		if hits == 0 && res.ReuseOffered > 0 {
 			s.Obs.Counter("ads.reuse_misses").Inc()
 		}
 	}
 	s.Registry.AdvertisePlan(q, res.Plan)
 	s.tracker.AddPlan(res.Plan)
-}
-
-// reuseWasOffered reports whether the planner saw at least one applicable
-// advertisement: from the planning trace when there is one, otherwise
-// (baseline planners) by re-running the advertisement lookup.
-func (s *System) reuseWasOffered(q *query.Query, res core.Result) bool {
-	if res.Trace != nil {
-		offered := 0
-		var walk func(st *core.PlanStep)
-		walk = func(st *core.PlanStep) {
-			if st == nil {
-				return
-			}
-			offered += st.ReuseOffered
-			for _, ch := range st.Children {
-				walk(ch)
-			}
-		}
-		walk(res.Trace)
-		return offered > 0
-	}
-	return len(s.Registry.InputsFor(q, query.BuildRates(s.Catalog, q))) > 0
 }
 
 // PlanQuery is the one planning path: every facade entry point, the

@@ -25,18 +25,17 @@ const DefaultFlightSize = 4096
 const segmentEvents = 256
 
 // Tracer is the flight recorder: the most recent trace events, kept as an
-// append-only log of compact variable-length records, plus an optional
-// streaming JSONL journal. It is designed to be left armed in production
-// ("always-on"): emission is one atomic load when disarmed, and a
-// mutex-guarded record append when armed.
+// append-only log of compact variable-length records. It is designed to
+// be left armed in production ("always-on"): emission is one atomic load
+// when disarmed, and a mutex-guarded record append when armed.
 //
 // The log is a sequence of segments of min(segmentEvents, size) records
 // each. It grows as events arrive — an armed recorder nothing has happened
 // to holds no segment — and a segment is recycled, buffers and all, once
 // every event in it has fallen out of the last size IDs, so once the log
-// has wrapped an armed emit allocates nothing (journal writes aside).
-// Readers see exactly a ring of size events: Snapshot skips the older
-// records of a segment not yet recycled.
+// has wrapped an armed emit allocates nothing. Readers see exactly a ring
+// of size events: Snapshot skips the older records of a segment not yet
+// recycled.
 //
 // A nil *Tracer is a valid no-op handle, like every other obs handle. The
 // Tracer's armed state is independent of the package-level Enabled
@@ -45,12 +44,10 @@ const segmentEvents = 256
 type Tracer struct {
 	enabled atomic.Bool
 
-	mu      sync.Mutex
-	segs    []*segment // oldest first, each starting where the previous ends
-	size    int        // requested capacity (0 = DefaultFlightSize)
-	total   uint64     // events ever recorded, so also the newest event's ID
-	journal io.Writer
-	jerr    error
+	mu    sync.Mutex
+	segs  []*segment // oldest first, each starting where the previous ends
+	size  int        // requested capacity (0 = DefaultFlightSize)
+	total uint64     // events ever recorded, so also the newest event's ID
 }
 
 // NewTracer returns a disarmed tracer that holds the last size events
@@ -92,35 +89,11 @@ func (t *Tracer) Disable() {
 //	}
 func (t *Tracer) On() bool { return t != nil && t.enabled.Load() }
 
-// SetJournal attaches a streaming JSONL sink: every subsequent event is
-// encoded as one JSON line at emission time, in ID order, under the
-// recorder's mutex. Pass nil to detach. A journal write error detaches the
-// journal and is reported by JournalErr — emission itself never fails.
-func (t *Tracer) SetJournal(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.journal = w
-	t.jerr = nil
-	t.mu.Unlock()
-}
-
-// JournalErr returns the error that detached the journal, if any.
-func (t *Tracer) JournalErr() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.jerr
-}
-
 // Emit records one event and returns its assigned ID, or 0 when the
 // recorder is disarmed (or t is nil). The disarmed path is a single
 // atomic load with zero allocations; callers pass Event by value so the
 // literal lives on the stack. IDs are assigned under the mutex, so the
-// log, Snapshot and the journal are all in ID order.
+// log, and so Snapshot, is in ID order.
 func (t *Tracer) Emit(e Event) uint64 {
 	if t == nil || !t.enabled.Load() {
 		return 0
@@ -132,16 +105,6 @@ func (t *Tracer) Emit(e Event) uint64 {
 	t.total++
 	e.ID = t.total
 	t.tail().append(&e)
-	if t.journal != nil {
-		if b, err := json.Marshal(e); err != nil {
-			t.jerr, t.journal = err, nil
-		} else {
-			b = append(b, '\n')
-			if _, err := t.journal.Write(b); err != nil {
-				t.jerr, t.journal = err, nil
-			}
-		}
-	}
 	t.mu.Unlock()
 	return e.ID
 }

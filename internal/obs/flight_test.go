@@ -143,39 +143,6 @@ func TestFlightJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlightJournalStreamsAndDetachesOnError(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Enable()
-	var buf bytes.Buffer
-	tr.SetJournal(&buf)
-	tr.Emit(Event{Kind: KindQueryDeployed, Query: 1, Node: 2})
-	tr.Emit(Event{Kind: KindQueryUndeployed, Query: 1, Node: 2})
-	evs, err := ParseJSONL(&buf)
-	if err != nil || len(evs) != 2 {
-		t.Fatalf("journal parse: %d events, err %v; want 2, nil", len(evs), err)
-	}
-	tr.SetJournal(failWriter{})
-	tr.Emit(Event{Kind: KindQueryDeployed, Query: 9, Node: NoID})
-	if tr.JournalErr() == nil {
-		t.Fatal("journal write error not surfaced")
-	}
-	// Detached: further emission must not fail or grow anything.
-	tr.Emit(Event{Kind: KindQueryDeployed, Query: 10, Node: NoID})
-	if tr.Len() != 4 {
-		t.Fatalf("ring lost events after journal detach: len=%d, want 4", tr.Len())
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errFail }
-
-var errFail = &journalError{}
-
-type journalError struct{}
-
-func (*journalError) Error() string { return "synthetic write failure" }
-
 func TestKindJSONRoundTrip(t *testing.T) {
 	for k := KindNone; k <= KindHierarchyChanged; k++ {
 		b, err := json.Marshal(k)
@@ -304,15 +271,13 @@ func TestFlightBytesPerEvent(t *testing.T) {
 }
 
 // TestFlightIDsFollowRecordOrder: concurrent emitters are given IDs in
-// the order their records land, so a snapshot and the journal both read
-// 1, 2, 3, … with no neighbour inverted.
+// the order their records land, so a snapshot reads 1, 2, 3, … with no
+// neighbour inverted.
 func TestFlightIDsFollowRecordOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	const workers, each = 8, 5000
 	tr := NewTracer(1 << 16)
 	tr.Enable()
-	var journal bytes.Buffer
-	tr.SetJournal(&journal)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
@@ -324,24 +289,19 @@ func TestFlightIDsFollowRecordOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	journaled, err := ParseJSONL(&journal)
-	if err != nil {
-		t.Fatal(err)
+	evs := tr.Snapshot()
+	if len(evs) != workers*each {
+		t.Fatalf("snapshot holds %d events, want %d", len(evs), workers*each)
 	}
-	for name, evs := range map[string][]Event{"snapshot": tr.Snapshot(), "journal": journaled} {
-		if len(evs) != workers*each {
-			t.Fatalf("%s holds %d events, want %d", name, len(evs), workers*each)
+	inverted := 0
+	for i := 1; i < len(evs); i++ {
+		if evs[i].ID < evs[i-1].ID {
+			inverted++
 		}
-		inverted := 0
-		for i := 1; i < len(evs); i++ {
-			if evs[i].ID < evs[i-1].ID {
-				inverted++
-			}
-		}
-		if inverted > 0 || evs[0].ID != 1 || evs[len(evs)-1].ID != workers*each {
-			t.Fatalf("%s: %d of %d neighbours out of ID order (IDs %d .. %d)",
-				name, inverted, len(evs)-1, evs[0].ID, evs[len(evs)-1].ID)
-		}
+	}
+	if inverted > 0 || evs[0].ID != 1 || evs[len(evs)-1].ID != workers*each {
+		t.Fatalf("%d of %d neighbours out of ID order (IDs %d .. %d)",
+			inverted, len(evs)-1, evs[0].ID, evs[len(evs)-1].ID)
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 )
@@ -12,7 +13,7 @@ import (
 func MetricsHandler(src func() Snapshot) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := (JSONSink{W: w}).Emit(src()); err != nil {
+		if err := json.NewEncoder(w).Encode(src()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	}

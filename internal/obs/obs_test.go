@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -215,13 +216,11 @@ func TestSinks(t *testing.T) {
 		r.Histogram("plan.seconds", nil).Observe(0.01)
 		snap := r.Snapshot()
 
-		var jb bytes.Buffer
-		if err := (JSONSink{W: &jb}).Emit(snap); err != nil {
-			t.Fatal(err)
-		}
+		rec := httptest.NewRecorder()
+		MetricsHandler(func() Snapshot { return snap })(rec, httptest.NewRequest("GET", "/metrics", nil))
 		var decoded Snapshot
-		if err := json.Unmarshal(jb.Bytes(), &decoded); err != nil {
-			t.Fatalf("JSON sink output not parseable: %v", err)
+		if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
+			t.Fatalf("/metrics output not parseable: %v", err)
 		}
 		if decoded.Counter("ads.hits") != 3 {
 			t.Fatalf("round-tripped counter = %d", decoded.Counter("ads.hits"))

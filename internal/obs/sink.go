@@ -1,30 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
 	"sync"
 )
-
-// Sink consumes snapshots: periodic emission to a log, a terminal, or a
-// pull-based surface like expvar.
-type Sink interface {
-	Emit(Snapshot) error
-}
-
-// JSONSink writes each snapshot as one JSON object per line — the
-// machine-readable feed for long experiment sweeps.
-type JSONSink struct {
-	W io.Writer
-}
-
-// Emit writes the snapshot as a single JSON line.
-func (s JSONSink) Emit(snap Snapshot) error {
-	enc := json.NewEncoder(s.W)
-	return enc.Encode(snap)
-}
 
 // TextSink renders snapshots as aligned human-readable text, one metric
 // per line, sorted by name.

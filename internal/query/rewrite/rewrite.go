@@ -83,9 +83,7 @@ func (o Outcome) TraceString() string {
 // Apply runs the pipeline over q in place: predicates are normalized,
 // per-source shipped widths (q.SrcWidths) and the projection spec
 // (q.Proj) are set. The catalog provides schemas and rates; proj carries
-// the statement's column information. Apply ignores the kill switch —
-// callers gate on Enabled() so planning surfaces stay in control of the
-// A/B comparison.
+// the statement's column information.
 func Apply(cat *query.Catalog, q *query.Query, proj Projection) Outcome {
 	var out Outcome
 	out.BytesBefore = sourceBytes(cat, q, false, nil)

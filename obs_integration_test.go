@@ -102,6 +102,44 @@ func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
 	if offered, scanned := snap.Counter("ads.reuse_offered"), snap.Counter("ads.scanned"); offered == 0 || scanned < offered {
 		t.Errorf("ads.reuse_offered = %d, ads.scanned = %d: want 0 < offered <= scanned", offered, scanned)
 	}
+
+	// The optimal search makes the same one lookup and plan-then-deploy,
+	// which probes exact signatures through Registry.Lookup, makes none —
+	// whether or not the deploy reuses anything. Reuse is judged from what
+	// planning saw, so a deploy with nothing on offer is no miss.
+	e := sys.AddStream("E", 15, 60)
+	f := sys.AddStream("F", 10, 12)
+	sys.SetSelectivity(e, f, 0.01)
+	sys.SetSelectivity(a, e, 0.01)
+	lookups, misses := snap.Counter("ads.lookups"), snap.Counter("ads.reuse_misses")
+	for _, spec := range []struct {
+		sources []StreamID
+		algo    Algorithm
+		lookups int64
+	}{
+		{[]StreamID{e, f}, AlgoOptimal, 1},        // nothing advertised over E and F yet
+		{[]StreamID{a, e}, AlgoPlanThenDeploy, 0}, // nor over A and E
+		{[]StreamID{a, b, c}, AlgoOptimal, 1},
+		{[]StreamID{a, b, c}, AlgoPlanThenDeploy, 0},
+	} {
+		dep, err := sys.Deploy(spec.sources, 33, spec.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantHits += countDerived(dep.Plan)
+		lookups += spec.lookups
+		snap = sys.Snapshot()
+		if got := snap.Counter("ads.lookups"); got != lookups {
+			t.Errorf("%v deploy of %v: ads.lookups = %d, want %d", spec.algo, spec.sources, got, lookups)
+		}
+		if countDerived(dep.Plan) == 0 && len(spec.sources) == 2 && snap.Counter("ads.reuse_misses") != misses {
+			t.Errorf("%v deploy of %v with nothing on offer counted as a reuse miss", spec.algo, spec.sources)
+		}
+		misses = snap.Counter("ads.reuse_misses")
+	}
+	if got := snap.Counter("ads.reuse_hits"); got != int64(wantHits+countDerived(rep.Plan)) {
+		t.Errorf("ads.reuse_hits = %d after every algorithm, ground truth %d", got, wantHits+countDerived(rep.Plan))
+	}
 }
 
 // TestSnapshotDisabledEmpty: with telemetry off, deployments leave no
