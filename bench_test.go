@@ -29,7 +29,7 @@ import (
 // preserving each experiment's structure; `cmd/smq` runs the full paper
 // scale.
 func benchCfg() exp.Config {
-	return exp.Config{Seed: 42, Workloads: 2, Queries: 10, Fig9Sizes: []int{128, 256}}
+	return exp.Config{Seed: 42, Workloads: 2, Queries: 10}
 }
 
 func benchFig(b *testing.B, fn func(exp.Config) (*exp.Figure, error)) {
@@ -142,8 +142,7 @@ func BenchmarkRelaxationPlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.w.Queries[i%len(w.w.Queries)]
-		if _, err := baseline.Relaxation(w.g, w.paths, emb, w.w.Catalog, q, nil,
-			baseline.DefaultRelaxation()); err != nil {
+		if _, err := baseline.Relaxation(w.g, w.paths, emb, w.w.Catalog, q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,9 @@
 // controller, printing total bytes for each. A controller oscillation
 // (A→B→A plan flap) or an invariant violation fails the run; with
 // -strict the controller must also strictly beat both baselines on
-// bytes, which holds on the pinned validation seeds (3, 6, 8, 9).
+// bytes, which holds on the pinned validation seeds (3, 6, 8, 9). The
+// comparison runs its own fixed schedule, so -events, -migrate and -v are
+// refused with -adapt (exit 2), as is -strict without it.
 //
 // A violation prints the offending seed and its full replayable event
 // trace, dumps the flight recorder's causal event history (the decision
@@ -45,11 +47,6 @@ func main() {
 		seeds     = flag.Int("seeds", 20, "number of consecutive seeds to run")
 		seed0     = flag.Int64("seed0", 1, "first seed")
 		events    = flag.Int("events", 200, "events per run")
-		nodes     = flag.Int("nodes", 24, "network size")
-		maxcs     = flag.Int("maxcs", 6, "hierarchy cluster size cap")
-		streams   = flag.Int("streams", 8, "base streams in the catalog")
-		queries   = flag.Int("queries", 10, "query pool size")
-		step      = flag.Float64("step", 0.4, "mean virtual seconds between events")
 		migrate   = flag.Bool("migrate", false, "add plan-migration churn: deployed queries are re-planned and diff-migrated in place")
 		adapt     = flag.Bool("adapt", false, "run the rate-shift adaptation comparison: never-migrate vs always-remigrate vs gated controller on a shared schedule")
 		strict    = flag.Bool("strict", false, "with -adapt, fail unless the controller strictly beats both baselines on total bytes")
@@ -57,6 +54,12 @@ func main() {
 		flightDir = flag.String("flight-dir", ".", "directory for flight-recorder JSONL dumps on invariant violations")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*adapt, set); err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *adapt {
 		os.Exit(runAdapt(*seed0, *seeds, *strict, *flightDir))
@@ -66,11 +69,6 @@ func main() {
 	for i := 0; i < *seeds; i++ {
 		cfg := chaos.DefaultConfig(*seed0 + int64(i))
 		cfg.Events = *events
-		cfg.Nodes = *nodes
-		cfg.MaxCS = *maxcs
-		cfg.Streams = *streams
-		cfg.Queries = *queries
-		cfg.MeanStep = *step
 		cfg.Migrate = *migrate
 
 		w, err := chaos.New(cfg)
@@ -94,6 +92,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d/%d seeds violated invariants\n", failures, *seeds)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses a flag the chosen mode would not read. The -adapt
+// comparison runs chaos.RateShiftConfig's fixed schedule and prints one
+// line per seed, so -events, -migrate and -v would be silently ignored;
+// -strict judges that comparison and means nothing without it.
+func checkFlags(adapt bool, set map[string]bool) error {
+	if !adapt {
+		if set["strict"] {
+			return fmt.Errorf("-strict needs -adapt")
+		}
+		return nil
+	}
+	for _, name := range []string{"events", "migrate", "v"} {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect with -adapt", name)
+		}
+	}
+	return nil
 }
 
 // runAdapt replays each seed's rate-shift schedule under the three

@@ -38,7 +38,7 @@ func main() {
 		algoName = flag.String("algo", "top-down", "default planning algorithm (top-down, bottom-up, optimal, plan-then-deploy)")
 	)
 	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "independent planning shards")
-	flag.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "network size per shard")
+	flag.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "network size (one network, shared by every shard)")
 	flag.IntVar(&cfg.MaxCS, "max-cs", cfg.MaxCS, "max cluster size for the hierarchy")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "topology/catalog seed (identical on every shard)")
 	flag.IntVar(&cfg.Streams, "streams", cfg.Streams, "synthesized catalog size")

@@ -21,15 +21,15 @@
 //	                  transport byte rate (BytesWith, bytes crossing links
 //	                  per second — the metric migrations are judged by,
 //	                  since shipped state is paid in bytes too).
-//	deadband        — relative byte gains below MinRelGain are noise.
-//	hysteresis      — predicted byte savings over Horizon seconds must
-//	                  exceed Hysteresis × (ops churned × per-op shipped
+//	deadband        — relative byte gains below minRelGain are noise.
+//	hysteresis      — predicted byte savings over horizon seconds must
+//	                  exceed hysteresis × (ops churned × per-op shipped
 //	                  bytes); the per-op estimate is an EWMA of
 //	                  BytesShipped/Delta over this controller's own
-//	                  migrations, floored at the PerOpShipBytes seed.
-//	cooldown        — at most one migration per query per Cooldown.
+//	                  migrations, floored at the perOpShipBytes seed.
+//	cooldown        — at most one migration per query per cooldown.
 //	revert holdoff  — a plan we just migrated away from cannot return
-//	                  within RevertHoldoff: A→B→A flapping is structurally
+//	                  within revertHoldoff: A→B→A flapping is structurally
 //	                  impossible inside the holdoff window.
 //
 // The Never and Always modes keep every measurement and re-planning step
@@ -61,50 +61,45 @@ const (
 	ModeAlways
 )
 
-// Config tunes the controller. DefaultConfig documents each knob's
-// rationale; zero values are replaced by defaults in New.
+// The gate chain's fixed tuning.
+const (
+	// minRelGain is the deadband: predicted relative byte gains at or
+	// below it never trigger a migration.
+	minRelGain = 0.05
+	// hysteresis scales the churn cost a predicted gain must beat.
+	hysteresis = 1.5
+	// horizon is the payback window in virtual seconds: savings accrue as
+	// gain × horizon when weighed against one-time migration cost.
+	horizon = 60.0
+	// cooldown is the minimum spacing in virtual seconds between
+	// migrations of one query.
+	cooldown = 20.0
+	// revertHoldoff is how long in virtual seconds a query's previous
+	// plan stays banned after migrating away from it.
+	revertHoldoff = 120.0
+	// perOpShipBytes seeds (and floors) the measured per-operator
+	// migration churn EWMA, in bytes shipped per churned operator. A
+	// moved join ships its buffered windows (≈ input rate × window ×
+	// tuple size), so the seed only matters until the first real
+	// migration is measured.
+	perOpShipBytes = 2000.0
+)
+
+// Config tunes the controller; zero values are replaced by
+// DefaultConfig's in New.
 type Config struct {
 	// Interval is the control period in virtual seconds.
 	Interval float64
 	// DriftThreshold is the relative observed-vs-assumed rate drift above
 	// which a query is re-planned (drift gate).
 	DriftThreshold float64
-	// MinRelGain is the deadband: predicted relative byte gains at or
-	// below it never trigger a migration.
-	MinRelGain float64
-	// Hysteresis scales the churn cost a predicted gain must beat.
-	Hysteresis float64
-	// Horizon is the payback window in virtual seconds: savings accrue as
-	// gain × Horizon when weighed against one-time migration cost.
-	Horizon float64
-	// Cooldown is the minimum spacing between migrations of one query.
-	Cooldown float64
-	// RevertHoldoff is how long a query's previous plan stays banned
-	// after migrating away from it.
-	RevertHoldoff float64
-	// PerOpShipBytes seeds (and floors) the measured per-operator
-	// migration churn EWMA, in bytes shipped per churned operator. A
-	// moved join ships its buffered windows (≈ input rate × window ×
-	// tuple size), so the seed only matters until the first real
-	// migration is measured.
-	PerOpShipBytes float64
 	// Mode selects the migration policy.
 	Mode Mode
 }
 
 // DefaultConfig returns the tuning used by cmd/smq and the chaos harness.
 func DefaultConfig() Config {
-	return Config{
-		Interval:       10,
-		DriftThreshold: 0.2,
-		MinRelGain:     0.05,
-		Hysteresis:     1.5,
-		Horizon:        60,
-		Cooldown:       20,
-		RevertHoldoff:  120,
-		PerOpShipBytes: 2000,
-		Mode:           ModeController,
-	}
+	return Config{Interval: 10, DriftThreshold: 0.2, Mode: ModeController}
 }
 
 func (c Config) withDefaults() Config {
@@ -114,24 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = d.DriftThreshold
-	}
-	if c.MinRelGain <= 0 {
-		c.MinRelGain = d.MinRelGain
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = d.Hysteresis
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = d.Horizon
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = d.Cooldown
-	}
-	if c.RevertHoldoff <= 0 {
-		c.RevertHoldoff = d.RevertHoldoff
-	}
-	if c.PerOpShipBytes <= 0 {
-		c.PerOpShipBytes = d.PerOpShipBytes
 	}
 	return c
 }
@@ -190,7 +167,7 @@ type Controller struct {
 	order   []int // deterministic iteration: insertion order
 	win     *iflow.StatsWindow
 
-	perOpBytes  float64 // EWMA of measured BytesShipped/Delta, floored at cfg.PerOpShipBytes
+	perOpBytes  float64 // EWMA of measured BytesShipped/Delta, floored at perOpShipBytes
 	lastVersion int     // graph version at the previous step
 	until       float64 // source lifetime bound handed to Migrate
 
@@ -226,7 +203,7 @@ func New(rt *iflow.Runtime, cat *query.Catalog, replan iflow.ReplanFunc, cfg Con
 		replan:      replan,
 		tracked:     map[int]*tracked{},
 		win:         rt.NewStatsWindow(),
-		perOpBytes:  cfg.PerOpShipBytes,
+		perOpBytes:  perOpShipBytes,
 		lastVersion: rt.G.Version(),
 		until:       math.Inf(1),
 	}
@@ -325,7 +302,7 @@ func (c *Controller) Step() {
 	// the migrations to the window after them.
 	curRate := (c.rt.TotalBytes - c.lastWindowBytes) / elapsed
 	if c.migratedLastStep {
-		realized := (c.preRate - curRate) * c.cfg.Horizon
+		realized := (c.preRate - curRate) * horizon
 		c.stats.RealizedSavings += realized
 		c.obsRealized.Set(c.stats.RealizedSavings)
 		c.migratedLastStep = false
@@ -412,13 +389,13 @@ func (c *Controller) Step() {
 			continue
 		}
 		if c.cfg.Mode == ModeController {
-			if gain <= c.cfg.MinRelGain*math.Abs(curBytes) {
+			if gain <= minRelGain*math.Abs(curBytes) {
 				t.pending = false // noise, not a deferred opportunity
 				c.suppress(&c.stats.SuppressedDeadband)
-				c.emitGate(&chain, qid, now, "deadband", false, gain, c.cfg.MinRelGain*math.Abs(curBytes))
+				c.emitGate(&chain, qid, now, "deadband", false, gain, minRelGain*math.Abs(curBytes))
 				continue
 			}
-			c.emitGate(&chain, qid, now, "deadband", true, gain, c.cfg.MinRelGain*math.Abs(curBytes))
+			c.emitGate(&chain, qid, now, "deadband", true, gain, minRelGain*math.Abs(curBytes))
 			// Price the migration's churn from what it would actually
 			// ship: each moved operator's live state, measured now, plus
 			// the per-operator overhead EWMA for the rest of the delta.
@@ -428,27 +405,27 @@ func (c *Controller) Step() {
 			if ship := c.predictShipBytes(t.q, diff, tupleSize); ship > churn {
 				churn = ship
 			}
-			if gain*c.cfg.Horizon <= c.cfg.Hysteresis*churn {
+			if gain*horizon <= hysteresis*churn {
 				t.pending = true
 				c.suppress(&c.stats.SuppressedHysteresis)
-				c.emitGate(&chain, qid, now, "hysteresis", false, gain*c.cfg.Horizon, c.cfg.Hysteresis*churn)
+				c.emitGate(&chain, qid, now, "hysteresis", false, gain*horizon, hysteresis*churn)
 				continue
 			}
-			c.emitGate(&chain, qid, now, "hysteresis", true, gain*c.cfg.Horizon, c.cfg.Hysteresis*churn)
-			if t.lastMigrate > 0 && now-t.lastMigrate < c.cfg.Cooldown {
+			c.emitGate(&chain, qid, now, "hysteresis", true, gain*horizon, hysteresis*churn)
+			if t.lastMigrate > 0 && now-t.lastMigrate < cooldown {
 				t.pending = true
 				c.suppress(&c.stats.SuppressedCooldown)
-				c.emitGate(&chain, qid, now, "cooldown", false, now-t.lastMigrate, c.cfg.Cooldown)
+				c.emitGate(&chain, qid, now, "cooldown", false, now-t.lastMigrate, cooldown)
 				continue
 			}
-			c.emitGate(&chain, qid, now, "cooldown", true, now-t.lastMigrate, c.cfg.Cooldown)
-			if t.prevSig != "" && fresh.String() == t.prevSig && now-t.lastMigrate < c.cfg.RevertHoldoff {
+			c.emitGate(&chain, qid, now, "cooldown", true, now-t.lastMigrate, cooldown)
+			if t.prevSig != "" && fresh.String() == t.prevSig && now-t.lastMigrate < revertHoldoff {
 				t.pending = true
 				c.suppress(&c.stats.SuppressedRevert)
-				c.emitGate(&chain, qid, now, "revert", false, now-t.lastMigrate, c.cfg.RevertHoldoff)
+				c.emitGate(&chain, qid, now, "revert", false, now-t.lastMigrate, revertHoldoff)
 				continue
 			}
-			c.emitGate(&chain, qid, now, "revert", true, now-t.lastMigrate, c.cfg.RevertHoldoff)
+			c.emitGate(&chain, qid, now, "revert", true, now-t.lastMigrate, revertHoldoff)
 		}
 
 		// Parent the runtime's MigrationApplied/RolledBack event on the
@@ -476,8 +453,8 @@ func (c *Controller) Step() {
 		// the estimate is floored at the configured seed.
 		if rep.Delta() > 0 {
 			per := rep.BytesShipped / float64(rep.Delta())
-			if per < c.cfg.PerOpShipBytes {
-				per = c.cfg.PerOpShipBytes
+			if per < perOpShipBytes {
+				per = perOpShipBytes
 			}
 			c.perOpBytes = 0.7*c.perOpBytes + 0.3*per
 		}

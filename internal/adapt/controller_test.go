@@ -83,7 +83,7 @@ func (w *ctlWorld) baseLeaf(t *testing.T, id query.StreamID) *query.PlanNode {
 func TestControllerClosesTheLoop(t *testing.T) {
 	const horizon = 600.0
 	w := makeCtlWorld(t, 3, horizon)
-	ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 15, Horizon: 60})
+	ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 15})
 	ctl.Track(w.q, w.plan)
 
 	var history []string

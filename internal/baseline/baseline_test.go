@@ -210,7 +210,7 @@ func TestRelaxationProducesValidPlans(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		f := makeFixture(seed, 32, 4)
 		emb := Embed(f.g, f.paths, 48, rng)
-		res, err := Relaxation(f.g, f.paths, emb, f.cat, f.q, nil, DefaultRelaxation())
+		res, err := Relaxation(f.g, f.paths, emb, f.cat, f.q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func MakeZones(g *netgraph.Graph, paths *netgraph.Paths, nZones int, rng *rand.R
 	// Allow slack so k clusters can always hold n items.
 	res, err := cluster.KMedoids(n, nZones, maxSize+nZones, func(i, j int) float64 {
 		return paths.Dist(netgraph.NodeID(i), netgraph.NodeID(j))
-	}, rng, 8)
+	}, rng)
 	if err != nil {
 		return nil, err
 	}

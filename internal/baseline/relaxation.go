@@ -9,21 +9,10 @@ import (
 	"hnp/internal/query"
 )
 
-// RelaxationConfig tunes the Relaxation baseline. The paper used a
-// 3-dimensional cost space computed with 4 iterations; those are the
-// defaults of DefaultRelaxation.
-type RelaxationConfig struct {
-	// EmbedRounds is the number of spring-relaxation rounds building the
-	// cost space.
-	EmbedRounds int
-	// PlaceIters is the number of operator relaxation iterations.
-	PlaceIters int
-}
-
-// DefaultRelaxation mirrors the paper's experimental configuration.
-func DefaultRelaxation() RelaxationConfig {
-	return RelaxationConfig{EmbedRounds: 4, PlaceIters: 4}
-}
+// placeIters is the number of operator relaxation iterations. The paper
+// computed its 3-dimensional cost space with 4 iterations; the operator
+// relaxation mirrors that budget.
+const placeIters = 4
 
 // Relaxation implements the placement heuristic of Pietzuch et al. (ICDE
 // 2006) as the paper evaluated it: a phased approach that first fixes the
@@ -34,7 +23,7 @@ func DefaultRelaxation() RelaxationConfig {
 // physical node. When a registry is given, advertised subtrees are reused
 // post-hoc exactly like the other phased baselines.
 func Relaxation(g *netgraph.Graph, paths *netgraph.Paths, emb *Embedding,
-	cat *query.Catalog, q *query.Query, reg *ads.Registry, cfg RelaxationConfig) (core.Result, error) {
+	cat *query.Catalog, q *query.Query, reg *ads.Registry) (core.Result, error) {
 	rt := query.BuildRates(cat, q)
 	tree, err := SelectivityTree(core.BaseInputs(cat, q, rt), rt, q.All())
 	if err != nil {
@@ -83,7 +72,7 @@ func Relaxation(g *netgraph.Graph, paths *netgraph.Paths, emb *Embedding,
 	}
 
 	// Spring relaxation: weighted average of neighbors, weights = rates.
-	for it := 0; it < cfg.PlaceIters; it++ {
+	for it := 0; it < placeIters; it++ {
 		for _, op := range ops {
 			var num Point3
 			den := 0.0
@@ -119,7 +108,7 @@ func Relaxation(g *netgraph.Graph, paths *netgraph.Paths, emb *Embedding,
 	return core.Result{
 		Plan:            placed,
 		Cost:            placed.Cost(paths.Dist, q.Sink),
-		PlansConsidered: float64(len(ops) * cfg.PlaceIters),
+		PlansConsidered: float64(len(ops) * placeIters),
 		ClustersPlanned: 1,
 		LevelsVisited:   1,
 	}, nil

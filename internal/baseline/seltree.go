@@ -1,10 +1,10 @@
 // Package baseline implements the comparison systems of the paper's
 // evaluation: the classic "plan, then deploy" pipeline (selectivity-only
 // join ordering followed by placement), the Relaxation algorithm of
-// Pietzuch et al. (placement by spring relaxation in a 3-D cost space),
-// the zone-based In-network placement of Ahmad & Çetintemel, and random
-// placement. All operate on the same query/cost model as the core
-// algorithms so costs are directly comparable.
+// Pietzuch et al. (placement by spring relaxation in a 3-D cost space)
+// and the zone-based In-network placement of Ahmad & Çetintemel. All
+// operate on the same query/cost model as the core algorithms so costs
+// are directly comparable.
 package baseline
 
 import (

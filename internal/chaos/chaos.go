@@ -46,20 +46,23 @@ import (
 // schedule the closed-loop controller is validated on.
 const ProfileRateShift = "rateshift"
 
+// The world every run builds: a 24-node transit-stub network clustered
+// under a cap of 6, 8 base streams in the catalog, and a pool of 10
+// candidate queries events draw from. The runtime runs at
+// iflow.DefaultConfig's physical constants.
+const (
+	nodes   = 24
+	maxCS   = 6
+	streams = 8
+	queries = 10
+)
+
 // Config parameterizes one chaos run. Identical configs (seed included)
 // produce identical runs, event for event and tuple for tuple.
 type Config struct {
 	// Seed drives everything: topology, hierarchy, workload, schedule,
 	// and the runtime's tuple randomness.
 	Seed int64
-	// Nodes is the transit-stub network size.
-	Nodes int
-	// MaxCS is the hierarchy's cluster size cap.
-	MaxCS int
-	// Streams is the number of base streams in the catalog.
-	Streams int
-	// Queries is the size of the candidate query pool events draw from.
-	Queries int
 	// Events is the schedule length.
 	Events int
 	// MeanStep is the mean virtual seconds advanced before each event
@@ -85,24 +88,12 @@ type Config struct {
 	// under control (engine.AttachController). Only meaningful with
 	// ProfileRateShift.
 	Adapt *adapt.Config
-	// Runtime tunes the IFLOW engine's physical constants.
-	Runtime iflow.Config
 }
 
-// DefaultConfig returns the standard chaos shape: a 24-node network,
-// 8 streams, a pool of 10 queries, 200 events at ~0.4 virtual seconds
-// apart.
+// DefaultConfig returns the standard chaos shape: 200 events at ~0.4
+// virtual seconds apart.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:     seed,
-		Nodes:    24,
-		MaxCS:    6,
-		Streams:  8,
-		Queries:  10,
-		Events:   200,
-		MeanStep: 0.4,
-		Runtime:  iflow.DefaultConfig(),
-	}
+	return Config{Seed: seed, Events: 200, MeanStep: 0.4}
 }
 
 // RateShiftConfig returns the standard adaptive-control stress shape: the
@@ -128,14 +119,6 @@ func (cfg Config) validate() error {
 	switch {
 	case cfg.Profile != "" && cfg.Profile != ProfileRateShift:
 		return fmt.Errorf("chaos: unknown profile %q", cfg.Profile)
-	case cfg.Nodes < 8:
-		return fmt.Errorf("chaos: need at least 8 nodes, got %d", cfg.Nodes)
-	case cfg.MaxCS < 2:
-		return fmt.Errorf("chaos: maxCS must be >= 2, got %d", cfg.MaxCS)
-	case cfg.Streams < 6:
-		return fmt.Errorf("chaos: need at least 6 streams for the workload shape, got %d", cfg.Streams)
-	case cfg.Queries < 1:
-		return fmt.Errorf("chaos: empty query pool")
 	case cfg.Events < 1:
 		return fmt.Errorf("chaos: empty schedule")
 	case cfg.MeanStep <= 0:
@@ -254,14 +237,14 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 		return nil, err
 	}
 	buildRng := rand.New(rand.NewSource(cfg.Seed))
-	g := netgraph.MustTransitStub(cfg.Nodes, buildRng)
+	g := netgraph.MustTransitStub(nodes, buildRng)
 	paths := g.ShortestPaths(netgraph.MetricCost)
-	h, err := hierarchy.Build(g, paths, cfg.MaxCS, buildRng)
+	h, err := hierarchy.Build(g, paths, maxCS, buildRng)
 	if err != nil {
 		return nil, err
 	}
 	wlRng := rand.New(rand.NewSource(cfg.Seed ^ 0x77f00d))
-	wl, err := workload.Generate(workload.Default(cfg.Streams, cfg.Queries), cfg.Nodes, wlRng)
+	wl, err := workload.Generate(workload.Default(streams, queries), nodes, wlRng)
 	if err != nil {
 		return nil, err
 	}
@@ -277,8 +260,8 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5)),
 		eng: engine.NewEngine(engine.NewSystem(g, h, wl.Catalog, reg),
-			cfg.Runtime, cfg.Seed^0x7f1e, cfg.horizon()),
-		minLive:   max(cfg.MaxCS, cfg.Nodes/2),
+			iflow.DefaultConfig(), cfg.Seed^0x7f1e, cfg.horizon()),
+		minLive:   max(maxCS, nodes/2),
 		liveRates: map[query.StreamID]float64{},
 		planHist:  map[int][]string{},
 		prevSinks: map[int]iflow.SinkStats{},
@@ -493,7 +476,7 @@ func (w *World) nextEvent(idx int) Event {
 	arrivals := w.plannable(false)
 	deployed := w.deployedIDs()
 	var liveNodes, dead []netgraph.NodeID
-	for v := netgraph.NodeID(0); int(v) < w.cfg.Nodes; v++ {
+	for v := netgraph.NodeID(0); int(v) < nodes; v++ {
 		if w.eng.Live(v) {
 			liveNodes = append(liveNodes, v)
 		} else {

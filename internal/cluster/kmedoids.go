@@ -101,11 +101,14 @@ func contains(s []int, v int) bool {
 	return false
 }
 
+// kmedoidsRounds bounds KMedoids' assign/update rounds.
+const kmedoidsRounds = 8
+
 // KMedoids clusters n items into k clusters of at most maxSize members
 // each, minimizing total item-to-medoid distance. If k*maxSize < n it
-// returns an error. iters bounds the assign/update rounds; the algorithm
-// also stops early at a fixed point.
-func KMedoids(n, k, maxSize int, dist DistFunc, rng *rand.Rand, iters int) (Result, error) {
+// returns an error. It runs at most kmedoidsRounds assign/update rounds
+// and stops early at a fixed point.
+func KMedoids(n, k, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) {
 	if n == 0 {
 		return Result{}, nil
 	}
@@ -123,7 +126,7 @@ func KMedoids(n, k, maxSize int, dist DistFunc, rng *rand.Rand, iters int) (Resu
 	}
 	medoids := FarthestPointSeeds(n, k, dist, rng)
 	var assign []int
-	for round := 0; round < iters; round++ {
+	for round := 0; round < kmedoidsRounds; round++ {
 		assign = capacityAssign(n, medoids, maxSize, dist)
 		next := updateMedoids(n, assign, medoids, dist)
 		if equalInts(next, medoids) {
@@ -256,9 +259,9 @@ func Partition(n, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) {
 	if kMin <= 1 {
 		// Everything fits in one cluster: this is a (potential) top level,
 		// which must converge to a single cluster.
-		return KMedoids(n, 1, maxSize, dist, rng, 8)
+		return KMedoids(n, 1, maxSize, dist, rng)
 	}
-	best, err := KMedoids(n, kMin, maxSize, dist, rng, 8)
+	best, err := KMedoids(n, kMin, maxSize, dist, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -273,7 +276,7 @@ func Partition(n, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) {
 		kMax = n / 2
 	}
 	for k := kMin + 1; k <= kMax; k++ {
-		cand, err := KMedoids(n, k, maxSize, dist, rng, 8)
+		cand, err := KMedoids(n, k, maxSize, dist, rng)
 		if err != nil {
 			return Result{}, err
 		}

@@ -80,16 +80,16 @@ func TestLineClustersAreCompact(t *testing.T) {
 
 func TestKMedoidsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	if _, err := KMedoids(10, 2, 3, lineDist, rng, 5); err == nil {
+	if _, err := KMedoids(10, 2, 3, lineDist, rng); err == nil {
 		t.Error("infeasible capacity accepted")
 	}
-	if _, err := KMedoids(10, 0, 3, lineDist, rng, 5); err == nil {
+	if _, err := KMedoids(10, 0, 3, lineDist, rng); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KMedoids(10, 2, 0, lineDist, rng, 5); err == nil {
+	if _, err := KMedoids(10, 2, 0, lineDist, rng); err == nil {
 		t.Error("maxSize=0 accepted")
 	}
-	if res, err := KMedoids(0, 2, 3, lineDist, rng, 5); err != nil || len(res.Assign) != 0 {
+	if res, err := KMedoids(0, 2, 3, lineDist, rng); err != nil || len(res.Assign) != 0 {
 		t.Errorf("empty input: %v %v", res, err)
 	}
 }

@@ -22,9 +22,6 @@ type Config struct {
 	Workloads int
 	// Queries per workload (paper: 20 for figs 5-8).
 	Queries int
-	// Fig9Sizes overrides the network-size sweep of Figure 9 (nil = the
-	// paper's 128..1024).
-	Fig9Sizes []int
 
 	// fig names the figure currently running; set by each Fig entry point
 	// so shared harness code can label its progress telemetry.
@@ -67,7 +64,7 @@ func Fig2(cfg Config) (*Figure, error) {
 		opt  optimizer
 	}{
 		{"Relaxation", func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return baseline.Relaxation(e.g, e.paths, emb, w.Catalog, q, reg, baseline.DefaultRelaxation())
+			return baseline.Relaxation(e.g, e.paths, emb, w.Catalog, q, reg)
 		}},
 		{"Plan-then-deploy", func(q *query.Query, reg *ads.Registry) (core.Result, error) {
 			return baseline.PlanThenDeploy(e.g, e.paths, w.Catalog, q, reg)

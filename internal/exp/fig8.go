@@ -52,7 +52,7 @@ func Fig8(cfg Config) (*Figure, error) {
 		}},
 		{"Relaxation with reuse", func(cat *query.Catalog) optimizer {
 			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return baseline.Relaxation(e.g, e.paths, emb, cat, q, reg, baseline.DefaultRelaxation())
+				return baseline.Relaxation(e.g, e.paths, emb, cat, q, reg)
 			}
 		}},
 		{"In-Network with reuse", func(cat *query.Catalog) optimizer {

@@ -20,10 +20,7 @@ import (
 // and 4). Queries join 4 streams from a pool of 100 sources.
 func Fig9(cfg Config) (*Figure, error) {
 	cfg.fig = "fig9"
-	sizes := cfg.Fig9Sizes
-	if len(sizes) == 0 {
-		sizes = []int{128, 256, 512, 1024}
-	}
+	sizes := []int{128, 256, 512, 1024} // the paper's network-size sweep
 	const (
 		maxCS   = 32
 		queries = 10

@@ -146,7 +146,7 @@ func (h *Hierarchy) split(c *Cluster) {
 	dist := func(i, j int) float64 { return h.paths.Dist(members[i], members[j]) }
 	// Splits are rare and local; a fixed seed keeps the structure
 	// reproducible without threading the construction rng through mutations.
-	res, err := cluster.KMedoids(len(members), 2, h.maxCS, dist, rand.New(rand.NewSource(1)), 8)
+	res, err := cluster.KMedoids(len(members), 2, h.maxCS, dist, rand.New(rand.NewSource(1)))
 	if err != nil {
 		// Unreachable: 2*maxCS >= maxCS+1 for maxCS >= 1.
 		panic(err)

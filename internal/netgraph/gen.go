@@ -31,34 +31,29 @@ type TransitStubConfig struct {
 	// transit node. Stub nodes are distributed round-robin across all
 	// stub domains so that TotalNodes is hit exactly.
 	StubsPerTransit int
-	// ExtraStubEdgeProb is the probability of adding each candidate
-	// non-tree edge inside a stub domain, giving intranets some mesh.
-	ExtraStubEdgeProb float64
-
-	// TransitCost / StubCost / GatewayCost are per-byte link cost ranges.
-	// The paper assigns stub links lower cost than transit links
-	// ("transmission within an intranet being far cheaper than long-haul
-	// links").
-	TransitCost, StubCost, GatewayCost CostRange
-	// Delay is the propagation-delay range applied to every link (the
-	// Emulab testbed used 1-60 ms).
-	Delay CostRange
 }
+
+// extraStubEdgeProb is the probability of adding each candidate non-tree
+// edge inside a stub domain, giving intranets some mesh.
+const extraStubEdgeProb = 0.15
+
+// The transit-stub link parameters. transitCost, stubCost and gatewayCost
+// are per-byte link cost ranges: the paper assigns stub links lower cost
+// than transit links ("transmission within an intranet being far cheaper
+// than long-haul links"). linkDelay is the propagation-delay range applied
+// to every link (the Emulab testbed used 1-60 ms).
+var (
+	transitCost = CostRange{10, 20}
+	stubCost    = CostRange{1, 2}
+	gatewayCost = CostRange{4, 8}
+	linkDelay   = CostRange{0.001, 0.060}
+)
 
 // DefaultTransitStub returns the configuration used for the paper's
 // standard Internet-style topology scaled to n total nodes: one transit
 // domain of 4 nodes and 4 stub domains per transit node.
 func DefaultTransitStub(n int) TransitStubConfig {
-	return TransitStubConfig{
-		TotalNodes:        n,
-		TransitNodes:      4,
-		StubsPerTransit:   4,
-		ExtraStubEdgeProb: 0.15,
-		TransitCost:       CostRange{10, 20},
-		StubCost:          CostRange{1, 2},
-		GatewayCost:       CostRange{4, 8},
-		Delay:             CostRange{0.001, 0.060},
-	}
+	return TransitStubConfig{TotalNodes: n, TransitNodes: 4, StubsPerTransit: 4}
 }
 
 // TransitStub generates a connected transit-stub topology. The same seed
@@ -79,15 +74,15 @@ func TransitStub(cfg TransitStubConfig, rng *rand.Rand) (*Graph, error) {
 
 	// Transit domain: ring plus random chords for backbone redundancy.
 	for i := 0; i < t-1; i++ {
-		g.MustAddLink(NodeID(i), NodeID(i+1), cfg.TransitCost.draw(rng), cfg.Delay.draw(rng))
+		g.MustAddLink(NodeID(i), NodeID(i+1), transitCost.draw(rng), linkDelay.draw(rng))
 	}
 	if t > 2 {
-		g.MustAddLink(NodeID(t-1), NodeID(0), cfg.TransitCost.draw(rng), cfg.Delay.draw(rng))
+		g.MustAddLink(NodeID(t-1), NodeID(0), transitCost.draw(rng), linkDelay.draw(rng))
 	}
 	for i := 0; i < t; i++ {
 		for j := i + 2; j < t; j++ {
 			if !g.HasLink(NodeID(i), NodeID(j)) && rng.Float64() < 0.25 {
-				g.MustAddLink(NodeID(i), NodeID(j), cfg.TransitCost.draw(rng), cfg.Delay.draw(rng))
+				g.MustAddLink(NodeID(i), NodeID(j), transitCost.draw(rng), linkDelay.draw(rng))
 			}
 		}
 	}
@@ -108,19 +103,19 @@ func TransitStub(cfg TransitStubConfig, rng *rand.Rand) (*Graph, error) {
 		// Random spanning tree inside the stub domain.
 		for i := 1; i < len(members); i++ {
 			parent := members[rng.Intn(i)]
-			g.MustAddLink(parent, members[i], cfg.StubCost.draw(rng), cfg.Delay.draw(rng))
+			g.MustAddLink(parent, members[i], stubCost.draw(rng), linkDelay.draw(rng))
 		}
 		// Extra mesh edges.
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				if !g.HasLink(members[i], members[j]) && rng.Float64() < cfg.ExtraStubEdgeProb {
-					g.MustAddLink(members[i], members[j], cfg.StubCost.draw(rng), cfg.Delay.draw(rng))
+				if !g.HasLink(members[i], members[j]) && rng.Float64() < extraStubEdgeProb {
+					g.MustAddLink(members[i], members[j], stubCost.draw(rng), linkDelay.draw(rng))
 				}
 			}
 		}
 		// Gateway link from a random stub node to the transit node.
 		gw := members[rng.Intn(len(members))]
-		g.MustAddLink(transit, gw, cfg.GatewayCost.draw(rng), cfg.Delay.draw(rng))
+		g.MustAddLink(transit, gw, gatewayCost.draw(rng), linkDelay.draw(rng))
 	}
 	return g, nil
 }

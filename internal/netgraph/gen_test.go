@@ -56,8 +56,8 @@ func TestTransitStubCostStructure(t *testing.T) {
 				maxStub = l.Cost
 			}
 		}
-		if l.Delay < cfg.Delay.Lo || l.Delay > cfg.Delay.Hi {
-			t.Errorf("delay %g outside [%g,%g]", l.Delay, cfg.Delay.Lo, cfg.Delay.Hi)
+		if l.Delay < linkDelay.Lo || l.Delay > linkDelay.Hi {
+			t.Errorf("delay %g outside [%g,%g]", l.Delay, linkDelay.Lo, linkDelay.Hi)
 		}
 	}
 	if minTransit <= maxStub {

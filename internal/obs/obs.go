@@ -1,7 +1,7 @@
 // Package obs is the dependency-light telemetry layer of the optimizer:
 // race-safe counters, gauges and histograms collected in named registries,
-// a span-style trace recorder with monotonic timings, and pluggable sinks
-// (JSON lines, human text, expvar) for getting the numbers out.
+// a span-style trace recorder with monotonic timings, and the ways the
+// numbers get out (human text, a JSON /metrics handler, expvar).
 //
 // Instrumentation is designed to be free when nobody is watching: every
 // mutating operation is guarded by the package-level Enabled atomic, all
@@ -9,8 +9,8 @@
 // enabled-mode updates are single atomic operations. Instrumented code
 // therefore never needs its own guards:
 //
-//	var deploys = reg.Counter("system.deploys") // reg may be nil
-//	deploys.Inc()                               // no-op until obs.Enable()
+//	var deploys = reg.Counter("serving.deploys") // reg may be nil
+//	deploys.Inc()                                // no-op until obs.Enable()
 //
 // Each hnp.System owns a private Registry so concurrent systems (and
 // tests) never pollute each other's numbers; Default is the process-wide
@@ -101,9 +101,9 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// DefBuckets is the default histogram bucket layout: exponential bounds
+// defBuckets is the default histogram bucket layout: exponential bounds
 // suited to seconds-scale durations from microseconds to tens of seconds.
-var DefBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
+var defBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
 
 // Histogram counts observations into a fixed bucket layout (upper bounds,
 // ascending; an implicit +Inf bucket catches the rest) and tracks count
@@ -119,7 +119,7 @@ type Histogram struct {
 
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		bounds = DefBuckets
+		bounds = defBuckets
 	}
 	b := append([]float64(nil), bounds...)
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}

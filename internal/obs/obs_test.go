@@ -107,7 +107,7 @@ func TestConcurrentIncrements(t *testing.T) {
 				for j := 0; j < each; j++ {
 					c.Inc()
 					r.Gauge("accum").Add(1)
-					r.Histogram("lat", DefBuckets).Observe(float64(j%7) * 1e-4)
+					r.Histogram("lat", defBuckets).Observe(float64(j%7) * 1e-4)
 				}
 			}()
 		}

@@ -81,7 +81,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given
-// bucket bounds (nil means DefBuckets) if needed. The layout of an
+// bucket bounds (nil means defBuckets) if needed. The layout of an
 // existing histogram is never changed: asking for an existing name with
 // different non-nil bounds returns the original layout unchanged and
 // bumps the "obs.histogram_bounds_conflict" counter in the same registry,

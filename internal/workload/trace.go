@@ -28,34 +28,37 @@ type TraceConfig struct {
 	// templates re-hit the advertisement registry, so skew controls the
 	// reuse rate the server sees).
 	MixSkew float64
-	// Tenants is the number of multiplexed tenants; TenantSkew is their
-	// Zipf exponent (0 = uniform).
-	Tenants    int
-	TenantSkew float64
 	// UndeployFrac is the fraction of arrivals that retire an earlier
 	// deployment instead of creating a new one (skipped while nothing is
 	// deployed, so a trace prefix is always deploy-heavy).
 	UndeployFrac float64
 	// MinSources/MaxSources bound the streams per template.
 	MinSources, MaxSources int
-	// PredProb is the probability a template carries a WHERE selection
-	// predicate; AggProb the probability it carries a WINDOW/AGGREGATE
-	// clause.
-	PredProb, AggProb float64
 }
+
+// The trace mix's fixed shape.
+const (
+	// tenants is the number of multiplexed tenants; tenantSkew is their
+	// Zipf exponent (0 = uniform).
+	tenants    = 4
+	tenantSkew = 0.8
+	// predProb is the probability a template carries a WHERE selection
+	// predicate; aggProb the probability it carries a WINDOW/AGGREGATE
+	// clause.
+	predProb = 0.5
+	aggProb  = 0.15
+)
 
 // DefaultTrace returns the standard serving-trace shape: Poisson
 // arrivals at 100 req/s for 8 seconds, 12 templates with a mild mix skew,
-// 4 tenants, and a 15% undeploy share.
+// and a 15% undeploy share.
 func DefaultTrace(seed int64) TraceConfig {
 	return TraceConfig{
 		Seed:     seed,
 		Duration: 8, Rate: 100,
 		Templates: 12, MixSkew: 1.1,
-		Tenants: 4, TenantSkew: 0.8,
 		UndeployFrac: 0.15,
 		MinSources:   2, MaxSources: 4,
-		PredProb: 0.5, AggProb: 0.15,
 	}
 }
 
@@ -140,12 +143,12 @@ func synthTemplates(cfg TraceConfig, names []string, rng *rand.Rand) []template 
 		for i := 1; i < k; i++ {
 			stmt += ", " + names[perm[i]]
 		}
-		if rng.Float64() < cfg.PredProb {
+		if rng.Float64() < predProb {
 			// Upper-bound predicates over the normalized [0,1] attribute
 			// domain; the bound stays away from 0 so the range is valid.
 			stmt += fmt.Sprintf(" WHERE %s.attr0 < %.3f", names[perm[0]], 0.2+0.75*rng.Float64())
 		}
-		if rng.Float64() < cfg.AggProb {
+		if rng.Float64() < aggProb {
 			stmt += fmt.Sprintf(" WINDOW %d AGGREGATE %s",
 				windows[rng.Intn(len(windows))], aggs[rng.Intn(len(aggs))])
 		}
@@ -163,8 +166,8 @@ func SynthesizeTrace(cfg TraceConfig, names []string, n int) (*Trace, error) {
 	if cfg.Duration <= 0 || cfg.Rate <= 0 {
 		return nil, fmt.Errorf("workload: trace needs positive duration and rate")
 	}
-	if cfg.Templates < 1 || cfg.Tenants < 1 {
-		return nil, fmt.Errorf("workload: trace needs at least one template and tenant")
+	if cfg.Templates < 1 {
+		return nil, fmt.Errorf("workload: trace needs at least one template")
 	}
 	if cfg.MinSources < 2 || cfg.MaxSources < cfg.MinSources || cfg.MaxSources > len(names) {
 		return nil, fmt.Errorf("workload: bad template source bounds [%d,%d] over %d streams",
@@ -173,7 +176,7 @@ func SynthesizeTrace(cfg TraceConfig, names []string, n int) (*Trace, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	templates := synthTemplates(cfg, names, rng)
 	mixW := zipfWeights(cfg.Templates, cfg.MixSkew)
-	tenantW := zipfWeights(cfg.Tenants, cfg.TenantSkew)
+	tenantW := zipfWeights(tenants, tenantSkew)
 
 	tr := &Trace{Config: cfg, Names: append([]string(nil), names...)}
 	outstanding := 0

@@ -18,7 +18,7 @@ func traceNames(t *testing.T, streams, n int, seed int64) ([]string, *query.Cata
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := query.NewCatalog((cfg.SelLo + cfg.SelHi) / 2)
+	cat := query.NewCatalog((selLo + selHi) / 2)
 	ids := make([]query.StreamID, len(specs))
 	names := make([]string, len(specs))
 	for i, sp := range specs {
@@ -118,7 +118,6 @@ func TestTraceMixStats(t *testing.T) {
 	cfg := DefaultTrace(13)
 	cfg.Duration, cfg.Rate = 60, 150
 	cfg.Templates, cfg.MixSkew = 10, 1.2
-	cfg.Tenants, cfg.TenantSkew = 6, 1.0
 	cfg.UndeployFrac = 0.2
 	tr, err := SynthesizeTrace(cfg, names, 64)
 	if err != nil {
@@ -141,7 +140,7 @@ func TestTraceMixStats(t *testing.T) {
 		t.Fatalf("hot-template share %.3f, want ~%.3f", hotShare, want)
 	}
 	tenShare := float64(tenant["tenant-0"]) / float64(len(tr.Events))
-	if want := zipfWeights(cfg.Tenants, cfg.TenantSkew)[0]; rel(tenShare, want) > 0.15 {
+	if want := zipfWeights(tenants, tenantSkew)[0]; rel(tenShare, want) > 0.15 {
 		t.Fatalf("hot-tenant share %.3f, want ~%.3f", tenShare, want)
 	}
 	undeployShare := float64(undeploys) / float64(len(tr.Events))

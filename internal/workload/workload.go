@@ -12,6 +12,13 @@ import (
 	"hnp/internal/query"
 )
 
+// The paper's uniform draws: stream rates in [rateLo, rateHi] and
+// pairwise selectivities in [selLo, selHi].
+const (
+	rateLo, rateHi float64 = 1, 100
+	selLo, selHi   float64 = 0.001, 0.02
+)
+
 // Config parameterizes one workload.
 type Config struct {
 	// Streams is the number of base stream sources.
@@ -21,20 +28,14 @@ type Config struct {
 	// MinSources/MaxSources bound the number of streams per query
 	// (joins per query = sources − 1; the paper uses 2-5 joins).
 	MinSources, MaxSources int
-	// RateLo/RateHi bound the uniform stream rates.
-	RateLo, RateHi float64
-	// SelLo/SelHi bound the uniform pairwise selectivities.
-	SelLo, SelHi float64
 }
 
-// Default returns the paper's standard workload shape: rates and
-// selectivities uniform, 2-5 joins per query.
+// Default returns the paper's standard workload shape: 2-5 joins per
+// query.
 func Default(streams, queries int) Config {
 	return Config{
 		Streams: streams, Queries: queries,
 		MinSources: 3, MaxSources: 6, // 2-5 joins
-		RateLo: 1, RateHi: 100,
-		SelLo: 0.001, SelHi: 0.02,
 	}
 }
 
@@ -74,14 +75,14 @@ func CatalogSpec(cfg Config, n int, rng *rand.Rand) ([]StreamSpec, []SelSpec, er
 	}
 	streams := make([]StreamSpec, cfg.Streams)
 	for i := range streams {
-		rate := cfg.RateLo + rng.Float64()*(cfg.RateHi-cfg.RateLo)
+		rate := rateLo + rng.Float64()*(rateHi-rateLo)
 		src := netgraph.NodeID(rng.Intn(n))
 		streams[i] = StreamSpec{Name: fmt.Sprintf("stream-%d", i), Rate: rate, Source: src}
 	}
 	var sels []SelSpec
 	for i := 0; i < cfg.Streams; i++ {
 		for j := i + 1; j < cfg.Streams; j++ {
-			sel := cfg.SelLo + rng.Float64()*(cfg.SelHi-cfg.SelLo)
+			sel := selLo + rng.Float64()*(selHi-selLo)
 			sels = append(sels, SelSpec{I: i, J: j, Sel: sel})
 		}
 	}
@@ -105,7 +106,7 @@ func Generate(cfg Config, n int, rng *rand.Rand) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat := query.NewCatalog((cfg.SelLo + cfg.SelHi) / 2)
+	cat := query.NewCatalog((selLo + selHi) / 2)
 	w := &Workload{Catalog: cat}
 	for _, sp := range specs {
 		w.Streams = append(w.Streams, cat.Add(sp.Name, sp.Rate, sp.Source))

@@ -18,7 +18,7 @@ func TestGenerateShape(t *testing.T) {
 	}
 	for _, id := range w.Streams {
 		s := w.Catalog.Stream(id)
-		if s.Rate < cfg.RateLo || s.Rate > cfg.RateHi {
+		if s.Rate < rateLo || s.Rate > rateHi {
 			t.Errorf("rate %g out of range", s.Rate)
 		}
 		if int(s.Source) < 0 || int(s.Source) >= 128 {
@@ -102,7 +102,7 @@ func TestGenerateProperty(t *testing.T) {
 		for i := 0; i < len(w.Streams); i++ {
 			for j := i + 1; j < len(w.Streams); j++ {
 				sel := w.Catalog.Selectivity(w.Streams[i], w.Streams[j])
-				if sel < cfg.SelLo || sel > cfg.SelHi {
+				if sel < selLo || sel > selHi {
 					return false
 				}
 			}
