@@ -67,7 +67,7 @@ func TestMetricCatalog(t *testing.T) {
 }
 
 // catalogEngine runs a runtime-backed engine through CQL and programmatic
-// deploys under a load penalty, a migration, a link update, a node failure
+// deploys, a migration, a link update, a node failure
 // and recovery, and the controller, and returns its registry's snapshot.
 func catalogEngine(t *testing.T) obs.Snapshot {
 	t.Helper()
@@ -83,7 +83,6 @@ func catalogEngine(t *testing.T) obs.Snapshot {
 		used[src] = true
 		sys.AddStream(fmt.Sprintf("S%d", i), 20+10*float64(i), src)
 	}
-	sys.SetLoadPenalty(0.001)
 	e := engine.NewEngine(sys, iflow.DefaultConfig(), 3, 200)
 	sink := netgraph.NodeID(rng.Intn(32))
 	used[sink] = true

@@ -24,7 +24,8 @@
 // -strict the controller must also strictly beat both baselines on
 // bytes, which holds on the pinned validation seeds (3, 6, 8, 9). The
 // comparison runs its own fixed schedule, so -events, -migrate and -v are
-// refused with -adapt (exit 2), as is -strict without it.
+// refused with -adapt (exit 2), as is -strict without it; a boolean flag
+// spelled =false is accepted everywhere.
 //
 // A violation prints the offending seed and its full replayable event
 // trace, dumps the flight recorder's causal event history (the decision
@@ -42,34 +43,45 @@ import (
 	"hnp/internal/obs"
 )
 
+// options holds the command's flags.
+type options struct {
+	seeds, events                   int
+	seed0                           int64
+	migrate, adapt, strict, verbose bool
+	flightDir                       string
+}
+
+// defineFlags registers the command's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.seeds, "seeds", 20, "number of consecutive seeds to run")
+	fs.Int64Var(&o.seed0, "seed0", 1, "first seed")
+	fs.IntVar(&o.events, "events", 200, "events per run")
+	fs.BoolVar(&o.migrate, "migrate", false, "add plan-migration churn: deployed queries are re-planned and diff-migrated in place")
+	fs.BoolVar(&o.adapt, "adapt", false, "run the rate-shift adaptation comparison: never-migrate vs always-remigrate vs gated controller on a shared schedule")
+	fs.BoolVar(&o.strict, "strict", false, "with -adapt, fail unless the controller strictly beats both baselines on total bytes")
+	fs.BoolVar(&o.verbose, "v", false, "print every run's event trace")
+	fs.StringVar(&o.flightDir, "flight-dir", ".", "directory for flight-recorder JSONL dumps on invariant violations")
+	return o
+}
+
 func main() {
-	var (
-		seeds     = flag.Int("seeds", 20, "number of consecutive seeds to run")
-		seed0     = flag.Int64("seed0", 1, "first seed")
-		events    = flag.Int("events", 200, "events per run")
-		migrate   = flag.Bool("migrate", false, "add plan-migration churn: deployed queries are re-planned and diff-migrated in place")
-		adapt     = flag.Bool("adapt", false, "run the rate-shift adaptation comparison: never-migrate vs always-remigrate vs gated controller on a shared schedule")
-		strict    = flag.Bool("strict", false, "with -adapt, fail unless the controller strictly beats both baselines on total bytes")
-		verbose   = flag.Bool("v", false, "print every run's event trace")
-		flightDir = flag.String("flight-dir", ".", "directory for flight-recorder JSONL dumps on invariant violations")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(*adapt, set); err != nil {
+	if err := checkFlags(flag.CommandLine, o); err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(2)
 	}
 
-	if *adapt {
-		os.Exit(runAdapt(*seed0, *seeds, *strict, *flightDir))
+	if o.adapt {
+		os.Exit(runAdapt(o.seed0, o.seeds, o.strict, o.flightDir))
 	}
 
 	failures := 0
-	for i := 0; i < *seeds; i++ {
-		cfg := chaos.DefaultConfig(*seed0 + int64(i))
-		cfg.Events = *events
-		cfg.Migrate = *migrate
+	for i := 0; i < o.seeds; i++ {
+		cfg := chaos.DefaultConfig(o.seed0 + int64(i))
+		cfg.Events = o.events
+		cfg.Migrate = o.migrate
 
 		w, err := chaos.New(cfg)
 		if err != nil {
@@ -80,16 +92,16 @@ func main() {
 		if err != nil {
 			failures++
 			fmt.Fprintf(os.Stderr, "FAIL %v\ntrace:\n%s\n", err, rep.TraceString())
-			dumpFlight(*flightDir, cfg.Seed, rep.Flight)
+			dumpFlight(o.flightDir, cfg.Seed, rep.Flight)
 			continue
 		}
 		fmt.Printf("seed %-4d ok  events=%d %s\n", rep.Seed, rep.Events, rep.Summary())
-		if *verbose {
+		if o.verbose {
 			fmt.Println(rep.TraceString())
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d/%d seeds violated invariants\n", failures, *seeds)
+		fmt.Fprintf(os.Stderr, "%d/%d seeds violated invariants\n", failures, o.seeds)
 		os.Exit(1)
 	}
 }
@@ -97,18 +109,21 @@ func main() {
 // checkFlags refuses a flag the chosen mode would not read. The -adapt
 // comparison runs chaos.RateShiftConfig's fixed schedule and prints one
 // line per seed, so -events, -migrate and -v would be silently ignored;
-// -strict judges that comparison and means nothing without it.
-func checkFlags(adapt bool, set map[string]bool) error {
-	if !adapt {
-		if set["strict"] {
-			return fmt.Errorf("-strict needs -adapt")
-		}
-		return nil
-	}
-	for _, name := range []string{"events", "migrate", "v"} {
-		if set[name] {
-			return fmt.Errorf("-%s has no effect with -adapt", name)
-		}
+// -strict judges that comparison and means nothing without it. A boolean
+// flag given as false asks for nothing and is accepted; -events is refused
+// with -adapt whatever its value.
+func checkFlags(fs *flag.FlagSet, o *options) error {
+	eventsSet := false
+	fs.Visit(func(f *flag.Flag) { eventsSet = eventsSet || f.Name == "events" })
+	switch {
+	case o.adapt && eventsSet:
+		return fmt.Errorf("-events has no effect with -adapt")
+	case o.adapt && o.migrate:
+		return fmt.Errorf("-migrate has no effect with -adapt")
+	case o.adapt && o.verbose:
+		return fmt.Errorf("-v has no effect with -adapt")
+	case o.strict && !o.adapt:
+		return fmt.Errorf("-strict needs -adapt")
 	}
 	return nil
 }

@@ -1,36 +1,44 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		adapt bool
-		set   []string
-		want  string // substring of the error; "" means accepted
+		args string
+		want string // substring of the error; "" means accepted
 	}{
-		{false, nil, ""},
-		{false, []string{"events", "migrate", "v", "seeds", "seed0", "flight-dir"}, ""},
-		{false, []string{"strict"}, "-strict"},
-		{true, nil, ""},
-		{true, []string{"seeds", "seed0", "strict", "flight-dir"}, ""},
-		{true, []string{"events"}, "-events"},
-		{true, []string{"migrate"}, "-migrate"},
-		{true, []string{"v"}, "-v"},
-		{true, []string{"seeds", "migrate"}, "-migrate"},
+		{"", ""},
+		{"-events 10 -migrate -v -seeds 2 -seed0 3 -flight-dir x", ""},
+		{"-strict", "-strict"},
+		{"-strict=false", ""},
+		{"-adapt=false -strict", "-strict"},
+		{"-adapt", ""},
+		{"-adapt -seeds 2 -seed0 3 -strict -flight-dir x", ""},
+		{"-adapt -events 10", "-events"},
+		{"-adapt -events 200", "-events"}, // the default, but asked for
+		{"-adapt -migrate", "-migrate"},
+		{"-adapt -migrate=false", ""},
+		{"-adapt -v", "-v"},
+		{"-adapt -v=false", ""},
+		{"-adapt -seeds 2 -migrate", "-migrate"},
 	} {
-		set := map[string]bool{}
-		for _, name := range tc.set {
-			set[name] = true
+		fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o := defineFlags(fs)
+		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
 		}
-		err := checkFlags(tc.adapt, set)
+		err := checkFlags(fs, o)
 		switch {
 		case tc.want == "" && err != nil:
-			t.Errorf("adapt=%v %v: refused: %v", tc.adapt, tc.set, err)
+			t.Errorf("%q: refused: %v", tc.args, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("adapt=%v %v: error %v, want one naming %s", tc.adapt, tc.set, err, tc.want)
+			t.Errorf("%q: error %v, want one naming %s", tc.args, err, tc.want)
 		}
 	}
 }

@@ -49,7 +49,6 @@ func TestConcurrentDeploy(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	sys, ids := newTestSystem(t)
-	sys.SetLoadPenalty(0.01) // exercise the tracker-backed penalty path too
 
 	const (
 		goroutines = 8

@@ -74,8 +74,6 @@ type (
 	// under weaker predicates are reusable by stricter queries through
 	// residual filters (query containment).
 	PredSet = query.PredSet
-	// AggSpec describes a windowed aggregation over a query's result.
-	AggSpec = query.AggSpec
 	// Attr is one attribute of a stream schema: a name and its byte width.
 	Attr = query.Attr
 	// Schema is the ordered attribute list of a base stream; declaring one

@@ -91,30 +91,6 @@ func TestAggregateReducesDeliveryCost(t *testing.T) {
 	}
 }
 
-// Load penalties move the aggregate off a hot node.
-func TestAggregateAvoidsHotNode(t *testing.T) {
-	w := makeWorld(t, 34, 32, 4, 6, 0)
-	q := aggQuery(t, w, 0, 9)
-	res, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := res.Plan.Loc
-	pen := func(v netgraph.NodeID, inRate float64) float64 {
-		if v == hot {
-			return 1e12
-		}
-		return 0
-	}
-	res2, err := OptimalOpts(w.g, w.paths, w.cat, q, nil, Options{Penalty: pen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Plan.Loc == hot {
-		t.Error("aggregate stayed on penalized node")
-	}
-}
-
 func TestNewQueryAggValidation(t *testing.T) {
 	if _, err := query.NewQueryAgg(0, []query.StreamID{1, 2}, 0, query.PredSet{},
 		query.AggSpec{}); err == nil {

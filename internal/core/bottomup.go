@@ -107,7 +107,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		// deployment time small.
 		plan, cost0, err := Solve(Problem{
 			Inputs: inputs, Sites: c.Members, Dist: h.Paths().Dist, SitePaths: h.Paths(), Rates: rt, Widths: wt,
-			Goal: goal, Sink: q.Sink, Deliver: true, Penalty: opts.Penalty,
+			Goal: goal, Sink: q.Sink, Deliver: true,
 		})
 		if err != nil {
 			return Result{}, fmt.Errorf("bottom-up: level %d: %w", l, err)
@@ -120,7 +120,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 			ReuseOffered: reuseOffered,
 			BestCost:     cost0,
 		}
-		step.Plans += refinePlacements(h, c, plan, q.Sink, opts.Penalty)
+		step.Plans += refinePlacements(h, c, plan, q.Sink)
 		step.Elapsed = time.Since(start)
 		plans += step.Plans
 		clusters++
@@ -164,7 +164,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 	} else {
 		final = query.Leaf(pending[0])
 	}
-	final = AttachAggregate(q, final, h.Cover(h.Top()), h.Paths().Dist, opts.Penalty)
+	final = AttachAggregate(q, final, h.Cover(h.Top()), h.Paths().Dist)
 	wt.Stamp(final)
 	if err := final.Validate(); err != nil {
 		return Result{}, fmt.Errorf("bottom-up: invalid plan: %w", err)
@@ -195,8 +195,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 // with hierarchy depth, exactly as the paper's cluster-size experiments
 // show. It mutates the plan in place and returns the number of candidate
 // placements examined, which Bottom-Up adds to its search-space count.
-func refinePlacements(h *hierarchy.Hierarchy, c *hierarchy.Cluster, plan *query.PlanNode, sink netgraph.NodeID,
-	penalty func(v netgraph.NodeID, inRate float64) float64) float64 {
+func refinePlacements(h *hierarchy.Hierarchy, c *hierarchy.Cluster, plan *query.PlanNode, sink netgraph.NodeID) float64 {
 	if c.Level < 2 {
 		return 0 // members are physical nodes already
 	}
@@ -210,13 +209,9 @@ func refinePlacements(h *hierarchy.Hierarchy, c *hierarchy.Cluster, plan *query.
 		sweep(n.L, n.Loc)
 		sweep(n.R, n.Loc)
 		objective := func(v netgraph.NodeID) float64 {
-			c := n.L.Rate*n.L.WidthOr1()*dist(n.L.Loc, v) +
+			return n.L.Rate*n.L.WidthOr1()*dist(n.L.Loc, v) +
 				n.R.Rate*n.R.WidthOr1()*dist(n.R.Loc, v) +
 				n.Rate*n.WidthOr1()*dist(v, consumer)
-			if penalty != nil {
-				c += penalty(v, n.L.Rate+n.R.Rate)
-			}
-			return c
 		}
 		cur := n.Loc
 		for lev := c.Level; lev >= 2; lev-- {

@@ -43,11 +43,6 @@ func NaiveSolve(p Problem) (*query.PlanNode, float64, int64, error) {
 		if p.Deliver {
 			c += root.Rate * root.WidthOr1() * p.Dist(root.Loc, p.Sink)
 		}
-		if p.Penalty != nil {
-			for _, op := range root.Operators() {
-				c += p.Penalty(op.Loc, op.InputRate())
-			}
-		}
 		if c < best {
 			best, bestPlan = c, root
 		}

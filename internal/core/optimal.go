@@ -31,17 +31,15 @@ func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q
 	}
 	plan, _, err := Solve(Problem{
 		Inputs: inputs, Sites: sites, Dist: paths.Dist, SitePaths: paths, Rates: rt, Widths: wt,
-		Goal: q.All(), Sink: q.Sink, Deliver: true, Penalty: opts.Penalty,
+		Goal: q.All(), Sink: q.Sink, Deliver: true,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("optimal: %w", err)
 	}
-	plan = AttachAggregate(q, plan, sites, paths.Dist, opts.Penalty)
+	plan = AttachAggregate(q, plan, sites, paths.Dist)
 	wt.Stamp(plan)
 	return Result{
-		Plan: plan,
-		// Cost reports communication cost only, like the other optimizers;
-		// with a load penalty the chosen plan may trade some of it away.
+		Plan:            plan,
 		Cost:            plan.Cost(paths.Dist, q.Sink),
 		PlansConsidered: costpkg.Lemma1(q.K(), g.NumNodes()),
 		ClustersPlanned: 1,

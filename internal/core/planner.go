@@ -42,8 +42,7 @@ type Problem struct {
 	// means no width information and every edge prices at rate×distance,
 	// the pre-schema model. With widths, every edge prices at
 	// rate×width×distance, so the search trades placements on actual
-	// bytes-on-wire. Load penalties stay on raw tuple rates (processing
-	// load tracks tuples, not bytes).
+	// bytes-on-wire.
 	Widths query.WidthTable
 	// Goal is the set of source positions the plan must cover.
 	Goal query.Mask
@@ -52,10 +51,6 @@ type Problem struct {
 	// and no delivery edge is costed.
 	Sink    netgraph.NodeID
 	Deliver bool
-	// Penalty, when non-nil, adds a processing-load term for placing an
-	// operator with the given total input rate on a node — how the
-	// optimizers avoid overloaded nodes (load.Tracker builds these).
-	Penalty func(v netgraph.NodeID, inRate float64) float64
 }
 
 const inf = math.MaxFloat64
@@ -218,7 +213,8 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 		// Split search, split-major: each split adds two contiguous avail
 		// rows into the running per-site best. A site still sees the splits
 		// in the same order under the same strict <, so it keeps the same
-		// one.
+		// one. No infeasibility test: inf is MaxFloat64 and costs are
+		// non-negative, so a sum with an inf term is never < oc[v].
 		oc := sc.opCost[base : base+m]
 		os := sc.opSplit[base : base+m]
 		for v := range oc {
@@ -232,22 +228,8 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 			m2 := s ^ m1
 			a1 := avail[int(m1)*m : int(m1)*m+m]
 			a2 := avail[int(m2)*m : int(m2)*m+m]
-			if p.Penalty == nil {
-				// No infeasibility test: inf is MaxFloat64 and costs are
-				// non-negative, so a sum with an inf term is never < oc[v].
-				for v := range oc {
-					if c := a1[v] + a2[v]; c < oc[v] {
-						oc[v], os[v] = c, m1
-					}
-				}
-				continue
-			}
-			inRate := p.Rates.Rate(m1) + p.Rates.Rate(m2)
 			for v := range oc {
-				if a1[v] == inf || a2[v] == inf {
-					continue // a penalty is only asked about feasible splits
-				}
-				if c := a1[v] + a2[v] + p.Penalty(sites[v], inRate); c < oc[v] {
+				if c := a1[v] + a2[v]; c < oc[v] {
 					oc[v], os[v] = c, m1
 				}
 			}

@@ -280,55 +280,3 @@ func TestSubmaskOrder(t *testing.T) {
 		}
 	}
 }
-
-// With a load penalty, the DP must still match brute force exactly.
-func TestSolveWithPenaltyMatchesNaive(t *testing.T) {
-	check := func(seed int64) bool {
-		p, _, _ := problemFixture(seed, true)
-		// Deterministic pseudo-random per-node load factors.
-		p.Penalty = func(v netgraph.NodeID, inRate float64) float64 {
-			return float64((int(v)*2654435761)%97) / 10 * inRate
-		}
-		_, dpCost, err := Solve(p)
-		if err != nil {
-			return false
-		}
-		_, naiveCost, _, err := NaiveSolve(p)
-		if err != nil {
-			return false
-		}
-		return math.Abs(dpCost-naiveCost) <= 1e-6*(1+naiveCost)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// A crushing penalty on one node must push operators off it.
-func TestPenaltySteersPlacement(t *testing.T) {
-	p, _, _ := problemFixture(5, false)
-	plan, _, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := plan.Operators()
-	if len(ops) == 0 {
-		t.Skip("single-join fixture degenerated")
-	}
-	hot := ops[0].Loc
-	p.Penalty = func(v netgraph.NodeID, inRate float64) float64 {
-		if v == hot {
-			return 1e12
-		}
-		return 0
-	}
-	plan2, _, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range plan2.Operators() {
-		if op.Loc == hot {
-			t.Errorf("operator stayed on the overloaded node %d", hot)
-		}
-	}
-}

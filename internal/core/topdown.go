@@ -28,9 +28,6 @@ func TopDown(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ad
 
 // Options tunes the hierarchical optimizers beyond the paper's defaults.
 type Options struct {
-	// Penalty adds a processing-load placement term (see Problem.Penalty);
-	// nil disables load awareness.
-	Penalty func(v netgraph.NodeID, inRate float64) float64
 	// Obs, when non-nil and obs.Enabled, receives planner telemetry:
 	// per-level search spans, candidates examined, reuse inputs offered
 	// (metric names "core.<algo>.*"). Its flight recorder, when armed,
@@ -57,7 +54,7 @@ func TopDownOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg
 	if err != nil {
 		return Result{}, fmt.Errorf("top-down: %w", err)
 	}
-	plan = AttachAggregate(q, plan, h.Cover(h.Top()), h.Paths().Dist, opts.Penalty)
+	plan = AttachAggregate(q, plan, h.Cover(h.Top()), h.Paths().Dist)
 	wt.Stamp(plan)
 	if err := plan.Validate(); err != nil {
 		return Result{}, fmt.Errorf("top-down: invalid plan: %w", err)
@@ -167,7 +164,7 @@ func (td *tdPlanner) planView(c *hierarchy.Cluster, lo int, out netgraph.NodeID,
 
 	plan0, cost0, err := Solve(Problem{
 		Inputs: td.ins[lo:], Sites: c.Members, Dist: dist, SitePaths: paths, Rates: td.rt, Widths: td.wt,
-		Goal: goal, Sink: out, Deliver: deliver, Penalty: td.opts.Penalty,
+		Goal: goal, Sink: out, Deliver: deliver,
 	})
 	step.Inputs = len(td.ins) - lo
 	td.ins = td.ins[:lo] // the plan's leaves are copies

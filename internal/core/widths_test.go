@@ -74,30 +74,6 @@ func TestSolveWithWidthsCostMatchesPlan(t *testing.T) {
 	}
 }
 
-// With a load penalty on top of width pricing, DP and brute force must
-// still agree — the penalty stays in raw tuple rates while transfers are
-// priced in bytes, and both solvers must mix the two identically.
-func TestSolveWidthsAndPenaltyMatchesNaive(t *testing.T) {
-	check := func(seed int64) bool {
-		p, _ := widthProblem(seed, true)
-		p.Penalty = func(v netgraph.NodeID, inRate float64) float64 {
-			return float64((int(v)*2654435761)%97) / 10 * inRate
-		}
-		_, dpCost, err := Solve(p)
-		if err != nil {
-			return false
-		}
-		_, naiveCost, _, err := NaiveSolve(p)
-		if err != nil {
-			return false
-		}
-		return math.Abs(dpCost-naiveCost) <= 1e-6*(1+naiveCost)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestWidthsSteerPlacement pins the qualitative behavior the width model
 // exists for: on a line, the join gravitates toward the heavier (in
 // bytes, not tuples) source, so flipping which stream is wide flips the

@@ -95,7 +95,7 @@ func TestAuditReports(t *testing.T) {
 			e.Refresh() // the planning side only
 		}},
 		{"ledger drift", "load ledger drift at node", func(t *testing.T, e testEngine, d Deployment) {
-			e.AddLoad(d.Plan.Operators()[0].Loc, 5)
+			e.tracker.AddPlan(d.Plan) // booked twice
 		}},
 		{"ledger residue", "no deployed plan loads", func(t *testing.T, e testEngine, d Deployment) {
 			if err := e.RT.Undeploy(d.Query.ID); err != nil {

@@ -293,8 +293,7 @@ func (e *Engine) AttachController(cfg adapt.Config) *adapt.Controller {
 // Each fact has one owner, so there is no copy to compare: the runtime
 // holds the deployed set, hierarchy membership is liveness, the hierarchy
 // holds the planning-side path snapshot. It holds after every lifecycle
-// method returns. (Background load booked with AddLoad belongs to no plan
-// and would read as ledger drift; no engine client books any.)
+// method returns.
 func (e *Engine) Audit() error {
 	if err := e.Hierarchy.CheckInvariants(); err != nil {
 		return err

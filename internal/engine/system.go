@@ -74,14 +74,14 @@ func ParseAlgorithm(name string) (Algorithm, bool) {
 // an advertisement registry into one optimization endpoint.
 //
 // Concurrency contract: Plan, PlanWhere, PlanCQL, PlanQuery, Deploy,
-// DeployWhere, DeployCQL, DeployAggregate, Refresh, SetLoadPenalty,
-// AddLoad and NodeLoad are safe to call from multiple goroutines. Planning
-// runs under a shared read lock, so any number of Plan/Deploy calls
-// proceed in parallel; Refresh (and SetLoadPenalty) take the write lock
-// and briefly exclude planners while the path snapshot and hierarchy are
-// swapped. The advertisement registry and the load tracker are internally
-// locked, so concurrent deployments interleave safely — though which
-// deployment sees which earlier advertisement then depends on scheduling.
+// DeployWhere, DeployCQL, Refresh and NodeLoad are safe to call from
+// multiple goroutines. Planning runs under a shared read lock, so any
+// number of Plan/Deploy calls proceed in parallel; Refresh alone takes the
+// write lock and briefly excludes planners while the path snapshot and
+// hierarchy are swapped. The advertisement registry and the load tracker
+// are internally locked, so concurrent deployments interleave safely —
+// though which deployment sees which earlier advertisement then depends
+// on scheduling.
 // Catalog mutation (AddStream, SetSelectivity) is setup-phase API: do not
 // call it concurrently with planning. Mutating Graph directly must
 // likewise be externally serialized with planning, followed by Refresh.
@@ -97,15 +97,14 @@ type System struct {
 	// only happens while telemetry is enabled (obs.Enable).
 	Obs *obs.Registry
 
-	// mu guards the Hierarchy's path-snapshot swap (Refresh) and loadAlpha
-	// against in-flight planning, which holds it in read mode.
+	// mu guards the Hierarchy's path-snapshot swap (Refresh) against
+	// in-flight planning, which holds it in read mode.
 	mu sync.RWMutex
 	// qmu guards query ID allocation.
 	qmu       sync.Mutex
 	nextQuery int
 
-	loadAlpha float64
-	tracker   *load.Tracker
+	tracker *load.Tracker
 
 	// pmu guards the prepared-statement table (see prepared), built at
 	// catalog version preparedAt; the handles are "cql.prepared_hits",
@@ -249,21 +248,6 @@ func (s *System) allocQueryID() int {
 // Snapshot returns a point-in-time copy of the system's telemetry,
 // detached from the live metrics. With telemetry disabled it is empty.
 func (s *System) Snapshot() obs.Snapshot { return s.Obs.Snapshot() }
-
-// SetLoadPenalty enables load-aware planning: placing an operator on a
-// node already processing load L costs an extra alpha×L×inputRate in the
-// planning objective, steering new deployments away from overloaded
-// nodes (the paper's "node N2 may be overloaded" scenario). Zero disables
-// it. Deployed plans feed the load ledger automatically; use AddLoad for
-// background load from other applications.
-func (s *System) SetLoadPenalty(alpha float64) {
-	s.mu.Lock()
-	s.loadAlpha = alpha
-	s.mu.Unlock()
-}
-
-// AddLoad records synthetic background processing load on a node.
-func (s *System) AddLoad(v netgraph.NodeID, inRate float64) { s.tracker.AddRaw(v, inRate) }
 
 // NodeLoad returns the tracked processing load (input rate) on a node.
 func (s *System) NodeLoad(v netgraph.NodeID) float64 { return s.tracker.Load(v) }
@@ -433,19 +417,6 @@ func (s *System) planCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Dep
 	return d, p, nil
 }
 
-// DeployAggregate deploys a query whose join result is reduced by a
-// windowed aggregation before delivery; the aggregate is placed jointly
-// with the rest of the plan (usually on the join root, collapsing the
-// downstream rate).
-func (s *System) DeployAggregate(sources []query.StreamID, sink netgraph.NodeID, algo Algorithm,
-	preds query.PredSet, agg query.AggSpec) (Deployment, error) {
-	q, err := query.NewQueryAgg(s.allocQueryID(), sources, sink, preds, agg)
-	if err != nil {
-		return Deployment{}, err
-	}
-	return s.recorded(s.planned(q, algo))
-}
-
 // deployRecord finalizes a deployment: the plan's operators are advertised
 // for future reuse and its processing load is accounted. With telemetry
 // enabled the reuse outcome is classified first, from what planning
@@ -477,9 +448,6 @@ func (s *System) PlanQuery(q *query.Query, algo Algorithm, reg *ads.Registry) (c
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	opts := core.Options{Obs: s.Obs}
-	if s.loadAlpha > 0 {
-		opts.Penalty = s.tracker.Penalty(s.loadAlpha)
-	}
 	switch algo {
 	case AlgoTopDown:
 		return core.TopDownOpts(s.Hierarchy, s.Catalog, q, reg, opts)
@@ -488,7 +456,6 @@ func (s *System) PlanQuery(q *query.Query, algo Algorithm, reg *ads.Registry) (c
 	case AlgoOptimal:
 		return core.OptimalOpts(s.Graph, s.Hierarchy.Paths(), s.Catalog, q, reg, opts)
 	case AlgoPlanThenDeploy:
-		// The phased baseline predates load awareness; it ignores opts.
 		return baseline.PlanThenDeploy(s.Graph, s.Hierarchy.Paths(), s.Catalog, q, reg)
 	}
 	return core.Result{}, fmt.Errorf("hnp: unknown algorithm %d", algo)

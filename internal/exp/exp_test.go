@@ -146,10 +146,14 @@ func TestFig9SearchSpace(t *testing.T) {
 		if td.Y[i] > bound.Y[i] {
 			t.Errorf("n=%g: top-down %g exceeds analytical bound %g", ex.X[i], td.Y[i], bound.Y[i])
 		}
+		// Over uniform sources Bottom-Up's edge is small and not present at
+		// every size: at 512 nodes it examines 61,632 plans to Top-Down's
+		// 61,536 (1.0016×), so each size gets 0.2% of slack.
+		if bu.Y[i] > td.Y[i]*1.002 {
+			t.Errorf("n=%g: bottom-up %g above 1.002× top-down %g", ex.X[i], bu.Y[i], td.Y[i])
+		}
 	}
-	// Over uniform sources Bottom-Up's edge is small and not present at
-	// every size (at 512 nodes it examines 0.2% more plans than Top-Down),
-	// so the figure's claim, and this check, is the mean over the sweep.
+	// The figure's own claim is the mean over the sweep.
 	if b, d := stats.Mean(bu.Y), stats.Mean(td.Y); b > d {
 		t.Errorf("bottom-up mean %g above top-down mean %g", b, d)
 	}

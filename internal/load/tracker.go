@@ -1,8 +1,7 @@
-// Package load tracks the processing load deployed operators place on
-// physical nodes and turns it into a planning penalty, implementing the
-// paper's motivating scenario "node N2 may be overloaded ... the network
-// conditions dictate a more efficient join ordering": optimizers that plan
-// with a load penalty steer new operators away from hot nodes.
+// Package load is the ledger of the processing load deployed operators
+// place on physical nodes. Deploys book their plans, undeploys and
+// migrations take them back, and audits compare the ledger with a
+// from-scratch recompute over the running plans. Planning never reads it.
 package load
 
 import (
@@ -16,16 +15,15 @@ import (
 // Tracker accumulates per-node processing load, measured as the total
 // input rate of the operators placed on each node (the work a symmetric
 // hash join performs is proportional to its input rates). A Tracker is
-// internally locked: concurrent deployments may record load while
-// in-flight planners read penalties.
+// internally locked: concurrent deployments may record load while others
+// read it.
 type Tracker struct {
 	mu   sync.Mutex
 	load []float64 // by node, grown on demand; zero means no tracked load
 
-	// Telemetry handles (nil until BindObs; all nil-safe no-ops then).
-	obsTotal   *obs.Gauge
-	obsNodes   *obs.Gauge
-	obsPenalty *obs.Counter
+	// Telemetry handles (nil until BindObs).
+	obsTotal *obs.Gauge
+	obsNodes *obs.Gauge
 }
 
 // NewTracker returns an empty tracker.
@@ -41,13 +39,11 @@ func (t *Tracker) at(v netgraph.NodeID) *float64 {
 }
 
 // BindObs connects the tracker to a telemetry registry: the aggregate
-// tracked load ("load.total_rate" gauge), the number of loaded nodes
-// ("load.loaded_nodes" gauge), and how often planners consulted the
-// penalty ("load.penalty_calls" counter) are recorded there.
+// tracked load ("load.total_rate" gauge) and the number of loaded nodes
+// ("load.loaded_nodes" gauge) are recorded there.
 func (t *Tracker) BindObs(reg *obs.Registry) {
 	t.obsTotal = reg.Gauge("load.total_rate")
 	t.obsNodes = reg.Gauge("load.loaded_nodes")
-	t.obsPenalty = reg.Counter("load.penalty_calls")
 }
 
 // publishLocked refreshes the gauges; callers hold t.mu. The total is
@@ -102,8 +98,8 @@ func (t *Tracker) RemovePlan(plan *query.PlanNode) {
 // ApplyDelta folds a per-node load change into the ledger — the
 // accounting path for plan migrations. A migration keeps shared operators
 // running, so the whole-plan RemovePlan+AddPlan pair is wrong for it: in
-// between the two calls the kept operators' load is absent (any
-// concurrent penalty reads a hole), and operators the old and new plan
+// between the two calls the kept operators' load is absent (a concurrent
+// reader sees a hole), and operators the old and new plan
 // book at different rates (recalibrated statistics) leave residue.
 // Folding iflow.MigrationReport.LoadDelta moves exactly the changed
 // operators' load in one locked step. Entries that cancel to ~zero are
@@ -133,25 +129,4 @@ func (t *Tracker) Snapshot() map[netgraph.NodeID]float64 {
 		}
 	}
 	return out
-}
-
-// AddRaw adds synthetic background load to a node (e.g. an overloaded
-// enterprise server).
-func (t *Tracker) AddRaw(v netgraph.NodeID, inRate float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	*t.at(v) += inRate
-	t.publishLocked()
-}
-
-// Penalty returns a planning penalty function: placing an operator with
-// the given input rate on node v costs alpha × currentLoad(v) × inRate
-// extra — linear congestion pricing. Pass the result as core.Options.
-// Penalty. The returned closure reads the tracker live, so penalties
-// follow deployments.
-func (t *Tracker) Penalty(alpha float64) func(v netgraph.NodeID, inRate float64) float64 {
-	return func(v netgraph.NodeID, inRate float64) float64 {
-		t.obsPenalty.Inc()
-		return alpha * t.Load(v) * inRate
-	}
 }
