@@ -1,6 +1,10 @@
 package hnp
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func newTestSystem(t *testing.T) (*System, []StreamID) {
 	t.Helper()
@@ -99,34 +103,54 @@ func TestUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRefreshAfterLinkChange doubles every link of seeded random
+// instances — 32 to 128 nodes, 3 to 5 sources, one stream with a schema,
+// one predicate query — and re-plans with all four algorithms. Doubling is
+// exact in floating point: every path cost, cluster diameter and DP
+// comparison scales by 2 with no rounding, so each plan must come back
+// unchanged at exactly twice the cost.
 func TestRefreshAfterLinkChange(t *testing.T) {
-	sys, ids := newTestSystem(t)
 	algos := []Algorithm{AlgoTopDown, AlgoBottomUp, AlgoOptimal, AlgoPlanThenDeploy}
-	var before []Deployment
-	for _, algo := range algos {
-		d, err := sys.Plan(ids, 9, algo)
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 32 + rng.Intn(97)
+		sys, err := NewSystem(TransitStubNetwork(n, seed), 8, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before = append(before, d)
-	}
-	// Doubling every link is exact in floating point: every path cost,
-	// cluster diameter and DP comparison scales by 2 with no rounding, so
-	// each plan must come back unchanged at exactly twice the cost.
-	for _, l := range sys.Graph.Links() {
-		if err := sys.Graph.SetLinkCost(l.A, l.B, l.Cost*2); err != nil {
-			t.Fatal(err)
+		ids := make([]StreamID, 3+rng.Intn(3))
+		for i := range ids {
+			ids[i] = sys.AddStream(fmt.Sprintf("S%d", i), 5+45*rng.Float64(), NodeID(rng.Intn(n)))
+			for _, prev := range ids[:i] {
+				sys.SetSelectivity(prev, ids[i], 0.001+0.05*rng.Float64())
+			}
 		}
-	}
-	sys.Refresh()
-	for i, algo := range algos {
-		after, err := sys.Plan(ids, 9, algo)
-		if err != nil {
-			t.Fatal(err)
+		sys.SetSchema(ids[rng.Intn(len(ids))], Schema{{Name: "a", Width: 4 + float64(rng.Intn(13))}, {Name: "b", Width: 8 + float64(rng.Intn(25))}})
+		preds := MustPredSet(Pred{Stream: ids[0], Attr: "a", Range: Range{Lo: 0, Hi: 0.1 + 0.8*rng.Float64()}})
+		sink := NodeID(rng.Intn(n))
+		var before []Deployment
+		for _, algo := range algos {
+			d, err := sys.PlanWhere(ids, sink, algo, preds)
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, algo, err)
+			}
+			before = append(before, d)
 		}
-		if after.Plan.String() != before[i].Plan.String() || after.Cost != 2*before[i].Cost {
-			t.Errorf("%v: uniform 2x link costs: %s at %g -> %s at %g",
-				algo, before[i].Plan, before[i].Cost, after.Plan, after.Cost)
+		for _, l := range sys.Graph.Links() {
+			if err := sys.Graph.SetLinkCost(l.A, l.B, l.Cost*2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Refresh()
+		for i, algo := range algos {
+			after, err := sys.PlanWhere(ids, sink, algo, preds)
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, algo, err)
+			}
+			if after.Plan.String() != before[i].Plan.String() || after.Cost != 2*before[i].Cost {
+				t.Errorf("seed %d (%d nodes, %d sources) %v: uniform 2x link costs: %s at %g -> %s at %g",
+					seed, n, len(ids), algo, before[i].Plan, before[i].Cost, after.Plan, after.Cost)
+			}
 		}
 	}
 }

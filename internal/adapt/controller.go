@@ -124,10 +124,11 @@ type Stats struct {
 	SuppressedHysteresis int
 	SuppressedCooldown   int
 	SuppressedRevert     int
-	// PredictedSavings accumulates the predicted byte-rate gain (bytes/s)
-	// at decision time for every triggered migration; RealizedSavings the
-	// measured byte-rate change across the following control window
-	// (approximate: other activity in the window is attributed too).
+	// PredictedSavings accumulates the predicted byte-rate gain at
+	// decision time for every triggered migration; RealizedSavings the
+	// measured drop in the window byte rate from the window before a
+	// migration step to the one after it (approximate: other activity in
+	// the windows is attributed too). Both are in bytes/s.
 	PredictedSavings float64
 	RealizedSavings  float64
 }
@@ -302,8 +303,7 @@ func (c *Controller) Step() {
 	// the migrations to the window after them.
 	curRate := (c.rt.TotalBytes - c.lastWindowBytes) / elapsed
 	if c.migratedLastStep {
-		realized := (c.preRate - curRate) * horizon
-		c.stats.RealizedSavings += realized
+		c.stats.RealizedSavings += c.preRate - curRate
 		c.obsRealized.Set(c.stats.RealizedSavings)
 		c.migratedLastStep = false
 	}
@@ -368,7 +368,8 @@ func (c *Controller) Step() {
 		c.stats.Replans++
 		c.obsReplans.Inc()
 
-		diff := t.q.Diff(t.plan, fresh)
+		oldIR, newIR := t.q.IR(t.plan), t.q.IR(fresh)
+		diff := query.DiffIR(oldIR, newIR)
 		if diff.Delta() == 0 {
 			t.pending = false
 			c.emitGate(&chain, qid, now, "delta", false, 0, 0)
@@ -384,7 +385,7 @@ func (c *Controller) Step() {
 		// the runtime's TotalBytes will actually see.
 		rateOf := c.rateOf(t.q, rates)
 		curBytes := BytesWith(t.plan, rateOf, tupleSize, t.q.Sink)
-		gain := c.marginalGain(t.q, t.plan, fresh, rateOf, tupleSize)
+		gain := c.marginalGain(t.q, oldIR, newIR, diff, rateOf, tupleSize)
 		if c.cfg.Mode == ModeNever {
 			continue
 		}
@@ -402,7 +403,7 @@ func (c *Controller) Step() {
 			// The seed EWMA alone blinds the gate to moves of hot joins
 			// whose windows dwarf the per-op constant.
 			churn := float64(diff.Delta()) * c.perOpBytes
-			if ship := c.predictShipBytes(t.q, diff, tupleSize); ship > churn {
+			if ship := c.predictShipBytes(diff); ship > churn {
 				churn = ship
 			}
 			if gain*horizon <= hysteresis*churn {
@@ -550,33 +551,32 @@ func BytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, tupleSi
 }
 
 // marginalGain predicts the change in the runtime's transport byte rate
-// (bytes/s saved; negative means the migration adds traffic) of replacing
-// old with fresh, accounting for operator sharing. A whole-plan
+// (bytes/s saved; negative means the migration adds traffic) of the
+// migration diff describes, from the running plan's IR oldIR to the fresh
+// plan's newIR, accounting for operator sharing. A whole-plan
 // BytesWith(old) − BytesWith(fresh) comparison is wrong under reuse in
 // both directions: edges into an old operator another deployment still
 // references keep flowing after this query migrates away (phantom
 // savings), and a fresh plan that attaches to an already-running shared
 // operator adds no input edges (phantom costs). So the prediction walks
-// the IR diff edge by edge:
+// the diff edge by edge:
 //
-//   - input edges of an old operator stop flowing only if the operator
-//     will actually be collected — it leaves the new plan AND no other
-//     deployment holds a reference on it (Operator.Refs beyond this
-//     plan's own holds);
-//   - input edges of a new operator start flowing only if the operator
-//     will actually be created — absent from the old plan AND not
-//     already running at that node (reuse attaches to existing wiring);
-//   - kept operators whose producer set changes swap exactly the edges
-//     the rewire swaps;
+//   - input edges of a retired operator stop flowing only if the operator
+//     will actually be collected — no other deployment holds a reference
+//     on it (Operator.Refs beyond this plan's own holds);
+//   - input edges of a created operator start flowing only if the
+//     operator is not already running at that node (reuse attaches to
+//     existing wiring);
+//   - a rewired operator swaps exactly the edges Migrate swaps;
 //   - the root→sink edge always belongs to this query alone.
 //
 // Node-local edges are free, matching the runtime's TotalBytes
-// accounting.
-func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, est func(*query.PlanNode) float64, tupleSize float64) float64 {
-	oldIR, newIR := q.IR(old), q.IR(fresh)
+// accounting. Each sum adds in the diff's order — retired (or created)
+// operators, then rewired edges, then the root — and a gate compares the
+// result, so that order is part of the contract.
+func (c *Controller) marginalGain(q *query.Query, oldIR, newIR []query.IROp, diff query.PlanDiff, est func(*query.PlanNode) float64, tupleSize float64) float64 {
 	rate := make(map[query.OpRef]float64, len(oldIR)+len(newIR))
 	width := make(map[query.OpRef]float64, len(oldIR)+len(newIR))
-	oldByRef := make(map[query.OpRef]query.IROp, len(oldIR))
 	holds := make(map[query.OpRef]int, len(oldIR))
 	note := func(op query.IROp) {
 		if _, ok := rate[op.Ref]; ok {
@@ -590,13 +590,10 @@ func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, es
 		}
 	}
 	for _, op := range oldIR {
-		oldByRef[op.Ref] = op
 		holds[op.Ref]++
 		note(op)
 	}
-	newByRef := make(map[query.OpRef]query.IROp, len(newIR))
 	for _, op := range newIR {
-		newByRef[op.Ref] = op
 		note(op)
 	}
 	cross := func(in query.OpRef, at netgraph.NodeID) float64 {
@@ -612,19 +609,15 @@ func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, es
 	// the new plan too). So a retired operator survives if it is shared
 	// (references beyond this plan's own holds) OR its retired parent
 	// survives; reverse post-order visits parents before children.
-	survive := make(map[query.OpRef]bool, len(oldIR))
+	survive := make(map[query.OpRef]bool, len(diff.Retire))
 	consumer := make(map[query.OpRef]query.OpRef, len(oldIR))
 	for _, op := range oldIR {
 		for _, in := range op.Inputs {
 			consumer[in] = op.Ref
 		}
 	}
-	for i := len(oldIR) - 1; i >= 0; i-- {
-		op := oldIR[i]
-		if _, kept := newByRef[op.Ref]; kept {
-			survive[op.Ref] = true
-			continue
-		}
+	for i := len(diff.Retire) - 1; i >= 0; i-- {
+		op := diff.Retire[i]
 		live := c.rt.Operator(op.Ref.Sig, op.Ref.Loc)
 		if live == nil || live.Refs() > holds[op.Ref] {
 			survive[op.Ref] = true // already gone, or shared: no flow stops
@@ -643,7 +636,7 @@ func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, es
 			continue
 		}
 		if hasPar {
-			pnew, parKept := newByRef[par]
+			pnew, parKept := diff.KeptAs(par)
 			if parKept && pnew.Leaf {
 				// The parent is kept but demoted to a leaf (the fresh plan
 				// consumes it as an already-materialized stream): leaves own
@@ -659,25 +652,16 @@ func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, es
 		}
 	}
 	removed, added := 0.0, 0.0
-	for _, op := range oldIR {
-		if op.Leaf {
-			continue
-		}
-		if _, kept := newByRef[op.Ref]; kept {
-			continue
-		}
-		if survive[op.Ref] {
-			continue // keeps running; its inputs keep flowing
+	for _, op := range diff.Retire {
+		if op.Leaf || survive[op.Ref] {
+			continue // a survivor keeps running; its inputs keep flowing
 		}
 		for _, in := range op.Inputs {
 			removed += cross(in, op.Ref.Loc)
 		}
 	}
-	for _, op := range newIR {
+	for _, op := range diff.Create {
 		if op.Leaf {
-			continue
-		}
-		if _, wasOld := oldByRef[op.Ref]; wasOld {
 			continue
 		}
 		if c.rt.Operator(op.Ref.Sig, op.Ref.Loc) != nil {
@@ -687,23 +671,14 @@ func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, es
 			added += cross(in, op.Ref.Loc)
 		}
 	}
-	for _, nop := range newIR {
-		oop, kept := oldByRef[nop.Ref]
-		if !kept || nop.Leaf || oop.Leaf {
-			continue
-		}
-		for i, in := range nop.Inputs {
-			if i < len(oop.Inputs) && oop.Inputs[i] == in {
-				continue
+	for _, rw := range diff.Rewire {
+		rw.ChangedInputs(func(in query.OpRef, _ int, isAdded bool) {
+			if isAdded {
+				added += cross(in, rw.New.Ref.Loc)
+			} else {
+				removed += cross(in, rw.Old.Ref.Loc)
 			}
-			added += cross(in, nop.Ref.Loc)
-		}
-		for i, in := range oop.Inputs {
-			if i < len(nop.Inputs) && nop.Inputs[i] == in {
-				continue
-			}
-			removed += cross(in, oop.Ref.Loc)
-		}
+		})
 	}
 	oldRoot, newRoot := oldIR[len(oldIR)-1], newIR[len(newIR)-1]
 	if oldRoot.Ref != newRoot.Ref {
@@ -718,7 +693,7 @@ func (c *Controller) marginalGain(q *query.Query, old, fresh *query.PlanNode, es
 // into operators it creates) ships the source operator's live window and
 // accumulator state across the link. Mirrors Migrate's shipping rules,
 // filters excluded.
-func (c *Controller) predictShipBytes(q *query.Query, diff query.PlanDiff, tupleSize float64) float64 {
+func (c *Controller) predictShipBytes(diff query.PlanDiff) float64 {
 	var ship float64
 	for _, mv := range diff.Move {
 		if c.rt.Operator(mv.Sig, mv.To) != nil {
@@ -728,7 +703,7 @@ func (c *Controller) predictShipBytes(q *query.Query, diff query.PlanDiff, tuple
 		if src == nil {
 			continue
 		}
-		ship += src.StateBytes(tupleSize)
+		ship += src.StateBytes()
 	}
 	return ship
 }

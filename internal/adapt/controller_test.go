@@ -262,3 +262,53 @@ func TestControllerMigratesAwayFromBadPlan(t *testing.T) {
 		t.Error("query starved across migration")
 	}
 }
+
+// RealizedSavings is a byte rate, like PredictedSavings: the drop in the
+// window byte rate across a migration step, in bytes/s. One forced
+// migration (ModeAlways, away from a misplaced plan) splits the run into
+// the window before it and the window after it, so the expected figure is
+// the difference of the two windows' TotalBytes rates.
+func TestRealizedSavingsIsByteRate(t *testing.T) {
+	w := makeCtlWorld(t, 9, 300)
+	if err := w.rt.Undeploy(w.q.ID); err != nil {
+		t.Fatal(err)
+	}
+	far, farD := netgraph.NodeID(0), -1.0
+	for v := 0; v < w.g.NumNodes(); v++ {
+		if d := w.rt.Cost.Dist(netgraph.NodeID(v), w.q.Sink); d > farD {
+			far, farD = netgraph.NodeID(v), d
+		}
+	}
+	var misplace func(n *query.PlanNode) *query.PlanNode
+	misplace = func(n *query.PlanNode) *query.PlanNode {
+		if n.IsLeaf() {
+			return query.Leaf(*n.In)
+		}
+		return query.Join(misplace(n.L), misplace(n.R), far, n.Rate)
+	}
+	bad := misplace(w.plan)
+	if err := w.rt.Deploy(w.q, bad, w.cat, 300); err != nil {
+		t.Fatal(err)
+	}
+	ctl := New(w.rt, w.cat, w.replan(), Config{Mode: ModeAlways})
+	ctl.Track(w.q, bad)
+
+	w.rt.RunFor(20)
+	before := w.rt.TotalBytes / w.rt.Sim.Now() // the window opened at time 0
+	ctl.Step()
+	if st := ctl.Stats(); st.Migrations != 1 || st.RealizedSavings != 0 {
+		t.Fatalf("first step: %+v, want one migration and nothing realized yet", st)
+	}
+	// The migration ships state between the two windows: the next one opens
+	// after it.
+	t1, b1 := w.rt.Sim.Now(), w.rt.TotalBytes
+	w.rt.RunFor(20)
+	after := (w.rt.TotalBytes - b1) / (w.rt.Sim.Now() - t1)
+	ctl.Step()
+	if after >= before {
+		t.Fatalf("migrating off the misplaced plan did not lower the byte rate: %g -> %g B/s", before, after)
+	}
+	if got := ctl.Stats().RealizedSavings; got != before-after {
+		t.Errorf("RealizedSavings = %g, want the window byte-rate drop %g B/s", got, before-after)
+	}
+}

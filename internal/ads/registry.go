@@ -176,25 +176,17 @@ func (r *Registry) Len() int {
 	return r.count
 }
 
-// AddAll copies every ad from other into r (duplicates skipped). It
-// returns the number of new ads.
-func (r *Registry) AddAll(other *Registry) int {
-	if other == nil {
-		return 0
-	}
-	added := 0
-	for _, ad := range other.All() {
-		if r.Advertise(ad) {
-			added++
-		}
-	}
-	return added
-}
-
-// Clone returns an independent copy of the registry.
+// Clone returns an independent copy of the registry: every bucket is
+// copied into a fresh slice, in advertise order, because setBucket clears
+// the tail of the slice it prunes and must never reach the other copy's.
+// Telemetry handles are not copied.
 func (r *Registry) Clone() *Registry {
-	c := NewRegistry()
-	c.AddAll(r)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	c := &Registry{buckets: make(map[string][]Ad, len(r.buckets)), count: r.count}
+	for key, list := range r.buckets {
+		c.buckets[key] = slices.Clone(list)
+	}
 	return c
 }
 

@@ -1,6 +1,7 @@
 package ads
 
 import (
+	"reflect"
 	"testing"
 
 	"hnp/internal/query"
@@ -147,5 +148,38 @@ func TestPrune(t *testing.T) {
 	}
 	if r.Len() != 0 || len(r.All()) != 0 {
 		t.Errorf("registry not empty after full prune: len=%d all=%v", r.Len(), r.All())
+	}
+}
+
+// A clone shares no bucket with its original: pruning either side zeroes
+// only its own vacated tail, so the other keeps every ad, in advertise
+// order, and its own count.
+func TestCloneIsIndependent(t *testing.T) {
+	r := NewRegistry()
+	ads := []Ad{
+		{Sig: "0|1", Streams: []query.StreamID{0, 1}, Node: 4, Rate: 20},
+		{Sig: "0|1", Streams: []query.StreamID{0, 1}, Node: 3, Rate: 20},
+		{Sig: "0|1#p", Streams: []query.StreamID{0, 1}, Node: 2, Rate: 10},
+		{Sig: "1|2", Streams: []query.StreamID{1, 2}, Node: 3, Rate: 5},
+	}
+	for _, ad := range ads {
+		r.Advertise(ad)
+	}
+	c := r.Clone()
+	if c.Len() != r.Len() || !reflect.DeepEqual(c.buckets, r.buckets) {
+		t.Fatalf("clone differs: %v vs %v", c.buckets, r.buckets)
+	}
+	if got := c.Prune(func(ad Ad) bool { return ad.Node != 4 }); got != 1 {
+		t.Fatalf("clone prune removed %d, want 1", got)
+	}
+	if got := r.Lookup("0|1"); !reflect.DeepEqual(got, ads[:2]) {
+		t.Errorf("pruning the clone reached the original: %v", got)
+	}
+	if r.Len() != len(ads) || c.Len() != len(ads)-1 {
+		t.Errorf("Len original %d clone %d, want %d and %d", r.Len(), c.Len(), len(ads), len(ads)-1)
+	}
+	r.Prune(func(Ad) bool { return false })
+	if got := c.Lookup("0|1#p"); !reflect.DeepEqual(got, ads[2:3]) {
+		t.Errorf("pruning the original reached the clone: %v", got)
 	}
 }

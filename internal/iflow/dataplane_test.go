@@ -58,7 +58,7 @@ func expireOld(w []Tuple, horizon float64) []Tuple {
 func TestExpireKeepsWindow(t *testing.T) {
 	w := makeMigrateWorld(t, 6)
 	rt := New(w.g, DefaultConfig(), 1)
-	op := &Operator{key: opKey{sig: "J", node: 3}, window: rt.cfg.Window, refs: 1}
+	op := &Operator{key: opKey{sig: "J", node: 3}, window: rt.cfg.Window, width: rt.cfg.TupleSize, refs: 1}
 	rt.ops[op.key] = op
 	rng := rand.New(rand.NewSource(5))
 
@@ -102,7 +102,7 @@ func TestExpireKeepsWindow(t *testing.T) {
 				t.Fatalf("t=%.3f side %d: %v", now, i, err)
 			}
 		}
-		if got := op.StateBytes(rt.cfg.TupleSize); got != bytes {
+		if got := op.StateBytes(); got != bytes {
 			t.Fatalf("t=%.3f: StateBytes %g, live windows hold %g", now, got, bytes)
 		}
 	}
@@ -130,7 +130,7 @@ func TestMigrateShipsLiveWindowOnly(t *testing.T) {
 	if len(wantL) == 0 || len(wantR) == 0 {
 		t.Fatalf("moved join holds %d+%d tuples; nothing to ship", len(wantL), len(wantR))
 	}
-	wantBytes := old.StateBytes(rt.cfg.TupleSize)
+	wantBytes := old.StateBytes()
 	rep, err := rt.Migrate(w.q, w.leftDeep([]netgraph.NodeID{5, 8, 7}), w.cat, 1e9)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func probeEmit(rt *Runtime, op *Operator, key int64) error {
 	})
 	scratch.RunUntil(real.Now())
 	rt.Sim = scratch
-	rt.emit(op, Tuple{Key: key, Size: rt.opWidth(op), Born: real.Now()})
+	rt.emit(op, Tuple{Key: key, Size: op.width, Born: real.Now()})
 	rt.Sim = real
 	scratch.Run()
 	for tg, n := range want {

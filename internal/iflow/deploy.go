@@ -95,7 +95,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 					return nil, fmt.Errorf("iflow: contained stream %s@%d not deployed", n.In.BaseSig, n.Loc)
 				}
 				key := opKey{sig: n.In.Sig, node: n.Loc}
-				op = &Operator{key: key, isFilter: true, passProb: residualPassProb(n.Rate, base.expRate), expRate: n.Rate, width: n.Width}
+				op = &Operator{key: key, isFilter: true, passProb: residualPassProb(n.Rate, base.expRate), expRate: n.Rate, width: rt.widthOf(n)}
 				rt.ops[key] = op
 				inst.created[key] = true
 				base.subscribe(subscription{dst: key, side: leftSide, sink: -1, to: n.Loc})
@@ -121,7 +121,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 			// pruned width when the rewrite pipeline dropped columns).
 			// Differently-projected streams have different signatures, so a
 			// shared tap is never re-widened by a later deployment.
-			op.width = n.Width
+			op.width = rt.widthOf(n)
 			inst.created[op.key] = true
 		}
 		return hold(op), nil
@@ -135,7 +135,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 		op := rt.ops[key]
 		if op == nil {
 			op = &Operator{
-				key: key, isAgg: true, aggWindow: n.Unary.Agg.Window, expRate: n.Rate, width: n.Width,
+				key: key, isAgg: true, aggWindow: n.Unary.Agg.Window, expRate: n.Rate, width: rt.widthOf(n),
 			}
 			rt.ops[key] = op
 			inst.created[key] = true
@@ -155,13 +155,22 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 	key := opKey{sig: sig, node: n.Loc}
 	op := rt.ops[key]
 	if op == nil {
-		op = &Operator{key: key, window: rt.cfg.Window, expRate: n.Rate, width: n.Width}
+		op = &Operator{key: key, window: rt.cfg.Window, expRate: n.Rate, width: rt.widthOf(n)}
 		rt.ops[key] = op
 		inst.created[key] = true
 		l.subscribe(subscription{dst: key, side: leftSide, sink: -1, to: n.Loc})
 		r.subscribe(subscription{dst: key, side: rightSide, sink: -1, to: n.Loc})
 	}
 	return hold(op), nil
+}
+
+// widthOf resolves the tuple width an operator for plan node n emits: the
+// node's stamped width, or the runtime's TupleSize for width-free plans.
+func (rt *Runtime) widthOf(n *query.PlanNode) float64 {
+	if n.Width > 0 {
+		return n.Width
+	}
+	return rt.cfg.TupleSize
 }
 
 // release drops one reference per held key (nil-safe for operators a node

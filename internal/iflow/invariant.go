@@ -134,9 +134,9 @@ func (rt *Runtime) CheckInvariants(liveNode func(netgraph.NodeID) bool) error {
 	// widths the rest of the fleet runs at.
 	for _, k := range keys {
 		op := rt.ops[k]
-		if want := rt.opWidth(op) * float64(op.OutCount); !approxEq(op.OutBytes, want) {
+		if want := op.width * float64(op.OutCount); !approxEq(op.OutBytes, want) {
 			return fmt.Errorf("iflow: operator %s@%d emitted %d tuples of width %g but %g bytes (want %g)",
-				k.sig, k.node, op.OutCount, rt.opWidth(op), op.OutBytes, want)
+				k.sig, k.node, op.OutCount, op.width, op.OutBytes, want)
 		}
 	}
 
@@ -186,12 +186,8 @@ func (rt *Runtime) CheckInvariants(liveNode func(netgraph.NodeID) bool) error {
 		if s.mixed {
 			continue // root width changed mid-stream; counts stay audited above
 		}
-		w := s.width
-		if w == 0 {
-			w = rt.cfg.TupleSize
-		}
-		if want := w * float64(s.Tuples); !approxEq(s.Bytes, want) {
-			return fmt.Errorf("iflow: sink %d delivered %d tuples of width %g but %g bytes (want %g)", qid, s.Tuples, w, s.Bytes, want)
+		if want := s.width * float64(s.Tuples); !approxEq(s.Bytes, want) {
+			return fmt.Errorf("iflow: sink %d delivered %d tuples of width %g but %g bytes (want %g)", qid, s.Tuples, s.width, s.Bytes, want)
 		}
 	}
 	return nil

@@ -71,7 +71,7 @@ func (m MigrationReport) String() string {
 // the running plan and the new one, transactionally:
 //
 //   - operators present in both plans (same canonical identity — see
-//     query.Diff) keep running in place: their join windows, output
+//     query.DiffIR) keep running in place: their join windows, output
 //     statistics and downstream subscribers survive, so shared-signature
 //     operators and base-stream taps never flap;
 //   - only the changed subtrees are instantiated, and only the operators
@@ -132,15 +132,8 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 	}
 
 	// Measure the state the diff carried, before anything is retired.
-	newSet := make(map[opKey]bool, len(inst.held))
-	for _, k := range inst.held {
-		newSet[k] = true
-	}
-	for _, k := range dep.held {
-		if !newSet[k] {
-			continue
-		}
-		op := rt.ops[k]
+	for _, k := range diff.Keep {
+		op := rt.ops[keyOf(k.Old.Ref)]
 		if op == nil {
 			continue
 		}
@@ -150,7 +143,7 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 		})
 		if op.isAgg && op.aggCount > 0 {
 			rep.StateCarried++
-			rep.BytesSaved += rt.opWidth(op)
+			rep.BytesSaved += op.width
 		}
 	}
 
@@ -189,16 +182,32 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 		})
 		if oldOp.isAgg && newOp.isAgg && oldOp.aggCount > 0 {
 			newOp.aggCount, newOp.aggBorn, newOp.aggNext = oldOp.aggCount, oldOp.aggBorn, oldOp.aggNext
-			ship(Tuple{Size: rt.opWidth(oldOp)})
+			ship(Tuple{Size: oldOp.width})
 		}
 	}
 	rt.obsStateShipped.Add(rep.StateShipped)
 
 	// Phase 2 — rewire. Kept operators whose producer set changed get the
-	// new producers subscribed and the stale ones detached. Newly created
-	// consumers were wired at instantiation; retired producers lose their
-	// remaining subscriptions when collected.
-	rep.Rewired = rt.rewire(oldIR, newIR)
+	// new producers subscribed and the stale ones detached, in the diff's
+	// order. Newly created consumers were wired at instantiation; retired
+	// producers lose their remaining subscriptions when collected.
+	// Operators either plan consumes as a leaf keep the wiring their
+	// producing deployment gave them (the diff never rewires them).
+	for _, rw := range diff.Rewire {
+		dst := keyOf(rw.New.Ref)
+		rw.ChangedInputs(func(in query.OpRef, s int, added bool) {
+			p := rt.ops[keyOf(in)]
+			if p == nil {
+				return
+			}
+			sub := subscription{dst: dst, side: side(s), sink: -1, to: dst.node}
+			if added {
+				p.subscribe(sub)
+			} else {
+				p.unsubscribe(sub)
+			}
+		})
+	}
 
 	// Phase 3 — swap the sink subscription to the new root, unless the
 	// root identity survived (then its existing subscription stands). The
@@ -232,6 +241,7 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 	rep.Created = len(inst.created)
 	rep.Retired = opsBefore + len(inst.created) - len(rt.ops)
 	rep.Moved = len(diff.Move)
+	rep.Rewired = len(diff.Rewire)
 	rep.TeardownOps = len(oldHeld) + len(inst.held)
 
 	rt.obsMigrations.Inc()
@@ -269,48 +279,4 @@ func loadDelta(old, new *query.PlanNode) map[netgraph.NodeID]float64 {
 		}
 	}
 	return delta
-}
-
-// rewire aligns kept operators' upstream wiring with the new plan: for
-// every operator computed by both plans, producers the new plan adds are
-// subscribed and producers only the old plan used are detached. Operators
-// either plan consumes as a leaf keep the wiring their producing
-// deployment gave them (the leaf does not own it). It returns the number
-// of operators whose wiring changed.
-func (rt *Runtime) rewire(oldIR, newIR []query.IROp) int {
-	oldByRef := make(map[query.OpRef]query.IROp, len(oldIR))
-	for _, op := range oldIR {
-		oldByRef[op.Ref] = op
-	}
-	rewired := 0
-	for _, nop := range newIR { // post-order: deterministic wiring order
-		oop, kept := oldByRef[nop.Ref]
-		if !kept || nop.Leaf || oop.Leaf {
-			continue
-		}
-		ck := opKey{sig: nop.Ref.Sig, node: nop.Ref.Loc}
-		changed := false
-		for i, in := range nop.Inputs {
-			if i < len(oop.Inputs) && oop.Inputs[i] == in {
-				continue
-			}
-			changed = true
-			if p := rt.ops[opKey{sig: in.Sig, node: in.Loc}]; p != nil {
-				p.subscribe(subscription{dst: ck, side: side(i), sink: -1, to: nop.Ref.Loc})
-			}
-		}
-		for i, in := range oop.Inputs {
-			if i < len(nop.Inputs) && nop.Inputs[i] == in {
-				continue
-			}
-			changed = true
-			if p := rt.ops[opKey{sig: in.Sig, node: in.Loc}]; p != nil {
-				p.unsubscribe(subscription{dst: ck, side: side(i), sink: -1, to: nop.Ref.Loc})
-			}
-		}
-		if changed {
-			rewired++
-		}
-	}
-	return rewired
 }

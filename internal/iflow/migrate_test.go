@@ -37,18 +37,25 @@ func makeMigrateWorld(t *testing.T, seed int64) *migrateWorld {
 
 // leftDeep places the K-1 joins of a left-deep tree at the given nodes.
 func (w *migrateWorld) leftDeep(joinLocs []netgraph.NodeID) *query.PlanNode {
+	return leftDeepOf(w.cat, w.q, joinLocs)
+}
+
+// leftDeepOf places the K-1 joins of a left-deep plan of q at the given
+// nodes, its leaves at their streams' sources.
+func leftDeepOf(cat *query.Catalog, q *query.Query, joinLocs []netgraph.NodeID) *query.PlanNode {
+	rt := query.BuildRates(cat, q)
 	leaf := func(pos int) *query.PlanNode {
 		m := query.Mask(1 << uint(pos))
 		return query.Leaf(query.Input{
 			Mask: m,
-			Rate: w.rt.Rate(m),
-			Loc:  w.cat.Stream(w.q.Sources[pos]).Source,
-			Sig:  w.q.SigOf(m),
+			Rate: rt.Rate(m),
+			Loc:  cat.Stream(q.Sources[pos]).Source,
+			Sig:  q.SigOf(m),
 		})
 	}
 	cur := leaf(0)
-	for i := 1; i < w.q.K(); i++ {
-		cur = query.Join(cur, leaf(i), joinLocs[i-1], w.rt.Rate(cur.Mask|query.Mask(1<<uint(i))))
+	for i := 1; i < q.K(); i++ {
+		cur = query.Join(cur, leaf(i), joinLocs[i-1], rt.Rate(cur.Mask|query.Mask(1<<uint(i))))
 	}
 	return cur
 }

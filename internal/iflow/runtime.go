@@ -64,6 +64,9 @@ type opKey struct {
 	node netgraph.NodeID
 }
 
+// keyOf returns the key of the operator a plan identity names.
+func keyOf(r query.OpRef) opKey { return opKey{sig: r.Sig, node: r.Loc} }
+
 type side int
 
 const (
@@ -114,11 +117,10 @@ type Operator struct {
 	// cost model, used to derive filter pass probabilities.
 	expRate float64
 
-	// width is the byte size of tuples this operator emits, stamped from
-	// the plan node's width at creation. 0 means "no width information":
-	// the operator emits at the runtime's global TupleSize, the
-	// pre-schema behavior. Widths never change over an operator's life —
-	// a differently-projected stream has a different signature and is a
+	// width is the byte size of tuples this operator emits, resolved at
+	// creation: the plan node's width, or the runtime's TupleSize when the
+	// plan carries none. Widths never change over an operator's life — a
+	// differently-projected stream has a different signature and is a
 	// different operator.
 	width float64
 
@@ -138,15 +140,11 @@ type Operator struct {
 // This is exactly what Migrate would ship if the operator moved, so
 // adaptive controllers price a candidate move's churn from it before
 // committing.
-func (op *Operator) StateBytes(tupleSize float64) float64 {
+func (op *Operator) StateBytes() float64 {
 	var b float64
 	op.buffered(func(_ side, t Tuple) { b += t.Size })
 	if op.isAgg && op.aggCount > 0 {
-		if op.width > 0 {
-			b += op.width
-		} else {
-			b += tupleSize
-		}
+		b += op.width
 	}
 	return b
 }
@@ -161,10 +159,6 @@ func (op *Operator) buffered(f func(s side, t Tuple)) {
 		}
 	}
 }
-
-// Width returns the byte size of tuples this operator emits (0 when the
-// operator runs width-free on the global TupleSize).
-func (op *Operator) Width() float64 { return op.width }
 
 // Refs returns how many deployment plan nodes currently hold this
 // operator. A migration that releases fewer references than this leaves
@@ -217,9 +211,9 @@ type SinkStats struct {
 	Bytes      float64
 	LatencySum float64
 
-	// width is the emitting root operator's tuple width (0 = global
-	// TupleSize); mixed is set if a migration ever changed it after
-	// deliveries, which relaxes the exact per-sink byte invariant.
+	// width is the emitting root operator's tuple width; mixed is set if
+	// a migration ever changed it after deliveries, which relaxes the
+	// exact per-sink byte invariant.
 	width float64
 	mixed bool
 }
@@ -497,15 +491,6 @@ func (rt *Runtime) noteSize(s float64) {
 	}
 }
 
-// opWidth returns the byte size of tuples op emits: its stamped width, or
-// the global TupleSize for width-free operators.
-func (rt *Runtime) opWidth(op *Operator) float64 {
-	if op.width > 0 {
-		return op.width
-	}
-	return rt.cfg.TupleSize
-}
-
 // InFlight returns the number of tuples handed to the transport whose
 // delivery has not yet arrived. It is never negative and reaches zero
 // once the simulation quiesces (sources ended, event queue drained).
@@ -548,8 +533,8 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 	if op.isFilter {
 		if rt.rng.Float64() < op.passProb {
 			// Residual filters re-emit at their own width (a no-op for
-			// width-free operators, whose upstream already ships TupleSize).
-			t.Size = rt.opWidth(op)
+			// width-free plans, whose upstream already ships TupleSize).
+			t.Size = op.width
 			rt.emit(op, t)
 		}
 		return
@@ -557,7 +542,7 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 	if op.isAgg {
 		now := rt.Sim.Now()
 		if now >= op.aggNext && op.aggCount > 0 {
-			rt.emit(op, Tuple{Key: op.aggCount, Size: rt.opWidth(op), Born: op.aggBorn})
+			rt.emit(op, Tuple{Key: op.aggCount, Size: op.width, Born: op.aggBorn})
 			op.aggCount, op.aggBorn = 0, 0
 		}
 		if op.aggCount == 0 {
@@ -578,7 +563,7 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 			// Join outputs are projected to the operator's output width
 			// (the global tuple width when no schema is declared), keeping
 			// data rates in the same units as the analytic cost model.
-			out := Tuple{Key: t.Key, Size: rt.opWidth(op), Born: min(t.Born, o.Born)}
+			out := Tuple{Key: t.Key, Size: op.width, Born: min(t.Born, o.Born)}
 			rt.emit(op, out)
 		}
 	}
@@ -606,7 +591,7 @@ func (rt *Runtime) StartSource(sig string, node netgraph.NodeID, rate float64, u
 	if _, ok := rt.ops[key]; ok {
 		return nil, fmt.Errorf("iflow: source %s@%d already registered", sig, node)
 	}
-	op := &Operator{key: key, isBase: true, rate: rate, expRate: rate}
+	op := &Operator{key: key, isBase: true, rate: rate, expRate: rate, width: rt.cfg.TupleSize}
 	rt.ops[key] = op
 	var tick func()
 	tick = func() {
@@ -615,7 +600,7 @@ func (rt *Runtime) StartSource(sig string, node netgraph.NodeID, rate float64, u
 		}
 		t := Tuple{
 			Key:  rt.rng.Int63n(rt.cfg.KeyDomain),
-			Size: rt.opWidth(op),
+			Size: op.width,
 			Born: rt.Sim.Now(),
 		}
 		rt.emit(op, t)

@@ -122,7 +122,7 @@ func newWindowHarness(tb testing.TB) *windowHarness {
 		}
 		h.rt.settle(d)
 	})
-	h.op = &Operator{key: opKey{sig: "J"}, window: h.rt.cfg.Window, refs: 1,
+	h.op = &Operator{key: opKey{sig: "J"}, window: h.rt.cfg.Window, width: h.rt.cfg.TupleSize, refs: 1,
 		subs: []subscription{{dst: down.key, sink: -1}}}
 	h.rt.ops[down.key], h.rt.ops[h.op.key] = down, h.op
 	for s := range h.feed {
@@ -170,7 +170,7 @@ func (h *windowHarness) step(dt float64, s side, key int64, size, age float64) {
 			h.tb.Fatalf("step %d side %d: %v", h.n, i, err)
 		}
 	}
-	if got := h.op.StateBytes(h.rt.cfg.TupleSize); got != bytes {
+	if got := h.op.StateBytes(); got != bytes {
 		h.tb.Fatalf("step %d: StateBytes %g, the scan's windows hold %g", h.n, got, bytes)
 	}
 }
@@ -180,7 +180,7 @@ func (h *windowHarness) step(dt float64, s side, key int64, size, age float64) {
 // in arrival order. The feeders' subscriptions still cache the retired
 // one, so the next emit has to find the successor.
 func (h *windowHarness) move() {
-	fresh := &Operator{key: h.op.key, window: h.op.window, refs: 1, subs: h.op.subs}
+	fresh := &Operator{key: h.op.key, window: h.op.window, width: h.op.width, refs: 1, subs: h.op.subs}
 	h.op.buffered(func(s side, t Tuple) { fresh.win[s].insert(t) })
 	h.op.retired = true
 	h.rt.ops[fresh.key], h.op = fresh, fresh

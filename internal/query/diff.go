@@ -2,8 +2,8 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"hnp/internal/netgraph"
 )
@@ -102,24 +102,63 @@ type Move struct {
 // PlanDiff is the difference between two plans of the same query as a set
 // of actions over canonical identities. Applying a diff costs work
 // proportional to Create+Retire+Rewire, never to the plan size: Keep is
-// free.
+// free. It is the one place two plans are compared: the runtime applies
+// it (iflow.Migrate) and the adaptation controller prices it, reading the
+// same entries in the same order.
 type PlanDiff struct {
-	// Keep lists operators present in both plans: they survive a
-	// migration untouched, windows, statistics and subscribers intact.
-	Keep []OpRef
-	// Create lists operators only the new plan contains.
-	Create []OpRef
-	// Retire lists operators only the old plan contains.
-	Retire []OpRef
+	// Keep lists operators present in both plans, in old post-order: they
+	// survive a migration untouched, windows, statistics and subscribers
+	// intact.
+	Keep []KeptOp
+	// Create lists operators only the new plan contains, in new
+	// post-order.
+	Create []IROp
+	// Retire lists operators only the old plan contains, in old
+	// post-order.
+	Retire []IROp
 	// Move pairs up Create/Retire entries that share a signature: the
-	// same logical operator at a new node.
+	// same logical operator at a new node. Sorted by signature.
 	Move []Move
 	// Rewire lists kept operators computed by both plans whose producer
-	// set changed (typically because a child moved); a migration must
-	// re-attach their upstream subscriptions. Operators a plan consumes
-	// as a leaf keep whatever wiring their producing deployment gave
-	// them and are never rewired.
-	Rewire []OpRef
+	// set changed (typically because a child moved), in new post-order; a
+	// migration must re-attach their upstream subscriptions. Operators a
+	// plan consumes as a leaf keep whatever wiring their producing
+	// deployment gave them and are never rewired.
+	Rewire []KeptOp
+
+	// newOps indexes the new plan's operators by identity.
+	newOps map[OpRef]IROp
+}
+
+// KeptOp is one operator both plans contain: its IR entry in each. The
+// identities are equal; Leaf and Inputs may differ.
+type KeptOp struct {
+	Old, New IROp
+}
+
+// ChangedInputs calls f for every input edge the two entries disagree on,
+// position by position, with the input's side (0 left, 1 right): first
+// the edges only the new plan has (added), then those only the old plan
+// had. A kept operator whose inputs match yields nothing.
+func (k KeptOp) ChangedInputs(f func(in OpRef, side int, added bool)) {
+	for i, in := range k.New.Inputs {
+		if i >= len(k.Old.Inputs) || k.Old.Inputs[i] != in {
+			f(in, i, true)
+		}
+	}
+	for i, in := range k.Old.Inputs {
+		if i >= len(k.New.Inputs) || k.New.Inputs[i] != in {
+			f(in, i, false)
+		}
+	}
+}
+
+// KeptAs reports whether the old plan's operator r is kept, and as which
+// entry of the new plan (a kept operator may become a leaf). r must name
+// an operator of the old plan.
+func (d PlanDiff) KeptAs(r OpRef) (IROp, bool) {
+	op, ok := d.newOps[r]
+	return op, ok
 }
 
 // Delta returns the operator churn applying the diff costs: creates plus
@@ -127,27 +166,14 @@ type PlanDiff struct {
 // to the plan size.
 func (d PlanDiff) Delta() int { return len(d.Create) + len(d.Retire) }
 
-// String summarizes the diff for traces and logs.
-func (d PlanDiff) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "keep=%d create=%d retire=%d move=%d rewire=%d",
-		len(d.Keep), len(d.Create), len(d.Retire), len(d.Move), len(d.Rewire))
-	return b.String()
-}
-
-// Diff computes the canonical difference between two placed plans of the
-// same query. Identities are compared as sets; within one plan each
-// signature appears at most once (signatures are canonical per stream
-// set and predicates, and a tree visits each mask once), so a signature
-// present on both sides at different locations is reported as a Move.
-func (q *Query) Diff(old, new *PlanNode) PlanDiff {
-	return DiffIR(q.IR(old), q.IR(new))
-}
-
-// DiffIR is Diff over already-flattened IRs. Callers that hold on to a
-// plan's IR (the runtime caches the deployed side's) use it to pay for
-// flattening — which dominates diffing, every join identity being a
-// signature computation — once per plan instead of once per comparison.
+// DiffIR computes the canonical difference between two placed plans of
+// the same query, given as their IRs (Query.IR): callers flatten each plan
+// once — flattening dominates diffing, every join identity being a
+// signature computation — and the runtime caches the deployed side's.
+// Identities are compared as sets; within one plan each signature appears
+// at most once (signatures are canonical per stream set and predicates,
+// and a tree visits each mask once), so a signature present on both sides
+// at different locations is reported as a Move.
 func DiffIR(oldIR, newIR []IROp) PlanDiff {
 	oldByRef := make(map[OpRef]IROp, len(oldIR))
 	oldLoc := make(map[string]netgraph.NodeID, len(oldIR))
@@ -155,57 +181,32 @@ func DiffIR(oldIR, newIR []IROp) PlanDiff {
 		oldByRef[op.Ref] = op
 		oldLoc[op.Sig()] = op.Ref.Loc
 	}
-	newRefs := make(map[OpRef]bool, len(newIR))
 
-	var d PlanDiff
+	d := PlanDiff{newOps: make(map[OpRef]IROp, len(newIR))}
 	for _, op := range newIR {
-		newRefs[op.Ref] = true
+		d.newOps[op.Ref] = op
 		prev, kept := oldByRef[op.Ref]
 		if !kept {
-			d.Create = append(d.Create, op.Ref)
+			d.Create = append(d.Create, op)
 			if from, ok := oldLoc[op.Sig()]; ok && from != op.Ref.Loc {
 				d.Move = append(d.Move, Move{Sig: op.Sig(), From: from, To: op.Ref.Loc})
 			}
 			continue
 		}
-		d.Keep = append(d.Keep, op.Ref)
-		if !op.Leaf && !prev.Leaf && !sameInputs(prev.Inputs, op.Inputs) {
-			d.Rewire = append(d.Rewire, op.Ref)
+		if !op.Leaf && !prev.Leaf && !slices.Equal(prev.Inputs, op.Inputs) {
+			d.Rewire = append(d.Rewire, KeptOp{Old: prev, New: op})
 		}
 	}
 	for _, op := range oldIR {
-		if !newRefs[op.Ref] {
-			d.Retire = append(d.Retire, op.Ref)
+		if nop, kept := d.newOps[op.Ref]; kept {
+			d.Keep = append(d.Keep, KeptOp{Old: op, New: nop})
+		} else {
+			d.Retire = append(d.Retire, op)
 		}
 	}
-	sortRefs(d.Keep)
-	sortRefs(d.Create)
-	sortRefs(d.Retire)
-	sortRefs(d.Rewire)
 	sort.Slice(d.Move, func(i, j int) bool { return d.Move[i].Sig < d.Move[j].Sig })
 	return d
 }
 
 // Sig returns the identity's signature (convenience for Move pairing).
 func (op IROp) Sig() string { return op.Ref.Sig }
-
-func sameInputs(a, b []OpRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortRefs(rs []OpRef) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Sig != rs[j].Sig {
-			return rs[i].Sig < rs[j].Sig
-		}
-		return rs[i].Loc < rs[j].Loc
-	})
-}

@@ -51,12 +51,12 @@ func TestDiffIdenticalPlans(t *testing.T) {
 	f := newDiffFixture(t)
 	locs := []netgraph.NodeID{5, 6, 7}
 	old, new := f.leftDeep(locs), f.leftDeep(locs)
-	d := f.q.Diff(old, new)
+	d := DiffIR(f.q.IR(old), f.q.IR(new))
 	if want := 2*f.q.K() - 1; len(d.Keep) != want {
 		t.Errorf("keep=%d, want every operator (%d)", len(d.Keep), want)
 	}
 	if d.Delta() != 0 || len(d.Move) != 0 || len(d.Rewire) != 0 {
-		t.Errorf("identical plans diff non-empty: %s", d)
+		t.Errorf("identical plans diff non-empty: delta=%d move=%d rewire=%d", d.Delta(), len(d.Move), len(d.Rewire))
 	}
 }
 
@@ -64,7 +64,7 @@ func TestDiffSinglePlacementChange(t *testing.T) {
 	f := newDiffFixture(t)
 	old := f.leftDeep([]netgraph.NodeID{5, 6, 7})
 	new := f.leftDeep([]netgraph.NodeID{5, 8, 7}) // middle join moves 6 -> 8
-	d := f.q.Diff(old, new)
+	d := DiffIR(f.q.IR(old), f.q.IR(new))
 	if want := 2*f.q.K() - 1 - 1; len(d.Keep) != want {
 		t.Errorf("keep=%d, want %d", len(d.Keep), want)
 	}
@@ -77,10 +77,10 @@ func TestDiffSinglePlacementChange(t *testing.T) {
 	// The root join is kept but its middle-join input changed hosts: it
 	// must be rewired.
 	rootRef := f.q.Ident(new)
-	if len(d.Rewire) != 1 || d.Rewire[0] != rootRef {
+	if len(d.Rewire) != 1 || d.Rewire[0].New.Ref != rootRef {
 		t.Errorf("rewire=%v, want exactly the root %v", d.Rewire, rootRef)
 	}
-	if d.Create[0].Sig != d.Retire[0].Sig {
+	if d.Create[0].Sig() != d.Retire[0].Sig() {
 		t.Errorf("moved operator changed signature: %v vs %v", d.Create[0], d.Retire[0])
 	}
 }
@@ -99,10 +99,10 @@ func TestDiffLeafConsumptionIsNotRewired(t *testing.T) {
 		Derived: true,
 		Sig:     f.q.SigOf(full),
 	})
-	d := f.q.Diff(old, new)
+	d := DiffIR(f.q.IR(old), f.q.IR(new))
 	rootRef := f.q.Ident(old)
-	if len(d.Keep) != 1 || d.Keep[0] != rootRef {
-		t.Fatalf("keep=%v, want exactly the old root %v", d.Keep, rootRef)
+	if len(d.Keep) != 1 || d.Keep[0].Old.Ref != rootRef || !d.Keep[0].New.Leaf {
+		t.Fatalf("keep=%v, want exactly the old root %v, kept as a leaf", d.Keep, rootRef)
 	}
 	if len(d.Rewire) != 0 {
 		t.Errorf("leaf consumption rewired: %v", d.Rewire)
@@ -152,5 +152,73 @@ func TestIRPostOrder(t *testing.T) {
 	}
 	if root := ir[len(ir)-1].Ref; root != f.q.Ident(plan) {
 		t.Errorf("last IR op %v is not the root %v", root, f.q.Ident(plan))
+	}
+}
+
+// The diff lists its entries in the order migration applies and prices
+// them: Keep and Retire in old post-order, Create and Rewire in new
+// post-order, and a rewire's changed edges added first, then dropped.
+func TestDiffOrderAndEdges(t *testing.T) {
+	f := newDiffFixture(t)
+	old := f.leftDeep([]netgraph.NodeID{5, 6, 7})
+	new := f.leftDeep([]netgraph.NodeID{5, 8, 9}) // middle join 6 -> 8, root 7 -> 9
+	oldIR, newIR := f.q.IR(old), f.q.IR(new)
+	d := DiffIR(oldIR, newIR)
+	inNew := map[OpRef]bool{}
+	for _, op := range newIR {
+		inNew[op.Ref] = true
+	}
+	var keep, retire []OpRef
+	for _, op := range oldIR {
+		if inNew[op.Ref] {
+			keep = append(keep, op.Ref)
+		} else {
+			retire = append(retire, op.Ref)
+		}
+	}
+	if len(d.Keep) != len(keep) || len(d.Retire) != len(retire) {
+		t.Fatalf("keep=%d retire=%d, want %d/%d", len(d.Keep), len(d.Retire), len(keep), len(retire))
+	}
+	for i, k := range d.Keep {
+		if k.Old.Ref != keep[i] || k.New.Ref != keep[i] {
+			t.Errorf("keep[%d] = %v/%v, want %v in old post-order", i, k.Old.Ref, k.New.Ref, keep[i])
+		}
+		if nop, ok := d.KeptAs(k.Old.Ref); !ok || nop.Node != k.New.Node {
+			t.Errorf("KeptAs(%v) = %v, %v; want the new plan's entry", k.Old.Ref, nop.Ref, ok)
+		}
+	}
+	for i, op := range d.Retire {
+		if op.Ref != retire[i] {
+			t.Errorf("retire[%d] = %v, want %v in old post-order", i, op.Ref, retire[i])
+		}
+		if _, ok := d.KeptAs(op.Ref); ok {
+			t.Errorf("retired %v reported kept", op.Ref)
+		}
+	}
+	if want := []OpRef{f.q.Ident(new.L), f.q.Ident(new)}; len(d.Create) != 2 || d.Create[0].Ref != want[0] || d.Create[1].Ref != want[1] {
+		t.Errorf("create = %v, want %v in new post-order", d.Create, want)
+	}
+	// The only kept join reads the same inputs: nothing is rewired.
+	if len(d.Rewire) != 0 {
+		t.Errorf("rewire = %v, want none", d.Rewire)
+	}
+
+	// Moving only the middle join rewires the kept root: its left input
+	// changes host. The edge the new plan adds comes first.
+	d = DiffIR(oldIR, f.q.IR(f.leftDeep([]netgraph.NodeID{5, 8, 7})))
+	if len(d.Rewire) != 1 {
+		t.Fatalf("rewire = %v, want the root", d.Rewire)
+	}
+	type edge struct {
+		in    OpRef
+		side  int
+		added bool
+	}
+	var got []edge
+	d.Rewire[0].ChangedInputs(func(in OpRef, side int, added bool) { got = append(got, edge{in, side, added}) })
+	mid := f.q.SigOf(Mask(7))
+	want := []edge{{OpRef{mid, 8}, 0, true}, {OpRef{mid, 6}, 0, false}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("changed inputs %v, want %v", got, want)
 	}
 }
