@@ -149,15 +149,35 @@ func BenchmarkRelaxationPlan(b *testing.B) {
 }
 
 // BenchmarkHierarchyBuild measures building the virtual clustering
-// hierarchy over 128 nodes — the one-time cost the heuristics amortize.
+// hierarchy (max_cs 32), the one-time cost the heuristics amortize, at 128
+// nodes and at Fig 9's largest network.
 func BenchmarkHierarchyBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := netgraph.MustTransitStub(128, rng)
-	paths := g.ShortestPaths(netgraph.MetricCost)
-	b.ResetTimer()
+	for _, n := range []int{128, 1024} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			g := netgraph.MustTransitStub(n, rng)
+			paths := g.ShortestPaths(netgraph.MetricCost)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := hierarchy.Build(g, paths, 32, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkChaosWorldBuild measures what adapt-rateshift's setup_s times:
+// chaos.New over the rate-shift worlds of seeds 3-7 (topology, paths,
+// hierarchy, workload and engine).
+func BenchmarkChaosWorldBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hierarchy.Build(g, paths, 32, rng); err != nil {
-			b.Fatal(err)
+		for seed := int64(3); seed <= 7; seed++ {
+			if _, err := chaos.New(chaos.RateShiftConfig(seed)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

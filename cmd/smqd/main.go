@@ -18,17 +18,34 @@
 //
 // Overloaded shards answer 429 with a Retry-After header (admission
 // control); the rejection count is in /metrics as "serving.rejected".
+// SIGINT or SIGTERM drains the requests in flight before the process exits.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"hnp"
 	"hnp/internal/serve"
+)
+
+// Connection timeouts, so that a client that stalls while sending its
+// request, or never reads its response, cannot hold a connection and a
+// goroutine forever; and the drain allowance on shutdown.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 30 * time.Second
 )
 
 func main() {
@@ -59,7 +76,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "smqd: %v\n", err)
 		os.Exit(1)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("smqd: %v", err)
+	}
 	log.Printf("smqd: serving on http://%s (%d shards × %d nodes, max_cs=%d, %d streams, %d in-flight plans/shard)",
 		*addr, cfg.Shards, cfg.Nodes, cfg.MaxCS, cfg.Streams, cfg.MaxInFlight)
-	log.Fatal(http.ListenAndServe(*addr, s))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serveUntil(ctx, ln, s); err != nil {
+		log.Fatalf("smqd: %v", err)
+	}
+}
+
+// serveUntil serves h on ln under the connection timeouts until ctx is
+// done, then shuts down: no new connections, in-flight requests drain.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	return srv.Shutdown(dctx)
 }

@@ -30,10 +30,7 @@ type Result struct {
 func (r Result) Clusters() [][]int {
 	out := make([][]int, len(r.Medoids))
 	for item, c := range r.Assign {
-		out[c] = append(out[c], item)
-	}
-	for _, ms := range out {
-		slices.Sort(ms)
+		out[c] = append(out[c], item) // items come in increasing order
 	}
 	return out
 }
@@ -47,30 +44,67 @@ func (r Result) Cost(dist DistFunc) float64 {
 	return sum
 }
 
-// FarthestPointSeeds picks k well-spread items: the first uniformly at
-// random, each subsequent one maximizing the distance to the closest
-// already-chosen seed. This is the classic 2-approximation seeding for
-// metric clustering and makes the hierarchy construction robust to the
-// random seed.
-func FarthestPointSeeds(n, k int, dist DistFunc, rng *rand.Rand) []int {
-	if k > n {
-		k = n
+// solver clusters items 0..n-1 under one distance oracle. It gathers the
+// distance column of each seed or medoid once, for every round of a
+// KMedoids call and every candidate k of a Partition call, and keeps
+// capacityAssign's buffers across rounds.
+type solver struct {
+	n     int
+	dist  DistFunc
+	cols  [][]float64 // cols[m][i] = dist(i, m); nil until m's first use
+	mcols [][]float64 // the current medoids' columns
+	order []int32     // order[i*k:(i+1)*k]: item i's medoids by (distance, index)
+	d     []float64   // the distances of the item being ordered, in order
+	recs  []regretRec
+	load  []int
+	// members[c] lists cluster c's items for updateMedoids.
+	members [][]int
+}
+
+// regretRec is one item's place in the assignment order. It holds no
+// pointer, so sorting moves 16 bytes per record and fires no GC write
+// barrier.
+type regretRec struct {
+	item   int32
+	regret float64
+}
+
+func newSolver(n int, dist DistFunc) *solver {
+	return &solver{n: n, dist: dist, cols: make([][]float64, n)}
+}
+
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// col returns dist(i, m) for every item i.
+func (s *solver) col(m int) []float64 {
+	if s.cols[m] == nil {
+		s.cols[m] = make([]float64, s.n)
+		for i := range s.cols[m] {
+			s.cols[m][i] = s.dist(i, m)
+		}
 	}
-	if k <= 0 {
+	return s.cols[m]
+}
+
+// seeds picks k well-spread items: the first uniformly at random, each
+// subsequent one maximizing the distance to the closest already-chosen
+// seed. This is the classic 2-approximation seeding for metric clustering
+// and makes the hierarchy construction robust to the random seed.
+func (s *solver) seeds(k int, rng *rand.Rand) []int {
+	n := s.n
+	if k = min(k, n); k <= 0 {
 		return nil
 	}
-	seeds := make([]int, 0, k)
 	minDist := make([]float64, n)
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
 	}
-	first := rng.Intn(n)
-	seeds = append(seeds, first)
+	seeds := append(make([]int, 0, k), rng.Intn(n))
 	for len(seeds) < k {
-		last := seeds[len(seeds)-1]
+		col := s.col(seeds[len(seeds)-1])
 		far, farD := -1, -1.0
 		for i := 0; i < n; i++ {
-			if d := dist(i, last); d < minDist[i] {
+			if d := col[i]; d < minDist[i] {
 				minDist[i] = d
 			}
 			if minDist[i] > farD {
@@ -80,7 +114,7 @@ func FarthestPointSeeds(n, k int, dist DistFunc, rng *rand.Rand) []int {
 		if farD <= 0 {
 			// All remaining items coincide with a seed; fill arbitrarily.
 			for i := 0; i < n && len(seeds) < k; i++ {
-				if !contains(seeds, i) {
+				if !slices.Contains(seeds, i) {
 					seeds = append(seeds, i)
 				}
 			}
@@ -92,15 +126,6 @@ func FarthestPointSeeds(n, k int, dist DistFunc, rng *rand.Rand) []int {
 	return seeds
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // kmedoidsRounds bounds KMedoids' assign/update rounds.
 const kmedoidsRounds = 8
 
@@ -109,6 +134,11 @@ const kmedoidsRounds = 8
 // returns an error. It runs at most kmedoidsRounds assign/update rounds
 // and stops early at a fixed point.
 func KMedoids(n, k, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) {
+	return newSolver(n, dist).kmedoids(k, maxSize, rng)
+}
+
+func (s *solver) kmedoids(k, maxSize int, rng *rand.Rand) (Result, error) {
+	n := s.n
 	if n == 0 {
 		return Result{}, nil
 	}
@@ -118,107 +148,108 @@ func KMedoids(n, k, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) 
 	if maxSize <= 0 {
 		return Result{}, fmt.Errorf("cluster: maxSize must be positive, got %d", maxSize)
 	}
-	if k > n {
-		k = n
-	}
-	if k*maxSize < n {
+	if k = min(k, n); k*maxSize < n {
 		return Result{}, fmt.Errorf("cluster: %d clusters of <= %d cannot hold %d items", k, maxSize, n)
 	}
-	medoids := FarthestPointSeeds(n, k, dist, rng)
-	var assign []int
-	for round := 0; round < kmedoidsRounds; round++ {
-		assign = capacityAssign(n, medoids, maxSize, dist)
-		next := updateMedoids(n, assign, medoids, dist)
-		if equalInts(next, medoids) {
-			medoids = next
+	medoids := s.seeds(k, rng)
+	next, assign := make([]int, len(medoids)), make([]int, n)
+	for round := 0; ; round++ {
+		s.capacityAssign(medoids, maxSize, assign)
+		if round == kmedoidsRounds {
 			break
 		}
-		medoids = next
+		s.updateMedoids(assign, next)
+		if slices.Equal(next, medoids) {
+			break // a fixed point: assign already belongs to medoids
+		}
+		medoids, next = next, medoids
 	}
-	assign = capacityAssign(n, medoids, maxSize, dist)
 	return Result{Assign: assign, Medoids: medoids}, nil
 }
 
-// capacityAssign assigns each item to the nearest medoid with remaining
-// capacity. Items are processed in increasing order of the gap between
-// their best and second-best medoid ("regret"), so items that would suffer
-// most from losing their preferred cluster are placed first.
-func capacityAssign(n int, medoids []int, maxSize int, dist DistFunc) []int {
-	k := len(medoids)
-	type pref struct {
-		item   int
-		order  []int // medoid indices sorted by distance
-		regret float64
+// capacityAssign writes into assign each item's nearest medoid with
+// remaining capacity. Items are processed in decreasing order of the gap
+// between their best and second-best medoid ("regret"), so items that
+// would suffer most from losing their preferred cluster are placed first.
+func (s *solver) capacityAssign(medoids []int, maxSize int, assign []int) {
+	n, k := s.n, len(medoids)
+	s.mcols, s.order, s.d = s.mcols[:0], resize(s.order, n*k), resize(s.d, k)
+	s.recs, s.load = resize(s.recs, n), resize(s.load, k)
+	for _, m := range medoids {
+		s.mcols = append(s.mcols, s.col(m))
 	}
-	prefs := make([]pref, n)
-	orders := make([]int, n*k) // every item's order, carved from one array
-	d := make([]float64, k)    // the current item's distance to each medoid
+	d := s.d
 	for i := 0; i < n; i++ {
-		order := orders[i*k : (i+1)*k : (i+1)*k]
-		for c := range order {
-			order[c] = c
-			d[c] = dist(i, medoids[c])
-		}
-		slices.SortFunc(order, func(a, b int) int {
-			if d[a] != d[b] {
-				return cmp.Compare(d[a], d[b])
+		// Insertion sort by (distance, index): c arrives in index order,
+		// so it stops behind every equal distance.
+		o := s.order[i*k : (i+1)*k]
+		for c, col := range s.mcols {
+			j := c
+			for ; j > 0 && d[j-1] > col[i]; j-- {
+				d[j], o[j] = d[j-1], o[j-1]
 			}
-			return a - b
-		})
+			d[j], o[j] = col[i], int32(c)
+		}
 		regret := 0.0
 		if k > 1 {
-			regret = d[order[1]] - d[order[0]]
+			regret = d[1] - d[0]
 		}
-		prefs[i] = pref{i, order, regret}
+		s.recs[i] = regretRec{int32(i), regret}
 	}
-	slices.SortStableFunc(prefs, func(a, b pref) int { return cmp.Compare(b.regret, a.regret) })
+	// Decreasing regret, then increasing item: the order a stable sort on
+	// regret alone gives records that start in item order.
+	slices.SortFunc(s.recs, func(a, b regretRec) int {
+		if c := cmp.Compare(b.regret, a.regret); c != 0 {
+			return c
+		}
+		return int(a.item - b.item)
+	})
 
-	assign := make([]int, n)
-	load := make([]int, k)
+	clear(s.load)
+	for i := range assign {
+		assign[i] = -1
+	}
 	// Medoids always belong to their own cluster.
-	placed := make([]bool, n)
 	for c, m := range medoids {
 		assign[m] = c
-		load[c]++
-		placed[m] = true
+		s.load[c]++
 	}
-	for _, p := range prefs {
-		if placed[p.item] {
-			continue
+	for _, r := range s.recs {
+		i := int(r.item)
+		if assign[i] >= 0 {
+			continue // a medoid
 		}
-		for _, c := range p.order {
-			if load[c] < maxSize {
-				assign[p.item] = c
-				load[c]++
-				placed[p.item] = true
+		for _, c := range s.order[i*k : (i+1)*k] {
+			if s.load[c] < maxSize {
+				assign[i] = int(c)
+				s.load[c]++
 				break
 			}
 		}
-		if !placed[p.item] {
+		if assign[i] < 0 {
 			// Unreachable when k*maxSize >= n, which KMedoids guarantees.
 			panic("cluster: item could not be placed")
 		}
 	}
-	return assign
 }
 
-func updateMedoids(n int, assign []int, medoids []int, dist DistFunc) []int {
-	k := len(medoids)
-	members := make([][]int, k)
-	for i := 0; i < n; i++ {
-		members[assign[i]] = append(members[assign[i]], i)
+// updateMedoids writes into next, for each cluster, the member with the
+// least summed distance to the other members (the first such on ties).
+// Every cluster holds at least its medoid.
+func (s *solver) updateMedoids(assign, next []int) {
+	s.members = resize(s.members, len(next))
+	for c := range s.members {
+		s.members[c] = s.members[c][:0]
 	}
-	next := make([]int, k)
-	for c := 0; c < k; c++ {
-		if len(members[c]) == 0 {
-			next[c] = medoids[c]
-			continue
-		}
-		best, bestSum := members[c][0], math.Inf(1)
-		for _, cand := range members[c] {
+	for i, c := range assign {
+		s.members[c] = append(s.members[c], i)
+	}
+	for c, ms := range s.members {
+		best, bestSum := ms[0], math.Inf(1)
+		for _, cand := range ms {
 			sum := 0.0
-			for _, o := range members[c] {
-				sum += dist(cand, o)
+			for _, o := range ms {
+				sum += s.dist(cand, o)
 			}
 			if sum < bestSum {
 				best, bestSum = cand, sum
@@ -226,19 +257,6 @@ func updateMedoids(n int, assign []int, medoids []int, dist DistFunc) []int {
 		}
 		next[c] = best
 	}
-	return next
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Partition clusters n items under a hard size cap. The number of
@@ -255,13 +273,14 @@ func Partition(n, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) {
 	if n == 0 {
 		return Result{}, nil
 	}
+	s := newSolver(n, dist)
 	kMin := (n + maxSize - 1) / maxSize
 	if kMin <= 1 {
 		// Everything fits in one cluster: this is a (potential) top level,
 		// which must converge to a single cluster.
-		return KMedoids(n, 1, maxSize, dist, rng)
+		return s.kmedoids(1, maxSize, rng)
 	}
-	best, err := KMedoids(n, kMin, maxSize, dist, rng)
+	best, err := s.kmedoids(kMin, maxSize, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -276,7 +295,7 @@ func Partition(n, maxSize int, dist DistFunc, rng *rand.Rand) (Result, error) {
 		kMax = n / 2
 	}
 	for k := kMin + 1; k <= kMax; k++ {
-		cand, err := KMedoids(n, k, maxSize, dist, rng)
+		cand, err := s.kmedoids(k, maxSize, rng)
 		if err != nil {
 			return Result{}, err
 		}

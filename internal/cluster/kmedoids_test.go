@@ -96,7 +96,7 @@ func TestKMedoidsErrors(t *testing.T) {
 
 func TestFarthestPointSeedsSpread(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	seeds := FarthestPointSeeds(100, 4, lineDist, rng)
+	seeds := newSolver(100, lineDist).seeds(4, rng)
 	if len(seeds) != 4 {
 		t.Fatalf("got %d seeds", len(seeds))
 	}
@@ -126,14 +126,14 @@ func TestFarthestPointSeedsSpread(t *testing.T) {
 func TestFarthestPointSeedsDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	zero := func(i, j int) float64 { return 0 }
-	seeds := FarthestPointSeeds(5, 3, zero, rng)
+	seeds := newSolver(5, zero).seeds(3, rng)
 	if len(seeds) != 3 {
 		t.Fatalf("got %d seeds under zero metric", len(seeds))
 	}
-	if got := FarthestPointSeeds(3, 10, lineDist, rng); len(got) != 3 {
+	if got := newSolver(3, lineDist).seeds(10, rng); len(got) != 3 {
 		t.Errorf("k>n: got %d seeds, want 3", len(got))
 	}
-	if got := FarthestPointSeeds(3, 0, lineDist, rng); got != nil {
+	if got := newSolver(3, lineDist).seeds(0, rng); got != nil {
 		t.Errorf("k=0: got %v", got)
 	}
 }

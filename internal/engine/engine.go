@@ -51,9 +51,15 @@ type Engine struct {
 
 // NewEngine puts a runtime under a system. The runtime draws its tuple
 // randomness from seed and records into the system's telemetry registry;
-// until bounds the lifetime of every source the engine starts.
+// until bounds the lifetime of every source the engine starts. It starts
+// from a copy of the hierarchy's cost snapshot, so that an engine runs one
+// all-pairs computation, not two.
 func NewEngine(sys *System, cfg iflow.Config, seed int64, until float64) *Engine {
-	e := &Engine{System: sys, RT: iflow.New(sys.Graph, cfg, seed), until: until}
+	cost := sys.Hierarchy.Paths().Clone()
+	if cost.Metric() != netgraph.MetricCost {
+		cost = sys.Graph.ShortestPaths(netgraph.MetricCost)
+	}
+	e := &Engine{System: sys, RT: iflow.NewWithCost(sys.Graph, cost, cfg, seed), until: until}
 	e.RT.BindObs(sys.Obs)
 	return e
 }

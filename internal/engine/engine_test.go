@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hnp/internal/adapt"
@@ -282,4 +283,46 @@ func TestEngineControllerMirror(t *testing.T) {
 		t.Fatalf("controller reports %+v, engine mirrored %d; want at least one", st, migrations)
 	}
 	e.audit(t, "controlled run")
+}
+
+// TestEngineRuntimeOwnsCostSnapshot holds NewEngine's one all-pairs
+// computation to its two promises: the runtime starts on the snapshot a
+// fresh computation gives, and on a copy of the hierarchy's, so the
+// runtime's refresh chain, which recycles its retired snapshot, never
+// writes into a snapshot the planning side handed out.
+func TestEngineRuntimeOwnsCostSnapshot(t *testing.T) {
+	e := newTestEngine(t, 5, 100)
+	start, pre := e.RT.Cost, e.Hierarchy.Paths()
+	samePaths(t, "runtime at start", start, e.Graph.ShortestPaths(netgraph.MetricCost))
+	if start == pre {
+		t.Fatal("the runtime shares the hierarchy's snapshot")
+	}
+	saved := pre.Clone()
+	for _, l := range e.Graph.Links()[:2] {
+		if err := e.UpdateLinkCosts(iflow.LinkCostUpdate{A: l.A, B: l.B, Cost: 3 * l.Cost}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.RT.Cost != start {
+		t.Fatal("two refreshes did not recycle the runtime's starting snapshot")
+	}
+	samePaths(t, "runtime after two updates", e.RT.Cost, e.Graph.ShortestPaths(netgraph.MetricCost))
+	samePaths(t, "hierarchy's pre-update snapshot", pre, saved)
+}
+
+// samePaths compares two snapshots bit for bit: every distance and every
+// shortest path.
+func samePaths(t *testing.T, what string, got, want *netgraph.Paths) {
+	t.Helper()
+	n := len(want.Row(0))
+	for a := range n {
+		for b := range n {
+			u, v := netgraph.NodeID(a), netgraph.NodeID(b)
+			if math.Float64bits(got.Dist(u, v)) != math.Float64bits(want.Dist(u, v)) ||
+				!slices.Equal(got.Path(u, v), want.Path(u, v)) {
+				t.Fatalf("%s: %d→%d reads %v via %v, want %v via %v", what, a, b,
+					got.Dist(u, v), got.Path(u, v), want.Dist(u, v), want.Path(u, v))
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hnp/internal/cluster"
 	"hnp/internal/netgraph"
@@ -235,11 +236,11 @@ func (h *Hierarchy) RemoveNode(v netgraph.NodeID) error {
 
 func (h *Hierarchy) removeFrom(c *Cluster, v netgraph.NodeID) {
 	lvl := h.lvls[c.Level-1]
-	c.Members = removeID(c.Members, v)
+	c.Members = slices.DeleteFunc(c.Members, func(m netgraph.NodeID) bool { return m == v })
 	delete(lvl.byNode, v)
 
 	if len(c.Members) == 0 {
-		h.dropCluster(c)
+		lvl.Clusters = slices.DeleteFunc(lvl.Clusters, func(cc *Cluster) bool { return cc == c })
 		// The cluster's coordinator (== v, the last member) may still be
 		// referenced above; remove it there too.
 		if c.Level < len(h.lvls) {
@@ -264,11 +265,7 @@ func (h *Hierarchy) removeFrom(c *Cluster, v netgraph.NodeID) {
 		if up == nil {
 			break
 		}
-		for i, m := range up.Members {
-			if m == v {
-				up.Members[i] = newCoord
-			}
-		}
+		up.Members[slices.Index(up.Members, v)] = newCoord
 		delete(h.lvls[l-1].byNode, v)
 		h.lvls[l-1].byNode[newCoord] = up
 		up.Diameter = h.paths.MaxPairwise(up.Members)
@@ -279,38 +276,14 @@ func (h *Hierarchy) removeFrom(c *Cluster, v netgraph.NodeID) {
 	}
 }
 
-func (h *Hierarchy) dropCluster(c *Cluster) {
-	lvl := h.lvls[c.Level-1]
-	for i, cc := range lvl.Clusters {
-		if cc == c {
-			lvl.Clusters = append(lvl.Clusters[:i], lvl.Clusters[i+1:]...)
-			return
-		}
-	}
-}
-
 // shrinkTop trims now-redundant top levels (a top level whose single
 // cluster has a single member adds no information).
 func (h *Hierarchy) shrinkTop() {
 	for len(h.lvls) > 1 {
 		top := h.lvls[len(h.lvls)-1]
-		if len(top.Clusters) == 1 && len(top.Clusters[0].Members) <= 1 {
-			h.lvls = h.lvls[:len(h.lvls)-1]
-			continue
+		if len(top.Clusters) > 1 || len(top.Clusters) == 1 && len(top.Clusters[0].Members) > 1 {
+			break
 		}
-		if len(top.Clusters) == 0 {
-			h.lvls = h.lvls[:len(h.lvls)-1]
-			continue
-		}
-		break
+		h.lvls = h.lvls[:len(h.lvls)-1]
 	}
-}
-
-func removeID(s []netgraph.NodeID, v netgraph.NodeID) []netgraph.NodeID {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }

@@ -386,9 +386,16 @@ func (rt *Runtime) takeTraceParent() uint64 {
 // New builds a runtime over a network. Streams route along cost-shortest
 // paths; protocol messages along delay-shortest paths.
 func New(g *netgraph.Graph, cfg Config, seed int64) *Runtime {
+	return NewWithCost(g, g.ShortestPaths(netgraph.MetricCost), cfg, seed)
+}
+
+// NewWithCost is New over a cost-metric snapshot of g, which the runtime
+// takes over: its refresh chain recycles the snapshot's slabs, so nothing
+// else may hold it. A stale snapshot is refreshed on first use.
+func NewWithCost(g *netgraph.Graph, cost *netgraph.Paths, cfg Config, seed int64) *Runtime {
 	rt := &Runtime{
 		G:       g,
-		Cost:    g.ShortestPaths(netgraph.MetricCost),
+		Cost:    cost,
 		Delay:   g.ShortestPaths(netgraph.MetricDelay),
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(seed)),

@@ -159,28 +159,26 @@ func (g *Graph) MustAddLink(a, b NodeID, cost, delay float64) {
 	}
 }
 
-// HasLink reports whether an a-b link exists.
-func (g *Graph) HasLink(a, b NodeID) bool {
+// half returns the a→b half of the a-b link, or nil if there is none.
+func (g *Graph) half(a, b NodeID) *halfEdge {
 	if a < 0 || int(a) >= len(g.adj) {
-		return false
+		return nil
 	}
-	for _, e := range g.adj[a] {
-		if e.to == b {
-			return true
+	for i := range g.adj[a] {
+		if g.adj[a][i].to == b {
+			return &g.adj[a][i]
 		}
 	}
-	return false
+	return nil
 }
+
+// HasLink reports whether an a-b link exists.
+func (g *Graph) HasLink(a, b NodeID) bool { return g.half(a, b) != nil }
 
 // LinkCost returns the cost of the direct a-b link, or false if absent.
 func (g *Graph) LinkCost(a, b NodeID) (float64, bool) {
-	if a < 0 || int(a) >= len(g.adj) {
-		return 0, false
-	}
-	for _, e := range g.adj[a] {
-		if e.to == b {
-			return e.cost, true
-		}
+	if e := g.half(a, b); e != nil {
+		return e.cost, true
 	}
 	return 0, false
 }
@@ -193,31 +191,14 @@ func (g *Graph) SetLinkCost(a, b NodeID, cost float64) error {
 	if cost <= 0 {
 		return fmt.Errorf("netgraph: non-positive link cost %g", cost)
 	}
-	old, found := 0.0, false
-	for i := range g.adj[a] {
-		if g.adj[a][i].to == b {
-			old = g.adj[a][i].cost
-			found = true
-			break
-		}
-	}
-	if !found {
+	e := g.half(a, b)
+	if e == nil {
 		return fmt.Errorf("netgraph: no link %d-%d", a, b)
 	}
-	if cost == old {
-		return nil
+	if old := e.cost; cost != old {
+		e.cost, g.half(b, a).cost = cost, cost
+		g.recordDelta(a, b, MetricCost, old, cost)
 	}
-	for i := range g.adj[a] {
-		if g.adj[a][i].to == b {
-			g.adj[a][i].cost = cost
-		}
-	}
-	for i := range g.adj[b] {
-		if g.adj[b][i].to == a {
-			g.adj[b][i].cost = cost
-		}
-	}
-	g.recordDelta(a, b, MetricCost, old, cost)
 	return nil
 }
 
@@ -227,31 +208,14 @@ func (g *Graph) SetLinkDelay(a, b NodeID, delay float64) error {
 	if delay < 0 {
 		return fmt.Errorf("netgraph: negative link delay %g", delay)
 	}
-	old, found := 0.0, false
-	for i := range g.adj[a] {
-		if g.adj[a][i].to == b {
-			old = g.adj[a][i].delay
-			found = true
-			break
-		}
-	}
-	if !found {
+	e := g.half(a, b)
+	if e == nil {
 		return fmt.Errorf("netgraph: no link %d-%d", a, b)
 	}
-	if delay == old {
-		return nil
+	if old := e.delay; delay != old {
+		e.delay, g.half(b, a).delay = delay, delay
+		g.recordDelta(a, b, MetricDelay, old, delay)
 	}
-	for i := range g.adj[a] {
-		if g.adj[a][i].to == b {
-			g.adj[a][i].delay = delay
-		}
-	}
-	for i := range g.adj[b] {
-		if g.adj[b][i].to == a {
-			g.adj[b][i].delay = delay
-		}
-	}
-	g.recordDelta(a, b, MetricDelay, old, delay)
 	return nil
 }
 

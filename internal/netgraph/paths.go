@@ -176,10 +176,7 @@ func (g *Graph) ShortestPaths(m Metric) *Paths {
 // ShortestPaths. The shell's metric/version/n must already be set.
 func (g *Graph) fillPaths(p *Paths) {
 	n := len(g.adj)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		g.shortestPathsInto(p)
 		return
@@ -213,6 +210,15 @@ func (g *Graph) shortestPathsInto(p *Paths) {
 	for v := 0; v < n; v++ {
 		g.dijkstraInto(NodeID(v), p.metric, p.dist[v], p.next[v], &q)
 	}
+}
+
+// Clone returns a copy of the snapshot that shares no memory with it, for
+// a consumer that will own its refresh chain (see RefreshFrom).
+func (p *Paths) Clone() *Paths {
+	c := newPaths(p.metric, p.version, p.n)
+	copy(c.distSlab, p.distSlab)
+	copy(c.nextSlab, p.nextSlab)
+	return c
 }
 
 // Metric returns the metric the snapshot was computed under.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -96,24 +97,12 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if !ok {
 		h = newHistogram(bounds)
 		r.hists[name] = h
-	} else if bounds != nil && !sameBounds(h.bounds, bounds) {
+	} else if bounds != nil && !slices.Equal(h.bounds, bounds) {
 		// Conflict counters must record even while the master switch is
 		// off — a silently discarded layout is a bug signal, not telemetry.
 		r.counterLocked("obs.histogram_bounds_conflict").v.Add(1)
 	}
 	return h
-}
-
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SpanSource returns a pre-bound handle for repeatedly-timed sections:
