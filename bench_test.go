@@ -1162,14 +1162,22 @@ func newServedTracer() (*obs.Tracer, int) {
 }
 
 // BenchmarkFlightEmit measures the armed flight recorder in steady state:
-// one op is the three events of one served deploy.
+// one op is the three events of one served deploy. B/event is the live
+// heap a full recorder of that mix retains per held event.
 func BenchmarkFlightEmit(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	tr, q := newServedTracer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(after.HeapAlloc-before.HeapAlloc) / float64(tr.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		flightServe(tr, q+i)
 	}
+	b.ReportMetric(held, "B/event")
 }
 
 // BenchmarkFlightSnapshot measures reading a full default-size recorder

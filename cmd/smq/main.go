@@ -314,10 +314,7 @@ func explainRewrite(sys *hnp.System, a, b, c hnp.StreamID) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("rewrite trace:")
-	for _, line := range strings.Split(on.Rewrite.TraceString(), "\n") {
-		fmt.Printf("  %s\n", line)
-	}
+	fmt.Println("rewrite trace:\n  " + strings.ReplaceAll(on.Rewrite.TraceString(), "\n", "\n  "))
 	fmt.Printf("planned source bytes: %.4g -> %.4g per unit time (%.4g saved)\n",
 		on.Rewrite.BytesBefore, on.Rewrite.BytesAfter, on.Rewrite.BytesSaved())
 

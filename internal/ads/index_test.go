@@ -413,3 +413,53 @@ func TestConcurrentLookupAdvertiseRetract(t *testing.T) {
 		t.Errorf("after every writer retracted: Len %d, %d buckets", r.Len(), len(r.buckets))
 	}
 }
+
+// TestChurnedRegistryMatchesFresh: 10,000 plans advertised and retracted
+// around a standing population, sixteen in flight at a time, rebuild the
+// bucket map along the way, and leave a registry that answers InputsFor,
+// Len and All exactly like a fresh one holding only the standing ads.
+func TestChurnedRegistryMatchesFresh(t *testing.T) {
+	const streams, nodes = 9, 6
+	rng := rand.New(rand.NewSource(34))
+	churned, fresh := NewRegistry(), NewRegistry()
+	for i := 0; i < 40; i++ {
+		d := randomDeployment(rng, i, streams, nodes, true)
+		churned.AdvertisePlan(d.q, d.plan)
+		fresh.AdvertisePlan(d.q, d.plan)
+	}
+	first := reflect.ValueOf(churned.buckets).UnsafePointer()
+	var inFlight []deployment
+	for i := 0; i < 10_000; i++ {
+		d := randomDeployment(rng, 1000+i, streams, nodes, true)
+		churned.AdvertisePlan(d.q, d.plan)
+		if inFlight = append(inFlight, d); len(inFlight) > 16 {
+			churned.RetractPlan(inFlight[0].q, inFlight[0].plan)
+			inFlight = inFlight[1:]
+		}
+	}
+	for _, d := range inFlight {
+		churned.RetractPlan(d.q, d.plan)
+	}
+	if reflect.ValueOf(churned.buckets).UnsafePointer() == first {
+		t.Fatal("vacuous: the bucket map was never rebuilt")
+	}
+	if churned.Len() != fresh.Len() || !reflect.DeepEqual(churned.All(), fresh.All()) {
+		t.Fatalf("churned registry holds %d ads, fresh %d, or they differ", churned.Len(), fresh.Len())
+	}
+	offered := 0
+	for i := 0; i < 200; i++ {
+		q := randomDeployment(rng, 20_000+i, streams, nodes, true).q
+		rt := make(query.RateTable, 1<<uint(q.K()))
+		for m := range rt {
+			rt[m] = float64(m) + 0.5
+		}
+		got, want := churned.InputsFor(q, rt), fresh.InputsFor(q, rt)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d:\n got %+v\nwant %+v", i, got, want)
+		}
+		offered += len(got)
+	}
+	if offered < 200 {
+		t.Fatalf("vacuous: 200 lookups offered %d inputs", offered)
+	}
+}

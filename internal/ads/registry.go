@@ -8,6 +8,7 @@ package ads
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -56,6 +57,7 @@ type Registry struct {
 	mu      sync.RWMutex
 	buckets map[string][]Ad // never holds an empty bucket
 	count   int
+	dropped int // buckets deleted since buckets was last rebuilt
 
 	// Telemetry handles (nil until BindObs; all nil-safe no-ops then).
 	obsAdvertised *obs.Counter
@@ -105,11 +107,15 @@ func (r *Registry) BindObs(reg *obs.Registry) {
 // setBucket stores what remains of a bucket after a retraction: the
 // vacated tail of the old slice is zeroed, so the retracted ads'
 // predicate sets, stream slices and signature strings become collectable,
-// and a bucket left empty is dropped.
+// and a bucket left empty is dropped. Once more buckets have been dropped
+// than twice the number left, the map is rebuilt.
 func (r *Registry) setBucket(key string, old, kept []Ad) {
 	clear(old[len(kept):])
 	if len(kept) == 0 {
 		delete(r.buckets, key)
+		if r.dropped++; r.dropped > 2*len(r.buckets) { // a clone drops the room deleted keys kept
+			r.buckets, r.dropped = maps.Clone(r.buckets), 0
+		}
 	} else {
 		r.buckets[key] = kept
 	}

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hnp/internal/netgraph"
 	"hnp/internal/obs"
@@ -187,7 +189,7 @@ func TestPreparedPartsAreNeverWritten(t *testing.T) {
 		if live == nil || live == snapshot {
 			t.Fatalf("%s: no standing entry of its own", step)
 		}
-		if !reflect.DeepEqual(live.tmpl, snapshot.tmpl) || !reflect.DeepEqual(live.out, snapshot.out) || live.trace != snapshot.trace {
+		if !reflect.DeepEqual(live.tmpl, snapshot.tmpl) || !reflect.DeepEqual(live.out, snapshot.out) {
 			t.Fatalf("%s: the standing entry changed:\n%+v\nwant\n%+v", step, live, snapshot)
 		}
 	}
@@ -225,9 +227,9 @@ func TestPreparedPartsAreNeverWritten(t *testing.T) {
 	}
 }
 
-// The audit is rendered into the entry only when the flight recorder is
-// armed at that moment; an entry built before still traces in full, and
-// every instance of an entry built after carries the one shared string.
+// An entry built before the recorder was armed traces in full like one
+// built after, and every rewrite_applied event of a text carries its
+// entry's one audit string, not a copy.
 func TestPreparedTraceAcrossArming(t *testing.T) {
 	sys, sink := newPreparedSystem(t)
 	if _, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown); err != nil {
@@ -252,15 +254,17 @@ func TestPreparedTraceAcrossArming(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || want[0] == "" || want[1] == "" {
 		t.Fatalf("rewrite events carry %q, want %q", got, want)
 	}
-	if sys.prepared[preparedStmt].trace != "" || sys.prepared[other].trace != want[1] {
-		t.Errorf("entries hold traces %q and %q", sys.prepared[preparedStmt].trace, sys.prepared[other].trace)
+	for i, stmt := range []string{preparedStmt, other, other} {
+		if audit := sys.prepared[stmt].out.TraceString(); unsafe.StringData(audit) != unsafe.StringData(got[i]) {
+			t.Errorf("event %d carries a copy of its entry's audit %q", i, audit)
+		}
 	}
 }
 
-// The audit is rendered into an entry only when planCQL will emit it: an
-// armed recorder and at least one rule applied. A statement no rule
-// changes holds no trace and emits nothing; one that rules change emits
-// the audit byte for byte as before the guard.
+// planCQL emits the audit only when a rule applied. A statement no rule
+// changes emits nothing, and its entry holds the audit every such
+// statement shares, not a copy of its own; one that rules change emits
+// the audit byte for byte as before.
 func TestPreparedTraceOnlyWhenEmitted(t *testing.T) {
 	sys, sink := newPreparedSystem(t)
 	sys.Obs.Tracer().Enable()
@@ -270,8 +274,16 @@ func TestPreparedTraceOnlyWhenEmitted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e := sys.prepared[identity]; e.out.RulesApplied != 0 || e.trace != "" {
-		t.Errorf("entry of a statement no rule changed: %d rules, trace %q", e.out.RulesApplied, e.trace)
+	twin, _, err := sys.prepare("SELECT * FROM S2, S3") // a miss: built afresh
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unchanged = "fold-constants: no always-true or contradictory predicates\n" +
+		"push-predicates: no predicates to push\n" +
+		"prune-columns: SELECT * ships full tuples; nothing to prune"
+	if e := sys.prepared[identity]; e.out.RulesApplied != 0 || e.out.TraceString() != unchanged ||
+		unsafe.StringData(e.out.TraceString()) != unsafe.StringData(twin.out.TraceString()) {
+		t.Errorf("entry of a statement no rule changed: %d rules, a private audit %q", e.out.RulesApplied, e.out.TraceString())
 	}
 	const want = "fold-constants: no always-true or contradictory predicates\n" +
 		"push-predicates: selections evaluated at source operators: stream 0: rate 20→8 (sel 0.4)\n" +
@@ -282,7 +294,43 @@ func TestPreparedTraceOnlyWhenEmitted(t *testing.T) {
 			got = append(got, e.Detail)
 		}
 	}
-	if len(got) != 1 || got[0] != want || sys.prepared[preparedStmt].trace != want {
-		t.Errorf("rewrite events carry %q, entry %q; want one event and the entry carrying %q", got, sys.prepared[preparedStmt].trace, want)
+	if audit := sys.prepared[preparedStmt].out.TraceString(); len(got) != 1 || got[0] != want || audit != want {
+		t.Errorf("rewrite events carry %q, entry %q; want one event and the entry carrying %q", got, audit, want)
+	}
+}
+
+// TestChurnedPreparedTableMatchesFresh: 10,000 deploy/undeploy pairs of
+// texts that stand for one pair each rebuild the table's map along the
+// way and leave a table that holds exactly what a fresh system's does
+// after the same standing deployments, and still hits on them.
+func TestChurnedPreparedTableMatchesFresh(t *testing.T) {
+	churned, sink := newPreparedSystem(t)
+	fresh, _ := newPreparedSystem(t)
+	standing := []string{preparedStmt, "SELECT * FROM S1, S3", "SELECT S1.A FROM S1, S3 WHERE S1.B > 0.5"}
+	for _, sys := range []*System{churned, fresh} {
+		for _, stmt := range standing {
+			if _, err := sys.DeployCQL(stmt, sink, AlgoTopDown); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first := reflect.ValueOf(churned.prepared).UnsafePointer()
+	for i := 0; i < 10_000; i++ {
+		d, err := churned.DeployCQL(fmt.Sprintf("SELECT * FROM S0, S2 WHERE S0.B < 0.%04d", i+1), sink, AlgoTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		churned.Undeploy(d)
+	}
+	if reflect.ValueOf(churned.prepared).UnsafePointer() == first {
+		t.Fatal("vacuous: the table's map was never rebuilt")
+	}
+	if !reflect.DeepEqual(churned.prepared, fresh.prepared) {
+		t.Fatalf("churned table holds %d entries, fresh %d, or they differ", churned.tableLen(), fresh.tableLen())
+	}
+	for _, stmt := range standing {
+		if p, _, err := churned.prepare(stmt); err != nil || p != churned.prepared[stmt] {
+			t.Fatalf("standing text %q missed the churned table (%v)", stmt, err)
+		}
 	}
 }

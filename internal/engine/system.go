@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 
@@ -112,28 +113,26 @@ type System struct {
 	pmu                  sync.Mutex
 	prepared             map[string]*prepared
 	preparedAt           uint64
+	unpinned             int // entries dropped since prepared was last rebuilt
 	prepHits, prepMisses *obs.Counter
 	prepEntries          *obs.Gauge
 }
 
-// prepared is the part of planning a statement that depends on nothing
-// but its text and the catalog: the parsed, rewritten query (ID and Sink
-// unset), the pipeline's audit, and that audit as the flight trace prints
-// it (rendered if the recorder was armed when the entry was built and a
-// rule applied — an audit of no rules is never emitted). The
-// table holds one per text, under three rules. An entry is pinned by its
-// standing deployments: DeployCQL enters and refs it, Undeploy unrefs and
-// drops it at zero, a what-if PlanCQL may hit but never enters one. The
-// whole table is dropped at the first lookup after Catalog.Version moves.
-// What an entry holds — Sources, Preds, Proj, SrcWidths, Agg, the Outcome
-// behind Deployment.Rewrite — is shared by every query copied from it and
-// is never written.
+// prepared is the part of planning a statement that depends on nothing but
+// its text and the catalog: the parsed, rewritten query (ID and Sink
+// unset) and the pipeline's outcome, whose audit every rewrite_applied
+// event of the text carries. The table holds one per text, under three
+// rules. An entry is pinned by its standing deployments: DeployCQL enters
+// and refs it, Undeploy unrefs and drops it at zero, a what-if PlanCQL may
+// hit but never enters one. The whole table is dropped at the first lookup
+// after Catalog.Version moves. What an entry holds — Sources, Preds, Proj,
+// SrcWidths, Agg, the Outcome behind Deployment.Rewrite — is shared by
+// every query copied from it and is never written.
 type prepared struct {
-	text  string
-	tmpl  query.Query
-	out   rewrite.Outcome
-	trace string
-	refs  int
+	text string
+	tmpl query.Query
+	out  rewrite.Outcome
+	refs int
 }
 
 // prepare returns stmt's standing entry, or parses and rewrites it into a
@@ -164,11 +163,7 @@ func (s *System) prepare(stmt string) (*prepared, *query.Query, error) {
 	// A provably-empty WHERE reaches the pipeline through st.Pushdown and
 	// folds to the no-op deployment there.
 	out := rewrite.Apply(s.Catalog, q, st.Pushdown())
-	p = &prepared{text: stmt, tmpl: *q, out: out}
-	if s.Obs.Tracer().On() && out.RulesApplied > 0 { // planCQL emits nothing otherwise
-		p.trace = out.TraceString()
-	}
-	return p, q, nil
+	return &prepared{text: stmt, tmpl: *q, out: out}, q, nil
 }
 
 // pin counts one more standing deployment of p's text and returns the
@@ -192,6 +187,9 @@ func (s *System) unpin(p *prepared) {
 	defer s.pmu.Unlock()
 	if p.refs--; p.refs == 0 && s.prepared[p.text] == p {
 		delete(s.prepared, p.text)
+		if s.unpinned++; s.unpinned > 2*len(s.prepared) { // as ads.Registry's buckets
+			s.prepared, s.unpinned = maps.Clone(s.prepared), 0
+		}
 	}
 	s.prepEntries.Set(float64(len(s.prepared)))
 }
@@ -396,15 +394,11 @@ func (s *System) planCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Dep
 		s.Obs.Gauge("rewrite.bytes_saved").Add(p.out.BytesSaved())
 	}
 	if tr := s.Obs.Tracer(); tr.On() && p.out.RulesApplied > 0 {
-		detail := p.trace
-		if detail == "" { // prepared while the recorder was disarmed
-			detail = p.out.TraceString()
-		}
 		tr.Emit(obs.Event{
 			Kind: obs.KindRewriteApplied, Trace: obs.QueryTrace(q.ID),
 			Query: q.ID, Node: obs.NoID,
 			Value: p.out.BytesSaved(), Aux: float64(p.out.RulesApplied),
-			Detail: detail,
+			Detail: p.out.TraceString(),
 		})
 	}
 	d := Deployment{Query: q, Rewrite: &p.out}

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +115,55 @@ func TestFig7Ordering(t *testing.T) {
 	// Top-Down ranks at or below Bottom-Up.
 	if tdR > buR*1.15 {
 		t.Errorf("Top-Down (%g) much worse than Bottom-Up (%g)", tdR, buR)
+	}
+}
+
+// TestFig7Distribution pins Fig 7's five headline numbers, computed as
+// `smq -fig 7` computes them at its default scale, over seeds 42 and 1–9:
+// the median of the unrounded values (mean of the middle two) and the
+// range, each to the printed 0.1 %. At every seed reuse must save cost
+// for both algorithms and Top-Down with reuse must beat Bottom-Up with
+// reuse.
+func TestFig7Distribution(t *testing.T) {
+	seeds := []int64{42, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	headlines := []struct {
+		name string
+		want string // median [min–max], in percent
+		of   func(tdR, tdN, buR, buN, opt float64) float64
+	}{
+		{"reuse saves Top-Down", "34.5 [30.3–39.5]", func(tdR, tdN, _, _, _ float64) float64 { return 1 - tdR/tdN }},
+		{"reuse saves Bottom-Up", "38.5 [35.7–43.1]", func(_, _, buR, buN, _ float64) float64 { return 1 - buR/buN }},
+		{"Top-Down over optimal", "7.0 [1.6–10.0]", func(tdR, _, _, _, opt float64) float64 { return tdR/opt - 1 }},
+		{"Bottom-Up over optimal", "27.7 [19.2–35.5]", func(_, _, buR, _, opt float64) float64 { return buR/opt - 1 }},
+		{"Top-Down beats Bottom-Up by", "15.8 [9.0–19.8]", func(tdR, _, buR, _, _ float64) float64 { return 1 - tdR/buR }},
+	}
+	values := make([][]float64, len(headlines))
+	for _, seed := range seeds {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		f, err := Fig7(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := f.Final("Optimal")
+		tdR, tdN := f.Final("Top-Down with reuse"), f.Final("Top-Down without reuse")
+		buR, buN := f.Final("Bottom-Up with reuse"), f.Final("Bottom-Up without reuse")
+		if tdR >= tdN || buR >= buN || tdR >= buR {
+			t.Errorf("seed %d: TD %g/%g, BU %g/%g with/without reuse: reuse must save and TD must beat BU",
+				seed, tdR, tdN, buR, buN)
+		}
+		for i, h := range headlines {
+			values[i] = append(values[i], 100*h.of(tdR, tdN, buR, buN, opt))
+		}
+	}
+	for i, h := range headlines {
+		v := values[i]
+		slices.Sort(v)
+		mid := len(v) / 2
+		got := fmt.Sprintf("%.1f [%.1f–%.1f]", (v[mid-1]+v[mid])/2, v[0], v[len(v)-1])
+		if got != h.want {
+			t.Errorf("%s: %s %%, want %s %%", h.name, got, h.want)
+		}
 	}
 }
 

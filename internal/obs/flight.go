@@ -17,7 +17,7 @@ import (
 // DefaultFlightSize is the event capacity of a Tracer built with no size
 // of its own: enough to hold several full chaos runs or minutes of
 // production decisions, small enough to leave armed permanently: at the
-// ~30 B a serving-path event retains, a full recorder holds ~120 KB.
+// ~18 B a serving-path event retains, a full recorder holds ~72 KB.
 const DefaultFlightSize = 4096
 
 // segmentEvents is how many records one segment holds (fewer when the
@@ -177,14 +177,14 @@ func (t *Tracer) Snapshot() []Event {
 //
 //	kind byte, flags byte,
 //	varint ID−Parent (absent for a root), varint Trace−QueryTrace(Query),
-//	varint Wall − previous record's Wall (0 for the first),
-//	varint Query, varint Node,
-//	VTime, Value, Aux: 8 little-endian bytes each, present when non-zero,
+//	varint Wall and varint Query, each less the previous record's (or 0),
+//	varint Node, then VTime, Value, Aux: 8 little-endian bytes each when
+//	not +0, but an Aux that is a whole number in (0, 2^53) as a uvarint,
 //	Gate, Detail: uvarint index into strs, present when non-empty,
 //
 // where a varint is zigzag-encoded (encoding/binary) and the differences
 // wrap, so every field value survives. The flags say which optional
-// fields are present. A float counts as zero only when it is +0, so −0
+// fields are present and how Aux is stored. Since only +0 is left out, −0
 // and NaN are stored bit for bit. strs is deduplicated against its last
 // dedupeWindow entries, which stores a prepared statement's shared
 // rewrite audit or a planner's name once per segment rather than once
@@ -192,7 +192,8 @@ func (t *Tracer) Snapshot() []Event {
 type segment struct {
 	first uint64
 	n     int
-	wall  int64 // Wall of the newest record, the next one's delta base
+	wall  int64 // Wall and Query of the newest record: the next one's
+	query int   // delta bases, 0 for the first
 	buf   []byte
 	strs  []string
 }
@@ -207,6 +208,7 @@ const (
 	flagAux
 	flagGate
 	flagDetail
+	flagAuxInt // Aux present as a uvarint rather than 8 bytes
 )
 
 // last is the ID of the segment's newest record.
@@ -215,23 +217,24 @@ func (s *segment) last() uint64 { return s.first + uint64(s.n) - 1 }
 // reset empties s to take records from ID first on, keeping its buffers.
 func (s *segment) reset(first uint64) {
 	clear(s.strs)
-	s.first, s.n, s.wall = first, 0, 0
+	s.first, s.n, s.wall, s.query = first, 0, 0, 0
 	s.buf, s.strs = s.buf[:0], s.strs[:0]
 }
 
 // append encodes e, whose ID is the segment's next one.
 func (s *segment) append(e *Event) {
+	auxInt := e.Aux > 0 && e.Aux < 1<<53 && e.Aux == math.Trunc(e.Aux) // not >= 0: −0 would come back +0
 	flags := flagIf(e.Pass, flagPass) | flagIf(e.Parent != 0, flagParent) |
 		flagIf(present(e.VTime), flagVTime) | flagIf(present(e.Value), flagValue) |
-		flagIf(present(e.Aux), flagAux) | flagIf(e.Gate != "", flagGate) |
-		flagIf(e.Detail != "", flagDetail)
+		flagIf(present(e.Aux) && !auxInt, flagAux) | flagIf(auxInt, flagAuxInt) |
+		flagIf(e.Gate != "", flagGate) | flagIf(e.Detail != "", flagDetail)
 	b := append(s.buf, byte(e.Kind), flags)
 	if flags&flagParent != 0 {
 		b = binary.AppendVarint(b, int64(e.ID-e.Parent))
 	}
 	b = binary.AppendVarint(b, int64(e.Trace-QueryTrace(e.Query)))
 	b = binary.AppendVarint(b, e.Wall-s.wall)
-	b = binary.AppendVarint(b, int64(e.Query))
+	b = binary.AppendVarint(b, int64(e.Query-s.query))
 	b = binary.AppendVarint(b, int64(e.Node))
 	if flags&flagVTime != 0 {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.VTime))
@@ -241,6 +244,8 @@ func (s *segment) append(e *Event) {
 	}
 	if flags&flagAux != 0 {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Aux))
+	} else if auxInt {
+		b = binary.AppendUvarint(b, uint64(e.Aux))
 	}
 	if flags&flagGate != 0 {
 		b = binary.AppendUvarint(b, s.intern(e.Gate))
@@ -248,7 +253,7 @@ func (s *segment) append(e *Event) {
 	if flags&flagDetail != 0 {
 		b = binary.AppendUvarint(b, s.intern(e.Detail))
 	}
-	s.buf, s.wall = b, e.Wall
+	s.buf, s.wall, s.query = b, e.Wall, e.Query
 	s.n++
 }
 
@@ -266,7 +271,7 @@ func (s *segment) intern(v string) uint64 {
 
 // decode appends the segment's events with IDs above gone to out.
 func (s *segment) decode(out []Event, gone uint64) []Event {
-	r, wall := recordReader{b: s.buf}, int64(0)
+	r, wall, query := recordReader{b: s.buf}, int64(0), 0
 	for id := s.first; id <= s.last(); id++ {
 		kind, flags := Kind(r.b[r.p]), r.b[r.p+1]
 		r.p += 2
@@ -277,7 +282,8 @@ func (s *segment) decode(out []Event, gone uint64) []Event {
 		trace := uint64(r.varint())
 		wall += r.varint()
 		e.Wall = wall
-		e.Query = int(r.varint())
+		query += int(r.varint())
+		e.Query = query
 		e.Node = int(r.varint())
 		e.Trace = trace + QueryTrace(e.Query)
 		if flags&flagVTime != 0 {
@@ -288,6 +294,8 @@ func (s *segment) decode(out []Event, gone uint64) []Event {
 		}
 		if flags&flagAux != 0 {
 			e.Aux = r.float()
+		} else if flags&flagAuxInt != 0 {
+			e.Aux = float64(r.uvarint())
 		}
 		if flags&flagGate != 0 {
 			e.Gate = s.strs[r.uvarint()]

@@ -249,10 +249,10 @@ func TestFlightArmedEmitSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFlightBytesPerEvent pins the record's size: a default-size recorder
-// filled three times over with the serving mix retains at most 40 B per
+// filled three times over with the serving mix retains at most 20 B per
 // held event, counting every segment's buffer and string table at
 // capacity, the segment headers and the segment list. (A ring of whole
-// Events held 120.)
+// Events held 120; records with Query and Aux at full width, 29.)
 func TestFlightBytesPerEvent(t *testing.T) {
 	tr := NewTracer(0)
 	tr.Enable()
@@ -265,8 +265,8 @@ func TestFlightBytesPerEvent(t *testing.T) {
 	}
 	per := float64(retained) / float64(tr.Len())
 	t.Logf("%d segments retain %d B for %d events: %.1f B per event", len(tr.segs), retained, tr.Len(), per)
-	if per > 40 {
-		t.Fatalf("%.1f B retained per held event, want <= 40", per)
+	if per > 20 {
+		t.Fatalf("%.1f B retained per held event, want <= 20", per)
 	}
 }
 

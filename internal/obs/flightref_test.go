@@ -125,11 +125,12 @@ var refSizes = [...]int{1, 7, 255, 256, 257, 258, 0}
 
 // edgeFloats are the values VTime, Value and Aux draw from: both zeros,
 // NaNs with and without payload and sign, both infinities, the smallest
-// denormals and a few plain values. Index len-1 reads raw bits instead.
+// denormals, a few plain values, and the whole numbers either side of
+// 2^53, where a compact Aux stops. Index len-1 reads raw bits instead.
 var edgeFloats = [...]float64{
 	0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff0000000000001),
 	math.Inf(1), math.Inf(-1), 5e-324, -5e-324,
-	1, -1, 0.5, 1e300, 12.5, 0, 0, 0,
+	1, -1, 0.5, 1e300, 12.5, 1<<53 - 1, 1 << 53, 0,
 }
 
 // edgeInts are the values Query and Node draw from. Index len-1 reads a
@@ -351,10 +352,26 @@ func TestFlightLogMatchesRingReference(t *testing.T) {
 	}
 }
 
+// compactSeed is n events whose Aux walks every non-raw edgeFloat —
+// whole, fractional, −0, NaN, ±Inf, 2^53 and beyond, negative — while
+// Query falls 4095 → 7 → 1 → 0, jumps to NoID, then to both extremes.
+// At size 7 or 257 the walk straddles segment boundaries, where the
+// Query and Wall delta bases restart.
+func compactSeed(n int) []byte {
+	queries := [...]byte{4, 3, 2, 1, 0, 6, 5, 2}
+	data := make([]byte, 0, 5*n)
+	for i := range n {
+		data = append(data, byte(KindPlanChosen), 0, queries[i%len(queries)], byte(i%15), byte(i%15))
+	}
+	return data
+}
+
 // FuzzFlightRecorder holds the segment log to the ring reference on
 // fuzzed event streams of up to 800 events (past the third wrap of 257):
 // sizeSel picks one of refSizes, data is decoded by appendEvents.
 func FuzzFlightRecorder(f *testing.F) {
+	f.Add(uint8(1), false, compactSeed(45))
+	f.Add(uint8(4), false, compactSeed(520))
 	f.Add(uint8(0), false, []byte("\x00\x00\x00\x00\x00"))
 	f.Add(uint8(1), false, bytes.Repeat([]byte{0x35, 0x6d, 0xb6, 0x21, 0xf7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, 40))
 	f.Add(uint8(2), true, bytes.Repeat([]byte{0xf1, 0x41, 0x30, 0x76, 0x4f}, 600))

@@ -18,11 +18,13 @@ type TextSink struct {
 func (s TextSink) Emit(snap Snapshot) error {
 	for _, name := range snap.Names() {
 		var err error
+		c, counter := snap.Counters[name]
+		g, gauge := snap.Gauges[name]
 		switch {
-		case hasKey(snap.Counters, name):
-			_, err = fmt.Fprintf(s.W, "%-44s %d\n", name, snap.Counters[name])
-		case hasKeyF(snap.Gauges, name):
-			_, err = fmt.Fprintf(s.W, "%-44s %g\n", name, snap.Gauges[name])
+		case counter:
+			_, err = fmt.Fprintf(s.W, "%-44s %d\n", name, c)
+		case gauge:
+			_, err = fmt.Fprintf(s.W, "%-44s %g\n", name, g)
 		default:
 			h := snap.Histograms[name]
 			_, err = fmt.Fprintf(s.W, "%-44s count=%d mean=%.3g sum=%.3g p50=%.3g p95=%.3g p99=%.3g\n",
@@ -34,9 +36,6 @@ func (s TextSink) Emit(snap Snapshot) error {
 	}
 	return nil
 }
-
-func hasKey(m map[string]int64, k string) bool    { _, ok := m[k]; return ok }
-func hasKeyF(m map[string]float64, k string) bool { _, ok := m[k]; return ok }
 
 // expvarOnce guards expvar.Publish, which panics on duplicate names: the
 // same registry name may be published once per process.

@@ -1,7 +1,7 @@
 // Package rewrite is the logical optimizer pipeline that runs over a
 // query before placement: an ordered list of rule passes — constant
-// folding, predicate pushdown, column pruning — each emitting an
-// auditable trace entry. The pipeline rewrites the query's logical
+// folding, predicate pushdown, column pruning — each leaving one line
+// of an audit. The pipeline rewrites the query's logical
 // parameters (normalized predicates, per-source shipped widths, the
 // projection spec that participates in operator signatures) so the
 // hierarchical planners downstream price every edge at the reduced
@@ -42,15 +42,6 @@ type Projection struct {
 	Contradiction bool
 }
 
-// TraceEntry is one rule's audit record.
-type TraceEntry struct {
-	// Rule names the pass ("fold-constants", "push-predicates",
-	// "prune-columns").
-	Rule string
-	// Detail describes what the rule did, human-readable.
-	Detail string
-}
-
 // Outcome reports what the pipeline did to one query.
 type Outcome struct {
 	// NoOp means the query is provably empty (contradictory predicates):
@@ -58,8 +49,9 @@ type Outcome struct {
 	NoOp bool
 	// RulesApplied counts rules that changed the query.
 	RulesApplied int
-	// Trace is the ordered per-rule audit.
-	Trace []TraceEntry
+	// audit is one "rule: detail" line per pass that ran, in order. The
+	// audits of statements no rule changes are constants, shared by all.
+	audit string
 	// BytesBefore/BytesAfter are the planned source byte rates (Σ over
 	// sources of rate×width) before any pushdown — full rates, full
 	// widths — and after: predicate-filtered rates × pruned widths.
@@ -71,14 +63,19 @@ type Outcome struct {
 // BytesSaved returns the planned source byte-rate reduction.
 func (o Outcome) BytesSaved() float64 { return o.BytesBefore - o.BytesAfter }
 
-// TraceString renders the audit one rule per line.
-func (o Outcome) TraceString() string {
-	lines := make([]string, len(o.Trace))
-	for i, e := range o.Trace {
-		lines[i] = e.Rule + ": " + e.Detail
-	}
-	return strings.Join(lines, "\n")
-}
+// TraceString returns the audit, one rule per line.
+func (o Outcome) TraceString() string { return o.audit }
+
+// The audit lines of passes that leave a statement as it is, and the two
+// audits of a statement no pass changes.
+const (
+	foldNone      = "fold-constants: no always-true or contradictory predicates"
+	pushNone      = "push-predicates: no predicates to push"
+	pruneStar     = "prune-columns: SELECT * ships full tuples; nothing to prune"
+	pruneAll      = "prune-columns: every schema column is referenced; nothing to prune"
+	unchangedStar = foldNone + "\n" + pushNone + "\n" + pruneStar
+	unchangedAll  = foldNone + "\n" + pushNone + "\n" + pruneAll
+)
 
 // Apply runs the pipeline over q in place: predicates are normalized,
 // per-source shipped widths (q.SrcWidths) and the projection spec
@@ -87,11 +84,18 @@ func (o Outcome) TraceString() string {
 func Apply(cat *query.Catalog, q *query.Query, proj Projection) Outcome {
 	var out Outcome
 	out.BytesBefore = sourceBytes(cat, q, false, nil)
-	foldConstants(q, proj, &out)
-	if !out.NoOp {
-		pushPredicates(cat, q, &out)
-		pruneColumns(cat, q, proj, &out)
-		out.BytesAfter = sourceBytes(cat, q, true, q.SrcWidths)
+	if out.audit = foldConstants(q, proj, &out); out.NoOp {
+		return out
+	}
+	push, prune := pushPredicates(cat, q, &out), pruneColumns(cat, q, proj, &out)
+	out.BytesAfter = sourceBytes(cat, q, true, q.SrcWidths)
+	switch {
+	case out.RulesApplied > 0:
+		out.audit += "\n" + push + "\n" + prune
+	case prune == pruneStar:
+		out.audit = unchangedStar
+	default:
+		out.audit = unchangedAll
 	}
 	return out
 }
@@ -120,15 +124,13 @@ func sourceBytes(cat *query.Catalog, q *query.Query, filtered bool, widths []flo
 }
 
 // foldConstants drops predicates that cover the whole [0,1) domain
-// (always-true) and folds contradictory statements to a no-op plan.
-func foldConstants(q *query.Query, proj Projection, out *Outcome) {
-	const rule = "fold-constants"
+// (always-true) and folds contradictory statements to a no-op plan. It
+// returns its audit line, as do the other passes.
+func foldConstants(q *query.Query, proj Projection, out *Outcome) string {
 	if proj.Contradiction {
 		out.NoOp = true
 		out.RulesApplied++
-		out.Trace = append(out.Trace, TraceEntry{rule,
-			"WHERE is provably empty (disjoint ranges on one attribute): query plans to a no-op"})
-		return
+		return "fold-constants: WHERE is provably empty (disjoint ranges on one attribute): query plans to a no-op"
 	}
 	var keep, dropped []query.Pred
 	for _, p := range q.Preds.Preds() {
@@ -139,8 +141,7 @@ func foldConstants(q *query.Query, proj Projection, out *Outcome) {
 		keep = append(keep, p)
 	}
 	if len(dropped) == 0 {
-		out.Trace = append(out.Trace, TraceEntry{rule, "no always-true or contradictory predicates"})
-		return
+		return foldNone
 	}
 	ps, err := query.NewPredSet(keep...)
 	if err != nil {
@@ -154,19 +155,16 @@ func foldConstants(q *query.Query, proj Projection, out *Outcome) {
 	for i, p := range dropped {
 		names[i] = fmt.Sprintf("%d.%s", p.Stream, p.Attr)
 	}
-	out.Trace = append(out.Trace, TraceEntry{rule,
-		fmt.Sprintf("dropped %d always-true predicate(s): %s (signatures normalize, reuse improves)",
-			len(dropped), strings.Join(names, ", "))})
+	return fmt.Sprintf("fold-constants: dropped %d always-true predicate(s): %s (signatures normalize, reuse improves)",
+		len(dropped), strings.Join(names, ", "))
 }
 
 // pushPredicates classifies every surviving predicate to its source
 // stream and records the rate reduction the planner's leaves will see —
 // selections run at the sources, before any tuple crosses the network.
-func pushPredicates(cat *query.Catalog, q *query.Query, out *Outcome) {
-	const rule = "push-predicates"
+func pushPredicates(cat *query.Catalog, q *query.Query, out *Outcome) string {
 	if q.Preds.Empty() {
-		out.Trace = append(out.Trace, TraceEntry{rule, "no predicates to push"})
-		return
+		return pushNone
 	}
 	var parts []string
 	for _, sid := range q.Sources {
@@ -179,22 +177,18 @@ func pushPredicates(cat *query.Catalog, q *query.Query, out *Outcome) {
 			sid, rate, rate*sel, sel))
 	}
 	if len(parts) == 0 {
-		out.Trace = append(out.Trace, TraceEntry{rule, "no predicates to push"})
-		return
+		return pushNone
 	}
 	out.RulesApplied++
-	out.Trace = append(out.Trace, TraceEntry{rule,
-		"selections evaluated at source operators: " + strings.Join(parts, "; ")})
+	return "push-predicates: selections evaluated at source operators: " + strings.Join(parts, "; ")
 }
 
 // pruneColumns drops columns no projection, predicate or join key
 // references, shrinking each source's shipped width. Requires schemas;
 // SELECT * keeps full tuples.
-func pruneColumns(cat *query.Catalog, q *query.Query, proj Projection, out *Outcome) {
-	const rule = "prune-columns"
+func pruneColumns(cat *query.Catalog, q *query.Query, proj Projection, out *Outcome) string {
 	if proj.Star || proj.Cols == nil {
-		out.Trace = append(out.Trace, TraceEntry{rule, "SELECT * ships full tuples; nothing to prune"})
-		return
+		return pruneStar
 	}
 	var parts []string
 	spec := query.NewProjSpec()
@@ -236,11 +230,10 @@ func pruneColumns(cat *query.Catalog, q *query.Query, proj Projection, out *Outc
 			sid, len(keep), len(schema), schema.Width(), width))
 	}
 	if !pruned {
-		out.Trace = append(out.Trace, TraceEntry{rule, "every schema column is referenced; nothing to prune"})
-		return
+		return pruneAll
 	}
 	q.SrcWidths = widths
 	q.Proj = spec
 	out.RulesApplied++
-	out.Trace = append(out.Trace, TraceEntry{rule, strings.Join(parts, "; ")})
+	return "prune-columns: " + strings.Join(parts, "; ")
 }

@@ -26,9 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,6 +114,15 @@ type DeployResponse struct {
 	PlansConsidered float64 `json:"plans_considered"`
 }
 
+// UndeployResponse is the wire form of a successful undeploy: the
+// advertisements it retracted, the retired handle and the shard that held
+// it, in name order, as a map of them would encode.
+type UndeployResponse struct {
+	AdsRetracted int   `json:"ads_retracted"`
+	ID           int64 `json:"id"`
+	Shard        int   `json:"shard"`
+}
+
 // ErrorResponse is the wire form of every non-2xx response.
 type ErrorResponse struct {
 	Error string `json:"error"`
@@ -141,7 +153,6 @@ type record struct {
 type Server struct {
 	cfg    Config
 	shards []*shard
-	names  []string // catalog stream names, in StreamID order
 
 	// Obs is the server's own registry: the serving.* metric family
 	// (deploys, rejections, plan-latency histogram). Per-shard planner
@@ -152,6 +163,7 @@ type Server struct {
 	nextID atomic.Int64
 	mu     sync.RWMutex
 	deps   map[int64]*record
+	undone int // deps deleted since deps was last rebuilt
 
 	// planHook, when set (tests only), runs while the admission slot is
 	// held, before planning: it lets tests saturate a shard
@@ -194,7 +206,6 @@ func NewServer(cfg Config) (*Server, error) {
 	ids := make([]hnp.StreamID, len(specs))
 	for j, sp := range specs {
 		ids[j] = first.AddStream(sp.Name, sp.Rate, sp.Source)
-		s.names = append(s.names, sp.Name)
 	}
 	for _, sel := range sels {
 		first.SetSelectivity(ids[sel.I], ids[sel.J], sel.Sel)
@@ -237,13 +248,6 @@ func NewServer(cfg Config) (*Server, error) {
 
 // ServeHTTP dispatches to the server's endpoints.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// StreamNames returns the catalog's stream names in StreamID order —
-// what synthesized traces reference.
-func (s *Server) StreamNames() []string { return append([]string(nil), s.names...) }
-
-// NumShards returns the shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
 
 // Shard exposes one shard's System (debug surfaces, tests).
 func (s *Server) Shard(i int) *hnp.System { return s.shards[i].sys }
@@ -402,7 +406,7 @@ func (s *Server) handleUndeploy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var id int64
-	if q := r.URL.Query().Get("id"); q != "" {
+	if q := queryParam(r.URL.RawQuery, "id"); q != "" {
 		n, err := strconv.ParseInt(q, 10, 64)
 		if err != nil {
 			s.cDecodeErr.Inc()
@@ -421,6 +425,9 @@ func (s *Server) handleUndeploy(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.deps[id]
 	if ok {
 		delete(s.deps, id)
+		if s.undone++; s.undone > 2*len(s.deps) { // as ads.Registry's buckets
+			s.deps, s.undone = maps.Clone(s.deps), 0
+		}
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -429,13 +436,29 @@ func (s *Server) handleUndeploy(w http.ResponseWriter, r *http.Request) {
 	}
 	retracted := s.shards[rec.shard].sys.Undeploy(rec.dep)
 	s.cUndeploys.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id": id, "shard": rec.shard, "ads_retracted": retracted,
-	})
+	writeJSON(w, http.StatusOK, UndeployResponse{AdsRetracted: retracted, ID: id, Shard: rec.shard})
+}
+
+// queryParam returns the first value of key in a raw query string, as
+// url.ParseQuery and Values.Get would, without building the Values map:
+// a pair whose key holds a ';' or whose key or value does not unescape
+// is skipped.
+func queryParam(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err == nil && k == key && !strings.Contains(pair, ";") {
+			if v, err := url.QueryUnescape(v); err == nil {
+				return v
+			}
+		}
+	}
+	return ""
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
+	id, err := strconv.ParseInt(queryParam(r.URL.RawQuery, "id"), 10, 64)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "explain needs ?id=N")
 		return
@@ -457,7 +480,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // shardParam resolves an optional ?shard=N parameter; ok=false means the
 // response was already written.
 func (s *Server) shardParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
-	q := r.URL.Query().Get("shard")
+	q := queryParam(r.URL.RawQuery, "shard")
 	if q == "" {
 		return def, true
 	}
@@ -470,11 +493,10 @@ func (s *Server) shardParam(w http.ResponseWriter, r *http.Request, def int) (in
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if q := r.URL.Query().Get("shard"); q != "" {
-		si, ok := s.shardParam(w, r, 0)
-		if !ok {
-			return
-		}
+	switch si, ok := s.shardParam(w, r, -1); {
+	case !ok:
+		return
+	case si >= 0:
 		writeJSON(w, http.StatusOK, s.shards[si].sys.Snapshot())
 		return
 	}

@@ -7,11 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"hnp"
+	"hnp/internal/query"
 	"hnp/internal/workload"
 )
 
@@ -316,7 +319,7 @@ func TestServeErrorPaths(t *testing.T) {
 // a synthesized trace's (tenants, WHERE, WINDOW … AGGREGATE).
 func TestServeRaceHammer(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
-	tr, err := workload.SynthesizeTrace(workload.DefaultTrace(7), s.StreamNames(), testConfig().Nodes)
+	tr, err := workload.SynthesizeTrace(workload.DefaultTrace(7), streamNames(s), testConfig().Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +393,7 @@ func TestServeShardRouting(t *testing.T) {
 		if a != s.ShardFor("t", stmt) {
 			t.Fatal("routing is not stable")
 		}
-		if a < 0 || a >= s.NumShards() {
+		if a < 0 || a >= len(s.shards) {
 			t.Fatalf("shard %d out of range", a)
 		}
 		seen[a] = true
@@ -398,4 +401,105 @@ func TestServeShardRouting(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("64 distinct statements all landed on one shard")
 	}
+}
+
+// TestQueryParamMatchesValues holds queryParam to url.ParseQuery followed
+// by Values.Get on every shape of raw query the parser treats specially.
+func TestQueryParamMatchesValues(t *testing.T) {
+	for _, raw := range []string{
+		"", "id=5", "id=", "id", "x=1&id=5", "id=5&id=6", "&&id=7&", "i%64=8", "id=%39",
+		"id=%zz&id=9", "i%zz=1&id=10", ";id=11", "id=12;x", "x=1;&id=13", "id=a+b%20c", "ID=14", "idx=15&id=16",
+	} {
+		values, _ := url.ParseQuery(raw)
+		if got, want := queryParam(raw, "id"), values.Get("id"); got != want {
+			t.Errorf("queryParam(%q) = %q, url.Values gives %q", raw, got, want)
+		}
+	}
+}
+
+// TestUndeployResponseBytes pins /undeploy's body to the bytes the map
+// it replaced encoded to.
+func TestUndeployResponseBytes(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	code, body := postJSON(t, ts.URL+"/deploy", DeployRequest{CQL: testStmt, Sink: 7})
+	var dr DeployResponse
+	if err := json.Unmarshal(body, &dr); code != http.StatusOK || err != nil {
+		t.Fatalf("deploy: %d %s", code, body)
+	}
+	code, body = postJSON(t, fmt.Sprintf("%s/undeploy?id=%d", ts.URL, dr.ID), nil)
+	retracted := s.Shard(dr.Shard).Obs.Counter("ads.pruned").Value()
+	var want bytes.Buffer
+	json.NewEncoder(&want).Encode(map[string]any{"id": dr.ID, "shard": dr.Shard, "ads_retracted": int(retracted)})
+	if lit := fmt.Sprintf(`{"ads_retracted":%d,"id":%d,"shard":%d}`+"\n", retracted, dr.ID, dr.Shard); code != http.StatusOK ||
+		string(body) != want.String() || string(body) != lit || retracted == 0 {
+		t.Fatalf("undeploy: %d %q, want %q (%d ads retracted)", code, body, want.String(), retracted)
+	}
+}
+
+// TestChurnedDepsMatchFresh: 10,000 deploy/undeploy round trips around
+// three standing deployments rebuild the handle map along the way and
+// leave a server whose handles and outstanding count are a fresh
+// server's after the same standing deployments, and whose retired
+// handles are gone.
+func TestChurnedDepsMatchFresh(t *testing.T) {
+	churned, _ := newTestServer(t, testConfig())
+	fresh, _ := newTestServer(t, testConfig())
+	call := func(s *Server, method, target string, body any) []byte {
+		t.Helper()
+		b, _ := json.Marshal(body)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(method, target, bytes.NewReader(b)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, target, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	standing := []DeployRequest{
+		{CQL: testStmt, Sink: 7, Tenant: "t0"},
+		{CQL: "SELECT * FROM stream-2, stream-5", Sink: 3, Tenant: "t1"},
+		{CQL: testStmt, Sink: 9, Tenant: "t2"},
+	}
+	for _, s := range []*Server{churned, fresh} {
+		for _, req := range standing {
+			call(s, http.MethodPost, "/deploy", req)
+		}
+	}
+	first := reflect.ValueOf(churned.deps).UnsafePointer()
+	for i := 0; i < 10_000; i++ {
+		var dr DeployResponse
+		req := DeployRequest{CQL: testStmt, Sink: i % 48, Tenant: fmt.Sprint("c", i%5)}
+		if err := json.Unmarshal(call(churned, http.MethodPost, "/deploy", req), &dr); err != nil {
+			t.Fatal(err)
+		}
+		call(churned, http.MethodPost, fmt.Sprintf("/undeploy?id=%d", dr.ID), nil)
+	}
+	if reflect.ValueOf(churned.deps).UnsafePointer() == first {
+		t.Fatal("vacuous: the handle map was never rebuilt")
+	}
+	if got, want := churned.Stats().Outstanding, fresh.Stats().Outstanding; got != want || len(churned.deps) != len(fresh.deps) {
+		t.Fatalf("churned server holds %d handles, fresh %d", got, want)
+	}
+	for id, want := range fresh.deps {
+		got := churned.deps[id]
+		if got == nil || got.shard != want.shard || got.tenant != want.tenant || got.cql != want.cql ||
+			got.dep.Query.ID != want.dep.Query.ID || got.dep.Plan.String() != want.dep.Plan.String() || got.dep.Cost != want.dep.Cost {
+			t.Fatalf("handle %d: churned %+v, fresh %+v", id, got, want)
+		}
+	}
+	w := httptest.NewRecorder()
+	churned.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/undeploy?id=4", nil))
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("a retired handle undeployed again: %d", w.Code)
+	}
+}
+
+// streamNames returns the server's stream names in StreamID order, the
+// names synthesized traces reference.
+func streamNames(s *Server) []string {
+	cat := s.Shard(0).Catalog
+	names := make([]string, cat.NumStreams())
+	for i := range names {
+		names[i] = cat.Stream(query.StreamID(i)).Name
+	}
+	return names
 }

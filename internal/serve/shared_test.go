@@ -43,7 +43,7 @@ func TestShardForMatchesFNV(t *testing.T) {
 		cases = append(cases, [2]string{fmt.Sprintf("tenant-%d", rng.Intn(9)), string(b)})
 	}
 	for _, c := range cases {
-		if got, want := s.ShardFor(c[0], c[1]), oldShardFor(s.NumShards(), c[0], c[1]); got != want {
+		if got, want := s.ShardFor(c[0], c[1]), oldShardFor(len(s.shards), c[0], c[1]); got != want {
 			t.Errorf("ShardFor(%.20q, %.40q) = %d, FNV-1a says %d", c[0], c[1], got, want)
 		}
 	}
@@ -57,7 +57,7 @@ func TestShardForMatchesFNV(t *testing.T) {
 func TestServeShardsShareOneNetwork(t *testing.T) {
 	s, _ := newTestServer(t, DefaultConfig())
 	first := s.Shard(0)
-	for i := 1; i < s.NumShards(); i++ {
+	for i := 1; i < len(s.shards); i++ {
 		sh := s.Shard(i)
 		if sh.Graph != first.Graph || sh.Hierarchy.Paths() != first.Hierarchy.Paths() || sh.Catalog != first.Catalog {
 			t.Errorf("shard %d has a network of its own: graph %p/%p paths %p/%p catalog %p/%p",
@@ -172,7 +172,7 @@ func TestServeMatchesPerShardSystems(t *testing.T) {
 			tc := workload.DefaultTrace(7)
 			tc.Templates, tc.MixSkew, tc.MinSources, tc.MaxSources = mix.templates, mix.skew, mix.minSrc, mix.maxSrc
 			tc.UndeployFrac, tc.Rate, tc.Duration = 0, 1000, float64(n)/1000*1.2+1
-			tr, err := workload.SynthesizeTrace(tc, s.StreamNames(), cfg.Nodes)
+			tr, err := workload.SynthesizeTrace(tc, streamNames(s), cfg.Nodes)
 			if err != nil || len(tr.Events) < n {
 				t.Fatalf("trace: %d events, %v", len(tr.Events), err)
 			}
@@ -222,9 +222,9 @@ func TestServeMatchesPerShardSystems(t *testing.T) {
 			for i, ev := range tr.Events[:n] {
 				switch i % 50 {
 				case 17:
-					ev.CQL = "SELECT * FROM " + s.StreamNames()[i%cfg.Streams] + ", no-such-stream"
+					ev.CQL = "SELECT * FROM " + streamNames(s)[i%cfg.Streams] + ", no-such-stream"
 				case 31:
-					name := s.StreamNames()[i%cfg.Streams]
+					name := streamNames(s)[i%cfg.Streams]
 					ev.CQL = fmt.Sprintf("SELECT * FROM %s WHERE %s.attr0 < 0.2 AND %s.attr0 > 0.7", name, name, name)
 				}
 				want, wantErr := old.deploy(ev.Tenant, ev.CQL, ev.Sink)
