@@ -2,6 +2,7 @@ package hnp
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -619,21 +620,15 @@ func solveProblem(b *testing.B, k, n int, seed int64) core.Problem {
 	}
 }
 
-// benchSolveK times Solve on the K-way problem over all 32 sites and
-// reports the rate of candidates the DP actually examines, not the
-// nominal exhaustive space it covers (cost.ClusterSpace) — dividing the
-// covered space by wall-clock yields absurd 10^14 "plans/s" figures that
-// measure what the DP avoids doing.
+// benchSolveK times Solve on the K-way problem over all 32 sites.
 func benchSolveK(b *testing.B, k int) {
 	prob := solveProblem(b, k, 32, 7)
-	work := core.SolveWork(k, len(prob.Sites))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.Solve(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(work*float64(b.N)/b.Elapsed().Seconds(), "plans/s")
 }
 
 // BenchmarkSolveK4 measures the pooled flat-buffer DP kernel on a 4-way
@@ -644,6 +639,27 @@ func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4) }
 // BenchmarkSolveK6 is the 6-way variant: 2^6 submask rows stress the DP
 // slabs and the submask enumeration far harder than K=4.
 func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6) }
+
+// BenchmarkSolveView times Solve on the shape Top-Down hands it inside a
+// level-1 cluster: all 32 sites, and three composite inputs — sub-view
+// outputs, each located at one of its sources — over K = 6 interleaved
+// positions, so only 7 of the goal's 63 sub-masks can be built.
+func BenchmarkSolveView(b *testing.B) {
+	prob := solveProblem(b, 6, 32, 7)
+	base := prob.Inputs
+	prob.Inputs = nil
+	for _, m := range []query.Mask{0b000101, 0b001010, 0b110000} {
+		prob.Inputs = append(prob.Inputs, query.Input{
+			Mask: m, Rate: prob.Rates.Rate(m), Loc: base[bits.TrailingZeros32(uint32(m))].Loc,
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.Solve(prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSolveDP measures the in-cluster joint DP itself across input
 // counts — the inner loop of everything.

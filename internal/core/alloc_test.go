@@ -4,40 +4,62 @@ import (
 	"testing"
 
 	"hnp/internal/netgraph"
+	"hnp/internal/query"
 )
 
 // TestSolveSteadyStateAllocsOnlyPlan pins the pooled DP kernel: once the
 // solve scratch is warm, Solve allocates the plan it returns and nothing
-// else. The fixture's plan is a join over two leaves — three nodes and
-// the two leaf inputs, five objects — so any map, closure escape or
-// per-submask slice that sneaks back into the DP shows up here as a
-// count above five.
+// else — one object per join, two per leaf (the node and its input copy).
+// The base fixture's plan is a join over two leaves, five objects; the
+// composite fixture is a Top-Down view whose three inputs are interleaved
+// multi-stream masks, so the realizable-row pass and the on-demand site
+// rows run too. Any map, closure escape or per-submask slice that sneaks
+// back into the DP shows up as a count above the plan's.
 func TestSolveSteadyStateAllocsOnlyPlan(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin is only meaningful without it")
 	}
-	p, _, _ := problemFixture(1, true)
-	var err error
-	if p.Sites, err = dedupeSites(p.Sites); err != nil { // unique sites: the no-copy fast path
-		t.Fatal(err)
+	base, _, _ := problemFixture(1, true)
+	composite := base
+	composite.Goal = 0b111111
+	composite.Rates = make(query.RateTable, 1<<6)
+	for s := range composite.Rates {
+		composite.Rates[s] = float64(1 + s%5)
 	}
-	if _, _, err := Solve(p); err != nil {
-		t.Fatal(err)
+	composite.Inputs = nil
+	for i, m := range []query.Mask{0b000101, 0b001010, 0b110000} {
+		composite.Inputs = append(composite.Inputs, query.Input{Mask: m, Rate: 3, Loc: base.Sites[i%len(base.Sites)]})
 	}
-	// A GC between runs can evict the pooled scratch and force a one-off
-	// re-allocation; retry a couple of times before calling it a leak.
-	var allocs float64
-	for attempt := 0; attempt < 3; attempt++ {
-		allocs = testing.AllocsPerRun(100, func() {
-			if _, _, err := Solve(p); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		p    Problem
+		want float64
+	}{{"base", base, 5}, {"composite", composite, 8}} {
+		p := tc.p
+		var err error
+		if p.Sites, err = dedupeSites(p.Sites); err != nil { // unique sites: the no-copy fast path
+			t.Fatal(err)
+		}
+		if _, _, err := Solve(p); err != nil {
+			t.Fatal(err)
+		}
+		// A GC between runs can evict the pooled scratch and force a one-off
+		// re-allocation; retry a couple of times before calling it a leak.
+		var allocs float64
+		for attempt := 0; attempt < 3; attempt++ {
+			allocs = testing.AllocsPerRun(100, func() {
+				if _, _, err := Solve(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs <= tc.want {
+				break
 			}
-		})
-		if allocs <= 5 {
-			return
+		}
+		if allocs > tc.want {
+			t.Errorf("%s: Solve allocates %v objects per run, want only the plan's %v", tc.name, allocs, tc.want)
 		}
 	}
-	t.Errorf("Solve allocates %v objects per run, want only the plan's five", allocs)
 }
 
 // TestDedupeSitesUniqueNoCopy asserts the common case — already-unique

@@ -64,13 +64,17 @@ const inf = math.MaxFloat64
 type solveScratch struct {
 	ins []query.Input // usable inputs (masks ⊆ goal)
 
-	// Materialized distances: the DP probes these flat tables instead of
-	// calling Problem.Dist per probe. sdist is the m×m site-to-site
-	// matrix, gathered from Problem.SitePaths when given; idist the
-	// len(ins)×m input-location-to-site matrix. Each needed pair is
-	// computed exactly once per solve.
-	sdist []float64
-	idist []float64
+	// Materialized distances, probed instead of calling Problem.Dist:
+	// sdist is the m×m site-to-site matrix, whose row u is gathered the
+	// first time the fold reads it (sdistSet[u] marks it this solve), and
+	// idist the len(ins)×m input-location-to-site matrix.
+	sdist    []float64
+	sdistSet []bool
+	idist    []float64
+
+	// realizable[S] marks the sub-masks some disjoint union of inputs
+	// builds; it is not written when every sub-mask is (markRealizable).
+	realizable []bool
 
 	// DP tables, slab-indexed by int(S)*m+v.
 	avail   []float64    // cheapest way to have sub-join S at site v
@@ -81,23 +85,10 @@ type solveScratch struct {
 
 var solvePool = sync.Pool{New: func() interface{} { return new(solveScratch) }}
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growMasks(s []query.Mask, n int) []query.Mask {
-	if cap(s) < n {
-		return make([]query.Mask, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -150,31 +141,18 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 
 	size := 1 << uint(bits.Len32(uint32(p.Goal)))
 	slab := size * m
-	sc.avail = growFloats(sc.avail, slab)
-	sc.availCh = growInt32(sc.availCh, slab)
-	sc.opCost = growFloats(sc.opCost, slab)
-	sc.opSplit = growMasks(sc.opSplit, slab)
-	// Only rows of actual submasks of Goal are written and read, so the
-	// slabs need no clearing between runs.
+	sc.avail = grow(sc.avail, slab)
+	sc.availCh = grow(sc.availCh, slab)
+	sc.opCost = grow(sc.opCost, slab)
+	sc.opSplit = grow(sc.opSplit, slab)
+	// Only rows of realizable sub-masks of Goal are written and read, so
+	// the slabs need no clearing between runs.
+	all := sc.markRealizable(ins, p.Goal)
 
-	// Materialize every distance the DP will probe, once: the site block
-	// gathered straight out of the snapshot when the caller vouches for
-	// it, through Dist otherwise.
-	sc.sdist = growFloats(sc.sdist, m*m)
-	for u, su := range sites {
-		row := sc.sdist[u*m : u*m+m]
-		if p.SitePaths != nil {
-			prow := p.SitePaths.Row(su)
-			for v, sv := range sites {
-				row[v] = prow[sv]
-			}
-			continue
-		}
-		for v, sv := range sites {
-			row[v] = p.Dist(su, sv)
-		}
-	}
-	sc.idist = growFloats(sc.idist, len(ins)*m)
+	sc.sdist = grow(sc.sdist, m*m)
+	sc.sdistSet = grow(sc.sdistSet, m)
+	clear(sc.sdistSet)
+	sc.idist = grow(sc.idist, len(ins)*m)
 	for i := range ins {
 		row := sc.idist[i*m : i*m+m]
 		loc := ins[i].Loc
@@ -185,8 +163,14 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 
 	// Sub-masks in ascending numeric order: every proper sub-mask of s is
 	// numerically smaller than s, so its rows are final when s reads them.
+	// An unrealizable row would be inf at every site and so can move no
+	// sum under strict <: it is skipped, as is every split with an
+	// unrealizable half.
 	avail, availCh := sc.avail, sc.availCh
 	for s := nextSubmask(0, p.Goal); s != 0; s = nextSubmask(s, p.Goal) {
+		if !all && !sc.realizable[s] {
+			continue
+		}
 		base := int(s) * m
 		av := avail[base : base+m]
 		ch := availCh[base : base+m]
@@ -213,8 +197,8 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 		// Split search, split-major: each split adds two contiguous avail
 		// rows into the running per-site best. A site still sees the splits
 		// in the same order under the same strict <, so it keeps the same
-		// one. No infeasibility test: inf is MaxFloat64 and costs are
-		// non-negative, so a sum with an inf term is never < oc[v].
+		// one. No per-site infeasibility test: inf is MaxFloat64 and costs
+		// are non-negative, so a sum with an inf term is never < oc[v].
 		oc := sc.opCost[base : base+m]
 		os := sc.opSplit[base : base+m]
 		for v := range oc {
@@ -226,6 +210,9 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 				continue // canonical: left part holds the lowest bit
 			}
 			m2 := s ^ m1
+			if !all && !(sc.realizable[m1] && sc.realizable[m2]) {
+				continue
+			}
 			a1 := avail[int(m1)*m : int(m1)*m+m]
 			a2 := avail[int(m2)*m : int(m2)*m+m]
 			for v := range oc {
@@ -249,7 +236,7 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 			}
 		}
 		far := 0.0
-		for _, d := range sc.sdist[ustar*m : ustar*m+m] {
+		for _, d := range sc.siteRow(&p, sites, ustar) {
 			if d > far {
 				far = d
 			}
@@ -259,7 +246,7 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 			if ocu > bound || ocu == inf {
 				continue
 			}
-			srow := sc.sdist[u*m : u*m+m]
+			srow := sc.siteRow(&p, sites, u)
 			for v := range av {
 				if c := ocu + rate*srow[v]; c < av[v] {
 					av[v], ch[v] = c, int32(-(u + 2))
@@ -268,7 +255,7 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 		}
 	}
 
-	// Choose the root realization.
+	// Choose the root realization (an unrealizable goal has no operator row).
 	rate := p.Rates.Rate(p.Goal) * p.Widths.Width(p.Goal)
 	best := inf
 	bestInput, bestSite := -1, -1
@@ -284,7 +271,7 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 			best, bestInput, bestSite = c, i, -1
 		}
 	}
-	if p.Goal.Count() >= 2 {
+	if p.Goal.Count() >= 2 && (all || sc.realizable[p.Goal]) {
 		gbase := int(p.Goal) * m
 		for u := 0; u < m; u++ {
 			ocu := sc.opCost[gbase+u]
@@ -312,6 +299,61 @@ func (sc *solveScratch) solve(p Problem) (*query.PlanNode, float64, error) {
 		root = r.buildOp(p.Goal, bestSite)
 	}
 	return root, best, nil
+}
+
+// markRealizable reports whether every sub-mask of goal is realizable —
+// some disjoint union of ins builds it — which holds when every bit of goal
+// has a single-bit input. Otherwise it records in sc.realizable, in the
+// DP's ascending order, which sub-masks are. S is realizable when an
+// input's mask is exactly S or S splits canonically (the left part holds
+// S's lowest bit) into two realizable halves; equivalently, when some
+// input holding S's lowest bit lies inside S and is all of S or leaves a
+// realizable rest — the input of the union that holds that bit. The
+// second form costs one probe per input, not one per split.
+func (sc *solveScratch) markRealizable(ins []query.Input, goal query.Mask) bool {
+	singles := query.Mask(0)
+	for i := range ins {
+		if ins[i].Mask.Count() == 1 {
+			singles |= ins[i].Mask
+		}
+	}
+	if singles == goal {
+		return true
+	}
+	sc.realizable = grow(sc.realizable, 1<<uint(bits.Len32(uint32(goal))))
+	for s := nextSubmask(0, goal); s != 0; s = nextSubmask(s, goal) {
+		low, ok := s&-s, false
+		for i := 0; i < len(ins) && !ok; i++ {
+			a := ins[i].Mask
+			ok = a&low != 0 && a&s == a && (a == s || sc.realizable[s^a])
+		}
+		sc.realizable[s] = ok
+	}
+	return false
+}
+
+// siteRow returns row u of the site-to-site block, gathering it the first
+// time this solve reads it: out of the snapshot's rows when the caller
+// vouches for it, through Dist otherwise.
+func (sc *solveScratch) siteRow(p *Problem, sites []netgraph.NodeID, u int) []float64 {
+	m := len(sites)
+	row := sc.sdist[u*m : u*m+m]
+	if sc.sdistSet[u] {
+		return row
+	}
+	sc.sdistSet[u] = true
+	su := sites[u]
+	if p.SitePaths != nil {
+		prow := p.SitePaths.Row(su)
+		for v, sv := range sites {
+			row[v] = prow[sv]
+		}
+		return row
+	}
+	for v, sv := range sites {
+		row[v] = p.Dist(su, sv)
+	}
+	return row
 }
 
 // inputWidth returns the byte width of an input's tuples: its own
