@@ -16,6 +16,7 @@ import (
 	"hnp/internal/core"
 	"hnp/internal/cql"
 	"hnp/internal/des"
+	"hnp/internal/engine"
 	"hnp/internal/exp"
 	"hnp/internal/hierarchy"
 	"hnp/internal/iflow"
@@ -483,6 +484,59 @@ func BenchmarkAdsRetract(b *testing.B) {
 				d := standing[i%len(standing)]
 				adsBenchSink += reg.RetractPlan(d.Query, d.Plan)
 				reg.AdvertisePlan(d.Query, d.Plan)
+			}
+		})
+	}
+}
+
+// --- engine lifecycle -------------------------------------------------------
+
+// BenchmarkEngineUndeploy measures one lifecycle turn of an Engine with W
+// standing deployments over a 128-node transit-stub: the oldest
+// deployment is undeployed and the next planned query deployed, FIFO, with
+// no tuple flowing. Plans are made up front against no advertisements, so
+// every one stands alone and the loop times only the runtime, registry
+// and ledger work of the pair; Audit runs after the timer stops. The cost
+// should follow what the pair changed, not W.
+func BenchmarkEngineUndeploy(b *testing.B) {
+	for _, w := range []int{256, 2048} {
+		b.Run(strconv.Itoa(w), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			g := netgraph.MustTransitStub(128, rng)
+			wl, err := workload.Generate(workload.Default(24, 2*w), 128, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := engine.Build(g, g.ShortestPaths(netgraph.MetricCost), wl.Catalog, 32, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := engine.NewEngine(sys, iflow.DefaultConfig(), 1, 1e9)
+			deps := make([]engine.Deployment, len(wl.Queries))
+			for i, q := range wl.Queries {
+				deps[i].Query = q
+				if deps[i].Result, err = sys.PlanQuery(q, engine.AlgoTopDown, nil); err != nil {
+					b.Fatal(err)
+				}
+				if i < w {
+					if err := eng.Deploy(deps[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Undeploy(deps[i%len(deps)].Query.ID); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Deploy(deps[(i+w)%len(deps)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := eng.Audit(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

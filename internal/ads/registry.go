@@ -104,8 +104,9 @@ func (r *Registry) BindObs(reg *obs.Registry) {
 	r.obsPruned = reg.Counter("ads.pruned")
 }
 
-// setBucket stores what remains of a bucket after a retraction: the
-// vacated tail of the old slice is zeroed, so the retracted ads'
+// setBucket stores what remains of a bucket after a retraction, counting
+// the retracted ads in ads.pruned: the vacated tail of the old slice is
+// zeroed, so the retracted ads'
 // predicate sets, stream slices and signature strings become collectable,
 // and a bucket left empty is dropped. Once more buckets have been dropped
 // than twice the number left, the map is rebuilt.
@@ -120,16 +121,16 @@ func (r *Registry) setBucket(key string, old, kept []Ad) {
 		r.buckets[key] = kept
 	}
 	r.count -= len(old) - len(kept)
+	r.obsPruned.Add(int64(len(old) - len(kept)))
 }
 
 // Prune retracts every advertisement the keep predicate rejects and
-// returns how many were removed. It is the churn-side counterpart of
-// Advertise: when deployments are torn down or nodes fail, the streams
-// they materialized stop existing, and planners must stop being offered
-// them (a reused input that no longer runs anywhere fails at deployment).
-// Callers typically keep exactly the ads whose operator is still hosted by
-// the runtime. Prune visits every ad; RetractPlan retracts one
-// deployment's own ads without the scan.
+// returns how many were removed. It visits every ad, so churn does not
+// use it: RetractPlan retracts one deployment's own ads and Retract one
+// stopped stream, each without the scan. Its callers filter a whole
+// registry by owner at once: engine.Engine.Replan withholds a query's
+// own ads from a clone, and the benchmark's twin retracts an undeployed
+// query's.
 func (r *Registry) Prune(keep func(Ad) bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -145,7 +146,6 @@ func (r *Registry) Prune(keep func(Ad) bool) int {
 			r.setBucket(key, list, kept)
 		}
 	}
-	r.obsPruned.Add(int64(before - r.count))
 	return before - r.count
 }
 
@@ -352,7 +352,6 @@ func (r *Registry) RetractPlan(q *query.Query, root *query.PlanNode) int {
 	defer r.mu.Unlock()
 	before := r.count
 	r.retract(q, root)
-	r.obsPruned.Add(int64(before - r.count))
 	return before - r.count
 }
 
@@ -369,12 +368,27 @@ func (r *Registry) retract(q *query.Query, op *query.PlanNode) {
 		return
 	}
 	var sigBuf [128]byte
-	sig := q.AppendSig(sigBuf[:0], op.Mask)
+	remove(r, q.AppendSig(sigBuf[:0], op.Mask), op.Loc, q)
+}
+
+// Retract retracts the ad with signature sig at node, whoever owns it:
+// the stream stopped existing there. It probes one bucket and allocates
+// nothing.
+func (r *Registry) Retract(sig string, node netgraph.NodeID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	remove(r, sig, node, nil)
+}
+
+// remove retracts the ad with signature sig at node if owner, or any
+// query when owner is nil, owns it. It probes the one bucket the ad was
+// advertised under. The caller holds the write lock.
+func remove[S string | []byte](r *Registry, sig S, node netgraph.NodeID, owner *query.Query) {
 	list := r.buckets[string(sig[:baseLen(sig)])]
 	for i := range list {
-		if ad := &list[i]; ad.Node == op.Loc && ad.QueryID == q.ID && ad.Sig == string(sig) {
-			key := baseOf(ad.Sig) // base as a string, cut from one the ad already holds
-			r.setBucket(key, list, append(list[:i], list[i+1:]...))
+		if ad := &list[i]; ad.Node == node && ad.Sig == string(sig) && (owner == nil || ad.QueryID == owner.ID) {
+			// The key is cut from a string the ad already holds.
+			r.setBucket(baseOf(ad.Sig), list, append(list[:i], list[i+1:]...))
 			return
 		}
 	}

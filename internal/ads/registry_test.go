@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"hnp/internal/netgraph"
+	"hnp/internal/obs"
 	"hnp/internal/query"
 )
 
@@ -148,6 +150,40 @@ func TestPrune(t *testing.T) {
 	}
 	if r.Len() != 0 || len(r.All()) != 0 {
 		t.Errorf("registry not empty after full prune: len=%d all=%v", r.Len(), r.All())
+	}
+}
+
+// Retract names one node: of one signature advertised at two nodes under
+// two owners, it removes the named node's ad whoever owns it, leaves the
+// other, counts the removal in ads.pruned, and allocates nothing — also
+// when, called again, it finds nothing to remove.
+func TestRetractNamesOneNode(t *testing.T) {
+	prev := obs.Enabled.Load()
+	obs.Enabled.Store(true)
+	defer obs.Enabled.Store(prev)
+	reg := obs.NewRegistry()
+	r := NewRegistry()
+	r.BindObs(reg)
+	const sig = "0|1#0.a[0,0.5)"
+	n1, n2 := netgraph.NodeID(3), netgraph.NodeID(4)
+	r.Advertise(Ad{Sig: sig, Streams: []query.StreamID{0, 1}, Node: n1, QueryID: 1})
+	r.Advertise(Ad{Sig: sig, Streams: []query.StreamID{0, 1}, Node: n2, QueryID: 2})
+	r.Retract(sig, n2)
+	if got := r.Lookup(sig); len(got) != 1 || got[0].Node != n1 || got[0].QueryID != 1 {
+		t.Fatalf("after Retract(%s, %d): %+v, want only node %d's ad", sig, n2, got, n1)
+	}
+	if got := reg.Counter("ads.pruned").Value(); got != 1 {
+		t.Errorf("ads.pruned = %d, want 1", got)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.Retract(sig, n2) }); a != 0 {
+		t.Errorf("Retract: %v allocs per call, want 0", a)
+	}
+	if r.Len() != 1 || reg.Counter("ads.pruned").Value() != 1 {
+		t.Errorf("a repeated Retract removed something: len %d, ads.pruned %d", r.Len(), reg.Counter("ads.pruned").Value())
+	}
+	r.Retract(sig, n1)
+	if r.Len() != 0 || reg.Counter("ads.pruned").Value() != 2 {
+		t.Errorf("Retract of the last ad: len %d, ads.pruned %d", r.Len(), reg.Counter("ads.pruned").Value())
 	}
 }
 

@@ -21,14 +21,17 @@ import (
 // method here, so no client mirrors any of it:
 //
 //	Deploy            runtime deploy + advertise + ledger add
-//	Undeploy          runtime undeploy + ledger remove + liveness prune
-//	Migrate           runtime migrate + ledger delta + advertise + prune
-//	FailNode          runtime crash + hierarchy leave + prune + recovery
+//	Undeploy          runtime undeploy + ledger remove
+//	Migrate           runtime migrate + ledger delta + advertise
+//	FailNode          runtime crash + hierarchy leave + recovery
 //	RecoverNode       hierarchy rejoin
 //	UpdateLinkCosts   graph + runtime snapshots, then System.Refresh
 //	SetLiveRate       live taps of a stream (the catalog learns by calibration)
 //	AttachController  adapt.New with the engine's re-planner and mirror
 //	Audit             the invariants that tie the parts together
+//
+// An operator's advertisement is retracted as the runtime retires it, by
+// whichever path (Runtime.OnRetire is Registry.Retract): nothing sweeps.
 //
 // Plan with the promoted Plan*/PlanQuery methods and hand the result to
 // Deploy. The System's own Deploy*/Undeploy book planning-level state for
@@ -61,6 +64,7 @@ func NewEngine(sys *System, cfg iflow.Config, seed int64, until float64) *Engine
 	}
 	e := &Engine{System: sys, RT: iflow.NewWithCost(sys.Graph, cost, cfg, seed), until: until}
 	e.RT.BindObs(sys.Obs)
+	e.RT.OnRetire = sys.Registry.Retract
 	return e
 }
 
@@ -90,7 +94,7 @@ func (e *Engine) Deploy(d Deployment) error {
 // advertisement dies when its operator does: the runtime reference-counts
 // shared operators, so one that another query reuses outlives its
 // creator's undeploy and must stay advertised, while an operator nobody
-// holds anymore is gone whoever created it — hence the liveness prune.
+// holds anymore is gone whoever created it, and retracted as it retires.
 // System.Undeploy has no runtime to ask and retracts by owner
 // (ads.Registry.RetractPlan). Unifying them either way changes which
 // advertisements planners are offered, and with that the chosen plans.
@@ -100,7 +104,6 @@ func (e *Engine) Undeploy(qid int) error {
 		return err
 	}
 	e.drop(qid, plan)
-	e.pruneAds()
 	return nil
 }
 
@@ -131,21 +134,10 @@ func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, 
 }
 
 // migrated mirrors an applied migration: advertisements for the
-// operators it created, retraction of the ones it retired, and the
-// diff-aware ledger update.
+// operators it created and the diff-aware ledger update.
 func (e *Engine) migrated(q *query.Query, fresh *query.PlanNode, rep iflow.MigrationReport) {
 	e.Registry.AdvertisePlan(q, fresh)
-	e.pruneAds()
 	e.tracker.ApplyDelta(rep.LoadDelta)
-}
-
-// pruneAds retracts every advertisement whose operator the runtime no
-// longer hosts, so planners are never offered streams that stopped
-// existing.
-func (e *Engine) pruneAds() {
-	e.Registry.Prune(func(ad ads.Ad) bool {
-		return e.RT.Operator(ad.Sig, ad.Node) != nil
-	})
 }
 
 // Recovery names the queries a node failure touched.
@@ -167,7 +159,6 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery,
 	if err := e.Hierarchy.RemoveNode(v); err != nil {
 		return rec, fmt.Errorf("hierarchy rejected removal: %w", err)
 	}
-	e.pruneAds()
 	if len(rec.Affected) == 0 {
 		return rec, nil
 	}
@@ -180,8 +171,6 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery,
 	var err error
 	rec.Recovered, rec.Failed, err = e.RT.RecoverQueries(rec.Affected, e.Catalog,
 		func(q *query.Query) (*query.PlanNode, error) {
-			// The teardown preceding each re-plan orphans advertisements.
-			e.pruneAds()
 			if !e.Live(q.Sink) {
 				return nil, fmt.Errorf("sink node %d is down", q.Sink)
 			}
@@ -207,7 +196,6 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery,
 			e.ctl.SetPlan(qid, plan)
 		}
 	}
-	e.pruneAds()
 	return rec, nil
 }
 

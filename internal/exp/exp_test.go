@@ -86,53 +86,80 @@ func TestFig6TopDownFlatAboveFour(t *testing.T) {
 	}
 }
 
-// TestFig56Distribution pins Figure 6 — Top-Down's final cumulative cost at
-// each max_cs, computed as `smq -fig 6` computes it at its default scale —
-// over seeds 42 and 1–9: the median (mean of the middle two) and the range,
-// to the unit. The expected trend, cost non-increasing in max_cs, holds for
-// the medians from max_cs=2 through 32 and is asserted there. It does not
-// hold seed by seed — each step from max_cs=4 up raises the cost at three
-// to six of the ten seeds — nor for the median from 32 to 64, which the
-// pinned rows record. At every seed max_cs=2, the deepest hierarchy, is
-// the costliest setting.
+// TestFig56Distribution pins Figures 5 and 6 — Bottom-Up's and Top-Down's
+// final cumulative cost at each max_cs, computed as `smq -fig 5` and
+// `smq -fig 6` compute them at their default scale — over seeds 42 and
+// 1–9: the median (mean of the middle two) and the range, to the unit.
+//
+// The paper's trend is that cost falls as max_cs grows, and for Bottom-Up
+// that 64 is about 21 % cheaper than 8. What holds, and is asserted, is:
+//   - at every seed max_cs=2, the deepest hierarchy, is the costliest
+//     setting;
+//   - the medians do not rise from max_cs=2 through 32;
+//   - the median at 64 is below the median at 8: 14.1 % for Bottom-Up,
+//     4.0 % for Top-Down.
+//
+// What does not hold is pinned, not asserted. Seed by seed, for Top-Down
+// each step from max_cs=4 up raises the cost at three to six of the ten
+// seeds; for Bottom-Up the step from 4 to 8 raises it at four seeds, and
+// 64 costs 1.6 % more than 8 at seed 9. In both figures the median rises
+// from 32 to 64.
 func TestFig56Distribution(t *testing.T) {
 	seeds := []int64{42, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	want := map[int]string{ // median [min–max]
-		2:  "12678 [7940–16197]",
-		4:  "9829 [7516–12816]",
-		8:  "9702 [7502–14420]",
-		16: "9362 [7012–12188]",
-		32: "9108 [6868–12293]",
-		64: "9316 [7322–12015]",
-	}
-	costs := make([][]float64, len(clusterSizes))
-	for _, seed := range seeds {
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		f, err := Fig6(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deepest := f.Final("max_cs=2")
-		for i, cs := range clusterSizes {
-			c := f.Final(fmt.Sprintf("max_cs=%d", cs))
-			if cs != 2 && c >= deepest {
-				t.Errorf("seed %d: max_cs=%d costs %g, not below max_cs=2's %g", seed, cs, c, deepest)
+	for _, fig := range []struct {
+		name string
+		run  func(Config) (*Figure, error)
+		want map[int]string // median [min–max]
+	}{
+		{"Fig 5 (Bottom-Up)", Fig5, map[int]string{
+			2:  "31596 [23666–45754]",
+			4:  "15494 [11271–25835]",
+			8:  "15072 [12225–22884]",
+			16: "10792 [8617–14288]",
+			32: "10707 [7551–14448]",
+			64: "12941 [10679–14124]",
+		}},
+		{"Fig 6 (Top-Down)", Fig6, map[int]string{
+			2:  "12678 [7940–16197]",
+			4:  "9829 [7516–12816]",
+			8:  "9702 [7502–14420]",
+			16: "9362 [7012–12188]",
+			32: "9108 [6868–12293]",
+			64: "9316 [7322–12015]",
+		}},
+	} {
+		costs := make([][]float64, len(clusterSizes))
+		for _, seed := range seeds {
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			f, err := fig.run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			costs[i] = append(costs[i], c)
+			deepest := f.Final("max_cs=2")
+			for i, cs := range clusterSizes {
+				c := f.Final(fmt.Sprintf("max_cs=%d", cs))
+				if cs != 2 && c >= deepest {
+					t.Errorf("%s, seed %d: max_cs=%d costs %g, not below max_cs=2's %g", fig.name, seed, cs, c, deepest)
+				}
+				costs[i] = append(costs[i], c)
+			}
 		}
-	}
-	medians := make([]float64, len(clusterSizes))
-	for i, cs := range clusterSizes {
-		v := costs[i]
-		slices.Sort(v)
-		mid := len(v) / 2
-		medians[i] = (v[mid-1] + v[mid]) / 2
-		if got := fmt.Sprintf("%.0f [%.0f–%.0f]", medians[i], v[0], v[len(v)-1]); got != want[cs] {
-			t.Errorf("max_cs=%d: Top-Down cost %s, want %s", cs, got, want[cs])
+		median := map[int]float64{}
+		for i, cs := range clusterSizes {
+			v := costs[i]
+			slices.Sort(v)
+			mid := len(v) / 2
+			median[cs] = (v[mid-1] + v[mid]) / 2
+			if got := fmt.Sprintf("%.0f [%.0f–%.0f]", median[cs], v[0], v[len(v)-1]); got != fig.want[cs] {
+				t.Errorf("%s, max_cs=%d: cost %s, want %s", fig.name, cs, got, fig.want[cs])
+			}
+			if prev := clusterSizes[max(i-1, 0)]; cs <= 32 && median[cs] > median[prev] {
+				t.Errorf("%s: median cost rises from max_cs=%d (%.0f) to %d (%.0f)", fig.name, prev, median[prev], cs, median[cs])
+			}
 		}
-		if cs <= 32 && i > 0 && medians[i] > medians[i-1] {
-			t.Errorf("median cost rises from max_cs=%d (%.0f) to %d (%.0f)", clusterSizes[i-1], medians[i-1], cs, medians[i])
+		if median[64] >= median[8] {
+			t.Errorf("%s: median cost at max_cs=64 (%.0f) is not below max_cs=8's (%.0f)", fig.name, median[64], median[8])
 		}
 	}
 }

@@ -230,20 +230,36 @@ func (rt *Runtime) Undeploy(queryID int) error {
 	if !ok {
 		return fmt.Errorf("iflow: query %d not deployed", queryID)
 	}
-	// Remove the sink subscription.
-	sinkNode := rt.sinks[queryID].Node
-	for _, op := range rt.ops {
-		op.unsubscribe(subscription{sink: queryID, to: sinkNode})
-	}
+	rt.unsubscribeSink(queryID, dep.held)
 	delete(rt.deploys, queryID)
 	rt.release(dep.held)
 	if rt.tr.On() {
 		rt.tr.Emit(obs.Event{
 			Kind: obs.KindQueryUndeployed, Parent: parent, Trace: obs.QueryTrace(queryID),
-			Query: queryID, Node: int(sinkNode), VTime: rt.Sim.Now(),
+			Query: queryID, Node: int(rt.sinks[queryID].Node), VTime: rt.Sim.Now(),
 		})
 	}
 	return nil
+}
+
+// unsubscribeSink detaches a query's sink from the root of the operator
+// tree it holds: the last held key, since holds are taken post-order. A
+// root a node failure already removed holds nothing to detach.
+func (rt *Runtime) unsubscribeSink(queryID int, held []opKey) {
+	if root := rt.ops[held[len(held)-1]]; root != nil {
+		root.unsubscribe(subscription{sink: queryID, to: rt.sinks[queryID].Node})
+	}
+}
+
+// retire takes an operator out of the runtime — the one way out, for
+// collected and crashed operators alike: tuples still arriving for it are
+// dropped, and OnRetire learns that its stream stopped.
+func (rt *Runtime) retire(op *Operator) {
+	op.retired = true
+	delete(rt.ops, op.key)
+	if rt.OnRetire != nil {
+		rt.OnRetire(op.key.sig, op.key.node)
+	}
 }
 
 // gc garbage-collects unreferenced operators (iterating to a fixed point
@@ -252,10 +268,9 @@ func (rt *Runtime) Undeploy(queryID int) error {
 func (rt *Runtime) gc() {
 	for changed := true; changed; {
 		changed = false
-		for k, op := range rt.ops {
+		for _, op := range rt.ops {
 			if op.refs <= 0 && len(op.subs) == 0 {
-				op.retired = true
-				delete(rt.ops, k)
+				rt.retire(op)
 				changed = true
 			}
 		}

@@ -2,7 +2,7 @@ package iflow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hnp/internal/netgraph"
 	"hnp/internal/query"
@@ -18,52 +18,28 @@ import (
 // which tears the orphaned deployment down and fails their re-planning
 // while the sink stays dead).
 func (rt *Runtime) FailNode(v netgraph.NodeID) []int {
-	dead := map[opKey]bool{}
+	var affected []int
+	for qid, dep := range rt.deploys {
+		if rt.sinks[qid].Node == v || slices.ContainsFunc(dep.held, func(k opKey) bool {
+			return k.node == v && rt.ops[k] != nil
+		}) {
+			affected = append(affected, qid)
+		}
+	}
 	for k, op := range rt.ops {
 		if k.node == v {
-			dead[k] = true
-			op.retired = true
-			delete(rt.ops, k)
+			rt.retire(op)
 		}
 	}
-	affected := map[int]bool{}
-	for qid := range rt.deploys {
-		if s := rt.sinks[qid]; s != nil && s.Node == v {
-			affected[qid] = true
-		}
-	}
-	if len(dead) == 0 && len(affected) == 0 {
-		return nil
-	}
-	// Drop subscriptions into dead operators, then collect chains the
-	// crash orphaned: an operator kept alive only by a subscriber on the
-	// failed node (refs == 0 — e.g. the upstream chain of a reused stream
-	// whose producing query was already undeployed) has no references and,
-	// now, no subscribers, and must not outlive its consumer.
-	for _, op := range rt.ops {
-		kept := op.subs[:0]
-		for _, s := range op.subs {
-			if s.sink < 0 && dead[s.dst] {
-				continue
-			}
-			kept = append(kept, s)
-		}
-		op.subs = kept
-	}
+	// Collect the chains the crash orphaned: gc drops the subscriptions
+	// into the dead operators, and an operator kept alive only by a
+	// subscriber on the failed node (refs == 0 — e.g. the upstream chain
+	// of a reused stream whose producing query was already undeployed)
+	// has no references and, now, no subscribers, and must not outlive
+	// its consumer.
 	rt.gc()
-	for qid, dep := range rt.deploys {
-		for _, k := range dep.held {
-			if dead[k] {
-				affected[qid] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(affected))
-	for qid := range affected {
-		out = append(out, qid)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(affected)
+	return affected
 }
 
 // RecoverQueries re-deploys the given queries after a failure: each is

@@ -214,9 +214,7 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 	// SinkStats object is never touched: delivery counters carry over.
 	// Post-order IR puts the root last.
 	if oldIR[len(oldIR)-1].Ref != newIR[len(newIR)-1].Ref {
-		for _, op := range rt.ops {
-			op.unsubscribe(subscription{sink: q.ID, to: sink.Node})
-		}
+		rt.unsubscribeSink(q.ID, dep.held)
 		inst.root.subscribe(subscription{sink: q.ID, to: sink.Node})
 	}
 	if sink.width != inst.root.width {

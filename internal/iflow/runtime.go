@@ -128,7 +128,7 @@ type Operator struct {
 	win     [2]window // buffered inputs, indexed by side
 	subs    []subscription
 	refs    int  // deployments using this operator
-	retired bool // left rt.ops (gc, FailNode): arriving tuples are dropped
+	retired bool // left rt.ops (see retire): arriving tuples are dropped
 
 	// OutCount / OutBytes measure produced output.
 	OutCount int64
@@ -249,6 +249,11 @@ type Runtime struct {
 	ops     map[opKey]*Operator
 	sinks   map[int]*SinkStats
 	deploys map[int]*deployment
+
+	// OnRetire, when set, learns of every operator that leaves the
+	// runtime (collected or crashed), as it leaves: the stream sig stopped
+	// existing at node.
+	OnRetire func(sig string, node netgraph.NodeID)
 
 	// TotalCost is the accumulated bytes×link-cost of all transfers; the
 	// deployed cost per unit time is TotalCost / elapsed time.
