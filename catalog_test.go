@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -63,6 +65,60 @@ func TestMetricCatalog(t *testing.T) {
 		if !matched[i] {
 			t.Errorf("catalog row %q names nothing a registry recorded", r.name)
 		}
+	}
+}
+
+// TestDesignReferences holds every pointer into DESIGN.md to a heading
+// that exists. A `DESIGN §N` names a numbered section; DESIGN followed by
+// a quoted title names a section or subsection without its number. The
+// pointers are read from every Go file and from README, EXPERIMENTS and
+// ROADMAP; one may break across lines, in a comment too.
+func TestDesignReferences(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	numbers, titles := map[string]bool{}, map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^#{2,3} (?:(\d+)\. )?(.+)$`).FindAllStringSubmatch(string(design), -1) {
+		if m[1] != "" {
+			numbers[m[1]] = true
+		}
+		titles[m[2]] = true
+	}
+	files := []string{"README.md", "EXPERIMENTS.md", "ROADMAP.md"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if err == nil && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := regexp.MustCompile("DESIGN(?:\\.md)?`?(?:\\s|//)+(?:§(\\d+)|\"([^\"]+)\")")
+	space := regexp.MustCompile(`(?:\s|//)+`)
+	refs := 0
+	for _, path := range files {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(text), -1) {
+			refs++
+			ok := numbers[m[1]]
+			if m[1] == "" {
+				ok = titles[space.ReplaceAllString(m[2], " ")]
+			}
+			if !ok {
+				t.Errorf("%s: %q names no DESIGN.md heading", path, space.ReplaceAllString(m[0], " "))
+			}
+		}
+	}
+	if refs == 0 {
+		t.Error("found no DESIGN references at all; the pattern no longer matches how they are written")
 	}
 }
 

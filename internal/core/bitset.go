@@ -3,10 +3,9 @@ package core
 import "hnp/internal/netgraph"
 
 // nodeBitset is a membership set over physical NodeIDs, one bit per node.
-// The planners use it where a map[NodeID]bool used to be rebuilt from
-// Cover on every view of every query: a reset is a word-sized memclr over
-// existing capacity and a probe is one shift and mask, with no hashing and
-// no per-view allocation once warmed up.
+// The planners test Cover membership on every view of every query: a
+// reset is a word-sized memclr over existing capacity and a probe is one
+// shift and mask, with no hashing and no per-view allocation once warm.
 type nodeBitset struct {
 	words []uint64
 }

@@ -347,6 +347,74 @@ func TestFig11CostsAndRuntimeCrossCheck(t *testing.T) {
 	}
 }
 
+// TestFig11Distribution pins Figure 11, computed as `smq -fig 11` computes
+// it, over seeds 42 and 1–9. For each cluster size it pins on how many
+// seeds Top-Down's 25-query cumulative cost is below Bottom-Up's, and the
+// median (mean of the middle two) and range of the saving, to the printed
+// 0.1 %. For the runtime cross-check it pins the median and range of the
+// metered-to-analytic cost ratio as the note prints it, and it requires
+// all 25 queries to run at every seed.
+//
+// The paper says Top-Down is cheaper. What holds, and is asserted, is
+// that the median saving is positive at both cluster sizes and that
+// metering never reads below the model. What does not hold is pinned:
+// Bottom-Up wins at cluster size 4 on seed 8 and at 8 on three seeds,
+// and seed 42's ratio is the lowest of the ten.
+func TestFig11Distribution(t *testing.T) {
+	seeds := []int64{42, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	var saving [2][]float64 // cluster sizes 4 and 8, in percent
+	var ratios []float64
+	for _, seed := range seeds {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		f, err := Fig11(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cs := range []string{"4", "8"} {
+			td, bu := f.Final("Top-Down (cluster size="+cs+")"), f.Final("Bottom-Up (cluster size="+cs+")")
+			saving[i] = append(saving[i], 100*(1-td/bu))
+		}
+		var ran, of int
+		var ratio float64
+		for _, n := range f.Notes {
+			if i := strings.Index(n, "(ratio "); i >= 0 {
+				fmt.Sscanf(n, "runtime cross-check: %d/%d", &ran, &of)
+				fmt.Sscanf(n[i:], "(ratio %g)", &ratio)
+			}
+		}
+		if ran != 25 || of != 25 || ratio < 1 {
+			t.Errorf("seed %d: %d/%d queries ran, ratio %.2f: want 25/25 and a ratio of at least 1", seed, ran, of, ratio)
+		}
+		ratios = append(ratios, ratio)
+	}
+	summary := func(v []float64, format string) (string, float64) {
+		slices.Sort(v)
+		mid := (v[len(v)/2-1] + v[len(v)/2]) / 2
+		return fmt.Sprintf(format+" ["+format+"–"+format+"]", mid, v[0], v[len(v)-1]), mid
+	}
+	for i, want := range []string{"9/10: 13.9 [-5.1–45.9]", "7/10: 5.6 [-6.7–15.6]"} {
+		wins := 0
+		for _, s := range saving[i] {
+			if s > 0 {
+				wins++
+			}
+		}
+		got, median := summary(saving[i], "%.1f")
+		if got = fmt.Sprintf("%d/10: %s", wins, got); got != want {
+			t.Errorf("cluster size %d: Top-Down cheaper on %s %%, want %s %%", 4<<i, got, want)
+		}
+		if median <= 0 {
+			t.Errorf("cluster size %d: median Top-Down saving %.1f %% is not positive", 4<<i, median)
+		}
+	}
+	// The ratios are the note's two-decimal figures, so their median needs
+	// a third decimal.
+	if got, _ := summary(ratios, "%.3f"); got != "1.525 [1.080–1.890]" {
+		t.Errorf("metered/analytic cost ratio %s, want 1.525 [1.080–1.890]", got)
+	}
+}
+
 func TestRenderProducesTable(t *testing.T) {
 	f, err := Fig9(quickCfg())
 	if err != nil {

@@ -79,8 +79,8 @@ func Fig10(cfg Config) (*Figure, error) {
 		xs[i] = float64(s)
 	}
 	// Headline accumulators ride along the algos loop, keyed by the
-	// explicit bottomUp tag: the old post-hoc classification by series-name
-	// first letter silently miscounted any renamed series.
+	// explicit bottomUp tag, so renaming a series cannot move its time
+	// into the other algorithm's sum.
 	var buSum, tdSum float64
 	for _, a := range algos {
 		h, run := tb.hiers[a.cs], core.TopDownOpts

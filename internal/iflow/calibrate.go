@@ -58,8 +58,8 @@ func (w *StatsWindow) Start() float64 { return w.start }
 // WindowedRate returns an operator's measured output rate in tuples per
 // second over the window — output since the snapshot divided by elapsed
 // time since the snapshot — or 0 when the operator is missing or no time
-// has passed. This replaces the cumulative-count estimate, which weighted
-// all history equally and so lagged rate shifts indefinitely.
+// has passed. Only the window counts: a cumulative count would weight all
+// history equally and so lag a rate shift indefinitely.
 func (rt *Runtime) WindowedRate(w *StatsWindow, sig string, node netgraph.NodeID) float64 {
 	op := rt.Operator(sig, node)
 	if op == nil {

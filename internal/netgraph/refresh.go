@@ -10,11 +10,11 @@ import (
 // graph's bounded mutation log, flags only the source rows whose shortest
 // paths could have moved, and re-runs Dijkstra for just those rows into a
 // recycled slab. The repaired snapshot is bit-identical — every dist value
-// and every first-hop tie-break — to a fresh ShortestPaths; the affected-row
-// test and the argument for why unaffected rows keep identical first hops
-// are written up in DESIGN.md §14. Incremental repair is the only refresh;
-// the full recompute is its fallback and, as Graph.ShortestPaths, the
-// oracle the property, fuzz and chaos tests compare every repair against.
+// and every first-hop tie-break — to a fresh ShortestPaths; the test and
+// why unaffected rows keep identical first hops are in DESIGN "Affected-row
+// test". Incremental repair is the only refresh; the full recompute is its
+// fallback and, as Graph.ShortestPaths, the oracle the property, fuzz and
+// chaos tests compare every repair against.
 
 // RefreshMode classifies what a RefreshFrom call had to do.
 type RefreshMode uint8
@@ -160,7 +160,7 @@ func (p *Paths) RefreshFrom(g *Graph, recycle *Paths) (*Paths, RefreshStats) {
 	edges = kept
 	sc.edges = edges
 
-	// Affected-row test (DESIGN.md §14): row src must be recomputed iff
+	// DESIGN "Affected-row test": row src must be recomputed iff
 	// some changed link (a,b): old → new satisfies, against src's OLD row,
 	//
 	//	dist[a]+old == dist[b] or dist[b]+old == dist[a]   (the link lay

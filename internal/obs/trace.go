@@ -34,9 +34,8 @@ type Span struct {
 
 // StartSpan begins a span named on the registry: a convenience wrapper
 // over reg.SpanSource(name).Start() for call sites too cold to keep a
-// bound handle. It pays one registry lookup per call (at start, not
-// under End as the old implementation did); hot paths should bind a
-// SpanSource instead.
+// bound handle. It pays one registry lookup per call, at start, so End
+// stays a plain record; hot paths should bind a SpanSource instead.
 func StartSpan(reg *Registry, name string) Span {
 	if reg == nil || !Enabled.Load() {
 		return Span{}
