@@ -497,7 +497,9 @@ func BenchmarkAdsRetract(b *testing.B) {
 // no tuple flowing. Plans are made up front against no advertisements, so
 // every one stands alone and the loop times only the runtime, registry
 // and ledger work of the pair; Audit runs after the timer stops. The cost
-// should follow what the pair changed, not W.
+// should follow what the pair changed, not W. B/deployment is the live
+// heap the W standing deployments retain, per deployment, read once after
+// setup.
 func BenchmarkEngineUndeploy(b *testing.B) {
 	for _, w := range []int{256, 2048} {
 		b.Run(strconv.Itoa(w), func(b *testing.B) {
@@ -518,12 +520,17 @@ func BenchmarkEngineUndeploy(b *testing.B) {
 				if deps[i].Result, err = sys.PlanQuery(q, engine.AlgoTopDown, nil); err != nil {
 					b.Fatal(err)
 				}
-				if i < w {
-					if err := eng.Deploy(deps[i]); err != nil {
-						b.Fatal(err)
-					}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, d := range deps[:w] {
+				if err := eng.Deploy(d); err != nil {
+					b.Fatal(err)
 				}
 			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -538,6 +545,7 @@ func BenchmarkEngineUndeploy(b *testing.B) {
 			if err := eng.Audit(); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(w), "B/deployment")
 		})
 	}
 }

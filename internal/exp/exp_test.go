@@ -245,6 +245,71 @@ func TestFig7Distribution(t *testing.T) {
 	}
 }
 
+// TestFig2Distribution: over seeds 42 and 1–9, the joint planner is the
+// cheapest of Fig 2's three on 8 seeds; on seeds 2 and 4 the optimally
+// placed plan-then-deploy tree beats it. The median savings are pinned
+// to the printed 0.1 %.
+func TestFig2Distribution(t *testing.T) {
+	pinSeedSpread(t, Fig2, []string{"Our approach (Top-Down)", "Plan-then-deploy", "Relaxation"}, 8, []seedSaving{
+		{"Our approach (Top-Down)", "Relaxation", "59.9 [26.8–83.4]"},
+		{"Our approach (Top-Down)", "Plan-then-deploy", "23.9 [-24.9–55.7]"},
+	})
+}
+
+// TestFig8Distribution: over seeds 42 and 1–9, Fig 8's ordering — Top-Down
+// below Bottom-Up, both below In-Network, In-Network below Relaxation —
+// holds at every seed, and the four savings the notes print are pinned.
+func TestFig8Distribution(t *testing.T) {
+	pinSeedSpread(t, Fig8, []string{"Top-Down with reuse", "Bottom-Up with reuse", "In-Network with reuse", "Relaxation with reuse"}, 10, []seedSaving{
+		{"Top-Down with reuse", "In-Network with reuse", "49.2 [44.9–58.6]"},
+		{"Top-Down with reuse", "Relaxation with reuse", "61.1 [53.4–63.9]"},
+		{"Bottom-Up with reuse", "In-Network with reuse", "40.1 [34.0–54.4]"},
+		{"Bottom-Up with reuse", "Relaxation with reuse", "53.9 [42.6–58.3]"},
+	})
+}
+
+// seedSaving is one pinned saving: 100·(1 − of/vs) at a figure's last
+// point, as "median [min–max]" over the seeds.
+type seedSaving struct{ of, vs, want string }
+
+// pinSeedSpread runs fig at its default scale over seeds 42 and 1–9. It
+// wants order (series, cheapest first) to hold at exactly holds seeds, and
+// each saving's median (mean of the middle two, unrounded) and range.
+func pinSeedSpread(t *testing.T, fig func(Config) (*Figure, error), order []string, holds int, savings []seedSaving) {
+	t.Helper()
+	values := make([][]float64, len(savings))
+	held := 0
+	for _, seed := range []int64{42, 1, 2, 3, 4, 5, 6, 7, 8, 9} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		f, err := fig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered := true
+		for i := 1; i < len(order); i++ {
+			ordered = ordered && f.Final(order[i-1]) < f.Final(order[i])
+		}
+		if ordered {
+			held++
+		}
+		for i, s := range savings {
+			values[i] = append(values[i], 100*(1-f.Final(s.of)/f.Final(s.vs)))
+		}
+	}
+	if held != holds {
+		t.Errorf("%s holds on %d of 10 seeds, want %d", strings.Join(order, " < "), held, holds)
+	}
+	for i, s := range savings {
+		v := values[i]
+		slices.Sort(v)
+		mid := len(v) / 2
+		if got := fmt.Sprintf("%.1f [%.1f–%.1f]", (v[mid-1]+v[mid])/2, v[0], v[len(v)-1]); got != s.want {
+			t.Errorf("%s vs %s saves %s %%, want %s %%", s.of, s.vs, got, s.want)
+		}
+	}
+}
+
 func TestFig8Ordering(t *testing.T) {
 	f, err := Fig8(quickCfg())
 	if err != nil {

@@ -156,9 +156,9 @@ func TestMigrateShipsLiveWindowOnly(t *testing.T) {
 // a seeded churn of deploys, undeploys, migrations and node failures over
 // four overlapping queries, every operator ever seen must satisfy
 // retired == (rt.ops[op.key] != op) after every step. The same holds for
-// the operator a subscription caches: a live cache is the operator its key
-// maps to, and one emit from any operator reaches, subscription by
-// subscription, exactly what a by-key lookup would (see probeEmit).
+// the operator a subscription names: it is the operator its key maps to,
+// and one emit from any operator reaches, subscription by subscription,
+// exactly what a by-key lookup would (see probeEmit).
 func TestRetiredFlagMatchesMap(t *testing.T) {
 	base := makeMigrateWorld(t, 6)
 	worlds := []*migrateWorld{base}
@@ -200,15 +200,15 @@ func TestRetiredFlagMatchesMap(t *testing.T) {
 				retiredSeen++
 			}
 		}
-		cached := 0
+		linked := 0
 		for _, op := range rt.ops {
 			for _, sub := range op.subs {
-				if sub.op == nil || sub.op.retired {
+				if sub.op == nil {
 					continue
 				}
-				cached++
-				if sub.sink >= 0 || sub.op != rt.ops[sub.dst] {
-					t.Fatalf("step %d (%s): %s@%d caches an operator its subscription's key does not map to",
+				linked++
+				if sub.sink != nil || sub.op != rt.ops[sub.op.key] {
+					t.Fatalf("step %d (%s): %s@%d subscribes an operator its consumer's key does not map to",
 						step, what, op.key.sig, op.key.node)
 				}
 			}
@@ -217,8 +217,8 @@ func TestRetiredFlagMatchesMap(t *testing.T) {
 				t.Fatalf("step %d (%s): %v", step, what, err)
 			}
 		}
-		if what == "run" && len(rt.ops) > 2 && cached == 0 {
-			t.Fatalf("step %d: %d operators ran and no subscription cached its consumer", step, len(rt.ops))
+		if what == "run" && len(rt.ops) > 2 && linked == 0 {
+			t.Fatalf("step %d: %d operators ran and no subscription named a consumer operator", step, len(rt.ops))
 		}
 		if err := rt.CheckInvariants(nil); err != nil {
 			t.Fatalf("step %d (%s): %v", step, what, err)
@@ -273,9 +273,9 @@ func probeEmit(rt *Runtime, op *Operator, key int64) error {
 	}
 	want := map[target]int{}
 	for _, sub := range op.subs {
-		if sub.sink >= 0 {
-			want[target{sink: rt.sinks[sub.sink]}]++
-		} else if dst := rt.ops[sub.dst]; dst != nil {
+		if sub.sink != nil {
+			want[target{sink: rt.sinks[sub.sink.query]}]++
+		} else if dst := rt.ops[sub.op.key]; dst != nil {
 			want[target{op: dst, side: sub.side}]++
 		}
 	}
@@ -303,10 +303,9 @@ func probeEmit(rt *Runtime, op *Operator, key int64) error {
 // airborne toward it while its producer — shared with a second query —
 // keeps emitting, and is redeployed under the same (sig, node). The
 // producer's subscription must reach the new operator and only it; the
-// airborne tuples die with the old one, counted; and once the caches are
-// warm, subscribe and unsubscribe must still recognise the subscription by
-// its route: a migration that rewires the consumer to another producer
-// leaves nothing behind on the old one.
+// airborne tuples die with the old one, counted; feeding the same route
+// again adds nothing; and a migration that rewires the consumer to
+// another producer leaves nothing behind on the old one.
 func TestEmitFollowsSameKeySuccessor(t *testing.T) {
 	w := makeMigrateWorld(t, 6)
 	q1, err := query.NewQuery(1, w.q.Sources[:3], 10)
@@ -329,7 +328,7 @@ func TestEmitFollowsSameKeySuccessor(t *testing.T) {
 	key := opKey{sig: w.q.SigOf(query.Mask(7)), node: 6}
 	routes := func(p *Operator) (n int) {
 		for _, sub := range p.subs {
-			if sub.dst == key {
+			if sub.op != nil && sub.op.key == key {
 				n++
 			}
 		}
@@ -372,18 +371,17 @@ func TestEmitFollowsSameKeySuccessor(t *testing.T) {
 		t.Errorf("the producer holds %d subscriptions to the redeployed key, want 1", n)
 	}
 	for _, sub := range producer.subs {
-		if sub.dst == key && sub.op != succ {
-			t.Error("the producer's subscription does not cache the successor")
+		if sub.op != nil && sub.op.key == key && sub.op != succ {
+			t.Error("the producer's subscription does not name the successor")
 		}
 	}
 
-	// Caches are warm. Subscribing the same route again is a no-op, and
-	// moving A⋈B to node 7 for this query alone rewires A⋈B⋈C@6 onto the new
-	// instance and must detach it from the old one, which the second query
-	// keeps running.
-	producer.subscribe(subscription{dst: key, side: leftSide, sink: -1, to: key.node})
-	if n := routes(producer); n != 1 {
-		t.Errorf("subscribing a warm route again left %d subscriptions, want 1", n)
+	// Feeding the same route again is a no-op, and moving A⋈B to node 7 for
+	// this query alone rewires A⋈B⋈C@6 onto the new instance and must
+	// detach it from the old one, which the second query keeps running.
+	feed(producer, succ, leftSide)
+	if n := routes(producer); n != 1 || len(succ.in) != 2 {
+		t.Errorf("feeding a route again left %d subscriptions and %d producers, want 1 and 2", n, len(succ.in))
 	}
 	if _, err := rt.Migrate(w.q, w.leftDeep([]netgraph.NodeID{7, 6, 7}), w.cat, 1e9); err != nil {
 		t.Fatal(err)

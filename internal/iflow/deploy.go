@@ -2,6 +2,7 @@ package iflow
 
 import (
 	"fmt"
+	"slices"
 
 	"hnp/internal/core"
 	"hnp/internal/netgraph"
@@ -36,8 +37,8 @@ func (rt *Runtime) Deploy(q *query.Query, plan *query.PlanNode, cat *query.Catal
 	if err != nil {
 		return err
 	}
-	rt.sinks[q.ID] = &SinkStats{Node: q.Sink, width: inst.root.width}
-	inst.root.subscribe(subscription{sink: q.ID, to: q.Sink})
+	rt.sinks[q.ID] = &SinkStats{Node: q.Sink, query: q.ID, width: inst.root.width}
+	inst.root.subscribe(subscription{sink: rt.sinks[q.ID]})
 	rt.deploys[q.ID] = &deployment{q: q, plan: plan, held: inst.held}
 	if rt.tr.On() {
 		rt.tr.Emit(obs.Event{
@@ -98,7 +99,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 				op = &Operator{key: key, isFilter: true, passProb: residualPassProb(n.Rate, base.expRate), expRate: n.Rate, width: rt.widthOf(n)}
 				rt.ops[key] = op
 				inst.created[key] = true
-				base.subscribe(subscription{dst: key, side: leftSide, sink: -1, to: n.Loc})
+				feed(base, op, leftSide)
 			}
 			if op == nil {
 				return nil, fmt.Errorf("iflow: reused stream %s@%d not deployed", n.In.Sig, n.Loc)
@@ -139,7 +140,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 			}
 			rt.ops[key] = op
 			inst.created[key] = true
-			child.subscribe(subscription{dst: key, side: leftSide, sink: -1, to: n.Loc})
+			feed(child, op, leftSide)
 		}
 		return hold(op), nil
 	}
@@ -158,8 +159,8 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 		op = &Operator{key: key, window: rt.cfg.Window, expRate: n.Rate, width: rt.widthOf(n)}
 		rt.ops[key] = op
 		inst.created[key] = true
-		l.subscribe(subscription{dst: key, side: leftSide, sink: -1, to: n.Loc})
-		r.subscribe(subscription{dst: key, side: rightSide, sink: -1, to: n.Loc})
+		feed(l, op, leftSide)
+		feed(r, op, rightSide)
 	}
 	return hold(op), nil
 }
@@ -174,15 +175,14 @@ func (rt *Runtime) widthOf(n *query.PlanNode) float64 {
 }
 
 // release drops one reference per held key (nil-safe for operators a node
-// failure already removed) and garbage-collects everything no deployment
-// references and nothing subscribes to.
+// failure already removed) and collects each operator it leaves unused.
 func (rt *Runtime) release(held []opKey) {
 	for _, k := range held {
 		if op := rt.ops[k]; op != nil {
 			op.refs--
+			rt.collect(op)
 		}
 	}
-	rt.gc()
 }
 
 // residualPassProb returns the probability a containment residual filter
@@ -202,22 +202,38 @@ func residualPassProb(narrowed, base float64) float64 {
 }
 
 // subscribe adds a subscription unless an identical one exists (reuse by
-// several queries must not duplicate the stream).
-func (op *Operator) subscribe(s subscription) {
-	for _, ex := range op.subs {
-		if ex.same(s) {
-			return
-		}
+// several queries must not duplicate the stream), reporting whether it did.
+func (op *Operator) subscribe(s subscription) bool {
+	if slices.Contains(op.subs, s) {
+		return false
 	}
 	op.subs = append(op.subs, s)
+	return true
 }
 
-func (op *Operator) unsubscribe(s subscription) {
-	for i, ex := range op.subs {
-		if ex.same(s) {
-			op.subs = append(op.subs[:i], op.subs[i+1:]...)
-			return
-		}
+// unsubscribe removes a subscription, reporting whether there was one.
+func (op *Operator) unsubscribe(s subscription) bool {
+	i := slices.Index(op.subs, s)
+	if i < 0 {
+		return false
+	}
+	op.subs = slices.Delete(op.subs, i, i+1)
+	return true
+}
+
+// feed subscribes side s of operator c to p's output and lists p among c's
+// producers. With unfeed it is the only place an operator edge changes.
+func feed(p, c *Operator, s side) {
+	if p.subscribe(subscription{op: c, side: s}) {
+		c.in = append(c.in, p)
+	}
+}
+
+// unfeed undoes feed.
+func unfeed(p, c *Operator, s side) {
+	if p.unsubscribe(subscription{op: c, side: s}) {
+		i := slices.Index(c.in, p)
+		c.in = slices.Delete(c.in, i, i+1)
 	}
 }
 
@@ -247,46 +263,42 @@ func (rt *Runtime) Undeploy(queryID int) error {
 // root a node failure already removed holds nothing to detach.
 func (rt *Runtime) unsubscribeSink(queryID int, held []opKey) {
 	if root := rt.ops[held[len(held)-1]]; root != nil {
-		root.unsubscribe(subscription{sink: queryID, to: rt.sinks[queryID].Node})
+		root.unsubscribe(subscription{sink: rt.sinks[queryID]})
 	}
 }
 
 // retire takes an operator out of the runtime — the one way out, for
 // collected and crashed operators alike: tuples still arriving for it are
-// dropped, and OnRetire learns that its stream stopped.
+// dropped, OnRetire learns that its stream stopped, and its links go.
 func (rt *Runtime) retire(op *Operator) {
 	op.retired = true
 	delete(rt.ops, op.key)
 	if rt.OnRetire != nil {
 		rt.OnRetire(op.key.sig, op.key.node)
 	}
+	rt.unlink(op)
 }
 
-// gc garbage-collects unreferenced operators (iterating to a fixed point
-// so chains collapse; subscriptions into removed operators are dropped
-// eagerly here, and lazily by emit for tuples already in flight).
-func (rt *Runtime) gc() {
-	for changed := true; changed; {
-		changed = false
-		for _, op := range rt.ops {
-			if op.refs <= 0 && len(op.subs) == 0 {
-				rt.retire(op)
-				changed = true
-			}
+// unlink cuts a retired operator's edges: its consumers (only a crashed one
+// has any) drop it, and each producer stops feeding it and is collected.
+func (rt *Runtime) unlink(op *Operator) {
+	for i := len(op.subs) - 1; i >= 0; i-- {
+		if s := op.subs[i]; s.op != nil {
+			unfeed(op, s.op, s.side)
 		}
-		// Drop subscriptions pointing at removed operators.
-		for _, op := range rt.ops {
-			kept := op.subs[:0]
-			for _, s := range op.subs {
-				if s.sink >= 0 || rt.ops[s.dst] != nil {
-					kept = append(kept, s)
-				}
-			}
-			if len(kept) != len(op.subs) {
-				op.subs = kept
-				changed = true
-			}
-		}
+	}
+	for len(op.in) > 0 {
+		p := op.in[len(op.in)-1]
+		i := slices.IndexFunc(p.subs, func(s subscription) bool { return s.op == op })
+		unfeed(p, op, p.subs[i].side)
+		rt.collect(p)
+	}
+}
+
+// collect retires an operator no deployment holds and nothing consumes.
+func (rt *Runtime) collect(op *Operator) {
+	if op.refs <= 0 && len(op.subs) == 0 {
+		rt.retire(op)
 	}
 }
 

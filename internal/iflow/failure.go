@@ -26,18 +26,14 @@ func (rt *Runtime) FailNode(v netgraph.NodeID) []int {
 			affected = append(affected, qid)
 		}
 	}
+	// Retiring also collects what fed only the dead (refs == 0: e.g. the
+	// upstream chain of a reused stream whose producing query left); range
+	// skips entries that collection deletes before the loop reaches them.
 	for k, op := range rt.ops {
 		if k.node == v {
 			rt.retire(op)
 		}
 	}
-	// Collect the chains the crash orphaned: gc drops the subscriptions
-	// into the dead operators, and an operator kept alive only by a
-	// subscriber on the failed node (refs == 0 — e.g. the upstream chain
-	// of a reused stream whose producing query was already undeployed)
-	// has no references and, now, no subscribers, and must not outlive
-	// its consumer.
-	rt.gc()
 	slices.Sort(affected)
 	return affected
 }

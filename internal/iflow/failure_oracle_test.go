@@ -10,7 +10,7 @@ import (
 )
 
 // TestFailNodeMatchesOracle holds FailNode, which retires the crashed
-// operators through retire and leaves the subscriptions into them to gc,
+// operators through retire and lets their links collect what they fed on,
 // to failNodeOracle — FailNode as it was with its own dead set and
 // subscription sweep, verbatim below. Each case deploys (and migrates)
 // TestMigrateMatchesOracle's fixtures, or a query whose whole plan is one
@@ -123,7 +123,7 @@ func TestFailNodeMatchesOracle(t *testing.T) {
 	if err := rt.Undeploy(reader.ID); err != nil {
 		t.Fatal(err)
 	}
-	if len(root.subs) != 1 || !root.subs[0].same(subscription{sink: w.q.ID, to: w.q.Sink}) {
+	if len(root.subs) != 1 || root.subs[0] != (subscription{sink: rt.Sink(w.q.ID)}) {
 		t.Fatalf("after undeploying the reader the root's subscriptions are %+v, want only query %d's sink", root.subs, w.q.ID)
 	}
 	if err := rt.CheckInvariants(nil); err != nil {
@@ -159,7 +159,7 @@ func (rt *Runtime) failNodeOracle(v netgraph.NodeID) []int {
 	for _, op := range rt.ops {
 		kept := op.subs[:0]
 		for _, s := range op.subs {
-			if s.sink < 0 && dead[s.dst] {
+			if s.sink == nil && dead[s.op.key] {
 				continue
 			}
 			kept = append(kept, s)

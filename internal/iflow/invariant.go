@@ -17,9 +17,10 @@ import (
 //
 //   - every operator is indexed under its own key, holds a non-negative
 //     reference count, and (with liveNode) runs on a live node;
-//   - every subscription is well-formed: operator subscriptions point at
-//     an existing operator at the subscription's destination node, sink
-//     subscriptions name a deployed query and its recorded sink node;
+//   - every subscription is well-formed: operator subscriptions name a
+//     live operator, sink subscriptions the sink a deployed query records;
+//   - links mirror subscriptions: a consumer lists a producer once per
+//     subscription the producer holds into it (so only live producers);
 //   - each deployed query holds exactly one sink subscription and only
 //     references operators that exist; per-operator reference counts equal
 //     the number of deployment holds on them;
@@ -55,7 +56,9 @@ func (rt *Runtime) CheckInvariants(liveNode func(netgraph.NodeID) bool) error {
 		return keys[i].node < keys[j].node
 	})
 
-	sinkSubs := map[int]int{} // query ID -> sink subscriptions seen
+	sinkSubs := map[int]int{}       // query ID -> sink subscriptions seen
+	links := map[[2]*Operator]int{} // (producer, consumer) -> subscriptions minus listings
+	unlisted := 0                   // operator subscriptions minus listings
 	for _, k := range keys {
 		op := rt.ops[k]
 		if op.key != k {
@@ -71,28 +74,37 @@ func (rt *Runtime) CheckInvariants(liveNode func(netgraph.NodeID) bool) error {
 			return fmt.Errorf("iflow: orphan operator %s@%d (no references, no subscribers)", k.sig, k.node)
 		}
 		for _, s := range op.subs {
-			if s.sink >= 0 {
-				stats, ok := rt.sinks[s.sink]
-				if !ok {
-					return fmt.Errorf("iflow: %s@%d delivers to unknown query %d", k.sig, k.node, s.sink)
+			if s.sink != nil {
+				qid := s.sink.query
+				if rt.sinks[qid] != s.sink {
+					return fmt.Errorf("iflow: %s@%d delivers to a stale sink of query %d", k.sig, k.node, qid)
 				}
-				if s.to != stats.Node {
-					return fmt.Errorf("iflow: %s@%d delivers query %d to node %d, sink records node %d",
-						k.sig, k.node, s.sink, s.to, stats.Node)
+				if _, deployed := rt.deploys[qid]; !deployed {
+					return fmt.Errorf("iflow: %s@%d still delivers to undeployed query %d", k.sig, k.node, qid)
 				}
-				if _, deployed := rt.deploys[s.sink]; !deployed {
-					return fmt.Errorf("iflow: %s@%d still delivers to undeployed query %d", k.sig, k.node, s.sink)
-				}
-				sinkSubs[s.sink]++
+				sinkSubs[qid]++
 				continue
 			}
-			if rt.ops[s.dst] == nil {
-				return fmt.Errorf("iflow: %s@%d subscribes missing operator %s@%d", k.sig, k.node, s.dst.sig, s.dst.node)
+			if c := s.op; rt.ops[c.key] != c {
+				return fmt.Errorf("iflow: %s@%d subscribes missing operator %s@%d", k.sig, k.node, c.key.sig, c.key.node)
 			}
-			if s.to != s.dst.node {
-				return fmt.Errorf("iflow: %s@%d routes %s@%d via node %d", k.sig, k.node, s.dst.sig, s.dst.node, s.to)
-			}
+			links[[2]*Operator{op, s.op}]++
+			unlisted++
 		}
+	}
+	// Links mirror subscriptions: a consumer lists a producer once per
+	// subscription the producer holds into it, and lists nothing else.
+	for _, k := range keys {
+		c := rt.ops[k]
+		for _, p := range c.in {
+			if links[[2]*Operator{p, c}]--; links[[2]*Operator{p, c}] < 0 {
+				return fmt.Errorf("iflow: %s@%d lists producer %s@%d beyond its subscriptions into it", k.sig, k.node, p.key.sig, p.key.node)
+			}
+			unlisted--
+		}
+	}
+	if unlisted != 0 {
+		return fmt.Errorf("iflow: %d operator subscriptions missing from their consumers' producer lists", unlisted)
 	}
 
 	// Deployment holds vs. operator reference counts.
@@ -223,10 +235,10 @@ func (rt *Runtime) checkAcyclic(keys []opKey) error {
 		}
 		state[k] = inStack
 		for _, s := range rt.ops[k].subs {
-			if s.sink >= 0 {
+			if s.sink != nil {
 				continue
 			}
-			if err := visit(s.dst); err != nil {
+			if err := visit(s.op.key); err != nil {
 				return err
 			}
 		}

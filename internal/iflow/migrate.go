@@ -194,17 +194,12 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 	// Operators either plan consumes as a leaf keep the wiring their
 	// producing deployment gave them (the diff never rewires them).
 	for _, rw := range diff.Rewire {
-		dst := keyOf(rw.New.Ref)
+		c := rt.ops[keyOf(rw.New.Ref)]
 		rw.ChangedInputs(func(in query.OpRef, s int, added bool) {
-			p := rt.ops[keyOf(in)]
-			if p == nil {
-				return
-			}
-			sub := subscription{dst: dst, side: side(s), sink: -1, to: dst.node}
-			if added {
-				p.subscribe(sub)
-			} else {
-				p.unsubscribe(sub)
+			if p := rt.ops[keyOf(in)]; p != nil && added {
+				feed(p, c, side(s))
+			} else if p != nil {
+				unfeed(p, c, side(s))
 			}
 		})
 	}
@@ -215,7 +210,7 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 	// Post-order IR puts the root last.
 	if oldIR[len(oldIR)-1].Ref != newIR[len(newIR)-1].Ref {
 		rt.unsubscribeSink(q.ID, dep.held)
-		inst.root.subscribe(subscription{sink: q.ID, to: sink.Node})
+		inst.root.subscribe(subscription{sink: sink})
 	}
 	if sink.width != inst.root.width {
 		// A new root with a different tuple width: deliveries before this

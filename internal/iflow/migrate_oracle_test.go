@@ -105,6 +105,22 @@ func TestMigrateMatchesOracle(t *testing.T) {
 	}
 }
 
+// route is a subscription's identity across runtimes: its consumer
+// operator's key and side, or its sink's query (sink is -1 for an
+// operator).
+type route struct {
+	dst  opKey
+	side side
+	sink int
+}
+
+func routeOf(s subscription) route {
+	if s.sink != nil {
+		return route{sink: s.sink.query}
+	}
+	return route{dst: s.op.key, side: s.side, sink: -1}
+}
+
 // sameWiring reports the first difference between two runtimes' operator
 // sets and subscription lists, compared in order by route.
 func sameWiring(a, b *Runtime) error {
@@ -120,8 +136,8 @@ func sameWiring(a, b *Runtime) error {
 			return fmt.Errorf("%s@%d: refs %d subs %v, oracle refs %d subs %v", k.sig, k.node, op.refs, op.subs, o.refs, o.subs)
 		}
 		for i := range op.subs {
-			if !op.subs[i].same(o.subs[i]) {
-				return fmt.Errorf("%s@%d: subscription %d is %+v, oracle %+v", k.sig, k.node, i, op.subs[i], o.subs[i])
+			if g, w := routeOf(op.subs[i]), routeOf(o.subs[i]); g != w {
+				return fmt.Errorf("%s@%d: subscription %d is %+v, oracle %+v", k.sig, k.node, i, g, w)
 			}
 		}
 	}
@@ -248,9 +264,9 @@ func (rt *Runtime) migrateOracle(q *query.Query, plan *query.PlanNode, cat *quer
 	// Post-order IR puts the root last.
 	if oldIR[len(oldIR)-1].Ref != newIR[len(newIR)-1].Ref {
 		for _, op := range rt.ops {
-			op.unsubscribe(subscription{sink: q.ID, to: sink.Node})
+			op.unsubscribe(subscription{sink: sink})
 		}
-		inst.root.subscribe(subscription{sink: q.ID, to: sink.Node})
+		inst.root.subscribe(subscription{sink: sink})
 	}
 	if sink.width != inst.root.width {
 		// A new root with a different tuple width: deliveries before this
@@ -268,7 +284,7 @@ func (rt *Runtime) migrateOracle(q *query.Query, plan *query.PlanNode, cat *quer
 	rep.LoadDelta = loadDelta(dep.plan, plan)
 	oldHeld := dep.held
 	dep.plan, dep.ir, dep.held = plan, newIR, inst.held
-	rt.release(oldHeld)
+	rt.releaseOracle(oldHeld)
 
 	rep.Kept = len(diff.Keep)
 	rep.Created = len(inst.created)
@@ -311,7 +327,7 @@ func (rt *Runtime) rewireOracle(oldIR, newIR []query.IROp) int {
 			}
 			changed = true
 			if p := rt.ops[opKey{sig: in.Sig, node: in.Loc}]; p != nil {
-				p.subscribe(subscription{dst: ck, side: side(i), sink: -1, to: nop.Ref.Loc})
+				feed(p, rt.ops[ck], side(i))
 			}
 		}
 		for i, in := range oop.Inputs {
@@ -320,7 +336,7 @@ func (rt *Runtime) rewireOracle(oldIR, newIR []query.IROp) int {
 			}
 			changed = true
 			if p := rt.ops[opKey{sig: in.Sig, node: in.Loc}]; p != nil {
-				p.unsubscribe(subscription{dst: ck, side: side(i), sink: -1, to: nop.Ref.Loc})
+				unfeed(p, rt.ops[ck], side(i))
 			}
 		}
 		if changed {

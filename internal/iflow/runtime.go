@@ -74,22 +74,20 @@ const (
 	rightSide
 )
 
-// subscription routes an operator's output to a consumer.
+// subscription routes an operator's output to one consumer: a side of
+// another operator, or a query's sink. Subscriptions compare with ==.
 type subscription struct {
-	dst  opKey
+	op   *Operator  // consumer operator; nil for a sink
+	sink *SinkStats // consumer sink; nil for an operator
 	side side
-	sink int // query ID when >= 0: deliver to that query's sink counter
-	to   netgraph.NodeID
-
-	// op caches the operator dst resolved to, so emit hashes the key only
-	// when it is nil or retired. Not part of the route's identity: see same.
-	op *Operator
 }
 
-// same reports whether two subscriptions are the same route; the cached
-// operator is ignored, so a warmed-up entry still matches a fresh literal.
-func (s subscription) same(o subscription) bool {
-	return s.dst == o.dst && s.side == o.side && s.sink == o.sink && s.to == o.to
+// to is the node the subscription delivers at.
+func (s subscription) to() netgraph.NodeID {
+	if s.sink != nil {
+		return s.sink.Node
+	}
+	return s.op.key.node
 }
 
 // Operator is a deployed stream operator: a base-stream tap (no
@@ -127,8 +125,9 @@ type Operator struct {
 	window  float64
 	win     [2]window // buffered inputs, indexed by side
 	subs    []subscription
-	refs    int  // deployments using this operator
-	retired bool // left rt.ops (see retire): arriving tuples are dropped
+	in      []*Operator // producers, once per subscription they hold into it
+	refs    int         // deployments using this operator
+	retired bool        // left rt.ops (see retire): arriving tuples are dropped
 
 	// OutCount / OutBytes measure produced output.
 	OutCount int64
@@ -191,13 +190,13 @@ func ResidualPassProb(narrowed, base float64) float64 {
 // reference.
 func (op *Operator) SubscribedBeyond(consumerSig string, consumerLoc netgraph.NodeID, queryID int) bool {
 	for _, s := range op.subs {
-		if s.sink >= 0 {
-			if s.sink != queryID {
+		if s.sink != nil {
+			if s.sink.query != queryID {
 				return true
 			}
 			continue
 		}
-		if s.dst.sig != consumerSig || s.dst.node != consumerLoc {
+		if s.op.key.sig != consumerSig || s.op.key.node != consumerLoc {
 			return true
 		}
 	}
@@ -216,6 +215,7 @@ type SinkStats struct {
 	// exact per-sink byte invariant.
 	width float64
 	mixed bool
+	query int // the ID of the query the sink belongs to
 }
 
 // MeanLatency returns the average end-to-end delivery latency in seconds,
@@ -457,12 +457,10 @@ func (rt *Runtime) refreshOne(cur, spare *netgraph.Paths) (*netgraph.Paths, *net
 }
 
 // delivery is a tuple in flight, the event queue's message type: bound
-// for a query's sink when sink is set, else for one side of operator op.
+// for the consumer of the subscription it was emitted on.
 type delivery struct {
-	sink *SinkStats
-	op   *Operator
-	side side
-	t    Tuple
+	subscription
+	t Tuple
 }
 
 // transfer accounts a tuple moving between two nodes and queues its
@@ -512,24 +510,8 @@ func (rt *Runtime) InFlight() int64 { return rt.TuplesSent - rt.tuplesSettled }
 func (rt *Runtime) emit(op *Operator, t Tuple) {
 	op.OutCount++
 	op.OutBytes += t.Size
-	for i := range op.subs {
-		sub := &op.subs[i]
-		d := delivery{side: sub.side, t: t}
-		if sub.sink >= 0 {
-			d.sink = rt.sinks[sub.sink]
-		} else {
-			// A live cached operator is the one its key maps to; a retired
-			// one may have a same-key successor, found as the map finds it.
-			if sub.op == nil || sub.op.retired {
-				if sub.op = rt.ops[sub.dst]; sub.op == nil {
-					rt.TuplesDropped++
-					rt.obsDropped.Inc()
-					continue // consumer undeployed mid-flight
-				}
-			}
-			d.op = sub.op
-		}
-		rt.transfer(op.key.node, sub.to, d)
+	for _, sub := range op.subs {
+		rt.transfer(op.key.node, sub.to(), delivery{sub, t})
 	}
 }
 

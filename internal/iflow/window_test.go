@@ -122,12 +122,12 @@ func newWindowHarness(tb testing.TB) *windowHarness {
 		}
 		h.rt.settle(d)
 	})
-	h.op = &Operator{key: opKey{sig: "J"}, window: h.rt.cfg.Window, width: h.rt.cfg.TupleSize, refs: 1,
-		subs: []subscription{{dst: down.key, sink: -1}}}
+	h.op = &Operator{key: opKey{sig: "J"}, window: h.rt.cfg.Window, width: h.rt.cfg.TupleSize, refs: 1}
 	h.rt.ops[down.key], h.rt.ops[h.op.key] = down, h.op
+	feed(h.op, down, leftSide)
 	for s := range h.feed {
-		h.feed[s] = &Operator{key: opKey{sig: "feed", node: 0}, isBase: true, refs: 1,
-			subs: []subscription{{dst: h.op.key, side: side(s), sink: -1}}}
+		h.feed[s] = &Operator{key: opKey{sig: "feed", node: 0}, isBase: true, refs: 1}
+		feed(h.feed[s], h.op, side(s))
 	}
 	h.ref = scanOp{window: h.op.window, width: h.rt.cfg.TupleSize}
 	return h
@@ -177,13 +177,19 @@ func (h *windowHarness) step(dt float64, s side, key int64, size, age float64) {
 
 // move retires the operator in favour of a fresh one under the same key,
 // filled the way Migrate ships a moved join's state: left then right, each
-// in arrival order. The feeders' subscriptions still cache the retired
-// one, so the next emit has to find the successor.
+// in arrival order. Retiring unlinks the old one from the feeders and the
+// filter; the feeders are then rewired to the successor, and it to the
+// filter.
 func (h *windowHarness) move() {
-	fresh := &Operator{key: h.op.key, window: h.op.window, width: h.op.width, refs: 1, subs: h.op.subs}
+	fresh := &Operator{key: h.op.key, window: h.op.window, width: h.op.width, refs: 1}
 	h.op.buffered(func(s side, t Tuple) { fresh.win[s].insert(t) })
-	h.op.retired = true
+	down := h.op.subs[0].op
+	h.rt.retire(h.op)
 	h.rt.ops[fresh.key], h.op = fresh, fresh
+	for s, f := range h.feed {
+		feed(f, fresh, side(s))
+	}
+	feed(fresh, down, leftSide)
 }
 
 func firstDiff(a, b []Tuple) int {

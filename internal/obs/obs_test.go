@@ -65,6 +65,16 @@ func TestDisabledModeIsNoOp(t *testing.T) {
 	if snap.Counter("c") != 0 || snap.Gauge("g") != 0 {
 		t.Fatal("disabled snapshot non-zero")
 	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(3)
+		g.Set(9)
+		g.Add(1)
+		h.Observe(0.5)
+		StartSpan(r, "span").End()
+	}); n != 0 {
+		t.Fatalf("disabled Inc/Set/Add/Observe/StartSpan+End allocate %v times, want 0", n)
+	}
 }
 
 func TestNilHandlesAreSafe(t *testing.T) {
