@@ -380,12 +380,12 @@ func BenchmarkDeploy(b *testing.B) {
 	}
 }
 
-// BenchmarkDeployCQL measures one DeployCQL + Undeploy pair of a
+// BenchmarkDeployCQL measures one PlanCQL + Deploy + Undeploy round of a
 // three-way projecting statement whose operators already stand, with and
 // without its text standing. prepared-hit keeps a deployment of the very
-// text, so every pair instantiates the prepared statement; prepared-miss
+// text, so every round instantiates the prepared statement; prepared-miss
 // keeps one of the same statement spelled with a trailing blank — the same
-// query, advertisements and plans under another text — so every pair
+// query, advertisements and plans under another text — so every round
 // parses, rewrites, enters its entry and drops it again.
 func BenchmarkDeployCQL(b *testing.B) {
 	stmt := pushdownStatements[1]
@@ -394,13 +394,16 @@ func BenchmarkDeployCQL(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys, sink := newSchemaSystem(b)
-			if _, err := sys.DeployCQL(mode.standing, sink, AlgoTopDown); err != nil {
+			if _, err := deploy(sys)(sys.PlanCQL(mode.standing, sink, AlgoTopDown)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d, err := sys.DeployCQL(stmt, NodeID(i%64), AlgoTopDown)
+				d, err := sys.PlanCQL(stmt, NodeID(i%64), AlgoTopDown)
+				if err == nil {
+					err = sys.Deploy(d)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,7 +24,7 @@ func TestPlanAllocatesUniqueQueryIDs(t *testing.T) {
 		seen[d.Query.ID] = true
 	}
 	// Mixed Plan / Deploy / PlanCQL traffic keeps IDs unique too.
-	d, err := sys.Deploy(ids, 9, AlgoTopDown)
+	d, err := deploy(sys)(sys.Plan(ids, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestConcurrentDeploy(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				sink := NodeID((g*7 + i*3) % sys.Graph.NumNodes())
-				d, err := sys.Deploy(ids, sink, AlgoTopDown)
+				d, err := deploy(sys)(sys.Plan(ids, sink, AlgoTopDown))
 				if err != nil {
 					errCh <- err
 					return

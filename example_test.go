@@ -15,7 +15,11 @@ func ExampleSystem_Deploy() {
 	inventory := sys.AddStream("INVENTORY", 35, 33)
 	sys.SetSelectivity(orders, inventory, 0.004)
 
-	d, _ := sys.Deploy([]hnp.StreamID{orders, inventory}, 7, hnp.AlgoTopDown)
+	d, _ := sys.Plan([]hnp.StreamID{orders, inventory}, 7, hnp.AlgoTopDown)
+	if err := sys.Deploy(d); err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println(d.Plan)
 	// Output: (s[0]@10 ⋈@10 s[1]@33)
 }
@@ -23,16 +27,20 @@ func ExampleSystem_Deploy() {
 // Queries can be written in the paper's SQL-like syntax; predicates join
 // the signature, so operators computed under different predicates never
 // alias and stricter queries reuse weaker ones via residual filters.
-func ExampleSystem_DeployCQL() {
+// Deploy commits the planned statement.
+func ExampleSystem_PlanCQL() {
 	g := hnp.TransitStubNetwork(64, 1)
 	sys, _ := hnp.NewSystem(g, 8, 1)
 	sys.AddStream("FLIGHTS", 60, 12)
 	sys.AddStream("CHECK-INS", 45, 13)
 
-	d, err := sys.DeployCQL(`SELECT FLIGHTS.STATUS, CHECK-INS.STATUS
-	                         FROM FLIGHTS, CHECK-INS
-	                         WHERE FLIGHTS.NUM = CHECK-INS.FLNUM
-	                           AND FLIGHTS.DP_TIME < 0.5`, 14, hnp.AlgoTopDown)
+	d, err := sys.PlanCQL(`SELECT FLIGHTS.STATUS, CHECK-INS.STATUS
+	                       FROM FLIGHTS, CHECK-INS
+	                       WHERE FLIGHTS.NUM = CHECK-INS.FLNUM
+	                         AND FLIGHTS.DP_TIME < 0.5`, 14, hnp.AlgoTopDown)
+	if err == nil {
+		err = sys.Deploy(d)
+	}
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -23,16 +23,23 @@ func main() {
 	checkins := sys.AddStream("CHECK-INS", 45, 40)
 	sys.SetSelectivity(flights, checkins, 0.004)
 	srcs := []hnp.StreamID{flights, checkins}
+	// deploy commits a planned query: Plan*, then Deploy.
+	deploy := func(d hnp.Deployment, err error) hnp.Deployment {
+		if err == nil {
+			err = sys.Deploy(d)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		return d
+	}
 
 	// A broad operations dashboard: all flights departing within 24h
 	// (dp_time normalized to [0,1] over the horizon).
 	broad := hnp.MustPredSet(hnp.Pred{
 		Stream: flights, Attr: "dp_time", Range: hnp.Range{Lo: 0, Hi: 1},
 	})
-	dash, err := sys.DeployWhere(srcs, 9, hnp.AlgoTopDown, broad)
-	if err != nil {
-		log.Fatal(err)
-	}
+	dash := deploy(sys.PlanWhere(srcs, 9, hnp.AlgoTopDown, broad))
 	fmt.Println("broad dashboard (24h horizon):")
 	fmt.Printf("  plan: %s\n  cost: %.1f\n\n", dash.Plan, dash.Cost)
 
@@ -41,10 +48,7 @@ func main() {
 	narrow := hnp.MustPredSet(hnp.Pred{
 		Stream: flights, Attr: "dp_time", Range: hnp.Range{Lo: 0, Hi: 0.125},
 	})
-	gate, err := sys.DeployWhere(srcs, 33, hnp.AlgoTopDown, narrow)
-	if err != nil {
-		log.Fatal(err)
-	}
+	gate := deploy(sys.PlanWhere(srcs, 33, hnp.AlgoTopDown, narrow))
 	fmt.Println("gate display (3h horizon), planned with containment:")
 	fmt.Printf("  plan: %s\n  marginal cost: %.1f\n", gate.Plan, gate.Cost)
 	for _, leaf := range gate.Plan.Leaves() {
@@ -80,10 +84,7 @@ func main() {
 	wider := hnp.MustPredSet(hnp.Pred{
 		Stream: flights, Attr: "dp_time", Range: hnp.Range{Lo: 0, Hi: 0.5},
 	})
-	half, err := sys.DeployWhere(srcs, 50, hnp.AlgoTopDown, wider)
-	if err != nil {
-		log.Fatal(err)
-	}
+	half := deploy(sys.PlanWhere(srcs, 50, hnp.AlgoTopDown, wider))
 	fromGate := false
 	for _, leaf := range half.Plan.Leaves() {
 		if leaf.In.Derived && leaf.In.BaseSig != "" && leaf.In.BaseSig == gate.Query.SigOf(gate.Query.All()) {

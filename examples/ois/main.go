@@ -50,20 +50,24 @@ func main() {
 	sys.SetSelectivity(flights, weather, 0.012)
 	sys.SetSelectivity(flights, checkins, 0.004)
 	sys.SetSelectivity(weather, checkins, 0.020)
+	// deploy commits a planned query: Plan*, then Deploy.
+	deploy := func(d hnp.Deployment, err error) hnp.Deployment {
+		if err == nil {
+			err = sys.Deploy(d)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		return d
+	}
 
 	// Q2: gate-agent display near the check-in systems (sink node 14).
-	q2, err := sys.DeployCQL(q2SQL, 14, hnp.AlgoTopDown)
-	if err != nil {
-		log.Fatal(err)
-	}
+	q2 := deploy(sys.PlanCQL(q2SQL, 14, hnp.AlgoTopDown))
 	fmt.Println("Q2 = FLIGHTS ⋈ CHECK-INS (Atlanta, <12h)  ->  sink 14")
 	fmt.Printf("  plan: %s\n  cost: %.1f per unit time\n\n", q2.Plan, q2.Cost)
 
 	// Q1: terminal overhead display elsewhere (sink node 9).
-	q1, err := sys.DeployCQL(q1SQL, 9, hnp.AlgoTopDown)
-	if err != nil {
-		log.Fatal(err)
-	}
+	q1 := deploy(sys.PlanCQL(q1SQL, 9, hnp.AlgoTopDown))
 	fmt.Println("Q1 = FLIGHTS ⋈ WEATHER ⋈ CHECK-INS (same predicates)  ->  sink 9")
 	fmt.Printf("  plan: %s\n  marginal cost: %.1f per unit time\n", q1.Plan, q1.Cost)
 
@@ -90,7 +94,7 @@ func main() {
 	fresh.SetSelectivity(f2, weather, 0.012)
 	fresh.SetSelectivity(f2, c2, 0.004)
 	fresh.SetSelectivity(weather, c2, 0.020)
-	alone, err := fresh.DeployCQL(q1SQL, 9, hnp.AlgoTopDown)
+	alone, err := fresh.PlanCQL(q1SQL, 9, hnp.AlgoTopDown)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,11 +16,12 @@
 //	flights := sys.AddStream("FLIGHTS", 40, 17)
 //	weather := sys.AddStream("WEATHER", 25, 93)
 //	sys.SetSelectivity(flights, weather, 0.01)
-//	dep, _ := sys.Deploy([]hnp.StreamID{flights, weather}, 5, hnp.AlgoTopDown)
+//	dep, _ := sys.Plan([]hnp.StreamID{flights, weather}, 5, hnp.AlgoTopDown)
+//	_ = sys.Deploy(dep)                        // commit: advertise and book it
 //	fmt.Println(dep.Plan, dep.Cost)
 //
-// Deployed operators are advertised automatically, so later Deploy calls
-// reuse them whenever that is cheaper than duplicating work.
+// Deploy advertises the plan's operators, so later plans reuse them
+// whenever that is cheaper than duplicating work.
 package hnp
 
 import (
@@ -45,9 +46,9 @@ type (
 	// planning half of the lifecycle engine (internal/engine), where its
 	// methods and concurrency contract are documented.
 	System = engine.System
-	// Deployment is the outcome of deploying one query.
+	// Deployment is a planned query, which Deploy commits.
 	Deployment = engine.Deployment
-	// Algorithm selects the optimizer Deploy runs.
+	// Algorithm selects the optimizer the Plan methods run.
 	Algorithm = engine.Algorithm
 	// Graph is the physical network: nodes joined by links with per-byte
 	// costs and propagation delays.

@@ -22,10 +22,21 @@ func newTestSystem(t *testing.T) (*System, []StreamID) {
 	return sys, []StreamID{a, b, c}
 }
 
+// deploy commits what a Plan* call returned: the test shorthand for
+// Plan* then Deploy(d).
+func deploy(sys *System) func(Deployment, error) (Deployment, error) {
+	return func(d Deployment, err error) (Deployment, error) {
+		if err == nil {
+			err = sys.Deploy(d)
+		}
+		return d, err
+	}
+}
+
 func TestDeployAllAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoTopDown, AlgoBottomUp, AlgoOptimal, AlgoPlanThenDeploy} {
 		sys, ids := newTestSystem(t)
-		d, err := sys.Deploy(ids, 9, algo)
+		d, err := deploy(sys)(sys.Plan(ids, 9, algo))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -57,7 +68,7 @@ func TestHeuristicsBoundedByOptimal(t *testing.T) {
 
 func TestDeployAdvertisesAndReuses(t *testing.T) {
 	sys, ids := newTestSystem(t)
-	first, err := sys.Deploy(ids, 9, AlgoTopDown)
+	first, err := deploy(sys)(sys.Plan(ids, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func TestDeployAdvertisesAndReuses(t *testing.T) {
 	}
 	// Same query again: full reuse caps the marginal cost at shipping the
 	// existing root output to the sink.
-	second, err := sys.Deploy(ids, 9, AlgoTopDown)
+	second, err := deploy(sys)(sys.Plan(ids, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +181,7 @@ func TestDelayMetricSystem(t *testing.T) {
 	a := sys.AddStream("A", 40, 4)
 	b := sys.AddStream("B", 30, 20)
 	sys.SetSelectivity(a, b, 0.01)
-	d, err := sys.Deploy([]StreamID{a, b}, 9, AlgoTopDown)
+	d, err := deploy(sys)(sys.Plan([]StreamID{a, b}, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +212,7 @@ func TestDeployAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := sys.DeployCQL("SELECT * FROM A, B, C WINDOW 30 AGGREGATE COUNT", 9, AlgoTopDown)
+	d, err := deploy(sys)(sys.PlanCQL("SELECT * FROM A, B, C WINDOW 30 AGGREGATE COUNT", 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +223,7 @@ func TestDeployAggregate(t *testing.T) {
 		t.Errorf("aggregation raised cost %g -> %g", plain.Cost, d.Cost)
 	}
 	// A window of zero seconds is refused.
-	if _, err := sys.DeployCQL("SELECT * FROM A, B, C WINDOW 0 AGGREGATE COUNT", 9, AlgoTopDown); err == nil {
+	if _, err := deploy(sys)(sys.PlanCQL("SELECT * FROM A, B, C WINDOW 0 AGGREGATE COUNT", 9, AlgoTopDown)); err == nil {
 		t.Error("WINDOW 0 accepted")
 	}
 }
@@ -233,7 +244,7 @@ func TestDeployCQL(t *testing.T) {
 	       WHERE FLIGHTS.DEPARTING = 'ATLANTA'
 	         AND FLIGHTS.NUM = CHECK-INS.FLNUM
 	         AND FLIGHTS.DP_TIME < 0.5`
-	d2, err := sys.DeployCQL(q2, 14, AlgoTopDown)
+	d2, err := deploy(sys)(sys.PlanCQL(q2, 14, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +260,7 @@ func TestDeployCQL(t *testing.T) {
 	         AND FLIGHTS.DESTN = WEATHER.CITY
 	         AND FLIGHTS.NUM = CHECK-INS.FLNUM
 	         AND FLIGHTS.DP_TIME < 0.5`
-	d1, err := sys.DeployCQL(q1, 9, AlgoTopDown)
+	d1, err := deploy(sys)(sys.PlanCQL(q1, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +270,7 @@ func TestDeployCQL(t *testing.T) {
 	// Aggregated CQL.
 	agg := `SELECT * FROM FLIGHTS, WEATHER WHERE FLIGHTS.DESTN = WEATHER.CITY
 	        WINDOW 60 AGGREGATE COUNT`
-	da, err := sys.DeployCQL(agg, 3, AlgoTopDown)
+	da, err := deploy(sys)(sys.PlanCQL(agg, 3, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,7 @@ func TestDeployCQL(t *testing.T) {
 		t.Error("aggregate clause lost")
 	}
 	// Parse errors surface.
-	if _, err := sys.DeployCQL("SELECT FROM", 0, AlgoTopDown); err == nil {
+	if _, err := deploy(sys)(sys.PlanCQL("SELECT FROM", 0, AlgoTopDown)); err == nil {
 		t.Error("bad CQL accepted")
 	}
 }

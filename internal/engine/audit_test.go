@@ -112,13 +112,6 @@ func TestAuditReports(t *testing.T) {
 			}
 			e.Registry.Advertise(orphanAd(v))
 		}},
-		// The footgun the Engine doc comment names: System's planning-only
-		// deploy books a plan no runtime hosts. The ledger clause comes first.
-		{"planning-only deploy on an engine", "load ledger", func(t *testing.T, e testEngine, _ Deployment) {
-			if _, err := e.DeployWhere([]query.StreamID{2, 3}, e.sink, AlgoTopDown, query.PredSet{}); err != nil {
-				t.Fatal(err)
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newTestEngine(t, 3, 100)

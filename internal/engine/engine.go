@@ -34,9 +34,7 @@ import (
 // whichever path (Runtime.OnRetire is Registry.Retract): nothing sweeps.
 //
 // Plan with the promoted Plan*/PlanQuery methods and hand the result to
-// Deploy. The System's own Deploy*/Undeploy book planning-level state for
-// systems that never run a tuple; on an Engine they would advertise
-// operators nobody hosts, which Audit reports.
+// Deploy.
 //
 // An Engine runs on its runtime's single-threaded simulation clock and is
 // not safe for concurrent use.
@@ -75,9 +73,13 @@ func (e *Engine) DeployedPlan(qid int) *query.PlanNode { return e.RT.DeployedPla
 // Live reports whether a node is up: a member of the hierarchy.
 func (e *Engine) Live(v netgraph.NodeID) bool { return e.Hierarchy.Contains(v) }
 
-// Deploy starts a planned query: its operators come up in the runtime,
-// are advertised for reuse and booked in the load ledger.
+// Deploy runs a planned query, advertises and books it; a nil Plan (a
+// provably empty query) runs and records nothing. Unlike System.Deploy it
+// pins no prepared statement, so an Engine's PlanCQL always misses.
 func (e *Engine) Deploy(d Deployment) error {
+	if d.Plan == nil {
+		return nil
+	}
 	if err := e.RT.Deploy(d.Query, d.Plan, e.Catalog, e.until); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -78,6 +79,17 @@ func (e testEngine) audit(t *testing.T, step string) {
 	}
 }
 
+// deploy commits what a Plan* call returned, on either half of the engine:
+// the test shorthand for Plan* then Deploy(d).
+func deploy(c interface{ Deploy(Deployment) error }) func(Deployment, error) (Deployment, error) {
+	return func(d Deployment, err error) (Deployment, error) {
+		if err == nil {
+			err = c.Deploy(d)
+		}
+		return d, err
+	}
+}
+
 // SetLiveRate — the call a rate-shift endpoint will sit on — must refuse
 // anything but a finite positive rate: +Inf would spin the source's tick
 // at one instant forever, NaN would queue an event with no place in time.
@@ -120,6 +132,13 @@ func TestEngineLifecycle(t *testing.T) {
 		t.Fatalf("second query %s does not reuse the first's operator; pick another seed", q2.Plan)
 	}
 	q3 := e.start(t, AlgoBottomUp, 5, 2, 3)
+	// A provably empty statement plans to no plan, which runs and records
+	// nothing.
+	empty, err := deploy(e)(e.PlanCQL("SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", e.sink, AlgoTopDown))
+	if err != nil || empty.Plan != nil || len(e.RT.DeployedQueries()) != 3 {
+		t.Fatalf("empty statement: plan %v, %v; %d queries deployed, want 3", empty.Plan, err, len(e.RT.DeployedQueries()))
+	}
+	e.audit(t, "deploy of an empty statement")
 	e.RT.RunFor(10)
 
 	// Link burst: reprice everything around q2's operators.
@@ -242,15 +261,64 @@ func TestRetractionRules(t *testing.T) {
 	}
 
 	p := newTestEngine(t, 3, 100).System // same parts, no runtime driven
-	d1, err := p.Deploy([]query.StreamID{0, 1}, e.sink, AlgoTopDown)
+	d1, err := deploy(p)(p.Plan([]query.StreamID{0, 1}, e.sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Deploy([]query.StreamID{0, 1, 2}, e.sink, AlgoTopDown); err != nil {
+	if _, err := deploy(p)(p.Plan([]query.StreamID{0, 1, 2}, e.sink, AlgoTopDown)); err != nil {
 		t.Fatal(err)
 	}
 	if p.Undeploy(d1) == 0 || len(p.Registry.Lookup(sig)) != 0 {
 		t.Error("planning-only undeploy kept its owner's advertisement")
+	}
+}
+
+// TestOneDeployShape: both halves of the engine commit through one method
+// of one shape. One deploy-only CQL sequence, planned with PlanCQL and
+// committed with Deploy, gives the same plans and costs at every step and
+// the same advertisements at the end on a planning-only System as on an
+// Engine over identical parts. It has no undeploys: the two halves
+// retract by different rules (TestRetractionRules).
+func TestOneDeployShape(t *testing.T) {
+	var _ interface{ Deploy(Deployment) error } = (*System)(nil)
+	var _ interface{ Deploy(Deployment) error } = (*Engine)(nil)
+	sys, e := newTestEngine(t, 3, 100).System, newTestEngine(t, 3, 100)
+	pool := []string{
+		"SELECT * FROM S0, S1",
+		"SELECT * FROM S0, S1, S2",
+		"SELECT * FROM S0, S1, S2, S3",
+		"SELECT * FROM S2, S3",
+		"SELECT S0.A, S2.B FROM S0, S2 WHERE S0.A = S2.A",
+		"SELECT * FROM S1, S3 WHERE S1.B < 0.5",
+		"SELECT * FROM S1, S3 WHERE S1.B < 0.25", // contained in the previous
+		"SELECT * FROM S0, S1, S3 WHERE S0.A > 0.4 WINDOW 10 AGGREGATE COUNT",
+		"SELECT * FROM S0, S2, S3 WHERE S2.A < 0.6 AND S3.B > 0.1",
+		"SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", // provably empty
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 60; i++ {
+		stmt, sink := pool[rng.Intn(len(pool))], netgraph.NodeID(rng.Intn(32))
+		algo := []Algorithm{AlgoTopDown, AlgoBottomUp}[rng.Intn(2)]
+		a, errA := deploy(sys)(sys.PlanCQL(stmt, sink, algo))
+		b, errB := deploy(e)(e.PlanCQL(stmt, sink, algo))
+		if errA != nil || errB != nil {
+			t.Fatalf("#%d %q: system %v, engine %v", i, stmt, errA, errB)
+		}
+		if a.Plan.String() != b.Plan.String() || a.Cost != b.Cost {
+			t.Fatalf("#%d %q: system plans %s at %v, engine %s at %v", i, stmt, a.Plan, a.Cost, b.Plan, b.Cost)
+		}
+	}
+	e.audit(t, "the sequence")
+	advertised := func(s *System) []string {
+		var out []string
+		for _, ad := range s.Registry.All() {
+			out = append(out, fmt.Sprintf("%+v", ad))
+		}
+		slices.Sort(out)
+		return out
+	}
+	if got, want := advertised(e.System), advertised(sys); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("engine advertises\n%v\nplanning-only system\n%v", got, want)
 	}
 }
 

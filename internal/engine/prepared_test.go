@@ -36,8 +36,8 @@ func (s *System) tableLen() int {
 	return len(s.prepared)
 }
 
-// The table's first rule: an entry lives exactly as long as a deployment
-// of its text stands. What-if plans, failed plans, statements that do not
+// The table's first rule: an entry lives exactly as long as deployments
+// stand on it. What-if plans, failed plans, statements that do not
 // parse and statements that fold to a no-op never enter one.
 func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 	prev := obs.Enabled.Load()
@@ -60,15 +60,15 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("what-if plan of a text nobody deployed", 0, 0, 1)
-	if _, err := sys.DeployCQL(preparedStmt, sink, Algorithm(99)); err == nil {
+	if _, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, Algorithm(99))); err == nil {
 		t.Fatal("unknown algorithm planned")
 	}
 	want("failed plan", 0, 0, 2)
-	if _, err := sys.DeployCQL("SELECT * FROM NOSUCH", sink, AlgoTopDown); err == nil {
+	if _, err := deploy(sys)(sys.PlanCQL("SELECT * FROM NOSUCH", sink, AlgoTopDown)); err == nil {
 		t.Fatal("unknown stream parsed")
 	}
 	want("parse error", 0, 0, 3)
-	noop, err := sys.DeployCQL("SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", sink, AlgoTopDown)
+	noop, err := deploy(sys)(sys.PlanCQL("SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", sink, AlgoTopDown))
 	if err != nil || !noop.Rewrite.NoOp || noop.Plan != nil {
 		t.Fatalf("contradiction: %+v, %v", noop, err)
 	}
@@ -77,12 +77,12 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 		t.Fatal("undeploying a no-op retracted advertisements")
 	}
 
-	d1, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	d1, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want("first deploy", 1, 0, 5)
-	d2, err := sys.DeployCQL(preparedStmt, sink+1, AlgoBottomUp)
+	d2, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink+1, AlgoBottomUp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("what-if plan of a standing text", 1, 2, 5)
-	other, err := sys.DeployCQL("SELECT * FROM S1, S3", sink, AlgoTopDown)
+	other, err := deploy(sys)(sys.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +109,62 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 	want("text no longer standing", 1, 2, 6)
 	sys.Undeploy(other)
 	want("last undeploy", 0, 2, 6)
+
+	// Two plans of one fresh text before either is deployed both miss.
+	// Deploy enters the first candidate it is given; the other counts its
+	// own deployment and lapses with it, in either undeploy order.
+	const fresh = "SELECT * FROM S0, S3"
+	sound := func(step string) {
+		t.Helper()
+		sys.pmu.Lock()
+		defer sys.pmu.Unlock()
+		for text, p := range sys.prepared {
+			if p.refs < 1 || p.text != text {
+				t.Fatalf("%s: entry %q (text %q) holds %d refs", step, text, p.text, p.refs)
+			}
+		}
+	}
+	for i, undeployEnteredFirst := range []bool{true, false} {
+		m := int64(8 + 2*i)
+		a, errA := sys.PlanCQL(fresh, sink, AlgoTopDown)
+		b, errB := sys.PlanCQL(fresh, sink+1, AlgoTopDown)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		want("two what-if plans of a fresh text", 0, 2, m)
+		for _, d := range []Deployment{a, b} {
+			if err := sys.Deploy(d); err != nil {
+				t.Fatal(err)
+			}
+			want("deploy of one of two candidates", 1, 2, m)
+			sound("deploy of one of two candidates")
+		}
+		if !undeployEnteredFirst {
+			a, b = b, a
+		}
+		sys.Undeploy(a)
+		if undeployEnteredFirst {
+			want("entered candidate retired first", 0, 2, m)
+		} else {
+			want("lapsing candidate retired first", 1, 2, m)
+		}
+		sound("first undeploy")
+		sys.Undeploy(b)
+		want("both candidates retired", 0, 2, m)
+	}
 }
 
 // The second rule: any catalog mutation drops the table, so the next
 // deploy of a standing text parses and rewrites against the new catalog.
 func TestPreparedDroppedOnCatalogChange(t *testing.T) {
 	sys, sink := newPreparedSystem(t)
-	d1, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	d1, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// S0.B narrows: the pruned width of S0 and the planned bytes change.
 	sys.SetSchema(0, query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 2}, {Name: "blob", Width: 64}})
-	d2, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	d2, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +194,7 @@ func TestPreparedDroppedOnCatalogChange(t *testing.T) {
 	// d1's and d2's entries went with their tables: retiring them must
 	// not touch the entry d3 stands on.
 	sys.Undeploy(d1)
-	d3, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	d3, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +203,51 @@ func TestPreparedDroppedOnCatalogChange(t *testing.T) {
 	}
 	if sys.Undeploy(d3); sys.tableLen() != 0 {
 		t.Fatalf("table holds %d entries after the last undeploy", sys.tableLen())
+	}
+
+	// A statement planned before the catalog moved and deployed after
+	// another lookup dropped the table is never entered, whether its plan
+	// missed (a fresh candidate) or hit (the entry of a deployment retired
+	// since): the next plan of the text parses against the new catalog.
+	prev := obs.Enabled.Load()
+	obs.Enable()
+	defer obs.Enabled.Store(prev)
+	misses := sys.Obs.Counter("cql.prepared_misses")
+	for i, hit := range []bool{false, true} {
+		var standing Deployment
+		if hit {
+			if standing, err = deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stale, err := sys.PlanCQL(preparedStmt, sink, AlgoTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetSchema(0, query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 3 + float64(i)}, {Name: "blob", Width: 64}})
+		if _, err := sys.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown); err != nil {
+			t.Fatal(err)
+		}
+		if hit {
+			sys.Undeploy(standing)
+		}
+		if err := sys.Deploy(stale); err != nil {
+			t.Fatal(err)
+		}
+		if sys.tableLen() != 0 {
+			t.Fatalf("hit=%v: a statement planned at an old catalog version entered the table", hit)
+		}
+		before := misses.Value()
+		next, err := sys.PlanCQL(preparedStmt, sink, AlgoTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses.Value() != before+1 || next.Rewrite == stale.Rewrite {
+			t.Fatalf("hit=%v: the plan after the catalog moved reused the stale statement", hit)
+		}
+		if sys.Undeploy(stale); sys.tableLen() != 0 {
+			t.Fatalf("hit=%v: table holds %d entries after the last undeploy", hit, sys.tableLen())
+		}
 	}
 }
 
@@ -177,7 +265,7 @@ func TestPreparedPartsAreNeverWritten(t *testing.T) {
 		snapshot.tmpl.Preds.Empty() || snapshot.out.RulesApplied == 0 {
 		t.Fatalf("vacuous: the statement shares too little: %+v", snapshot)
 	}
-	standing, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown)
+	standing, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +295,7 @@ func TestPreparedPartsAreNeverWritten(t *testing.T) {
 				if i%2 == 1 {
 					stmt = "SELECT S1.A FROM S1, S3 WHERE S1.B > 0.5"
 				}
-				d, err := sys.DeployCQL(stmt, netgraph.NodeID((g*20+i)%32), algos[i%len(algos)])
+				d, err := deploy(sys)(sys.PlanCQL(stmt, netgraph.NodeID((g*20+i)%32), algos[i%len(algos)]))
 				if err != nil {
 					t.Error(err)
 					return
@@ -232,14 +320,14 @@ func TestPreparedPartsAreNeverWritten(t *testing.T) {
 // entry's one audit string, not a copy.
 func TestPreparedTraceAcrossArming(t *testing.T) {
 	sys, sink := newPreparedSystem(t)
-	if _, err := sys.DeployCQL(preparedStmt, sink, AlgoTopDown); err != nil {
+	if _, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown)); err != nil {
 		t.Fatal(err)
 	}
 	sys.Obs.Tracer().Enable()
 	const other = "SELECT S1.A FROM S1, S3 WHERE S1.B > 0.5"
 	var want []string
 	for _, stmt := range []string{preparedStmt, other, other} {
-		d, err := sys.DeployCQL(stmt, sink, AlgoTopDown)
+		d, err := deploy(sys)(sys.PlanCQL(stmt, sink, AlgoTopDown))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +349,7 @@ func TestPreparedTraceAcrossArming(t *testing.T) {
 	}
 }
 
-// planCQL emits the audit only when a rule applied. A statement no rule
+// PlanCQL emits the audit only when a rule applied. A statement no rule
 // changes emits nothing, and its entry holds the audit every such
 // statement shares, not a copy of its own; one that rules change emits
 // the audit byte for byte as before.
@@ -270,7 +358,7 @@ func TestPreparedTraceOnlyWhenEmitted(t *testing.T) {
 	sys.Obs.Tracer().Enable()
 	const identity = "SELECT * FROM S1, S3"
 	for _, stmt := range []string{identity, preparedStmt} {
-		if _, err := sys.DeployCQL(stmt, sink, AlgoTopDown); err != nil {
+		if _, err := deploy(sys)(sys.PlanCQL(stmt, sink, AlgoTopDown)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,14 +397,14 @@ func TestChurnedPreparedTableMatchesFresh(t *testing.T) {
 	standing := []string{preparedStmt, "SELECT * FROM S1, S3", "SELECT S1.A FROM S1, S3 WHERE S1.B > 0.5"}
 	for _, sys := range []*System{churned, fresh} {
 		for _, stmt := range standing {
-			if _, err := sys.DeployCQL(stmt, sink, AlgoTopDown); err != nil {
+			if _, err := deploy(sys)(sys.PlanCQL(stmt, sink, AlgoTopDown)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	first := reflect.ValueOf(churned.prepared).UnsafePointer()
 	for i := 0; i < 10_000; i++ {
-		d, err := churned.DeployCQL(fmt.Sprintf("SELECT * FROM S0, S2 WHERE S0.B < 0.%04d", i+1), sink, AlgoTopDown)
+		d, err := deploy(churned)(churned.PlanCQL(fmt.Sprintf("SELECT * FROM S0, S2 WHERE S0.B < 0.%04d", i+1), sink, AlgoTopDown))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ import (
 	"hnp/internal/query/rewrite"
 )
 
-// Algorithm selects the optimizer Deploy runs.
+// Algorithm selects the optimizer the Plan methods run.
 type Algorithm int
 
 const (
@@ -75,11 +75,11 @@ func ParseAlgorithm(name string) (Algorithm, bool) {
 // an advertisement registry into one optimization endpoint.
 //
 // Concurrency contract: Plan, PlanWhere, PlanCQL, PlanQuery, Deploy,
-// DeployWhere, DeployCQL, Refresh and NodeLoad are safe to call from
-// multiple goroutines. Planning runs under a shared read lock, so any
-// number of Plan/Deploy calls proceed in parallel; Refresh alone takes the
-// write lock and briefly excludes planners while the path snapshot and
-// hierarchy are swapped. The advertisement registry and the load tracker
+// Refresh and NodeLoad are safe to call from multiple goroutines.
+// Planning runs under a shared read lock, so any number of Plan/Deploy
+// calls proceed in parallel; Refresh alone takes the write lock and
+// briefly excludes planners while the path snapshot and hierarchy are
+// swapped. The advertisement registry and the load tracker
 // are internally locked, so concurrent deployments interleave safely —
 // though which deployment sees which earlier advertisement then depends
 // on scheduling.
@@ -122,29 +122,31 @@ type System struct {
 // its text and the catalog: the parsed, rewritten query (ID and Sink
 // unset) and the pipeline's outcome, whose audit every rewrite_applied
 // event of the text carries. The table holds one per text, under three
-// rules. An entry is pinned by its standing deployments: DeployCQL enters
-// and refs it, Undeploy unrefs and drops it at zero, a what-if PlanCQL may
-// hit but never enters one. The whole table is dropped at the first lookup
-// after Catalog.Version moves. What an entry holds — Sources, Preds, Proj,
-// SrcWidths, Agg, the Outcome behind Deployment.Rewrite — is shared by
-// every query copied from it and is never written.
+// rules. An entry is pinned by its standing deployments: PlanCQL may hit
+// but never enters one, System.Deploy refs the one d carries (entering it
+// into an empty slot if built at the current catalog version), Undeploy
+// unrefs and drops it at zero. The whole table is dropped at the first
+// lookup after Catalog.Version moves. What an entry holds — Sources,
+// Preds, Proj, SrcWidths, Agg, the Outcome behind Deployment.Rewrite — is
+// shared by every query copied from it and is never written.
 type prepared struct {
 	text string
 	tmpl query.Query
 	out  rewrite.Outcome
 	refs int
+	at   uint64 // the catalog version prepare looked it up at
 }
 
 // prepare returns stmt's standing entry, or parses and rewrites it into a
-// fresh one that pin may enter later, and a query of the caller's own to
-// set ID and Sink on.
+// fresh candidate that pin may enter later, and a query of the caller's
+// own to set ID and Sink on.
 func (s *System) prepare(stmt string) (*prepared, *query.Query, error) {
 	s.pmu.Lock()
 	if v := s.Catalog.Version(); v != s.preparedAt {
 		clear(s.prepared)
 		s.preparedAt = v
 	}
-	p := s.prepared[stmt]
+	p, at := s.prepared[stmt], s.preparedAt
 	s.pmu.Unlock()
 	if p != nil {
 		s.prepHits.Inc()
@@ -163,25 +165,24 @@ func (s *System) prepare(stmt string) (*prepared, *query.Query, error) {
 	// A provably-empty WHERE reaches the pipeline through st.Pushdown and
 	// folds to the no-op deployment there.
 	out := rewrite.Apply(s.Catalog, q, st.Pushdown())
-	return &prepared{text: stmt, tmpl: *q, out: out}, q, nil
+	return &prepared{text: stmt, tmpl: *q, out: out, at: at}, q, nil
 }
 
-// pin counts one more standing deployment of p's text and returns the
-// entry that holds the reference: p, entered if it is the first, or the
-// one a concurrent deploy of the same text entered meanwhile.
-func (s *System) pin(p *prepared) *prepared {
+// pin counts one more standing deployment on p, entering p into an empty
+// slot if built at the table's and the catalog's version. Any other p (one
+// that lost a race, or is stale) lapses with its own deployments.
+func (s *System) pin(p *prepared) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if first := s.prepared[p.text]; first != nil {
-		p = first
+	if s.prepared[p.text] == nil && p.at == s.preparedAt && p.at == s.Catalog.Version() {
+		s.prepared[p.text] = p
 	}
-	s.prepared[p.text] = p
 	p.refs++
 	s.prepEntries.Set(float64(len(s.prepared)))
-	return p
 }
 
-// unpin reverses pin. An entry of a table since dropped just lapses.
+// unpin reverses pin. An entry not in the table (of a table since dropped,
+// or a candidate pin did not enter) just lapses.
 func (s *System) unpin(p *prepared) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
@@ -270,37 +271,33 @@ func (s *System) SetSchema(id query.StreamID, schema query.Schema) {
 	s.Catalog.SetSchema(id, schema)
 }
 
-// Deployment is the outcome of deploying one query.
+// Deployment is a planned query (plan and placement) that Deploy commits.
 type Deployment struct {
 	Query *query.Query
 	core.Result
 	// Rewrite is the logical optimizer pipeline's audit: non-nil for every
 	// CQL-planned query, nil for queries built programmatically. When
 	// Rewrite.NoOp is set the query is provably empty: Plan is nil and
-	// nothing was deployed.
+	// Deploy records nothing.
 	Rewrite *rewrite.Outcome
-	// stmt is the prepared statement a standing CQL deployment pins.
+	// stmt is the prepared statement PlanCQL used; Deploy pins it.
 	stmt *prepared
 }
 
-// Plan plans a query without deploying it (no advertisements recorded):
-// useful for what-if comparisons. Every planned query receives its own
-// unique query ID, so consecutive what-if plans never collide.
+// Plan plans a query without deploying it (no advertisements recorded);
+// Deploy commits the result. Every planned query receives its own unique
+// query ID, so consecutive plans never collide.
 func (s *System) Plan(sources []query.StreamID, sink netgraph.NodeID, algo Algorithm) (Deployment, error) {
 	return s.PlanWhere(sources, sink, algo, query.PredSet{})
 }
 
-// PlanWhere is Plan with selection predicates.
+// PlanWhere is Plan with selection predicates: stricter queries can reuse
+// previously deployed weaker operators through residual filters.
 func (s *System) PlanWhere(sources []query.StreamID, sink netgraph.NodeID, algo Algorithm, preds query.PredSet) (Deployment, error) {
 	q, err := query.NewQueryPred(s.allocQueryID(), sources, sink, preds)
 	if err != nil {
 		return Deployment{}, err
 	}
-	return s.planned(q, algo)
-}
-
-// planned runs the planner for a freshly built query and wraps the result.
-func (s *System) planned(q *query.Query, algo Algorithm) (Deployment, error) {
 	res, err := s.PlanQuery(q, algo, s.Registry)
 	if err != nil {
 		return Deployment{}, err
@@ -308,28 +305,20 @@ func (s *System) planned(q *query.Query, algo Algorithm) (Deployment, error) {
 	return Deployment{Query: q, Result: res}, nil
 }
 
-// recorded finalizes a just-planned deployment unless planning failed or
-// the rewrite pipeline proved the query empty (nil Plan: nothing to
-// advertise, load, or run).
-func (s *System) recorded(d Deployment, err error) (Deployment, error) {
-	if err == nil && d.Plan != nil {
-		s.deployRecord(d.Query, d.Result)
+// Deploy commits a planned deployment: its operators are advertised for
+// future queries and its processing load is booked, and a CQL-planned one
+// pins its prepared statement until Undeploy. A deployment with a nil
+// Plan (a provably empty query) records nothing. Planning-level
+// bookkeeping only: Engine.Deploy also runs the plan.
+func (s *System) Deploy(d Deployment) error {
+	if d.Plan == nil {
+		return nil
 	}
-	return d, err
-}
-
-// Deploy plans a query with the chosen algorithm — considering reuse of
-// every previously deployed operator — and advertises the new plan's
-// operators for future queries. The returned cost is the marginal
-// communication cost per unit time this deployment adds.
-func (s *System) Deploy(sources []query.StreamID, sink netgraph.NodeID, algo Algorithm) (Deployment, error) {
-	return s.DeployWhere(sources, sink, algo, query.PredSet{})
-}
-
-// DeployWhere is Deploy with selection predicates: stricter queries can
-// reuse previously deployed weaker operators through residual filters.
-func (s *System) DeployWhere(sources []query.StreamID, sink netgraph.NodeID, algo Algorithm, preds query.PredSet) (Deployment, error) {
-	return s.recorded(s.PlanWhere(sources, sink, algo, preds))
+	s.deployRecord(d.Query, d.Result)
+	if d.stmt != nil {
+		s.pin(d.stmt)
+	}
+	return nil
 }
 
 // Undeploy retracts a finalized deployment, reversing deployRecord: the
@@ -356,37 +345,22 @@ func (s *System) Undeploy(d Deployment) int {
 	return removed
 }
 
-// DeployCQL parses a SQL-like continuous query (the paper's query
-// syntax; see internal/cql for the grammar) against the catalog, plans it
-// with the chosen algorithm — predicates, containment and aggregates
-// included — and deploys it toward the sink:
+// PlanCQL parses a SQL-like continuous query (the paper's query syntax;
+// see internal/cql for the grammar) against the catalog and plans it with
+// the chosen algorithm — predicates, containment and aggregates included
+// — for Deploy to commit:
 //
-//	sys.DeployCQL(`SELECT FLIGHTS.STATUS, CHECK-INS.STATUS
-//	               FROM FLIGHTS, CHECK-INS
-//	               WHERE FLIGHTS.DEPARTING = 'ATLANTA'
-//	                 AND FLIGHTS.NUM = CHECK-INS.FLNUM`, sink, hnp.AlgoTopDown)
-func (s *System) DeployCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, error) {
-	d, p, err := s.planCQL(stmt, sink, algo)
-	if d, err = s.recorded(d, err); err == nil && d.Plan != nil {
-		d.stmt = s.pin(p)
-	}
-	return d, err
-}
-
-// PlanCQL parses and plans a SQL-like query without deploying it (no
-// advertisements or load recorded) — what-if analysis for query text. A
-// text with a standing deployment is not parsed or rewritten again: the
+//	d, err := sys.PlanCQL(`SELECT FLIGHTS.STATUS, CHECK-INS.STATUS
+//	                       FROM FLIGHTS, CHECK-INS
+//	                       WHERE FLIGHTS.DEPARTING = 'ATLANTA'
+//	                         AND FLIGHTS.NUM = CHECK-INS.FLNUM`, sink, hnp.AlgoTopDown)
+//
+// A text with a standing deployment is not parsed or rewritten again: the
 // query is a copy of its prepared template with its own ID and sink.
 func (s *System) PlanCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, error) {
-	d, _, err := s.planCQL(stmt, sink, algo)
-	return d, err
-}
-
-// planCQL is PlanCQL, also returning the prepared statement it used.
-func (s *System) planCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, *prepared, error) {
 	p, q, err := s.prepare(stmt)
 	if err != nil {
-		return Deployment{}, nil, err
+		return Deployment{}, err
 	}
 	q.ID, q.Sink = s.allocQueryID(), sink
 	if obs.On() {
@@ -401,14 +375,14 @@ func (s *System) planCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Dep
 			Detail: p.out.TraceString(),
 		})
 	}
-	d := Deployment{Query: q, Rewrite: &p.out}
+	d := Deployment{Query: q, Rewrite: &p.out, stmt: p}
 	if !p.out.NoOp {
 		d.Result, err = s.PlanQuery(q, algo, s.Registry)
 	}
 	if err != nil {
-		return Deployment{}, nil, err
+		return Deployment{}, err
 	}
-	return d, p, nil
+	return d, nil
 }
 
 // deployRecord finalizes a deployment: the plan's operators are advertised

@@ -175,6 +175,9 @@ func TestMigrateRollsBackOnError(t *testing.T) {
 	if _, err := rt.Migrate(w.q, bad, w.cat, 200); err == nil {
 		t.Fatal("migration to an uninstantiable plan accepted")
 	}
+	if _, err := rt.Migrate(w.q, nil, w.cat, 200); err == nil {
+		t.Fatal("migration to a nil plan accepted")
+	}
 	if rt.NumOperators() != opsBefore {
 		t.Errorf("failed migration changed operator count: %d -> %d", opsBefore, rt.NumOperators())
 	}

@@ -126,6 +126,9 @@ func TestReuseMissingOperatorRejected(t *testing.T) {
 	if err := rt.Deploy(w.q, leaf, w.cat, 10); err == nil {
 		t.Error("reuse of undeployed stream accepted")
 	}
+	if err := rt.Deploy(w.q, nil, w.cat, 10); err == nil {
+		t.Error("nil plan accepted")
+	}
 	if len(rt.deploys) != 0 {
 		t.Error("failed deploy left references")
 	}

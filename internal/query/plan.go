@@ -193,6 +193,9 @@ func (p *PlanNode) DerivedLeaves() int {
 // Validate checks structural consistency: children masks are disjoint and
 // compose the parent mask, and leaves carry inputs.
 func (p *PlanNode) Validate() error {
+	if p == nil {
+		return fmt.Errorf("plan: no plan")
+	}
 	if p.IsLeaf() {
 		if p.Mask != p.In.Mask {
 			return fmt.Errorf("plan: leaf mask %b != input mask %b", p.Mask, p.In.Mask)

@@ -370,7 +370,10 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	dep, err := sh.sys.DeployCQL(req.CQL, hnp.NodeID(req.Sink), algo)
+	dep, err := sh.sys.PlanCQL(req.CQL, hnp.NodeID(req.Sink), algo)
+	if err == nil {
+		err = sh.sys.Deploy(dep)
+	}
 	lat := time.Since(start)
 	if err != nil {
 		s.cParseErr.Inc()

@@ -73,7 +73,7 @@ func TestServeShardsShareOneNetwork(t *testing.T) {
 }
 
 // oldServer is the planning state of a server as NewServer used to build
-// it and DeployCQL used to drive it: every shard a whole hnp.NewSystem
+// it and its deploy handler used to drive it: every shard a whole hnp.NewSystem
 // with a graph, path snapshot and catalog of its own, every deploy parsed,
 // instantiated and rewritten from its text.
 type oldServer struct {
@@ -282,5 +282,44 @@ func TestServeMatchesPerShardSystems(t *testing.T) {
 				t.Errorf("accounting after the drain: %+v", st)
 			}
 		})
+	}
+}
+
+// TestShardChoiceNeverChangesThePlan: every shard plans over one network
+// with a hierarchy built from one seed, so the shard a statement lands on
+// never changes its plan or cost (ROADMAP item 4(c)). 200 seeded
+// statements of 2–5 streams, half with a predicate, are planned through
+// every empty shard's PlanCQL with Top-Down and with Bottom-Up.
+func TestShardChoiceNeverChangesThePlan(t *testing.T) {
+	cfg := DefaultConfig()
+	s, _ := newTestServer(t, cfg)
+	if cfg.Shards < 2 {
+		t.Fatalf("vacuous: %d shard", cfg.Shards)
+	}
+	names := streamNames(s)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		from := make([]string, 2+rng.Intn(4))
+		for j, p := range rng.Perm(len(names))[:len(from)] {
+			from[j] = names[p]
+		}
+		stmt := "SELECT * FROM " + strings.Join(from, ", ")
+		if rng.Intn(2) == 0 {
+			stmt += fmt.Sprintf(" WHERE %s.attr0 < %.3f", from[0], 0.2+0.75*rng.Float64())
+		}
+		sink := hnp.NodeID(rng.Intn(cfg.Nodes))
+		for _, algo := range []hnp.Algorithm{hnp.AlgoTopDown, hnp.AlgoBottomUp} {
+			want, err := s.Shard(0).PlanCQL(stmt, sink, algo)
+			if err != nil || want.Plan == nil {
+				t.Fatalf("#%d %q on shard 0: plan %v, %v", i, stmt, want.Plan, err)
+			}
+			for sh := 1; sh < cfg.Shards; sh++ {
+				got, err := s.Shard(sh).PlanCQL(stmt, sink, algo)
+				if err != nil || got.Plan.String() != want.Plan.String() || got.Cost != want.Cost {
+					t.Fatalf("#%d %q %v: shard %d plans %s at %v (%v), shard 0 %s at %v",
+						i, stmt, algo, sh, got.Plan, got.Cost, err, want.Plan, want.Cost)
+				}
+			}
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
 		{[]StreamID{a, b, c}, 41},
 		{[]StreamID{a, b, c, d}, 17},
 	} {
-		dep, err := sys.Deploy(spec.sources, spec.sink, AlgoTopDown)
+		dep, err := deploy(sys)(sys.Plan(spec.sources, spec.sink, AlgoTopDown))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
 	// reuse must hit and the counter must move by exactly the plan's
 	// derived leaves.
 	before := snap.Counter("ads.reuse_hits")
-	rep, err := sys.Deploy([]StreamID{a, b, c}, 9, AlgoTopDown)
+	rep, err := deploy(sys)(sys.Plan([]StreamID{a, b, c}, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
 		{[]StreamID{a, b, c}, AlgoOptimal, 1},
 		{[]StreamID{a, b, c}, AlgoPlanThenDeploy, 0},
 	} {
-		dep, err := sys.Deploy(spec.sources, 33, spec.algo)
+		dep, err := deploy(sys)(sys.Plan(spec.sources, 33, spec.algo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestSnapshotDisabledEmpty(t *testing.T) {
 	defer obs.Enabled.Store(prev)
 
 	sys, ids := newTestSystem(t)
-	if _, err := sys.Deploy(ids, 9, AlgoTopDown); err != nil {
+	if _, err := deploy(sys)(sys.Plan(ids, 9, AlgoTopDown)); err != nil {
 		t.Fatal(err)
 	}
 	snap := sys.Snapshot()

@@ -150,7 +150,7 @@ func TestPushdownContradiction(t *testing.T) {
 	stmt := `SELECT FLIGHTS.STATUS FROM FLIGHTS
 	         WHERE FLIGHTS.STATUS < 0.2 AND FLIGHTS.STATUS > 0.7`
 	sys, sink := newSchemaSystem(t)
-	d, err := sys.DeployCQL(stmt, sink, AlgoTopDown)
+	d, err := deploy(sys)(sys.PlanCQL(stmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatalf("contradiction should fold, not fail: %v", err)
 	}

@@ -29,7 +29,7 @@ func TestTopologyRoundTripSmoke(t *testing.T) {
 	c := sys.AddStream("C", 25, 50)
 	sys.SetSelectivity(a, b, 0.01)
 	sys.SetSelectivity(b, c, 0.02)
-	dep, err := sys.Deploy([]StreamID{a, b, c}, 9, AlgoTopDown)
+	dep, err := deploy(sys)(sys.Plan([]StreamID{a, b, c}, 9, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
