@@ -256,6 +256,7 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	// gated on obs.Enabled; only the tracer is armed unconditionally.
 	reg := obs.NewRegistry()
 	reg.Tracer().Enable()
+	h.BindObs(reg)
 	w := &World{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5)),

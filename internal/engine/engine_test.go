@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"hnp/internal/adapt"
@@ -391,6 +393,78 @@ func samePaths(t *testing.T, what string, got, want *netgraph.Paths) {
 				t.Fatalf("%s: %d→%d reads %v via %v, want %v via %v", what, a, b,
 					got.Dist(u, v), got.Path(u, v), want.Dist(u, v), want.Path(u, v))
 			}
+		}
+	}
+}
+
+// TestSystemsShareAHierarchy holds NewSystem to its rule: a hierarchy
+// records into its builder's registry, not into each system's, so any
+// number of systems may plan and commit over one at once (the race
+// detector checks the sharing). System i's catalog holds streams
+// 0..4i+3 and its queries join only 4i..4i+3, so an ad over any other
+// stream would be another system's; each registry must also equal the
+// one a serial replay of the same rounds builds.
+func TestSystemsShareAHierarchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := netgraph.MustTransitStub(32, rng)
+	h, err := hierarchy.Build(g, g.ShortestPaths(netgraph.MetricCost), 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const systems, rounds, streams = 4, 20, 4
+	run := func(i int) (*System, error) {
+		rng := rand.New(rand.NewSource(int64(i)))
+		cat := query.NewCatalog(0.01)
+		for s := 0; s < (i+1)*streams; s++ {
+			cat.Add(fmt.Sprintf("S%d", s), 10+40*rng.Float64(), netgraph.NodeID(rng.Intn(32)))
+		}
+		sys := NewSystem(g, h, cat, obs.NewRegistry())
+		for r := 0; r < rounds; r++ {
+			var srcs []query.StreamID
+			for _, p := range rng.Perm(streams)[:2+rng.Intn(streams-1)] {
+				srcs = append(srcs, query.StreamID(i*streams+p))
+			}
+			d, err := sys.Plan(srcs, netgraph.NodeID(rng.Intn(32)), []Algorithm{AlgoTopDown, AlgoBottomUp}[r%2])
+			if err != nil {
+				return nil, err
+			}
+			if err := sys.Deploy(d); err != nil {
+				return nil, err
+			}
+		}
+		return sys, nil
+	}
+	got, errs := make([]*System, systems), make([]error, systems)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(i)
+		}()
+	}
+	wg.Wait()
+	for i, sys := range got {
+		if errs[i] != nil {
+			t.Fatalf("system %d: %v", i, errs[i])
+		}
+		ads := sys.Registry.All()
+		if len(ads) == 0 {
+			t.Fatalf("system %d advertised nothing", i)
+		}
+		for _, ad := range ads {
+			for _, s := range ad.Streams {
+				if int(s)/streams != i {
+					t.Errorf("system %d holds an ad over stream %d: %s", i, s, ad.Sig)
+				}
+			}
+		}
+		serial, err := run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := serial.Registry.All(); !reflect.DeepEqual(ads, want) {
+			t.Errorf("system %d advertises\n%+v\na serial replay\n%+v", i, ads, want)
 		}
 	}
 }

@@ -196,8 +196,10 @@ func (s *System) unpin(p *prepared) {
 }
 
 // NewSystem assembles a system from pre-built parts: h must be a hierarchy
-// over g, whose path snapshot is the one the system plans on. The
-// hierarchy, the fresh registry and the fresh load ledger record into reg.
+// over g, whose path snapshot is the one the system plans on. The fresh
+// advertisement registry and load ledger record into reg; the hierarchy
+// records into whatever registry its builder bound it to (Build binds its
+// own), so any number of systems may share one hierarchy.
 func NewSystem(g *netgraph.Graph, h *hierarchy.Hierarchy, cat *query.Catalog, reg *obs.Registry) *System {
 	s := &System{
 		Graph:       g,
@@ -211,7 +213,6 @@ func NewSystem(g *netgraph.Graph, h *hierarchy.Hierarchy, cat *query.Catalog, re
 		prepMisses:  reg.Counter("cql.prepared_misses"),
 		prepEntries: reg.Gauge("cql.prepared_entries"),
 	}
-	s.Hierarchy.BindObs(reg)
 	s.Registry.BindObs(reg)
 	s.tracker.BindObs(reg)
 	return s
@@ -230,6 +231,7 @@ func Build(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, maxCS i
 	if err != nil {
 		return nil, err
 	}
+	h.BindObs(reg)
 	return NewSystem(g, h, cat, reg), nil
 }
 

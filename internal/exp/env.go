@@ -8,8 +8,10 @@ import (
 
 	"hnp/internal/ads"
 	"hnp/internal/core"
+	"hnp/internal/engine"
 	"hnp/internal/hierarchy"
 	"hnp/internal/netgraph"
+	"hnp/internal/obs"
 	"hnp/internal/query"
 	"hnp/internal/stats"
 	"hnp/internal/workload"
@@ -45,32 +47,45 @@ func (e *env) hier(maxCS int) *hierarchy.Hierarchy {
 	return h
 }
 
-// optimizer plans one query, considering the registry's ads when non-nil.
-type optimizer func(q *query.Query, reg *ads.Registry) (core.Result, error)
+// system returns a planning-only System over h and cat with telemetry of
+// its own. Systems share h: a hierarchy records into its builder's
+// registry, and the env binds none.
+func (e *env) system(h *hierarchy.Hierarchy, cat *query.Catalog) *engine.System {
+	return engine.NewSystem(e.g, h, cat, obs.NewRegistry())
+}
 
-// deploySequence deploys queries one at a time: each query is planned
-// against the ads of all previously deployed queries (when reuse is on),
-// then its operators are advertised. It returns the per-query marginal
-// costs and full results.
-func deploySequence(qs []*query.Query, reuse bool, opt optimizer) ([]float64, []core.Result, error) {
+// optimizer plans one query on sys, considering reg's ads when non-nil.
+type optimizer func(sys *engine.System, q *query.Query, reg *ads.Registry) (core.Result, error)
+
+// algorithm is the optimizer that plans with one of the engine's
+// algorithms.
+func algorithm(a engine.Algorithm) optimizer {
+	return func(sys *engine.System, q *query.Query, reg *ads.Registry) (core.Result, error) {
+		return sys.PlanQuery(q, a, reg)
+	}
+}
+
+// commit plans the queries one at a time on sys, each against the ads of
+// those committed before it when reuse is on, and hands each deployment to
+// deploy (sys.Deploy, or an Engine's). It returns the per-query marginal
+// costs.
+func commit(sys *engine.System, deploy func(engine.Deployment) error, qs []*query.Query, reuse bool, opt optimizer) ([]float64, error) {
 	var reg *ads.Registry
 	if reuse {
-		reg = ads.NewRegistry()
+		reg = sys.Registry
 	}
 	costs := make([]float64, 0, len(qs))
-	var results []core.Result
 	for _, q := range qs {
-		res, err := opt(q, reg)
+		res, err := opt(sys, q, reg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
+		}
+		if err := deploy(engine.Deployment{Query: q, Result: res}); err != nil {
+			return nil, err
 		}
 		costs = append(costs, res.Cost)
-		results = append(results, res)
-		if reg != nil {
-			reg.AdvertisePlan(q, res.Plan)
-		}
 	}
-	return costs, results, nil
+	return costs, nil
 }
 
 // runParallel invokes fn(0..n-1), fanning the indices over a
@@ -107,22 +122,23 @@ func runParallel(n int, fn func(i int) error) error {
 	return firstErr
 }
 
-// cumulativeAveraged runs fn for each workload seed, collecting per-query
-// marginal costs, and returns the workload-averaged cumulative curve.
-// Workload repetitions are independent (each gets its own seeded rng), so
-// they run through runParallel; rows are indexed by repetition, keeping
-// the MeanAcross float accumulation order — and thus the output bits —
-// identical at every worker count.
-func cumulativeAveraged(cfg Config, fn func(w *workload.Workload, rng *rand.Rand) ([]float64, error),
-	gen func(rng *rand.Rand) (*workload.Workload, error)) ([]float64, error) {
+// averaged commits cfg.Workloads random workloads (10 streams,
+// cfg.Queries queries) on h, each on a System of its own, and returns the
+// workload-averaged cumulative cost curve. Workload repetitions are
+// independent (each gets its own seeded rng), so they run through
+// runParallel; rows are indexed by repetition, keeping the MeanAcross
+// float accumulation order — and thus the output bits — identical at
+// every worker count.
+func (e *env) averaged(cfg Config, h *hierarchy.Hierarchy, reuse bool, opt optimizer) ([]float64, error) {
 	rows := make([][]float64, cfg.Workloads)
 	err := runParallel(cfg.Workloads, func(wi int) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(wi)*1009))
-		w, err := gen(rng)
+		w, err := workload.Generate(workload.Default(10, cfg.Queries), e.g.NumNodes(), rng)
 		if err != nil {
 			return err
 		}
-		costs, err := fn(w, rng)
+		sys := e.system(h, w.Catalog)
+		costs, err := commit(sys, sys.Deploy, w.Queries, reuse, opt)
 		if err != nil {
 			return err
 		}

@@ -1,47 +1,39 @@
 package exp
 
 import (
-	"math/rand"
-
-	"hnp/internal/ads"
-	"hnp/internal/core"
-	"hnp/internal/hierarchy"
+	"hnp/internal/engine"
 	"hnp/internal/iflow"
-	"hnp/internal/netgraph"
-	"hnp/internal/query"
 	"hnp/internal/stats"
 	"hnp/internal/workload"
 )
 
-// testbed reproduces the paper's Emulab setup in simulation: a 32-node
+// newTestbed reproduces the paper's Emulab setup in simulation: a 32-node
 // GT-ITM topology with 1-60 ms inter-node delays, 25 queries over 8
-// stream sources with 1-4 joins per query.
-type testbed struct {
-	g     *netgraph.Graph
-	paths *netgraph.Paths
-	w     *workload.Workload
-	hiers map[int]*hierarchy.Hierarchy
-}
-
-func newTestbed(seed int64) (*testbed, error) {
-	rng := rand.New(rand.NewSource(seed))
-	g := netgraph.MustTransitStub(32, rng)
-	paths := g.ShortestPaths(netgraph.MetricCost)
+// stream sources with 1-4 joins per query, and the hierarchies for
+// cluster sizes 4 and 8, all drawn from one rng in that order.
+func newTestbed(seed int64) (*env, *workload.Workload, error) {
+	e := newEnv(32, seed)
 	wcfg := workload.Default(8, 25)
 	wcfg.MinSources, wcfg.MaxSources = 2, 5 // 1-4 joins per query
-	w, err := workload.Generate(wcfg, 32, rng)
+	w, err := workload.Generate(wcfg, 32, e.rng)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tb := &testbed{g: g, paths: paths, w: w, hiers: map[int]*hierarchy.Hierarchy{}}
-	for _, cs := range []int{4, 8} {
-		h, err := hierarchy.Build(g, paths, cs, rng)
-		if err != nil {
-			return nil, err
-		}
-		tb.hiers[cs] = h
-	}
-	return tb, nil
+	e.hier(4)
+	e.hier(8)
+	return e, w, nil
+}
+
+// testbedAlgos are the four configurations Figures 10 and 11 compare.
+var testbedAlgos = []struct {
+	name string
+	cs   int
+	algo engine.Algorithm // explicit; never inferred from the name
+}{
+	{"Bottom-Up (cluster size=4)", 4, engine.AlgoBottomUp},
+	{"Bottom-Up (cluster size=8)", 8, engine.AlgoBottomUp},
+	{"Top-Down (cluster size=4)", 4, engine.AlgoTopDown},
+	{"Top-Down (cluster size=8)", 8, engine.AlgoTopDown},
 }
 
 // Fig10 reproduces Figure 10: average query deployment time (seconds of
@@ -50,23 +42,10 @@ func newTestbed(seed int64) (*testbed, error) {
 // testbed. The paper reports Bottom-Up deploying ~70% faster.
 func Fig10(cfg Config) (*Figure, error) {
 	cfg.fig = "fig10"
-	tb, err := newTestbed(cfg.Seed)
+	e, w, err := newTestbed(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rt := iflow.New(tb.g, iflow.DefaultConfig(), cfg.Seed)
-
-	algos := []struct {
-		name     string
-		cs       int
-		bottomUp bool // explicit algorithm tag; never inferred from the name
-	}{
-		{"Bottom-Up (cluster size=4)", 4, true},
-		{"Bottom-Up (cluster size=8)", 8, true},
-		{"Top-Down (cluster size=4)", 4, false},
-		{"Top-Down (cluster size=8)", 8, false},
-	}
-
 	sizes := []int{2, 3, 4, 5}
 	f := &Figure{
 		ID:     "fig10",
@@ -79,32 +58,29 @@ func Fig10(cfg Config) (*Figure, error) {
 		xs[i] = float64(s)
 	}
 	// Headline accumulators ride along the algos loop, keyed by the
-	// explicit bottomUp tag, so renaming a series cannot move its time
-	// into the other algorithm's sum.
+	// explicit algorithm, so renaming a series cannot move its time into
+	// the other algorithm's sum.
 	var buSum, tdSum float64
-	for _, a := range algos {
-		h, run := tb.hiers[a.cs], core.TopDownOpts
-		if a.bottomUp {
-			run = core.BottomUpOpts
-		}
+	for _, a := range testbedAlgos {
+		eng := engine.NewEngine(e.system(e.hier(a.cs), w.Catalog), iflow.DefaultConfig(), cfg.Seed, 0)
 		ys := make([]float64, len(sizes))
 		for si, k := range sizes {
 			var times []float64
-			for _, q := range tb.w.Queries {
+			for _, q := range w.Queries {
 				if q.K() != k {
 					continue
 				}
-				res, err := run(h, tb.w.Catalog, q, nil, core.Options{})
+				res, err := eng.PlanQuery(q, a.algo, nil)
 				if err != nil {
 					return nil, err
 				}
-				times = append(times, rt.DeployTime(res.Trace, q.Sink))
+				times = append(times, eng.RT.DeployTime(res.Trace, q.Sink))
 			}
 			ys[si] = stats.Mean(times)
 		}
 		f.Series = append(f.Series, Series{Name: a.name, X: xs, Y: ys})
 		cfg.markProgress()
-		if a.bottomUp {
+		if a.algo == engine.AlgoBottomUp {
 			buSum += stats.Mean(ys)
 		} else {
 			tdSum += stats.Mean(ys)
@@ -119,12 +95,12 @@ func Fig10(cfg Config) (*Figure, error) {
 
 // Fig11 reproduces Figure 11: cumulative deployed cost of 25 queries on
 // the testbed for both algorithms at cluster sizes 4 and 8; Top-Down
-// yields cheaper deployments. It also cross-checks the analytic cost
-// model by running all deployed plans in the IFLOW runtime and comparing
-// measured and predicted cost rates.
+// yields cheaper deployments. Every configuration commits its plans to an
+// Engine, and the Top-Down(8) one then runs them to cross-check the
+// analytic cost model: measured against predicted cost rate.
 func Fig11(cfg Config) (*Figure, error) {
 	cfg.fig = "fig11"
-	tb, err := newTestbed(cfg.Seed)
+	e, w, err := newTestbed(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -134,69 +110,47 @@ func Fig11(cfg Config) (*Figure, error) {
 		XLabel: "queries deployed",
 		YLabel: "cumulative cost per unit time",
 	}
-	type algo struct {
-		name string
-		cs   int
-		td   bool
-	}
-	algos := []algo{
-		{"Bottom-Up (cluster size=4)", 4, false},
-		{"Bottom-Up (cluster size=8)", 8, false},
-		{"Top-Down (cluster size=4)", 4, true},
-		{"Top-Down (cluster size=8)", 8, true},
-	}
-	keep := map[string][]core.Result{}
-	for _, a := range algos {
-		h := tb.hiers[a.cs]
-		costs, results, err := deploySequence(tb.w.Queries, true,
-			func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				if a.td {
-					return core.TopDown(h, tb.w.Catalog, q, reg)
-				}
-				return core.BottomUpOpts(h, tb.w.Catalog, q, reg, core.Options{})
-			})
+	// The runtime's empirical pairwise selectivity is 2·Window/KeyDomain;
+	// pick KeyDomain so it matches the workload's mean selectivity, then
+	// scale the analytic total to tuple-size units.
+	icfg := iflow.DefaultConfig()
+	meanSel := 0.0105 // workload.Default: uniform in [0.001, 0.02]
+	icfg.KeyDomain = int64(2 * icfg.Window / meanSel)
+	const horizon = 30.0
+	var metered *engine.Engine
+	for _, a := range testbedAlgos {
+		eng := engine.NewEngine(e.system(e.hier(a.cs), w.Catalog), icfg, cfg.Seed+5, horizon)
+		costs, err := commit(eng.System, eng.Deploy, w.Queries, true, algorithm(a.algo))
 		if err != nil {
 			return nil, err
 		}
-		keep[a.name] = results
 		f.Series = append(f.Series, Series{Name: a.name, X: seqX(len(costs)), Y: stats.Cumulative(costs)})
 		cfg.markProgress()
+		if a.algo == engine.AlgoTopDown && a.cs == 8 {
+			metered = eng
+		}
 	}
 	td4, bu4 := f.Final("Top-Down (cluster size=4)"), f.Final("Bottom-Up (cluster size=4)")
 	td8, bu8 := f.Final("Top-Down (cluster size=8)"), f.Final("Bottom-Up (cluster size=8)")
 	f.AddNote("Top-Down vs Bottom-Up: %.1f%% cheaper at cluster size 4, %.1f%% at 8 (paper: Top-Down lower)",
 		100*(1-td4/bu4), 100*(1-td8/bu8))
 
-	// Runtime cross-check: deploy the Top-Down(8) plans in IFLOW for 30
-	// simulated seconds and compare measured vs analytic cost rate. The
-	// engine's empirical pairwise selectivity is 2·Window/KeyDomain; pick
-	// KeyDomain so it matches the workload's mean selectivity, then scale
-	// the analytic total to tuple-size units.
-	icfg := iflow.DefaultConfig()
-	meanSel := 0.0105 // workload.Default: uniform in [0.001, 0.02]
-	icfg.KeyDomain = int64(2 * icfg.Window / meanSel)
-	rt := iflow.New(tb.g, icfg, cfg.Seed+5)
-	horizon := 30.0
-	deployed := 0
-	analytic := 0.0
-	for i, res := range keep["Top-Down (cluster size=8)"] {
-		q := tb.w.Queries[i]
-		if err := rt.Deploy(q, res.Plan, tb.w.Catalog, horizon); err != nil {
-			continue // reused plan fragments may be gone if a deploy failed
-		}
-		deployed++
-		analytic += res.Cost
+	// Runtime cross-check: run the Top-Down(8) deployments for 30
+	// simulated seconds, then audit the engine that ran them.
+	metered.RT.RunFor(horizon)
+	if err := metered.Audit(); err != nil {
+		return nil, err
 	}
-	rt.RunFor(horizon)
-	measured := rt.CostRate() / icfg.TupleSize
+	measured := metered.RT.CostRate() / icfg.TupleSize
+	n, analytic := len(w.Queries), td8
 	if analytic > 0 {
 		f.AddNote("runtime cross-check: %d/%d queries executed, measured cost rate %.3g vs analytic %.3g (ratio %.2f)",
-			deployed, len(tb.w.Queries), measured, analytic, measured/analytic)
+			n, n, measured, analytic, measured/analytic)
 	} else {
-		// No query deployed (or all plans were free): a ratio would be
-		// NaN/Inf, so report the raw rates without one.
+		// All plans were free: a ratio would be NaN/Inf, so report the
+		// raw rates without one.
 		f.AddNote("runtime cross-check: %d/%d queries executed, measured cost rate %.3g vs analytic %.3g (no ratio: zero analytic cost)",
-			deployed, len(tb.w.Queries), measured, analytic)
+			n, n, measured, analytic)
 	}
 	return f, nil
 }

@@ -6,6 +6,7 @@ import (
 	"hnp/internal/ads"
 	"hnp/internal/baseline"
 	"hnp/internal/core"
+	"hnp/internal/engine"
 	"hnp/internal/query"
 	"hnp/internal/stats"
 	"hnp/internal/workload"
@@ -63,15 +64,11 @@ func Fig2(cfg Config) (*Figure, error) {
 		name string
 		opt  optimizer
 	}{
-		{"Relaxation", func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return baseline.Relaxation(e.g, e.paths, emb, w.Catalog, q, reg)
+		{"Relaxation", func(sys *engine.System, q *query.Query, reg *ads.Registry) (core.Result, error) {
+			return baseline.Relaxation(e.g, e.paths, emb, sys.Catalog, q, reg)
 		}},
-		{"Plan-then-deploy", func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return baseline.PlanThenDeploy(e.g, e.paths, w.Catalog, q, reg)
-		}},
-		{"Our approach (Top-Down)", func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return core.TopDown(h, w.Catalog, q, reg)
-		}},
+		{"Plan-then-deploy", algorithm(engine.AlgoPlanThenDeploy)},
+		{"Our approach (Top-Down)", algorithm(engine.AlgoTopDown)},
 	}
 
 	f := &Figure{
@@ -81,7 +78,8 @@ func Fig2(cfg Config) (*Figure, error) {
 		YLabel: "cumulative cost per unit time",
 	}
 	for _, r := range runs {
-		costs, _, err := deploySequence(w.Queries, true, r.opt)
+		sys := e.system(h, w.Catalog)
+		costs, err := commit(sys, sys.Deploy, w.Queries, true, r.opt)
 		if err != nil {
 			return nil, err
 		}

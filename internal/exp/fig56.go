@@ -2,13 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
-	"hnp/internal/ads"
-	"hnp/internal/core"
-	"hnp/internal/hierarchy"
-	"hnp/internal/query"
-	"hnp/internal/workload"
+	"hnp/internal/engine"
 )
 
 // clusterSizes is the max_cs sweep of Figures 5 and 6.
@@ -18,14 +13,13 @@ var clusterSizes = []int{2, 4, 8, 16, 32, 64}
 // 128-node network with 100 stream sources, queries with 2-5 joins,
 // cumulative deployed cost (averaged over cfg.Workloads random workloads)
 // for each max_cs.
-func fig56(cfg Config, id, algo string,
-	run func(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ads.Registry, opts core.Options) (core.Result, error)) (*Figure, error) {
+func fig56(cfg Config, id, name string, algo engine.Algorithm) (*Figure, error) {
 	cfg.fig = id
 	const nodes = 128
 	e := newEnv(nodes, cfg.Seed)
 	f := &Figure{
 		ID:     id,
-		Title:  fmt.Sprintf("%s: cost vs max_cs (128 nodes, 10 streams, %d queries x %d workloads)", algo, cfg.Queries, cfg.Workloads),
+		Title:  fmt.Sprintf("%s: cost vs max_cs (128 nodes, 10 streams, %d queries x %d workloads)", name, cfg.Queries, cfg.Workloads),
 		XLabel: "queries deployed",
 		YLabel: "cumulative cost per unit time",
 	}
@@ -38,18 +32,7 @@ func fig56(cfg Config, id, algo string,
 	series := make([]Series, len(clusterSizes))
 	err := runParallel(len(clusterSizes), func(ci int) error {
 		cs := clusterSizes[ci]
-		h := e.hier(cs)
-		avg, err := cumulativeAveraged(cfg,
-			func(w *workload.Workload, _ *rand.Rand) ([]float64, error) {
-				costs, _, err := deploySequence(w.Queries, true,
-					func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-						return run(h, w.Catalog, q, reg, core.Options{})
-					})
-				return costs, err
-			},
-			func(rng *rand.Rand) (*workload.Workload, error) {
-				return workload.Generate(workload.Default(10, cfg.Queries), nodes, rng)
-			})
+		avg, err := e.averaged(cfg, e.hier(cs), true, algorithm(algo))
 		if err != nil {
 			return err
 		}
@@ -74,12 +57,12 @@ func fig56(cfg Config, id, algo string,
 // cost for max_cs in {2..64}; larger clusters mean fewer levels, less
 // approximation, lower cost.
 func Fig5(cfg Config) (*Figure, error) {
-	return fig56(cfg, "fig5", "Bottom-Up", core.BottomUpOpts)
+	return fig56(cfg, "fig5", "Bottom-Up", engine.AlgoBottomUp)
 }
 
 // Fig6 reproduces Figure 6: the same sweep for Top-Down; because the top
 // level always considers all operator orderings, costs flatten once
 // max_cs exceeds ~4.
 func Fig6(cfg Config) (*Figure, error) {
-	return fig56(cfg, "fig6", "Top-Down", core.TopDownOpts)
+	return fig56(cfg, "fig6", "Top-Down", engine.AlgoTopDown)
 }

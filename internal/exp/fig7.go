@@ -1,13 +1,6 @@
 package exp
 
-import (
-	"math/rand"
-
-	"hnp/internal/ads"
-	"hnp/internal/core"
-	"hnp/internal/query"
-	"hnp/internal/workload"
-)
+import "hnp/internal/engine"
 
 // Fig7 reproduces Figure 7: sub-optimality and the effect of operator
 // reuse at max_cs=32 — cumulative cost of the DP optimal versus Top-Down
@@ -23,29 +16,17 @@ func Fig7(cfg Config) (*Figure, error) {
 	e := newEnv(nodes, cfg.Seed)
 	h := e.hier(maxCS)
 
-	type variant struct {
+	td, bu := algorithm(engine.AlgoTopDown), algorithm(engine.AlgoBottomUp)
+	variants := []struct {
 		name  string
 		reuse bool
-		opt   func(cat *query.Catalog) optimizer
-	}
-	td := func(cat *query.Catalog) optimizer {
-		return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.TopDown(h, cat, q, reg) }
-	}
-	bu := func(cat *query.Catalog) optimizer {
-		return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-			return core.BottomUpOpts(h, cat, q, reg, core.Options{})
-		}
-	}
-	variants := []variant{
+		opt   optimizer
+	}{
 		{"Top-Down without reuse", false, td},
 		{"Top-Down with reuse", true, td},
 		{"Bottom-Up without reuse", false, bu},
 		{"Bottom-Up with reuse", true, bu},
-		{"Optimal", true, func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return core.OptimalOpts(e.g, e.paths, cat, q, reg, core.Options{})
-			}
-		}},
+		{"Optimal", true, algorithm(engine.AlgoOptimal)},
 	}
 
 	f := &Figure{
@@ -57,14 +38,7 @@ func Fig7(cfg Config) (*Figure, error) {
 	series := make([]Series, len(variants))
 	err := runParallel(len(variants), func(vi int) error {
 		v := variants[vi]
-		avg, err := cumulativeAveraged(cfg,
-			func(w *workload.Workload, _ *rand.Rand) ([]float64, error) {
-				costs, _, err := deploySequence(w.Queries, v.reuse, v.opt(w.Catalog))
-				return costs, err
-			},
-			func(rng *rand.Rand) (*workload.Workload, error) {
-				return workload.Generate(workload.Default(10, cfg.Queries), nodes, rng)
-			})
+		avg, err := e.averaged(cfg, h, v.reuse, v.opt)
 		if err != nil {
 			return err
 		}

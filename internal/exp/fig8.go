@@ -6,8 +6,8 @@ import (
 	"hnp/internal/ads"
 	"hnp/internal/baseline"
 	"hnp/internal/core"
+	"hnp/internal/engine"
 	"hnp/internal/query"
-	"hnp/internal/workload"
 )
 
 // Fig8 reproduces Figure 8: comparison with existing approaches — Top-Down
@@ -35,30 +35,16 @@ func Fig8(cfg Config) (*Figure, error) {
 
 	runs := []struct {
 		name string
-		opt  func(cat *query.Catalog) optimizer
+		opt  optimizer
 	}{
-		{"Top-Down with reuse", func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) { return core.TopDown(h, cat, q, reg) }
+		{"Top-Down with reuse", algorithm(engine.AlgoTopDown)},
+		{"Bottom-Up with reuse", algorithm(engine.AlgoBottomUp)},
+		{"Exhaustive", algorithm(engine.AlgoOptimal)},
+		{"Relaxation with reuse", func(sys *engine.System, q *query.Query, reg *ads.Registry) (core.Result, error) {
+			return baseline.Relaxation(e.g, e.paths, emb, sys.Catalog, q, reg)
 		}},
-		{"Bottom-Up with reuse", func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return core.BottomUpOpts(h, cat, q, reg, core.Options{})
-			}
-		}},
-		{"Exhaustive", func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return core.OptimalOpts(e.g, e.paths, cat, q, reg, core.Options{})
-			}
-		}},
-		{"Relaxation with reuse", func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return baseline.Relaxation(e.g, e.paths, emb, cat, q, reg)
-			}
-		}},
-		{"In-Network with reuse", func(cat *query.Catalog) optimizer {
-			return func(q *query.Query, reg *ads.Registry) (core.Result, error) {
-				return baseline.InNetwork(e.g, e.paths, zones, cat, q, reg)
-			}
+		{"In-Network with reuse", func(sys *engine.System, q *query.Query, reg *ads.Registry) (core.Result, error) {
+			return baseline.InNetwork(e.g, e.paths, zones, sys.Catalog, q, reg)
 		}},
 	}
 
@@ -71,14 +57,7 @@ func Fig8(cfg Config) (*Figure, error) {
 	series := make([]Series, len(runs))
 	err = runParallel(len(runs), func(ri int) error {
 		r := runs[ri]
-		avg, err := cumulativeAveraged(cfg,
-			func(w *workload.Workload, _ *rand.Rand) ([]float64, error) {
-				costs, _, err := deploySequence(w.Queries, true, r.opt(w.Catalog))
-				return costs, err
-			},
-			func(rng *rand.Rand) (*workload.Workload, error) {
-				return workload.Generate(workload.Default(10, cfg.Queries), nodes, rng)
-			})
+		avg, err := e.averaged(cfg, h, true, r.opt)
 		if err != nil {
 			return err
 		}

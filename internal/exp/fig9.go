@@ -3,9 +3,8 @@ package exp
 import (
 	"math/rand"
 
-	"hnp/internal/ads"
-	"hnp/internal/core"
 	costpkg "hnp/internal/cost"
+	"hnp/internal/engine"
 	"hnp/internal/netgraph"
 	"hnp/internal/query"
 	"hnp/internal/stats"
@@ -52,21 +51,9 @@ func Fig9(cfg Config) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		var tds, bus []float64
-		for _, q := range w.Queries {
-			td, err := core.TopDown(h, w.Catalog, q, (*ads.Registry)(nil))
-			if err != nil {
-				return err
-			}
-			bu, err := core.BottomUpOpts(h, w.Catalog, q, nil, core.Options{})
-			if err != nil {
-				return err
-			}
-			tds = append(tds, td.PlansConsidered)
-			bus = append(bus, bu.PlansConsidered)
+		if tdY[i], buY[i], err = plansConsidered(e.system(h, w.Catalog), w.Queries); err != nil {
+			return err
 		}
-		tdY[i] = stats.Mean(tds)
-		buY[i] = stats.Mean(bus)
 		exY[i] = costpkg.Lemma1(4, n)
 		boundY[i] = costpkg.HierarchicalSpaceBound(4, n, maxCS, h.Height())
 		cfg.markProgress()
@@ -121,19 +108,27 @@ func fig9Regional(cfg Config, n, maxCS, queries int) (td, bu float64, err error)
 			cat.SetSelectivity(ids[i], ids[j], 0.001+rng.Float64()*0.019)
 		}
 	}
-	var tds, bus []float64
-	for qi := 0; qi < queries; qi++ {
+	qs := make([]*query.Query, queries)
+	for qi := range qs {
 		perm := rng.Perm(len(ids))
 		srcs := []query.StreamID{ids[perm[0]], ids[perm[1]], ids[perm[2]], ids[perm[3]]}
-		q, err := query.NewQuery(qi, srcs, netgraph.NodeID(rng.Intn(n)))
+		if qs[qi], err = query.NewQuery(qi, srcs, netgraph.NodeID(rng.Intn(n))); err != nil {
+			return 0, 0, err
+		}
+	}
+	return plansConsidered(e.system(h, cat), qs)
+}
+
+// plansConsidered plans each query with Top-Down and with Bottom-Up on
+// sys, without reuse, and returns the mean plans each considered.
+func plansConsidered(sys *engine.System, qs []*query.Query) (td, bu float64, err error) {
+	var tds, bus []float64
+	for _, q := range qs {
+		tdRes, err := sys.PlanQuery(q, engine.AlgoTopDown, nil)
 		if err != nil {
 			return 0, 0, err
 		}
-		tdRes, err := core.TopDown(h, cat, q, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		buRes, err := core.BottomUpOpts(h, cat, q, nil, core.Options{})
+		buRes, err := sys.PlanQuery(q, engine.AlgoBottomUp, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -26,7 +26,9 @@ func TestParallelFigureDeterminism(t *testing.T) {
 		run  func(Config) (*Figure, error)
 	}{
 		{"Fig5", Fig5},
+		{"Fig6", Fig6},
 		{"Fig7", Fig7},
+		{"Fig8", Fig8},
 		{"Fig9", Fig9},
 	}
 	for _, fig := range figures {
