@@ -537,7 +537,7 @@ func BenchmarkEngineUndeploy(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := eng.Undeploy(deps[i%len(deps)].Query.ID); err != nil {
+				if _, err := eng.Undeploy(deps[i%len(deps)]); err != nil {
 					b.Fatal(err)
 				}
 				if err := eng.Deploy(deps[(i+w)%len(deps)]); err != nil {

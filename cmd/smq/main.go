@@ -262,7 +262,7 @@ func runExplain(seed int64, trace bool) error {
 		st.Checks, st.Replans, st.Migrations, st.Suppressed(),
 		st.SuppressedDeadband, st.SuppressedHysteresis, st.SuppressedCooldown, st.SuppressedRevert)
 	fmt.Printf("predicted savings %.0f bytes/s; final plan %s\n",
-		st.PredictedSavings, eng.DeployedPlan(td.Query.ID))
+		st.PredictedSavings, eng.RT.DeployedPlan(td.Query.ID))
 	if err := eng.Audit(); err != nil {
 		return fmt.Errorf("engine audit: %w", err)
 	}

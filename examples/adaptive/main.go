@@ -62,7 +62,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var burst []iflow.LinkCostUpdate
-		for _, op := range eng.DeployedPlan(dep.Query.ID).Operators() {
+		for _, op := range eng.RT.DeployedPlan(dep.Query.ID).Operators() {
 			for _, nb := range g.Neighbors(op.Loc) {
 				cost, _ := g.LinkCost(op.Loc, nb)
 				burst = append(burst, iflow.LinkCostUpdate{A: op.Loc, B: nb, Cost: cost * 50})
@@ -84,7 +84,7 @@ func main() {
 		fmt.Printf("  teardown would have churned %d ops; carried %d buffered tuples (%.0f bytes) in place\n",
 			churn.TeardownOps, churn.StateCarried, churn.BytesSaved)
 	}
-	fmt.Printf("final plan: %s\n", eng.DeployedPlan(dep.Query.ID))
+	fmt.Printf("final plan: %s\n", eng.RT.DeployedPlan(dep.Query.ID))
 	sink := eng.RT.Sink(dep.Query.ID)
 	fmt.Printf("delivered %d result tuples; mean latency %.0fms; measured cost rate %.1f\n",
 		sink.Tuples, 1000*sink.MeanLatency(), eng.RT.CostRate())

@@ -575,7 +575,7 @@ func (w *World) nextRateShiftEvent(idx int) Event {
 func (w *World) deployedIDs() []int {
 	var out []int
 	for _, q := range w.pool {
-		if w.eng.DeployedPlan(q.ID) != nil {
+		if w.eng.RT.DeployedPlan(q.ID) != nil {
 			out = append(out, q.ID)
 		}
 	}
@@ -592,7 +592,7 @@ func (w *World) plannable(deployed bool) []int {
 	var out []int
 pool:
 	for _, q := range w.pool {
-		if (w.eng.DeployedPlan(q.ID) != nil) != deployed || !w.eng.Live(q.Sink) {
+		if (w.eng.RT.DeployedPlan(q.ID) != nil) != deployed || !w.eng.Live(q.Sink) {
 			continue
 		}
 		for _, sid := range q.Sources {
@@ -651,7 +651,10 @@ func (w *World) apply(e *Event) error {
 		w.prevSinks[e.Query] = iflow.SinkStats{} // Deploy resets delivery statistics
 		return nil
 	case KindQueryUndeploy:
-		if err := w.eng.Undeploy(e.Query); err != nil {
+		if w.eng.RT.DeployedPlan(e.Query) == nil { // Undeploy would pass it as a no-op
+			return fmt.Errorf("undeploy rejected: query %d not deployed", e.Query)
+		}
+		if _, err := w.eng.Undeploy(engine.Deployment{Query: w.pool[e.Query]}); err != nil {
 			return fmt.Errorf("undeploy rejected: %w", err)
 		}
 		delete(w.prevSinks, e.Query)

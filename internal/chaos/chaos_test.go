@@ -156,3 +156,17 @@ func TestChaosLiveness(t *testing.T) {
 		t.Errorf("%d tuples still in flight after quiesce", rep.Stats.TuplesInFlight)
 	}
 }
+
+// TestChaosUndeployRejectsIdle holds the harness to its own precondition:
+// an undeploy event for a pool query that does not run is a finding, not
+// the engine's no-op for a plan-less deployment.
+func TestChaosUndeployRejectsIdle(t *testing.T) {
+	w, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	e := Event{Kind: KindQueryUndeploy, Query: w.pool[0].ID}
+	if err := w.apply(&e); err == nil {
+		t.Fatal("undeploying a query that never ran was accepted")
+	}
+}

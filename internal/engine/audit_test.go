@@ -18,7 +18,7 @@ func (e testEngine) idleNode(t *testing.T) netgraph.NodeID {
 		busy[e.Catalog.Stream(query.StreamID(i)).Source] = true
 	}
 	for _, qid := range e.RT.DeployedQueries() {
-		for _, op := range e.DeployedPlan(qid).Operators() {
+		for _, op := range e.RT.DeployedPlan(qid).Operators() {
 			busy[op.Loc] = true
 		}
 	}

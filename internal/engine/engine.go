@@ -20,8 +20,8 @@ import (
 // side's path snapshot is the hierarchy's. Every lifecycle step is one
 // method here, so no client mirrors any of it:
 //
-//	Deploy            runtime deploy + advertise + ledger add
-//	Undeploy          runtime undeploy + ledger remove
+//	Deploy            runtime deploy + System.Deploy (advertise, book, pin)
+//	Undeploy          runtime undeploy + ledger remove + unpin
 //	Migrate           runtime migrate + ledger delta + advertise
 //	FailNode          runtime crash + hierarchy leave + recovery
 //	RecoverNode       hierarchy rejoin
@@ -32,12 +32,9 @@ import (
 //
 // An operator's advertisement is retracted as the runtime retires it, by
 // whichever path (Runtime.OnRetire is Registry.Retract): nothing sweeps.
-//
 // Plan with the promoted Plan*/PlanQuery methods and hand the result to
-// Deploy.
-//
-// An Engine runs on its runtime's single-threaded simulation clock and is
-// not safe for concurrent use.
+// Deploy. An Engine runs on its runtime's single-threaded simulation clock
+// and is not safe for concurrent use.
 type Engine struct {
 	*System
 	RT *iflow.Runtime
@@ -48,6 +45,7 @@ type Engine struct {
 
 	ctl   *adapt.Controller
 	until float64
+	stmts map[int]*prepared // by query ID, what each CQL-planned query pins
 }
 
 // NewEngine puts a runtime under a system. The runtime draws its tuple
@@ -60,22 +58,17 @@ func NewEngine(sys *System, cfg iflow.Config, seed int64, until float64) *Engine
 	if cost.Metric() != netgraph.MetricCost {
 		cost = sys.Graph.ShortestPaths(netgraph.MetricCost)
 	}
-	e := &Engine{System: sys, RT: iflow.NewWithCost(sys.Graph, cost, cfg, seed), until: until}
+	e := &Engine{System: sys, RT: iflow.NewWithCost(sys.Graph, cost, cfg, seed), until: until, stmts: map[int]*prepared{}}
 	e.RT.BindObs(sys.Obs)
 	e.RT.OnRetire = sys.Registry.Retract
 	return e
 }
 
-// DeployedPlan returns the plan a deployed query currently runs, nil for
-// a query that is not deployed. The runtime holds the deployed set.
-func (e *Engine) DeployedPlan(qid int) *query.PlanNode { return e.RT.DeployedPlan(qid) }
-
 // Live reports whether a node is up: a member of the hierarchy.
 func (e *Engine) Live(v netgraph.NodeID) bool { return e.Hierarchy.Contains(v) }
 
-// Deploy runs a planned query, advertises and books it; a nil Plan (a
-// provably empty query) runs and records nothing. Unlike System.Deploy it
-// pins no prepared statement, so an Engine's PlanCQL always misses.
+// Deploy runs a planned query, then commits it with System.Deploy; a nil
+// Plan (a provably empty query) runs and records nothing.
 func (e *Engine) Deploy(d Deployment) error {
 	if d.Plan == nil {
 		return nil
@@ -83,35 +76,47 @@ func (e *Engine) Deploy(d Deployment) error {
 	if err := e.RT.Deploy(d.Query, d.Plan, e.Catalog, e.until); err != nil {
 		return err
 	}
-	e.deployRecord(d.Query, d.Result)
+	e.System.Deploy(d) // cannot fail: d.Plan is set
+	if d.stmt != nil {
+		e.stmts[d.Query.ID] = d.stmt
+	}
 	if e.ctl != nil {
 		e.ctl.Track(d.Query, d.Plan)
 	}
 	return nil
 }
 
-// Undeploy stops a deployed query and retracts what died with it.
+// Undeploy stops d's query in the plan it runs now (Migrate or a FailNode
+// recovery may have replaced d.Plan) and returns how many advertisements
+// died with it; a nil-Plan deployment the runtime does not run is a no-op.
 //
-// The two retraction rules are deliberately kept apart. Here an
-// advertisement dies when its operator does: the runtime reference-counts
-// shared operators, so one that another query reuses outlives its
-// creator's undeploy and must stay advertised, while an operator nobody
-// holds anymore is gone whoever created it, and retracted as it retires.
-// System.Undeploy has no runtime to ask and retracts by owner
-// (ads.Registry.RetractPlan). Unifying them either way changes which
-// advertisements planners are offered, and with that the chosen plans.
-func (e *Engine) Undeploy(qid int) error {
-	plan := e.RT.DeployedPlan(qid)
-	if err := e.RT.Undeploy(qid); err != nil {
-		return err
+// The two retraction rules are deliberately kept apart. Here an ad dies
+// with its operator: the runtime reference-counts shared operators, so one
+// another query reuses outlives its creator's undeploy and stays
+// advertised, while one nobody holds is retracted as it retires, whoever
+// created it. System.Undeploy has no runtime to ask and retracts by owner
+// (ads.Registry.RetractPlan). Unifying them either way changes which ads
+// planners are offered, and with that the chosen plans.
+func (e *Engine) Undeploy(d Deployment) (int, error) {
+	plan := e.RT.DeployedPlan(d.Query.ID)
+	if plan == nil && d.Plan == nil {
+		return 0, nil
 	}
-	e.drop(qid, plan)
-	return nil
+	before := e.Registry.Len()
+	if err := e.RT.Undeploy(d.Query.ID); err != nil {
+		return 0, err
+	}
+	e.drop(d.Query.ID, plan)
+	return before - e.Registry.Len(), nil
 }
 
-// drop releases the books of a query that no longer runs plan.
+// drop releases the books and the statement of a query no longer running plan.
 func (e *Engine) drop(qid int, plan *query.PlanNode) {
 	e.tracker.RemovePlan(plan)
+	if p := e.stmts[qid]; p != nil {
+		e.unpin(p)
+		delete(e.stmts, qid)
+	}
 	if e.ctl != nil {
 		e.ctl.Untrack(qid)
 	}

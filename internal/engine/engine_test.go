@@ -169,7 +169,7 @@ func TestEngineLifecycle(t *testing.T) {
 	if _, err := e.Migrate(q2.Query.ID, fresh); err != nil {
 		t.Fatal(err)
 	}
-	if e.DeployedPlan(q2.Query.ID) != fresh {
+	if e.RT.DeployedPlan(q2.Query.ID) != fresh {
 		t.Fatal("migration not recorded")
 	}
 	e.audit(t, "migrate")
@@ -187,7 +187,7 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 	victim := netgraph.NodeID(-1)
 	for _, d := range []Deployment{q1, q2, q3} {
-		for _, op := range e.DeployedPlan(d.Query.ID).Operators() {
+		for _, op := range e.RT.DeployedPlan(d.Query.ID).Operators() {
 			if !endpoint[op.Loc] {
 				victim = op.Loc
 			}
@@ -215,7 +215,7 @@ func TestEngineLifecycle(t *testing.T) {
 	e.audit(t, "recover node")
 
 	for _, d := range []Deployment{q1, q2, q3} {
-		if err := e.Undeploy(d.Query.ID); err != nil {
+		if _, err := e.Undeploy(d); err != nil {
 			t.Fatal(err)
 		}
 		e.audit(t, "undeploy")
@@ -229,13 +229,42 @@ func TestEngineLifecycle(t *testing.T) {
 	if n := len(e.RT.DeployedQueries()); n != 0 {
 		t.Errorf("%d queries still deployed", n)
 	}
+
+	// A failure that drops a CQL deployment unpins its statement, which
+	// stays prepared while another deployment of the text stands.
+	f := newTestEngine(t, 3, 100)
+	const stmt = "SELECT * FROM S0, S1, S2"
+	a, err := deploy(f)(f.PlanCQL(stmt, f.sink, AlgoTopDown))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := deploy(f)(f.PlanCQL(stmt, 5, AlgoTopDown))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.stmt != b.stmt || f.tableLen() != 1 {
+		t.Fatalf("two deployments of one text: %d entries, shared statement %v; want 1, true", f.tableLen(), a.stmt == b.stmt)
+	}
+	if rec, err = f.FailNode(5, f.Replan); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rec.Failed, b.Query.ID) || f.tableLen() != 1 {
+		t.Fatalf("failing b's sink: %+v, %d entries; want b failed and a's entry standing", rec, f.tableLen())
+	}
+	f.audit(t, "failing the sink of a CQL deployment")
+	if _, err := f.Undeploy(a); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.tableLen(); n != 0 {
+		t.Fatalf("table holds %d entries after the last deployment of the text left", n)
+	}
 }
 
 // TestRetractionRules pins the two retraction rules side by side on the
-// same pair of queries, the second reusing the first's join. Under a
-// runtime an advertisement dies when its operator does, and the reused
-// operator outlives its creator's undeploy; planning-only bookkeeping has
-// no runtime to ask and retracts by owner.
+// same pair of queries, the second reusing the first's join, and what
+// each undeploy reports. Under a runtime an advertisement dies when its
+// operator does, and the reused operator outlives its creator's undeploy;
+// planning-only bookkeeping has no runtime to ask and retracts by owner.
 func TestRetractionRules(t *testing.T) {
 	e := newTestEngine(t, 3, 100)
 	q1 := e.start(t, AlgoTopDown, e.sink, 0, 1)
@@ -244,8 +273,8 @@ func TestRetractionRules(t *testing.T) {
 		t.Fatalf("second query %s does not reuse the first's operator; pick another seed", q2.Plan)
 	}
 	sig, at := q1.Query.SigOf(q1.Plan.Mask), q1.Plan.Loc // q1's root join, the operator q2 reads
-	if err := e.Undeploy(q1.Query.ID); err != nil {
-		t.Fatal(err)
+	if n, err := e.Undeploy(q1); n != 0 || err != nil {
+		t.Fatalf("undeploy of the creator retracted %d (%v), want 0", n, err)
 	}
 	e.audit(t, "undeploy of the creator")
 	if e.RT.Operator(sig, at) == nil {
@@ -254,8 +283,8 @@ func TestRetractionRules(t *testing.T) {
 	if len(e.Registry.Lookup(sig)) == 0 {
 		t.Error("engine retracted the advertisement of an operator that still runs")
 	}
-	if err := e.Undeploy(q2.Query.ID); err != nil {
-		t.Fatal(err)
+	if n, err := e.Undeploy(q2); n != 2 || err != nil {
+		t.Fatalf("undeploy of the reuser retracted %d (%v), want its join and the one it reused", n, err)
 	}
 	e.audit(t, "undeploy of the reuser")
 	if n := e.Registry.Len(); n != 0 {
@@ -267,23 +296,30 @@ func TestRetractionRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := deploy(p)(p.Plan([]query.StreamID{0, 1, 2}, e.sink, AlgoTopDown)); err != nil {
+	d2, err := deploy(p)(p.Plan([]query.StreamID{0, 1, 2}, e.sink, AlgoTopDown))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Undeploy(d1) == 0 || len(p.Registry.Lookup(sig)) != 0 {
-		t.Error("planning-only undeploy kept its owner's advertisement")
+	if n, err := p.Undeploy(d1); n != 1 || err != nil || len(p.Registry.Lookup(sig)) != 0 {
+		t.Errorf("planning-only undeploy retracted %d (%v), want its owner's one advertisement", n, err)
+	}
+	if n, err := p.Undeploy(d2); n != 1 || err != nil {
+		t.Errorf("planning-only undeploy of the reuser retracted %d (%v), want its own join", n, err)
 	}
 }
 
-// TestOneDeployShape: both halves of the engine commit through one method
-// of one shape. One deploy-only CQL sequence, planned with PlanCQL and
-// committed with Deploy, gives the same plans and costs at every step and
-// the same advertisements at the end on a planning-only System as on an
-// Engine over identical parts. It has no undeploys: the two halves
-// retract by different rules (TestRetractionRules).
+// TestOneDeployShape: both halves of the engine commit and undeploy
+// through one method each, of one shape. One deploy-only CQL sequence,
+// planned with PlanCQL and committed with Deploy, gives the same plans
+// and costs at every step, and the same advertisements and prepared table
+// at the end, on a planning-only System as on an Engine over identical
+// parts. It has no undeploys: the two halves retract by different rules
+// (TestRetractionRules).
 func TestOneDeployShape(t *testing.T) {
 	var _ interface{ Deploy(Deployment) error } = (*System)(nil)
 	var _ interface{ Deploy(Deployment) error } = (*Engine)(nil)
+	var _ interface{ Undeploy(Deployment) (int, error) } = (*System)(nil)
+	var _ interface{ Undeploy(Deployment) (int, error) } = (*Engine)(nil)
 	sys, e := newTestEngine(t, 3, 100).System, newTestEngine(t, 3, 100)
 	pool := []string{
 		"SELECT * FROM S0, S1",
@@ -311,6 +347,9 @@ func TestOneDeployShape(t *testing.T) {
 		}
 	}
 	e.audit(t, "the sequence")
+	if n := sys.tableLen(); n == 0 || n != e.tableLen() {
+		t.Fatalf("prepared tables hold %d entries on the system, %d on the engine; want equal and nonzero", n, e.tableLen())
+	}
 	advertised := func(s *System) []string {
 		var out []string
 		for _, ad := range s.Registry.All() {
@@ -336,7 +375,7 @@ func TestEngineControllerMirror(t *testing.T) {
 	migrations := 0
 	e.OnMigrate = func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
 		migrations++
-		if e.DeployedPlan(q.ID) != fresh {
+		if e.RT.DeployedPlan(q.ID) != fresh {
 			t.Errorf("OnMigrate saw query %d before the engine mirrored its migration", q.ID)
 		}
 		e.audit(t, "controller migration")

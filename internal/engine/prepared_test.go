@@ -19,14 +19,21 @@ const preparedStmt = `SELECT S0.A, S1.B FROM S0, S1, S2
 	WHERE S0.A = S1.A AND S1.A = S2.A AND S0.B < 0.4
 	WINDOW 10 AGGREGATE COUNT`
 
-// newPreparedSystem is the test engine's planning half with schemas
-// declared, so the rewrite pipeline prunes columns.
-func newPreparedSystem(t *testing.T) (*System, netgraph.NodeID) {
+// newPreparedEngine is the test engine with schemas declared, so the
+// rewrite pipeline prunes columns.
+func newPreparedEngine(t *testing.T) testEngine {
 	t.Helper()
 	e := newTestEngine(t, 3, 0)
 	for id := 0; id < e.Catalog.NumStreams(); id++ {
 		e.SetSchema(query.StreamID(id), query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 8}, {Name: "blob", Width: 64}})
 	}
+	return e
+}
+
+// newPreparedSystem is newPreparedEngine's planning half.
+func newPreparedSystem(t *testing.T) (*System, netgraph.NodeID) {
+	t.Helper()
+	e := newPreparedEngine(t)
 	return e.System, e.sink
 }
 
@@ -36,6 +43,38 @@ func (s *System) tableLen() int {
 	return len(s.prepared)
 }
 
+// half is what a serving shard calls, on either half of the engine.
+type half interface {
+	PlanCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Deployment, error)
+	Deploy(Deployment) error
+	Undeploy(Deployment) (int, error)
+}
+
+// onBothHalves runs f on a planning-only System and on an Engine, each
+// from newPreparedEngine; sys is the System whose table h keeps.
+func onBothHalves(t *testing.T, f func(t *testing.T, h half, sys *System, sink netgraph.NodeID)) {
+	for _, name := range []string{"System", "Engine"} {
+		t.Run(name, func(t *testing.T) {
+			e := newPreparedEngine(t)
+			var h half = e.System
+			if name == "Engine" {
+				h = e.Engine
+			}
+			f(t, h, e.System, e.sink)
+		})
+	}
+}
+
+// undeploy retires d from h and returns what it retracted.
+func undeploy(t *testing.T, h half, d Deployment) int {
+	t.Helper()
+	n, err := h.Undeploy(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // The table's first rule: an entry lives exactly as long as deployments
 // stand on it. What-if plans, failed plans, statements that do not
 // parse and statements that fold to a no-op never enter one.
@@ -43,46 +82,49 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 	prev := obs.Enabled.Load()
 	obs.Enable()
 	defer obs.Enabled.Store(prev)
-	sys, sink := newPreparedSystem(t)
+	onBothHalves(t, testPreparedPinnedByStandingDeployments)
+}
+
+func testPreparedPinnedByStandingDeployments(t *testing.T, h half, sys *System, sink netgraph.NodeID) {
 	hits, misses := sys.Obs.Counter("cql.prepared_hits"), sys.Obs.Counter("cql.prepared_misses")
-	want := func(step string, entries int, h, m int64) {
+	want := func(step string, entries int, hit, miss int64) {
 		t.Helper()
-		if got := sys.tableLen(); got != entries || hits.Value() != h || misses.Value() != m {
+		if got := sys.tableLen(); got != entries || hits.Value() != hit || misses.Value() != miss {
 			t.Fatalf("%s: %d entries, %d hits, %d misses; want %d, %d, %d",
-				step, got, hits.Value(), misses.Value(), entries, h, m)
+				step, got, hits.Value(), misses.Value(), entries, hit, miss)
 		}
 		if g := sys.Obs.Gauge("cql.prepared_entries").Value(); g != float64(sys.tableLen()) {
 			t.Fatalf("%s: cql.prepared_entries = %g, table holds %d", step, g, sys.tableLen())
 		}
 	}
 
-	if _, err := sys.PlanCQL(preparedStmt, sink, AlgoTopDown); err != nil {
+	if _, err := h.PlanCQL(preparedStmt, sink, AlgoTopDown); err != nil {
 		t.Fatal(err)
 	}
 	want("what-if plan of a text nobody deployed", 0, 0, 1)
-	if _, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, Algorithm(99))); err == nil {
+	if _, err := deploy(h)(h.PlanCQL(preparedStmt, sink, Algorithm(99))); err == nil {
 		t.Fatal("unknown algorithm planned")
 	}
 	want("failed plan", 0, 0, 2)
-	if _, err := deploy(sys)(sys.PlanCQL("SELECT * FROM NOSUCH", sink, AlgoTopDown)); err == nil {
+	if _, err := deploy(h)(h.PlanCQL("SELECT * FROM NOSUCH", sink, AlgoTopDown)); err == nil {
 		t.Fatal("unknown stream parsed")
 	}
 	want("parse error", 0, 0, 3)
-	noop, err := deploy(sys)(sys.PlanCQL("SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", sink, AlgoTopDown))
+	noop, err := deploy(h)(h.PlanCQL("SELECT * FROM S0 WHERE S0.A < 0.2 AND S0.A > 0.7", sink, AlgoTopDown))
 	if err != nil || !noop.Rewrite.NoOp || noop.Plan != nil {
 		t.Fatalf("contradiction: %+v, %v", noop, err)
 	}
 	want("no-op statement", 0, 0, 4)
-	if sys.Undeploy(noop) != 0 {
+	if undeploy(t, h, noop) != 0 {
 		t.Fatal("undeploying a no-op retracted advertisements")
 	}
 
-	d1, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
+	d1, err := deploy(h)(h.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want("first deploy", 1, 0, 5)
-	d2, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink+1, AlgoBottomUp))
+	d2, err := deploy(h)(h.PlanCQL(preparedStmt, sink+1, AlgoBottomUp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +135,21 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 	if d1.Rewrite != d2.Rewrite || &d1.Query.Sources[0] != &d2.Query.Sources[0] {
 		t.Error("instances of one standing text do not share their prepared parts")
 	}
-	if _, err := sys.PlanCQL(preparedStmt, sink, AlgoOptimal); err != nil {
+	if _, err := h.PlanCQL(preparedStmt, sink, AlgoOptimal); err != nil {
 		t.Fatal(err)
 	}
 	want("what-if plan of a standing text", 1, 2, 5)
-	other, err := deploy(sys)(sys.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown))
+	other, err := deploy(h)(h.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want("a second text", 2, 2, 6)
 
-	sys.Undeploy(d1)
+	undeploy(t, h, d1)
 	want("one of two deployments retired", 2, 2, 6)
-	sys.Undeploy(d2)
+	undeploy(t, h, d2)
 	want("text no longer standing", 1, 2, 6)
-	sys.Undeploy(other)
+	undeploy(t, h, other)
 	want("last undeploy", 0, 2, 6)
 
 	// Two plans of one fresh text before either is deployed both miss.
@@ -126,14 +168,14 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 	}
 	for i, undeployEnteredFirst := range []bool{true, false} {
 		m := int64(8 + 2*i)
-		a, errA := sys.PlanCQL(fresh, sink, AlgoTopDown)
-		b, errB := sys.PlanCQL(fresh, sink+1, AlgoTopDown)
+		a, errA := h.PlanCQL(fresh, sink, AlgoTopDown)
+		b, errB := h.PlanCQL(fresh, sink+1, AlgoTopDown)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
 		want("two what-if plans of a fresh text", 0, 2, m)
 		for _, d := range []Deployment{a, b} {
-			if err := sys.Deploy(d); err != nil {
+			if err := h.Deploy(d); err != nil {
 				t.Fatal(err)
 			}
 			want("deploy of one of two candidates", 1, 2, m)
@@ -142,14 +184,14 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 		if !undeployEnteredFirst {
 			a, b = b, a
 		}
-		sys.Undeploy(a)
+		undeploy(t, h, a)
 		if undeployEnteredFirst {
 			want("entered candidate retired first", 0, 2, m)
 		} else {
 			want("lapsing candidate retired first", 1, 2, m)
 		}
 		sound("first undeploy")
-		sys.Undeploy(b)
+		undeploy(t, h, b)
 		want("both candidates retired", 0, 2, m)
 	}
 }
@@ -157,14 +199,17 @@ func TestPreparedPinnedByStandingDeployments(t *testing.T) {
 // The second rule: any catalog mutation drops the table, so the next
 // deploy of a standing text parses and rewrites against the new catalog.
 func TestPreparedDroppedOnCatalogChange(t *testing.T) {
-	sys, sink := newPreparedSystem(t)
-	d1, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
+	onBothHalves(t, testPreparedDroppedOnCatalogChange)
+}
+
+func testPreparedDroppedOnCatalogChange(t *testing.T, h half, sys *System, sink netgraph.NodeID) {
+	d1, err := deploy(h)(h.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// S0.B narrows: the pruned width of S0 and the planned bytes change.
 	sys.SetSchema(0, query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 2}, {Name: "blob", Width: 64}})
-	d2, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
+	d2, err := deploy(h)(h.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +230,7 @@ func TestPreparedDroppedOnCatalogChange(t *testing.T) {
 		}
 	}
 	// The drop happens at the next lookup, hit or not.
-	if _, err := sys.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown); err != nil {
+	if _, err := h.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown); err != nil {
 		t.Fatal(err)
 	}
 	if sys.tableLen() != 0 {
@@ -193,15 +238,15 @@ func TestPreparedDroppedOnCatalogChange(t *testing.T) {
 	}
 	// d1's and d2's entries went with their tables: retiring them must
 	// not touch the entry d3 stands on.
-	sys.Undeploy(d1)
-	d3, err := deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown))
+	undeploy(t, h, d1)
+	d3, err := deploy(h)(h.PlanCQL(preparedStmt, sink, AlgoTopDown))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Undeploy(d2); sys.tableLen() != 1 {
+	if undeploy(t, h, d2); sys.tableLen() != 1 {
 		t.Fatalf("retiring a deployment of a dropped table left %d entries, want d3's", sys.tableLen())
 	}
-	if sys.Undeploy(d3); sys.tableLen() != 0 {
+	if undeploy(t, h, d3); sys.tableLen() != 0 {
 		t.Fatalf("table holds %d entries after the last undeploy", sys.tableLen())
 	}
 
@@ -209,44 +254,54 @@ func TestPreparedDroppedOnCatalogChange(t *testing.T) {
 	// another lookup dropped the table is never entered, whether its plan
 	// missed (a fresh candidate) or hit (the entry of a deployment retired
 	// since): the next plan of the text parses against the new catalog.
+	// The hit case also runs with the standing deployment retired just
+	// after the deploy; only that order runs on an Engine, whose runtime
+	// refuses a plan that reads operators retired since it was planned.
 	prev := obs.Enabled.Load()
 	obs.Enable()
 	defer obs.Enabled.Store(prev)
 	misses := sys.Obs.Counter("cql.prepared_misses")
-	for i, hit := range []bool{false, true} {
+	_, onEngine := h.(*Engine)
+	for i, c := range []struct{ hit, retireFirst bool }{{false, false}, {true, true}, {true, false}} {
+		if c.retireFirst && onEngine {
+			continue
+		}
 		var standing Deployment
-		if hit {
-			if standing, err = deploy(sys)(sys.PlanCQL(preparedStmt, sink, AlgoTopDown)); err != nil {
+		if c.hit {
+			if standing, err = deploy(h)(h.PlanCQL(preparedStmt, sink, AlgoTopDown)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		stale, err := sys.PlanCQL(preparedStmt, sink, AlgoTopDown)
+		stale, err := h.PlanCQL(preparedStmt, sink, AlgoTopDown)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys.SetSchema(0, query.Schema{{Name: "a", Width: 8}, {Name: "b", Width: 3 + float64(i)}, {Name: "blob", Width: 64}})
-		if _, err := sys.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown); err != nil {
+		if _, err := h.PlanCQL("SELECT * FROM S1, S3", sink, AlgoTopDown); err != nil {
 			t.Fatal(err)
 		}
-		if hit {
-			sys.Undeploy(standing)
+		if c.hit && c.retireFirst {
+			undeploy(t, h, standing)
 		}
-		if err := sys.Deploy(stale); err != nil {
+		if err := h.Deploy(stale); err != nil {
 			t.Fatal(err)
+		}
+		if c.hit && !c.retireFirst {
+			undeploy(t, h, standing)
 		}
 		if sys.tableLen() != 0 {
-			t.Fatalf("hit=%v: a statement planned at an old catalog version entered the table", hit)
+			t.Fatalf("%+v: a statement planned at an old catalog version entered the table", c)
 		}
 		before := misses.Value()
-		next, err := sys.PlanCQL(preparedStmt, sink, AlgoTopDown)
+		next, err := h.PlanCQL(preparedStmt, sink, AlgoTopDown)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if misses.Value() != before+1 || next.Rewrite == stale.Rewrite {
-			t.Fatalf("hit=%v: the plan after the catalog moved reused the stale statement", hit)
+			t.Fatalf("%+v: the plan after the catalog moved reused the stale statement", c)
 		}
-		if sys.Undeploy(stale); sys.tableLen() != 0 {
-			t.Fatalf("hit=%v: table holds %d entries after the last undeploy", hit, sys.tableLen())
+		if undeploy(t, h, stale); sys.tableLen() != 0 {
+			t.Fatalf("%+v: table holds %d entries after the last undeploy", c, sys.tableLen())
 		}
 	}
 }

@@ -308,43 +308,45 @@ func (s *System) PlanWhere(sources []query.StreamID, sink netgraph.NodeID, algo 
 }
 
 // Deploy commits a planned deployment: its operators are advertised for
-// future queries and its processing load is booked, and a CQL-planned one
-// pins its prepared statement until Undeploy. A deployment with a nil
-// Plan (a provably empty query) records nothing. Planning-level
-// bookkeeping only: Engine.Deploy also runs the plan.
+// future queries, its processing load is booked and a CQL-planned one pins
+// its prepared statement until Undeploy; Engine.Deploy runs the plan first.
+// A nil Plan (a provably empty query) records nothing. With telemetry on,
+// the derived leaves a plan consumes count as "ads.reuse_hits"; a plan
+// offered candidates (Result.ReuseOffered) that consumed none is an
+// "ads.reuse_misses" (duplicating the work was cheaper).
 func (s *System) Deploy(d Deployment) error {
 	if d.Plan == nil {
 		return nil
 	}
-	s.deployRecord(d.Query, d.Result)
+	if obs.On() {
+		hits := d.Plan.DerivedLeaves()
+		s.Obs.Counter("ads.reuse_hits").Add(int64(hits))
+		if hits == 0 && d.ReuseOffered > 0 {
+			s.Obs.Counter("ads.reuse_misses").Inc()
+		}
+	}
+	s.Registry.AdvertisePlan(d.Query, d.Plan)
+	s.tracker.AddPlan(d.Plan)
 	if d.stmt != nil {
 		s.pin(d.stmt)
 	}
 	return nil
 }
 
-// Undeploy retracts a finalized deployment, reversing deployRecord: the
-// advertisements its plan created leave the registry (so planners stop
-// being offered streams nobody produces anymore) and its processing load
-// leaves the ledger. Advertisements the plan merely reused belong to the
-// deployment that created them and stay. It returns the number of
-// retracted advertisements. Planning-level bookkeeping only: with no
-// runtime to ask which operators still run, ownership (the creator's
-// query ID) decides what is retracted. An Engine retracts by liveness
-// instead — see Engine.Undeploy for why the two rules stay apart.
-func (s *System) Undeploy(d Deployment) int {
+// Undeploy reverses Deploy and returns the number of advertisements
+// retracted; it never fails. With no runtime to ask which operators still
+// run, it retracts by owner: ads the plan merely reused stay with the
+// deployment that created them (see Engine.Undeploy).
+func (s *System) Undeploy(d Deployment) (int, error) {
 	if d.Query == nil || d.Plan == nil {
-		return 0
+		return 0, nil
 	}
 	removed := s.Registry.RetractPlan(d.Query, d.Plan)
 	s.tracker.RemovePlan(d.Plan)
 	if d.stmt != nil {
 		s.unpin(d.stmt)
 	}
-	if obs.On() {
-		s.Obs.Counter("system.undeploys").Inc()
-	}
-	return removed
+	return removed, nil
 }
 
 // PlanCQL parses a SQL-like continuous query (the paper's query syntax;
@@ -385,25 +387,6 @@ func (s *System) PlanCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Dep
 		return Deployment{}, err
 	}
 	return d, nil
-}
-
-// deployRecord finalizes a deployment: the plan's operators are advertised
-// for future reuse and its processing load is accounted. With telemetry
-// enabled the reuse outcome is classified first, from what planning
-// itself saw: every derived leaf the plan consumes is a hit
-// ("ads.reuse_hits"); a deployment whose search was offered reuse
-// candidates (Result.ReuseOffered) yet consumed none is a miss
-// ("ads.reuse_misses" — duplicating the work was cheaper).
-func (s *System) deployRecord(q *query.Query, res core.Result) {
-	if obs.On() {
-		hits := res.Plan.DerivedLeaves()
-		s.Obs.Counter("ads.reuse_hits").Add(int64(hits))
-		if hits == 0 && res.ReuseOffered > 0 {
-			s.Obs.Counter("ads.reuse_misses").Inc()
-		}
-	}
-	s.Registry.AdvertisePlan(q, res.Plan)
-	s.tracker.AddPlan(res.Plan)
 }
 
 // PlanQuery is the one planning path: every facade entry point, the

@@ -437,7 +437,11 @@ func (s *Server) handleUndeploy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown deployment id %d", id)
 		return
 	}
-	retracted := s.shards[rec.shard].sys.Undeploy(rec.dep)
+	retracted, err := s.shards[rec.shard].sys.Undeploy(rec.dep)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	s.cUndeploys.Inc()
 	writeJSON(w, http.StatusOK, UndeployResponse{AdsRetracted: retracted, ID: id, Shard: rec.shard})
 }

@@ -166,8 +166,8 @@ func TestPushdownContradiction(t *testing.T) {
 	if got := d.Plan.String(); !strings.Contains(got, "empty") {
 		t.Errorf("nil plan renders %q", got)
 	}
-	if n := sys.Undeploy(d); n != 0 {
-		t.Errorf("no-op deployment advertised %d streams", n)
+	if n, err := sys.Undeploy(d); n != 0 || err != nil {
+		t.Errorf("no-op deployment advertised %d streams (%v)", n, err)
 	}
 }
 
