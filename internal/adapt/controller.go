@@ -18,7 +18,7 @@
 //	                  stays hot until it either migrates or stops paying.)
 //	re-cost         — both the running plan and a fresh optimization are
 //	                  evaluated under the same calibrated rate table by
-//	                  transport byte rate (BytesWith, bytes crossing links
+//	                  transport byte rate (bytesWith, bytes crossing links
 //	                  per second — the metric migrations are judged by,
 //	                  since shipped state is paid in bytes too).
 //	deadband        — relative byte gains below minRelGain are noise.
@@ -157,7 +157,7 @@ type Controller struct {
 	rt     *iflow.Runtime
 	cat    *query.Catalog
 	cfg    Config
-	replan iflow.ReplanFunc
+	replan ReplanFunc
 
 	// OnMigrate, when set, observes every applied migration — harnesses
 	// use it to mirror plan tables, advertisement registries and load
@@ -192,10 +192,14 @@ type Controller struct {
 	tr *obs.Tracer
 }
 
+// ReplanFunc produces a fresh plan for a query against current conditions
+// (the controller and the engine's failure recovery both take one).
+type ReplanFunc func(q *query.Query) (*query.PlanNode, error)
+
 // New builds a controller over a runtime. replan produces a fresh plan
 // for a query against the current (calibrated) catalog; it must be
 // deterministic for reproducible runs.
-func New(rt *iflow.Runtime, cat *query.Catalog, replan iflow.ReplanFunc, cfg Config) *Controller {
+func New(rt *iflow.Runtime, cat *query.Catalog, replan ReplanFunc, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	return &Controller{
 		rt:          rt,
@@ -384,7 +388,7 @@ func (c *Controller) Step() {
 		// migration actually starts or stops count: the gain here is what
 		// the runtime's TotalBytes will actually see.
 		rateOf := c.rateOf(t.q, rates)
-		curBytes := BytesWith(t.plan, rateOf, tupleSize, t.q.Sink)
+		curBytes := bytesWith(t.plan, rateOf, tupleSize, t.q.Sink)
 		gain := c.marginalGain(t.q, oldIR, newIR, diff, rateOf, tupleSize)
 		if c.cfg.Mode == ModeNever {
 			continue
@@ -517,14 +521,14 @@ func (c *Controller) drift(t *tracked) float64 {
 	return max
 }
 
-// BytesWith predicts a placed plan's transport byte rate under a per-node
+// bytesWith predicts a placed plan's transport byte rate under a per-node
 // rate estimate: bytes crossing links per second. Unlike plan cost it
 // ignores distance — the runtime accounts TotalBytes once per remote
 // transfer, so only whether an edge crosses nodes matters, not how far.
 // Node-local handoffs are free. This is the estimate migration decisions
 // are gated on, because the controller is validated against exactly this
 // runtime counter.
-func BytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, tupleSize float64, sink netgraph.NodeID) float64 {
+func bytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, tupleSize float64, sink netgraph.NodeID) float64 {
 	cross := func(n *query.PlanNode, to netgraph.NodeID) float64 {
 		if n.Loc == to {
 			return 0
@@ -554,7 +558,7 @@ func BytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, tupleSi
 // (bytes/s saved; negative means the migration adds traffic) of the
 // migration diff describes, from the running plan's IR oldIR to the fresh
 // plan's newIR, accounting for operator sharing. A whole-plan
-// BytesWith(old) − BytesWith(fresh) comparison is wrong under reuse in
+// bytesWith(old) − bytesWith(fresh) comparison is wrong under reuse in
 // both directions: edges into an old operator another deployment still
 // references keep flowing after this query migrates away (phantom
 // savings), and a fresh plan that attaches to an already-running shared

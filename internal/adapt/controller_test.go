@@ -51,7 +51,7 @@ func makeCtlWorld(t *testing.T, seed int64, horizon float64) *ctlWorld {
 	return &ctlWorld{g: g, h: h, cat: cat, q: q, plan: res.Plan, rt: rt}
 }
 
-func (w *ctlWorld) replan() iflow.ReplanFunc {
+func (w *ctlWorld) replan() ReplanFunc {
 	return func(q *query.Query) (*query.PlanNode, error) {
 		res, err := core.TopDown(w.h, w.cat, q, nil)
 		if err != nil {

@@ -385,7 +385,7 @@ func (w *World) report() Report {
 		Seed:         w.cfg.Seed,
 		Events:       len(w.trace),
 		Counts:       counts,
-		Deployed:     len(w.deployedIDs()),
+		Deployed:     len(w.eng.RT.DeployedQueries()),
 		Delivered:    delivered,
 		Stats:        w.eng.RT.Stats(),
 		Oscillations: w.oscillations,
@@ -475,7 +475,7 @@ func (w *World) nextEvent(idx int) Event {
 	var choices []choice
 	cat := w.eng.Catalog
 	arrivals := w.plannable(false)
-	deployed := w.deployedIDs()
+	deployed := w.eng.RT.DeployedQueries()
 	var liveNodes, dead []netgraph.NodeID
 	for v := netgraph.NodeID(0); int(v) < nodes; v++ {
 		if w.eng.Live(v) {
@@ -569,17 +569,6 @@ func (w *World) nextRateShiftEvent(idx int) Event {
 		e.Kind = KindIdle
 	}
 	return e
-}
-
-// deployedIDs lists the deployed pool queries, in pool order.
-func (w *World) deployedIDs() []int {
-	var out []int
-	for _, q := range w.pool {
-		if w.eng.RT.DeployedPlan(q.ID) != nil {
-			out = append(out, q.ID)
-		}
-	}
-	return out
 }
 
 // plannable lists, in pool order, the idle (or deployed) pool queries whose

@@ -70,7 +70,7 @@ func (w *World) audit() error {
 
 	// Per-query delivery statistics are monotone from each query's
 	// baseline: zero at arrival, carried across failure recovery.
-	for _, qid := range w.deployedIDs() {
+	for _, qid := range w.eng.RT.DeployedQueries() {
 		s := rt.Sink(qid)
 		if s == nil {
 			return fmt.Errorf("deployed query %d has no sink statistics", qid)

@@ -22,8 +22,9 @@ import (
 //
 //	Deploy            runtime deploy + System.Deploy (advertise, book, pin)
 //	Undeploy          runtime undeploy + ledger remove + unpin
-//	Migrate           runtime migrate + ledger delta + advertise
-//	FailNode          runtime crash + hierarchy leave + recovery
+//	Migrate           runtime migrate + rebook (ledger Replace, advertise)
+//	FailNode          runtime crash + hierarchy leave + re-plan and redeploy
+//	                  each affected query, rebook or drop it
 //	RecoverNode       hierarchy rejoin
 //	UpdateLinkCosts   graph + runtime snapshots, then System.Refresh
 //	SetLiveRate       live taps of a stream (the catalog learns by calibration)
@@ -123,9 +124,9 @@ func (e *Engine) drop(qid int, plan *query.PlanNode) {
 }
 
 // Migrate replaces a deployed query's plan in place (iflow.Migrate:
-// operators both plans share keep running) and mirrors the change.
+// operators both plans share keep running) and rebooks it.
 func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, error) {
-	q := e.RT.DeployedQuery(qid)
+	q, old := e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid)
 	if q == nil {
 		return iflow.MigrationReport{}, fmt.Errorf("engine: query %d is not deployed", qid)
 	}
@@ -133,18 +134,18 @@ func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, 
 	if err != nil {
 		return rep, err
 	}
-	e.migrated(q, plan, rep)
+	e.rebook(q, old, plan)
 	if e.ctl != nil {
 		e.ctl.SetPlan(qid, plan)
 	}
 	return rep, nil
 }
 
-// migrated mirrors an applied migration: advertisements for the
-// operators it created and the diff-aware ledger update.
-func (e *Engine) migrated(q *query.Query, fresh *query.PlanNode, rep iflow.MigrationReport) {
+// rebook mirrors a plan change the runtime applied: the ledger swaps old's
+// booking for fresh's, and fresh's new operators are advertised.
+func (e *Engine) rebook(q *query.Query, old, fresh *query.PlanNode) {
+	e.tracker.Replace(old, fresh)
 	e.Registry.AdvertisePlan(q, fresh)
-	e.tracker.ApplyDelta(rep.LoadDelta)
 }
 
 // Recovery names the queries a node failure touched.
@@ -157,53 +158,60 @@ type Recovery struct {
 
 // FailNode crashes a node: its operators die, it leaves the hierarchy,
 // and every affected query is torn down and re-planned with replan
-// against the surviving network. Queries whose sink or a base source is
-// down are refused before replan is asked. Recovered plans are advertised
-// only once the whole batch is back up, so one recovery never builds on
-// another's not-yet-settled operators.
-func (e *Engine) FailNode(v netgraph.NodeID, replan iflow.ReplanFunc) (Recovery, error) {
+// against the surviving network, in query ID order. Queries whose sink or
+// a base source is down are refused before replan is asked. Recovered
+// plans are advertised only once the whole batch is back up, so one
+// recovery never builds on another's not-yet-settled operators.
+func (e *Engine) FailNode(v netgraph.NodeID, replan adapt.ReplanFunc) (Recovery, error) {
 	rec := Recovery{Affected: e.RT.FailNode(v)}
 	if err := e.Hierarchy.RemoveNode(v); err != nil {
 		return rec, fmt.Errorf("hierarchy rejected removal: %w", err)
 	}
-	if len(rec.Affected) == 0 {
-		return rec, nil
-	}
-	// The ledger must release exactly what was booked, not the recovered
-	// replacement RecoverQueries deploys.
-	booked := make(map[int]*query.PlanNode, len(rec.Affected))
 	for _, qid := range rec.Affected {
-		booked[qid] = e.RT.DeployedPlan(qid)
-	}
-	var err error
-	rec.Recovered, rec.Failed, err = e.RT.RecoverQueries(rec.Affected, e.Catalog,
-		func(q *query.Query) (*query.PlanNode, error) {
-			if !e.Live(q.Sink) {
-				return nil, fmt.Errorf("sink node %d is down", q.Sink)
-			}
-			for _, sid := range q.Sources {
-				if src := e.Catalog.Stream(sid).Source; !e.Live(src) {
-					return nil, fmt.Errorf("source node %d of stream %d is down", src, sid)
-				}
-			}
-			return replan(q)
-		}, e.until)
-	if err != nil {
-		return rec, fmt.Errorf("recovery aborted: %w", err)
-	}
-	for _, qid := range rec.Failed {
-		e.drop(qid, booked[qid])
+		// Undeploy first: the ads that die as its operators retire are
+		// not on offer to the re-plan.
+		q, old, stats := e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid), *e.RT.Sink(qid)
+		if err := e.RT.Undeploy(qid); err != nil {
+			return rec, fmt.Errorf("recovery aborted: %w", err)
+		}
+		fresh, err := e.replanLive(q, replan)
+		if err == nil {
+			err = e.RT.Deploy(q, fresh, e.Catalog, e.until)
+		}
+		if err != nil {
+			rec.Failed = append(rec.Failed, qid)
+			e.drop(qid, old)
+			continue
+		}
+		s := e.RT.Sink(qid)
+		s.Tuples += stats.Tuples
+		s.Bytes += stats.Bytes
+		s.LatencySum += stats.LatencySum
+		e.tracker.Replace(old, fresh)
+		rec.Recovered = append(rec.Recovered, qid)
 	}
 	for _, qid := range rec.Recovered {
 		plan := e.RT.DeployedPlan(qid)
-		e.tracker.RemovePlan(booked[qid])
-		e.tracker.AddPlan(plan)
 		e.Registry.AdvertisePlan(e.RT.DeployedQuery(qid), plan)
 		if e.ctl != nil {
 			e.ctl.SetPlan(qid, plan)
 		}
 	}
 	return rec, nil
+}
+
+// replanLive refuses a query whose sink or a base source is down, and
+// otherwise asks replan.
+func (e *Engine) replanLive(q *query.Query, replan adapt.ReplanFunc) (*query.PlanNode, error) {
+	if !e.Live(q.Sink) {
+		return nil, fmt.Errorf("sink node %d is down", q.Sink)
+	}
+	for _, sid := range q.Sources {
+		if src := e.Catalog.Stream(sid).Source; !e.Live(src) {
+			return nil, fmt.Errorf("source node %d of stream %d is down", src, sid)
+		}
+	}
+	return replan(q)
 }
 
 // RecoverNode brings a failed node back: it rejoins the hierarchy via the
@@ -275,7 +283,7 @@ func (e *Engine) AttachController(cfg adapt.Config) *adapt.Controller {
 	e.ctl = adapt.New(e.RT, e.Catalog, e.Replan, cfg)
 	e.ctl.BindObs(e.Obs)
 	e.ctl.OnMigrate = func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
-		e.migrated(q, fresh, rep)
+		e.rebook(q, old, fresh)
 		if e.OnMigrate != nil {
 			e.OnMigrate(q, old, fresh, rep)
 		}
@@ -315,9 +323,9 @@ func (e *Engine) Audit() error {
 		}
 	}
 
-	// Diff-aware migration accounting (ApplyDelta) must leave exactly the
-	// per-node load that tearing the books down and re-adding every plan
-	// would — no holes, no double counting, no residue.
+	// Rebooking (Tracker.Replace) must leave exactly the per-node load
+	// that tearing the books down and re-adding every plan would — no
+	// holes, no double counting, no residue.
 	expect := map[netgraph.NodeID]float64{}
 	for _, qid := range e.RT.DeployedQueries() {
 		for _, op := range e.RT.DeployedPlan(qid).Operators() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hnp/internal/netgraph"
-	"hnp/internal/query"
 )
 
 // UpdateLinkCost models a change in network conditions: the link's
@@ -46,7 +45,3 @@ func (rt *Runtime) UpdateLinkCosts(batch []LinkCostUpdate) error {
 	rt.refreshPaths()
 	return firstErr
 }
-
-// ReplanFunc produces a fresh plan for a query against current conditions
-// (failure recovery and the adapt.Controller both take one).
-type ReplanFunc func(q *query.Query) (*query.PlanNode, error)

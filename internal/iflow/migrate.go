@@ -3,7 +3,6 @@ package iflow
 import (
 	"fmt"
 
-	"hnp/internal/netgraph"
 	"hnp/internal/obs"
 	"hnp/internal/query"
 )
@@ -49,12 +48,6 @@ type MigrationReport struct {
 	// the runtime's TotalCost. Adaptive controllers divide it by Delta()
 	// to learn the measured per-operator cost of churn.
 	ShipCost float64
-	// LoadDelta is the per-node input-rate change the migration causes:
-	// the new plan's operator input rates minus the old plan's, keyed by
-	// hosting node. Load trackers fold it in with ApplyDelta instead of
-	// a whole-plan remove+add pair, which would double-count kept
-	// operators' load while both bookings were absent.
-	LoadDelta map[netgraph.NodeID]float64
 }
 
 // Delta returns the operator churn the migration actually cost: creates
@@ -225,7 +218,6 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 	// Phase 4 — retire. The old references are dropped and operators no
 	// deployment references and nothing subscribes to are collected,
 	// cascading up chains that lost their last subscriber.
-	rep.LoadDelta = loadDelta(dep.plan, plan)
 	oldHeld := dep.held
 	dep.plan, dep.ir, dep.held = plan, newIR, inst.held
 	rt.release(oldHeld)
@@ -251,25 +243,4 @@ func (rt *Runtime) Migrate(q *query.Query, plan *query.PlanNode, cat *query.Cata
 		})
 	}
 	return rep, nil
-}
-
-// loadDelta computes the per-node input-rate change of replacing old with
-// new: new plan operators book positive load at their hosts, old plan
-// operators negative. Kept operators cancel exactly; near-zero residues
-// are dropped so trackers never accumulate float dust for unchanged
-// nodes.
-func loadDelta(old, new *query.PlanNode) map[netgraph.NodeID]float64 {
-	delta := make(map[netgraph.NodeID]float64)
-	for _, op := range new.Operators() {
-		delta[op.Loc] += op.InputRate()
-	}
-	for _, op := range old.Operators() {
-		delta[op.Loc] -= op.InputRate()
-	}
-	for n, v := range delta {
-		if v < 1e-12 && v > -1e-12 {
-			delete(delta, n)
-		}
-	}
-	return delta
 }

@@ -82,7 +82,7 @@ func TestMigrateMatchesOracle(t *testing.T) {
 					t.Fatalf("step %d: oracle: %v", i, err)
 				}
 				if !reflect.DeepEqual(gotRep, wantRep) {
-					t.Fatalf("step %d: report %s %v, oracle %s %v", i, gotRep, gotRep.LoadDelta, wantRep, wantRep.LoadDelta)
+					t.Fatalf("step %d: report %s, oracle %s", i, gotRep, wantRep)
 				}
 				if err := sameWiring(got, want); err != nil {
 					t.Fatalf("step %d: %v", i, err)
@@ -281,7 +281,6 @@ func (rt *Runtime) migrateOracle(q *query.Query, plan *query.PlanNode, cat *quer
 	// Phase 4 — retire. The old references are dropped and operators no
 	// deployment references and nothing subscribes to are collected,
 	// cascading up chains that lost their last subscriber.
-	rep.LoadDelta = loadDelta(dep.plan, plan)
 	oldHeld := dep.held
 	dep.plan, dep.ir, dep.held = plan, newIR, inst.held
 	rt.releaseOracle(oldHeld)

@@ -293,33 +293,6 @@ func TestMigrateShipsMovedState(t *testing.T) {
 	}
 }
 
-// LoadDelta must record exactly the moved operator's input rate leaving
-// its old host and arriving at the new one; kept operators cancel.
-func TestMigrateLoadDelta(t *testing.T) {
-	w := makeMigrateWorld(t, 7)
-	planA := w.leftDeep([]netgraph.NodeID{5, 6, 7})
-	planB := w.leftDeep([]netgraph.NodeID{5, 8, 7})
-	rt := New(w.g, DefaultConfig(), 29)
-	if err := rt.Deploy(w.q, planA, w.cat, 200); err != nil {
-		t.Fatal(err)
-	}
-	rt.RunFor(10)
-	rep, err := rt.Migrate(w.q, planB, w.cat, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	movedRate := w.rt.Rate(query.Mask(3)) + w.rt.Rate(query.Mask(4)) // A⋈B plus C input
-	if len(rep.LoadDelta) != 2 {
-		t.Fatalf("LoadDelta has %d entries, want 2: %v", len(rep.LoadDelta), rep.LoadDelta)
-	}
-	if got := rep.LoadDelta[6]; got != -movedRate {
-		t.Errorf("LoadDelta[6] = %g, want %g", got, -movedRate)
-	}
-	if got := rep.LoadDelta[8]; got != movedRate {
-		t.Errorf("LoadDelta[8] = %g, want %g", got, movedRate)
-	}
-}
-
 func TestResidualPassProbEdges(t *testing.T) {
 	cases := []struct {
 		narrowed, base, want float64

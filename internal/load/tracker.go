@@ -73,45 +73,28 @@ func (t *Tracker) Load(v netgraph.NodeID) float64 {
 // AddPlan accounts a deployed plan: every operator adds its children's
 // output rates to its node. Derived leaves add nothing (the reused
 // operator's load is already accounted by its own deployment).
-func (t *Tracker) AddPlan(plan *query.PlanNode) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, op := range plan.Operators() {
-		*t.at(op.Loc) += op.InputRate()
-	}
-	t.publishLocked()
-}
+func (t *Tracker) AddPlan(plan *query.PlanNode) { t.Replace(nil, plan) }
 
 // RemovePlan reverses AddPlan for an undeployed plan.
-func (t *Tracker) RemovePlan(plan *query.PlanNode) {
+func (t *Tracker) RemovePlan(plan *query.PlanNode) { t.Replace(plan, nil) }
+
+// Replace swaps old's booking for new's in one locked step — the
+// accounting path for a migration or a recovery. A concurrent reader never
+// sees the load of an operator both plans keep go missing, as it would
+// between a RemovePlan and an AddPlan call. Entries old leaves at ~zero
+// are zeroed, so unchanged nodes never accumulate float dust. Either plan
+// may be nil.
+func (t *Tracker) Replace(old, new *query.PlanNode) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, op := range plan.Operators() {
+	for _, op := range old.Operators() {
 		r := t.at(op.Loc)
 		if *r -= op.InputRate(); *r <= 1e-12 {
 			*r = 0
 		}
 	}
-	t.publishLocked()
-}
-
-// ApplyDelta folds a per-node load change into the ledger — the
-// accounting path for plan migrations. A migration keeps shared operators
-// running, so the whole-plan RemovePlan+AddPlan pair is wrong for it: in
-// between the two calls the kept operators' load is absent (a concurrent
-// reader sees a hole), and operators the old and new plan
-// book at different rates (recalibrated statistics) leave residue.
-// Folding iflow.MigrationReport.LoadDelta moves exactly the changed
-// operators' load in one locked step. Entries that cancel to ~zero are
-// zeroed so unchanged nodes never accumulate float dust.
-func (t *Tracker) ApplyDelta(delta map[netgraph.NodeID]float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for v, d := range delta {
-		r := t.at(v)
-		if *r += d; *r <= 1e-12 && *r >= -1e-12 {
-			*r = 0
-		}
+	for _, op := range new.Operators() {
+		*t.at(op.Loc) += op.InputRate()
 	}
 	t.publishLocked()
 }

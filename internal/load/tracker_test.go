@@ -50,22 +50,23 @@ func TestDerivedLeafAddsNothing(t *testing.T) {
 	}
 }
 
-// ApplyDelta must equal the remove-then-add outcome without ever passing
-// through the intermediate hole, and cancel-to-zero entries must leave
-// the ledger (no float dust on unchanged nodes).
-func TestApplyDeltaMatchesRecompute(t *testing.T) {
-	tr := NewTracker()
-	old := samplePlan()
-	tr.AddPlan(old)
-
-	// A "migration": the top join (inputs 5+7) moves from node 2 to 3.
+// movedPlan is samplePlan with its top join (inputs 5+7) moved from node
+// 2 to node 3; the bottom join stays on node 2.
+func movedPlan() *query.PlanNode {
 	l0 := query.Leaf(query.Input{Mask: 1, Rate: 10, Loc: 0, Sig: "0"})
 	l1 := query.Leaf(query.Input{Mask: 2, Rate: 20, Loc: 4, Sig: "1"})
 	j := query.Join(l0, l1, 2, 5)
 	l2 := query.Leaf(query.Input{Mask: 4, Rate: 7, Loc: 6, Sig: "2"})
-	new := query.Join(j, l2, 3, 1)
+	return query.Join(j, l2, 3, 1)
+}
 
-	tr.ApplyDelta(map[netgraph.NodeID]float64{2: -12, 3: 12})
+// Replace must equal the remove-then-add outcome, and cancel-to-zero
+// entries must leave the ledger (no float dust on unchanged nodes).
+func TestReplaceMatchesRecompute(t *testing.T) {
+	tr := NewTracker()
+	old, new := samplePlan(), movedPlan()
+	tr.AddPlan(old)
+	tr.Replace(old, new)
 
 	// The ledger now equals a fresh AddPlan of the new plan.
 	want := NewTracker()
@@ -82,9 +83,39 @@ func TestApplyDeltaMatchesRecompute(t *testing.T) {
 
 	// Reversing the move cancels node 3 exactly: the entry is deleted,
 	// not left as ±1e-16 residue.
-	tr.ApplyDelta(map[netgraph.NodeID]float64{3: -12, 2: 12})
+	tr.Replace(new, old)
 	if _, ok := tr.Snapshot()[3]; ok {
 		t.Error("cancelled node 3 still in the ledger")
+	}
+}
+
+// A reader racing Replace never sees a kept operator's load missing: the
+// bottom join (inputs 10+20) stays on node 2 through every swap, so
+// Load(2) never reads below 30.
+func TestReplaceKeepsKeptLoad(t *testing.T) {
+	tr := NewTracker()
+	a, b := samplePlan(), movedPlan()
+	tr.AddPlan(a)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			tr.Replace(a, b)
+			tr.Replace(b, a)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if got := tr.Load(2); math.Abs(got-42) > 1e-9 {
+				t.Errorf("Load(2) = %g after the swaps, want 42", got)
+			}
+			return
+		default:
+		}
+		if got := tr.Load(2); got < 30-1e-9 {
+			t.Fatalf("Load(2) = %g mid-swap, below the kept join's 30", got)
+		}
 	}
 }
 
