@@ -1009,7 +1009,6 @@ func BenchmarkAdaptControl(b *testing.B) {
 		ctl := adapt.New(rt, cat, func(*query.Query) (*query.PlanNode, error) {
 			return planB, nil
 		}, cfg)
-		ctl.Track(q, planA)
 		rt.RunFor(5)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -40,6 +40,7 @@ package adapt
 
 import (
 	"math"
+	"math/bits"
 
 	"hnp/internal/iflow"
 	"hnp/internal/netgraph"
@@ -138,10 +139,9 @@ func (s Stats) Suppressed() int {
 	return s.SuppressedDeadband + s.SuppressedHysteresis + s.SuppressedCooldown + s.SuppressedRevert
 }
 
-// tracked is one query under control.
-type tracked struct {
-	q           *query.Query
-	plan        *query.PlanNode
+// policy is what the controller remembers of one query between steps;
+// the query and the plan it runs are the runtime's, read afresh each step.
+type policy struct {
 	lastMigrate float64
 	prevSig     string // rendering of the plan last migrated away from
 	// pending marks a candidate a gate suppressed while a real gain was
@@ -150,27 +150,35 @@ type tracked struct {
 	pending bool
 }
 
+// reading is one deployed query's measurement in a step: its drift over
+// the window and the calibration event its decision chain hangs from (0
+// when the recorder is disarmed).
+type reading struct {
+	drift float64
+	meas  uint64
+}
+
 // Controller is the closed-loop re-optimization policy over one runtime.
-// It is driven either by Run (self-scheduling on the runtime's virtual
-// clock) or by explicit Step calls from a harness.
+// It controls every query the runtime runs, walked in ID order, and keeps
+// only per-query policy of its own. It is driven either by Run
+// (self-scheduling on the runtime's virtual clock) or by explicit Step
+// calls from a harness.
 type Controller struct {
 	rt     *iflow.Runtime
 	cat    *query.Catalog
 	cfg    Config
 	replan ReplanFunc
 
-	// OnMigrate, when set, observes every applied migration — harnesses
-	// use it to mirror plan tables, advertisement registries and load
-	// ledgers synchronously with the runtime.
-	OnMigrate func(q *query.Query, old, new *query.PlanNode, rep iflow.MigrationReport)
+	// Commit applies a migration the gates passed and reports what it
+	// churned (Engine.AttachController sets it to Engine.Migrate, then
+	// Engine.OnMigrate). A controller whose Commit is nil never migrates.
+	Commit func(qid int, plan *query.PlanNode) (iflow.MigrationReport, error)
 
-	tracked map[int]*tracked
-	order   []int // deterministic iteration: insertion order
-	win     *iflow.StatsWindow
+	policy map[int]policy // by query ID; an entry lives while its query runs
+	win    *iflow.StatsWindow
 
 	perOpBytes  float64 // EWMA of measured BytesShipped/Delta, floored at perOpShipBytes
 	lastVersion int     // graph version at the previous step
-	until       float64 // source lifetime bound handed to Migrate
 
 	migratedLastStep bool
 	preRate          float64 // window byte rate before the last migration step
@@ -206,11 +214,10 @@ func New(rt *iflow.Runtime, cat *query.Catalog, replan ReplanFunc, cfg Config) *
 		cat:         cat,
 		cfg:         cfg,
 		replan:      replan,
-		tracked:     map[int]*tracked{},
+		policy:      map[int]policy{},
 		win:         rt.NewStatsWindow(),
 		perOpBytes:  perOpShipBytes,
 		lastVersion: rt.G.Version(),
-		until:       math.Inf(1),
 	}
 }
 
@@ -230,55 +237,20 @@ func (c *Controller) BindObs(reg *obs.Registry) {
 	c.tr = reg.Tracer()
 }
 
-// Track places a deployed query under control. The plan must be the one
-// currently running (rt.DeployedPlan(q.ID)).
-func (c *Controller) Track(q *query.Query, plan *query.PlanNode) {
-	if _, ok := c.tracked[q.ID]; !ok {
-		c.order = append(c.order, q.ID)
-	}
-	c.tracked[q.ID] = &tracked{q: q, plan: plan}
-}
+// Track is a no-op, like SetPlan: the controller reads the deployed queries
+// and their plans from the runtime. Both are kept for bench/adaptive.go,
+// which changes only with the benchmark.
+func (c *Controller) Track(*query.Query, *query.PlanNode) {}
 
-// Untrack removes a query from control (undeployed or failed). Harmless
-// for unknown IDs.
-func (c *Controller) Untrack(qid int) {
-	if _, ok := c.tracked[qid]; !ok {
-		return
-	}
-	delete(c.tracked, qid)
-	for i, id := range c.order {
-		if id == qid {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Plan returns the plan the controller believes a tracked query runs, or
-// nil.
-func (c *Controller) Plan(qid int) *query.PlanNode {
-	if t := c.tracked[qid]; t != nil {
-		return t.plan
-	}
-	return nil
-}
-
-// SetPlan updates the controller's view after an external migration
-// (failure recovery, operator-initiated replan).
-func (c *Controller) SetPlan(qid int, plan *query.PlanNode) {
-	if t := c.tracked[qid]; t != nil {
-		t.plan = plan
-	}
-}
+// SetPlan is a no-op; see Track.
+func (c *Controller) SetPlan(int, *query.PlanNode) {}
 
 // Stats returns a copy of the decision counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
 // Run installs the control loop on the runtime's virtual clock: one Step
-// every Interval until the horizon, which also bounds the lifetime of
-// sources created by migrations.
+// every Interval until the horizon.
 func (c *Controller) Run(until float64) {
-	c.until = until
 	var tick func()
 	tick = func() {
 		if c.rt.Sim.Now() >= until {
@@ -291,7 +263,7 @@ func (c *Controller) Run(until float64) {
 }
 
 // Step runs one control interval: settle realized savings, measure every
-// tracked query's drift over the window (all of them, before any
+// deployed query's drift over the window (all of them, before any
 // calibration — calibrating a shared stream for the first query would
 // erase later queries' apparent drift), recalibrate the catalog, then
 // walk candidates through the gate chain. The window rolls at the end so
@@ -316,11 +288,12 @@ func (c *Controller) Step() {
 		c.win.Roll(c.rt)
 	}()
 
-	drifts := make(map[int]float64, len(c.order))
+	ids := c.rt.DeployedQueries()
+	reads := make([]reading, len(ids)) // by position in ids
 	maxDrift := 0.0
-	for _, qid := range c.order {
-		d := c.drift(c.tracked[qid])
-		drifts[qid] = d
+	for i, qid := range ids {
+		d := c.drift(c.rt.DeployedQuery(qid), c.rt.DeployedPlan(qid))
+		reads[i].drift = d
 		if d > maxDrift {
 			maxDrift = d
 		}
@@ -328,21 +301,16 @@ func (c *Controller) Step() {
 	c.obsDrift.Set(maxDrift)
 
 	traceOn := c.tr.On()
-	var measEvs map[int]uint64
-	if traceOn {
-		measEvs = make(map[int]uint64, len(c.order))
-	}
-	for _, qid := range c.order {
-		t := c.tracked[qid]
-		updated := c.rt.Calibrate(c.cat, t.q, t.plan, c.win)
+	for i, qid := range ids {
+		updated := c.rt.Calibrate(c.cat, c.rt.DeployedQuery(qid), c.rt.DeployedPlan(qid), c.win)
 		if traceOn {
 			// The measurement is the root of this query's decision chain
 			// for the interval: drift observed over the window and the
 			// number of catalog statistics recalibrated from it.
-			measEvs[qid] = c.tr.Emit(obs.Event{
+			reads[i].meas = c.tr.Emit(obs.Event{
 				Kind: obs.KindCalibrationWindow, Trace: obs.QueryTrace(qid),
 				Query: qid, Node: obs.NoID, VTime: now,
-				Value: drifts[qid], Aux: float64(updated),
+				Value: reads[i].drift, Aux: float64(updated),
 			})
 		}
 	}
@@ -352,30 +320,30 @@ func (c *Controller) Step() {
 
 	migrated := false
 	tupleSize := c.rt.Config().TupleSize
-	for _, qid := range c.order {
-		t := c.tracked[qid]
+	for i, qid := range ids {
+		q, plan, p := c.rt.DeployedQuery(qid), c.rt.DeployedPlan(qid), c.policy[qid]
+		drift, chain := reads[i].drift, reads[i].meas
 		c.stats.Checks++
 		c.obsChecks.Inc()
-		chain := measEvs[qid] // 0 when the recorder is disarmed
-		if c.cfg.Mode != ModeAlways && drifts[qid] < c.cfg.DriftThreshold &&
-			!graphChanged && !t.pending {
-			c.emitGate(&chain, qid, now, "drift", false, drifts[qid], c.cfg.DriftThreshold)
+		if c.cfg.Mode != ModeAlways && drift < c.cfg.DriftThreshold &&
+			!graphChanged && !p.pending {
+			c.emitGate(&chain, qid, now, "drift", false, drift, c.cfg.DriftThreshold)
 			continue
 		}
-		c.emitGate(&chain, qid, now, "drift", true, drifts[qid], c.cfg.DriftThreshold)
+		c.emitGate(&chain, qid, now, "drift", true, drift, c.cfg.DriftThreshold)
 
-		rates := query.BuildRates(c.cat, t.q)
-		fresh, err := c.replan(t.q)
+		rates := query.BuildRates(c.cat, q)
+		fresh, err := c.replan(q)
 		if err != nil {
 			continue
 		}
 		c.stats.Replans++
 		c.obsReplans.Inc()
 
-		oldIR, newIR := t.q.IR(t.plan), t.q.IR(fresh)
+		oldIR, newIR := q.IR(plan), q.IR(fresh)
 		diff := query.DiffIR(oldIR, newIR)
 		if diff.Delta() == 0 {
-			t.pending = false
+			c.mark(qid, false)
 			c.emitGate(&chain, qid, now, "delta", false, 0, 0)
 			continue // the fresh plan is the running plan
 		}
@@ -387,15 +355,15 @@ func (c *Controller) Step() {
 		// flowing after this query leaves them, so only edges the
 		// migration actually starts or stops count: the gain here is what
 		// the runtime's TotalBytes will actually see.
-		rateOf := c.rateOf(t.q, rates)
-		curBytes := bytesWith(t.plan, rateOf, tupleSize, t.q.Sink)
-		gain := c.marginalGain(t.q, oldIR, newIR, diff, rateOf, tupleSize)
-		if c.cfg.Mode == ModeNever {
+		rateOf := c.rateOf(q, rates)
+		curBytes := bytesWith(plan, rateOf, tupleSize, q.Sink)
+		gain := c.marginalGain(q, oldIR, newIR, diff, rateOf, tupleSize)
+		if c.cfg.Mode == ModeNever || c.Commit == nil {
 			continue
 		}
 		if c.cfg.Mode == ModeController {
 			if gain <= minRelGain*math.Abs(curBytes) {
-				t.pending = false // noise, not a deferred opportunity
+				c.mark(qid, false) // noise, not a deferred opportunity
 				c.suppress(&c.stats.SuppressedDeadband)
 				c.emitGate(&chain, qid, now, "deadband", false, gain, minRelGain*math.Abs(curBytes))
 				continue
@@ -411,41 +379,37 @@ func (c *Controller) Step() {
 				churn = ship
 			}
 			if gain*horizon <= hysteresis*churn {
-				t.pending = true
+				c.mark(qid, true)
 				c.suppress(&c.stats.SuppressedHysteresis)
 				c.emitGate(&chain, qid, now, "hysteresis", false, gain*horizon, hysteresis*churn)
 				continue
 			}
 			c.emitGate(&chain, qid, now, "hysteresis", true, gain*horizon, hysteresis*churn)
-			if t.lastMigrate > 0 && now-t.lastMigrate < cooldown {
-				t.pending = true
+			if p.lastMigrate > 0 && now-p.lastMigrate < cooldown {
+				c.mark(qid, true)
 				c.suppress(&c.stats.SuppressedCooldown)
-				c.emitGate(&chain, qid, now, "cooldown", false, now-t.lastMigrate, cooldown)
+				c.emitGate(&chain, qid, now, "cooldown", false, now-p.lastMigrate, cooldown)
 				continue
 			}
-			c.emitGate(&chain, qid, now, "cooldown", true, now-t.lastMigrate, cooldown)
-			if t.prevSig != "" && fresh.String() == t.prevSig && now-t.lastMigrate < revertHoldoff {
-				t.pending = true
+			c.emitGate(&chain, qid, now, "cooldown", true, now-p.lastMigrate, cooldown)
+			if p.prevSig != "" && fresh.String() == p.prevSig && now-p.lastMigrate < revertHoldoff {
+				c.mark(qid, true)
 				c.suppress(&c.stats.SuppressedRevert)
-				c.emitGate(&chain, qid, now, "revert", false, now-t.lastMigrate, revertHoldoff)
+				c.emitGate(&chain, qid, now, "revert", false, now-p.lastMigrate, revertHoldoff)
 				continue
 			}
-			c.emitGate(&chain, qid, now, "revert", true, now-t.lastMigrate, revertHoldoff)
+			c.emitGate(&chain, qid, now, "revert", true, now-p.lastMigrate, revertHoldoff)
 		}
 
 		// Parent the runtime's MigrationApplied/RolledBack event on the
 		// last gate decision, closing the causal chain measurement →
 		// gates → migration.
 		c.rt.SetTraceParent(chain)
-		rep, err := c.rt.Migrate(t.q, fresh, c.cat, c.until)
+		rep, err := c.Commit(qid, fresh)
 		if err != nil {
 			continue
 		}
-		old := t.plan
-		t.prevSig = old.String()
-		t.plan = fresh
-		t.lastMigrate = now
-		t.pending = false
+		c.policy[qid] = policy{lastMigrate: now, prevSig: plan.String()}
 		migrated = true
 		c.stats.Migrations++
 		c.stats.PredictedSavings += gain
@@ -463,13 +427,24 @@ func (c *Controller) Step() {
 			}
 			c.perOpBytes = 0.7*c.perOpBytes + 0.3*per
 		}
-		if c.OnMigrate != nil {
-			c.OnMigrate(t.q, old, fresh, rep)
-		}
 	}
 	if migrated {
 		c.migratedLastStep = true
 		c.preRate = curRate
+	}
+	for qid := range c.policy {
+		if c.rt.DeployedQuery(qid) == nil {
+			delete(c.policy, qid) // undeployed, or dropped by a failure
+		}
+	}
+}
+
+// mark sets or clears a query's pending candidate; clearing a query with
+// no policy entry creates none.
+func (c *Controller) mark(qid int, pending bool) {
+	if p := c.policy[qid]; p.pending != pending {
+		p.pending = pending
+		c.policy[qid] = p
 	}
 }
 
@@ -496,17 +471,13 @@ func (c *Controller) emitGate(chain *uint64, qid int, now float64, gate string, 
 // drift returns the worst relative observed-vs-assumed rate drift across
 // a query's base streams over the current window. Streams with no
 // observations in the window (sources quiesced) report no drift.
-func (c *Controller) drift(t *tracked) float64 {
+func (c *Controller) drift(q *query.Query, plan *query.PlanNode) float64 {
 	max := 0.0
-	for _, leaf := range t.plan.Leaves() {
-		if leaf.In.Derived {
+	for _, leaf := range plan.Leaves() {
+		if leaf.In.Derived || leaf.Mask.Count() != 1 {
 			continue
 		}
-		ids := t.q.StreamsOf(leaf.Mask)
-		if len(ids) != 1 {
-			continue
-		}
-		assumed := c.cat.Stream(ids[0]).Rate
+		assumed := c.cat.Stream(q.Sources[bits.TrailingZeros32(uint32(leaf.Mask))]).Rate
 		if assumed <= 0 {
 			continue
 		}

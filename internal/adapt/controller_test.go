@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,6 +62,45 @@ func (w *ctlWorld) replan() ReplanFunc {
 	}
 }
 
+// control puts w's runtime under a controller that commits on the bare
+// runtime, bounding the lifetime of the sources a migration starts at
+// until.
+func (w *ctlWorld) control(cfg Config, until float64) *Controller {
+	ctl := New(w.rt, w.cat, w.replan(), cfg)
+	ctl.Commit = func(qid int, plan *query.PlanNode) (iflow.MigrationReport, error) {
+		return w.rt.Migrate(w.rt.DeployedQuery(qid), plan, w.cat, until)
+	}
+	return ctl
+}
+
+// misplace redeploys w's query with every join at the node most expensive
+// to reach from the sink, as a drastic network change would leave it, and
+// returns that plan.
+func (w *ctlWorld) misplace(t *testing.T, horizon float64) *query.PlanNode {
+	t.Helper()
+	if err := w.rt.Undeploy(w.q.ID); err != nil {
+		t.Fatal(err)
+	}
+	far, farD := netgraph.NodeID(0), -1.0
+	for v := 0; v < w.g.NumNodes(); v++ {
+		if d := w.rt.Cost.Dist(netgraph.NodeID(v), w.q.Sink); d > farD {
+			far, farD = netgraph.NodeID(v), d
+		}
+	}
+	var move func(n *query.PlanNode) *query.PlanNode
+	move = func(n *query.PlanNode) *query.PlanNode {
+		if n.IsLeaf() {
+			return query.Leaf(*n.In)
+		}
+		return query.Join(move(n.L), move(n.R), far, n.Rate)
+	}
+	bad := move(w.plan)
+	if err := w.rt.Deploy(w.q, bad, w.cat, horizon); err != nil {
+		t.Fatal(err)
+	}
+	return bad
+}
+
 // baseLeaf returns the plan leaf tapping the given catalog stream.
 func (w *ctlWorld) baseLeaf(t *testing.T, id query.StreamID) *query.PlanNode {
 	t.Helper()
@@ -83,12 +123,15 @@ func (w *ctlWorld) baseLeaf(t *testing.T, id query.StreamID) *query.PlanNode {
 func TestControllerClosesTheLoop(t *testing.T) {
 	const horizon = 600.0
 	w := makeCtlWorld(t, 3, horizon)
-	ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 15})
-	ctl.Track(w.q, w.plan)
-
+	ctl := w.control(Config{Interval: 15}, horizon)
 	var history []string
-	ctl.OnMigrate = func(q *query.Query, old, new *query.PlanNode, rep iflow.MigrationReport) {
-		history = append(history, new.String())
+	commit := ctl.Commit
+	ctl.Commit = func(qid int, plan *query.PlanNode) (iflow.MigrationReport, error) {
+		rep, err := commit(qid, plan)
+		if err == nil {
+			history = append(history, plan.String())
+		}
+		return rep, err
 	}
 
 	// Warm up at assumed rates, then shift stream C's tap 20×: the heavy
@@ -137,8 +180,7 @@ func TestControllerClosesTheLoop(t *testing.T) {
 func TestControllerIdleWhenStable(t *testing.T) {
 	const horizon = 300.0
 	w := makeCtlWorld(t, 5, horizon)
-	ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 15})
-	ctl.Track(w.q, w.plan)
+	ctl := w.control(Config{Interval: 15}, horizon)
 	ctl.Run(horizon)
 	w.rt.RunFor(horizon)
 	st := ctl.Stats()
@@ -158,8 +200,7 @@ func TestControllerModes(t *testing.T) {
 	const horizon = 400.0
 	for _, mode := range []Mode{ModeNever, ModeAlways} {
 		w := makeCtlWorld(t, 7, horizon)
-		ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 15, Mode: mode})
-		ctl.Track(w.q, w.plan)
+		ctl := w.control(Config{Interval: 15, Mode: mode}, horizon)
 		w.rt.RunFor(30)
 		cID := w.q.Sources[2]
 		leaf := w.baseLeaf(t, cID)
@@ -184,27 +225,6 @@ func TestControllerModes(t *testing.T) {
 	}
 }
 
-// Untrack must drop the query from control; SetPlan must retarget it.
-func TestTrackUntrack(t *testing.T) {
-	w := makeCtlWorld(t, 9, 100)
-	ctl := New(w.rt, w.cat, w.replan(), Config{})
-	ctl.Track(w.q, w.plan)
-	if ctl.Plan(w.q.ID) != w.plan {
-		t.Error("tracked plan mismatch")
-	}
-	ctl.Untrack(w.q.ID)
-	if ctl.Plan(w.q.ID) != nil {
-		t.Error("untracked query still has a plan")
-	}
-	ctl.Untrack(999) // harmless
-	ctl.Track(w.q, w.plan)
-	other := w.plan
-	ctl.SetPlan(w.q.ID, other)
-	if ctl.Plan(w.q.ID) != other {
-		t.Error("SetPlan did not retarget")
-	}
-}
-
 // A deployment that is badly placed for the present network — as it would
 // be after a drastic network change — must be migrated away from even
 // though no stream rate drifted: a graph change alone re-opens planning,
@@ -213,33 +233,11 @@ func TestTrackUntrack(t *testing.T) {
 func TestControllerMigratesAwayFromBadPlan(t *testing.T) {
 	const horizon = 300.0
 	w := makeCtlWorld(t, 9, horizon)
-	if err := w.rt.Undeploy(w.q.ID); err != nil {
-		t.Fatal(err)
-	}
-	// Mis-place every operator of the planned tree at the node most
-	// expensive to reach from the sink.
-	worst, worstD := netgraph.NodeID(0), -1.0
-	for v := 0; v < w.g.NumNodes(); v++ {
-		if d := w.rt.Cost.Dist(netgraph.NodeID(v), w.q.Sink); d > worstD {
-			worst, worstD = netgraph.NodeID(v), d
-		}
-	}
-	var misplace func(n *query.PlanNode) *query.PlanNode
-	misplace = func(n *query.PlanNode) *query.PlanNode {
-		if n.IsLeaf() {
-			return query.Leaf(*n.In)
-		}
-		return query.Join(misplace(n.L), misplace(n.R), worst, n.Rate)
-	}
-	bad := misplace(w.plan)
+	bad := w.misplace(t, horizon)
 	if bad.Cost(w.rt.Cost.Dist, w.q.Sink) < 1.10*w.plan.Cost(w.rt.Cost.Dist, w.q.Sink) {
 		t.Fatal("misplacement not bad enough on this topology; pick another seed")
 	}
-	if err := w.rt.Deploy(w.q, bad, w.cat, horizon); err != nil {
-		t.Fatal(err)
-	}
-	ctl := New(w.rt, w.cat, w.replan(), Config{Interval: 10})
-	ctl.Track(w.q, bad)
+	ctl := w.control(Config{Interval: 10}, horizon)
 	// The network change that left the plan stranded: any link repricing
 	// bumps the graph version the controller watches.
 	l := w.g.Links()[0]
@@ -255,8 +253,8 @@ func TestControllerMigratesAwayFromBadPlan(t *testing.T) {
 	if st := ctl.Stats(); st.Checks == 0 || st.Migrations == 0 {
 		t.Fatalf("checks=%d migrations=%d: no migration away from the misplaced plan", st.Checks, st.Migrations)
 	}
-	if ctl.Plan(w.q.ID) == bad {
-		t.Error("controller still believes the misplaced plan runs")
+	if w.rt.DeployedPlan(w.q.ID) == bad {
+		t.Error("the misplaced plan still runs")
 	}
 	if w.rt.Sink(w.q.ID).Tuples == 0 {
 		t.Error("query starved across migration")
@@ -270,28 +268,8 @@ func TestControllerMigratesAwayFromBadPlan(t *testing.T) {
 // the difference of the two windows' TotalBytes rates.
 func TestRealizedSavingsIsByteRate(t *testing.T) {
 	w := makeCtlWorld(t, 9, 300)
-	if err := w.rt.Undeploy(w.q.ID); err != nil {
-		t.Fatal(err)
-	}
-	far, farD := netgraph.NodeID(0), -1.0
-	for v := 0; v < w.g.NumNodes(); v++ {
-		if d := w.rt.Cost.Dist(netgraph.NodeID(v), w.q.Sink); d > farD {
-			far, farD = netgraph.NodeID(v), d
-		}
-	}
-	var misplace func(n *query.PlanNode) *query.PlanNode
-	misplace = func(n *query.PlanNode) *query.PlanNode {
-		if n.IsLeaf() {
-			return query.Leaf(*n.In)
-		}
-		return query.Join(misplace(n.L), misplace(n.R), far, n.Rate)
-	}
-	bad := misplace(w.plan)
-	if err := w.rt.Deploy(w.q, bad, w.cat, 300); err != nil {
-		t.Fatal(err)
-	}
-	ctl := New(w.rt, w.cat, w.replan(), Config{Mode: ModeAlways})
-	ctl.Track(w.q, bad)
+	w.misplace(t, 300)
+	ctl := w.control(Config{Mode: ModeAlways}, math.Inf(1))
 
 	w.rt.RunFor(20)
 	before := w.rt.TotalBytes / w.rt.Sim.Now() // the window opened at time 0
@@ -310,5 +288,31 @@ func TestRealizedSavingsIsByteRate(t *testing.T) {
 	}
 	if got := ctl.Stats().RealizedSavings; got != before-after {
 		t.Errorf("RealizedSavings = %g, want the window byte-rate drop %g B/s", got, before-after)
+	}
+}
+
+// The controller follows the runtime's deployed set: a query the runtime
+// stops running leaves control at the next step, and with it the policy
+// (cooldown, revert holdoff, pending mark) the controller kept for it.
+func TestControllerForgetsUndeployedQueries(t *testing.T) {
+	w := makeCtlWorld(t, 9, 300)
+	w.misplace(t, 300)
+	ctl := w.control(Config{Mode: ModeAlways}, 300)
+	w.rt.RunFor(20)
+	ctl.Step()
+	if st := ctl.Stats(); st.Checks != 1 || st.Migrations != 1 || !HasPolicy(ctl, w.q.ID) {
+		t.Fatalf("first step: %+v, policy kept %v; want one check, one migration and a policy entry",
+			st, HasPolicy(ctl, w.q.ID))
+	}
+	if err := w.rt.Undeploy(w.q.ID); err != nil {
+		t.Fatal(err)
+	}
+	w.rt.RunFor(20)
+	ctl.Step()
+	if st := ctl.Stats(); st.Checks != 1 {
+		t.Errorf("the undeployed query was checked: %+v", st)
+	}
+	if HasPolicy(ctl, w.q.ID) {
+		t.Error("the undeployed query's policy outlived the step")
 	}
 }

@@ -17,7 +17,7 @@ func CheckGains(c *Controller, check func(q *query.Query, delta int, got, oracle
 		if err != nil {
 			return fresh, err
 		}
-		old := c.tracked[q.ID].plan
+		old := c.rt.DeployedPlan(q.ID)
 		est := c.rateOf(q, query.BuildRates(c.cat, q))
 		tupleSize := c.rt.Config().TupleSize
 		oldIR, newIR := q.IR(old), q.IR(fresh)
@@ -26,6 +26,13 @@ func CheckGains(c *Controller, check func(q *query.Query, delta int, got, oracle
 			c.marginalGainOracle(q, old, fresh, est, tupleSize))
 		return fresh, nil
 	}
+}
+
+// HasPolicy reports whether the controller keeps a policy entry for a
+// query.
+func HasPolicy(c *Controller, qid int) bool {
+	_, ok := c.policy[qid]
+	return ok
 }
 
 // marginalGainOracle is marginalGain as it was when it flattened both plans

@@ -12,9 +12,9 @@ import (
 )
 
 // Engine is a System whose deployments run: it composes the planning
-// half with the IFLOW runtime (and, once attached, the adaptation
-// controller) and keeps the advertisement registry, the load ledger, the
-// path snapshots and the hierarchy in step with what the runtime hosts.
+// half with the IFLOW runtime and keeps the advertisement registry, the
+// load ledger, the path snapshots and the hierarchy in step with what the
+// runtime hosts.
 // It copies none of their state: the deployed queries and plans are the
 // runtime's, a node is live while the hierarchy holds it, and the planning
 // side's path snapshot is the hierarchy's. Every lifecycle step is one
@@ -22,13 +22,13 @@ import (
 //
 //	Deploy            runtime deploy + System.Deploy (advertise, book, pin)
 //	Undeploy          runtime undeploy + ledger remove + unpin
-//	Migrate           runtime migrate + rebook (ledger Replace, advertise)
+//	Migrate           runtime migrate + ledger Replace + advertise
 //	FailNode          runtime crash + hierarchy leave + re-plan and redeploy
 //	                  each affected query, rebook or drop it
 //	RecoverNode       hierarchy rejoin
 //	UpdateLinkCosts   graph + runtime snapshots, then System.Refresh
 //	SetLiveRate       live taps of a stream (the catalog learns by calibration)
-//	AttachController  adapt.New with the engine's re-planner and mirror
+//	AttachController  adapt.New with Replan; it commits by Migrate, then OnMigrate
 //	Audit             the invariants that tie the parts together
 //
 // An operator's advertisement is retracted as the runtime retires it, by
@@ -40,11 +40,10 @@ type Engine struct {
 	*System
 	RT *iflow.Runtime
 
-	// OnMigrate, when set, observes every migration the attached
-	// controller applies, after the engine has mirrored it.
+	// OnMigrate, when set, observes every migration an attached controller
+	// applies, after the engine has booked it.
 	OnMigrate func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport)
 
-	ctl   *adapt.Controller
 	until float64
 	stmts map[int]*prepared // by query ID, what each CQL-planned query pins
 }
@@ -81,9 +80,6 @@ func (e *Engine) Deploy(d Deployment) error {
 	if d.stmt != nil {
 		e.stmts[d.Query.ID] = d.stmt
 	}
-	if e.ctl != nil {
-		e.ctl.Track(d.Query, d.Plan)
-	}
 	return nil
 }
 
@@ -118,13 +114,12 @@ func (e *Engine) drop(qid int, plan *query.PlanNode) {
 		e.unpin(p)
 		delete(e.stmts, qid)
 	}
-	if e.ctl != nil {
-		e.ctl.Untrack(qid)
-	}
 }
 
 // Migrate replaces a deployed query's plan in place (iflow.Migrate:
-// operators both plans share keep running) and rebooks it.
+// operators both plans share keep running) and rebooks it: the ledger
+// swaps the old plan's booking for the new one's, and the new plan's
+// operators are advertised.
 func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, error) {
 	q, old := e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid)
 	if q == nil {
@@ -134,18 +129,9 @@ func (e *Engine) Migrate(qid int, plan *query.PlanNode) (iflow.MigrationReport, 
 	if err != nil {
 		return rep, err
 	}
-	e.rebook(q, old, plan)
-	if e.ctl != nil {
-		e.ctl.SetPlan(qid, plan)
-	}
+	e.tracker.Replace(old, plan)
+	e.Registry.AdvertisePlan(q, plan)
 	return rep, nil
-}
-
-// rebook mirrors a plan change the runtime applied: the ledger swaps old's
-// booking for fresh's, and fresh's new operators are advertised.
-func (e *Engine) rebook(q *query.Query, old, fresh *query.PlanNode) {
-	e.tracker.Replace(old, fresh)
-	e.Registry.AdvertisePlan(q, fresh)
 }
 
 // Recovery names the queries a node failure touched.
@@ -191,11 +177,7 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan adapt.ReplanFunc) (Recovery,
 		rec.Recovered = append(rec.Recovered, qid)
 	}
 	for _, qid := range rec.Recovered {
-		plan := e.RT.DeployedPlan(qid)
-		e.Registry.AdvertisePlan(e.RT.DeployedQuery(qid), plan)
-		if e.ctl != nil {
-			e.ctl.SetPlan(qid, plan)
-		}
+		e.Registry.AdvertisePlan(e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid))
 	}
 	return rec, nil
 }
@@ -275,24 +257,25 @@ func (e *Engine) Replan(q *query.Query) (*query.PlanNode, error) {
 	return res.Plan, err
 }
 
-// AttachController puts every deployed query (and every later one) under
+// AttachController puts every query the runtime runs, now or later, under
 // the closed-loop re-optimization controller, re-planning with Replan,
-// and starts its control loop on the runtime's clock. Its migrations are
-// mirrored into the engine's books before OnMigrate sees them.
+// and starts its control loop on the runtime's clock. The controller
+// commits through Migrate, so the engine books a migration before
+// OnMigrate sees it; migrations not the controller's do not reach
+// OnMigrate.
 func (e *Engine) AttachController(cfg adapt.Config) *adapt.Controller {
-	e.ctl = adapt.New(e.RT, e.Catalog, e.Replan, cfg)
-	e.ctl.BindObs(e.Obs)
-	e.ctl.OnMigrate = func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
-		e.rebook(q, old, fresh)
-		if e.OnMigrate != nil {
-			e.OnMigrate(q, old, fresh, rep)
+	ctl := adapt.New(e.RT, e.Catalog, e.Replan, cfg)
+	ctl.BindObs(e.Obs)
+	ctl.Commit = func(qid int, plan *query.PlanNode) (iflow.MigrationReport, error) {
+		q, old := e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid)
+		rep, err := e.Migrate(qid, plan)
+		if err == nil && e.OnMigrate != nil {
+			e.OnMigrate(q, old, plan, rep)
 		}
+		return rep, err
 	}
-	for _, qid := range e.RT.DeployedQueries() {
-		e.ctl.Track(e.RT.DeployedQuery(qid), e.RT.DeployedPlan(qid))
-	}
-	e.ctl.Run(e.until)
-	return e.ctl
+	ctl.Run(e.until)
+	return ctl
 }
 
 // Audit checks the invariants that tie the engine's parts together, after

@@ -394,6 +394,58 @@ func TestEngineControllerMirror(t *testing.T) {
 	e.audit(t, "controlled run")
 }
 
+// TestControllerFollowsTheRuntime holds an attached controller to the
+// runtime's deployed set: a query deployed after attaching is checked at
+// the next step, and a query undeployed or dropped by a node failure is
+// not, with no call from the engine to tell it.
+func TestControllerFollowsTheRuntime(t *testing.T) {
+	const until = 400.0
+	e := newTestEngine(t, 3, until)
+	gone := e.start(t, AlgoTopDown, e.sink, 0, 1)
+	e.start(t, AlgoTopDown, e.sink, 1, 2)
+	e.start(t, AlgoTopDown, e.sink, 2, 3)
+	// The steps below are the test's: the loop's own first tick lies
+	// past the horizon.
+	ctl := e.AttachController(adapt.Config{Interval: 2 * until})
+	step := func(want int) {
+		t.Helper()
+		before := ctl.Stats().Checks
+		e.RT.RunFor(10)
+		ctl.Step()
+		if got := ctl.Stats().Checks - before; got != want {
+			t.Fatalf("step checked %d queries, want %d (running %v)", got, want, e.RT.DeployedQueries())
+		}
+	}
+	step(3)
+
+	// A fourth query, its sink on a node that hosts no source and no
+	// other sink, so failing that node drops it and only it.
+	used := map[netgraph.NodeID]bool{e.sink: true}
+	for id := 0; id < 4; id++ {
+		used[e.Catalog.Stream(query.StreamID(id)).Source] = true
+	}
+	v := netgraph.NodeID(0)
+	for used[v] {
+		v++
+	}
+	doomed := e.start(t, AlgoTopDown, v, 0, 3)
+	step(4)
+
+	if _, err := e.Undeploy(gone); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := e.FailNode(v, e.Replan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rec.Failed, []int{doomed.Query.ID}) {
+		t.Fatalf("failing node %d dropped %v, want [%d]", v, rec.Failed, doomed.Query.ID)
+	}
+	e.audit(t, "undeploy and failure")
+	step(2)
+	e.audit(t, "controlled steps")
+}
+
 // TestEngineRuntimeOwnsCostSnapshot holds NewEngine's one all-pairs
 // computation to its two promises: the runtime starts on the snapshot a
 // fresh computation gives, and on a copy of the hierarchy's, so the
