@@ -886,7 +886,7 @@ func BenchmarkDataPlane(b *testing.B) {
 	if err := rt.Deploy(q, res.Plan, w.w.Catalog, 1e12); err != nil {
 		b.Fatal(err)
 	}
-	rt.RunFor(2 * rt.Config().Window)
+	rt.RunFor(2 * iflow.Window)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sent := rt.TuplesSent

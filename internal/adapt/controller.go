@@ -319,7 +319,6 @@ func (c *Controller) Step() {
 	c.lastVersion = c.rt.G.Version()
 
 	migrated := false
-	tupleSize := c.rt.Config().TupleSize
 	for i, qid := range ids {
 		q, plan, p := c.rt.DeployedQuery(qid), c.rt.DeployedPlan(qid), c.policy[qid]
 		drift, chain := reads[i].drift, reads[i].meas
@@ -356,8 +355,8 @@ func (c *Controller) Step() {
 		// migration actually starts or stops count: the gain here is what
 		// the runtime's TotalBytes will actually see.
 		rateOf := c.rateOf(q, rates)
-		curBytes := bytesWith(plan, rateOf, tupleSize, q.Sink)
-		gain := c.marginalGain(q, oldIR, newIR, diff, rateOf, tupleSize)
+		curBytes := bytesWith(plan, rateOf, q.Sink)
+		gain := c.marginalGain(q, oldIR, newIR, diff, rateOf)
 		if c.cfg.Mode == ModeNever || c.Commit == nil {
 			continue
 		}
@@ -499,16 +498,12 @@ func (c *Controller) drift(q *query.Query, plan *query.PlanNode) float64 {
 // Node-local handoffs are free. This is the estimate migration decisions
 // are gated on, because the controller is validated against exactly this
 // runtime counter.
-func bytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, tupleSize float64, sink netgraph.NodeID) float64 {
+func bytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, sink netgraph.NodeID) float64 {
 	cross := func(n *query.PlanNode, to netgraph.NodeID) float64 {
 		if n.Loc == to {
 			return 0
 		}
-		w := n.Width
-		if w == 0 {
-			w = tupleSize
-		}
-		return rate(n) * w
+		return rate(n) * n.TupleWidth()
 	}
 	var walk func(n *query.PlanNode) float64
 	walk = func(n *query.PlanNode) float64 {
@@ -549,7 +544,7 @@ func bytesWith(plan *query.PlanNode, rate func(*query.PlanNode) float64, tupleSi
 // accounting. Each sum adds in the diff's order — retired (or created)
 // operators, then rewired edges, then the root — and a gate compares the
 // result, so that order is part of the contract.
-func (c *Controller) marginalGain(q *query.Query, oldIR, newIR []query.IROp, diff query.PlanDiff, est func(*query.PlanNode) float64, tupleSize float64) float64 {
+func (c *Controller) marginalGain(q *query.Query, oldIR, newIR []query.IROp, diff query.PlanDiff, est func(*query.PlanNode) float64) float64 {
 	rate := make(map[query.OpRef]float64, len(oldIR)+len(newIR))
 	width := make(map[query.OpRef]float64, len(oldIR)+len(newIR))
 	holds := make(map[query.OpRef]int, len(oldIR))
@@ -558,11 +553,7 @@ func (c *Controller) marginalGain(q *query.Query, oldIR, newIR []query.IROp, dif
 			return
 		}
 		rate[op.Ref] = est(op.Node)
-		if w := op.Node.Width; w > 0 {
-			width[op.Ref] = w
-		} else {
-			width[op.Ref] = tupleSize
-		}
+		width[op.Ref] = op.Node.TupleWidth()
 	}
 	for _, op := range oldIR {
 		holds[op.Ref]++

@@ -19,11 +19,10 @@ func CheckGains(c *Controller, check func(q *query.Query, delta int, got, oracle
 		}
 		old := c.rt.DeployedPlan(q.ID)
 		est := c.rateOf(q, query.BuildRates(c.cat, q))
-		tupleSize := c.rt.Config().TupleSize
 		oldIR, newIR := q.IR(old), q.IR(fresh)
 		diff := query.DiffIR(oldIR, newIR)
-		check(q, diff.Delta(), c.marginalGain(q, oldIR, newIR, diff, est, tupleSize),
-			c.marginalGainOracle(q, old, fresh, est, tupleSize))
+		check(q, diff.Delta(), c.marginalGain(q, oldIR, newIR, diff, est),
+			c.marginalGainOracle(q, old, fresh, est, query.DefaultTupleWidth))
 		return fresh, nil
 	}
 }

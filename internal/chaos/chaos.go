@@ -579,17 +579,10 @@ func (w *World) nextRateShiftEvent(idx int) Event {
 // keeps running but is not a migration target until the source recovers.
 func (w *World) plannable(deployed bool) []int {
 	var out []int
-pool:
 	for _, q := range w.pool {
-		if (w.eng.RT.DeployedPlan(q.ID) != nil) != deployed || !w.eng.Live(q.Sink) {
-			continue
+		if (w.eng.RT.DeployedPlan(q.ID) != nil) == deployed && w.eng.Down(q) == nil {
+			out = append(out, q.ID)
 		}
-		for _, sid := range q.Sources {
-			if !w.eng.Live(w.eng.Catalog.Stream(sid).Source) {
-				continue pool
-			}
-		}
-		out = append(out, q.ID)
 	}
 	return out
 }

@@ -182,16 +182,25 @@ func (e *Engine) FailNode(v netgraph.NodeID, replan adapt.ReplanFunc) (Recovery,
 	return rec, nil
 }
 
-// replanLive refuses a query whose sink or a base source is down, and
-// otherwise asks replan.
-func (e *Engine) replanLive(q *query.Query, replan adapt.ReplanFunc) (*query.PlanNode, error) {
+// Down reports why q cannot run on the live network: its sink's node is
+// down, or else the node of its first base source (in q.Sources order)
+// that is. It returns nil when every endpoint is live.
+func (e *Engine) Down(q *query.Query) error {
 	if !e.Live(q.Sink) {
-		return nil, fmt.Errorf("sink node %d is down", q.Sink)
+		return fmt.Errorf("sink node %d is down", q.Sink)
 	}
 	for _, sid := range q.Sources {
 		if src := e.Catalog.Stream(sid).Source; !e.Live(src) {
-			return nil, fmt.Errorf("source node %d of stream %d is down", src, sid)
+			return fmt.Errorf("source node %d of stream %d is down", src, sid)
 		}
+	}
+	return nil
+}
+
+// replanLive refuses a query that is Down, and otherwise asks replan.
+func (e *Engine) replanLive(q *query.Query, replan adapt.ReplanFunc) (*query.PlanNode, error) {
+	if err := e.Down(q); err != nil {
+		return nil, err
 	}
 	return replan(q)
 }

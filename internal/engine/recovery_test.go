@@ -100,6 +100,37 @@ func (w recoveryWorld) audit(t *testing.T, step string) {
 	}
 }
 
+// TestDownReportsSinkThenSources holds Engine.Down to its order: the
+// sink first, then each base source in q.Sources order, each with its
+// message; nil once every endpoint is live.
+func TestDownReportsSinkThenSources(t *testing.T) {
+	for _, c := range []struct {
+		down []netgraph.NodeID
+		want string
+	}{
+		{nil, ""},
+		{[]netgraph.NodeID{9}, "sink node 9 is down"},
+		{[]netgraph.NodeID{28, 4, 9}, "sink node 9 is down"},
+		{[]netgraph.NodeID{28, 4}, "source node 4 of stream 0 is down"},
+		{[]netgraph.NodeID{28, 20}, "source node 20 of stream 1 is down"},
+		{[]netgraph.NodeID{28}, "source node 28 of stream 2 is down"},
+	} {
+		w := newRecoveryWorld(t, 15, 32, 10)
+		for _, v := range c.down {
+			if err := w.Hierarchy.RemoveNode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := ""
+		if err := w.Down(w.q); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("down %v: Down = %q, want %q", c.down, got, c.want)
+		}
+	}
+}
+
 // A failed operator node is re-planned around: the recovered plan avoids
 // it, deliveries resume, and the delivery counters carry across.
 func TestFailNodeRestoresDelivery(t *testing.T) {

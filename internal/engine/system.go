@@ -13,6 +13,7 @@ import (
 	"maps"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"hnp/internal/ads"
 	"hnp/internal/baseline"
@@ -101,9 +102,8 @@ type System struct {
 	// mu guards the Hierarchy's path-snapshot swap (Refresh) against
 	// in-flight planning, which holds it in read mode.
 	mu sync.RWMutex
-	// qmu guards query ID allocation.
-	qmu       sync.Mutex
-	nextQuery int
+	// queries counts the query IDs handed out (see allocQueryID).
+	queries atomic.Int64
 
 	tracker *load.Tracker
 
@@ -238,13 +238,7 @@ func Build(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, maxCS i
 // allocQueryID hands out a unique query ID. Every planned query gets its
 // own ID — including what-if plans that are never deployed — so plan
 // objects, advertisements and runtime deployments never collide.
-func (s *System) allocQueryID() int {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	id := s.nextQuery
-	s.nextQuery++
-	return id
-}
+func (s *System) allocQueryID() int { return int(s.queries.Add(1) - 1) }
 
 // Snapshot returns a point-in-time copy of the system's telemetry,
 // detached from the live metrics. With telemetry disabled it is empty.

@@ -3,6 +3,7 @@ package exp
 import (
 	"hnp/internal/engine"
 	"hnp/internal/iflow"
+	"hnp/internal/query"
 	"hnp/internal/stats"
 	"hnp/internal/workload"
 )
@@ -113,9 +114,8 @@ func Fig11(cfg Config) (*Figure, error) {
 	// The runtime's empirical pairwise selectivity is 2·Window/KeyDomain;
 	// pick KeyDomain so it matches the workload's mean selectivity, then
 	// scale the analytic total to tuple-size units.
-	icfg := iflow.DefaultConfig()
 	meanSel := 0.0105 // workload.Default: uniform in [0.001, 0.02]
-	icfg.KeyDomain = int64(2 * icfg.Window / meanSel)
+	icfg := iflow.Config{KeyDomain: int64(2 * iflow.Window / meanSel)}
 	const horizon = 30.0
 	var metered *engine.Engine
 	for _, a := range testbedAlgos {
@@ -141,7 +141,7 @@ func Fig11(cfg Config) (*Figure, error) {
 	if err := metered.Audit(); err != nil {
 		return nil, err
 	}
-	measured := metered.RT.CostRate() / icfg.TupleSize
+	measured := metered.RT.CostRate() / query.DefaultTupleWidth
 	n, analytic := len(w.Queries), td8
 	if analytic > 0 {
 		f.AddNote("runtime cross-check: %d/%d queries executed, measured cost rate %.3g vs analytic %.3g (ratio %.2f)",

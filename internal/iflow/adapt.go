@@ -6,17 +6,9 @@ import (
 	"hnp/internal/netgraph"
 )
 
-// UpdateLinkCost models a change in network conditions: the link's
-// per-byte cost is updated and the cost-routing snapshot refreshed, so
-// subsequent transfers are accounted at the new price. (Stream routes
-// follow the new snapshot immediately; in-flight tuples keep their old
-// accounting, as on a real network.)
+// UpdateLinkCost is UpdateLinkCosts of one link.
 func (rt *Runtime) UpdateLinkCost(a, b netgraph.NodeID, cost float64) error {
-	if err := rt.G.SetLinkCost(a, b, cost); err != nil {
-		return fmt.Errorf("iflow: %w", err)
-	}
-	rt.refreshPaths()
-	return nil
+	return rt.UpdateLinkCosts([]LinkCostUpdate{{a, b, cost}})
 }
 
 // LinkCostUpdate names one link's new per-byte cost for UpdateLinkCosts.
@@ -25,11 +17,12 @@ type LinkCostUpdate struct {
 	Cost float64
 }
 
-// UpdateLinkCosts applies a batch of link-cost changes with a single
-// all-pairs path recomputation at the end, instead of one per link as a
-// loop over UpdateLinkCost would pay. Network drift arrives in bursts
-// (a congested region reprices many links at once), and the recompute is
-// O(V·E·log V) — the batch turns N recomputes into one.
+// UpdateLinkCosts models a change in network conditions: each link's
+// per-byte cost is updated, then the routing snapshots are refreshed once
+// for the whole batch (network drift arrives in bursts), so subsequent
+// transfers are accounted at the new prices. (Stream routes follow the new
+// snapshot immediately; in-flight tuples keep their old accounting, as on
+// a real network.)
 //
 // On a bad update the error is returned after the loop finishes, so
 // earlier updates in the batch stay applied and the path snapshot is

@@ -47,7 +47,7 @@ func TestCalibrateTracksEmpiricalStats(t *testing.T) {
 
 	// Any calibrated pairwise selectivity approximates the engine's
 	// intrinsic 2·Window/KeyDomain (loose bound: windows + Poisson noise).
-	engineSel := 2 * cfg.Window / float64(cfg.KeyDomain)
+	engineSel := 2 * Window / float64(cfg.KeyDomain)
 	calibrated := false
 	var checkJoin func(n *query.PlanNode)
 	checkJoin = func(n *query.PlanNode) {
@@ -234,7 +234,7 @@ func TestCalibrateSurvivesMigration(t *testing.T) {
 		t.Fatal("nothing calibrated before migration")
 	}
 	a, b := w.q.Sources[0], w.q.Sources[1]
-	engineSel := 2 * cfg.Window / float64(cfg.KeyDomain)
+	engineSel := 2 * Window / float64(cfg.KeyDomain)
 	selBefore := w.cat.Selectivity(a, b)
 	if selBefore <= 0 || selBefore > 5*engineSel || selBefore < engineSel/5 {
 		t.Fatalf("pre-migration calibrated sel %g far from engine %g", selBefore, engineSel)

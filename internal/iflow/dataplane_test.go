@@ -21,7 +21,7 @@ func TestRunForAllocs(t *testing.T) {
 	if err := rt.Deploy(w.q, w.leftDeep([]netgraph.NodeID{5, 6, 7}), w.cat, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunFor(3 * rt.cfg.Window) // windows full, slab and heap at their working size
+	rt.RunFor(3 * Window) // windows full, slab and heap at their working size
 	const runs = 20
 	sent := rt.TuplesSent
 	allocs := testing.AllocsPerRun(runs, func() { rt.RunFor(5) })
@@ -58,7 +58,7 @@ func expireOld(w []Tuple, horizon float64) []Tuple {
 func TestExpireKeepsWindow(t *testing.T) {
 	w := makeMigrateWorld(t, 6)
 	rt := New(w.g, DefaultConfig(), 1)
-	op := &Operator{key: opKey{sig: "J", node: 3}, window: rt.cfg.Window, width: rt.cfg.TupleSize, refs: 1}
+	op := &Operator{key: opKey{sig: "J", node: 3}, window: Window, width: query.DefaultTupleWidth, refs: 1}
 	rt.ops[op.key] = op
 	rng := rand.New(rand.NewSource(5))
 
@@ -123,7 +123,7 @@ func TestMigrateShipsLiveWindowOnly(t *testing.T) {
 	if err := rt.Deploy(w.q, w.leftDeep([]netgraph.NodeID{5, 6, 7}), w.cat, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunFor(100 * rt.cfg.Window)
+	rt.RunFor(100 * Window)
 	sig := w.q.SigOf(query.Mask(7))
 	old := rt.Operator(sig, 6)
 	wantL, wantR := contents(&old.win[leftSide]), contents(&old.win[rightSide])
@@ -322,7 +322,7 @@ func TestEmitFollowsSameKeySuccessor(t *testing.T) {
 	if err := rt.Deploy(q1, w1.leftDeep([]netgraph.NodeID{5, 8}), w.cat, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunFor(2 * rt.cfg.Window)
+	rt.RunFor(2 * Window)
 
 	producer := rt.Operator(w.q.SigOf(query.Mask(3)), 5)
 	key := opKey{sig: w.q.SigOf(query.Mask(7)), node: 6}
@@ -420,7 +420,7 @@ func TestInFlightToRetiredOperatorSettles(t *testing.T) {
 	if err := rt.Deploy(w.q, w.leftDeep([]netgraph.NodeID{5, 6, 7}), w.cat, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunFor(2 * rt.cfg.Window)
+	rt.RunFor(2 * Window)
 	// Step to an instant with several deliveries airborne; base taps feed
 	// remote joins, so most are operator-bound.
 	for rt.InFlight() < 3 {

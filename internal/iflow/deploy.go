@@ -96,7 +96,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 					return nil, fmt.Errorf("iflow: contained stream %s@%d not deployed", n.In.BaseSig, n.Loc)
 				}
 				key := opKey{sig: n.In.Sig, node: n.Loc}
-				op = &Operator{key: key, isFilter: true, passProb: residualPassProb(n.Rate, base.expRate), expRate: n.Rate, width: rt.widthOf(n)}
+				op = &Operator{key: key, isFilter: true, passProb: ResidualPassProb(n.Rate, base.expRate), expRate: n.Rate, width: n.TupleWidth()}
 				rt.ops[key] = op
 				inst.created[key] = true
 				feed(base, op, leftSide)
@@ -122,7 +122,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 			// pruned width when the rewrite pipeline dropped columns).
 			// Differently-projected streams have different signatures, so a
 			// shared tap is never re-widened by a later deployment.
-			op.width = rt.widthOf(n)
+			op.width = n.TupleWidth()
 			inst.created[op.key] = true
 		}
 		return hold(op), nil
@@ -136,7 +136,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 		op := rt.ops[key]
 		if op == nil {
 			op = &Operator{
-				key: key, isAgg: true, aggWindow: n.Unary.Agg.Window, expRate: n.Rate, width: rt.widthOf(n),
+				key: key, isAgg: true, aggWindow: n.Unary.Agg.Window, expRate: n.Rate, width: n.TupleWidth(),
 			}
 			rt.ops[key] = op
 			inst.created[key] = true
@@ -156,22 +156,13 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 	key := opKey{sig: sig, node: n.Loc}
 	op := rt.ops[key]
 	if op == nil {
-		op = &Operator{key: key, window: rt.cfg.Window, expRate: n.Rate, width: rt.widthOf(n)}
+		op = &Operator{key: key, window: Window, expRate: n.Rate, width: n.TupleWidth()}
 		rt.ops[key] = op
 		inst.created[key] = true
 		feed(l, op, leftSide)
 		feed(r, op, rightSide)
 	}
 	return hold(op), nil
-}
-
-// widthOf resolves the tuple width an operator for plan node n emits: the
-// node's stamped width, or the runtime's TupleSize for width-free plans.
-func (rt *Runtime) widthOf(n *query.PlanNode) float64 {
-	if n.Width > 0 {
-		return n.Width
-	}
-	return rt.cfg.TupleSize
 }
 
 // release drops one reference per held key (nil-safe for operators a node
@@ -185,13 +176,13 @@ func (rt *Runtime) release(held []opKey) {
 	}
 }
 
-// residualPassProb returns the probability a containment residual filter
+// ResidualPassProb returns the probability a containment residual filter
 // passes an upstream tuple: the narrowed rate over the base stream's
 // expected rate. The degenerate edges are explicit rather than silent —
 // an uncalibrated base (expected rate <= 0) or a "narrowed" rate at or
 // above the base mean the filter cannot narrow anything, so it passes
 // everything; a non-positive narrowed rate passes nothing.
-func residualPassProb(narrowed, base float64) float64 {
+func ResidualPassProb(narrowed, base float64) float64 {
 	if base <= 0 || narrowed >= base {
 		return 1
 	}
@@ -316,7 +307,7 @@ func (rt *Runtime) DeployTime(trace *core.PlanStep, sink netgraph.NodeID) float6
 	rt.refreshPaths()
 	var finish func(s *core.PlanStep, arrival float64) float64
 	finish = func(s *core.PlanStep, arrival float64) float64 {
-		done := arrival + s.Plans*rt.cfg.ComputePerPlan
+		done := arrival + s.Plans*computePerPlan
 		end := done
 		for _, ch := range s.Children {
 			t := finish(ch, done+rt.msgDelay(s.Coordinator, ch.Coordinator))
@@ -337,5 +328,5 @@ func (rt *Runtime) msgDelay(a, b netgraph.NodeID) float64 {
 	if hops < 0 {
 		hops = 1
 	}
-	return rt.Delay.Dist(a, b) + float64(hops)*rt.cfg.HopOverhead
+	return rt.Delay.Dist(a, b) + float64(hops)*hopOverhead
 }

@@ -29,9 +29,8 @@ import (
 //     Undeploy failed to collect);
 //   - the subscription graph between operators is acyclic;
 //   - per-operator emission homogeneity: every operator's produced bytes
-//     equal its tuple width (stamped from the plan, or the global
-//     TupleSize) times its produced tuple count — widths never change
-//     over an operator's life;
+//     equal its tuple width (PlanNode.TupleWidth at creation) times its
+//     produced tuple count — widths never change over an operator's life;
 //   - transport conservation: when every byte ever charged had one
 //     uniform size (the width-free legacy mode, or a fleet pruned to a
 //     single width) total bytes equal that size times the

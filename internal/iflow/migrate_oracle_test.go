@@ -351,5 +351,5 @@ func (rt *Runtime) opWidth(op *Operator) float64 {
 	if op.width > 0 {
 		return op.width
 	}
-	return rt.cfg.TupleSize
+	return query.DefaultTupleWidth
 }

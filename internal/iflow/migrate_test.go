@@ -261,8 +261,7 @@ func TestMigrateShipsMovedState(t *testing.T) {
 	if rep.StateShipped != int64(buffered) {
 		t.Errorf("shipped %d tuples, moved op buffered %d", rep.StateShipped, buffered)
 	}
-	cfg := rt.Config()
-	if want := cfg.TupleSize * float64(rep.StateShipped); rep.BytesShipped != want {
+	if want := query.DefaultTupleWidth * float64(rep.StateShipped); rep.BytesShipped != want {
 		t.Errorf("shipped bytes %g, want %g", rep.BytesShipped, want)
 	}
 	if rep.ShipCost <= 0 {
@@ -306,8 +305,8 @@ func TestResidualPassProbEdges(t *testing.T) {
 		{2, 10, 0.2}, // ordinary ratio
 	}
 	for _, c := range cases {
-		if got := residualPassProb(c.narrowed, c.base); got != c.want {
-			t.Errorf("residualPassProb(%g, %g) = %g, want %g", c.narrowed, c.base, got, c.want)
+		if got := ResidualPassProb(c.narrowed, c.base); got != c.want {
+			t.Errorf("ResidualPassProb(%g, %g) = %g, want %g", c.narrowed, c.base, got, c.want)
 		}
 	}
 }

@@ -30,34 +30,30 @@ type Tuple struct {
 	Born float64
 }
 
-// Config tunes the runtime's physical constants.
-type Config struct {
-	// ComputePerPlan is coordinator CPU seconds per candidate solution
+// The runtime's physical constants mirror the scale of the paper's
+// testbed: millisecond link latencies dominate, planning costs
+// microseconds per candidate.
+const (
+	// computePerPlan is coordinator CPU seconds per candidate solution
 	// examined during planning; deployment time scales with search space.
-	ComputePerPlan float64
-	// HopOverhead is per-message processing overhead in seconds added to
+	computePerPlan = 2e-6
+	// hopOverhead is per-message processing overhead in seconds added to
 	// propagation delay for protocol messages.
-	HopOverhead float64
+	hopOverhead = 0.0005
 	// Window is the join window in seconds for symmetric hash joins.
-	Window float64
+	Window = 10.0
+)
+
+// Config holds the runtime's one tunable.
+type Config struct {
 	// KeyDomain is the number of distinct join-key values; the empirical
 	// pairwise join selectivity is Window/KeyDomain per second of window.
 	KeyDomain int64
-	// TupleSize is the size of base tuples in cost units.
-	TupleSize float64
 }
 
-// DefaultConfig mirrors the scale of the paper's testbed: millisecond
-// link latencies dominate, planning costs microseconds per candidate.
-func DefaultConfig() Config {
-	return Config{
-		ComputePerPlan: 2e-6,
-		HopOverhead:    0.0005,
-		Window:         10,
-		KeyDomain:      1000,
-		TupleSize:      100,
-	}
-}
+// DefaultConfig returns the configuration of every runtime but Fig 11's:
+// a key domain of 1000 values.
+func DefaultConfig() Config { return Config{KeyDomain: 1000} }
 
 type opKey struct {
 	sig  string
@@ -116,10 +112,9 @@ type Operator struct {
 	expRate float64
 
 	// width is the byte size of tuples this operator emits, resolved at
-	// creation: the plan node's width, or the runtime's TupleSize when the
-	// plan carries none. Widths never change over an operator's life — a
-	// differently-projected stream has a different signature and is a
-	// different operator.
+	// creation from the plan node (PlanNode.TupleWidth). Widths never
+	// change over an operator's life — a differently-projected stream has
+	// a different signature and is a different operator.
 	width float64
 
 	window  float64
@@ -172,14 +167,6 @@ func (op *Operator) Refs() int { return op.refs }
 // containment reuse's physical rate requires it alongside the measured
 // base rate.
 func (op *Operator) ExpRate() float64 { return op.expRate }
-
-// ResidualPassProb exposes the pass probability a containment residual
-// filter over a base stream with the given expected rate would use for a
-// reuse narrowed to the given rate — the fraction of upstream tuples the
-// filter forwards.
-func ResidualPassProb(narrowed, base float64) float64 {
-	return residualPassProb(narrowed, base)
-}
 
 // SubscribedBeyond reports whether anything other than the given consumer
 // operator (sig at node) or the given query's sink subscribes to this
@@ -412,9 +399,6 @@ func NewWithCost(g *netgraph.Graph, cost *netgraph.Paths, cfg Config, seed int64
 	return rt
 }
 
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 // refreshPaths brings any path snapshot that has gone stale because the
 // underlying graph was mutated (directly or via UpdateLinkCost) back up
 // to date. Entry points call it so routing and accounting never silently
@@ -527,7 +511,7 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 	if op.isFilter {
 		if rt.rng.Float64() < op.passProb {
 			// Residual filters re-emit at their own width (a no-op for
-			// width-free plans, whose upstream already ships TupleSize).
+			// width-free plans, whose upstream ships the same default).
 			t.Size = op.width
 			rt.emit(op, t)
 		}
@@ -576,7 +560,8 @@ func checkRate(sig string, rate float64) error {
 
 // StartSource registers a base stream tap at its node and schedules
 // Poisson tuple emissions at the given rate (tuples per second) for the
-// lifetime of the simulation window driven by RunFor.
+// lifetime of the simulation window driven by RunFor. Its tuples are
+// width-free (query.DefaultTupleWidth) until Deploy stamps a plan's width.
 func (rt *Runtime) StartSource(sig string, node netgraph.NodeID, rate float64, until float64) (*Operator, error) {
 	if err := checkRate(sig, rate); err != nil {
 		return nil, err
@@ -585,7 +570,7 @@ func (rt *Runtime) StartSource(sig string, node netgraph.NodeID, rate float64, u
 	if _, ok := rt.ops[key]; ok {
 		return nil, fmt.Errorf("iflow: source %s@%d already registered", sig, node)
 	}
-	op := &Operator{key: key, isBase: true, rate: rate, expRate: rate, width: rt.cfg.TupleSize}
+	op := &Operator{key: key, isBase: true, rate: rate, expRate: rate, width: query.DefaultTupleWidth}
 	rt.ops[key] = op
 	var tick func()
 	tick = func() {

@@ -187,14 +187,13 @@ func TestUndeployKeepsSharedOperators(t *testing.T) {
 // is W/KeyDomain.
 func TestJoinRateMatchesAnalyticModel(t *testing.T) {
 	g := netgraph.Line(3, 0.001)
-	rt := New(g, Config{
-		ComputePerPlan: 0, HopOverhead: 0, Window: 5, KeyDomain: 100, TupleSize: 10,
-	}, 13)
+	cfg := Config{KeyDomain: 100}
+	rt := New(g, cfg, 13)
 	cat := query.NewCatalog(0)
 	a := cat.Add("A", 40, 0)
 	b := cat.Add("B", 40, 2)
 	// Empirical pairwise selectivity of the engine.
-	selAB := 2 * rt.Config().Window / float64(rt.Config().KeyDomain)
+	selAB := 2 * Window / float64(cfg.KeyDomain)
 	cat.SetSelectivity(a, b, selAB)
 	q, _ := query.NewQuery(0, []query.StreamID{a, b}, 1)
 	rtbl := query.BuildRates(cat, q)
@@ -209,9 +208,9 @@ func TestJoinRateMatchesAnalyticModel(t *testing.T) {
 	rt.RunFor(400)
 	measured := float64(rt.Sink(0).Tuples) / 400
 	// Analytic: each arrival probes the other window: 2·rA·rB·W/D tuples/s
-	// = 40·40·5/100·2 = 160/s... in tuple units the catalog rate is in
+	// = 40·40·10/100·2 = 320/s... in tuple units the catalog rate is in
 	// cost units; here compare tuple rates directly.
-	want := 2 * 40 * 40 * rt.Config().Window / float64(rt.Config().KeyDomain)
+	want := 2 * 40 * 40 * Window / float64(cfg.KeyDomain)
 	if math.Abs(measured-want)/want > 0.25 {
 		t.Errorf("join rate %g, analytic %g", measured, want)
 	}
@@ -224,11 +223,18 @@ func TestDeployTime(t *testing.T) {
 	if dt <= 0 {
 		t.Fatalf("deploy time %g", dt)
 	}
-	// More planning work must take longer: scale compute per plan 10x.
-	cfg := DefaultConfig()
-	cfg.ComputePerPlan *= 10
-	rt2 := New(w.g, cfg, 3)
-	if rt2.DeployTime(w.res.Trace, w.q.Sink) <= dt {
+	// More planning work must take longer: scale every step's Plans 10x.
+	var scaled func(s *core.PlanStep) *core.PlanStep
+	scaled = func(s *core.PlanStep) *core.PlanStep {
+		cp := *s
+		cp.Plans *= 10
+		cp.Children = nil
+		for _, ch := range s.Children {
+			cp.Children = append(cp.Children, scaled(ch))
+		}
+		return &cp
+	}
+	if rt.DeployTime(scaled(w.res.Trace), w.q.Sink) <= dt {
 		t.Error("deploy time insensitive to compute cost")
 	}
 	if rt.DeployTime(nil, w.q.Sink) != 0 {

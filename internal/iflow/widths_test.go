@@ -112,8 +112,8 @@ func TestWidthTwinRuns(t *testing.T) {
 }
 
 // TestWidthEmission pins the per-operator byte accounting: every operator
-// emits at its own stamped width (or the global TupleSize when
-// unstamped), and sink bytes equal the root width times delivered tuples.
+// emits at its own stamped width (or query.DefaultTupleWidth
+// when unstamped), and sink bytes equal the root width times delivered tuples.
 func TestWidthEmission(t *testing.T) {
 	g, cat, q, plan := widthWorld(t, 5)
 	rt := New(g, DefaultConfig(), 99)
@@ -141,7 +141,7 @@ func TestWidthEmission(t *testing.T) {
 
 // TestMixedWidthFleet exercises the width bracket in the conservation
 // invariant: one runtime hosts a width-stamped pruned query alongside a
-// width-free one (whose operators emit at the global TupleSize), so
+// width-free one (whose operators emit at query.DefaultTupleWidth), so
 // TotalBytes mixes tuple sizes and the audit must fall back from the
 // exact uniform formula to its [min,max] bracket — and still pass.
 func TestMixedWidthFleet(t *testing.T) {

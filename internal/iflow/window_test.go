@@ -9,6 +9,7 @@ import (
 
 	"hnp/internal/des"
 	"hnp/internal/netgraph"
+	"hnp/internal/query"
 )
 
 // scanOp is a join's state as receive kept it before the keyed window: two
@@ -122,14 +123,14 @@ func newWindowHarness(tb testing.TB) *windowHarness {
 		}
 		h.rt.settle(d)
 	})
-	h.op = &Operator{key: opKey{sig: "J"}, window: h.rt.cfg.Window, width: h.rt.cfg.TupleSize, refs: 1}
+	h.op = &Operator{key: opKey{sig: "J"}, window: Window, width: query.DefaultTupleWidth, refs: 1}
 	h.rt.ops[down.key], h.rt.ops[h.op.key] = down, h.op
 	feed(h.op, down, leftSide)
 	for s := range h.feed {
 		h.feed[s] = &Operator{key: opKey{sig: "feed", node: 0}, isBase: true, refs: 1}
 		feed(h.feed[s], h.op, side(s))
 	}
-	h.ref = scanOp{window: h.op.window, width: h.rt.cfg.TupleSize}
+	h.ref = scanOp{window: h.op.window, width: query.DefaultTupleWidth}
 	return h
 }
 

@@ -34,8 +34,7 @@ type Input struct {
 	// residual filter at Loc that narrows BaseSig's output to Sig.
 	BaseSig string
 	// Width is the byte width of one tuple of this input (0 = unknown;
-	// costing treats unknown as 1 and the runtime falls back to its
-	// global TupleSize).
+	// costing treats unknown as 1 and the runtime as DefaultTupleWidth).
 	Width float64
 }
 
@@ -55,8 +54,18 @@ type PlanNode struct {
 	// L, R are the children of a join node (R is nil under Unary).
 	L, R *PlanNode
 	// Width is the byte width of one output tuple (0 = unknown; see
-	// WidthOr1). WidthTable.Stamp fills it after placement.
+	// WidthOr1 and TupleWidth). WidthTable.Stamp fills it after placement.
 	Width float64
+}
+
+// TupleWidth returns the bytes one output tuple weighs on the wire: the
+// stamped width, or DefaultTupleWidth for a width-free plan. The runtime
+// meters and the adaptation controller prices transport in these bytes.
+func (p *PlanNode) TupleWidth() float64 {
+	if p.Width > 0 {
+		return p.Width
+	}
+	return DefaultTupleWidth
 }
 
 // WidthOr1 returns the node's output tuple width, degrading to the

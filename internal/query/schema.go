@@ -6,11 +6,10 @@ import (
 	"strconv"
 )
 
-// DefaultTupleWidth is the byte width assumed for a stream without a
-// declared schema wherever a concrete width is required next to declared
-// ones (mixed catalogs, rewrite byte accounting). It matches the physical
-// runtime's default Config.TupleSize so the analytic and simulated ledgers
-// agree on legacy workloads.
+// DefaultTupleWidth is the byte width of a tuple without a declared
+// schema: what the runtime ships for a width-free plan node (see
+// PlanNode.TupleWidth), and what mixed catalogs and rewrite byte
+// accounting assume next to declared widths.
 const DefaultTupleWidth = 100
 
 // Attr is one attribute of a stream schema: a (lowercase) name and its
@@ -22,7 +21,7 @@ type Attr struct {
 
 // Schema is the ordered attribute list of one base stream. A nil schema
 // means "width unknown": the planners fall back to unit widths and the
-// runtime to its global TupleSize, exactly the pre-schema behavior.
+// runtime to DefaultTupleWidth, exactly the pre-schema behavior.
 type Schema []Attr
 
 // Width returns the total byte width of one full tuple.
