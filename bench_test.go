@@ -24,6 +24,7 @@ import (
 	"hnp/internal/obs"
 	"hnp/internal/query"
 	"hnp/internal/query/rewrite"
+	"hnp/internal/stats"
 	"hnp/internal/workload"
 )
 
@@ -182,6 +183,28 @@ func BenchmarkChaosWorldBuild(b *testing.B) {
 			}
 		}
 	}
+}
+
+// randSink keeps each generator BenchmarkNewRand makes on the heap, as a
+// product call site's is.
+var randSink *rand.Rand
+
+// BenchmarkNewRand prices one seeded generator: math/rand's, which every
+// world, engine, server and figure sweep made before, and stats.NewRand,
+// which draws the same values.
+func BenchmarkNewRand(b *testing.B) {
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			randSink = rand.New(rand.NewSource(int64(i)))
+		}
+	})
+	b.Run("stats", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			randSink = stats.NewRand(int64(i))
+		}
+	})
 }
 
 // BenchmarkAPSP measures the all-pairs shortest-path snapshot every

@@ -10,10 +10,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"hnp/internal/netgraph"
+	"hnp/internal/stats"
 )
 
 func main() {
@@ -28,7 +28,7 @@ func main() {
 	cfg := netgraph.DefaultTransitStub(*n)
 	cfg.TransitNodes = *transit
 	cfg.StubsPerTransit = *stubs
-	g, err := netgraph.TransitStub(cfg, rand.New(rand.NewSource(*seed)))
+	g, err := netgraph.TransitStub(cfg, stats.NewRand(*seed))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
 		os.Exit(1)

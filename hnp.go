@@ -25,8 +25,6 @@
 package hnp
 
 import (
-	"math/rand"
-
 	"hnp/internal/ads"
 	"hnp/internal/core"
 	"hnp/internal/engine"
@@ -35,6 +33,7 @@ import (
 	"hnp/internal/obs"
 	"hnp/internal/query"
 	"hnp/internal/query/rewrite"
+	"hnp/internal/stats"
 )
 
 // Re-exported types. Aliases keep one set of method sets and let the
@@ -125,7 +124,7 @@ func NewGraph(n int) *Graph { return netgraph.New(n) }
 // topology with exactly n nodes (transit backbone plus cheap stub
 // domains), deterministically from the seed.
 func TransitStubNetwork(n int, seed int64) *Graph {
-	return netgraph.MustTransitStub(n, rand.New(rand.NewSource(seed)))
+	return netgraph.MustTransitStub(n, stats.NewRand(seed))
 }
 
 // The optimizers an Algorithm selects.

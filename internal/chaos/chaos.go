@@ -35,6 +35,7 @@ import (
 	"hnp/internal/obs"
 	"hnp/internal/query"
 	"hnp/internal/query/rewrite"
+	"hnp/internal/stats"
 	"hnp/internal/workload"
 )
 
@@ -236,14 +237,14 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	buildRng := rand.New(rand.NewSource(cfg.Seed))
+	buildRng := stats.NewRand(cfg.Seed)
 	g := netgraph.MustTransitStub(nodes, buildRng)
 	paths := g.ShortestPaths(netgraph.MetricCost)
 	h, err := hierarchy.Build(g, paths, maxCS, buildRng)
 	if err != nil {
 		return nil, err
 	}
-	wlRng := rand.New(rand.NewSource(cfg.Seed ^ 0x77f00d))
+	wlRng := stats.NewRand(cfg.Seed ^ 0x77f00d)
 	wl, err := workload.Generate(workload.Default(streams, queries), nodes, wlRng)
 	if err != nil {
 		return nil, err
@@ -259,7 +260,7 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	h.BindObs(reg)
 	w := &World{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5)),
+		rng: stats.NewRand(cfg.Seed ^ 0x5eed5),
 		eng: engine.NewEngine(engine.NewSystem(g, h, wl.Catalog, reg),
 			iflow.DefaultConfig(), cfg.Seed^0x7f1e, cfg.horizon()),
 		minLive:   max(maxCS, nodes/2),
@@ -273,7 +274,7 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	if cfg.Schemas {
 		// Schema widths come from a dedicated rng so Schemas=false runs
 		// replay byte-identically to pre-schema seeds.
-		srng := rand.New(rand.NewSource(cfg.Seed ^ 0x5c4e3a))
+		srng := stats.NewRand(cfg.Seed ^ 0x5c4e3a)
 		for i := 0; i < wl.Catalog.NumStreams(); i++ {
 			wl.Catalog.SetSchema(query.StreamID(i), query.Schema{
 				{Name: "a", Width: 4 + float64(srng.Intn(13))},

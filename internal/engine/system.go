@@ -11,7 +11,6 @@ package engine
 import (
 	"fmt"
 	"maps"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -25,6 +24,7 @@ import (
 	"hnp/internal/obs"
 	"hnp/internal/query"
 	"hnp/internal/query/rewrite"
+	"hnp/internal/stats"
 )
 
 // Algorithm selects the optimizer the Plan methods run.
@@ -226,7 +226,7 @@ func NewSystem(g *netgraph.Graph, h *hierarchy.Hierarchy, cat *query.Catalog, re
 func Build(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, maxCS int, seed int64) (*System, error) {
 	reg := obs.NewRegistry()
 	sp := obs.StartSpan(reg, "hierarchy.build")
-	h, err := hierarchy.Build(g, paths, maxCS, rand.New(rand.NewSource(seed)))
+	h, err := hierarchy.Build(g, paths, maxCS, stats.NewRand(seed))
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ type env struct {
 }
 
 func newEnv(n int, seed int64) *env {
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	g := netgraph.MustTransitStub(n, rng)
 	return &env{
 		g:     g,
@@ -132,7 +132,7 @@ func runParallel(n int, fn func(i int) error) error {
 func (e *env) averaged(cfg Config, h *hierarchy.Hierarchy, reuse bool, opt optimizer) ([]float64, error) {
 	rows := make([][]float64, cfg.Workloads)
 	err := runParallel(cfg.Workloads, func(wi int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(wi)*1009))
+		rng := stats.NewRand(cfg.Seed + int64(wi)*1009)
 		w, err := workload.Generate(workload.Default(10, cfg.Queries), e.g.NumNodes(), rng)
 		if err != nil {
 			return err

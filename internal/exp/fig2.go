@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"math/rand"
-
 	"hnp/internal/ads"
 	"hnp/internal/baseline"
 	"hnp/internal/core"
@@ -48,7 +46,7 @@ func Fig2(cfg Config) (*Figure, error) {
 		maxCS   = 16
 	)
 	e := newEnv(nodes, cfg.Seed)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	rng := stats.NewRand(cfg.Seed + 1)
 	wcfg := workload.Default(10, queries)
 	wcfg.MinSources, wcfg.MaxSources = 5, 5 // 5 stream sources per query
 	w, err := workload.Generate(wcfg, nodes, rng)

@@ -1,13 +1,12 @@
 package exp
 
 import (
-	"math/rand"
-
 	"hnp/internal/ads"
 	"hnp/internal/baseline"
 	"hnp/internal/core"
 	"hnp/internal/engine"
 	"hnp/internal/query"
+	"hnp/internal/stats"
 )
 
 // Fig8 reproduces Figure 8: comparison with existing approaches — Top-Down
@@ -24,7 +23,7 @@ func Fig8(cfg Config) (*Figure, error) {
 	)
 	e := newEnv(nodes, cfg.Seed)
 	h := e.hier(maxCS)
-	setupRng := rand.New(rand.NewSource(cfg.Seed + 77))
+	setupRng := stats.NewRand(cfg.Seed + 77)
 	// The paper computed its 3-D cost space with 4 iterations; mirror that
 	// modest embedding budget.
 	emb := baseline.Embed(e.g, e.paths, 4, setupRng)

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"math/rand"
-
 	costpkg "hnp/internal/cost"
 	"hnp/internal/engine"
 	"hnp/internal/netgraph"
@@ -44,7 +42,7 @@ func Fig9(cfg Config) (*Figure, error) {
 		xs[i] = float64(n)
 		e := newEnv(n, cfg.Seed+int64(n))
 		h := e.hier(maxCS)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)*7))
+		rng := stats.NewRand(cfg.Seed + int64(n)*7)
 		wcfg := workload.Default(streams, queries)
 		wcfg.MinSources, wcfg.MaxSources = 4, 4
 		w, err := workload.Generate(wcfg, n, rng)
@@ -93,7 +91,7 @@ func Fig9(cfg Config) (*Figure, error) {
 func fig9Regional(cfg Config, n, maxCS, queries int) (td, bu float64, err error) {
 	e := newEnv(n, cfg.Seed+999)
 	h := e.hier(maxCS)
-	rng := rand.New(rand.NewSource(cfg.Seed + 991))
+	rng := stats.NewRand(cfg.Seed + 991)
 	region := h.LevelAt(1).Clusters[rng.Intn(len(h.LevelAt(1).Clusters))]
 	members := region.Members
 

@@ -2,12 +2,12 @@ package hierarchy
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"hnp/internal/cluster"
 	"hnp/internal/netgraph"
 	"hnp/internal/obs"
+	"hnp/internal/stats"
 )
 
 // RebindRows replaces the path snapshot the hierarchy measures costs
@@ -147,7 +147,7 @@ func (h *Hierarchy) split(c *Cluster) {
 	dist := func(i, j int) float64 { return h.paths.Dist(members[i], members[j]) }
 	// Splits are rare and local; a fixed seed keeps the structure
 	// reproducible without threading the construction rng through mutations.
-	res, err := cluster.KMedoids(len(members), 2, h.maxCS, dist, rand.New(rand.NewSource(1)))
+	res, err := cluster.KMedoids(len(members), 2, h.maxCS, dist, stats.NewRand(1))
 	if err != nil {
 		// Unreachable: 2*maxCS >= maxCS+1 for maxCS >= 1.
 		panic(err)

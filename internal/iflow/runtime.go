@@ -16,6 +16,7 @@ import (
 	"hnp/internal/netgraph"
 	"hnp/internal/obs"
 	"hnp/internal/query"
+	"hnp/internal/stats"
 )
 
 // Tuple is one data item on a stream.
@@ -390,7 +391,7 @@ func NewWithCost(g *netgraph.Graph, cost *netgraph.Paths, cfg Config, seed int64
 		Cost:    cost,
 		Delay:   g.ShortestPaths(netgraph.MetricDelay),
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     stats.NewRand(seed),
 		ops:     map[opKey]*Operator{},
 		sinks:   map[int]*SinkStats{},
 		deploys: map[int]*deployment{},

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -40,6 +39,7 @@ import (
 	"hnp"
 	"hnp/internal/engine"
 	"hnp/internal/obs"
+	"hnp/internal/stats"
 	"hnp/internal/workload"
 )
 
@@ -199,7 +199,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	specs, sels, err := workload.CatalogSpec(workload.Default(cfg.Streams, 0), cfg.Nodes, rand.New(rand.NewSource(cfg.Seed)))
+	specs, sels, err := workload.CatalogSpec(workload.Default(cfg.Streams, 0), cfg.Nodes, stats.NewRand(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -295,7 +295,9 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // decodeBody reads and JSON-decodes a bounded request body into v,
-// classifying failures: 413 for oversized bodies, 400 otherwise.
+// classifying failures: 413 for oversized bodies, 400 otherwise. The
+// body must be UTF-8 before decoding, since json.Unmarshal turns invalid
+// bytes into U+FFFD and no later check could see them.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
@@ -307,6 +309,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 			s.cDecodeErr.Inc()
 			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 		}
+		return false
+	}
+	if !utf8.Valid(body) {
+		s.cDecodeErr.Inc()
+		writeErr(w, http.StatusBadRequest, "request body is not valid UTF-8")
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -329,11 +336,6 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if req.CQL == "" {
 		s.cDecodeErr.Inc()
 		writeErr(w, http.StatusBadRequest, "empty cql statement")
-		return
-	}
-	if !utf8.ValidString(req.CQL) {
-		s.cDecodeErr.Inc()
-		writeErr(w, http.StatusBadRequest, "cql statement is not valid UTF-8")
 		return
 	}
 	if req.Sink < 0 || req.Sink >= s.cfg.Nodes {

@@ -275,8 +275,19 @@ func TestServeErrorPaths(t *testing.T) {
 		{"empty statement", func() (int, []byte) {
 			return postJSON(t, ts.URL+"/deploy", DeployRequest{})
 		}, http.StatusBadRequest},
+		// Refused as a decode error before JSON could mangle the bytes
+		// into U+FFFD and hand the parser a statement to reject.
 		{"non-utf8 statement", func() (int, []byte) {
-			return postJSON(t, ts.URL+"/deploy", []byte("{\"cql\": \"SELECT \\ufffd\xff * FROM\"}"))
+			decodeErrs, parseErrs := s.Obs.Counter("serving.decode_errors"), s.Obs.Counter("serving.parse_errors")
+			d0, p0 := decodeErrs.Value(), parseErrs.Value()
+			code, body := postJSON(t, ts.URL+"/deploy", []byte("{\"cql\": \"SELECT \\ufffd\xff * FROM\"}"))
+			if d, p := decodeErrs.Value()-d0, parseErrs.Value()-p0; d != 1 || p != 0 {
+				t.Errorf("non-utf8 statement moved decode_errors by %d and parse_errors by %d, want 1 and 0", d, p)
+			}
+			return code, body
+		}, http.StatusBadRequest},
+		{"non-utf8 tenant", func() (int, []byte) {
+			return postJSON(t, ts.URL+"/deploy", []byte("{\"cql\": \""+testStmt+"\", \"tenant\": \"t\xff\"}"))
 		}, http.StatusBadRequest},
 		{"oversized body", func() (int, []byte) {
 			huge := `{"cql": "SELECT * FROM ` + strings.Repeat("x", int(testConfig().MaxBody)) + `"}`

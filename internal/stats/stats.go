@@ -1,5 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harness aggregates results with.
+// harness aggregates results with, and NewRand, the seeded generator
+// every world, engine, server and figure draws from.
 package stats
 
 import (

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"hnp/internal/stats"
 )
 
 // TraceConfig parameterizes one synthesized serving trace: a timestamped
@@ -173,7 +175,7 @@ func SynthesizeTrace(cfg TraceConfig, names []string, n int) (*Trace, error) {
 		return nil, fmt.Errorf("workload: bad template source bounds [%d,%d] over %d streams",
 			cfg.MinSources, cfg.MaxSources, len(names))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := stats.NewRand(cfg.Seed)
 	templates := synthTemplates(cfg, names, rng)
 	mixW := zipfWeights(cfg.Templates, cfg.MixSkew)
 	tenantW := zipfWeights(tenants, tenantSkew)
