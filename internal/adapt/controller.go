@@ -30,7 +30,8 @@
 //	cooldown        — at most one migration per query per cooldown.
 //	revert holdoff  — a plan we just migrated away from cannot return
 //	                  within revertHoldoff: A→B→A flapping is structurally
-//	                  impossible inside the holdoff window.
+//	                  impossible inside the holdoff window. A return after
+//	                  it is a flip, and Stats.Oscillations counts it.
 //
 // The Never and Always modes keep every measurement and re-planning step
 // (equal overhead, equal rng consumption) but pin the migration decision
@@ -40,7 +41,6 @@ package adapt
 
 import (
 	"math"
-	"math/bits"
 
 	"hnp/internal/iflow"
 	"hnp/internal/netgraph"
@@ -125,6 +125,9 @@ type Stats struct {
 	SuppressedHysteresis int
 	SuppressedCooldown   int
 	SuppressedRevert     int
+	// Oscillations counts A→B→A flips: migrations back to the plan a
+	// query last left (the revert gate bans them within its holdoff).
+	Oscillations int
 	// PredictedSavings accumulates the predicted byte-rate gain at
 	// decision time for every triggered migration; RealizedSavings the
 	// measured drop in the window byte rate from the window before a
@@ -361,13 +364,11 @@ func (c *Controller) Step() {
 			continue
 		}
 		if c.cfg.Mode == ModeController {
-			if gain <= minRelGain*math.Abs(curBytes) {
-				c.mark(qid, false) // noise, not a deferred opportunity
-				c.suppress(&c.stats.SuppressedDeadband)
-				c.emitGate(&chain, qid, now, "deadband", false, gain, minRelGain*math.Abs(curBytes))
-				continue
+			floor := minRelGain * math.Abs(curBytes)
+			if c.gate(&chain, qid, now, "deadband", gain <= floor, gain, floor,
+				&c.stats.SuppressedDeadband, false) {
+				continue // noise, not a deferred opportunity
 			}
-			c.emitGate(&chain, qid, now, "deadband", true, gain, minRelGain*math.Abs(curBytes))
 			// Price the migration's churn from what it would actually
 			// ship: each moved operator's live state, measured now, plus
 			// the per-operator overhead EWMA for the rest of the delta.
@@ -377,27 +378,15 @@ func (c *Controller) Step() {
 			if ship := c.predictShipBytes(diff); ship > churn {
 				churn = ship
 			}
-			if gain*horizon <= hysteresis*churn {
-				c.mark(qid, true)
-				c.suppress(&c.stats.SuppressedHysteresis)
-				c.emitGate(&chain, qid, now, "hysteresis", false, gain*horizon, hysteresis*churn)
+			since := now - p.lastMigrate
+			if c.gate(&chain, qid, now, "hysteresis", gain*horizon <= hysteresis*churn,
+				gain*horizon, hysteresis*churn, &c.stats.SuppressedHysteresis, true) ||
+				c.gate(&chain, qid, now, "cooldown", p.lastMigrate > 0 && since < cooldown,
+					since, cooldown, &c.stats.SuppressedCooldown, true) ||
+				c.gate(&chain, qid, now, "revert", p.prevSig != "" && fresh.String() == p.prevSig && since < revertHoldoff,
+					since, revertHoldoff, &c.stats.SuppressedRevert, true) {
 				continue
 			}
-			c.emitGate(&chain, qid, now, "hysteresis", true, gain*horizon, hysteresis*churn)
-			if p.lastMigrate > 0 && now-p.lastMigrate < cooldown {
-				c.mark(qid, true)
-				c.suppress(&c.stats.SuppressedCooldown)
-				c.emitGate(&chain, qid, now, "cooldown", false, now-p.lastMigrate, cooldown)
-				continue
-			}
-			c.emitGate(&chain, qid, now, "cooldown", true, now-p.lastMigrate, cooldown)
-			if p.prevSig != "" && fresh.String() == p.prevSig && now-p.lastMigrate < revertHoldoff {
-				c.mark(qid, true)
-				c.suppress(&c.stats.SuppressedRevert)
-				c.emitGate(&chain, qid, now, "revert", false, now-p.lastMigrate, revertHoldoff)
-				continue
-			}
-			c.emitGate(&chain, qid, now, "revert", true, now-p.lastMigrate, revertHoldoff)
 		}
 
 		// Parent the runtime's MigrationApplied/RolledBack event on the
@@ -407,6 +396,9 @@ func (c *Controller) Step() {
 		rep, err := c.Commit(qid, fresh)
 		if err != nil {
 			continue
+		}
+		if p.prevSig != "" && fresh.String() == p.prevSig {
+			c.stats.Oscillations++ // A→B→A: back to the plan it last left
 		}
 		c.policy[qid] = policy{lastMigrate: now, prevSig: plan.String()}
 		migrated = true
@@ -447,9 +439,18 @@ func (c *Controller) mark(qid int, pending bool) {
 	}
 }
 
-func (c *Controller) suppress(counter *int) {
-	*counter++
-	c.obsSuppressed.Inc()
+// gate states one gate that can suppress a migration: it records the
+// decision in the flight recorder and, when stop holds, marks the
+// candidate (pending when a real gain stays on the table) and counts the
+// suppression in counter. It returns stop.
+func (c *Controller) gate(chain *uint64, qid int, now float64, name string, stop bool, value, aux float64, counter *int, pending bool) bool {
+	if stop {
+		c.mark(qid, pending)
+		*counter++
+		c.obsSuppressed.Inc()
+	}
+	c.emitGate(chain, qid, now, name, !stop, value, aux)
+	return stop
 }
 
 // emitGate records one gate decision in the flight recorder, chained on
@@ -473,10 +474,11 @@ func (c *Controller) emitGate(chain *uint64, qid int, now float64, gate string, 
 func (c *Controller) drift(q *query.Query, plan *query.PlanNode) float64 {
 	max := 0.0
 	for _, leaf := range plan.Leaves() {
-		if leaf.In.Derived || leaf.Mask.Count() != 1 {
+		id, ok := q.BaseStream(leaf.Mask)
+		if leaf.In.Derived || !ok {
 			continue
 		}
-		assumed := c.cat.Stream(q.Sources[bits.TrailingZeros32(uint32(leaf.Mask))]).Rate
+		assumed := c.cat.Stream(id).Rate
 		if assumed <= 0 {
 			continue
 		}

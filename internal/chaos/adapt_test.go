@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hnp/internal/adapt"
+	"hnp/internal/iflow"
+	"hnp/internal/query"
 )
 
 // TestAdaptControllerBeatsBaselines is the closed-loop controller's
@@ -112,5 +114,66 @@ func TestAdaptRateShiftDeterministic(t *testing.T) {
 	}
 	if a.Delivered != b.Delivered {
 		t.Fatalf("same seed, different deliveries: %d vs %d", a.Delivered, b.Delivered)
+	}
+}
+
+// TestAdaptFlipCountMatchesPlanHistory holds the controller's flip count
+// to the rule the harness used to keep itself, verbatim: each query's
+// history starts with its deployed plan, every controller migration
+// appends the fresh plan's rendering, and a flip is a history whose last
+// plan equals the one two back and differs from the one before it. All
+// three modes must agree on every seed; the Always mode, which has no
+// revert gate, flips on each of them, so the counts compared are not all
+// zero.
+func TestAdaptFlipCountMatchesPlanHistory(t *testing.T) {
+	last := int64(30)
+	if testing.Short() {
+		last = 4
+	}
+	modes := []adapt.Mode{adapt.ModeNever, adapt.ModeAlways, adapt.ModeController}
+	for seed := int64(1); seed <= last; seed++ {
+		for _, m := range modes {
+			cfg := RateShiftConfig(seed)
+			a := *cfg.Adapt
+			a.Mode = m
+			cfg.Adapt = &a
+			w, err := New(cfg)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			hist := map[int][]string{}
+			flips := 0
+			// Run deploys the pool and attaches the controller before the
+			// clock first moves, so this runs after both and before the
+			// first control step.
+			w.eng.RT.Sim.Schedule(0, func() {
+				for _, qid := range w.eng.RT.DeployedQueries() {
+					hist[qid] = []string{w.eng.RT.DeployedPlan(qid).String()}
+				}
+				follow := w.eng.OnMigrate
+				w.eng.OnMigrate = func(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
+					follow(q, old, fresh, rep)
+					h := append(hist[q.ID], fresh.String())
+					hist[q.ID] = h
+					if n := len(h); n >= 3 && h[n-1] == h[n-3] && h[n-1] != h[n-2] {
+						flips++
+					}
+				}
+			})
+			rep, err := w.Run()
+			if err != nil {
+				t.Fatalf("seed %d mode %d: %v", seed, m, err)
+			}
+			if len(hist) == 0 {
+				t.Fatalf("seed %d mode %d: the history never started", seed, m)
+			}
+			if rep.Adapt.Oscillations != flips || rep.Oscillations != flips {
+				t.Errorf("seed %d mode %d: controller counts %d flips (report %d), the plan history %d",
+					seed, m, rep.Adapt.Oscillations, rep.Oscillations, flips)
+			}
+			if m == adapt.ModeAlways && flips == 0 {
+				t.Errorf("seed %d: the Always mode no longer flips; the comparison checks only zeros", seed)
+			}
+		}
 	}
 }

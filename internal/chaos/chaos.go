@@ -158,10 +158,6 @@ type World struct {
 	// touching the catalog; the schedule draws shift factors from it so
 	// event generation never depends on what the controller calibrated.
 	liveRates map[query.StreamID]float64
-	// planHist records each query's plan history (deploy + every
-	// controller migration) for A→B→A oscillation detection.
-	planHist     map[int][]string
-	oscillations int
 
 	trace  []Event
 	counts [9]int
@@ -188,7 +184,7 @@ type Report struct {
 	// Adapt carries the controller's decision counters (zero value when
 	// no controller was attached).
 	Adapt adapt.Stats
-	// Oscillations counts A→B→A plan flips across controller migrations.
+	// Oscillations copies Adapt.Oscillations, the controller's flips.
 	Oscillations int
 	Trace        []Event
 	// Flight is the flight recorder's retained causal event history at
@@ -265,7 +261,6 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 			iflow.DefaultConfig(), cfg.Seed^0x7f1e, cfg.horizon()),
 		minLive:   max(maxCS, nodes/2),
 		liveRates: map[query.StreamID]float64{},
-		planHist:  map[int][]string{},
 		prevSinks: map[int]iflow.SinkStats{},
 	}
 	for i := 0; i < wl.Catalog.NumStreams(); i++ {
@@ -383,18 +378,18 @@ func (w *World) report() Report {
 		}
 	}
 	r := Report{
-		Seed:         w.cfg.Seed,
-		Events:       len(w.trace),
-		Counts:       counts,
-		Deployed:     len(w.eng.RT.DeployedQueries()),
-		Delivered:    delivered,
-		Stats:        w.eng.RT.Stats(),
-		Oscillations: w.oscillations,
-		Trace:        w.trace,
-		Flight:       w.Tracer().Snapshot(),
+		Seed:      w.cfg.Seed,
+		Events:    len(w.trace),
+		Counts:    counts,
+		Deployed:  len(w.eng.RT.DeployedQueries()),
+		Delivered: delivered,
+		Stats:     w.eng.RT.Stats(),
+		Trace:     w.trace,
+		Flight:    w.Tracer().Snapshot(),
 	}
 	if w.ctl != nil {
 		r.Adapt = w.ctl.Stats()
+		r.Oscillations = r.Adapt.Oscillations
 	}
 	return r
 }
@@ -423,7 +418,6 @@ func (w *World) startRateShift() error {
 			return fmt.Errorf("runtime rejected plan %s: %w", d.Plan, err)
 		}
 		w.prevSinks[q.ID] = iflow.SinkStats{}
-		w.planHist[q.ID] = []string{d.Plan.String()}
 	}
 	if w.cfg.Adapt != nil {
 		w.eng.OnMigrate = w.onCtlMigrate
@@ -432,31 +426,17 @@ func (w *World) startRateShift() error {
 	return nil
 }
 
-// onCtlMigrate follows a controller migration the engine has already
-// mirrored with what only the harness knows: tap rates (operators the
-// migration re-created started at catalog rates, which may trail the live
-// truth) and the oscillation history. The controller's re-planner never
-// consumes the schedule rng, so its decisions cannot perturb the event
-// sequence and cross-policy runs on a shared seed stay comparable.
-func (w *World) onCtlMigrate(q *query.Query, old, fresh *query.PlanNode, rep iflow.MigrationReport) {
+// onCtlMigrate retunes the taps a controller migration started, which run
+// at catalog rates, to the live rates only the harness knows; every other
+// tap a deployed plan lists already runs at its live rate. The
+// controller's re-planner never consumes the schedule rng, so cross-policy
+// runs on a shared seed stay comparable.
+func (w *World) onCtlMigrate(q *query.Query, _, fresh *query.PlanNode, _ iflow.MigrationReport) {
 	for _, l := range fresh.Leaves() {
-		if l.In.Derived {
-			continue
+		if s, ok := q.BaseStream(l.Mask); ok && !l.In.Derived {
+			// The fresh plan runs, so its taps exist and the rate is valid.
+			_, _ = w.eng.SetLiveRate(s, w.liveRates[s])
 		}
-		ids := q.StreamsOf(l.Mask)
-		if len(ids) != 1 {
-			continue
-		}
-		if r, ok := w.liveRates[ids[0]]; ok {
-			// The tap exists — the plan just deployed it; a failure here
-			// would surface as a calibration drift the invariants audit.
-			_ = w.eng.RT.SetSourceRate(l.In.Sig, l.Loc, r)
-		}
-	}
-	hist := append(w.planHist[q.ID], fresh.String())
-	w.planHist[q.ID] = hist
-	if n := len(hist); n >= 3 && hist[n-1] == hist[n-3] && hist[n-1] != hist[n-2] {
-		w.oscillations++
 	}
 }
 

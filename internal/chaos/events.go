@@ -34,8 +34,9 @@ const (
 	// KindQueryUndeploy tears one deployed query down and retracts
 	// advertisements that no longer correspond to a running operator.
 	KindQueryUndeploy
-	// KindRateShift drifts one base stream's catalog rate, shifting the
-	// model future plans are costed against.
+	// KindRateShift drifts one base stream's rate: the catalog's under the
+	// default profile; under ProfileRateShift only the live taps', which
+	// the catalog learns through the controller's calibration.
 	KindRateShift
 	// KindQueryMigrate re-plans one deployed query (Top-Down or Bottom-Up,
 	// chosen per event) and applies the new plan as a diff-based migration:
@@ -44,9 +45,9 @@ const (
 	// Only scheduled when Config.Migrate is set.
 	KindQueryMigrate
 	// KindLinkBurst drifts several links' per-byte costs at once through
-	// the runtime's batched UpdateLinkCosts (one all-pairs refresh for the
-	// whole burst), then refreshes the harness snapshot and re-binds the
-	// hierarchy. Only scheduled by the rate-shift profile.
+	// Engine.UpdateLinkCosts: one routing refresh for the whole burst,
+	// then System.Refresh moves the planning side's path snapshot and
+	// re-binds the hierarchy. Only scheduled by the rate-shift profile.
 	KindLinkBurst
 )
 

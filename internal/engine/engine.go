@@ -238,8 +238,7 @@ func (e *Engine) SetLiveRate(id query.StreamID, rate float64) (int, error) {
 	for _, qid := range e.RT.DeployedQueries() {
 		q := e.RT.DeployedQuery(qid)
 		for _, l := range e.RT.DeployedPlan(qid).Leaves() {
-			ids := q.StreamsOf(l.Mask)
-			if l.In.Derived || len(ids) != 1 || ids[0] != id || seen[tap{l.In.Sig, l.Loc}] {
+			if s, ok := q.BaseStream(l.Mask); l.In.Derived || !ok || s != id || seen[tap{l.In.Sig, l.Loc}] {
 				continue
 			}
 			seen[tap{l.In.Sig, l.Loc}] = true

@@ -93,12 +93,12 @@ func (rt *Runtime) Calibrate(cat *query.Catalog, q *query.Query, plan *query.Pla
 		if leaf.In.Derived {
 			continue
 		}
-		ids := q.StreamsOf(leaf.Mask)
-		if len(ids) != 1 {
+		id, ok := q.BaseStream(leaf.Mask)
+		if !ok {
 			continue
 		}
 		if r := rt.WindowedRate(w, leaf.In.Sig, leaf.Loc); r > 0 {
-			cat.SetRate(ids[0], r)
+			cat.SetRate(id, r)
 			updated++
 		}
 	}
@@ -115,9 +115,9 @@ func (rt *Runtime) Calibrate(cat *query.Catalog, q *query.Query, plan *query.Pla
 			n.L.In.Derived || n.R.In.Derived {
 			return
 		}
-		lIDs := q.StreamsOf(n.L.Mask)
-		rIDs := q.StreamsOf(n.R.Mask)
-		if len(lIDs) != 1 || len(rIDs) != 1 {
+		lID, lok := q.BaseStream(n.L.Mask)
+		rID, rok := q.BaseStream(n.R.Mask)
+		if !lok || !rok {
 			return
 		}
 		lRate := rt.WindowedRate(w, n.L.In.Sig, n.L.Loc)
@@ -128,7 +128,7 @@ func (rt *Runtime) Calibrate(cat *query.Catalog, q *query.Query, plan *query.Pla
 		}
 		measured := float64(join.OutCount-w.counts[join.key]) / elapsed
 		sel := measured / (lRate * rRate)
-		cat.SetSelectivity(lIDs[0], rIDs[0], sel)
+		cat.SetSelectivity(lID, rID, sel)
 		updated++
 	}
 	walk(plan)

@@ -58,16 +58,16 @@ func expireOld(w []Tuple, horizon float64) []Tuple {
 func TestExpireKeepsWindow(t *testing.T) {
 	w := makeMigrateWorld(t, 6)
 	rt := New(w.g, DefaultConfig(), 1)
-	op := &Operator{key: opKey{sig: "J", node: 3}, window: Window, width: query.DefaultTupleWidth, refs: 1}
+	op := &Operator{key: opKey{sig: "J", node: 3}, width: query.DefaultTupleWidth, refs: 1}
 	rt.ops[op.key] = op
 	rng := rand.New(rand.NewSource(5))
 
 	var shadow [2][]Tuple
 	var resizes [2]int
 	now := 0.0
-	for now < 130*op.window {
+	for now < 130*Window {
 		rate := 30.0
-		if int(now/op.window)%10 == 4 {
+		if int(now/Window)%10 == 4 {
 			rate = 150
 		}
 		now += rng.ExpFloat64() / rate
@@ -78,7 +78,7 @@ func TestExpireKeepsWindow(t *testing.T) {
 		capBefore := [2]int{len(op.win[0].ring), len(op.win[1].ring)}
 		rt.receive(op, s, tup)
 		for i := range shadow {
-			shadow[i] = expireOld(shadow[i], now-op.window)
+			shadow[i] = expireOld(shadow[i], now-Window)
 		}
 		shadow[s] = append(shadow[s], tup)
 

@@ -109,12 +109,12 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 		// Base stream: one tap shared by all queries.
 		op := rt.Operator(n.In.Sig, n.Loc)
 		if op == nil {
-			ids := q.StreamsOf(n.Mask)
-			if len(ids) != 1 {
-				return nil, fmt.Errorf("iflow: base leaf covering %d streams", len(ids))
+			id, ok := q.BaseStream(n.Mask)
+			if !ok {
+				return nil, fmt.Errorf("iflow: base leaf covering %d streams", n.Mask.Count())
 			}
 			var err error
-			op, err = rt.StartSource(n.In.Sig, n.Loc, cat.Stream(ids[0]).Rate, until)
+			op, err = rt.StartSource(n.In.Sig, n.Loc, cat.Stream(id).Rate, until)
 			if err != nil {
 				return nil, err
 			}
@@ -156,7 +156,7 @@ func (rt *Runtime) instantiateNode(q *query.Query, n *query.PlanNode, cat *query
 	key := opKey{sig: sig, node: n.Loc}
 	op := rt.ops[key]
 	if op == nil {
-		op = &Operator{key: key, window: Window, expRate: n.Rate, width: n.TupleWidth()}
+		op = &Operator{key: key, expRate: n.Rate, width: n.TupleWidth()}
 		rt.ops[key] = op
 		inst.created[key] = true
 		feed(l, op, leftSide)

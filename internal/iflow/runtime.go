@@ -118,8 +118,7 @@ type Operator struct {
 	// a different signature and is a different operator.
 	width float64
 
-	window  float64
-	win     [2]window // buffered inputs, indexed by side
+	win     [2]window // the last Window seconds of input, indexed by side
 	subs    []subscription
 	in      []*Operator // producers, once per subscription they hold into it
 	refs    int         // deployments using this operator
@@ -531,7 +530,7 @@ func (rt *Runtime) receive(op *Operator, s side, t Tuple) {
 		op.aggCount++
 		return
 	}
-	horizon := rt.Sim.Now() - op.window
+	horizon := rt.Sim.Now() - Window
 	if n := op.win[leftSide].expire(horizon) + op.win[rightSide].expire(horizon); n > 0 {
 		rt.WindowExpired += int64(n)
 		rt.obsExpired.Add(int64(n))

@@ -123,14 +123,14 @@ func newWindowHarness(tb testing.TB) *windowHarness {
 		}
 		h.rt.settle(d)
 	})
-	h.op = &Operator{key: opKey{sig: "J"}, window: Window, width: query.DefaultTupleWidth, refs: 1}
+	h.op = &Operator{key: opKey{sig: "J"}, width: query.DefaultTupleWidth, refs: 1}
 	h.rt.ops[down.key], h.rt.ops[h.op.key] = down, h.op
 	feed(h.op, down, leftSide)
 	for s := range h.feed {
 		h.feed[s] = &Operator{key: opKey{sig: "feed", node: 0}, isBase: true, refs: 1}
 		feed(h.feed[s], h.op, side(s))
 	}
-	h.ref = scanOp{window: h.op.window, width: query.DefaultTupleWidth}
+	h.ref = scanOp{window: Window, width: query.DefaultTupleWidth}
 	return h
 }
 
@@ -182,7 +182,7 @@ func (h *windowHarness) step(dt float64, s side, key int64, size, age float64) {
 // filter; the feeders are then rewired to the successor, and it to the
 // filter.
 func (h *windowHarness) move() {
-	fresh := &Operator{key: h.op.key, window: h.op.window, width: h.op.width, refs: 1}
+	fresh := &Operator{key: h.op.key, width: h.op.width, refs: 1}
 	h.op.buffered(func(s side, t Tuple) { fresh.win[s].insert(t) })
 	down := h.op.subs[0].op
 	h.rt.retire(h.op)
@@ -249,7 +249,7 @@ func TestWindowMatchesScan(t *testing.T) {
 		var grown, shrunk, moves int
 		for h.n < 12000 {
 			key, rate := keyOf[rng.Intn(len(keyOf))], rates[rng.Intn(len(rates))]
-			spread := []float64{2, 2, 1.5 * h.op.window}[rng.Intn(3)]
+			spread := []float64{2, 2, 1.5 * Window}[rng.Intn(3)]
 			for left := 100 + rng.Intn(1200); left > 0 && h.n < 12000; left-- {
 				if rng.Intn(1500) == 0 {
 					h.move()
@@ -309,7 +309,7 @@ func FuzzWindow(f *testing.F) {
 			}
 			// Gaps from 0.1 ms to 26 s, ages from 0 to 1.5 windows.
 			dt := 1e-4 * math.Pow(1.05, float64(data[2]))
-			h.step(dt, side(data[0]&1), key, float64(50+data[3]%7), float64(data[3])/255*1.5*h.op.window)
+			h.step(dt, side(data[0]&1), key, float64(50+data[3]%7), float64(data[3])/255*1.5*Window)
 		}
 	})
 }

@@ -115,6 +115,16 @@ func (q *Query) StreamsOf(m Mask) []StreamID {
 	return out
 }
 
+// BaseStream returns the source stream a one-position mask names, and
+// false for any other mask.
+func (q *Query) BaseStream(m Mask) (StreamID, bool) {
+	p := bits.TrailingZeros32(uint32(m))
+	if m.Count() != 1 || p >= len(q.Sources) {
+		return 0, false
+	}
+	return q.Sources[p], true
+}
+
 // Fragment describes the sub-join of a query covered by one mask: what an
 // advertisement of it carries and what a registry lookup for it matches
 // against. Computing the parts together shares the stream list and the

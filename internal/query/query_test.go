@@ -102,6 +102,19 @@ func TestMaskOfAndStreamsOf(t *testing.T) {
 	}
 }
 
+// BaseStream must agree with StreamsOf on every one-position mask and
+// refuse every other mask, a position past the sources included.
+func TestBaseStream(t *testing.T) {
+	q, _ := NewQuery(0, []StreamID{4, 2, 9}, 0)
+	for m := Mask(0); m < 1<<5; m++ {
+		id, ok := q.BaseStream(m)
+		ids := q.StreamsOf(m)
+		if want := m.Count() == 1 && len(ids) == 1; ok != want || ok && id != ids[0] {
+			t.Errorf("BaseStream(%b) = %d,%v; StreamsOf = %v", m, id, ok, ids)
+		}
+	}
+}
+
 func TestBuildRates(t *testing.T) {
 	c := NewCatalog(1)
 	a := c.Add("A", 10, 0)
