@@ -354,53 +354,37 @@ func BenchmarkChaosDriftMaintain(b *testing.B) {
 // --- telemetry overhead ----------------------------------------------------
 
 // BenchmarkDeploy measures the System planning path — the paper's
-// standard 128-node/max_cs=32 setting — with telemetry disabled (the
-// default) and enabled. The telemetry-off variant bounds what the
-// instrumentation costs when nobody is watching: every hook reduces to
-// one atomic load, and the delta against a hypothetical uninstrumented
-// build must stay within noise (≤2%). Compare the two sub-benchmarks to
-// see the full recording cost.
+// standard 128-node/max_cs=32 setting — recording into the system's own
+// registry, as every System does.
 func BenchmarkDeploy(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"telemetry-off", false}, {"telemetry-on", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			prev := obs.Enabled.Load()
-			obs.Enabled.Store(mode.on)
-			defer obs.Enabled.Store(prev)
-
-			g := TransitStubNetwork(128, 1)
-			sys, err := NewSystem(g, 32, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(2))
-			ids := make([]StreamID, 6)
-			for i := range ids {
-				ids[i] = sys.AddStream("s", 1+rng.Float64()*50, NodeID(rng.Intn(128)))
-			}
-			for i := range ids {
-				for j := i + 1; j < len(ids); j++ {
-					sys.SetSelectivity(ids[i], ids[j], 0.005+0.01*rng.Float64())
-				}
-			}
-			plans := 0.0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := 3 + i%3
-				d, err := sys.Plan(ids[:k], NodeID(i%128), AlgoTopDown)
-				if err != nil {
-					b.Fatal(err)
-				}
-				plans += d.PlansConsidered
-			}
-			// The measured per-query search-space accounting, not the
-			// nominal space (see benchSolveK).
-			b.ReportMetric(plans/b.Elapsed().Seconds(), "plans/s")
-		})
+	g := TransitStubNetwork(128, 1)
+	sys, err := NewSystem(g, 32, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(2))
+	ids := make([]StreamID, 6)
+	for i := range ids {
+		ids[i] = sys.AddStream("s", 1+rng.Float64()*50, NodeID(rng.Intn(128)))
+	}
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			sys.SetSelectivity(ids[i], ids[j], 0.005+0.01*rng.Float64())
+		}
+	}
+	plans := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 3 + i%3
+		d, err := sys.Plan(ids[:k], NodeID(i%128), AlgoTopDown)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans += d.PlansConsidered
+	}
+	// The measured per-query search-space accounting, not the
+	// nominal space (see benchSolveK).
+	b.ReportMetric(plans/b.Elapsed().Seconds(), "plans/s")
 }
 
 // BenchmarkDeployCQL measures one PlanCQL + Deploy + Undeploy round of a
@@ -885,7 +869,10 @@ func BenchmarkMigrate(b *testing.B) {
 // internal/des clock — source tick, transfer, event queue, join probe,
 // window expiry, sink — with nothing else in the loop: the first K=6
 // query of the standard 128-node workload, planned Top-Down, deployed
-// once and run past one full join window before the timer starts. One op
+// once and run past one full join window before the timer starts. The
+// runtime records into a registry, as NewEngine binds every engine's, so
+// each transfer pays its "iflow.tuples_transferred" and
+// "iflow.bytes_cost" updates. One op
 // is RunFor(2); ns/tuple and allocs/tuple divide the timed loop by the
 // tuples it handed to the transport, so they compare across runs whose
 // Poisson draws differ in count.
@@ -906,6 +893,7 @@ func BenchmarkDataPlane(b *testing.B) {
 		b.Fatal(err)
 	}
 	rt := iflow.New(w.g, iflow.DefaultConfig(), 1)
+	rt.BindObs(obs.NewRegistry())
 	if err := rt.Deploy(q, res.Plan, w.w.Catalog, 1e12); err != nil {
 		b.Fatal(err)
 	}

@@ -29,10 +29,6 @@ import (
 // through its whole lifecycle, a server through one deploy and undeploy,
 // and one figure, whose progress counters land on obs.Default.
 func TestMetricCatalog(t *testing.T) {
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
-
 	recorded := map[string]bool{}
 	collect := func(s obs.Snapshot) {
 		for _, n := range s.Names() {

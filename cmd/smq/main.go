@@ -10,7 +10,8 @@
 //	smq -fig 9 -seed 7           # different randomness
 //	smq -explain                 # annotated per-level planner search trace
 //	smq -explain -trace          # + causal lifecycle timeline per query
-//	smq -fig all -debug-addr :6060  # live /metrics, /flight, /trace, expvar, pprof
+//	smq -fig all -debug-addr :6060  # live /metrics, expvar, pprof
+//	smq -explain -trace -debug-addr :6060  # + the scenario's /flight, /trace
 //
 // Figures are computed concurrently (and each figure's internal sweeps
 // fan out across GOMAXPROCS cores); output is bit-identical at every
@@ -30,13 +31,13 @@
 //
 // -debug-addr serves expvar (/debug/vars, including the process-wide
 // telemetry under "hnp"), pprof (/debug/pprof/) and a JSON telemetry
-// snapshot (/metrics) while figures compute; it also turns telemetry on,
-// so per-figure progress counters (exp.fig*.units_done) tick live. With
-// -trace it additionally serves the flight recorder: /flight dumps the
-// ring as JSONL and /trace?query=N renders one query's causal timeline.
-// Figure harnesses use private registries, so the recorder is populated
-// by the -explain scenario (combine -explain -trace -debug-addr; the
-// server stays up after the narrative so the recording can be queried).
+// snapshot (/metrics) while figures compute, where per-figure progress
+// counters (exp.fig*.units_done) tick live. It also serves the flight
+// recorder: /flight dumps the ring as JSONL and /trace?query=N renders
+// one query's causal timeline. Figure harnesses use private registries,
+// so only the -explain scenario fills a recorder (combine -explain -trace
+// -debug-addr; the server stays up after the narrative so the recording
+// can be queried).
 package main
 
 import (
@@ -67,16 +68,12 @@ func main() {
 		queries   = flag.Int("queries", 20, "queries per workload in figs 5-8")
 		format    = flag.String("format", "table", "output format: table or csv")
 		explain   = flag.Bool("explain", false, "print an annotated planner search narrative for a canned scenario and exit")
-		trace     = flag.Bool("trace", false, "arm the causal flight recorder; with -explain appends per-query lifecycle timelines, with -debug-addr serves the recording at /flight and /trace")
+		trace     = flag.Bool("trace", false, "with -explain, arm the scenario's causal flight recorder: append per-query lifecycle timelines and, with -debug-addr, serve the recording at /flight and /trace")
 		debugAddr = flag.String("debug-addr", "", "serve expvar, pprof, /metrics, /flight and /trace?query=N on this address (e.g. :6060) while running")
 	)
 	flag.Parse()
 
-	if *trace {
-		obs.Default.Tracer().Enable()
-	}
 	if *debugAddr != "" {
-		hnp.EnableTelemetry()
 		serveDebug(*debugAddr)
 	}
 	if *explain {
@@ -173,7 +170,6 @@ func init() { traceSrc.Store(obs.Default) }
 // With trace armed, it closes with the flight recorder's causal timeline
 // for each query: planned → deployed → calibrated → gated → migrated.
 func runExplain(seed int64, trace bool) error {
-	hnp.EnableTelemetry()
 	g := hnp.TransitStubNetwork(128, seed)
 	sys, err := hnp.NewSystem(g, 32, seed)
 	if err != nil {

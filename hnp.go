@@ -90,14 +90,14 @@ type (
 	Snapshot = obs.Snapshot
 )
 
-// EnableTelemetry turns on metric recording process-wide. Telemetry is off
-// by default; when off, every instrumentation point reduces to one atomic
-// load, records nothing and allocates nothing (TestDisabledModeIsNoOp).
-func EnableTelemetry() { obs.Enable() }
+// EnableTelemetry does nothing: every System's metrics always record into
+// its own registry. It stays only because the frozen benchmark harness in
+// bench/ calls it.
+func EnableTelemetry() {}
 
-// DisableTelemetry turns metric recording back off. Recorded values are
-// retained, not reset.
-func DisableTelemetry() { obs.Disable() }
+// DisableTelemetry does nothing either. It stays only because the frozen
+// benchmark harness in bench/ calls it.
+func DisableTelemetry() {}
 
 // MustPredSet builds a normalized predicate set, panicking on
 // contradictions — convenient for literals.

@@ -279,7 +279,7 @@ func TestLookupAllocations(t *testing.T) {
 	large := small.Clone()
 	standing(rng, large, 4096, 8, 40)
 
-	// Counters bound but telemetry off, as in a server nobody watches.
+	// Counters bound, as in every server's shards.
 	large.BindObs(obs.NewRegistry())
 
 	// A query none of whose stream pairs was ever advertised.

@@ -294,11 +294,9 @@ func (r *Registry) InputsFor(q *query.Query, rt query.RateTable) []query.Input {
 		}
 	}
 	r.mu.RUnlock()
-	if obs.On() {
-		r.obsLookups.Inc()
-		r.obsScanned.Add(int64(scanned))
-		r.obsOffered.Add(int64(len(matches)))
-	}
+	r.obsLookups.Inc()
+	r.obsScanned.Add(int64(scanned))
+	r.obsOffered.Add(int64(len(matches)))
 	if len(matches) == 0 {
 		return nil
 	}

@@ -158,9 +158,6 @@ func TestPrune(t *testing.T) {
 // other, counts the removal in ads.pruned, and allocates nothing — also
 // when, called again, it finds nothing to remove.
 func TestRetractNamesOneNode(t *testing.T) {
-	prev := obs.Enabled.Load()
-	obs.Enabled.Store(true)
-	defer obs.Enabled.Store(prev)
 	reg := obs.NewRegistry()
 	r := NewRegistry()
 	r.BindObs(reg)

@@ -249,8 +249,8 @@ func newWorld(cfg Config, prune bool) (*World, error) {
 	// the stack emits (plans, deploys, calibration windows, gate
 	// decisions, migrations, invariant audits) lands in the engine
 	// registry's ring buffer, so a violation's report can be accompanied
-	// by the decision history that led to it. Metric collection stays
-	// gated on obs.Enabled; only the tracer is armed unconditionally.
+	// by the decision history that led to it. The registry's metrics
+	// record as every registry's do; only the recorder needs arming.
 	reg := obs.NewRegistry()
 	reg.Tracer().Enable()
 	h.BindObs(reg)

@@ -95,10 +95,6 @@ func TestExplainRendering(t *testing.T) {
 // TestPlannerObsRecords checks the per-algorithm metrics land in the
 // Options.Obs registry and agree with the Result accounting.
 func TestPlannerObsRecords(t *testing.T) {
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
-
 	h, w := explainWorld(t)
 	reg := obs.NewRegistry()
 	q := w.Queries[1]

@@ -7,7 +7,7 @@ import (
 
 // plannerObs carries the pre-bound telemetry handles one optimizer run
 // records into. The zero value (nil handles) is a no-op, so planners
-// instrument unconditionally and pay nothing when observation is off.
+// instrument unconditionally and pay nothing without a registry.
 type plannerObs struct {
 	// plans accumulates fractional search-space counts, so it is a gauge
 	// used as a float accumulator rather than an integer counter.
@@ -28,11 +28,10 @@ func metricsFor(algo string) plannerMetrics {
 
 var topDownMetrics, bottomUpMetrics = metricsFor("topdown"), metricsFor("bottomup")
 
-// newPlannerObs binds one algorithm's metric handles. A nil registry — or
-// observation being disabled — yields the no-op zero value without
-// touching the registry.
+// newPlannerObs binds one algorithm's metric handles. A nil registry
+// yields the no-op zero value.
 func newPlannerObs(reg *obs.Registry, names plannerMetrics) plannerObs {
-	if reg == nil || !obs.On() {
+	if reg == nil {
 		return plannerObs{}
 	}
 	return plannerObs{

@@ -28,10 +28,10 @@ func TopDown(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, reg *ad
 
 // Options tunes the hierarchical optimizers beyond the paper's defaults.
 type Options struct {
-	// Obs, when non-nil and obs.Enabled, receives planner telemetry:
-	// per-level search spans, candidates examined, reuse inputs offered
-	// (metric names "core.<algo>.*"). Its flight recorder, when armed,
-	// additionally receives PlanStarted/PlanChosen trace events.
+	// Obs, when non-nil, receives planner telemetry: per-level search
+	// spans, candidates examined, reuse inputs offered (metric names
+	// "core.<algo>.*"). Its flight recorder, when armed, additionally
+	// receives PlanStarted/PlanChosen trace events.
 	Obs *obs.Registry
 }
 

@@ -79,9 +79,6 @@ func undeploy(t *testing.T, h half, d Deployment) int {
 // stand on it. What-if plans, failed plans, statements that do not
 // parse and statements that fold to a no-op never enter one.
 func TestPreparedPinnedByStandingDeployments(t *testing.T) {
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
 	onBothHalves(t, testPreparedPinnedByStandingDeployments)
 }
 
@@ -257,9 +254,6 @@ func testPreparedDroppedOnCatalogChange(t *testing.T, h half, sys *System, sink 
 	// The hit case also runs with the standing deployment retired just
 	// after the deploy; only that order runs on an Engine, whose runtime
 	// refuses a plan that reads operators retired since it was planned.
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
 	misses := sys.Obs.Counter("cql.prepared_misses")
 	_, onEngine := h.(*Engine)
 	for i, c := range []struct{ hit, retireFirst bool }{{false, false}, {true, true}, {true, false}} {

@@ -95,8 +95,8 @@ type System struct {
 
 	// Obs is the system's private telemetry registry: every component of
 	// this system records there (metric catalog in README), so concurrent
-	// systems — e.g. parallel experiments — never share counters. Recording
-	// only happens while telemetry is enabled (obs.Enable).
+	// systems — e.g. parallel experiments — never share counters. A nil
+	// Obs records nothing.
 	Obs *obs.Registry
 
 	// mu guards the Hierarchy's path-snapshot swap (Refresh) against
@@ -116,6 +116,10 @@ type System struct {
 	unpinned             int // entries dropped since prepared was last rebuilt
 	prepHits, prepMisses *obs.Counter
 	prepEntries          *obs.Gauge
+
+	// What every Deploy and PlanCQL records (see there), bound once.
+	reuseHits, reuseMisses, rulesApplied *obs.Counter
+	bytesSaved                           *obs.Gauge
 }
 
 // prepared is the part of planning a statement that depends on nothing but
@@ -212,6 +216,11 @@ func NewSystem(g *netgraph.Graph, h *hierarchy.Hierarchy, cat *query.Catalog, re
 		prepHits:    reg.Counter("cql.prepared_hits"),
 		prepMisses:  reg.Counter("cql.prepared_misses"),
 		prepEntries: reg.Gauge("cql.prepared_entries"),
+
+		reuseHits:    reg.Counter("ads.reuse_hits"),
+		reuseMisses:  reg.Counter("ads.reuse_misses"),
+		rulesApplied: reg.Counter("rewrite.rules_applied"),
+		bytesSaved:   reg.Gauge("rewrite.bytes_saved"),
 	}
 	s.Registry.BindObs(reg)
 	s.tracker.BindObs(reg)
@@ -241,7 +250,7 @@ func Build(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, maxCS i
 func (s *System) allocQueryID() int { return int(s.queries.Add(1) - 1) }
 
 // Snapshot returns a point-in-time copy of the system's telemetry,
-// detached from the live metrics. With telemetry disabled it is empty.
+// detached from the live metrics.
 func (s *System) Snapshot() obs.Snapshot { return s.Obs.Snapshot() }
 
 // NodeLoad returns the tracked processing load (input rate) on a node.
@@ -304,20 +313,18 @@ func (s *System) PlanWhere(sources []query.StreamID, sink netgraph.NodeID, algo 
 // Deploy commits a planned deployment: its operators are advertised for
 // future queries, its processing load is booked and a CQL-planned one pins
 // its prepared statement until Undeploy; Engine.Deploy runs the plan first.
-// A nil Plan (a provably empty query) records nothing. With telemetry on,
-// the derived leaves a plan consumes count as "ads.reuse_hits"; a plan
-// offered candidates (Result.ReuseOffered) that consumed none is an
-// "ads.reuse_misses" (duplicating the work was cheaper).
+// A nil Plan (a provably empty query) records nothing. The derived leaves
+// a plan consumes count as "ads.reuse_hits"; a plan offered candidates
+// (Result.ReuseOffered) that consumed none is an "ads.reuse_misses"
+// (duplicating the work was cheaper).
 func (s *System) Deploy(d Deployment) error {
 	if d.Plan == nil {
 		return nil
 	}
-	if obs.On() {
-		hits := d.Plan.DerivedLeaves()
-		s.Obs.Counter("ads.reuse_hits").Add(int64(hits))
-		if hits == 0 && d.ReuseOffered > 0 {
-			s.Obs.Counter("ads.reuse_misses").Inc()
-		}
+	hits := d.Plan.DerivedLeaves()
+	s.reuseHits.Add(int64(hits))
+	if hits == 0 && d.ReuseOffered > 0 {
+		s.reuseMisses.Inc()
 	}
 	s.Registry.AdvertisePlan(d.Query, d.Plan)
 	s.tracker.AddPlan(d.Plan)
@@ -361,10 +368,8 @@ func (s *System) PlanCQL(stmt string, sink netgraph.NodeID, algo Algorithm) (Dep
 		return Deployment{}, err
 	}
 	q.ID, q.Sink = s.allocQueryID(), sink
-	if obs.On() {
-		s.Obs.Counter("rewrite.rules_applied").Add(int64(p.out.RulesApplied))
-		s.Obs.Gauge("rewrite.bytes_saved").Add(p.out.BytesSaved())
-	}
+	s.rulesApplied.Add(int64(p.out.RulesApplied))
+	s.bytesSaved.Add(p.out.BytesSaved())
 	if tr := s.Obs.Tracer(); tr.On() && p.out.RulesApplied > 0 {
 		tr.Emit(obs.Event{
 			Kind: obs.KindRewriteApplied, Trace: obs.QueryTrace(q.ID),

@@ -7,14 +7,12 @@ import "hnp/internal/obs"
 // per-System planning telemetry): each completed unit of a figure's sweep
 // — a workload repetition, a network size, a series — increments
 // "exp.<fig>.units_done". Watching that counter (e.g. via smq
-// -debug-addr) shows how far a long figure run has progressed. Recording
-// is off unless telemetry is enabled.
+// -debug-addr) shows how far a long figure run has progressed.
 
 // markProgress records one completed sweep unit for the running figure.
-// Safe from the parallel harness; a no-op outside a figure run or with
-// telemetry off.
+// Safe from the parallel harness; a no-op outside a figure run.
 func (c Config) markProgress() {
-	if c.fig == "" || !obs.On() {
+	if c.fig == "" {
 		return
 	}
 	obs.Default.Counter("exp." + c.fig + ".units_done").Inc()

@@ -20,9 +20,6 @@ func TestRebindRowsMatchesFull(t *testing.T) {
 	full := MustBuild(g, paths, 4, rand.New(rand.NewSource(52)))
 	delta := MustBuild(g, paths, 4, rand.New(rand.NewSource(52)))
 
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
 	reg := obs.NewRegistry()
 	delta.BindObs(reg)
 	audited := reg.Counter("hierarchy.rebind_clusters_reaudited")

@@ -38,10 +38,6 @@ func TestStatsZeroWindow(t *testing.T) {
 // TestStatsCountsAfterRun: after a real run, counts are positive, rates
 // are consistent with the counts, and the obs counters mirror the fields.
 func TestStatsCountsAfterRun(t *testing.T) {
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
-
 	w := makeTestWorld(t, 11)
 	rt := New(w.g, DefaultConfig(), 42)
 	reg := obs.NewRegistry()

@@ -133,9 +133,6 @@ func TestSnapshotIsolated(t *testing.T) {
 // Two trackers fed the same plans publish the same total to the last bit:
 // the sum runs in node order, not in the order a map happens to iterate.
 func TestPublishedTotalIsOrderIndependent(t *testing.T) {
-	prev := obs.Enabled.Load()
-	obs.Enable()
-	defer obs.Enabled.Store(prev)
 	rng := rand.New(rand.NewSource(1))
 	var plans []*query.PlanNode
 	for i := 0; i < 60; i++ {

@@ -37,10 +37,10 @@ const segmentEvents = 256
 // of size events: Snapshot skips the older records of a segment not yet
 // recycled.
 //
-// A nil *Tracer is a valid no-op handle, like every other obs handle. The
-// Tracer's armed state is independent of the package-level Enabled
-// switch, so the flight recorder can run with metrics off (the chaos
-// harness does exactly that).
+// A nil *Tracer is a valid no-op handle, like every other obs handle.
+// Unlike the metrics, which always record, each registry's recorder is
+// armed on its own (Enable), so only the runs that want a causal history
+// pay for one.
 type Tracer struct {
 	enabled atomic.Bool
 

@@ -310,47 +310,45 @@ func TestFlightIDsFollowRecordOrder(t *testing.T) {
 // recorder's emit/snapshot/dump paths — and is part of the -race CI
 // sweep.
 func TestObsConcurrentHammer(t *testing.T) {
-	withObs(t, func() {
-		r := NewRegistry()
-		tr := r.Tracer()
-		tr.size = 64 // small enough that the hammer wraps the ring
-		tr.Enable()
-		const workers = 8
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 300; i++ {
-					r.Counter("hammer.count").Inc()
-					r.Gauge("hammer.gauge").Set(float64(i))
-					r.Histogram("hammer.hist", nil).Observe(float64(i) * 1e-4)
-					sp := r.SpanSource("hammer.span").Start()
-					sp.End()
-					id := tr.Emit(Event{Kind: KindGateDecision, Trace: QueryTrace(w), Query: w, Node: NoID, Gate: "drift", Pass: i%2 == 0})
-					if i%10 == 0 {
-						tr.Emit(Event{Kind: KindMigrationApplied, Parent: id, Trace: QueryTrace(w), Query: w, Node: NoID})
-					}
-					if i%50 == 0 {
-						_ = r.Snapshot()
-						_ = tr.Snapshot()
-						_ = tr.Len()
-						_ = tr.Dropped()
-						var sink bytes.Buffer
-						_ = tr.WriteJSONL(&sink)
-					}
+	r := NewRegistry()
+	tr := r.Tracer()
+	tr.size = 64 // small enough that the hammer wraps the ring
+	tr.Enable()
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				r.Counter("hammer.count").Inc()
+				r.Gauge("hammer.gauge").Set(float64(i))
+				r.Histogram("hammer.hist", nil).Observe(float64(i) * 1e-4)
+				sp := r.SpanSource("hammer.span").Start()
+				sp.End()
+				id := tr.Emit(Event{Kind: KindGateDecision, Trace: QueryTrace(w), Query: w, Node: NoID, Gate: "drift", Pass: i%2 == 0})
+				if i%10 == 0 {
+					tr.Emit(Event{Kind: KindMigrationApplied, Parent: id, Trace: QueryTrace(w), Query: w, Node: NoID})
 				}
-			}()
-		}
-		wg.Wait()
-		if got := r.Counter("hammer.count").Value(); got != workers*300 {
-			t.Fatalf("hammer.count = %d, want %d", got, workers*300)
-		}
-		if got := r.Snapshot().Histograms["hammer.hist"].Count; got != workers*300 {
-			t.Fatalf("hammer.hist count = %d, want %d", got, workers*300)
-		}
-	})
+				if i%50 == 0 {
+					_ = r.Snapshot()
+					_ = tr.Snapshot()
+					_ = tr.Len()
+					_ = tr.Dropped()
+					var sink bytes.Buffer
+					_ = tr.WriteJSONL(&sink)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Counter("hammer.count").Value(); got != workers*300 {
+		t.Fatalf("hammer.count = %d, want %d", got, workers*300)
+	}
+	if got := r.Snapshot().Histograms["hammer.hist"].Count; got != workers*300 {
+		t.Fatalf("hammer.hist count = %d, want %d", got, workers*300)
+	}
 }
 
 func TestHistogramSnapshotQuantile(t *testing.T) {
@@ -411,35 +409,33 @@ func TestHistogramBoundsConflictCounter(t *testing.T) {
 	}
 	r.Histogram("h", []float64{5, 6})
 	if got := r.Counter("obs.histogram_bounds_conflict").Value(); got != 1 {
-		t.Fatalf("conflict counter = %d after conflicting layout, want 1 (records even with obs disabled)", got)
+		t.Fatalf("conflict counter = %d after conflicting layout, want 1", got)
 	}
 }
 
 func TestSpanSourcePrebound(t *testing.T) {
-	withObs(t, func() {
-		r := NewRegistry()
-		ss := r.SpanSource("work")
-		if r.SpanSource("work") != ss {
-			t.Fatal("SpanSource not idempotent by name")
-		}
-		for i := 0; i < 3; i++ {
-			sp := ss.Start()
-			sp.End()
-		}
-		snap := r.Snapshot()
-		if got := snap.Counter("work.calls"); got != 3 {
-			t.Fatalf("work.calls = %d, want 3", got)
-		}
-		if got := snap.Histograms["work.seconds"].Count; got != 3 {
-			t.Fatalf("work.seconds count = %d, want 3", got)
-		}
-		// The legacy StartSpan path shares the same underlying metrics.
-		sp := StartSpan(r, "work")
+	r := NewRegistry()
+	ss := r.SpanSource("work")
+	if r.SpanSource("work") != ss {
+		t.Fatal("SpanSource not idempotent by name")
+	}
+	for i := 0; i < 3; i++ {
+		sp := ss.Start()
 		sp.End()
-		if got := r.Snapshot().Counter("work.calls"); got != 4 {
-			t.Fatalf("StartSpan and SpanSource diverged: calls = %d, want 4", got)
-		}
-		var nilSS *SpanSource
-		nilSS.Start().End() // no-op, must not panic
-	})
+	}
+	snap := r.Snapshot()
+	if got := snap.Counter("work.calls"); got != 3 {
+		t.Fatalf("work.calls = %d, want 3", got)
+	}
+	if got := snap.Histograms["work.seconds"].Count; got != 3 {
+		t.Fatalf("work.seconds count = %d, want 3", got)
+	}
+	// The legacy StartSpan path shares the same underlying metrics.
+	sp := StartSpan(r, "work")
+	sp.End()
+	if got := r.Snapshot().Counter("work.calls"); got != 4 {
+		t.Fatalf("StartSpan and SpanSource diverged: calls = %d, want 4", got)
+	}
+	var nilSS *SpanSource
+	nilSS.Start().End() // no-op, must not panic
 }

@@ -3,14 +3,13 @@
 // a span-style trace recorder with monotonic timings, and the ways the
 // numbers get out (human text, a JSON /metrics handler, expvar).
 //
-// Instrumentation is designed to be free when nobody is watching: every
-// mutating operation is guarded by the package-level Enabled atomic, all
-// metric handles are nil-safe (methods on nil receivers are no-ops), and
-// enabled-mode updates are single atomic operations. Instrumented code
-// therefore never needs its own guards:
+// A metric handle always records: an update is one atomic operation (a
+// CAS loop for float accumulators) and allocates nothing. Not watching is
+// a nil registry, whose nil handles are no-ops, so instrumented code never
+// needs its own guards:
 //
 //	var deploys = reg.Counter("serving.deploys") // reg may be nil
-//	deploys.Inc()                                // no-op until obs.Enable()
+//	deploys.Inc()                                // no-op only if reg is nil
 //
 // Each hnp.System owns a private Registry so concurrent systems (and
 // tests) never pollute each other's numbers; Default is the process-wide
@@ -23,22 +22,6 @@ import (
 	"sync/atomic"
 )
 
-// Enabled is the master switch for all instrumentation. While false (the
-// default), every Counter/Gauge/Histogram mutation and every StartSpan is
-// a cheap no-op — one atomic load — so instrumented hot paths stay within
-// noise of un-instrumented code. Flip with Enable/Disable.
-var Enabled atomic.Bool
-
-// Enable turns instrumentation on.
-func Enable() { Enabled.Store(true) }
-
-// Disable turns instrumentation off. Values already recorded remain
-// readable.
-func Disable() { Enabled.Store(false) }
-
-// On reports whether instrumentation is currently enabled.
-func On() bool { return Enabled.Load() }
-
 // Counter is a monotonically increasing integer metric. The zero value is
 // ready to use; a nil *Counter is a valid no-op handle.
 type Counter struct {
@@ -50,7 +33,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d (negative deltas are ignored: counters only go up).
 func (c *Counter) Add(d int64) {
-	if c == nil || d <= 0 || !Enabled.Load() {
+	if c == nil || d <= 0 {
 		return
 	}
 	c.v.Add(d)
@@ -73,7 +56,7 @@ type Gauge struct {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !Enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -81,7 +64,7 @@ func (g *Gauge) Set(v float64) {
 
 // Add accumulates d into the gauge (CAS loop; safe under contention).
 func (g *Gauge) Add(d float64) {
-	if g == nil || d == 0 || !Enabled.Load() {
+	if g == nil || d == 0 {
 		return
 	}
 	for {
@@ -127,7 +110,7 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !Enabled.Load() {
+	if h == nil {
 		return
 	}
 	i := 0
@@ -136,8 +119,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	// The sum gauge re-checks Enabled; that is fine — it cannot have been
-	// turned off between the loads in any way that matters for totals.
 	h.sum.Add(v)
 }
 

@@ -98,9 +98,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		h = newHistogram(bounds)
 		r.hists[name] = h
 	} else if bounds != nil && !slices.Equal(h.bounds, bounds) {
-		// Conflict counters must record even while the master switch is
-		// off — a silently discarded layout is a bug signal, not telemetry.
-		r.counterLocked("obs.histogram_bounds_conflict").v.Add(1)
+		r.counterLocked("obs.histogram_bounds_conflict").Inc()
 	}
 	return h
 }

@@ -13,11 +13,10 @@ type SpanSource struct {
 	calls   *Counter
 }
 
-// Start begins a span on the source. While instrumentation is disabled
-// (or ss is nil) it returns the zero Span and costs one atomic load — no
-// clock read, no allocation.
+// Start begins a span on the source. On a nil source it returns the zero
+// Span: no clock read, no allocation.
 func (ss *SpanSource) Start() Span {
-	if ss == nil || !Enabled.Load() {
+	if ss == nil {
 		return Span{}
 	}
 	return Span{src: ss, start: time.Now()}
@@ -25,8 +24,8 @@ func (ss *SpanSource) Start() Span {
 
 // Span is one timed section of work, recorded with the monotonic clock.
 // Ending a span observes its duration into the source's histogram and
-// bumps its call counter. The zero Span (returned while disabled, or from
-// a nil source/registry) is inert.
+// bumps its call counter. The zero Span (from a nil source or registry)
+// is inert.
 type Span struct {
 	src   *SpanSource
 	start time.Time
@@ -37,7 +36,7 @@ type Span struct {
 // bound handle. It pays one registry lookup per call, at start, so End
 // stays a plain record; hot paths should bind a SpanSource instead.
 func StartSpan(reg *Registry, name string) Span {
-	if reg == nil || !Enabled.Load() {
+	if reg == nil {
 		return Span{}
 	}
 	return reg.SpanSource(name).Start()

@@ -176,9 +176,8 @@ type Server struct {
 	hPlanSec                        *obs.Histogram
 }
 
-// NewServer builds the sharded systems and the HTTP surface. Serving is
-// pointless without its measurements, so telemetry is switched on
-// process-wide.
+// NewServer builds the sharded systems and the HTTP surface. The server
+// and every shard record into registries of their own.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Shards < 1 || cfg.MaxInFlight < 1 {
 		return nil, fmt.Errorf("serve: need at least one shard and one in-flight slot")
@@ -186,7 +185,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = DefaultConfig().MaxBody
 	}
-	hnp.EnableTelemetry()
 	s := &Server{
 		cfg:  cfg,
 		Obs:  obs.NewRegistry(),

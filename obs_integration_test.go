@@ -1,10 +1,6 @@
 package hnp
 
-import (
-	"testing"
-
-	"hnp/internal/obs"
-)
+import "testing"
 
 // countDerived tallies derived-leaf ground truth for a deployment's plan,
 // independently of the telemetry path under test.
@@ -25,10 +21,6 @@ func countDerived(n *PlanNode) int {
 // calls and checks the snapshot's reuse accounting against ground truth
 // recomputed from the deployed plans and the advertisement registry.
 func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
-	prev := obs.Enabled.Load()
-	EnableTelemetry()
-	defer obs.Enabled.Store(prev)
-
 	g := TransitStubNetwork(64, 3)
 	sys, err := NewSystem(g, 8, 3)
 	if err != nil {
@@ -142,32 +134,9 @@ func TestSnapshotReuseCountersMatchRegistry(t *testing.T) {
 	}
 }
 
-// TestSnapshotDisabledEmpty: with telemetry off, deployments leave no
-// trace in the snapshot.
-func TestSnapshotDisabledEmpty(t *testing.T) {
-	prev := obs.Enabled.Load()
-	DisableTelemetry()
-	defer obs.Enabled.Store(prev)
-
-	sys, ids := newTestSystem(t)
-	if _, err := deploy(sys)(sys.Plan(ids, 9, AlgoTopDown)); err != nil {
-		t.Fatal(err)
-	}
-	snap := sys.Snapshot()
-	for _, name := range snap.Names() {
-		if snap.Counter(name) != 0 || snap.Gauge(name) != 0 {
-			t.Errorf("metric %q recorded while telemetry disabled", name)
-		}
-	}
-}
-
 // TestPlanLeavesCountersUntouched: what-if planning must not move
 // deployment counters — Plan has no side effects on reuse accounting.
 func TestPlanLeavesCountersUntouched(t *testing.T) {
-	prev := obs.Enabled.Load()
-	EnableTelemetry()
-	defer obs.Enabled.Store(prev)
-
 	sys, ids := newTestSystem(t)
 	if _, err := sys.Plan(ids, 9, AlgoTopDown); err != nil {
 		t.Fatal(err)

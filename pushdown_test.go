@@ -244,10 +244,8 @@ func TestPushdownFlowEquivalence(t *testing.T) {
 }
 
 // TestRewriteTelemetry: the pipeline's obs counters and the bytes-saved
-// gauge accumulate per planned query when telemetry is on.
+// gauge accumulate per planned query.
 func TestRewriteTelemetry(t *testing.T) {
-	EnableTelemetry()
-	t.Cleanup(DisableTelemetry)
 	sys, sink := newSchemaSystem(t)
 	if _, err := sys.PlanCQL(pushdownStatements[0], sink, AlgoTopDown); err != nil {
 		t.Fatal(err)

@@ -5,17 +5,12 @@ import (
 	"testing"
 
 	"hnp/internal/netgraph"
-	"hnp/internal/obs"
 )
 
 // TestTopologyRoundTripSmoke exercises the library end to end: a
 // generated transit-stub topology is built into a System and queried, and
 // the telemetry snapshot of that deployment must be non-trivial.
 func TestTopologyRoundTripSmoke(t *testing.T) {
-	prev := obs.Enabled.Load()
-	EnableTelemetry()
-	defer obs.Enabled.Store(prev)
-
 	g, err := netgraph.TransitStub(netgraph.DefaultTransitStub(64), rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
